@@ -4,7 +4,7 @@ Two costs matter for :mod:`repro.obs`:
 
 * **disabled** — every hook site must reduce to one module-attribute load
   plus an ``is not None`` test, so an unobserved drill runs at the same
-  events-per-second the compiled-core gate tracks;
+  events-per-second ``bench_simcore.py`` tracks;
 * **enabled** — full span collection, in-band context propagation on both
   wire formats and the metrics sampler should tax the drill by a bounded,
   tracked percentage, not a multiple.
@@ -29,7 +29,6 @@ import time
 
 import pytest
 
-from repro._backend import backend_name
 from repro.cluster.presets import (
     FAULT_DRILL_CLIENTS,
     FAULT_DRILL_CLIENTS_QUICK,
@@ -81,7 +80,6 @@ def test_fault_drill_observability_overhead(benchmark):
     observed_mean = sum(observed_seconds) / len(observed_seconds)
     overhead_pct = (observed_mean / plain_mean - 1.0) * 100 if plain_mean > 0 else 0.0
 
-    benchmark.extra_info["backend"] = backend_name()
     benchmark.extra_info["clients"] = CLIENTS
     benchmark.extra_info["events_per_second_obs_off"] = (
         round(plain.events_dispatched / plain_mean) if plain_mean > 0 else 0

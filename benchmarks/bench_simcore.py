@@ -28,7 +28,6 @@ import os
 
 import pytest
 
-from repro._backend import backend_name
 from repro.cluster.presets import (
     FAULT_DRILL_CLIENTS,
     FAULT_DRILL_CLIENTS_QUICK,
@@ -143,7 +142,7 @@ def test_fleet_events_per_second(benchmark):
     """The headline number: scheduler events per wall-clock second while
     simulating the full 4×256 mixed SOAP/CORBA fault drill — every layer
     (scheduler, simnet, transport, HTTP/GIOP, codecs, faults) in the loop,
-    not a microbenchmark.  Tracked per backend (pure vs compiled)."""
+    not a microbenchmark."""
     clients = FAULT_DRILL_CLIENTS_QUICK if _QUICK else FAULT_DRILL_CLIENTS
 
     def run_drill():
@@ -155,7 +154,6 @@ def test_fleet_events_per_second(benchmark):
     assert report.total_recency_violations == 0
 
     _throughput(benchmark, "events_per_second", report.events_dispatched)
-    benchmark.extra_info["backend"] = backend_name()
     benchmark.extra_info["clients"] = clients
     benchmark.extra_info["servers"] = FAULT_DRILL_SERVERS
     benchmark.extra_info["events_dispatched"] = report.events_dispatched

@@ -75,6 +75,11 @@ import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+SRC_DIR = REPO_ROOT / "src"
+sys.path.insert(0, str(SRC_DIR))
+
+from repro.obs.analyze import dominant_component  # noqa: E402 - needs SRC_DIR on sys.path
+
 BENCH_DIR = REPO_ROOT / "benchmarks"
 RESULTS_PATH = REPO_ROOT / "BENCH_results.json"
 
@@ -113,8 +118,7 @@ def run_benchmarks(files: list[Path], quick: bool = False) -> tuple[int, list[di
     with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as handle:
         json_path = Path(handle.name)
     env = dict(os.environ)
-    src = str(REPO_ROOT / "src")
-    env["PYTHONPATH"] = src + (
+    env["PYTHONPATH"] = str(SRC_DIR) + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     if quick:
@@ -163,37 +167,6 @@ def load_trajectory() -> dict:
         trajectory = {"runs": []}
     trajectory.setdefault("runs", [])
     return trajectory
-
-
-#: Latency components an ``obs_profile`` blob may carry (mean simulated
-#: seconds per call), in the analyzer's canonical order.
-PROFILE_COMPONENTS = ("network", "stall", "core_wait", "cpu", "backoff", "rebind")
-
-
-def dominant_component(before: "dict | None", now: "dict | None") -> "tuple[str, float, float] | None":
-    """The latency component whose mean grew most between two profiles.
-
-    ``before``/``now`` are ``obs_profile`` blobs from ``extra_info``
-    (component name -> mean simulated seconds, as produced by
-    ``LatencyProfile.component_means()``).  Returns ``(component,
-    before_mean_s, now_mean_s)`` or None when either blob is missing or no
-    component regressed.  Mirrors ``repro.obs.analyze.dominant_component``
-    — duplicated here because this runner must work without ``src`` on the
-    path; keep the two in sync.
-    """
-    if not isinstance(before, dict) or not isinstance(now, dict):
-        return None
-    deltas = {}
-    for name in PROFILE_COMPONENTS:
-        a, b = before.get(name), now.get(name)
-        if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-            deltas[name] = b - a
-    if not deltas:
-        return None
-    worst = max(sorted(deltas), key=lambda name: deltas[name])
-    if deltas[worst] <= 0:
-        return None
-    return worst, float(before[worst]), float(now[worst])
 
 
 def deterministic_metrics(bench: dict) -> dict[str, float]:

@@ -55,10 +55,7 @@ class ClusterWorld:
         scheduler: Scheduler | None = None,
     ) -> None:
         self.scheduler = scheduler if scheduler is not None else Scheduler()
-        # The cluster stack parses every delivered message synchronously in
-        # its delivery callback and never retains Message objects, so it opts
-        # into the network's arena allocator (see Network.pool_messages).
-        self.network = Network(self.scheduler, latency or t1_lan_profile(), pool_messages=True)
+        self.network = Network(self.scheduler, latency or t1_lan_profile())
         self.server_nodes: list[ServerNode] = []
         self.client_hosts: list[Host] = []
 

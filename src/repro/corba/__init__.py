@@ -18,7 +18,7 @@ This package plays the role OpenORB plays in the paper (§2.2):
 """
 
 from repro.corba.ior import IOR
-from repro.corba.orb import ClientOrb, DeferredResult, ServerOrb, RemoteObjectReference
+from repro.corba.orb import ClientOrb, ServerOrb, RemoteObjectReference
 from repro.corba.servant import Servant, StaticServant
 from repro.corba.dsi import DynamicServant, ServerRequest
 from repro.corba.dii import DiiRequest
@@ -28,7 +28,6 @@ from repro.corba.client import StaticCorbaClient
 __all__ = [
     "IOR",
     "ClientOrb",
-    "DeferredResult",
     "ServerOrb",
     "RemoteObjectReference",
     "Servant",

@@ -157,13 +157,6 @@ class CdrOutputStream:
         """Return the marshalled bytes."""
         return bytes(self._buffer)
 
-    def reset(self) -> None:
-        """Drop the contents but keep the allocation (scratch-buffer reuse)."""
-        del self._buffer[:]
-
-    def __len__(self) -> int:
-        return len(self._buffer)
-
 
 class CdrInputStream:
     """An input buffer for CDR unmarshalling.
@@ -272,40 +265,13 @@ class CdrInputStream:
         raise MarshalError(f"unknown CDR type tag 0x{tag:02x}")
 
 
-#: Cap on the reusable scratch buffer: one giant value must not pin a huge
-#: allocation for the rest of the process.
-_SCRATCH_LIMIT = 1 << 16
-
-#: Reusable scratch stream for :func:`marshal_values`.  ``getvalue`` copies
-#: out of the buffer, so reuse never aliases returned bytes.  ``None`` while
-#: a marshal is in flight — the reentrancy guard: if marshalling a value
-#: somehow re-enters (an exotic ``__index__``/property on a marshalled
-#: object), the inner call sees ``None`` and uses a private stream.
-_scratch: CdrOutputStream | None = CdrOutputStream()
-
-
-def _write_values(stream: CdrOutputStream, values: tuple[Any, ...] | list[Any]) -> bytes:
+def marshal_values(values: tuple[Any, ...] | list[Any]) -> bytes:
+    """Marshal a sequence of values (an argument list or a single result)."""
+    stream = CdrOutputStream()
     stream.write_ulong(len(values))
     for value in values:
         stream.write_value(value)
     return stream.getvalue()
-
-
-def marshal_values(values: tuple[Any, ...] | list[Any]) -> bytes:
-    """Marshal a sequence of values (an argument list or a single result)."""
-    global _scratch
-    stream = _scratch
-    if stream is None:
-        return _write_values(CdrOutputStream(), values)
-    _scratch = None
-    try:
-        stream.reset()
-        return _write_values(stream, values)
-    finally:
-        if len(stream) <= _SCRATCH_LIMIT:
-            _scratch = stream
-        else:
-            _scratch = CdrOutputStream()
 
 
 def unmarshal_values(data: bytes) -> list[Any]:

@@ -54,21 +54,6 @@ from repro.sim.servercore import ServerCore
 _EPHEMERAL_BASE = 53000
 
 
-class DeferredResult(Deferred):
-    """A servant result that will be provided later.
-
-    A servant (typically a DSI :class:`~repro.corba.dsi.DynamicServant` used
-    by SDE) may return an instance of this class from ``invoke`` to stall the
-    GIOP reply — for example while the interface publisher catches up with
-    pending changes (§5.7).  It is a named alias of the transport layer's
-    generic :class:`~repro.net.transport.Deferred`; :class:`ServerOrb`
-    accepts either.
-    """
-
-    def __init__(self) -> None:
-        super().__init__("deferred CORBA result")
-
-
 class ServerOrb:
     """The server-side ORB: an IIOP endpoint dispatching to servants."""
 
@@ -150,7 +135,7 @@ class ServerOrb:
             servant = self.poa.servant_for(giop.object_key)
             arguments = unmarshal_values(giop.arguments_cdr)
             result = servant.invoke(giop.operation, arguments)
-        except BaseException as exc:  # noqa: BLE001 - mapped to a GIOP reply
+        except Exception as exc:  # noqa: BLE001 - mapped to a GIOP reply
             return self._encoded(giop.request_id, None, exc, request_size, 0.0)
 
         if isinstance(result, Deferred):
@@ -177,7 +162,7 @@ class ServerOrb:
                 if error is not None
                 else self._success_reply(request_id, value)
             )
-        except BaseException as marshal_error:  # noqa: BLE001 - e.g. unmarshallable result
+        except Exception as marshal_error:  # noqa: BLE001 - e.g. unmarshallable result
             # A result the CDR layer cannot encode must still produce a
             # reply, or the client (and this connection's FIFO) hangs.
             reply = self._exception_reply(request_id, marshal_error)
@@ -344,7 +329,7 @@ class ClientOrb:
         def finish(reply: ReplyMessage) -> None:
             try:
                 result.complete(self._interpret_reply(reply))
-            except BaseException as exc:  # noqa: BLE001 - CORBA exceptions propagate
+            except Exception as exc:  # noqa: BLE001 - CORBA exceptions propagate
                 result.fail(exc)
 
         def send() -> None:

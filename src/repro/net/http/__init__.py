@@ -9,14 +9,13 @@ built on the shared :mod:`repro.net.transport` layer.
 """
 
 from repro.net.http.messages import HttpRequest, HttpResponse, StatusCodes
-from repro.net.http.server import DeferredHttpResponse, HttpServer, Route
+from repro.net.http.server import HttpServer, Route
 from repro.net.http.client import HttpClient
 
 __all__ = [
     "HttpRequest",
     "HttpResponse",
     "StatusCodes",
-    "DeferredHttpResponse",
     "HttpServer",
     "Route",
     "HttpClient",

@@ -32,18 +32,6 @@ from repro.net.transport import Connection, Deferred, Endpoint, ReplyOutcome, Ro
 from repro.sim.servercore import ServerCore
 
 
-class DeferredHttpResponse(Deferred):
-    """A reply that will be provided later by the handler.
-
-    Kept as a named alias of the transport layer's generic
-    :class:`~repro.net.transport.Deferred`; both names resolve replies the
-    same way, and :class:`HttpServer` accepts either.
-    """
-
-    def __init__(self) -> None:
-        super().__init__("deferred HTTP response")
-
-
 HandlerResult = Union[HttpResponse, tuple[HttpResponse, float], Deferred]
 Handler = Callable[[HttpRequest], HandlerResult]
 

@@ -54,21 +54,6 @@ class LatencyModel:
             transmission = size_bytes / self.bandwidth_bytes_per_second
         return self.propagation + self.per_message_overhead + transmission
 
-    def one_way_delays(self, sizes: "list[int] | tuple[int, ...]") -> list[float]:
-        """Vectorised :meth:`one_way_delay` for a burst of message sizes.
-
-        Folds the size-independent terms once and skips per-item validation
-        (sizes come from ``len(payload)``, which cannot be negative).  Every
-        element is bit-identical to the scalar path: the scalar computes
-        ``(propagation + overhead) + size/bandwidth`` left-to-right, and so
-        does this.
-        """
-        base = self.propagation + self.per_message_overhead
-        bandwidth = self.bandwidth_bytes_per_second
-        if bandwidth > 0:
-            return [base + size / bandwidth for size in sizes]
-        return [base] * len(sizes)
-
 
 @dataclass(frozen=True)
 class CostModel:

@@ -85,8 +85,7 @@ def _send_in_order(
     arrival = scheduler.now + delay
     if arrival <= last_arrival:
         arrival = last_arrival + _STREAM_ORDER_EPSILON
-        # Pooled: held-back sends are fire-and-forget and never cancelled.
-        scheduler.schedule_pooled(arrival - delay - scheduler.now, send_now, label=label)
+        scheduler.schedule(arrival - delay - scheduler.now, send_now, label=label)
     else:
         send_now()
     return arrival
@@ -147,7 +146,7 @@ class Deferred(Generic[T]):
         def resolved(value: Any, error: BaseException | None, delay: float) -> None:
             try:
                 encoded = encode(value, error)
-            except BaseException as exc:  # noqa: BLE001 - encode failure fails out
+            except Exception as exc:  # noqa: BLE001 - encode failure fails out
                 out.fail(exc, delay)
                 return
             out.complete(encoded, delay)
@@ -265,7 +264,7 @@ class Connection:
         while self._next_to_send in self._resolved:
             now = scheduler.now
             if now < self.ready_at:
-                scheduler.schedule_pooled(
+                scheduler.schedule(
                     self.ready_at - now,
                     self._flush,
                     label=(
@@ -478,7 +477,7 @@ class Endpoint:
                 active.note_server_charge(cost, delay - cost)
         if delay > 0:
             scheduler = self.scheduler
-            scheduler.schedule_pooled(
+            scheduler.schedule(
                 delay,
                 connection.resolve,
                 seq,
@@ -665,7 +664,7 @@ class _ClientConnection:
         self.replies_received += 1
         try:
             deferred.complete(parse(message))
-        except BaseException as exc:  # noqa: BLE001 - parse errors fail the call
+        except Exception as exc:  # noqa: BLE001 - parse errors fail the call
             deferred.fail(exc)
 
     def __repr__(self) -> str:

@@ -571,9 +571,8 @@ def dominant_component(
     """The component whose mean grew most between two ``component_means``.
 
     Returns ``(name, before_mean_s, now_mean_s)``, or None when either blob
-    is missing or nothing regressed.  Shared with ``benchmarks/run_all.py``
-    (which re-implements it locally to stay importable without the
-    package): keep the two in sync.
+    is missing or nothing regressed.  ``benchmarks/run_all.py`` uses it to
+    attribute flagged regressions.
     """
     if not isinstance(before, Mapping) or not isinstance(now, Mapping):
         return None

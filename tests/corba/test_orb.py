@@ -4,11 +4,12 @@ import pytest
 
 from repro.corba.dii import DiiRequest, create_request
 from repro.corba.dsi import DynamicServant, ServerRequest
-from repro.corba.orb import ClientOrb, DeferredResult, ServerOrb
+from repro.corba.orb import ClientOrb, ServerOrb
 from repro.corba.poa import PortableObjectAdapter
 from repro.corba.servant import StaticServant
 from repro.errors import CorbaError, CorbaSystemException, CorbaUserException
 from repro.interface import OperationSignature, Parameter
+from repro.net.transport import Deferred
 from repro.rmitypes import INT, STRING
 
 
@@ -124,6 +125,22 @@ class TestRemoteInvocation:
             reference.invoke("crash")
         assert excinfo.value.name == "UNKNOWN"
 
+    def test_interpreter_signal_is_not_a_reply(self, network, scheduler):
+        # KeyboardInterrupt (like SystemExit) must stop the run, never come
+        # back to the caller as a GIOP exception reply.
+        orb, client_orb, servant = build_static_world(network)
+
+        def interrupted():
+            raise KeyboardInterrupt
+
+        servant.register(OperationSignature("interrupt", (), STRING), interrupted)
+        reference = client_orb.object_for(orb.object_reference("Calculator"))
+        deferred = reference.invoke_async("interrupt")
+        with pytest.raises(KeyboardInterrupt):
+            scheduler.run_until_idle()
+        assert not deferred.completed
+        assert orb.system_exceptions_sent == 0
+
     def test_unknown_operation_is_bad_operation(self, network, scheduler):
         orb, client_orb, _servant = build_static_world(network)
         reference = client_orb.object_for(orb.object_reference("Calculator"))
@@ -193,7 +210,7 @@ class TestDsi:
         deferred_holder = []
 
         def handler(request: ServerRequest):
-            deferred = DeferredResult()
+            deferred = Deferred()
             deferred_holder.append(deferred)
             request.set_result(deferred)
 

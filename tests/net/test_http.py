@@ -4,13 +4,13 @@ import pytest
 
 from repro.errors import HttpError
 from repro.net.http import (
-    DeferredHttpResponse,
     HttpClient,
     HttpRequest,
     HttpResponse,
     HttpServer,
     StatusCodes,
 )
+from repro.net.transport import Deferred
 
 
 class TestHttpRequestMessage:
@@ -160,7 +160,7 @@ class TestHttpServerAndClient:
         deferred_holder = []
 
         def handler(request):
-            deferred = DeferredHttpResponse()
+            deferred = Deferred()
             deferred_holder.append(deferred)
             return deferred
 
@@ -174,7 +174,7 @@ class TestHttpServerAndClient:
         assert scheduler.now >= 2.0
 
     def test_deferred_double_completion_rejected(self):
-        deferred = DeferredHttpResponse()
+        deferred = Deferred()
         deferred.complete(HttpResponse.ok_text("one"))
         with pytest.raises(Exception):
             deferred.complete(HttpResponse.ok_text("two"))

@@ -13,7 +13,6 @@ and flight-recorder dumps — attributes to the identical profile.
 
 from __future__ import annotations
 
-import importlib.util
 import json
 from pathlib import Path
 
@@ -390,27 +389,6 @@ class TestDiffAndDominant:
         # Ties break on the lexicographically first component name.
         tied = dict(before, cpu=0.002, network=0.002)
         assert dominant_component(before, tied)[0] == "cpu"
-
-    def test_run_all_reimplementation_stays_in_sync(self):
-        # benchmarks/run_all.py duplicates dominant_component so the runner
-        # imports without the package on sys.path; this pins the parity.
-        path = Path(__file__).resolve().parents[2] / "benchmarks" / "run_all.py"
-        spec = importlib.util.spec_from_file_location("run_all_under_test", path)
-        run_all = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(run_all)
-        cases = [
-            ({n: 0.001 for n in ALL_COMPONENTS}, {n: 0.001 for n in ALL_COMPONENTS}),
-            (
-                {n: 0.001 for n in ALL_COMPONENTS},
-                dict({n: 0.001 for n in ALL_COMPONENTS}, core_wait=0.009),
-            ),
-            ({"network": 0.002}, {"network": 0.001}),
-            ({}, {"network": 0.001}),
-        ]
-        for before, now in cases:
-            assert run_all.dominant_component(before, now) == dominant_component(
-                before, now
-            )
 
     def test_bench_profile_diff_compares_the_last_two_blobs(self):
         blob = lambda stall: {

@@ -1,16 +1,10 @@
-"""Property tests: batched delivery and arena allocation are invisible.
+"""Property tests: same-instant delivery coalescing is invisible.
 
-The fast paths this file pins down:
-
-* ``Host.send_many`` / ``Network.transmit_many`` — vectorised latency
-  sampling plus one delivery event per same-arrival run — must be
-  byte-identical to calling ``send`` once per payload in order: same
-  delivered payload bytes in the same order at the same virtual times, same
-  traffic stats, same number of scheduler dispatches;
-* message pooling (``Network(pool_messages=True)``) must change nothing an
-  observer who parses payloads inside the delivery callback can see;
-* the scalar fallback (partitioned / crashed endpoints) must count drops
-  exactly like sequential sends.
+``Network.transmit`` lets a message join the previous delivery event when
+both arrive at the same virtual instant and nothing was scheduled in
+between.  No observer may tell: every payload arrives at its send time plus
+the link's one-way delay, in ``(arrival time, send order)``.  Drops on a
+partitioned link or at a crashed host are counted once per send.
 """
 
 from __future__ import annotations
@@ -34,97 +28,57 @@ _bursts = st.lists(
 
 _DEST = Address("receiver", 80)
 
+#: Finite bandwidth so different sizes produce different arrivals, while
+#: equal sizes coalesce into shared delivery batches.
+_LATENCY = LatencyModel(propagation=0.001, bandwidth_bytes_per_second=10_000.0)
+
 
 def _payloads(sizes: list[int]) -> list[bytes]:
     # Distinct first byte per message so a reordering cannot cancel out.
     return [bytes([index % 256]) + b"x" * size for index, size in enumerate(sizes)]
 
 
-def _build(pool_messages: bool) -> tuple[Scheduler, Network, list]:
+def _build() -> tuple[Scheduler, Network, list]:
     scheduler = Scheduler()
-    # Finite bandwidth so different sizes produce different arrivals, while
-    # equal sizes coalesce into shared delivery batches.
-    network = Network(
-        scheduler,
-        LatencyModel(propagation=0.001, bandwidth_bytes_per_second=10_000.0),
-        pool_messages=pool_messages,
-    )
+    network = Network(scheduler, _LATENCY)
     network.add_host("sender")
     receiver = network.add_host("receiver")
     trace: list[tuple[float, bytes]] = []
-    # Copy payload bytes at delivery time: with pooling on, the Message
-    # object is recycled right after this callback returns.
-    receiver.bind(80, lambda message, host: trace.append((host.network.scheduler.now, bytes(message.payload))))
+    receiver.bind(80, lambda message, host: trace.append((host.network.scheduler.now, message.payload)))
     return scheduler, network, trace
-
-
-def _run(bursts, batched: bool, pool_messages: bool):
-    scheduler, network, trace = _build(pool_messages)
-    sender = network.host("sender")
-
-    def send_burst(sizes: list[int]) -> None:
-        payloads = _payloads(sizes)
-        if batched:
-            sender.send_many(_DEST, payloads)
-        else:
-            for payload in payloads:
-                sender.send(_DEST, payload)
-
-    for bucket, sizes in bursts:
-        scheduler.schedule(bucket * 0.01, lambda s=sizes: send_burst(s))
-    scheduler.run_until_idle()
-    stats = network.stats
-    return trace, scheduler.dispatched_count, (
-        stats.messages_sent,
-        stats.bytes_sent,
-        stats.messages_received,
-        stats.bytes_received,
-        stats.messages_dropped,
-    )
 
 
 class TestBatchedDeliveryIdentity:
     @given(bursts=_bursts)
     @settings(max_examples=100, deadline=None)
-    def test_send_many_matches_sequential_sends(self, bursts):
-        """Payload bytes, delivery times/order, dispatch count and stats are
-        identical between ``send_many`` and a sequential ``send`` loop."""
-        reference = _run(bursts, batched=False, pool_messages=False)
-        batched = _run(bursts, batched=True, pool_messages=False)
-        assert batched == reference
+    def test_coalesced_deliveries_keep_time_and_send_order(self, bursts):
+        scheduler, network, trace = _build()
+        sender = network.host("sender")
+        expected: list[tuple[float, int, bytes]] = []
 
-    @given(bursts=_bursts)
-    @settings(max_examples=100, deadline=None)
-    def test_message_pooling_is_invisible(self, bursts):
-        """Recycling Message objects changes nothing observable at delivery."""
-        plain = _run(bursts, batched=True, pool_messages=False)
-        pooled = _run(bursts, batched=True, pool_messages=True)
-        assert pooled == plain
+        def send_burst(sizes: list[int]) -> None:
+            for payload in _payloads(sizes):
+                arrival = scheduler.now + _LATENCY.one_way_delay(len(payload))
+                expected.append((arrival, len(expected), payload))
+                sender.send(_DEST, payload)
 
-    @given(bursts=_bursts)
-    @settings(max_examples=60, deadline=None)
-    def test_pooling_and_batching_compose(self, bursts):
-        """The fully optimised path (batched + pooled) still matches the
-        naive per-message, no-pool reference."""
-        reference = _run(bursts, batched=False, pool_messages=False)
-        optimised = _run(bursts, batched=True, pool_messages=True)
-        assert optimised == reference
+        for bucket, sizes in bursts:
+            scheduler.schedule(bucket * 0.01, lambda s=sizes: send_burst(s))
+        scheduler.run_until_idle()
+        assert trace == [(arrival, payload) for arrival, _, payload in sorted(expected)]
+        assert network.stats.messages_received == len(expected)
 
 
 class TestScalarFallback:
-    def _faulted(self, batched: bool, fault: str):
-        scheduler, network, trace = _build(pool_messages=False)
+    def _faulted(self, fault: str):
+        scheduler, network, trace = _build()
         sender = network.host("sender")
         if fault == "partition":
             network.partition("sender", "receiver")
         elif fault == "down":
             network.host("receiver").down = True
-        payloads = _payloads([10, 10, 20])
-        if batched:
-            sender.send_many(_DEST, payloads)
-        else:
-            for payload in payloads:
-                sender.send(_DEST, payload)
+        for payload in _payloads([10, 10, 20]):
+            sender.send(_DEST, payload)
         scheduler.run_until_idle()
         stats = network.stats
         return trace, (
@@ -134,9 +88,7 @@ class TestScalarFallback:
         )
 
     def test_partitioned_link_counts_drops_identically(self):
-        assert self._faulted(True, "partition") == self._faulted(False, "partition")
-        trace, (sent, dropped, received) = self._faulted(True, "partition")
-        assert (trace, sent, dropped, received) == ([], 3, 3, 0)
+        assert self._faulted("partition") == ([], (3, 3, 0))
 
     def test_down_destination_counts_drops_identically(self):
-        assert self._faulted(True, "down") == self._faulted(False, "down")
+        assert self._faulted("down") == ([], (3, 3, 0))
