@@ -62,7 +62,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any
 
 from repro.cluster.histogram import DEFAULT_BIN_WIDTH, LatencyHistogram
 from repro.cluster.report import CohortReport
@@ -470,20 +470,3 @@ class CohortFlow:
             f"mass={self.mass}, calls={self.calls})"
         )
 
-
-def build_flow_offsets(
-    positions: Sequence[int], arrival: Any
-) -> "array[float]":
-    """The sorted arrival offsets for a group's modeled positions.
-
-    Uses the same convention as discrete plans — a float ``arrival``
-    staggers position ``i`` at ``i * arrival``, a callable maps the
-    position to its offset, and an
-    :class:`~repro.traffic.arrivals.ArrivalProcess` draws the group's
-    offsets from its seeded stream — via the one shared resolver in
-    :mod:`repro.traffic.arrivals`.  Sorting keeps the flow's bisect
-    pointers valid for arbitrary shapes.
-    """
-    from repro.traffic.arrivals import offsets_for_positions
-
-    return array("d", sorted(offsets_for_positions(arrival, positions)))

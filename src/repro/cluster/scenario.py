@@ -38,8 +38,10 @@ them — see ARCHITECTURE.md "Fault model".
 from __future__ import annotations
 
 import inspect
+import math
 from array import array
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.cluster.cohort import CohortFlow, CohortModel
@@ -308,7 +310,8 @@ class Scenario:
         Each client targets either the named ``service`` or — under a
         ``protocol_mix`` like ``{"soap": 0.5, "corba": 0.5}`` — the first
         declared service of its assigned protocol; protocols are assigned by
-        a deterministic weighted interleave.  ``arrival`` staggers start
+        a deterministic weighted interleave (weights must be finite and
+        non-negative; 0 omits a protocol).  ``arrival`` staggers start
         times: a float ``s`` starts client *i* at ``i * s``, a callable maps
         the client index to its offset, and an
         :class:`~repro.traffic.arrivals.ArrivalProcess` (``Poisson``,
@@ -334,6 +337,10 @@ class Scenario:
             raise ClusterError("a client group needs at least one client")
         if service is not None and protocol_mix is not None:
             raise ClusterError("give a client group either a service or a protocol_mix")
+        if protocol_mix and not all(math.isfinite(w) and w >= 0 for w in protocol_mix.values()):
+            raise ClusterError(
+                f"protocol_mix weights must be finite and non-negative: {protocol_mix}"
+            )
         if cohort is not None and not isinstance(cohort, CohortModel):
             raise ClusterError(
                 f"cohort must be a CohortModel, got {type(cohort).__name__}"
@@ -421,14 +428,21 @@ def _weighted_interleave(mix: Sequence[tuple[str, float]], count: int) -> list[s
         raise ClusterError("protocol_mix needs at least one positive weight")
     weights = dict(mix)
     total = sum(weights[name] for name in names)
-    assigned = {name: 0 for name in names}
+    shares = [weights[name] / total for name in names]
+    assigned = [0] * len(names)
+    rest = range(1, len(names))
     sequence = []
     for slot in range(1, count + 1):
-        # The protocol furthest behind its target share wins the slot
-        # (ties: declaration order), so mixes interleave instead of blocking.
-        name = max(names, key=lambda n: (weights[n] / total) * slot - assigned[n])
-        assigned[name] += 1
-        sequence.append(name)
+        # The protocol furthest behind its target share wins the slot (the
+        # strict ``>`` keeps declaration order on ties), so mixes interleave
+        # instead of blocking.  No Python-level call per slot.
+        best, lag = 0, shares[0] * slot - assigned[0]
+        for i in rest:
+            behind = shares[i] * slot - assigned[i]
+            if behind > lag:
+                best, lag = i, behind
+        assigned[best] += 1
+        sequence.append(names[best])
     return sequence
 
 
@@ -705,19 +719,22 @@ class ScenarioRuntime:
             # representatives' assignments are exactly what positions
             # 0..reps-1 would get in the all-discrete group and the flow
             # mass inherits the rest — cohort aggregation never shifts who
-            # speaks which protocol.
+            # speaks which protocol.  No per-client Python call here
+            # (ARCHITECTURE.md "Plan building").
             if group.service is not None:
                 entry = self.registry.lookup(group.service)
-                targets = [(entry.technology, entry.name)] * group.count
+                protocols = [entry.technology] * group.count
+                service_of = {entry.technology: entry.name}
             else:
                 mix = group.protocol_mix or ((self._default_technology(), 1.0),)
                 protocols = _weighted_interleave(mix, group.count)
-                targets = [
-                    (protocol, self._service_for_protocol(protocol).name)
-                    for protocol in protocols
-                ]
+                service_of = {
+                    protocol: self._service_for_protocol(protocol).name
+                    for protocol in dict.fromkeys(protocols)
+                }
             for position in range(discrete_count):
-                protocol, service = targets[position]
+                protocol = protocols[position]
+                service = service_of[protocol]
                 operation = group.operation or self._default_operation(service)
                 plans.append(
                     ClientPlan(
@@ -738,10 +755,16 @@ class ScenarioRuntime:
                 index += 1
             if group.cohort is None or group.count <= discrete_count:
                 continue
-            members: dict[tuple[str, str], list[int]] = {}
-            for position in range(discrete_count, group.count):
-                members.setdefault(targets[position], []).append(position)
-            for (protocol, service), positions in members.items():
+            # One flow per protocol of the mass, in first-position order,
+            # holding exactly its own positions' offsets.
+            mass_protocols = protocols[discrete_count:]
+            mass_offsets = group_offsets[discrete_count:]
+            kinds = list(dict.fromkeys(mass_protocols))
+            for protocol in kinds:
+                offsets = mass_offsets if len(kinds) == 1 else compress(
+                    mass_offsets, map(protocol.__eq__, mass_protocols)
+                )
+                service = service_of[protocol]
                 flow_number = len(flows) + 1
                 host = self._cohort_host(flow_number)
                 flows.append(
@@ -754,9 +777,7 @@ class ScenarioRuntime:
                         arguments=group.arguments,
                         calls=group.calls,
                         think_time=group.think_time,
-                        offsets=array(
-                            "d", sorted(group_offsets[p] for p in positions)
-                        ),
+                        offsets=array("d", sorted(offsets)),
                         model=group.cohort,
                         host=host,
                         world=self.world,

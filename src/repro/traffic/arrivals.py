@@ -31,10 +31,11 @@ special-casing that used to live in ``cluster/scenario.py`` and
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from repro.errors import ClusterError
 
@@ -46,7 +47,7 @@ class ArrivalProcess:
     Subclasses implement :meth:`sample`, producing ``count`` arrival
     offsets (seconds after the group's start) from a fresh seeded RNG.
     :meth:`offsets` wraps it with the shared guarantees: sorted output,
-    non-negative offsets, exactly ``count`` of them.
+    finite non-negative offsets, exactly ``count`` of them.
     """
 
     seed: int = 0
@@ -58,17 +59,13 @@ class ArrivalProcess:
         """The group's per-client start offsets, sorted (position = rank)."""
         if count < 0:
             raise ClusterError(f"arrival count must be non-negative, got {count}")
-        values = sorted(float(value) for value in self.sample(self._rng(), count))
+        values = sorted(map(float, self.sample(self._rng(), count)))
         if len(values) != count:
             raise ClusterError(
                 f"{type(self).__name__} produced {len(values)} offsets for "
                 f"{count} clients"
             )
-        if values and values[0] < 0:
-            raise ClusterError(
-                f"arrival offsets must be non-negative, got {values[0]}"
-            )
-        return values
+        return _checked(values)
 
     def _rng(self) -> random.Random:
         # A fresh generator per call: the process is a pure function of its
@@ -90,11 +87,17 @@ class Poisson(ArrivalProcess):
         if self.rate <= 0:
             raise ClusterError(f"Poisson rate must be positive, got {self.rate}")
 
-    def sample(self, rng: random.Random, count: int) -> Iterable[float]:
+    def sample(self, rng: random.Random, count: int) -> list[float]:
+        # CPython's expovariate formula with bound methods in locals: the
+        # same floats as ``rng.expovariate(rate)``, no Python call per draw.
+        draw, log, rate = rng.random, math.log, self.rate
+        offsets: list[float] = []
+        append = offsets.append
         now = 0.0
         for _ in range(count):
-            now += rng.expovariate(self.rate)
-            yield now
+            now += -log(1.0 - draw()) / rate
+            append(now)
+        return offsets
 
 
 @dataclass(frozen=True)
@@ -250,6 +253,23 @@ class ClientChurn(ArrivalProcess):
             yield joined
 
 
+def _checked(offsets: list[float]) -> list[float]:
+    """``offsets``, unless one is not finite or is negative.
+
+    ``sum`` and ``min`` test in C; the bad value is searched for only when
+    the sum is not finite (finite values may also overflow it).
+    """
+    if offsets and not math.isfinite(sum(offsets)):
+        for offset in offsets:
+            if not math.isfinite(offset):
+                raise ClusterError(f"arrival offsets must be finite, got {offset}")
+    if offsets and min(offsets) < 0:
+        raise ClusterError(
+            f"arrival offsets must be non-negative, got {min(offsets)}"
+        )
+    return offsets
+
+
 def resolve_offsets(arrival: Any, count: int) -> list[float]:
     """Per-position start offsets for a ``count``-client group.
 
@@ -261,41 +281,17 @@ def resolve_offsets(arrival: Any, count: int) -> list[float]:
     * an :class:`ArrivalProcess` draws the whole group's offsets from its
       seeded stream (position = arrival rank).
 
-    Offsets must be non-negative; the same list feeds both the discrete
-    representatives and the modeled flow mass, so cohort aggregation never
-    shifts when anyone arrives.
+    Offsets must be finite and non-negative; the same list feeds both the
+    discrete representatives and the modeled flow mass, so cohort
+    aggregation never shifts when anyone arrives.
     """
     if count < 0:
         raise ClusterError(f"arrival count must be non-negative, got {count}")
     if isinstance(arrival, ArrivalProcess):
         return arrival.offsets(count)
     if callable(arrival):
-        offsets = [float(arrival(position)) for position in range(count)]
-    else:
-        step = float(arrival)
-        if step < 0:
-            raise ClusterError(f"arrival spacing must be non-negative, got {step}")
-        offsets = [position * step for position in range(count)]
-    for offset in offsets:
-        if offset < 0:
-            raise ClusterError(
-                f"arrival offsets must be non-negative, got {offset}"
-            )
-    return offsets
-
-
-def offsets_for_positions(arrival: Any, positions: Sequence[int]) -> list[float]:
-    """The offsets a subset of group positions would get in the full group.
-
-    Used by the legacy ``build_flow_offsets`` entry point: resolves enough
-    of the group (up to the highest position) and indexes into it, so a
-    flow's mass sees exactly the offsets its positions would have had in
-    an all-discrete group.
-    """
-    if not positions:
-        return []
-    highest = max(positions)
-    if highest < 0 or min(positions) < 0:
-        raise ClusterError("group positions must be non-negative")
-    resolved = resolve_offsets(arrival, highest + 1)
-    return [resolved[position] for position in positions]
+        return _checked([float(arrival(position)) for position in range(count)])
+    step = float(arrival)
+    if step < 0:
+        raise ClusterError(f"arrival spacing must be non-negative, got {step}")
+    return _checked([position * step for position in range(count)])

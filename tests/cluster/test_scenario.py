@@ -74,6 +74,24 @@ class TestScenarioBasics:
         with pytest.raises(ClusterError):
             Scenario().clients(2, service="Echo", protocol_mix={"soap": 1.0})
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -0.5])
+    def test_non_finite_or_negative_mix_weight_rejected(self, weight):
+        # An infinite weight made every share NaN (all slots to the first
+        # protocol); NaN and negative weights were dropped without a word.
+        with pytest.raises(ClusterError, match="must be finite and non-negative"):
+            Scenario().clients(4, protocol_mix={"soap": 1.0, "corba": weight})
+
+    def test_zero_mix_weight_omits_the_protocol(self):
+        # No corba service is declared: a 0 weight must not even resolve it.
+        report = (
+            Scenario()
+            .service("EchoSoap", [_echo_op()], technology="soap")
+            .clients(3, protocol_mix={"soap": 1.0, "corba": 0.0}, calls=1,
+                     arguments=("x",))
+            .run()
+        )
+        assert [c.protocol for c in report.clients] == ["soap"] * 3
+
     def test_unknown_policy_and_unknown_technology_fail_fast(self):
         with pytest.raises(ClusterError):
             Scenario().service("Echo", [_echo_op()], policy="random").build()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +17,6 @@ from repro.traffic import (
     Poisson,
     resolve_offsets,
 )
-from repro.traffic.arrivals import offsets_for_positions
 
 ALL_PROCESSES = [
     Poisson(rate=200.0, seed=3),
@@ -139,22 +140,58 @@ class TestResolveOffsets:
         with pytest.raises(ClusterError, match="offsets must be non-negative"):
             resolve_offsets(lambda i: -1.0, 2)
 
-    @given(
-        positions=st.lists(st.integers(min_value=0, max_value=40), max_size=10),
-        seed=st.integers(min_value=0, max_value=5),
+    @pytest.mark.parametrize(
+        "arrival, count",
+        [
+            (lambda i: float("nan"), 3),
+            (lambda i: float("inf") if i == 1 else 0.0, 3),
+            (float("inf"), 2),
+            (float("nan"), 2),
+            (1e308, 3),  # finite spacing whose positions overflow to inf
+        ],
+        ids=["callable-nan", "callable-inf", "spacing-inf", "spacing-nan", "overflow"],
     )
-    @settings(max_examples=40, deadline=None)
-    def test_offsets_for_positions_matches_full_group(self, positions, seed):
-        # A subset's offsets are exactly what those positions would get in
-        # the full group: cohort aggregation never shifts anyone's arrival.
-        process = Poisson(rate=100.0, seed=seed)
-        if positions:
-            full = resolve_offsets(process, max(positions) + 1)
-            expected = [full[p] for p in positions]
-        else:
-            expected = []
-        assert offsets_for_positions(process, positions) == expected
+    def test_non_finite_offsets_rejected(self, arrival, count):
+        with pytest.raises(ClusterError, match="must be finite"):
+            resolve_offsets(arrival, count)
 
-    def test_offsets_for_positions_rejects_negative(self):
-        with pytest.raises(ClusterError, match="positions must be non-negative"):
-            offsets_for_positions(0.1, [0, -1])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_process_offsets_rejected(self, bad):
+        class Broken(ArrivalProcess):
+            def sample(self, rng, count):
+                return [0.0] * (count - 1) + [bad]
+
+        with pytest.raises(ClusterError, match="must be finite"):
+            Broken().offsets(4)
+        with pytest.raises(ClusterError, match="must be finite"):
+            resolve_offsets(Broken(), 4)
+
+    def test_finite_offsets_whose_sum_overflows_pass(self):
+        # sum() overflowing is not a bad offset: only a located one raises.
+        assert resolve_offsets(lambda i: 1e308, 3) == [1e308] * 3
+
+
+def _reference_poisson(rate: float, seed: int, count: int) -> list[float]:
+    """The original ``Poisson.sample``: cumulative ``rng.expovariate`` gaps."""
+    rng = random.Random(seed)
+    now = 0.0
+    offsets = []
+    for _ in range(count):
+        now += rng.expovariate(rate)
+        offsets.append(now)
+    return sorted(offsets)
+
+
+class TestPoissonFormula:
+    @given(
+        rate=st.floats(min_value=1e-3, max_value=1e7, allow_nan=False),
+        seed=st.integers(min_value=0, max_value=2**32),
+        count=st.integers(min_value=0, max_value=2000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_expovariate(self, rate, seed, count):
+        # Poisson.sample inlines CPython's expovariate formula; a change to
+        # that formula in a new interpreter shows up here, bit for bit.
+        offsets = Poisson(rate=rate, seed=seed).offsets(count)
+        expected = _reference_poisson(rate, seed, count)
+        assert [x.hex() for x in offsets] == [x.hex() for x in expected]
