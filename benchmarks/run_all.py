@@ -57,11 +57,6 @@ bounded without a separate invocation.
 ``--quick`` exports ``REPRO_BENCH_QUICK=1``; parameter-heavy benchmarks read
 it at collection time and shrink their grids (fewer fleet sizes, fewer
 events), which keeps the CI run to a fraction of the full sweep.
-
-``REPRO_BENCH_WARNINGS`` (space-separated ``-W``-style filter specs) is
-forwarded to the pytest subprocess; CI uses it to turn DeprecationWarnings
-into errors while allowing only the repro-internal deprecation shims
-(``repro.testbed`` / ``repro.workload``) to keep warning.
 """
 
 from __future__ import annotations
@@ -134,8 +129,6 @@ def run_benchmarks(files: list[Path], quick: bool = False) -> tuple[int, list[di
         "-q",
         f"--benchmark-json={json_path}",
     ]
-    for spec in env.get("REPRO_BENCH_WARNINGS", "").split():
-        command += ["-W", spec]
     completed = subprocess.run(command, cwd=REPO_ROOT, env=env)
     try:
         payload = json.loads(json_path.read_text())

@@ -2,8 +2,9 @@
 
 The ROADMAP's scaling question — what happens when a replicated, mixed
 SOAP/CORBA service fleet serves hundreds of concurrent clients while a
-developer edits the running servers — used to take a page of hand-wired
-testbed setup.  With the Scenario API it is one ≤ 20-line expression:
+developer edits the running servers — would take a page of hand-wired
+hosts, SDE managers and client stacks.  With the Scenario API it is one
+≤ 20-line expression:
 
 * 4 server machines, each its own SDE;
 * two echo services (one per middleware), 2 replicas each, round-robin

@@ -15,33 +15,31 @@ demonstrates the full §5.7 + §6 loop:
 Run with:  python examples/simultaneous_development.py
 """
 
+from repro.cluster import Scenario, op
 from repro.errors import NonExistentMethodError
 from repro.rmitypes import DOUBLE, INT, STRING
-from repro.testbed import LiveDevelopmentTestbed, OperationSpec
 
 
 def main() -> None:
-    testbed = LiveDevelopmentTestbed()
-
     # -- the server developer starts an order service -------------------------
-    orders, _instance = testbed.create_soap_server(
+    runtime = Scenario().service(
         "OrderService",
         [
-            OperationSpec(
+            op(
                 "price", (("quantity", INT), ("unit_price", DOUBLE)), DOUBLE,
                 body=lambda self, quantity, unit_price: quantity * unit_price,
             ),
-            OperationSpec(
+            op(
                 "status", (("order_id", INT),), STRING,
                 body=lambda self, order_id: f"order {order_id}: packed",
             ),
         ],
-    )
-    testbed.settle()
+    ).build()
+    runtime.settle()
 
     # -- the client developer builds against a live stub class ----------------
-    binding = testbed.connect_soap_client("OrderService")
-    stubs = testbed.cde.create_stub_class(binding)
+    binding = runtime.connect("OrderService")
+    stubs = runtime.cde.create_stub_class(binding)
     order_client = stubs.new_stub_instance()
     print("client stub operations:", stubs.operation_names)
     print("price(3, 9.99)  =", order_client.price(3, 9.99))
@@ -51,7 +49,7 @@ def main() -> None:
     #    its signature to include a discount ---------------------------------
     from repro.interface import Parameter
 
-    price = orders.method("price")
+    price = runtime.dynamic_class("OrderService").method("price")
     price.rename("quote")
     price.set_parameters(
         (Parameter("quantity", INT), Parameter("unit_price", DOUBLE), Parameter("discount", DOUBLE))
@@ -66,7 +64,7 @@ def main() -> None:
 
     # The reactive update already refreshed the stub class (§6).
     print("client stub operations now:", stubs.operation_names)
-    entry = testbed.cde.debugger.latest()
+    entry = runtime.cde.debugger.latest()
     print("debugger entry:", entry)
     print("  context:", entry.context["diff"])
 

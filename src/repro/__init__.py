@@ -36,8 +36,8 @@ and CORBA Servers* (Pallemulle, Goldman & Morgan, WUCSE-2004-75 / ICDCS
   recorder that auto-dumps the recent span window when an invariant
   trips; any scenario opts in with ``scenario.run(obs=True)``;
 * experiment drivers reproducing every table and figure of the evaluation
-  (:mod:`repro.experiments`), plus the legacy two-host testbed
-  (:mod:`repro.testbed`), now a thin adapter over the cluster layer.
+  (:mod:`repro.experiments`), each built on a one-server ``Scenario`` — the
+  paper's two-host SDE/CDE world.
 
 Quickstart
 ----------
@@ -76,6 +76,7 @@ from repro.cluster import (
     ClusterReport,
     CohortModel,
     CohortReport,
+    OperationSpec,
     Scenario,
     ScenarioRuntime,
     ServiceReport,
@@ -118,9 +119,8 @@ from repro.rmitypes import (
     FieldDef,
     VOID,
 )
-from repro.testbed import LiveDevelopmentTestbed, OperationSpec
 
-__version__ = "1.8.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "ReproError",
@@ -139,6 +139,7 @@ __all__ = [
     "VOID",
     "Scenario",
     "ScenarioRuntime",
+    "OperationSpec",
     "ClusterReport",
     "ClientReport",
     "ServiceReport",
@@ -165,7 +166,5 @@ __all__ = [
     "RetryPolicy",
     "ObsConfig",
     "Observability",
-    "LiveDevelopmentTestbed",
-    "OperationSpec",
     "__version__",
 ]

@@ -40,10 +40,6 @@ and the ``upgrade`` helper are re-exported, and every
 :class:`~repro.cluster.registry.ServiceEntry` carries the subsystem's
 per-service version graph and version-aware routing switches (see
 ARCHITECTURE.md "Interface evolution").
-
-The legacy two-host :class:`repro.testbed.LiveDevelopmentTestbed` and the
-single-service :mod:`repro.workload` driver are thin adapters over this
-package.
 """
 
 from repro.cluster.cohort import CohortFlow, CohortModel

@@ -15,9 +15,7 @@ across every protocol in play:
 
 All counters are *per run*: the fleet driver snapshots the underlying
 lifetime statistics before the measured window and reports deltas, so
-repeated runs against one world do not bleed into each other.  The legacy
-:class:`repro.workload.WorkloadReport` is a single-service projection of
-this report.
+repeated runs against one world do not bleed into each other.
 
 Cohort scenarios (``clients(1_000_000, cohort=...)``) additionally carry
 one :class:`CohortReport` per flow: aggregate counters plus a streaming
@@ -84,12 +82,8 @@ def rtt_percentiles(values: Sequence[float]) -> dict[str, float]:
 
 @dataclass
 class ClientReport:
-    """What one fleet client observed.
-
-    The first six fields are the legacy ``repro.workload.ClientResult``
-    layout (kept positionally compatible); the cluster layer adds the
-    client's protocol, target service and per-call replica routing.
-    """
+    """What one fleet client observed: its RTT sequence and fault
+    classification, protocol, target service and per-call replica routing."""
 
     name: str
     rtts: list[float] = field(default_factory=list)
@@ -693,7 +687,7 @@ class ClusterReport:
             self.cohort_fingerprint(),
         )
 
-    # -- server-side aggregates (single-service workload compatibility) -----
+    # -- server-side aggregates across every service ------------------------
 
     @property
     def stalled_calls(self) -> int:

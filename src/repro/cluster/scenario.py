@@ -58,12 +58,11 @@ from repro.cluster.report import ClusterReport
 from repro.cluster.topology import ClusterWorld, ServerNode
 from repro.core.cde import ClientDevelopmentEnvironment, DynamicClientBinding
 from repro.core.sde import SDEConfig, Technology
-from repro.errors import ClusterError, HostNotFoundError
+from repro.errors import ClusterError
 from repro.faults import FaultInjector, RetryPolicy
 from repro.interface import Parameter
 from repro.jpie import DynamicClass
 from repro.net import LatencyModel
-from repro.net.simnet import Host
 from repro.rmitypes import RmiType, VOID
 from repro.traffic.arrivals import resolve_offsets
 
@@ -548,13 +547,23 @@ class ScenarioRuntime:
         """The deployed replicas of ``service``, in index order."""
         return self.registry.lookup(service).replicas
 
+    def _replica(self, service: str, index: int) -> Replica:
+        """One replica of ``service``; no negative or past-the-end index."""
+        replicas = self.replicas(service)
+        if not 0 <= index < len(replicas):
+            raise ClusterError(
+                f"service {service!r} has {len(replicas)} replica(s); "
+                f"replica index {index} is out of range"
+            )
+        return replicas[index]
+
     def dynamic_class(self, service: str, replica: int = 0) -> DynamicClass:
         """The dynamic class backing one replica of ``service``."""
-        return self.replicas(service)[replica].managed.dynamic_class
+        return self._replica(service, replica).managed.dynamic_class
 
     def node_of(self, service: str, replica: int = 0) -> ServerNode:
         """The server node hosting one replica of ``service``."""
-        return self.replicas(service)[replica].node
+        return self._replica(service, replica).node
 
     # -- interactive developer actions --------------------------------------
 
@@ -594,7 +603,7 @@ class ScenarioRuntime:
     ) -> DynamicClientBinding:
         """Connect a CDE binding to one replica of a managed service."""
         entry = self.registry.lookup(service)
-        publisher = entry.replicas[replica].publisher
+        publisher = self._replica(service, replica).publisher
         if entry.technology == "soap":
             return self.cde.connect_soap(publisher.document_url, reactive_updates=reactive_updates)
         if entry.technology == "corba":
@@ -704,9 +713,7 @@ class ScenarioRuntime:
             else min(group.count, group.cohort.representatives)
             for group in self.scenario._client_groups
         ]
-        # A prefix distinct from add_client's auto-names ("client-{n}"), so
-        # an ad-hoc machine can never alias a fleet client's host.
-        hosts = self.world.client_fleet(sum(discrete_counts), prefix="fleet-client-")
+        hosts = self.world.client_fleet(sum(discrete_counts))
         index = 0
         for group, discrete_count in zip(self.scenario._client_groups, discrete_counts):
             # One resolution covers the FULL group (scalar spacing, callable,
@@ -766,7 +773,6 @@ class ScenarioRuntime:
                 )
                 service = service_of[protocol]
                 flow_number = len(flows) + 1
-                host = self._cohort_host(flow_number)
                 flows.append(
                     CohortFlow(
                         index=flow_number,
@@ -779,20 +785,12 @@ class ScenarioRuntime:
                         think_time=group.think_time,
                         offsets=array("d", sorted(offsets)),
                         model=group.cohort,
-                        host=host,
+                        host=self.world.add_client(f"cohort-client-{flow_number}"),
                         world=self.world,
                         registry=self.registry,
                     )
                 )
         return plans, flows
-
-    def _cohort_host(self, number: int) -> Host:
-        """The reusable client machine carrying one cohort flow's stack."""
-        name = f"cohort-client-{number}"
-        try:
-            return self.world.network.host(name)
-        except HostNotFoundError:
-            return self.world.add_client(name)
 
     def _bind_action(self, action: Callable[..., None]) -> Callable[[], None]:
         try:

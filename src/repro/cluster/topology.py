@@ -1,12 +1,11 @@
-"""Generalised world building: N server machines, M client machines.
+"""World building: N server machines, M client machines.
 
-The seed testbed hard-codes the paper's two-host shape (one client
-PowerBook, one SDE server desktop).  :class:`ClusterWorld` generalises host
-creation: any number of server machines — each carrying its own JPie
-environment and SDE Manager — plus any number of client machines, all on
-one shared scheduler and simulated network.  The legacy
-:class:`repro.testbed.LiveDevelopmentTestbed` is now a thin adapter that
-builds a one-server world.
+The paper evaluates a two-host shape (one client PowerBook, one SDE server
+desktop).  :class:`ClusterWorld` generalises host creation: any number of
+server machines — each carrying its own JPie environment and SDE Manager —
+plus any number of client machines, all on one shared scheduler and
+simulated network.  :class:`repro.cluster.Scenario` builds every world
+through it; a one-server scenario is the paper's two-host shape.
 """
 
 from __future__ import annotations
@@ -61,38 +60,28 @@ class ClusterWorld:
 
     # -- machines -----------------------------------------------------------
 
-    def add_server(self, name: str | None = None, config: SDEConfig | None = None) -> ServerNode:
+    def add_server(self, name: str, config: SDEConfig | None = None) -> ServerNode:
         """Attach one more server machine, with its own JPie + SDE stack."""
-        if name is None:
-            name = f"server-{len(self.server_nodes) + 1}"
         node = ServerNode(self, name, config)
         self.server_nodes.append(node)
         return node
 
-    def add_client(self, name: str | None = None) -> Host:
-        """Attach one more client machine to the network."""
-        if name is None:
-            name = f"client-{len(self.network.hosts)}"
-        host = self.network.add_host(name)
-        self.client_hosts.append(host)
-        return host
+    def add_client(self, name: str) -> Host:
+        """The client machine named ``name``, attached on first use.
 
-    def client_fleet(self, count: int, prefix: str = "wl-client-") -> tuple[Host, ...]:
-        """Attach ``count`` client machines named ``{prefix}1..{prefix}count``.
-
-        Machines already attached under those names are reused, so repeated
-        fleet runs on one world share their hosts.
+        A machine already attached under that name is reused, so repeated
+        runs on one world share their client hosts.
         """
-        hosts = []
-        for index in range(count):
-            name = f"{prefix}{index + 1}"
-            try:
-                hosts.append(self.network.host(name))
-            except HostNotFoundError:
-                host = self.network.add_host(name)
-                self.client_hosts.append(host)
-                hosts.append(host)
-        return tuple(hosts)
+        try:
+            return self.network.host(name)
+        except HostNotFoundError:
+            host = self.network.add_host(name)
+            self.client_hosts.append(host)
+            return host
+
+    def client_fleet(self, count: int) -> tuple[Host, ...]:
+        """The ``count`` fleet machines ``fleet-client-1..count``."""
+        return tuple(self.add_client(f"fleet-client-{index + 1}") for index in range(count))
 
     def node(self, name: str) -> ServerNode:
         """The server node with the given host name."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.cluster import ClusterWorld, Scenario
 from repro.core.sde import SDEConfig
 from repro.core.sde.publisher import (
     STRATEGY_CHANGE_DRIVEN,
@@ -29,7 +30,6 @@ from repro.core.sde.publisher import (
 )
 from repro.interface import Parameter
 from repro.rmitypes import INT, STRING
-from repro.testbed import LiveDevelopmentTestbed, OperationSpec
 
 ALL_STRATEGIES = (STRATEGY_STABLE_TIMEOUT, STRATEGY_CHANGE_DRIVEN, STRATEGY_POLLING)
 
@@ -71,7 +71,7 @@ class StrategyResult:
         return self.publications - self.transient_publications
 
 
-def _apply_session(testbed: LiveDevelopmentTestbed, dynamic_class, session) -> list[int]:
+def _apply_session(world: ClusterWorld, dynamic_class, session) -> list[int]:
     """Replay the editing session; return the scheduler times (as indices in
     the publication history comparison) of burst boundaries."""
     counter = 0
@@ -87,9 +87,9 @@ def _apply_session(testbed: LiveDevelopmentTestbed, dynamic_class, session) -> l
                 distributed=True,
             )
             counter += 1
-            testbed.run_for(burst.gap)
+            world.run_for(burst.gap)
         stable_interfaces.append(dynamic_class.distributed_signatures())
-        testbed.run_for(burst.pause)
+        world.run_for(burst.pause)
     return stable_interfaces
 
 
@@ -101,23 +101,27 @@ def run_single_strategy(
     poll_interval: float = 10.0,
 ) -> StrategyResult:
     """Replay the editing session under ``strategy`` and measure the outcome."""
-    testbed = LiveDevelopmentTestbed(
-        sde_config=SDEConfig(
-            publication_timeout=timeout,
-            generation_cost=generation_cost,
-            publication_strategy=strategy,
-            poll_interval=poll_interval,
+    runtime = (
+        Scenario(
+            sde_config=SDEConfig(
+                publication_timeout=timeout,
+                generation_cost=generation_cost,
+                publication_strategy=strategy,
+                poll_interval=poll_interval,
+            )
         )
+        .service("EditedService")
+        .build()
     )
-    dynamic_class, _instance = testbed.create_soap_server("EditedService", [])
-    publisher = testbed.sde.managed_server("EditedService").publisher
+    dynamic_class = runtime.dynamic_class("EditedService")
+    publisher = runtime.replicas("EditedService")[0].publisher
 
-    stable_interfaces = _apply_session(testbed, dynamic_class, session)
+    stable_interfaces = _apply_session(runtime.world, dynamic_class, session)
     final_interface = dynamic_class.distributed_signatures()
 
     # Measure how long after the last edit the published interface still
     # disagrees with the live one.
-    last_edit_time = testbed.now - session[-1].pause
+    last_edit_time = runtime.world.now - session[-1].pause
     staleness = None
     for record in publisher.publication_history:
         if record.time >= last_edit_time and record.description.operations == final_interface:

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.cluster import Scenario, op
 from repro.core.sde import SDEConfig
 from repro.errors import NonExistentMethodError
 from repro.rmitypes import INT
-from repro.testbed import LiveDevelopmentTestbed, OperationSpec
 
 
 @dataclass(frozen=True)
@@ -53,26 +53,29 @@ def run_stale_flood(
     published interface is already current and no generation should happen at
     all.
     """
-    testbed = LiveDevelopmentTestbed(
-        sde_config=SDEConfig(
-            publication_timeout=publication_timeout,
-            generation_cost=generation_cost,
+    runtime = (
+        Scenario(
+            sde_config=SDEConfig(
+                publication_timeout=publication_timeout,
+                generation_cost=generation_cost,
+            )
         )
+        .service(
+            "Calculator",
+            [op("add", (("a", INT), ("b", INT)), INT, body=lambda self, a, b: a + b)],
+        )
+        .build()
     )
-    calculator, _instance = testbed.create_soap_server(
-        "Calculator",
-        [OperationSpec("add", (("a", INT), ("b", INT)), INT, body=lambda self, a, b: a + b)],
-    )
-    testbed.publish_now("Calculator")
-    publisher = testbed.sde.managed_server("Calculator").publisher
-    handler = testbed.sde.managed_server("Calculator").call_handler
-    binding = testbed.connect_soap_client("Calculator")
+    runtime.publish("Calculator")
+    publisher = runtime.replicas("Calculator")[0].publisher
+    binding = runtime.connect("Calculator")
+    world = runtime.world
 
     generations_before = publisher.stats.generations
     publications_before = publisher.stats.publications
 
     if change_interface_first:
-        calculator.method("add").rename("sum")
+        runtime.dynamic_class("Calculator").method("add").rename("sum")
 
     faults = 0
     for _ in range(stale_calls):
@@ -80,8 +83,8 @@ def run_stale_flood(
             binding.invoke("definitely_not_a_method", 1, 2)
         except NonExistentMethodError:
             faults += 1
-        testbed.run_for(interval)
-    testbed.run_for(publication_timeout + generation_cost * 2)
+        world.run_for(interval)
+    world.run_for(publication_timeout + generation_cost * 2)
 
     return StaleFloodResult(
         stale_calls_sent=stale_calls,

@@ -395,3 +395,13 @@ class TestInteractiveRuntime:
             lambda _self, x: x.upper()
         )
         assert client.invoke("double", "ab") == "AB"
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_replica_index_out_of_range_names_the_service(self, index):
+        runtime = Scenario().servers(2).service("E", [_echo_op()], replicas=2).build()
+        runtime.publish()
+        accessors = (runtime.connect, runtime.dynamic_class, runtime.node_of)
+        for accessor in accessors:
+            with pytest.raises(ClusterError, match=r"'E' has 2 replica\(s\)"):
+                accessor("E", index)
+        assert runtime.node_of("E", 1) is runtime.nodes[1]

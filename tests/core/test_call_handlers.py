@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.sde import SDEConfig
+from repro.cluster import op
 from repro.errors import (
     NonExistentMethodError,
     RemoteApplicationError,
@@ -11,34 +11,35 @@ from repro.errors import (
 from repro.net.http import HttpClient
 from repro.rmitypes import INT, STRING
 from repro.soap.envelope import SoapRequest, SoapResponse
-from repro.testbed import LiveDevelopmentTestbed, OperationSpec
 
 
 def _operations():
     return [
-        OperationSpec("add", (("a", INT), ("b", INT)), INT, body=lambda self, a, b: a + b),
-        OperationSpec(
+        op("add", (("a", INT), ("b", INT)), INT, body=lambda self, a, b: a + b),
+        op(
             "explode", (("reason", STRING),), STRING,
             body=lambda self, reason: (_ for _ in ()).throw(RuntimeError(reason)),
         ),
     ]
 
 
-@pytest.fixture
-def fast_testbed():
-    return LiveDevelopmentTestbed(
-        sde_config=SDEConfig(publication_timeout=1.0, generation_cost=0.05)
-    )
+def _calculator(scenario, technology="soap"):
+    """A published Calculator and the replica serving it."""
+    runtime = scenario.service("Calculator", _operations(), technology=technology).build()
+    runtime.publish("Calculator")
+    return runtime, runtime.replicas("Calculator")[0]
 
 
 class TestSoapCallHandler:
-    def test_server_not_initialized_before_first_instance(self, fast_testbed):
-        environment = fast_testbed.environment
-        sde = fast_testbed.sde
-        calculator = environment.create_class("Calculator", superclass=sde.soap_server_class)
+    def test_server_not_initialized_before_first_instance(self, fast_scenario):
+        runtime = fast_scenario.build()
+        node = runtime.nodes[0]
+        sde = node.sde
+        calculator = node.environment.create_class("Calculator", superclass=sde.soap_server_class)
         calculator.add_method("add", (), INT, body=lambda self: 0, distributed=True)
-        fast_testbed.publish_now("Calculator")
-        binding = fast_testbed.connect_soap_client("Calculator")
+        runtime.settle()
+        publisher = sde.managed_server("Calculator").publisher
+        binding = runtime.cde.connect_soap(publisher.document_url)
         with pytest.raises(ServerNotInitializedError):
             binding.invoke("add")
         handler = sde.managed_server("Calculator").call_handler
@@ -47,38 +48,35 @@ class TestSoapCallHandler:
         calculator.new_instance()
         assert binding.invoke("add") == 0
 
-    def test_successful_dispatch_and_stats(self, fast_testbed):
-        fast_testbed.create_soap_server("Calculator", _operations())
-        fast_testbed.publish_now("Calculator")
-        binding = fast_testbed.connect_soap_client("Calculator")
+    def test_successful_dispatch_and_stats(self, fast_scenario):
+        runtime, replica = _calculator(fast_scenario)
+        binding = runtime.connect("Calculator")
         assert binding.invoke("add", 2, 3) == 5
-        handler = fast_testbed.sde.managed_server("Calculator").call_handler
+        handler = replica.call_handler
         assert handler.stats.calls_received == 1
         assert handler.stats.calls_completed == 1
 
-    def test_application_exception_wrapped(self, fast_testbed):
-        fast_testbed.create_soap_server("Calculator", _operations())
-        fast_testbed.publish_now("Calculator")
-        binding = fast_testbed.connect_soap_client("Calculator")
+    def test_application_exception_wrapped(self, fast_scenario):
+        runtime, replica = _calculator(fast_scenario)
+        binding = runtime.connect("Calculator")
         with pytest.raises(RemoteApplicationError) as excinfo:
             binding.invoke("explode", "boom")
         assert "boom" in str(excinfo.value)
-        handler = fast_testbed.sde.managed_server("Calculator").call_handler
+        handler = replica.call_handler
         assert handler.stats.application_faults == 1
 
-    def test_unknown_operation_returns_non_existent_method(self, fast_testbed):
-        fast_testbed.create_soap_server("Calculator", _operations())
-        fast_testbed.publish_now("Calculator")
-        binding = fast_testbed.connect_soap_client("Calculator")
+    def test_unknown_operation_returns_non_existent_method(self, fast_scenario):
+        runtime, replica = _calculator(fast_scenario)
+        binding = runtime.connect("Calculator")
         with pytest.raises(NonExistentMethodError):
             binding.invoke("subtract", 5, 3)
-        handler = fast_testbed.sde.managed_server("Calculator").call_handler
+        handler = replica.call_handler
         assert handler.stats.non_existent_method_faults == 1
 
-    def test_changed_signature_treated_as_stale(self, fast_testbed):
-        calculator, _instance = fast_testbed.create_soap_server("Calculator", _operations())
-        fast_testbed.publish_now("Calculator")
-        binding = fast_testbed.connect_soap_client("Calculator")
+    def test_changed_signature_treated_as_stale(self, fast_scenario):
+        runtime, replica = _calculator(fast_scenario)
+        calculator = runtime.dynamic_class("Calculator")
+        binding = runtime.connect("Calculator")
         method = calculator.method("add")
         # Change arity: add now takes three ints.
         from repro.interface import Parameter
@@ -91,61 +89,59 @@ class TestSoapCallHandler:
         assert binding.description.operation("add").arity == 3
         assert binding.invoke("add", 1, 2, 3) == 6
 
-    def test_malformed_soap_request_fault(self, fast_testbed):
-        fast_testbed.create_soap_server("Calculator", _operations())
-        fast_testbed.publish_now("Calculator")
-        handler = fast_testbed.sde.managed_server("Calculator").call_handler
-        client = HttpClient(fast_testbed.client_host)
+    def test_malformed_soap_request_fault(self, fast_scenario):
+        runtime, replica = _calculator(fast_scenario)
+        handler = replica.call_handler
+        client = HttpClient(runtime.cde.host)
         response = client.post(handler.endpoint_url, "this is not xml")
         parsed = SoapResponse.from_xml(response.body)
         assert parsed.is_fault
         assert parsed.fault.is_malformed_request
         assert handler.stats.malformed_requests == 1
 
-    def test_get_on_endpoint_points_to_wsdl(self, fast_testbed):
-        fast_testbed.create_soap_server("Calculator", _operations())
-        fast_testbed.publish_now("Calculator")
-        handler = fast_testbed.sde.managed_server("Calculator").call_handler
-        client = HttpClient(fast_testbed.client_host)
+    def test_get_on_endpoint_points_to_wsdl(self, fast_scenario):
+        runtime, replica = _calculator(fast_scenario)
+        handler = replica.call_handler
+        client = HttpClient(runtime.cde.host)
         response = client.get(handler.endpoint_url)
         assert response.ok
         assert response.body.endswith("/wsdl/Calculator.wsdl")
 
-    def test_stale_call_blocks_until_publication(self, fast_testbed):
+    def test_stale_call_blocks_until_publication(self, fast_scenario):
         """§5.7: the fault is only sent after the publisher caught up."""
-        calculator, _instance = fast_testbed.create_soap_server("Calculator", _operations())
-        fast_testbed.publish_now("Calculator")
-        binding = fast_testbed.connect_soap_client("Calculator")
-        publisher = fast_testbed.sde.managed_server("Calculator").publisher
+        runtime, replica = _calculator(fast_scenario)
+        calculator = runtime.dynamic_class("Calculator")
+        binding = runtime.connect("Calculator")
+        publisher = replica.publisher
         version_before = publisher.version
         calculator.method("add").rename("sum")  # timer starts; not yet published
-        start = fast_testbed.now
+        start = runtime.world.now
         with pytest.raises(NonExistentMethodError) as excinfo:
             binding.invoke("add", 1, 2)
         # The reply could not have been sent before the forced generation
         # completed (generation_cost), so the call took at least that long.
-        assert fast_testbed.now - start >= fast_testbed.sde.config.generation_cost
+        assert runtime.world.now - start >= replica.node.sde.config.generation_cost
         assert publisher.version == version_before + 1
         assert excinfo.value.interface_version == publisher.version
-        handler = fast_testbed.sde.managed_server("Calculator").call_handler
+        handler = replica.call_handler
         assert handler.stats.stalled_calls == 1
 
-    def test_queued_calls_processed_after_stall(self, fast_testbed):
+    def test_queued_calls_processed_after_stall(self, fast_scenario):
         """Calls arriving during a §5.7 stall are queued, not lost."""
-        calculator, _instance = fast_testbed.create_soap_server("Calculator", _operations())
-        fast_testbed.publish_now("Calculator")
-        handler = fast_testbed.sde.managed_server("Calculator").call_handler
+        runtime, replica = _calculator(fast_scenario)
+        calculator = runtime.dynamic_class("Calculator")
+        handler = replica.call_handler
         calculator.method("add").rename("sum")
 
         # Issue the stale call and a valid call back to back from the HTTP
         # layer so the second arrives while the first is stalled.
-        client_a = HttpClient(fast_testbed.client_host)
-        client_b = HttpClient(fast_testbed.client_host)
+        client_a = HttpClient(runtime.cde.host)
+        client_b = HttpClient(runtime.cde.host)
         stale = SoapRequest.for_call("add", (1, 2), namespace=handler.server.publisher.namespace)
         valid = SoapRequest.for_call("sum", (1, 2), namespace=handler.server.publisher.namespace)
 
         responses = {}
-        scheduler = fast_testbed.scheduler
+        scheduler = runtime.world.scheduler
         scheduler.schedule(0.0, lambda: responses.update(stale=client_a.post(handler.endpoint_url, stale.to_xml())))
         scheduler.schedule(0.001, lambda: responses.update(valid=client_b.post(handler.endpoint_url, valid.to_xml())))
         scheduler.run_until_idle()
@@ -158,41 +154,41 @@ class TestSoapCallHandler:
 
 
 class TestCorbaCallHandler:
-    def _corba_world(self, fast_testbed):
-        calculator, instance = fast_testbed.create_corba_server("Calculator", _operations())
-        fast_testbed.publish_now("Calculator")
-        binding = fast_testbed.connect_corba_client("Calculator")
-        return calculator, instance, binding
+    def _corba_world(self, fast_scenario):
+        runtime, replica = _calculator(fast_scenario, "corba")
+        return runtime, replica, runtime.connect("Calculator")
 
-    def test_successful_dispatch(self, fast_testbed):
-        _calculator, _instance, binding = self._corba_world(fast_testbed)
+    def test_successful_dispatch(self, fast_scenario):
+        _runtime, _replica, binding = self._corba_world(fast_scenario)
         assert binding.invoke("add", 2, 3) == 5
 
-    def test_application_exception_wrapped(self, fast_testbed):
-        _calculator, _instance, binding = self._corba_world(fast_testbed)
+    def test_application_exception_wrapped(self, fast_scenario):
+        _runtime, _replica, binding = self._corba_world(fast_scenario)
         with pytest.raises(RemoteApplicationError):
             binding.invoke("explode", "bad")
 
-    def test_unknown_operation(self, fast_testbed):
-        _calculator, _instance, binding = self._corba_world(fast_testbed)
+    def test_unknown_operation(self, fast_scenario):
+        _runtime, _replica, binding = self._corba_world(fast_scenario)
         with pytest.raises(NonExistentMethodError):
             binding.invoke("divide", 1, 2)
 
-    def test_server_not_initialized(self, fast_testbed):
-        environment = fast_testbed.environment
-        sde = fast_testbed.sde
-        mailer = environment.create_class("Mailer", superclass=sde.corba_server_class)
+    def test_server_not_initialized(self, fast_scenario):
+        runtime = fast_scenario.build()
+        node = runtime.nodes[0]
+        mailer = node.environment.create_class("Mailer", superclass=node.sde.corba_server_class)
         mailer.add_method("ping", (), STRING, body=lambda self: "pong", distributed=True)
-        fast_testbed.publish_now("Mailer")
-        binding = fast_testbed.connect_corba_client("Mailer")
+        runtime.settle()
+        publisher = node.sde.managed_server("Mailer").publisher
+        binding = runtime.cde.connect_corba(publisher.document_url, publisher.ior_url)
         with pytest.raises(ServerNotInitializedError):
             binding.invoke("ping")
         mailer.new_instance()
         assert binding.invoke("ping") == "pong"
 
-    def test_stale_call_triggers_reactive_publication(self, fast_testbed):
-        calculator, _instance, binding = self._corba_world(fast_testbed)
-        publisher = fast_testbed.sde.managed_server("Calculator").publisher
+    def test_stale_call_triggers_reactive_publication(self, fast_scenario):
+        runtime, replica, binding = self._corba_world(fast_scenario)
+        calculator = runtime.dynamic_class("Calculator")
+        publisher = replica.publisher
         version_before = publisher.version
         calculator.method("add").rename("sum")
         with pytest.raises(NonExistentMethodError):
@@ -200,14 +196,15 @@ class TestCorbaCallHandler:
         assert publisher.version == version_before + 1
         assert binding.guarantee_records[-1].satisfied
 
-    def test_dsi_means_orb_survives_interface_changes(self, fast_testbed):
+    def test_dsi_means_orb_survives_interface_changes(self, fast_scenario):
         """§5.2.2: the Server ORB is never re-initialised on interface changes."""
-        calculator, _instance, binding = self._corba_world(fast_testbed)
-        handler = fast_testbed.sde.managed_server("Calculator").call_handler
+        runtime, replica, binding = self._corba_world(fast_scenario)
+        calculator = runtime.dynamic_class("Calculator")
+        handler = replica.call_handler
         orb_before = handler.orb
         calculator.add_method("triple", (), INT, body=lambda self: 0, distributed=True)
         calculator.method("add").rename("sum")
-        fast_testbed.settle()
+        runtime.settle()
         assert handler.orb is orb_before
         assert handler.orb.running
         binding.refresh()

@@ -1,54 +1,71 @@
-"""Tests for the multi-client workload driver and the scale-out experiment."""
+"""Tests for multi-client fleets against one SDE server, and the scale-out
+experiment.
+
+Each fleet is a one-server :class:`~repro.cluster.Scenario` with an echo
+service.  Reruns of one :class:`~repro.cluster.ScenarioRuntime`, and
+:class:`~repro.cluster.FleetDriver` runs over its registry, check that the
+report's server-side counters are per run, not lifetime.
+"""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.cluster import ClientPlan, FleetDriver, Scenario, edit, op
+from repro.core.sde import SDEConfig
+from repro.errors import TechnologyError
 from repro.experiments.multi_client import (
     SCENARIO_STALE_STORM,
     format_scaling,
     run_multi_client,
 )
-from repro.rmitypes import STRING, VOID
-from repro.testbed import LiveDevelopmentTestbed, OperationSpec
-from repro.workload import WorkloadSpec, run_workload
+from repro.net.latency import era_2004_cost_model
+from repro.rmitypes import STRING
+
+ECHO = op("echo", (("m", STRING),), STRING, body=lambda _self, m: m)
 
 
-def _echo_testbed(technology: str) -> tuple[LiveDevelopmentTestbed, object]:
-    testbed = LiveDevelopmentTestbed()
-    create = (
-        testbed.create_soap_server if technology == "soap" else testbed.create_corba_server
+def _echo_fleet(technology: str, clients: int, calls: int, **options) -> Scenario:
+    """``clients`` clients making ``calls`` echo calls each."""
+    return (
+        Scenario()
+        .service("EchoService", [ECHO], technology=technology)
+        .clients(clients, service="EchoService", calls=calls, arguments=("ping",), **options)
     )
-    dynamic_class, _ = create(
-        "EchoService",
-        [OperationSpec("echo", (("m", STRING),), STRING, body=lambda _self, m: m)],
-    )
-    testbed.publish_now("EchoService")
-    return testbed, dynamic_class
+
+
+def _stale_storm(technology: str, clients: int, calls: int, stale_every: int) -> Scenario:
+    """A fleet whose every ``stale_every``-th call hits a missing method while
+    an edit at time 0 leaves the published interface behind (§5.7 stalls)."""
+    return _echo_fleet(
+        technology, clients, calls, stale_every=stale_every, think_time=0.05
+    ).at(0.0, edit("EchoService", op("added_later")))
 
 
 class TestClientFleet:
     def test_create_client_fleet_names_and_count(self):
-        testbed, _ = _echo_testbed("soap")
-        fleet = testbed.create_client_fleet(3)
-        assert [host.name for host in fleet] == ["wl-client-1", "wl-client-2", "wl-client-3"]
-        assert all(host.network is testbed.network for host in fleet)
+        world = Scenario().build().world
+        fleet = world.client_fleet(3)
+        assert [host.name for host in fleet] == [
+            "fleet-client-1",
+            "fleet-client-2",
+            "fleet-client-3",
+        ]
+        assert all(host.network is world.network for host in fleet)
+        # A second fleet on the same world reuses the machines.
+        assert world.client_fleet(2) == fleet[:2]
 
-    def test_add_client_host_auto_names(self):
-        testbed, _ = _echo_testbed("soap")
-        host = testbed.add_client_host()
-        assert host.name.startswith("client-")
+    def test_add_client_reuses_a_named_host(self):
+        world = Scenario().build().world
+        host = world.add_client("laptop")
+        assert world.add_client("laptop") is host
+        assert world.client_hosts.count(host) == 1
 
 
 class TestWorkloadSteadyState:
     @pytest.mark.parametrize("technology", ["soap", "corba"])
     def test_all_calls_succeed(self, technology):
-        testbed, _ = _echo_testbed(technology)
-        report = run_workload(
-            testbed,
-            "EchoService",
-            WorkloadSpec(technology=technology, clients=6, calls_per_client=4),
-        )
+        report = _echo_fleet(technology, clients=6, calls=4).run()
         assert report.total_calls == 24
         assert report.total_successes == 24
         assert report.total_stale_faults == 0
@@ -58,22 +75,12 @@ class TestWorkloadSteadyState:
 
     @pytest.mark.parametrize("technology", ["soap", "corba"])
     def test_one_keepalive_connection_per_client(self, technology):
-        testbed, _ = _echo_testbed(technology)
-        report = run_workload(
-            testbed,
-            "EchoService",
-            WorkloadSpec(technology=technology, clients=5, calls_per_client=3),
-        )
+        report = _echo_fleet(technology, clients=5, calls=3).run()
         assert report.server_connections == 5
         assert report.server_replies_sent == 15
 
     def test_per_client_results_recorded(self):
-        testbed, _ = _echo_testbed("soap")
-        report = run_workload(
-            testbed,
-            "EchoService",
-            WorkloadSpec(technology="soap", clients=3, calls_per_client=2),
-        )
+        report = _echo_fleet("soap", clients=3, calls=2).run()
         assert len(report.clients) == 3
         for client in report.clients:
             assert client.calls == 2
@@ -82,20 +89,8 @@ class TestWorkloadSteadyState:
             assert client.max_rtt >= client.mean_rtt
 
     def test_think_time_stretches_duration(self):
-        testbed_fast, _ = _echo_testbed("soap")
-        fast = run_workload(
-            testbed_fast,
-            "EchoService",
-            WorkloadSpec(technology="soap", clients=2, calls_per_client=3),
-        )
-        testbed_slow, _ = _echo_testbed("soap")
-        slow = run_workload(
-            testbed_slow,
-            "EchoService",
-            WorkloadSpec(
-                technology="soap", clients=2, calls_per_client=3, think_time=1.0
-            ),
-        )
+        fast = _echo_fleet("soap", clients=2, calls=3).run()
+        slow = _echo_fleet("soap", clients=2, calls=3, think_time=1.0).run()
         assert slow.duration > fast.duration + 1.5
 
 
@@ -103,50 +98,19 @@ class TestWorkloadDeterminism:
     @pytest.mark.parametrize("technology", ["soap", "corba"])
     def test_identical_runs_produce_identical_rtts(self, technology):
         def run_once():
-            testbed, dynamic_class = _echo_testbed(technology)
-            spec = WorkloadSpec(
-                technology=technology,
-                clients=8,
-                calls_per_client=4,
-                stale_every=4,
-                think_time=0.05,
-                scripted_events=(
-                    (
-                        0.0,
-                        lambda: dynamic_class.add_method(
-                            "added_later", (), VOID, distributed=True
-                        ),
-                    ),
-                ),
-            )
-            return run_workload(testbed, "EchoService", spec)
+            return _stale_storm(technology, clients=8, calls=4, stale_every=4).run()
 
         first, second = run_once(), run_once()
         assert first.all_rtts == second.all_rtts
         assert first.duration == second.duration
         assert first.max_stall_queue_depth == second.max_stall_queue_depth
+        assert first.fingerprint() == second.fingerprint()
 
 
 class TestWorkloadStaleStorm:
     @pytest.mark.parametrize("technology", ["soap", "corba"])
     def test_stall_queue_forms_and_drains(self, technology):
-        testbed, dynamic_class = _echo_testbed(technology)
-        spec = WorkloadSpec(
-            technology=technology,
-            clients=8,
-            calls_per_client=6,
-            stale_every=3,
-            think_time=0.05,
-            scripted_events=(
-                (
-                    0.0,
-                    lambda: dynamic_class.add_method(
-                        "added_later", (), VOID, distributed=True
-                    ),
-                ),
-            ),
-        )
-        report = run_workload(testbed, "EchoService", spec)
+        report = _stale_storm(technology, clients=8, calls=6, stale_every=3).run()
         # Every third of six calls per client is stale.
         assert report.total_stale_faults == 8 * 2
         assert report.stalled_calls > 0
@@ -158,43 +122,24 @@ class TestWorkloadStaleStorm:
 
 class TestWorkloadReruns:
     def test_max_stall_queue_depth_is_per_run(self):
-        """A later run on the same testbed must not inherit an earlier
-        run's stall-queue high-water mark."""
-        testbed, dynamic_class = _echo_testbed("soap")
-        storm = run_workload(
-            testbed,
-            "EchoService",
-            WorkloadSpec(
-                technology="soap",
-                clients=6,
-                calls_per_client=6,
-                stale_every=3,
-                think_time=0.05,
-                scripted_events=(
-                    (
-                        0.0,
-                        lambda: dynamic_class.add_method(
-                            "added_later", (), VOID, distributed=True
-                        ),
-                    ),
-                ),
-            ),
-        )
+        """A later run on the same world must not inherit an earlier run's
+        stall-queue high-water mark or endpoint counters."""
+        runtime = _stale_storm("soap", clients=6, calls=6, stale_every=3).build()
+        storm = runtime.run()
         assert storm.max_stall_queue_depth > 0
-        testbed.settle()
+        runtime.settle()
 
-        steady = run_workload(
-            testbed,
-            "EchoService",
-            WorkloadSpec(technology="soap", clients=6, calls_per_client=3),
-        )
-        assert steady.max_stall_queue_depth == 0
+        # The timeline fires only in the first run, so the rerun's stale
+        # calls meet a current published interface and never stall.
+        rerun = runtime.run()
+        assert rerun.total_stale_faults == 6 * 2
+        assert rerun.max_stall_queue_depth == 0
         # The lifetime maximum on the handler stats survives for observers.
-        handler = testbed.sde.managed_server("EchoService").call_handler
+        handler = runtime.replicas("EchoService")[0].call_handler
         assert handler.stats.max_stall_queue_depth == storm.max_stall_queue_depth
         # Endpoint accounting is per run too, not lifetime.
-        assert steady.server_replies_sent == 6 * 3
-        assert steady.server_connections == 6
+        assert rerun.server_replies_sent == 6 * 6
+        assert rerun.server_connections == 6
 
 
 class TestScalingExperiment:
@@ -225,22 +170,8 @@ class TestScalingExperiment:
 
 class TestWorkloadValidation:
     def test_unknown_technology_rejected(self):
-        testbed, _ = _echo_testbed("soap")
-        with pytest.raises(ValueError):
-            run_workload(testbed, "EchoService", WorkloadSpec(technology="grpc"))
-
-    def test_mismatched_fleet_rejected(self):
-        from repro.workload import MultiClientWorkload
-
-        testbed, _ = _echo_testbed("soap")
-        hosts = testbed.create_client_fleet(2)
-        with pytest.raises(ValueError):
-            MultiClientWorkload(
-                testbed,
-                "EchoService",
-                WorkloadSpec(technology="soap", clients=3),
-                client_hosts=hosts,
-            )
+        with pytest.raises(TechnologyError):
+            Scenario().service("EchoService", [ECHO], technology="grpc").build()
 
 
 class TestCoreWaitAccounting:
@@ -248,27 +179,26 @@ class TestCoreWaitAccounting:
         """The longest single core wait is a per-run figure (as documented):
         a light run after a heavy one must not inherit its high water,
         while the core keeps the lifetime maximum for observers."""
-        from repro.net.latency import era_2004_cost_model
-
-        testbed = LiveDevelopmentTestbed(
-            cost_model=era_2004_cost_model(), server_cores=1
+        runtime = (
+            Scenario(sde_config=SDEConfig(cost_model=era_2004_cost_model()))
+            .servers(1, cores=1)
+            .service("EchoService", [ECHO])
+            .clients(16, service="EchoService", calls=3, arguments=("ping",))
+            .build()
         )
-        testbed.create_soap_server(
-            "EchoService",
-            [OperationSpec("echo", (("m", STRING),), STRING, body=lambda _s, m: m)],
+        heavy = runtime.run()
+        light_client = ClientPlan(
+            index=0,
+            host=runtime.world.add_client("light-client"),
+            protocol="soap",
+            service="EchoService",
+            calls=1,
+            operation="echo",
+            arguments=("ping",),
         )
-        testbed.publish_now("EchoService")
-        heavy = run_workload(
-            testbed,
-            "EchoService",
-            WorkloadSpec(technology="soap", clients=16, calls_per_client=3),
-        )
-        light = run_workload(
-            testbed,
-            "EchoService",
-            WorkloadSpec(technology="soap", clients=1, calls_per_client=1),
-        )
-        assert heavy.server_max_core_wait > 0
-        assert light.server_max_core_wait < heavy.server_max_core_wait
+        light = FleetDriver(runtime.world.scheduler, runtime.registry, [light_client]).run()
+        heavy_wait = heavy.nodes[0].max_core_wait
+        assert heavy_wait > 0
+        assert light.nodes[0].max_core_wait < heavy_wait
         # The core itself keeps the lifetime high-water mark.
-        assert testbed.sde.server_core.max_queue_delay == heavy.server_max_core_wait
+        assert runtime.nodes[0].server_core.max_queue_delay == heavy_wait

@@ -1,9 +1,14 @@
-"""Tests for the public package surface and the convenience testbed."""
+"""Tests for the public package surface and the paper's two-host world.
+
+A one-server :class:`repro.Scenario` is the paper's testbed: the SDE server
+desktop (host ``server``) plus, once a client connects, the CDE machine
+(host ``cde``).
+"""
 
 import pytest
 
 import repro
-from repro import INT, STRING, LiveDevelopmentTestbed, OperationSpec
+from repro import INT, STRING, OperationSpec, Scenario, op
 from repro.core.sde import SDEConfig
 from repro.errors import (
     DeploymentError,
@@ -18,18 +23,19 @@ from repro.errors import (
 
 class TestPublicApi:
     def test_version_exported(self):
-        assert repro.__version__ == "1.8.0"
+        assert repro.__version__ == "2.0.0"
 
     def test_quickstart_from_readme(self):
-        testbed = LiveDevelopmentTestbed()
-        calculator, _ = testbed.create_soap_server(
-            "Calculator",
-            [OperationSpec("add", (("a", INT), ("b", INT)), INT,
-                           body=lambda self, a, b: a + b)],
+        runtime = (
+            Scenario()
+            .service("Calculator", [op("add", (("a", INT), ("b", INT)), INT,
+                                       body=lambda self, a, b: a + b)])
+            .build()
         )
-        testbed.settle()
-        client = testbed.connect_soap_client("Calculator")
+        runtime.settle()
+        client = runtime.connect("Calculator")
         assert client.invoke("add", 2, 3) == 5
+        calculator = runtime.dynamic_class("Calculator")
         calculator.method("add").set_body(lambda self, a, b: (a + b) * 100)
         assert client.invoke("add", 2, 3) == 500
 
@@ -53,53 +59,70 @@ class TestPublicApi:
 
 class TestTestbed:
     def test_default_hosts_and_clock(self):
-        testbed = LiveDevelopmentTestbed()
-        assert {host.name for host in testbed.network.hosts} == {"server", "client"}
-        assert testbed.now == 0.0
-        testbed.run_for(1.5)
-        assert testbed.now == pytest.approx(1.5)
+        runtime = Scenario().build()
+        world = runtime.world
+        assert {host.name for host in world.network.hosts} == {"server"}
+        assert runtime.cde.host.name == "cde"
+        assert {host.name for host in world.network.hosts} == {"server", "cde"}
+        assert world.now == 0.0
+        world.run_for(1.5)
+        assert world.now == pytest.approx(1.5)
 
     def test_soap_and_corba_servers_get_distinct_endpoints(self):
-        testbed = LiveDevelopmentTestbed()
-        testbed.create_soap_server("Alpha", [])
-        testbed.create_corba_server("Beta", [])
-        alpha = testbed.sde.managed_server("Alpha").call_handler.endpoint_url
-        beta = testbed.sde.managed_server("Beta").call_handler.endpoint_url
+        runtime = (
+            Scenario()
+            .service("Alpha", technology="soap")
+            .service("Beta", technology="corba")
+            .build()
+        )
+        alpha = runtime.replicas("Alpha")[0].call_handler.endpoint_url
+        beta = runtime.replicas("Beta")[0].call_handler.endpoint_url
         assert alpha.startswith("http://server:")
         assert beta.startswith("iiop://server:")
 
     def test_publish_now_skips_the_stability_wait(self):
-        testbed = LiveDevelopmentTestbed(sde_config=SDEConfig(publication_timeout=60.0))
-        testbed.create_soap_server(
-            "Slow", [OperationSpec("ping", (), INT, body=lambda self: 1)]
+        runtime = (
+            Scenario(sde_config=SDEConfig(publication_timeout=60.0))
+            .service("Slow", [op("ping", (), INT, body=lambda self: 1)])
+            .build()
         )
-        testbed.publish_now("Slow")
-        publisher = testbed.sde.managed_server("Slow").publisher
+        runtime.dynamic_class("Slow").add_method(
+            "pong", (), INT, body=lambda self: 2, distributed=True
+        )
+        publisher = runtime.replicas("Slow")[0].publisher
+        assert not publisher.is_published_current()
+        runtime.publish("Slow")
         assert publisher.is_published_current()
-        assert testbed.now < 60.0
+        assert runtime.world.now < 60.0
 
     def test_operation_spec_parameter_objects(self):
-        spec = OperationSpec("greet", (("name", STRING),), STRING)
+        spec = op("greet", (("name", STRING),), STRING)
+        assert isinstance(spec, OperationSpec)
         parameters = spec.parameter_objects()
         assert parameters[0].name == "name"
         assert parameters[0].param_type == STRING
 
     def test_custom_sde_config_respected(self):
         config = SDEConfig(publication_timeout=0.5, generation_cost=0.01)
-        testbed = LiveDevelopmentTestbed(sde_config=config)
-        assert testbed.sde.config.publication_timeout == 0.5
-        testbed.create_soap_server(
-            "Quick", [OperationSpec("ping", (), INT, body=lambda self: 1)]
-        )
-        testbed.run_for(0.6)
-        assert testbed.sde.managed_server("Quick").publisher.is_published_current()
+        runtime = Scenario(sde_config=config).build()
+        assert runtime.nodes[0].sde.config.publication_timeout == 0.5
+        node = runtime.nodes[0]
+        quick = node.environment.create_class("Quick", superclass=node.sde.soap_server_class)
+        quick.add_method("ping", (), INT, body=lambda self: 1, distributed=True)
+        quick.new_instance()
+        runtime.world.run_for(0.6)
+        assert node.sde.managed_server("Quick").publisher.is_published_current()
 
     def test_settle_publishes_pending_changes(self):
-        testbed = LiveDevelopmentTestbed(
-            sde_config=SDEConfig(publication_timeout=2.0, generation_cost=0.1)
+        runtime = (
+            Scenario(sde_config=SDEConfig(publication_timeout=2.0, generation_cost=0.1))
+            .service("Svc")
+            .build()
         )
-        service, _instance = testbed.create_soap_server("Svc", [])
-        service.add_method("op", (), INT, body=lambda self: 0, distributed=True)
-        assert not testbed.sde.managed_server("Svc").publisher.is_published_current()
-        testbed.settle()
-        assert testbed.sde.managed_server("Svc").publisher.is_published_current()
+        runtime.dynamic_class("Svc").add_method(
+            "op", (), INT, body=lambda self: 0, distributed=True
+        )
+        publisher = runtime.replicas("Svc")[0].publisher
+        assert not publisher.is_published_current()
+        runtime.settle()
+        assert publisher.is_published_current()
