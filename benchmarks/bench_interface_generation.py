@@ -40,12 +40,17 @@ def test_idl_generation_cost(benchmark, operations):
 
 @pytest.mark.benchmark(group="interface-generation")
 def test_generate_parse_roundtrip_cost(benchmark):
-    """The full cost a client refresh pays: generate + parse both documents."""
+    """The full cost of a refresh that meets a new document: generate + parse both.
+
+    ``parse_wsdl``/``parse_idl`` memoise by document text, and every round
+    here renders the same text, so the round trip calls the unmemoised parse
+    (``__wrapped__``) to time a real parse rather than a memo lookup.
+    """
     description = build_interface(25)
 
     def roundtrip():
-        parse_wsdl(generate_wsdl(description))
-        parse_idl(generate_idl(description))
+        parse_wsdl.__wrapped__(generate_wsdl(description))
+        parse_idl.__wrapped__(generate_idl(description))
 
     benchmark(roundtrip)
 

@@ -11,13 +11,19 @@ struct type.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
 from repro.corba.idl.mapping import rmi_type_from_idl
 from repro.errors import IdlError
-from repro.interface import InterfaceDescription, OperationSignature, Parameter
-from repro.rmitypes import FieldDef, StructType, TypeRegistry
+from repro.interface import (
+    DESCRIPTION_MEMO_SIZE,
+    InterfaceDescription,
+    OperationSignature,
+    Parameter,
+)
+from repro.rmitypes import TypeRegistry, resolve_structs
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<word>[A-Za-z_][A-Za-z0-9_]*)|(?P<symbol>[{}();,<>])|(?P<other>\S))"
@@ -34,7 +40,7 @@ class _Pragmas:
 @dataclass
 class _RawInterface:
     name: str
-    attributes: list[tuple[str, str]] = field(default_factory=list)  # (type, name)
+    attributes: list[tuple[str, str]] = field(default_factory=list)  # (name, type)
     operations: list[tuple[str, str, list[tuple[str, str]]]] = field(default_factory=list)
     # operations: (return type, name, [(param type, param name), ...])
 
@@ -119,7 +125,7 @@ def _parse_interface(tokens: _Tokenizer) -> _RawInterface:
             attr_type = _parse_type_token(tokens)
             attr_name = tokens.next()
             tokens.expect(";")
-            raw.attributes.append((attr_type, attr_name))
+            raw.attributes.append((attr_name, attr_type))
             continue
         return_type = _parse_type_token(tokens)
         op_name = tokens.next()
@@ -140,14 +146,24 @@ def _parse_interface(tokens: _Tokenizer) -> _RawInterface:
     return raw
 
 
+@functools.lru_cache(maxsize=DESCRIPTION_MEMO_SIZE)
 def parse_idl(text: str) -> InterfaceDescription:
     """Parse a CORBA-IDL document and return the interface it describes.
+
+    Parses are memoised by document text (see :data:`DESCRIPTION_MEMO_SIZE`),
+    so every client that fetched the same published document shares one
+    frozen description.  A malformed document is not remembered: it raises
+    on every call.
 
     Raises
     ------
     IdlError
         If the document does not conform to the supported IDL subset.
     """
+    return _parse_idl(text)
+
+
+def _parse_idl(text: str) -> InterfaceDescription:
     pragmas = _parse_pragmas(text)
     tokens = _Tokenizer(text)
 
@@ -168,30 +184,9 @@ def parse_idl(text: str) -> InterfaceDescription:
     service_raw = interfaces[-1]
     struct_raws = interfaces[:-1]
 
-    # Build struct shells first so struct fields may reference each other.
-    shell_registry = TypeRegistry(StructType(raw.name) for raw in struct_raws)
-    structs: list[StructType] = []
-    for raw in struct_raws:
-        structs.append(
-            StructType(
-                raw.name,
-                tuple(
-                    FieldDef(attr_name, rmi_type_from_idl(attr_type, shell_registry))
-                    for attr_type, attr_name in raw.attributes
-                ),
-            )
-        )
-    registry = TypeRegistry(structs)
-    structs = [
-        StructType(
-            struct.name,
-            tuple(
-                FieldDef(f.name, rmi_type_from_idl_or_self(f.field_type.type_name, registry))
-                for f in struct.fields
-            ),
-        )
-        for struct in structs
-    ]
+    structs = resolve_structs(
+        ((raw.name, raw.attributes) for raw in struct_raws), rmi_type_from_idl, IdlError
+    )
     registry = TypeRegistry(structs)
 
     operations = []
@@ -216,17 +211,3 @@ def parse_idl(text: str) -> InterfaceDescription:
         version=pragmas.version,
         endpoint_url=pragmas.endpoint,
     )
-
-
-def rmi_type_from_idl_or_self(name: str, registry: TypeRegistry):
-    """Resolve a type name against ``registry``, tolerating the RMI spelling.
-
-    Struct fields already carry RMI type names (``int`` rather than ``long``)
-    after the first resolution pass; this helper accepts both spellings so the
-    second pass can re-resolve against the completed registry.
-    """
-    from repro.rmitypes import PRIMITIVES, parse_type
-
-    if name in PRIMITIVES or name.endswith("[]"):
-        return parse_type(name, registry)
-    return rmi_type_from_idl(name, registry)

@@ -30,6 +30,13 @@ class InterfaceError(ReproError):
     """Raised on malformed interface descriptions (duplicate operations...)."""
 
 
+#: How many distinct documents each description parser (``parse_wsdl``,
+#: ``parse_idl``) remembers.  Descriptions are frozen values and a document's
+#: text carries its version and endpoint, so equal texts may share one parse;
+#: a run publishes only a handful of distinct documents at a time.
+DESCRIPTION_MEMO_SIZE = 256
+
+
 @dataclass(frozen=True)
 class Parameter:
     """A formal parameter of a remote operation."""

@@ -18,7 +18,7 @@ manager technology independent (§5.3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.errors import ReproError
 from repro.util.validation import require_identifier
@@ -234,6 +234,53 @@ def parse_type(name: str, registry: TypeRegistry | None = None) -> RmiType:
     if registry is not None and name in registry:
         return registry.get(name)
     raise TypeError_(f"unknown type name {name!r}")
+
+
+def resolve_structs(
+    definitions: Iterable[tuple[str, Iterable[tuple[str, str]]]],
+    resolve_type: Callable[[str, Any], RmiType],
+    error: type[Exception],
+) -> list[StructType]:
+    """Build struct types from raw ``(name, [(field name, type name)])`` pairs.
+
+    This is the shared step of the WSDL and CORBA-IDL parsers, which find the
+    raw definitions in any order.  ``resolve_type`` turns one type spelling
+    into an :class:`RmiType` against a registry (:func:`parse_type` for WSDL,
+    ``rmi_type_from_idl`` for IDL).  A struct is built only after the structs
+    its fields name, so nesting of any depth resolves to complete definitions.
+    Frozen structs cannot form a cycle, so a reference cycle or a name
+    defined twice raises ``error``.
+    """
+    raw: dict[str, tuple[tuple[str, str], ...]] = {}
+    for name, fields in definitions:
+        if name in raw:
+            raise error(f"struct {name!r} is defined twice")
+        raw[name] = tuple(fields)
+    built = TypeRegistry()
+    building: list[str] = []
+
+    class _OnDemand:
+        """The registry ``resolve_type`` sees: a named struct is built on lookup."""
+
+        def __contains__(self, name: str) -> bool:
+            return name in raw
+
+        def get(self, name: str) -> StructType:
+            if name in built:
+                return built.get(name)
+            if name in building:
+                cycle = " -> ".join(building[building.index(name):] + [name])
+                raise error(f"struct reference cycle: {cycle}")
+            building.append(name)
+            fields = tuple(
+                FieldDef(field_name, resolve_type(type_name, self))
+                for field_name, type_name in raw[name]
+            )
+            building.pop()
+            return built.register(StructType(name, fields))
+
+    on_demand = _OnDemand()
+    return [on_demand.get(name) for name in raw]
 
 
 def python_default(rmi_type: RmiType) -> Any:

@@ -7,9 +7,16 @@ module and hands the resulting description to the stub compiler.
 
 from __future__ import annotations
 
+import functools
+
 from repro.errors import WsdlError, XmlError
-from repro.interface import InterfaceDescription, OperationSignature, Parameter
-from repro.rmitypes import FieldDef, StructType, TypeRegistry, parse_type
+from repro.interface import (
+    DESCRIPTION_MEMO_SIZE,
+    InterfaceDescription,
+    OperationSignature,
+    Parameter,
+)
+from repro.rmitypes import StructType, TypeRegistry, parse_type, resolve_structs
 from repro.xmlutil import Namespaces, QName, XmlElement, parse
 
 _WSDL = Namespaces.WSDL
@@ -17,14 +24,24 @@ _SOAP = Namespaces.WSDL_SOAP
 _XSD = Namespaces.XSD
 
 
+@functools.lru_cache(maxsize=DESCRIPTION_MEMO_SIZE)
 def parse_wsdl(text: str) -> InterfaceDescription:
     """Parse a WSDL document and return the interface it describes.
+
+    Parses are memoised by document text (see :data:`DESCRIPTION_MEMO_SIZE`),
+    so every client that fetched the same published document shares one
+    frozen description.  A malformed document is not remembered: it raises
+    on every call.
 
     Raises
     ------
     WsdlError
         If the document is not well-formed WSDL.
     """
+    return _parse_wsdl(text)
+
+
+def _parse_wsdl(text: str) -> InterfaceDescription:
     try:
         root = parse(text)
     except XmlError as exc:
@@ -59,16 +76,13 @@ def parse_wsdl(text: str) -> InterfaceDescription:
 
 
 def _parse_structs(root: XmlElement) -> list[StructType]:
-    structs: list[StructType] = []
     types = root.find(QName(_WSDL, "types"))
     if types is None:
-        return structs
+        return []
     schema = types.find(QName(_XSD, "schema"))
     if schema is None:
-        return structs
+        return []
 
-    # Two passes so structs may reference each other regardless of order:
-    # first create empty shells, then resolve field types.
     raw: list[tuple[str, list[tuple[str, str]]]] = []
     for complex_type in schema.find_all(QName(_XSD, "complexType")):
         name = complex_type.attribute("name")
@@ -84,36 +98,7 @@ def _parse_structs(root: XmlElement) -> list[StructType]:
                     raise WsdlError(f"malformed field in complexType {name!r}")
                 fields.append((field_name, field_type))
         raw.append((name, fields))
-
-    shell_registry = TypeRegistry(StructType(name) for name, _fields in raw)
-    for name, fields in raw:
-        structs.append(
-            StructType(
-                name,
-                tuple(
-                    FieldDef(field_name, parse_type(type_name, shell_registry))
-                    for field_name, type_name in fields
-                ),
-            )
-        )
-    # Rebuild with fully-resolved structs so nested struct fields point at the
-    # complete definitions.
-    final_registry = TypeRegistry(structs)
-    resolved = []
-    for struct in structs:
-        resolved.append(
-            StructType(
-                struct.name,
-                tuple(
-                    FieldDef(
-                        f.name,
-                        parse_type(f.field_type.type_name, final_registry),
-                    )
-                    for f in struct.fields
-                ),
-            )
-        )
-    return resolved
+    return resolve_structs(raw, parse_type, WsdlError)
 
 
 def _parse_messages(

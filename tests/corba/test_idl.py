@@ -20,6 +20,11 @@ from repro.rmitypes import (
 
 POINT = StructType("Point", (FieldDef("x", DOUBLE), FieldDef("y", DOUBLE)))
 
+# Three levels of nesting, declared outermost first in the document.
+CEE = StructType("Cee", (FieldDef("x", INT),))
+BEE = StructType("Bee", (FieldDef("c", CEE),))
+AY = StructType("Ay", (FieldDef("b", BEE),))
+
 
 def build_description():
     operations = [
@@ -96,6 +101,36 @@ class TestParsing:
         point = parsed.type_registry().get("Point")
         assert point.field_names() == ("x", "y")
         assert parsed.operation("norm").parameters[0].param_type.type_name == "Point"
+
+    def test_three_level_nested_structs_roundtrip(self):
+        description = InterfaceDescription(
+            service_name="Nest", namespace="urn:nest", endpoint_url="iiop://server:9000/Nest"
+        ).with_operations([OperationSignature("get", (Parameter("a", AY),), AY)], [AY, BEE, CEE])
+        parsed = parse_idl(generate_idl(description))
+        assert parsed.same_signature(description)
+        assert parsed.type_registry().get("Ay") == AY
+
+    def test_struct_reference_cycle_rejected(self):
+        document = """
+        module M {
+          interface Ay { attribute Bee b; };
+          interface Bee { attribute sequence<Ay> a; };
+          interface Svc { Ay get(); };
+        };
+        """
+        with pytest.raises(IdlError, match="Ay -> Bee -> Ay"):
+            parse_idl(document)
+
+    def test_struct_defined_twice_rejected(self):
+        document = """
+        module M {
+          interface Ay { attribute long x; };
+          interface Ay { attribute string x; };
+          interface Svc { Ay get(); };
+        };
+        """
+        with pytest.raises(IdlError, match="defined twice"):
+            parse_idl(document)
 
     def test_minimal_interface_roundtrip(self):
         minimal = InterfaceDescription.minimal("Svc", "urn:x", "iiop://server:1/Svc")

@@ -18,7 +18,17 @@ from repro.corba.idl import generate_idl, parse_idl
 from repro.corba.ior import IOR
 from repro.interface import InterfaceDescription, OperationSignature, Parameter
 from repro.net.http.messages import HttpRequest, HttpResponse
-from repro.rmitypes import BOOLEAN, DOUBLE, INT, STRING, TypeRegistry, infer_type
+from repro.rmitypes import (
+    ArrayType,
+    BOOLEAN,
+    DOUBLE,
+    FieldDef,
+    INT,
+    STRING,
+    StructType,
+    TypeRegistry,
+    infer_type,
+)
 from repro.soap.envelope import SoapRequest, SoapResponse
 from repro.soap.wsdl import generate_wsdl, parse_wsdl
 
@@ -188,10 +198,37 @@ class TestSoapEnvelopeProperties:
 
 rmi_types = st.sampled_from([INT, DOUBLE, BOOLEAN, STRING])
 
+type_names = st.from_regex(r"[A-Z][A-Za-z0-9]{0,8}", fullmatch=True).filter(
+    lambda name: not keyword.iskeyword(name)
+)
+
+
+@st.composite
+def struct_chains(draw, service):
+    """1–4 structs, each holding the next one directly or in an array.
+
+    Returned outermost first; the documents list them sorted by name, so
+    fields refer both forwards and backwards.
+    """
+    names = draw(
+        st.lists(type_names.filter(lambda name: name != service), min_size=1, max_size=4, unique=True)
+    )
+    chain: list[StructType] = []
+    for name in reversed(names):
+        field_names = draw(st.lists(identifiers, min_size=1, max_size=3, unique=True))
+        fields = [FieldDef(field_name, draw(rmi_types)) for field_name in field_names]
+        if chain:
+            inner = chain[0]
+            fields[0] = FieldDef(field_names[0], draw(st.sampled_from([inner, ArrayType(inner)])))
+        chain.insert(0, StructType(name, tuple(fields)))
+    return chain
+
 
 @st.composite
 def interface_descriptions(draw):
-    service = draw(st.from_regex(r"[A-Z][A-Za-z0-9]{0,8}", fullmatch=True))
+    service = draw(type_names)
+    structs = draw(struct_chains(service))
+    member_types = st.one_of(rmi_types, st.sampled_from(structs))
     operation_names = draw(
         st.lists(identifiers, min_size=0, max_size=5, unique=True)
     )
@@ -199,15 +236,15 @@ def interface_descriptions(draw):
     for name in operation_names:
         parameter_names = draw(st.lists(identifiers, max_size=3, unique=True))
         parameters = tuple(
-            Parameter(parameter_name, draw(rmi_types)) for parameter_name in parameter_names
+            Parameter(parameter_name, draw(member_types)) for parameter_name in parameter_names
         )
-        operations.append(OperationSignature(name, parameters, draw(rmi_types)))
+        operations.append(OperationSignature(name, parameters, draw(member_types)))
     return InterfaceDescription(
         service_name=service,
         namespace="urn:prop:" + service,
         endpoint_url=f"http://server:8070/sde/{service}",
         version=draw(st.integers(min_value=0, max_value=50)),
-    ).with_operations(operations)
+    ).with_operations(operations, structs)
 
 
 class TestInterfaceDocumentProperties:
@@ -224,6 +261,15 @@ class TestInterfaceDocumentProperties:
         parsed = parse_idl(generate_idl(description))
         assert parsed.same_signature(description)
         assert parsed.version == description.version
+
+    @given(interface_descriptions())
+    @settings(max_examples=40, deadline=None)
+    def test_memoised_parse_equals_unmemoised_parse(self, description):
+        for memoised, generate in ((parse_wsdl, generate_wsdl), (parse_idl, generate_idl)):
+            document = generate(description)
+            remembered = memoised(document)
+            assert memoised(document) is remembered
+            assert remembered == memoised.__wrapped__(document)
 
     @given(interface_descriptions(), interface_descriptions())
     @settings(max_examples=40, deadline=None)

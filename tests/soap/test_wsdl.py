@@ -13,6 +13,19 @@ from repro.soap.wsdl.compiler import CompiledStub
 POINT = StructType("Point", (FieldDef("x", DOUBLE), FieldDef("y", DOUBLE)))
 SEGMENT = StructType("Segment", (FieldDef("start", POINT), FieldDef("end", POINT)))
 
+# Three levels of nesting, declared outermost first in the document.
+CEE = StructType("Cee", (FieldDef("x", INT),))
+BEE = StructType("Bee", (FieldDef("c", CEE),))
+AY = StructType("Ay", (FieldDef("b", BEE),))
+
+
+def nested_description():
+    return InterfaceDescription(
+        service_name="Nest",
+        namespace="urn:nest",
+        endpoint_url="http://server:8080/services/Nest",
+    ).with_operations([OperationSignature("get", (Parameter("a", AY),), AY)], [AY, BEE, CEE])
+
 
 def build_description():
     operations = [
@@ -71,6 +84,24 @@ class TestParsing:
         parsed = parse_wsdl(generate_wsdl(build_description()))
         segment = parsed.type_registry().get("Segment")
         assert segment.fields[0].field_type.type_name == "Point"
+
+    def test_three_level_nested_structs_roundtrip(self):
+        parsed = parse_wsdl(generate_wsdl(nested_description()))
+        assert parsed.same_signature(nested_description())
+        assert parsed.type_registry().get("Ay") == AY
+
+    def test_three_level_nested_struct_decodes_with_parsed_registry(self):
+        registry = parse_wsdl(generate_wsdl(nested_description())).type_registry()
+        value = {"b": {"c": {"x": 7}}}
+        wire = SoapResponse.for_result("get", value, AY, "urn:nest").to_xml()
+        assert SoapResponse.from_xml(wire, registry).return_value == value
+
+    def test_struct_reference_cycle_rejected(self):
+        document = generate_wsdl(nested_description()).replace(
+            'name="x" type="int"', 'name="x" type="Ay"'
+        )
+        with pytest.raises(WsdlError, match="Ay -> Bee -> Cee -> Ay"):
+            parse_wsdl(document)
 
     def test_malformed_document_rejected(self):
         with pytest.raises(WsdlError):
