@@ -65,7 +65,6 @@ class ServerOrb:
         cost_model: CostModel | None = None,
         speed_factor: float = 1.0,
         dynamic_dispatch_overhead: float = 0.0,
-        charge_connection_setup: bool = False,
         cores: "ServerCore | None" = None,
     ) -> None:
         self.host = host
@@ -79,7 +78,6 @@ class ServerOrb:
             port,
             self._on_request,
             name=f"orb:{host.name}:{port}",
-            charge_connection_setup=charge_connection_setup,
             cores=cores,
         )
         self.requests_handled = 0

@@ -23,10 +23,6 @@ class SimulationError(ReproError):
     """Base class for errors raised by the discrete-event simulation kernel."""
 
 
-class ClockError(SimulationError):
-    """Raised when the virtual clock would be moved backwards."""
-
-
 class SchedulerError(SimulationError):
     """Raised on invalid scheduler operations (e.g. negative delays)."""
 

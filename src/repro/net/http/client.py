@@ -98,14 +98,14 @@ class HttpClient:
         body_wire: bytes | None = None,
     ) -> tuple[Address, bytes]:
         destination, path = self.parse_url(url)
+        # The caller's own Host header, in any case, overrides the default.
         request = HttpRequest(
             method=method,
             path=path,
-            headers=dict(headers or {}),
+            headers={"Host": f"{destination.host}:{destination.port}", **(headers or {})},
             body=body,
             body_wire=body_wire,
         )
-        request.headers.setdefault("Host", f"{destination.host}:{destination.port}")
         return destination, request.to_bytes()
 
     def close(self) -> None:
@@ -123,23 +123,17 @@ class HttpClient:
         """Split ``http://host:port/path`` into an address and a path."""
         if not url.startswith("http://"):
             raise HttpError(f"only http:// URLs are supported, got {url!r}")
-        remainder = url[len("http://"):]
-        if "/" in remainder:
-            authority, path = remainder.split("/", 1)
-            path = "/" + path
-        else:
-            authority, path = remainder, "/"
-        if ":" in authority:
-            host, port_text = authority.split(":", 1)
+        authority, _slash, path = url[len("http://"):].partition("/")
+        host, colon, port_text = authority.partition(":")
+        port = 80
+        if colon:
             try:
                 port = int(port_text)
             except ValueError:
                 raise HttpError(f"malformed port in URL {url!r}") from None
-        else:
-            host, port = authority, 80
         if not host:
             raise HttpError(f"missing host in URL {url!r}")
-        return Address(host, port), path
+        return Address(host, port), "/" + path
 
     def __repr__(self) -> str:
         return f"HttpClient(host={self.host.name!r}, sent={self.requests_sent})"

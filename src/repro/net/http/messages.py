@@ -3,6 +3,11 @@
 Messages serialise to the familiar textual HTTP/1.1 format so that the
 latency model sees realistic message sizes (headers included) and tests can
 assert on exact wire bytes.
+
+Header names are title-cased once: on construction, or by the parser for a
+message read off the wire.  Every message is one datagram, so a missing
+``Content-Length`` is accepted; one that is present must equal the body's
+byte length, which :meth:`HttpRequest.to_bytes` always writes.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from dataclasses import dataclass, field
 from repro.errors import HttpError
 
 _CRLF = "\r\n"
+_HEAD_END = b"\r\n\r\n"
 _SUPPORTED_METHODS = {"GET", "POST", "PUT", "DELETE", "HEAD"}
 
 
@@ -40,10 +46,6 @@ class StatusCodes:
         return cls.REASONS.get(code, "Unknown")
 
 
-def _normalise_headers(headers: dict[str, str] | None) -> dict[str, str]:
-    return {key.title(): value for key, value in (headers or {}).items()}
-
-
 @dataclass
 class HttpRequest:
     """An HTTP request.
@@ -70,7 +72,8 @@ class HttpRequest:
             raise HttpError(f"unsupported HTTP method {self.method!r}")
         if not self.path.startswith("/"):
             raise HttpError(f"request path must start with '/', got {self.path!r}")
-        self.headers = _normalise_headers(self.headers)
+        headers = self.headers
+        self.headers = dict(zip(map(str.title, headers), headers.values())) if headers else {}
 
     def header(self, name: str, default: str | None = None) -> str | None:
         """Case-insensitive header lookup."""
@@ -78,25 +81,19 @@ class HttpRequest:
 
     def to_bytes(self) -> bytes:
         """Serialise to the textual HTTP/1.1 wire format."""
-        body_bytes = self.body_wire if self.body_wire is not None else self.body.encode("utf-8")
-        headers = dict(self.headers)
-        headers.setdefault("Content-Length", str(len(body_bytes)))
-        lines = [f"{self.method} {self.path} {self.http_version}"]
-        lines.extend(f"{name}: {value}" for name, value in sorted(headers.items()))
-        head = _CRLF.join(lines) + _CRLF + _CRLF
-        return head.encode("utf-8") + body_bytes
+        return _encode(f"{self.method} {self.path} {self.http_version}", self)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "HttpRequest":
         """Parse a request from its wire format."""
-        head, body = _split_head_and_body(data, "request")
-        lines = head.split(_CRLF)
-        parts = lines[0].split(" ")
+        start, headers, body = _decode(data, "request")
+        parts = start.split(" ")
         if len(parts) != 3:
-            raise HttpError(f"malformed request line: {lines[0]!r}")
+            raise HttpError(f"malformed request line: {start!r}")
         method, path, version = parts
-        headers = _parse_header_lines(lines[1:])
-        return cls(method=method, path=path, headers=headers, body=body, http_version=version)
+        request = cls(method=method, path=path, body=body, http_version=version)
+        request.headers = headers
+        return request
 
 
 @dataclass
@@ -111,7 +108,8 @@ class HttpResponse:
     body_wire: bytes | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.headers = _normalise_headers(self.headers)
+        headers = self.headers
+        self.headers = dict(zip(map(str.title, headers), headers.values())) if headers else {}
 
     @property
     def ok(self) -> bool:
@@ -124,30 +122,24 @@ class HttpResponse:
 
     def to_bytes(self) -> bytes:
         """Serialise to the textual HTTP/1.1 wire format."""
-        body_bytes = self.body_wire if self.body_wire is not None else self.body.encode("utf-8")
-        headers = dict(self.headers)
-        headers.setdefault("Content-Length", str(len(body_bytes)))
-        reason = StatusCodes.reason(self.status)
-        lines = [f"{self.http_version} {self.status} {reason}"]
-        lines.extend(f"{name}: {value}" for name, value in sorted(headers.items()))
-        head = _CRLF.join(lines) + _CRLF + _CRLF
-        return head.encode("utf-8") + body_bytes
+        reason = StatusCodes.REASONS.get(self.status, "Unknown")
+        return _encode(f"{self.http_version} {self.status} {reason}", self)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "HttpResponse":
         """Parse a response from its wire format."""
-        head, body = _split_head_and_body(data, "response")
-        lines = head.split(_CRLF)
-        parts = lines[0].split(" ", 2)
+        start, headers, body = _decode(data, "response")
+        parts = start.split(" ", 2)
         if len(parts) < 2:
-            raise HttpError(f"malformed status line: {lines[0]!r}")
+            raise HttpError(f"malformed status line: {start!r}")
         version, status = parts[0], parts[1]
         try:
             status_code = int(status)
         except ValueError:
             raise HttpError(f"malformed status code: {status!r}") from None
-        headers = _parse_header_lines(lines[1:])
-        return cls(status=status_code, headers=headers, body=body, http_version=version)
+        response = cls(status=status_code, body=body, http_version=version)
+        response.headers = headers
+        return response
 
     # -- convenience constructors -----------------------------------------
 
@@ -181,25 +173,56 @@ class HttpResponse:
         return cls(StatusCodes.INTERNAL_SERVER_ERROR, {"Content-Type": "text/plain"}, detail)
 
 
-def _split_head_and_body(data: bytes, what: str) -> tuple[str, str]:
+def _encode(start_line: str, message: "HttpRequest | HttpResponse") -> bytes:
+    """The wire bytes of ``message`` under ``start_line``.
+
+    Headers go out sorted by name, ``Content-Length`` always the body's byte
+    length whatever the header dict says.
+    """
+    body = message.body_wire
+    if body is None:
+        body = message.body.encode("utf-8")
+    headers = message.headers.copy()
+    headers["Content-Length"] = str(len(body))
+    lines = [start_line]
+    for name, value in sorted(headers.items()):
+        lines.append(f"{name}: {value}")
+    lines.append("")
+    lines.append("")
+    return _CRLF.join(lines).encode("utf-8") + body
+
+
+def _decode(data: bytes, what: str) -> tuple[str, dict[str, str], str]:
+    """Split a wire message into its start line, title-cased headers and body.
+
+    Raises :class:`HttpError` on malformed framing, including a
+    ``Content-Length`` that is not the body's byte length.
+    """
+    end = data.find(_HEAD_END)
     try:
-        text = data.decode("utf-8")
+        if end < 0:
+            data.decode("utf-8")
+            raise HttpError(f"HTTP {what} is missing the header/body separator")
+        head = data[:end].decode("utf-8")
+        body = data[end + 4 :]
+        text = body.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise HttpError(f"HTTP {what} is not valid UTF-8: {exc}") from None
-    separator = _CRLF + _CRLF
-    if separator not in text:
-        raise HttpError(f"HTTP {what} is missing the header/body separator")
-    head, body = text.split(separator, 1)
-    return head, body
-
-
-def _parse_header_lines(lines: list[str]) -> dict[str, str]:
+    lines = head.split(_CRLF)
     headers: dict[str, str] = {}
-    for line in lines:
+    for line in lines[1:]:
         if not line:
             continue
-        if ":" not in line:
+        name, colon, value = line.partition(":")
+        if not colon:
             raise HttpError(f"malformed header line: {line!r}")
-        name, value = line.split(":", 1)
         headers[name.strip().title()] = value.strip()
-    return headers
+    length = headers.get("Content-Length")
+    if length is not None and not (
+        length.isascii() and length.isdigit() and int(length) == len(body)
+    ):
+        raise HttpError(
+            f"HTTP {what} Content-Length {length!r} does not match "
+            f"its {len(body)}-byte body"
+        )
+    return lines[0], headers, text

@@ -67,7 +67,6 @@ class HttpServer:
         host: Host,
         port: int,
         name: str = "http-server",
-        charge_connection_setup: bool = False,
         cores: "ServerCore | None" = None,
     ) -> None:
         self.host = host
@@ -78,7 +77,6 @@ class HttpServer:
             port,
             self._on_request,
             name=name,
-            charge_connection_setup=charge_connection_setup,
             cores=cores,
         )
         self._routes: list[Route] = []

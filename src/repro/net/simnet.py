@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable, NamedTuple, Protocol
 
 from repro.errors import (
     HostNotFoundError,
@@ -42,9 +42,12 @@ from repro.obs import hooks as _obs_hooks
 from repro.sim.scheduler import Event, Scheduler
 
 
-@dataclass(frozen=True, slots=True)
-class Address:
-    """A ``(host, port)`` pair identifying a network endpoint."""
+class Address(NamedTuple):
+    """A ``(host, port)`` pair identifying a network endpoint.
+
+    A named tuple, so the hashing and equality behind every connection-table
+    lookup run in C.
+    """
 
     host: str
     port: int
@@ -67,11 +70,6 @@ class Message:
     payload: bytes
     sent_at: float
     delivered_at: float | None = None
-
-    @property
-    def size_bytes(self) -> int:
-        """Size of the payload in bytes (used by the latency model)."""
-        return len(self.payload)
 
 
 class PortListener(Protocol):
@@ -98,16 +96,6 @@ class LinkFault(Protocol):
         """Return ``(drop, extra_delay)`` for one message of the given size."""
 
 
-class _CallbackListener:
-    """Adapts a plain callable to the :class:`PortListener` protocol."""
-
-    def __init__(self, callback: Callable[[Message, "Host"], None]) -> None:
-        self._callback = callback
-
-    def on_message(self, message: Message, host: "Host") -> None:
-        self._callback(message, host)
-
-
 @dataclass
 class TrafficStats:
     """Counters kept per host and per network."""
@@ -125,7 +113,8 @@ class Host:
     def __init__(self, name: str, network: "Network") -> None:
         self.name = name
         self.network = network
-        self._listeners: dict[int, PortListener] = {}
+        #: Port -> the callable that receives ``(message, host)``.
+        self._listeners: dict[int, Callable[[Message, "Host"], None]] = {}
         self.stats = TrafficStats()
         #: True while the machine is crashed: traffic to it is dropped at
         #: transmit *and* delivery time (see the fault-model invariants in
@@ -136,12 +125,14 @@ class Host:
 
     def bind(self, port: int, listener: PortListener | Callable[[Message, "Host"], None]) -> None:
         """Attach ``listener`` to ``port`` so incoming messages are delivered
-        to it.  Raises :class:`PortInUseError` if the port is already bound."""
+        to it.  Raises :class:`PortInUseError` if the port is already bound.
+
+        A :class:`PortListener` is stored as its bound ``on_message``, so
+        every delivery is one direct call.
+        """
         if port in self._listeners:
             raise PortInUseError(f"port {port} on host {self.name!r} is already bound")
-        if callable(listener) and not hasattr(listener, "on_message"):
-            listener = _CallbackListener(listener)
-        self._listeners[port] = listener  # type: ignore[assignment]
+        self._listeners[port] = getattr(listener, "on_message", listener)
 
     def unbind(self, port: int) -> None:
         """Detach the listener from ``port``; unknown ports are ignored."""
@@ -163,18 +154,26 @@ class Host:
         destination: Address,
         payload: bytes,
         source_port: int = 0,
+        delay: float | None = None,
+        source: Address | None = None,
     ) -> Message:
-        """Send ``payload`` to ``destination`` and return the in-flight message."""
-        if not isinstance(payload, (bytes, bytearray)):
-            raise TransportError(
-                f"payload must be bytes, got {type(payload).__name__}; "
-                "serialise protocol messages before sending"
-            )
-        return self.network.transmit(
-            source=Address(self.name, source_port),
-            destination=destination,
-            payload=bytes(payload),
-        )
+        """Send ``payload`` to ``destination`` and return the in-flight message.
+
+        ``delay`` is the link's one-way delay for this payload, when the
+        caller already computed it (the transport does, to keep its
+        connections ordered); ``source`` is this host's
+        ``Address(name, source_port)``, when the caller already holds it.
+        """
+        if type(payload) is not bytes:
+            if not isinstance(payload, (bytes, bytearray)):
+                raise TransportError(
+                    f"payload must be bytes, got {type(payload).__name__}; "
+                    "serialise protocol messages before sending"
+                )
+            payload = bytes(payload)
+        if source is None:
+            source = Address(self.name, source_port)
+        return self.network._transmit(self, source, destination, payload, delay)
 
     def deliver(self, message: Message) -> None:
         """Called by the network when a message arrives at this host."""
@@ -192,9 +191,10 @@ class Host:
                 f"no listener bound to {message.destination} "
                 f"(message from {message.source})"
             )
-        self.stats.messages_received += 1
-        self.stats.bytes_received += message.size_bytes
-        listener.on_message(message, self)
+        stats = self.stats
+        stats.messages_received += 1
+        stats.bytes_received += len(message.payload)
+        listener(message, self)
 
     def __repr__(self) -> str:
         return f"Host({self.name!r}, ports={list(self.bound_ports)})"
@@ -342,12 +342,21 @@ class Network:
 
     # -- transmission -------------------------------------------------------
 
-    def transmit(self, source: Address, destination: Address, payload: bytes) -> Message:
+    def _transmit(
+        self,
+        source_host: Host,
+        source: Address,
+        destination: Address,
+        payload: bytes,
+        delay: float | None,
+    ) -> Message:
         """Queue ``payload`` for delivery and return the in-flight message.
 
-        Delivery is scheduled on the event scheduler after the one-way delay
-        given by the governing latency model.  Traffic into a partition is
-        counted as dropped and silently discarded, mirroring packet loss.
+        Called by :meth:`Host.send` only.  Delivery is scheduled on the event
+        scheduler after the one-way delay given by the governing latency
+        model (``delay``, when the sender already computed it).  Traffic into
+        a partition is counted as dropped and silently discarded, mirroring
+        packet loss.
 
         Same-instant coalescing: when this send arrives at the exact virtual
         time of the previous one *and* nothing else was scheduled in between,
@@ -357,27 +366,25 @@ class Network:
         siblings is exactly the ``(time, insertion order)`` the scheduler
         would have produced anyway — determinism is unchanged.
         """
-        source_host = self.host(source.host)
-        destination_host = self.host(destination.host)
+        destination_host = self._hosts.get(destination.host)
+        if destination_host is None:
+            raise HostNotFoundError(f"unknown host {destination.host!r}")
         scheduler = self.scheduler
+        now = scheduler.now
 
         size = len(payload)
         self._next_message_id += 1
-        message = Message(
-            message_id=self._next_message_id,
-            source=source,
-            destination=destination,
-            payload=payload,
-            sent_at=scheduler.now,
-        )
-        source_host.stats.messages_sent += 1
-        source_host.stats.bytes_sent += size
-        self.stats.messages_sent += 1
-        self.stats.bytes_sent += size
+        message = Message(self._next_message_id, source, destination, payload, now)
+        source_stats = source_host.stats
+        source_stats.messages_sent += 1
+        source_stats.bytes_sent += size
+        stats = self.stats
+        stats.messages_sent += 1
+        stats.bytes_sent += size
 
         if self._partitions and self.is_partitioned(source.host, destination.host):
-            self.stats.messages_dropped += 1
-            source_host.stats.messages_dropped += 1
+            stats.messages_dropped += 1
+            source_stats.messages_dropped += 1
             if _obs_hooks.ACTIVE is not None:
                 _obs_hooks.ACTIVE.instant(
                     "net.drop", reason="partition", source=source.host, to=destination.host
@@ -386,23 +393,23 @@ class Network:
         if source_host.down or destination_host.down:
             # A crashed machine neither sends nor receives; dropping at
             # transmit time keeps the event queue free of doomed deliveries.
-            self.stats.messages_dropped += 1
-            source_host.stats.messages_dropped += 1
+            stats.messages_dropped += 1
+            source_stats.messages_dropped += 1
             if _obs_hooks.ACTIVE is not None:
                 _obs_hooks.ACTIVE.instant(
                     "net.drop", reason="host-down", source=source.host, to=destination.host
                 )
             return message
 
-        latency = self.link_latency(source.host, destination.host)
-        delay = latency.one_way_delay(size)
+        if delay is None:
+            delay = self.link_latency(source.host, destination.host).one_way_delay(size)
         if self._link_faults:
             fault = self._link_faults.get((source.host, destination.host))
             if fault is not None:
                 drop, extra = fault.sample(size)
                 if drop:
-                    self.stats.messages_dropped += 1
-                    source_host.stats.messages_dropped += 1
+                    stats.messages_dropped += 1
+                    source_stats.messages_dropped += 1
                     if _obs_hooks.ACTIVE is not None:
                         _obs_hooks.ACTIVE.instant(
                             "net.drop",
@@ -416,12 +423,12 @@ class Network:
                     # one on the same link direction: clamp the arrival to be
                     # strictly after the latest one already scheduled, so the
                     # transport layer's per-connection FIFO correlation holds.
-                    arrival = scheduler.clock.now + delay + extra
+                    arrival = now + delay + extra
                     if arrival <= fault.last_arrival:
                         arrival = fault.last_arrival + 1e-9
                     fault.last_arrival = arrival
-                    delay = arrival - scheduler.clock.now
-        arrival = scheduler.clock.now + delay
+                    delay = arrival - now
+        arrival = now + delay
         batch = self._batch
         if (
             batch is not None
@@ -432,9 +439,7 @@ class Network:
             batch[2].append(message)
             return message
         pending = [message]
-        label = (
-            f"deliver {source} -> {destination}" if scheduler.tracing else "deliver"
-        )
+        label = f"deliver {source} -> {destination}" if scheduler.tracing else "deliver"
         event = scheduler.schedule(delay, self._deliver_batch, pending, label=label)
         self._batch = (arrival, event, pending)
         return message
@@ -461,7 +466,7 @@ class Network:
                 continue
             message.delivered_at = now
             stats.messages_received += 1
-            stats.bytes_received += message.size_bytes
+            stats.bytes_received += len(message.payload)
             if record:
                 self.delivered_messages.append(message)
             try:

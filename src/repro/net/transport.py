@@ -12,10 +12,8 @@ the shared machinery out:
   §5.7 stall-until-published behaviour is expressed entirely through it.
 * :class:`Connection` — per-peer connection state on a server endpoint.
   Replies on one connection are delivered in request-arrival order (FIFO,
-  the ordering HTTP/1.1 keep-alive and GIOP both guarantee), and opening a
-  connection can be charged a handshake cost derived from the link's latency
-  model (keep-alive accounting: the cost is paid once, then amortised over
-  every reuse).
+  the ordering HTTP/1.1 keep-alive and GIOP both guarantee), and the
+  endpoint counts opened versus reused connections (keep-alive accounting).
 * :class:`Endpoint` — the server-side dispatch loop.  It owns the port
   binding, the connection table and the reply path; replies completed after
   :meth:`Endpoint.stop` are dropped (and counted) instead of being sent
@@ -29,12 +27,20 @@ the shared machinery out:
 The HTTP server/client and the server/client ORBs are thin protocol codecs
 over these five classes; the SDE call handlers and CDE bindings sit one layer
 above and never touch raw ports.
+
+Both connection kinds behave as byte streams: a message sent right after a
+larger one must not overtake it, although the simulated network delays each
+message independently by size.  A send whose arrival would not come strictly
+after the previous one on its connection is held back (one scheduler event)
+until it would.  The one-way delay computed for that check travels with the
+send into :meth:`Host.send`, so each message's delay is computed once.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Generic, Hashable, TypeVar, Union
 
 from repro.errors import ConnectionAbortedError, TransportError
@@ -68,27 +74,6 @@ def unregister_interceptor(interceptor: Callable[[str, Any, int, str], None]) ->
     if interceptor in _INTERCEPTORS:
         _INTERCEPTORS.remove(interceptor)
 
-
-def _send_in_order(
-    scheduler,
-    delay: float,
-    last_arrival: float,
-    send_now: Callable[[], None],
-    label: str,
-) -> float:
-    """Transmit (now or held back) so per-connection arrivals are ordered.
-
-    A connection is a byte stream: a small message sent right after a large
-    one must not overtake it, even though the simulated network delays each
-    message independently by size.  Returns the new latest-arrival estimate.
-    """
-    arrival = scheduler.now + delay
-    if arrival <= last_arrival:
-        arrival = last_arrival + _STREAM_ORDER_EPSILON
-        scheduler.schedule(arrival - delay - scheduler.now, send_now, label=label)
-    else:
-        send_now()
-    return arrival
 
 #: Callback signature for :meth:`Deferred.subscribe`:
 #: ``callback(value, error, delay)`` with exactly one of value/error set.
@@ -206,19 +191,13 @@ class Connection:
 
     Incoming requests are numbered in arrival order; their replies are
     released strictly in that order, whatever order the handlers resolve in.
-    A handshake cost (derived from the link latency model when the endpoint
-    charges connection setup) delays the very first reply, modelling TCP/IIOP
-    connection establishment that keep-alive then amortises.
     """
 
-    def __init__(self, endpoint: "Endpoint", peer: Address, setup_cost: float = 0.0) -> None:
+    def __init__(self, endpoint: "Endpoint", peer: Address) -> None:
         self.endpoint = endpoint
         self.peer = peer
-        self.setup_cost = setup_cost
         self.opened_at = endpoint.scheduler.now
         self.last_activity = self.opened_at
-        #: Earliest virtual time a reply may leave this connection.
-        self.ready_at = self.opened_at + setup_cost
         self.requests_received = 0
         self.replies_sent = 0
         self.replies_dropped = 0
@@ -249,63 +228,59 @@ class Connection:
     def resolve(self, seq: int, payload: bytes | None) -> None:
         """Provide the reply payload for slot ``seq`` (``None`` = no reply).
 
-        The payload is transmitted once every earlier slot has been resolved
-        and the connection's ``ready_at`` handshake gate has passed.
+        The payload is transmitted once every earlier slot has been resolved;
+        a slot resolved ahead of its turn waits in ``_resolved`` and leaves
+        right behind the slot in front of it.
         """
-        if seq in self._resolved or seq >= self._next_seq or seq < self._next_to_send:
-            raise TransportError(
-                f"connection {self.peer} slot {seq} resolved twice or out of range"
-            )
-        self._resolved[seq] = payload
-        self._flush()
-
-    def _flush(self) -> None:
-        scheduler = self.endpoint.scheduler
-        while self._next_to_send in self._resolved:
-            now = scheduler.now
-            if now < self.ready_at:
-                scheduler.schedule(
-                    self.ready_at - now,
-                    self._flush,
-                    label=(
-                        f"{self.endpoint.name} handshake gate for {self.peer}"
-                        if scheduler.tracing
-                        else "handshake gate"
-                    ),
+        resolved = self._resolved
+        if seq != self._next_to_send or seq >= self._next_seq:
+            if seq in resolved or not self._next_to_send < seq < self._next_seq:
+                raise TransportError(
+                    f"connection {self.peer} slot {seq} resolved twice or out of range"
                 )
+            resolved[seq] = payload
+            return
+        endpoint = self.endpoint
+        while True:
+            seq += 1
+            self._next_to_send = seq
+            if payload is not None:
+                host = endpoint.host
+                scheduler = endpoint.scheduler
+                delay = host.network.link_latency(host.name, self.peer.host).one_way_delay(
+                    len(payload)
+                )
+                arrival = scheduler.now + delay
+                if arrival <= self._last_arrival:
+                    arrival = self._last_arrival + _STREAM_ORDER_EPSILON
+                    scheduler.schedule(
+                        arrival - delay - scheduler.now,
+                        self._send_now,
+                        payload,
+                        delay,
+                        label=(
+                            f"{endpoint.name} in-order send to {self.peer}"
+                            if scheduler.tracing
+                            else "in-order send"
+                        ),
+                    )
+                else:
+                    self._send_now(payload, delay)
+                self._last_arrival = arrival
+            if seq not in resolved:
                 return
-            payload = self._resolved.pop(self._next_to_send)
-            self._next_to_send += 1
-            if payload is None:
-                continue
-            self._transmit(payload)
+            payload = resolved.pop(seq)
 
-    def _transmit(self, payload: bytes) -> None:
+    def _send_now(self, payload: bytes, delay: float) -> None:
         endpoint = self.endpoint
-        scheduler = endpoint.scheduler
-        latency = endpoint.host.network.link_latency(endpoint.host.name, self.peer.host)
-        self._last_arrival = _send_in_order(
-            scheduler,
-            latency.one_way_delay(len(payload)),
-            self._last_arrival,
-            lambda: self._send_now(payload),
-            label=(
-                f"{endpoint.name} in-order send to {self.peer}"
-                if scheduler.tracing
-                else "in-order send"
-            ),
-        )
-
-    def _send_now(self, payload: bytes) -> None:
-        endpoint = self.endpoint
-        if not endpoint.running:
+        if not endpoint._running:
             # The endpoint was stopped while this reply was pending: sending
             # through an unbound port would be a protocol violation, so the
             # reply is dropped and accounted for instead.
             self.replies_dropped += 1
             endpoint.stats.replies_dropped += 1
             return
-        endpoint.host.send(self.peer, payload, source_port=endpoint.port)
+        endpoint.host.send(self.peer, payload, endpoint.port, delay, endpoint.address)
         self.replies_sent += 1
         endpoint.stats.replies_sent += 1
         self.last_activity = endpoint.scheduler.now
@@ -334,16 +309,16 @@ class Endpoint:
         port: int,
         handler: Callable[[Message, Connection], ReplyOutcome],
         name: str = "endpoint",
-        charge_connection_setup: bool = False,
         cores: "ServerCore | None" = None,
     ) -> None:
         self.host = host
         self.port = port
         self.name = name
         self.handler = handler
-        #: When enabled, a new connection pays a handshake of one round trip
-        #: on its link (SYN + SYN-ACK) before its first reply may leave.
-        self.charge_connection_setup = charge_connection_setup
+        #: The event scheduler driving this endpoint's network.
+        self.scheduler = host.network.scheduler
+        #: The network address this endpoint listens on.
+        self.address = Address(host.name, port)
         #: Optional bounded-CPU model: when set, per-request processing
         #: delays are serialised through its cores instead of running in
         #: parallel, so replies queue under load (server contention).
@@ -379,16 +354,6 @@ class Endpoint:
         """True while the endpoint is bound to its port."""
         return self._running
 
-    @property
-    def scheduler(self):
-        """The event scheduler driving this endpoint's network."""
-        return self.host.network.scheduler
-
-    @property
-    def address(self) -> Address:
-        """The network address this endpoint listens on."""
-        return Address(self.host.name, self.port)
-
     # -- connections --------------------------------------------------------
 
     @property
@@ -402,11 +367,7 @@ class Endpoint:
         if connection is not None:
             self.stats.connections_reused += 1
             return connection
-        setup_cost = 0.0
-        if self.charge_connection_setup:
-            latency = self.host.network.link_latency(peer.host, self.host.name)
-            setup_cost = 2.0 * latency.one_way_delay(0)
-        connection = Connection(self, peer, setup_cost=setup_cost)
+        connection = Connection(self, peer)
         self._connections[peer] = connection
         self.stats.connections_opened += 1
         return connection
@@ -438,11 +399,7 @@ class Endpoint:
             connection.resolve(seq, None)
             return
         if isinstance(outcome, Deferred):
-            outcome.subscribe(
-                lambda payload, error, delay: self._settle_resolved(
-                    connection, seq, payload, error, delay
-                )
-            )
+            outcome.subscribe(partial(self._settle_resolved, connection, seq))
             return
         if isinstance(outcome, tuple):
             payload, delay = outcome
@@ -567,6 +524,8 @@ class _ClientConnection:
         self.channel = channel
         self.destination = destination
         self.port = port
+        #: This connection's own (source) address: ``(channel host, port)``.
+        self.address = Address(channel.host.name, port)
         self.requests_sent = 0
         self.replies_received = 0
         self.unsolicited_replies = 0
@@ -585,23 +544,33 @@ class _ClientConnection:
         """
         self._expectations.append((parse, deferred))
         self.requests_sent += 1
-        host = self.channel.host
-        scheduler = self.channel.scheduler
-        latency = host.network.link_latency(host.name, self.destination.host)
-        self._last_arrival = _send_in_order(
-            scheduler,
-            latency.one_way_delay(len(payload)),
-            self._last_arrival,
-            lambda: self._send_now(payload),
-            label=(
-                f"{self.channel.name} in-order send to {self.destination}"
-                if scheduler.tracing
-                else "in-order send"
-            ),
+        channel = self.channel
+        host = channel.host
+        scheduler = channel.scheduler
+        destination = self.destination
+        delay = host.network.link_latency(host.name, destination.host).one_way_delay(
+            len(payload)
         )
+        arrival = scheduler.now + delay
+        if arrival <= self._last_arrival:
+            arrival = self._last_arrival + _STREAM_ORDER_EPSILON
+            scheduler.schedule(
+                arrival - delay - scheduler.now,
+                self._send_now,
+                payload,
+                delay,
+                label=(
+                    f"{channel.name} in-order send to {destination}"
+                    if scheduler.tracing
+                    else "in-order send"
+                ),
+            )
+        else:
+            host.send(destination, payload, self.port, delay, self.address)
+        self._last_arrival = arrival
 
-    def _send_now(self, payload: bytes) -> None:
-        self.channel.host.send(self.destination, payload, source_port=self.port)
+    def _send_now(self, payload: bytes, delay: float) -> None:
+        self.channel.host.send(self.destination, payload, self.port, delay, self.address)
 
     def close(self) -> None:
         """Release the source port; pending expectations are abandoned.
@@ -630,9 +599,7 @@ class _ClientConnection:
         lands on a tombstone instead of mis-correlating.
         """
         aborted, self._expectations = list(self._expectations), deque()
-        self.channel._tombstone_port(self.port)
-        self.port = self.channel._allocate_port()
-        self.channel.host.bind(self.port, self._on_message)
+        self._rotate_port()
         self.channel.requests_aborted += len(aborted)
         for _parse, deferred in aborted:
             deferred.fail(error)
@@ -651,10 +618,16 @@ class _ClientConnection:
         """
         abandoned = len(self._expectations)
         self._expectations.clear()
-        self.channel._tombstone_port(self.port)
-        self.port = self.channel._allocate_port()
-        self.channel.host.bind(self.port, self._on_message)
+        self._rotate_port()
         return abandoned
+
+    def _rotate_port(self) -> None:
+        """Tombstone the current source port and bind a fresh one."""
+        channel = self.channel
+        channel._tombstone_port(self.port)
+        self.port = channel._allocate_port()
+        self.address = Address(channel.host.name, self.port)
+        channel.host.bind(self.port, self._on_message)
 
     def _on_message(self, message: Message, _host: Host) -> None:
         if not self._expectations:
@@ -662,6 +635,7 @@ class _ClientConnection:
             return
         parse, deferred = self._expectations.popleft()
         self.replies_received += 1
+        self.channel.replies_received += 1
         try:
             deferred.complete(parse(message))
         except Exception as exc:  # noqa: BLE001 - parse errors fail the call
@@ -687,6 +661,8 @@ class ClientChannel:
     def __init__(self, host: Host, base_port: int = 49152, name: str = "channel") -> None:
         self.host = host
         self.name = name
+        #: The event scheduler driving this channel's network.
+        self.scheduler = host.network.scheduler
         self.requests_sent = 0
         self.replies_received = 0
         #: Replies that arrived for an abandoned (reset/closed) request.
@@ -699,11 +675,6 @@ class ClientChannel:
         # in-flight expectations to a crashed host (connection-abort
         # semantics).
         host.network.register_client_channel(self)
-
-    @property
-    def scheduler(self):
-        """The event scheduler driving this channel's network."""
-        return self.host.network.scheduler
 
     @property
     def connections(self) -> tuple[_ClientConnection, ...]:
@@ -730,13 +701,7 @@ class ClientChannel:
             for interceptor in _INTERCEPTORS:
                 interceptor("client_send", destination, len(payload), description)
         deferred: Deferred[T] = Deferred(description)
-        connection = self.connection_for(destination)
-
-        def guarded(message: Message) -> T:
-            self.replies_received += 1
-            return parse(message)
-
-        connection.send(payload, guarded, deferred)
+        self.connection_for(destination).send(payload, parse, deferred)
         self.requests_sent += 1
         return deferred
 

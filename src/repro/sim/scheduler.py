@@ -1,9 +1,9 @@
 """Event scheduler driving the whole simulated system.
 
-The scheduler owns the virtual :class:`~repro.sim.clock.Clock` and a priority
-queue of pending events.  Network message deliveries, publication timers,
-simulated processing delays and workload arrivals are all events; running the
-scheduler to quiescence therefore executes the distributed system
+The scheduler owns virtual time (:attr:`Scheduler.now`, in seconds) and a
+priority queue of pending events.  Network message deliveries, publication
+timers, simulated processing delays and workload arrivals are all events;
+running the scheduler to quiescence therefore executes the distributed system
 deterministically in a single OS thread.
 
 Hot-path invariants (the fleet sweeps dispatch millions of events per run):
@@ -46,7 +46,6 @@ from collections import deque
 from typing import Any, Callable
 
 from repro.errors import DeadlockError, SchedulerError
-from repro.sim.clock import Clock
 
 #: Queue size below which the lazy cancel purge is never triggered.
 _PURGE_MIN_QUEUE = 64
@@ -120,17 +119,28 @@ class Scheduler:
     Determinism: events are dispatched in ``(time, insertion order)`` order,
     so two events scheduled for the same instant run in the order they were
     scheduled.
+
+    Virtual time is the plain attribute :attr:`now`, in seconds (the paper
+    reports round-trip times in seconds, Table 1).  Only dispatch and the
+    ``run_*`` loops move it, and only forward: every event is scheduled at or
+    after the current time.
     """
 
-    def __init__(self, clock: Clock | None = None) -> None:
-        self.clock = clock if clock is not None else Clock()
+    def __init__(self) -> None:
+        #: Current virtual time in seconds.
+        self.now = 0.0
+        #: True once :meth:`enable_tracing` was called.  Hot paths check it
+        #: before building descriptive f-string labels, so untraced runs
+        #: skip the string formatting entirely.
+        self.tracing = False
         #: Heap of ``(time, sequence, event)`` tuples.
         self._queue: list[tuple[float, int, Event]] = []
         self._sequence = itertools.count()
         self._dispatched_count = 0
         self._pending = 0
         self._cancelled_in_queue = 0
-        self._last_event: Event | None = None
+        #: The most recently scheduled event (used by delivery batching).
+        self.last_event: Event | None = None
         #: Dispatch trace: a plain list, or a bounded deque when
         #: ``enable_tracing`` was given a limit.
         self._trace: "list[tuple[float, str]] | deque[tuple[float, str]] | None" = None
@@ -141,11 +151,6 @@ class Scheduler:
         self._extra_queues: list[list[tuple[float, int, Event]]] = []
 
     # -- inspection -------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self.clock.now
 
     @property
     def pending_count(self) -> int:
@@ -165,11 +170,6 @@ class Scheduler:
         """Number of events dispatched since the scheduler was created."""
         return self._dispatched_count
 
-    @property
-    def last_event(self) -> Event | None:
-        """The most recently scheduled event (used by delivery batching)."""
-        return self._last_event
-
     def enable_tracing(self, limit: int | None = None) -> None:
         """Record ``(time, label)`` for every dispatched event.
 
@@ -180,15 +180,7 @@ class Scheduler:
         span ring); ``None`` keeps the historical unbounded list.
         """
         self._trace = [] if limit is None else deque(maxlen=limit)
-
-    @property
-    def tracing(self) -> bool:
-        """True once :meth:`enable_tracing` was called.
-
-        Hot paths check this before building descriptive f-string labels so
-        untraced runs skip the string formatting entirely.
-        """
-        return self._trace is not None
+        self.tracing = True
 
     @property
     def trace(self) -> list[tuple[float, str]]:
@@ -209,12 +201,10 @@ class Scheduler:
         from now and return the corresponding :class:`Event`."""
         if delay < 0:
             raise SchedulerError(f"cannot schedule an event in the past (delay={delay})")
-        event = Event(
-            self.clock.now + delay, callback, args, kwargs or None, label, self
-        )
+        event = Event(self.now + delay, callback, args, kwargs or None, label, self)
         heapq.heappush(self._queue, (event.time, next(self._sequence), event))
         self._pending += 1
-        self._last_event = event
+        self.last_event = event
         return event
 
     def schedule_at(
@@ -226,14 +216,15 @@ class Scheduler:
         **kwargs: Any,
     ) -> Event:
         """Schedule ``callback`` to run at absolute virtual time ``time``."""
-        if time < self.clock.now:
+        if time < self.now:
             raise SchedulerError(
                 f"cannot schedule an event at {time} before current time {self.now}"
             )
+        time = float(time)
         event = Event(time, callback, args, kwargs or None, label, self)
         heapq.heappush(self._queue, (time, next(self._sequence), event))
         self._pending += 1
-        self._last_event = event
+        self.last_event = event
         return event
 
     def call_soon(
@@ -248,7 +239,7 @@ class Scheduler:
         """Return the :class:`EventStream` partition for ``key``, creating it
         on first use.
 
-        Partitions share this scheduler's clock, pending accounting and —
+        Partitions share this scheduler's time, pending accounting and —
         crucially — its global sequence counter, so events scheduled on any
         mix of streams dispatch in exactly the ``(time, insertion order)``
         order the single shared queue would have produced.  Creating the
@@ -281,7 +272,7 @@ class Scheduler:
             if queue is None:
                 return False
             _time, _seq, event = heapq.heappop(queue)
-            self.clock.advance_to(event.time)
+            self.now = event.time
             event.dispatched = True
             self._pending -= 1
             self._dispatched_count += 1
@@ -299,7 +290,7 @@ class Scheduler:
             if event.cancelled:
                 self._cancelled_in_queue -= 1
                 continue
-            self.clock.advance_to(event.time)
+            self.now = event.time
             event.dispatched = True
             self._pending -= 1
             self._dispatched_count += 1
@@ -339,7 +330,7 @@ class Scheduler:
         deadline = self.now + duration
         dispatched = self.run_until_time(deadline, max_events=max_events)
         if self.now < deadline:
-            self.clock.advance_to(deadline)
+            self.now = float(deadline)
         return dispatched
 
     def run_until_time(self, deadline: float, max_events: int = 1_000_000) -> int:
@@ -358,7 +349,7 @@ class Scheduler:
                         "without reaching the deadline"
                     )
             if self.now < deadline:
-                self.clock.advance_to(deadline)
+                self.now = float(deadline)
             return dispatched
         while self._queue:
             entry = self._queue[0]
@@ -375,7 +366,7 @@ class Scheduler:
                     f"run_until_time dispatched {max_events} events without reaching the deadline"
                 )
         if self.now < deadline and not self._has_pending_before(deadline):
-            self.clock.advance_to(deadline)
+            self.now = float(deadline)
         return dispatched
 
     def run_until(
@@ -508,7 +499,7 @@ class EventStream:
 
     Obtained via :meth:`Scheduler.partition`.  A stream is a separate heap
     with the *same* dispatch semantics as the shared queue: timestamps come
-    from the shared clock and insertion tickets from the scheduler's global
+    from the scheduler's time and insertion tickets from its global
     sequence counter, so the merged dispatch order is identical to what a
     single queue would produce.  The cluster layer keeps one stream per
     server node and aims cohort-flow settlement events at it, so a
@@ -549,11 +540,11 @@ class EventStream:
         if delay < 0:
             raise SchedulerError(f"cannot schedule an event in the past (delay={delay})")
         event = Event(
-            scheduler.clock.now + delay, callback, args, kwargs or None, label, scheduler
+            scheduler.now + delay, callback, args, kwargs or None, label, scheduler
         )
         heapq.heappush(self._heap, (event.time, next(scheduler._sequence), event))
         scheduler._pending += 1
-        scheduler._last_event = event
+        scheduler.last_event = event
         return event
 
     def schedule_at(
@@ -566,14 +557,15 @@ class EventStream:
     ) -> Event:
         """Schedule ``callback`` on this stream at absolute time ``time``."""
         scheduler = self.scheduler
-        if time < scheduler.clock.now:
+        if time < scheduler.now:
             raise SchedulerError(
                 f"cannot schedule an event at {time} before current time {scheduler.now}"
             )
+        time = float(time)
         event = Event(time, callback, args, kwargs or None, label, scheduler)
         heapq.heappush(self._heap, (time, next(scheduler._sequence), event))
         scheduler._pending += 1
-        scheduler._last_event = event
+        scheduler.last_event = event
         return event
 
     def call_soon(

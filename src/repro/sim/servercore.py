@@ -78,7 +78,7 @@ class ServerCore:
         """
         if cost < 0:
             raise SchedulerError(f"processing cost must be non-negative, got {cost}")
-        now = self.scheduler.clock.now
+        now = self.scheduler.now
         free_at = heapq.heappop(self._free_at)
         start = free_at if free_at > now else now
         finish = start + cost
@@ -116,7 +116,7 @@ class ServerCore:
             raise SchedulerError(f"job count must be non-negative, got {jobs}")
         if jobs == 0:
             return (0.0, 0.0)
-        now = self.scheduler.clock.now
+        now = self.scheduler.now
         free_at = self._free_at
         used = min(jobs, self.cores)
         # Pop in ascending free-time order: the earliest-free cores get the
@@ -154,7 +154,7 @@ class ServerCore:
     @property
     def busy_cores(self) -> int:
         """Cores currently committed past the present instant."""
-        now = self.scheduler.clock.now
+        now = self.scheduler.now
         return sum(1 for free_at in self._free_at if free_at > now)
 
     def __repr__(self) -> str:

@@ -10,7 +10,8 @@ from repro.net.http import (
     HttpServer,
     StatusCodes,
 )
-from repro.net.transport import Deferred
+from repro.net.simnet import Address
+from repro.net.transport import ClientChannel, Deferred, Endpoint
 
 
 class TestHttpRequestMessage:
@@ -94,6 +95,61 @@ class TestHttpResponseMessage:
         raw = b"HTTP/1.1 abc Bad\r\n\r\n"
         with pytest.raises(HttpError):
             HttpResponse.from_bytes(raw)
+
+
+class TestContentLength:
+    """Every message is one datagram: ``Content-Length`` must describe it."""
+
+    def test_request_writes_the_body_length_over_a_stale_header(self):
+        wire = HttpRequest("POST", "/x", {"content-length": "999"}, body="hi").to_bytes()
+        assert b"Content-Length: 2\r\n" in wire
+        assert b"999" not in wire
+
+    def test_response_writes_the_body_length_over_a_stale_header(self):
+        wire = HttpResponse(200, {"Content-Length": "1"}, body="héllo").to_bytes()
+        assert b"Content-Length: 6\r\n" in wire
+
+    @pytest.mark.parametrize("length", [b"2", b"7", b"-5", b"five", b"\xc2\xb2", b""])
+    def test_request_with_wrong_length_rejected(self, length):
+        raw = b"POST /x HTTP/1.1\r\nContent-Length: " + length + b"\r\n\r\nhello"
+        with pytest.raises(HttpError, match="Content-Length"):
+            HttpRequest.from_bytes(raw)
+
+    def test_response_with_wrong_length_rejected(self):
+        raw = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhello"
+        with pytest.raises(HttpError, match="Content-Length"):
+            HttpResponse.from_bytes(raw)
+
+    def test_length_counts_bytes_not_characters(self):
+        raw = "HTTP/1.1 200 OK\r\nContent-Length: 6\r\n\r\nhéllo".encode("utf-8")
+        assert HttpResponse.from_bytes(raw).body == "héllo"
+
+    def test_missing_length_accepted(self):
+        parsed = HttpRequest.from_bytes(b"POST /x HTTP/1.1\r\nHost: s\r\n\r\nhello")
+        assert parsed.body == "hello"
+
+    def test_server_answers_400_to_a_wrong_length(self, network, scheduler):
+        server = HttpServer(network.host("server"), 8080)
+        seen = []
+        server.add_route("/x", lambda request: seen.append(request) or HttpResponse.ok_text("x"))
+        server.start()
+        channel = ClientChannel(network.host("client"))
+        raw = b"POST /x HTTP/1.1\r\nContent-Length: 2\r\n\r\nhello"
+        response = channel.request(
+            Address("server", 8080), raw, lambda message: HttpResponse.from_bytes(message.payload)
+        )
+        assert response.status == StatusCodes.BAD_REQUEST
+        assert seen == []
+
+    def test_client_call_fails_on_a_wrong_length(self, network, scheduler):
+        Endpoint(
+            network.host("server"),
+            8080,
+            lambda message, connection: b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhello",
+        ).start()
+        client = HttpClient(network.host("client"))
+        with pytest.raises(HttpError, match="Content-Length"):
+            client.get("http://server:8080/x")
 
 
 class TestHttpServerAndClient:

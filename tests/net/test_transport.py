@@ -229,29 +229,6 @@ class TestEndpointDispatch:
         assert endpoint.stats.connections_reused == 2
         assert len(endpoint.connections) == 1
 
-    def test_connection_setup_charged_once(self, network, scheduler):
-        """With keep-alive accounting on, the handshake delays only the
-        first reply on a connection."""
-        server = network.host("server")
-        endpoint = Endpoint(
-            server, 9100, lambda message, conn: b"ok", charge_connection_setup=True
-        )
-        endpoint.start()
-        client, source, received = _collecting_client(network)
-
-        client.send(Address("server", 9100), b"x", source_port=source.port)
-        scheduler.run_until_idle()
-        first_rtt = scheduler.now
-
-        before = scheduler.now
-        client.send(Address("server", 9100), b"x", source_port=source.port)
-        scheduler.run_until_idle()
-        second_rtt = scheduler.now - before
-
-        setup = endpoint.connections[0].setup_cost
-        assert setup > 0
-        assert first_rtt == pytest.approx(second_rtt + setup)
-
 
 class TestClientChannel:
     def _echo_endpoint(self, network, port=9200):

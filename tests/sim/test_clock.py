@@ -1,43 +1,43 @@
-"""Tests for the virtual clock."""
+"""Tests for the virtual clock: the scheduler's ``now`` attribute."""
 
 import pytest
 
-from repro.errors import ClockError
-from repro.sim.clock import Clock
+from repro.errors import SchedulerError
+from repro.sim import Scheduler
 
 
 class TestClock:
     def test_starts_at_zero_by_default(self):
-        assert Clock().now == 0.0
-
-    def test_custom_start(self):
-        assert Clock(5.0).now == 5.0
-
-    def test_negative_start_rejected(self):
-        with pytest.raises(ClockError):
-            Clock(-1.0)
+        assert Scheduler().now == 0.0
 
     def test_advance_to(self):
-        clock = Clock()
-        clock.advance_to(2.5)
-        assert clock.now == 2.5
+        scheduler = Scheduler()
+        scheduler.run_until_time(2.5)
+        assert scheduler.now == 2.5
 
     def test_advance_to_same_time_allowed(self):
-        clock = Clock(1.0)
-        clock.advance_to(1.0)
-        assert clock.now == 1.0
+        scheduler = Scheduler()
+        times = []
+        scheduler.schedule_at(1, lambda: times.append(scheduler.now))
+        scheduler.schedule_at(1.0, lambda: times.append(scheduler.now))
+        scheduler.run_until_time(1.0)
+        assert times == [1.0, 1.0]
+        assert all(type(time) is float for time in times)
 
     def test_advance_backwards_rejected(self):
-        clock = Clock(3.0)
-        with pytest.raises(ClockError):
-            clock.advance_to(2.9)
+        scheduler = Scheduler()
+        scheduler.run_until_time(3.0)
+        scheduler.run_until_time(2.9)
+        assert scheduler.now == 3.0
+        with pytest.raises(SchedulerError):
+            scheduler.schedule_at(2.9, lambda: None)
 
     def test_advance_by(self):
-        clock = Clock(1.0)
-        clock.advance_by(0.5)
-        assert clock.now == 1.5
+        scheduler = Scheduler()
+        scheduler.run_until_time(1.0)
+        scheduler.run_for(0.5)
+        assert scheduler.now == 1.5
 
     def test_advance_by_negative_rejected(self):
-        clock = Clock()
-        with pytest.raises(ClockError):
-            clock.advance_by(-0.1)
+        with pytest.raises(SchedulerError):
+            Scheduler().run_for(-0.1)
