@@ -120,7 +120,7 @@ from repro.rmitypes import (
     VOID,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "ReproError",

@@ -141,13 +141,11 @@ class SoapProtocolClient(ProtocolClient):
         context = _obs_hooks.CONTEXT
         if context is not None:
             request.trace_context = context.encode()
-        body, body_wire = request.to_xml_and_wire()
         wire = self.http.request_async(
             "POST",
             description.endpoint_url,
-            body=body,
+            body=request.to_xml(),
             headers={"Content-Type": "text/xml; charset=utf-8"},
-            body_wire=body_wire,
         )
 
         def decode(response, error):

@@ -211,13 +211,12 @@ class DynamicClientBinding:
 
     def _soap_transport(self, request: SoapRequest) -> SoapResponse:
         assert self.description is not None
-        request_xml, request_wire = request.to_xml_and_wire()
+        request_xml = request.to_xml()
         self.cde.charge_text_cost(len(request_xml))
         http_response = self.cde.http_client.post(
             self.description.endpoint_url,
             request_xml,
             headers={"Content-Type": "text/xml; charset=utf-8"},
-            body_wire=request_wire,
         )
         if not http_response.ok:
             raise MiddlewareError(

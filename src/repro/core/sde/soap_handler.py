@@ -87,18 +87,18 @@ class SoapCallHandler(CallHandler):
             response = SoapResponse.for_result(
                 soap_request.operation, value, signature.return_type, namespace=namespace
             )
-            body, wire = response.to_xml_and_wire()
+            body = response.to_xml()
             deferred.complete(
-                HttpResponse.ok_xml(body, wire=wire),
+                HttpResponse.ok_xml(body),
                 self._processing_delay(len(request.body), len(body)),
             )
 
         def on_fault(error: BaseException) -> None:
             fault = self._fault_for(soap_request.operation, error)
             response = SoapResponse.for_fault(soap_request.operation, fault, namespace=namespace)
-            body, wire = response.to_xml_and_wire()
+            body = response.to_xml()
             deferred.complete(
-                HttpResponse.ok_xml(body, wire=wire),
+                HttpResponse.ok_xml(body),
                 self._processing_delay(len(request.body), len(body)),
             )
 
@@ -126,11 +126,11 @@ class SoapCallHandler(CallHandler):
 
     def _fault_response(self, operation: str, fault: SoapFault, request_size: int):
         response = SoapResponse.for_fault(operation, fault)
-        body, wire = response.to_xml_and_wire()
+        body = response.to_xml()
         delay = self._processing_delay(request_size, len(body))
         if delay > 0:
-            return HttpResponse.ok_xml(body, wire=wire), delay
-        return HttpResponse.ok_xml(body, wire=wire)
+            return HttpResponse.ok_xml(body), delay
+        return HttpResponse.ok_xml(body)
 
     # -- cost accounting ---------------------------------------------------------------
 

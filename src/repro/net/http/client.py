@@ -48,14 +48,9 @@ class HttpClient:
         url: str,
         body: str,
         headers: dict[str, str] | None = None,
-        body_wire: bytes | None = None,
     ) -> HttpResponse:
-        """Issue a blocking POST request with ``body`` to ``url``.
-
-        ``body_wire``, when given, must be ``body.encode("utf-8")`` —
-        producers with pre-encoded bytes pass it to skip the boundary encode.
-        """
-        return self.request("POST", url, body=body, headers=headers, body_wire=body_wire)
+        """Issue a blocking POST request with ``body`` to ``url``."""
+        return self.request("POST", url, body=body, headers=headers)
 
     def request(
         self,
@@ -63,14 +58,13 @@ class HttpClient:
         url: str,
         body: str = "",
         headers: dict[str, str] | None = None,
-        body_wire: bytes | None = None,
     ) -> HttpResponse:
         """Issue a blocking HTTP request and return the response.
 
         ``url`` must be of the form ``http://<host>:<port>/<path>`` where
         ``<host>`` is a simulated host name.
         """
-        destination, payload = self._build(method, url, body, headers, body_wire)
+        destination, payload = self._build(method, url, body, headers)
         return self.channel.request(
             destination, payload, self._parse_response, description=f"{method} {url}"
         )
@@ -81,10 +75,9 @@ class HttpClient:
         url: str,
         body: str = "",
         headers: dict[str, str] | None = None,
-        body_wire: bytes | None = None,
     ) -> Deferred[HttpResponse]:
         """Issue a request without blocking; resolve with the response."""
-        destination, payload = self._build(method, url, body, headers, body_wire)
+        destination, payload = self._build(method, url, body, headers)
         return self.channel.request_async(
             destination, payload, self._parse_response, description=f"{method} {url}"
         )
@@ -95,7 +88,6 @@ class HttpClient:
         url: str,
         body: str,
         headers: dict[str, str] | None,
-        body_wire: bytes | None = None,
     ) -> tuple[Address, bytes]:
         destination, path = self.parse_url(url)
         # The caller's own Host header, in any case, overrides the default.
@@ -104,7 +96,6 @@ class HttpClient:
             path=path,
             headers={"Host": f"{destination.host}:{destination.port}", **(headers or {})},
             body=body,
-            body_wire=body_wire,
         )
         return destination, request.to_bytes()
 

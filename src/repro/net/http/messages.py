@@ -60,11 +60,6 @@ class HttpRequest:
     headers: dict[str, str] = field(default_factory=dict)
     body: str = ""
     http_version: str = "HTTP/1.1"
-    #: Optional pre-encoded body (must equal ``body.encode("utf-8")``).
-    #: Producers that already rendered wire bytes (the SOAP zero-copy encode
-    #: path) supply it so ``to_bytes`` skips re-encoding the body; it never
-    #: participates in equality or parsing.
-    body_wire: bytes | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.method = self.method.upper()
@@ -104,8 +99,6 @@ class HttpResponse:
     headers: dict[str, str] = field(default_factory=dict)
     body: str = ""
     http_version: str = "HTTP/1.1"
-    #: Optional pre-encoded body; same contract as ``HttpRequest.body_wire``.
-    body_wire: bytes | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         headers = self.headers
@@ -149,18 +142,9 @@ class HttpResponse:
         return cls(StatusCodes.OK, {"Content-Type": content_type}, body)
 
     @classmethod
-    def ok_xml(cls, body: str, wire: bytes | None = None) -> "HttpResponse":
-        """A 200 response carrying an XML body.
-
-        ``wire``, when given, must be ``body.encode("utf-8")`` — producers
-        with pre-encoded envelope bytes pass it to skip the boundary encode.
-        """
-        return cls(
-            StatusCodes.OK,
-            {"Content-Type": "text/xml; charset=utf-8"},
-            body,
-            body_wire=wire,
-        )
+    def ok_xml(cls, body: str) -> "HttpResponse":
+        """A 200 response carrying an XML body."""
+        return cls(StatusCodes.OK, {"Content-Type": "text/xml; charset=utf-8"}, body)
 
     @classmethod
     def not_found(cls, detail: str = "") -> "HttpResponse":
@@ -179,9 +163,7 @@ def _encode(start_line: str, message: "HttpRequest | HttpResponse") -> bytes:
     Headers go out sorted by name, ``Content-Length`` always the body's byte
     length whatever the header dict says.
     """
-    body = message.body_wire
-    if body is None:
-        body = message.body.encode("utf-8")
+    body = message.body.encode("utf-8")
     headers = message.headers.copy()
     headers["Content-Length"] = str(len(body))
     lines = [start_line]

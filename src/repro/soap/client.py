@@ -91,7 +91,7 @@ class SoapClient:
     def _transport(self, request: SoapRequest) -> SoapResponse:
         if self.description is None:
             raise SoapError("client is not connected")
-        request_xml, request_wire = request.to_xml_and_wire()
+        request_xml = request.to_xml()
         self._charge(len(request_xml))
         http_response = self.http_client.post(
             self.description.endpoint_url,
@@ -100,7 +100,6 @@ class SoapClient:
                 "Content-Type": "text/xml; charset=utf-8",
                 "Soapaction": f"{request.namespace}#{request.operation}",
             },
-            body_wire=request_wire,
         )
         if not http_response.ok:
             raise SoapError(

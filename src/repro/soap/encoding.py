@@ -17,11 +17,16 @@ RMI type                  XSD type
 ``T[]``                   ``soapenc:Array``
 struct ``S``              ``tns:S`` complex type
 ========================  =======================
+
+Values go straight between Python and text: :func:`encode_value` writes an
+element's XML, and :func:`decode_value` / :func:`decode_typed` read an
+``xml.etree.ElementTree`` element.
 """
 
 from __future__ import annotations
 
 from typing import Any
+from xml.etree.ElementTree import Element
 
 from repro.errors import SoapEncodingError
 from repro.rmitypes import (
@@ -30,9 +35,10 @@ from repro.rmitypes import (
     RmiType,
     StructType,
     TypeRegistry,
-    VOID,
+    parse_type,
 )
-from repro.xmlutil import Namespaces, QName, XmlElement
+from repro.xmlutil import Namespaces, QName, text_of
+from repro.xmlutil.serializer import escape_text
 
 _XSD_BY_PRIMITIVE = {
     "int": "int",
@@ -56,70 +62,72 @@ def xsd_qname(rmi_type: RmiType, target_namespace: str) -> QName:
     raise SoapEncodingError(f"cannot map {rmi_type!r} to an XSD type")
 
 
-def type_label(rmi_type: RmiType) -> str:
-    """A compact textual label stored in ``xsi:type``-style attributes."""
-    return rmi_type.type_name
-
-
 def encode_value(
     name: str,
     value: Any,
     rmi_type: RmiType,
     registry: TypeRegistry | None = None,
-) -> XmlElement:
-    """Encode ``value`` of ``rmi_type`` into an element named ``name``."""
+) -> str:
+    """The XML of an element named ``name`` carrying ``value`` of ``rmi_type``.
+
+    The element is unqualified and carries a ``type`` label, as do its items
+    and fields.  Labels and names are identifiers, so only string data needs
+    escaping.
+
+    Raises
+    ------
+    repro.rmitypes.TypeError_
+        Unless ``value`` conforms to ``rmi_type``.
+    """
     rmi_type.validate(value, registry)
-    element = XmlElement(QName.plain(name))
-    element.set_attribute("type", type_label(rmi_type))
-    _encode_into(element, value, rmi_type, registry)
-    return element
+    return _encode(name, f'{name} type="{rmi_type.type_name}"', value, rmi_type)
 
 
-def _encode_into(
-    element: XmlElement,
-    value: Any,
-    rmi_type: RmiType,
-    registry: TypeRegistry | None,
-) -> None:
+def _encode(name: str, start: str, value: Any, rmi_type: RmiType) -> str:
+    """The element opened by ``<start>`` and closed by ``</name>``."""
     if isinstance(rmi_type, PrimitiveType):
-        element.text = _encode_primitive(value, rmi_type)
-        return
-    if isinstance(rmi_type, ArrayType):
-        for index, item in enumerate(value):
-            child = element.add(f"item", {"index": str(index)})
-            child.set_attribute("type", type_label(rmi_type.element_type))
-            _encode_into(child, item, rmi_type.element_type, registry)
-        return
-    if isinstance(rmi_type, StructType):
-        for field_def in rmi_type.fields:
-            child = element.add(field_def.name)
-            child.set_attribute("type", type_label(field_def.field_type))
-            _encode_into(child, value[field_def.name], field_def.field_type, registry)
-        return
-    raise SoapEncodingError(f"cannot encode value of type {rmi_type!r}")
-
-
-def _encode_primitive(value: Any, rmi_type: PrimitiveType) -> str:
-    if rmi_type.name == "void":
-        return ""
-    if rmi_type.name == "boolean":
-        return "true" if value else "false"
-    return str(value)
+        kind = rmi_type.name
+        if kind == "string" or kind == "char":
+            content = escape_text(str(value))
+        elif kind == "boolean":
+            content = "true" if value else "false"
+        elif kind == "void":
+            content = ""
+        else:
+            content = str(value)
+    elif isinstance(rmi_type, ArrayType):
+        item_type = rmi_type.element_type
+        label = item_type.type_name
+        content = "".join(
+            _encode("item", f'item index="{index}" type="{label}"', item, item_type)
+            for index, item in enumerate(value)
+        )
+    elif isinstance(rmi_type, StructType):
+        content = "".join(
+            _encode(
+                field.name,
+                f'{field.name} type="{field.field_type.type_name}"',
+                value[field.name],
+                field.field_type,
+            )
+            for field in rmi_type.fields
+        )
+    else:
+        raise SoapEncodingError(f"cannot encode value of type {rmi_type!r}")
+    return f"<{start}>{content}</{name}>" if content else f"<{start}/>"
 
 
 def decode_value(
-    element: XmlElement,
+    element: Element,
     rmi_type: RmiType,
     registry: TypeRegistry | None = None,
 ) -> Any:
     """Decode the value carried by ``element`` according to ``rmi_type``."""
     if isinstance(rmi_type, PrimitiveType):
-        return _decode_primitive(element.text or "", rmi_type)
+        return _decode_primitive(text_of(element), rmi_type)
     if isinstance(rmi_type, ArrayType):
-        items = []
-        for child in element.children:
-            items.append(decode_value(child, rmi_type.element_type, registry))
-        return items
+        item_type = rmi_type.element_type
+        return [decode_value(child, item_type, registry) for child in element]
     if isinstance(rmi_type, StructType):
         result: dict[str, Any] = {}
         for field_def in rmi_type.fields:
@@ -137,6 +145,9 @@ def _decode_primitive(text: str, rmi_type: PrimitiveType) -> Any:
     try:
         if rmi_type.name == "void":
             return None
+        if rmi_type.name in ("int", "double", "float") and "_" in text:
+            # Python's digit separators are not XML Schema lexical forms.
+            raise ValueError("'_' is not a digit")
         if rmi_type.name == "int":
             return int(text)
         if rmi_type.name in ("double", "float"):
@@ -156,18 +167,18 @@ def _decode_primitive(text: str, rmi_type: PrimitiveType) -> Any:
         ) from None
 
 
-def decode_dynamic(element: XmlElement, registry: TypeRegistry | None = None) -> Any:
-    """Decode an element using its embedded ``type`` attribute.
+def decode_typed(
+    element: Element, registry: TypeRegistry | None = None
+) -> tuple[Any, RmiType]:
+    """Decode an element using its embedded ``type`` label: ``(value, type)``.
 
     This is the path the SDE SOAP Call Handler uses for incoming requests:
     the server does not trust the client's view of the interface, so it
     decodes what actually arrived and then matches it against the live
     interface (§5.1.3).
     """
-    from repro.rmitypes import parse_type  # local import avoids cycle at import time
-
-    label = element.attribute("type")
+    label = element.get("type")
     if label is None:
-        raise SoapEncodingError(f"element {element.name} carries no type attribute")
+        raise SoapEncodingError(f"element {element.tag} carries no type attribute")
     rmi_type = parse_type(label, registry)
-    return decode_value(element, rmi_type, registry)
+    return decode_value(element, rmi_type, registry), rmi_type

@@ -6,158 +6,180 @@ format" (§2.1); the response carries either the return value or a
 (``arg0``, ``arg1``, ...) with embedded type labels so the server can decode
 them without trusting the client's stub to be current — which is the whole
 point of live development: the client's view may legitimately be stale.
+
+Envelopes go straight between values and text.  One writer renders
+requests, responses, faults and traced envelopes (a ``soapenv:Header``
+block); it declares namespaces and picks prefixes exactly as the generic
+serialiser would for the same tree.  Reading parses the document once and
+walks the ElementTree nodes, resolving each value's type label once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Sequence
+from xml.etree.ElementTree import Element
 
-from repro.errors import SoapError, XmlError
-from repro.rmitypes import RmiType, TypeRegistry, VOID, infer_type, parse_type
-from repro.soap.encoding import decode_dynamic, decode_value, encode_value
-from repro.soap.faults import SoapFault
-from repro.xmlutil import Namespaces, QName, XmlElement, parse, serialize
-from repro.xmlutil.serializer import escape_attribute, escape_text
+from repro.errors import SoapEncodingError, SoapError, XmlError
+from repro.rmitypes import RmiType, TypeRegistry, VOID, infer_type
+from repro.soap.encoding import decode_typed, encode_value
+from repro.soap.faults import FaultCodes, SoapFault
+from repro.xmlutil import Namespaces, parse, text_of
+from repro.xmlutil.qname import split_clark
+from repro.xmlutil.serializer import (
+    XML_DECLARATION,
+    encode_document,
+    escape_attribute,
+    escape_text,
+)
 
-_ENVELOPE = QName(Namespaces.SOAP_ENVELOPE, "Envelope")
-_HEADER = QName(Namespaces.SOAP_ENVELOPE, "Header")
-_BODY = QName(Namespaces.SOAP_ENVELOPE, "Body")
-_FAULT = QName(Namespaces.SOAP_ENVELOPE, "Fault")
+_SOAP_ENV = Namespaces.SOAP_ENVELOPE
+_ENVELOPE = f"{{{_SOAP_ENV}}}Envelope"
+_HEADER = f"{{{_SOAP_ENV}}}Header"
+_BODY = f"{{{_SOAP_ENV}}}Body"
+_FAULT = f"{{{_SOAP_ENV}}}Fault"
 
 #: Namespace of the observability trace-context header block (the SOAP 1.1
 #: extensible-header channel the causal tracer propagates ids through).
 TRACE_NAMESPACE = "urn:repro:obs"
-_TRACE_CONTEXT = QName(TRACE_NAMESPACE, "TraceContext")
-
-# -- serialisation fast path -------------------------------------------------
-#
-# SOAP encode dominates large-fleet runs (roughly 9x the GIOP cost per
-# message), and the generic serialiser re-walks every envelope to rediscover
-# the same two namespaces.  An envelope's skeleton — XML declaration, the
-# Envelope/Body opening with its namespace declarations, and the closing
-# tags — depends only on the target namespace, so it is rendered once and
-# cached; per message only the call wrapper and its argument elements are
-# formatted.  The fast path must stay byte-identical to
-# ``serialize(self.to_element())`` (property-tested), so anything it cannot
-# prove safe — a well-known namespace that would get a conventional prefix,
-# a namespace-qualified argument element — falls back to the slow path.
-
-#: Toggle for the envelope fast path; tests flip it to prove byte-identity.
-_fast_serialization = True
+_TRACE_CONTEXT = f"{{{TRACE_NAMESPACE}}}TraceContext"
 
 
-def set_fast_serialization(enabled: bool) -> bool:
-    """Enable/disable the envelope fast path; returns the previous setting."""
-    global _fast_serialization
-    previous = _fast_serialization
-    _fast_serialization = enabled
-    return previous
+# -- writing -------------------------------------------------------------------
 
 
-@lru_cache(maxsize=512)
-def _envelope_skeleton(namespace: str) -> tuple[str, str] | None:
-    """``(head, tail)`` of a cached envelope, or ``None`` when unsafe.
+def _element(tag: str, content: str) -> str:
+    """``<tag>content</tag>``, or ``<tag/>`` when there is no content."""
+    return f"<{tag}>{content}</{tag}>" if content else f"<{tag}/>"
 
-    The head ends right where the Body's single child element begins; the
-    target namespace is always prefixed ``ns0`` (the serialiser's first
-    non-well-known assignment).
+
+#: The XML declaration and the Envelope start tag up to its first namespace
+#: declaration, ``soapenv`` (the first namespace an envelope uses).
+_ENVELOPE_START = (
+    f'{XML_DECLARATION}<soapenv:Envelope xmlns:soapenv="{escape_attribute(_SOAP_ENV)}"'
+)
+
+
+def _document(
+    namespace: str | None, local: str, content: str, trace_context: str | None = None
+) -> str:
+    """An envelope whose Body holds the element ``{namespace}local``.
+
+    ``content`` is that element's XML content.  Namespaces are declared on
+    the Envelope as the generic serialiser declares them: in first-use
+    order (envelope, trace header, body element), well-known ones with their
+    conventional prefix, others as ``ns0``, ``ns1``, ... in turn.
     """
-    if not namespace or namespace in Namespaces.DEFAULT_PREFIXES:
-        return None
-    head = (
-        '<?xml version="1.0" encoding="UTF-8"?>'
-        f'<soapenv:Envelope xmlns:soapenv="{escape_attribute(Namespaces.SOAP_ENVELOPE)}"'
-        f' xmlns:ns0="{escape_attribute(namespace)}">'
-        "<soapenv:Body>"
-    )
-    return head, "</soapenv:Body></soapenv:Envelope>"
-
-
-@lru_cache(maxsize=512)
-def _envelope_wire_segments(namespace: str) -> tuple[bytes, bytes] | None:
-    """UTF-8 encoded ``(head, tail)`` skeleton segments, or ``None`` when unsafe.
-
-    The wire fast path splices these cached byte segments around the encoded
-    per-call body, so the skeleton is never re-encoded per message.  UTF-8
-    concatenates cleanly (``(a + b).encode() == a.encode() + b.encode()``),
-    which is what keeps the splice byte-identical to encoding the full
-    document string.
-    """
-    skeleton = _envelope_skeleton(namespace)
-    if skeleton is None:
-        return None
-    head, tail = skeleton
-    return head.encode("utf-8"), tail.encode("utf-8")
-
-
-def _write_plain(element: XmlElement, parts: list[str]) -> bool:
-    """Serialise a namespace-free subtree exactly as the generic serialiser
-    would; returns False (parts must then be discarded) on any namespaced
-    name, which only the slow path can prefix correctly."""
-    name = element.name
-    if name.namespace:
-        return False
-    attributes = ""
-    for attr_name, attr_value in element.attributes.items():
-        if attr_name.namespace:
-            return False
-        attributes += f' {attr_name.local_name}="{escape_attribute(attr_value)}"'
-    local = name.local_name
-    text = element.text
-    children = element.children
-    if not children and not text:
-        parts.append(f"<{local}{attributes}/>")
-        return True
-    parts.append(f"<{local}{attributes}>")
-    if text:
-        parts.append(escape_text(text))
-    for child in children:
-        if not _write_plain(child, parts):
-            return False
-    parts.append(f"</{local}>")
-    return True
-
-
-def _valid_local_name(name: str) -> bool:
-    return bool(name) and ":" not in name and " " not in name
-
-
-def _wrap_in_envelope(body_child: XmlElement, trace_context: str | None = None) -> XmlElement:
-    envelope = XmlElement(_ENVELOPE)
+    if not local or ":" in local or " " in local:
+        raise XmlError(f"invalid local name {local!r}")
+    declarations = header = ""
+    numbered = 0  # ``ns<n>`` prefixes declared so far
     if trace_context is not None:
-        header = envelope.add_child(XmlElement(_HEADER))
-        block = header.add_child(XmlElement(_TRACE_CONTEXT))
-        block.text = trace_context
-    body = envelope.add_child(XmlElement(_BODY))
-    body.add_child(body_child)
-    return envelope
+        declarations = f' xmlns:ns0="{escape_attribute(TRACE_NAMESPACE)}"'
+        block = _element("ns0:TraceContext", escape_text(trace_context))
+        header = f"<soapenv:Header>{block}</soapenv:Header>"
+        numbered = 1
+    if not namespace:
+        tag = local
+    elif namespace == _SOAP_ENV:
+        tag = f"soapenv:{local}"
+    elif namespace == TRACE_NAMESPACE and numbered:
+        tag = f"ns0:{local}"
+    else:
+        prefix = Namespaces.DEFAULT_PREFIXES.get(namespace) or f"ns{numbered}"
+        declarations += f' xmlns:{prefix}="{escape_attribute(namespace)}"'
+        tag = f"{prefix}:{local}"
+    return (
+        f"{_ENVELOPE_START}{declarations}>{header}"
+        f"<soapenv:Body>{_element(tag, content)}</soapenv:Body></soapenv:Envelope>"
+    )
 
 
-def _header_trace_context(envelope: XmlElement) -> str | None:
+def _fault_content(fault: SoapFault) -> str:
+    content = _element("faultcode", escape_text(fault.fault_code))
+    content += _element("faultstring", escape_text(fault.fault_string))
+    if fault.detail:
+        content += _element("detail", escape_text(fault.detail))
+    return content
+
+
+class _Envelope:
+    """The wire forms every envelope offers, built on :meth:`_document`."""
+
+    def _document(self) -> str:
+        raise NotImplementedError
+
+    def to_xml_and_wire(self) -> tuple[str, bytes]:
+        """The document as text and as UTF-8 wire bytes.
+
+        Producers charge the text's length as processing cost.  Encoding
+        is also the check that the document holds only characters XML 1.0
+        can carry, so every wire form raises the same error.
+
+        Raises
+        ------
+        SoapEncodingError
+            If a value holds a character XML 1.0 cannot carry.
+        """
+        xml = self._document()
+        try:
+            return xml, encode_document(xml)
+        except XmlError as exc:
+            raise SoapEncodingError(str(exc)) from None
+
+    def to_xml(self) -> str:
+        """Serialise to the textual wire format."""
+        return self.to_xml_and_wire()[0]
+
+    def to_wire(self) -> bytes:
+        """Serialise straight to UTF-8 wire bytes."""
+        return self.to_xml_and_wire()[1]
+
+
+# -- reading -------------------------------------------------------------------
+
+
+def _parse(text: str, what: str) -> Element:
+    try:
+        return parse(text)
+    except XmlError as exc:
+        raise SoapError(f"malformed {what}: {exc}") from None
+
+
+def _header_trace_context(envelope: Element) -> str | None:
     header = envelope.find(_HEADER)
     if header is None:
         return None
     block = header.find(_TRACE_CONTEXT)
     if block is None:
         return None
-    return block.text or None
+    return text_of(block) or None
 
 
-def _body_child(envelope: XmlElement, what: str) -> XmlElement:
-    if envelope.name != _ENVELOPE:
-        raise SoapError(f"{what} root element must be soapenv:Envelope, got {envelope.name}")
+def _body_child(envelope: Element, what: str) -> Element:
+    if envelope.tag != _ENVELOPE:
+        raise SoapError(f"{what} root element must be soapenv:Envelope, got {envelope.tag}")
     body = envelope.find(_BODY)
     if body is None:
         raise SoapError(f"{what} has no soapenv:Body")
-    if not body.children:
+    if not len(body):
         raise SoapError(f"{what} Body is empty")
-    return body.children[0]
+    return body[0]
+
+
+def _read_fault(element: Element) -> SoapFault:
+    code = element.find("faultcode")
+    string = element.find("faultstring")
+    detail = element.find("detail")
+    return SoapFault(
+        fault_code=text_of(code) if code is not None else FaultCodes.SERVER,
+        fault_string=text_of(string) if string is not None else "",
+        detail=text_of(detail) if detail is not None else "",
+    )
 
 
 @dataclass
-class SoapRequest:
+class SoapRequest(_Envelope):
     """A SOAP Request: one operation invocation with typed arguments."""
 
     operation: str
@@ -188,79 +210,13 @@ class SoapRequest:
         types = tuple(infer_type(value, registry) for value in arguments)
         return cls(operation, tuple(arguments), types, namespace)
 
-    def to_element(self) -> XmlElement:
-        """Render as a full SOAP envelope element."""
-        call = XmlElement(QName(self.namespace, self.operation))
+    def _document(self) -> str:
         types = self.argument_types or tuple(infer_type(v) for v in self.arguments)
-        for index, (value, rmi_type) in enumerate(zip(self.arguments, types)):
-            call.add_child(encode_value(f"arg{index}", value, rmi_type))
-        return _wrap_in_envelope(call, self.trace_context)
-
-    def to_xml(self) -> str:
-        """Serialise to the textual wire format."""
-        if _fast_serialization:
-            fast = self._to_xml_fast()
-            if fast is not None:
-                return fast
-        return serialize(self.to_element())
-
-    def to_wire(self) -> bytes:
-        """Serialise straight to UTF-8 wire bytes.
-
-        Byte-identical to ``to_xml().encode("utf-8")``, but the fast path
-        splices the cached, pre-encoded skeleton segments instead of
-        re-encoding the whole document per message.
-        """
-        if _fast_serialization:
-            middle = self._fast_body()
-            if middle is not None:
-                head, tail = _envelope_wire_segments(self.namespace)
-                return b"".join((head, middle.encode("utf-8"), tail))
-        return self.to_xml().encode("utf-8")
-
-    def to_xml_and_wire(self) -> tuple[str, bytes]:
-        """``(to_xml(), to_wire())`` with the per-call body rendered once.
-
-        Producer boundaries (HTTP call sites) need both representations —
-        the text for character-count cost charging and the bytes for the
-        wire — so this avoids serialising twice.
-        """
-        if _fast_serialization:
-            middle = self._fast_body()
-            if middle is not None:
-                head, tail = _envelope_skeleton(self.namespace)
-                bhead, btail = _envelope_wire_segments(self.namespace)
-                return (
-                    "".join((head, middle, tail)),
-                    b"".join((bhead, middle.encode("utf-8"), btail)),
-                )
-        xml = self.to_xml()
-        return xml, xml.encode("utf-8")
-
-    def _fast_body(self) -> str | None:
-        """The Body's single child element as text, or ``None`` when unsafe."""
-        if self.trace_context is not None:
-            # Traced requests carry a Header block the cached skeleton does
-            # not include; the generic serialiser renders them.
-            return None
-        if _envelope_skeleton(self.namespace) is None or not _valid_local_name(self.operation):
-            return None
-        types = self.argument_types or tuple(infer_type(v) for v in self.arguments)
-        body: list[str] = []
-        for index, (value, rmi_type) in enumerate(zip(self.arguments, types)):
-            if not _write_plain(encode_value(f"arg{index}", value, rmi_type), body):
-                return None
-        operation = self.operation
-        if not body:
-            return f"<ns0:{operation}/>"
-        return "".join((f"<ns0:{operation}>", *body, f"</ns0:{operation}>"))
-
-    def _to_xml_fast(self) -> str | None:
-        middle = self._fast_body()
-        if middle is None:
-            return None
-        head, tail = _envelope_skeleton(self.namespace)
-        return "".join((head, middle, tail))
+        content = "".join(
+            encode_value(f"arg{index}", value, rmi_type)
+            for index, (value, rmi_type) in enumerate(zip(self.arguments, types))
+        )
+        return _document(self.namespace, self.operation, content, self.trace_context)
 
     @classmethod
     def from_xml(cls, text: str, registry: TypeRegistry | None = None) -> "SoapRequest":
@@ -271,30 +227,28 @@ class SoapRequest:
         SoapError
             If the document is not a well-formed SOAP Request.
         """
-        try:
-            envelope = parse(text)
-        except XmlError as exc:
-            raise SoapError(f"malformed SOAP Request: {exc}") from None
+        envelope = _parse(text, "SOAP Request")
         call = _body_child(envelope, "SOAP Request")
-        if call.name == _FAULT:
+        if call.tag == _FAULT:
             raise SoapError("SOAP Request body contains a Fault element")
         arguments = []
         types = []
-        for child in call.children:
-            value = decode_dynamic(child, registry)
+        for child in call:
+            value, rmi_type = decode_typed(child, registry)
             arguments.append(value)
-            types.append(parse_type(child.attribute("type"), registry))
+            types.append(rmi_type)
+        namespace, operation = split_clark(call.tag)
         return cls(
-            operation=call.name.local_name,
+            operation=operation,
             arguments=tuple(arguments),
             argument_types=tuple(types),
-            namespace=call.name.namespace or "urn:repro",
+            namespace=namespace or "urn:repro",
             trace_context=_header_trace_context(envelope),
         )
 
 
 @dataclass
-class SoapResponse:
+class SoapResponse(_Envelope):
     """A SOAP Response: either a return value or a fault."""
 
     operation: str
@@ -324,89 +278,32 @@ class SoapResponse:
         """A fault response."""
         return cls(operation, None, VOID, fault, namespace)
 
-    def to_element(self) -> XmlElement:
-        """Render as a full SOAP envelope element."""
+    def _document(self) -> str:
         if self.fault is not None:
-            return _wrap_in_envelope(self.fault.to_element())
-        wrapper = XmlElement(QName(self.namespace, f"{self.operation}Response"))
-        wrapper.add_child(encode_value("return", self.return_value, self.return_type))
-        return _wrap_in_envelope(wrapper)
-
-    def to_xml(self) -> str:
-        """Serialise to the textual wire format."""
-        if _fast_serialization:
-            fast = self._to_xml_fast()
-            if fast is not None:
-                return fast
-        return serialize(self.to_element())
-
-    def to_wire(self) -> bytes:
-        """Serialise straight to UTF-8 wire bytes (see SoapRequest.to_wire)."""
-        if _fast_serialization:
-            middle = self._fast_body()
-            if middle is not None:
-                head, tail = _envelope_wire_segments(self.namespace)
-                return b"".join((head, middle.encode("utf-8"), tail))
-        return self.to_xml().encode("utf-8")
-
-    def to_xml_and_wire(self) -> tuple[str, bytes]:
-        """``(to_xml(), to_wire())`` with the per-call body rendered once."""
-        if _fast_serialization:
-            middle = self._fast_body()
-            if middle is not None:
-                head, tail = _envelope_skeleton(self.namespace)
-                bhead, btail = _envelope_wire_segments(self.namespace)
-                return (
-                    "".join((head, middle, tail)),
-                    b"".join((bhead, middle.encode("utf-8"), btail)),
-                )
-        xml = self.to_xml()
-        return xml, xml.encode("utf-8")
-
-    def _fast_body(self) -> str | None:
-        """The Body's single child element as text, or ``None`` when unsafe."""
-        if self.fault is not None:
-            # Fault envelopes carry soapenv-qualified children; the generic
-            # serialiser handles their prefixes.
-            return None
-        if _envelope_skeleton(self.namespace) is None or not _valid_local_name(self.operation):
-            return None
-        body: list[str] = []
-        if not _write_plain(encode_value("return", self.return_value, self.return_type), body):
-            return None
-        wrapper = f"ns0:{self.operation}Response"
-        return "".join((f"<{wrapper}>", *body, f"</{wrapper}>"))
-
-    def _to_xml_fast(self) -> str | None:
-        middle = self._fast_body()
-        if middle is None:
-            return None
-        head, tail = _envelope_skeleton(self.namespace)
-        return "".join((head, middle, tail))
+            return _document(_SOAP_ENV, "Fault", _fault_content(self.fault))
+        content = encode_value("return", self.return_value, self.return_type)
+        return _document(self.namespace, f"{self.operation}Response", content)
 
     @classmethod
     def from_xml(cls, text: str, registry: TypeRegistry | None = None) -> "SoapResponse":
         """Parse a SOAP Response from its wire format."""
-        try:
-            envelope = parse(text)
-        except XmlError as exc:
-            raise SoapError(f"malformed SOAP Response: {exc}") from None
+        envelope = _parse(text, "SOAP Response")
         child = _body_child(envelope, "SOAP Response")
-        if child.name == _FAULT:
-            return cls(operation="", fault=SoapFault.from_element(child))
-        if not child.name.local_name.endswith("Response"):
+        if child.tag == _FAULT:
+            return cls(operation="", fault=_read_fault(child))
+        namespace, local = split_clark(child.tag)
+        if not local.endswith("Response"):
             raise SoapError(
-                f"SOAP Response body element should end with 'Response', got {child.name}"
+                f"SOAP Response body element should end with 'Response', got {child.tag}"
             )
-        operation = child.name.local_name[: -len("Response")]
+        operation = local[: -len("Response")]
         return_element = child.find("return")
         if return_element is None:
             return cls(operation=operation, return_value=None, return_type=VOID)
-        value = decode_dynamic(return_element, registry)
-        return_type = parse_type(return_element.attribute("type"), registry)
+        value, return_type = decode_typed(return_element, registry)
         return cls(
             operation=operation,
             return_value=value,
             return_type=return_type,
-            namespace=child.name.namespace or "urn:repro",
+            namespace=namespace or "urn:repro",
         )

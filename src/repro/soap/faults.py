@@ -5,14 +5,13 @@ The paper's SOAP Call Handler replies with three distinguished faults
 exists, "Malformed SOAP Request" when parsing fails, and "Non existent
 Method" when the requested operation is not part of the live interface.
 Application exceptions thrown by server methods are wrapped in a fault as
-well.  This module defines the fault model and the factories for those cases.
+well.  This module defines the fault model and the factories for those cases;
+:mod:`repro.soap.envelope` writes and reads the ``<soapenv:Fault>`` element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.xmlutil import Namespaces, QName, XmlElement
 
 
 class FaultCodes:
@@ -85,26 +84,3 @@ class SoapFault:
     def is_malformed_request(self) -> bool:
         """True for the "Malformed SOAP Request" fault."""
         return self.fault_string == FaultCodes.MALFORMED_REQUEST
-
-    # -- XML --------------------------------------------------------------
-
-    def to_element(self) -> XmlElement:
-        """Render as the ``<soapenv:Fault>`` element."""
-        fault = XmlElement(QName(Namespaces.SOAP_ENVELOPE, "Fault"))
-        fault.add("faultcode", text=self.fault_code)
-        fault.add("faultstring", text=self.fault_string)
-        if self.detail:
-            fault.add("detail", text=self.detail)
-        return fault
-
-    @classmethod
-    def from_element(cls, element: XmlElement) -> "SoapFault":
-        """Parse a ``<soapenv:Fault>`` element."""
-        code = element.find("faultcode")
-        string = element.find("faultstring")
-        detail = element.find("detail")
-        return cls(
-            fault_code=code.text if code is not None else FaultCodes.SERVER,
-            fault_string=string.text if string is not None else "",
-            detail=detail.text if detail is not None else "",
-        )

@@ -165,8 +165,8 @@ class StaticSoapServer:
         return self._reply(request, response)
 
     def _reply(self, http_request: HttpRequest, soap_response: SoapResponse):
-        body, wire = soap_response.to_xml_and_wire()
-        http_response = HttpResponse.ok_xml(body, wire=wire)
+        body = soap_response.to_xml()
+        http_response = HttpResponse.ok_xml(body)
         delay = self._processing_delay(len(http_request.body), len(body))
         if delay > 0:
             return http_response, delay

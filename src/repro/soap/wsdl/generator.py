@@ -10,14 +10,16 @@ location.  A *minimal* WSDL document (endpoint address but no operations,
 
 from __future__ import annotations
 
+from xml.etree.ElementTree import Element, SubElement
+
 from repro.interface import InterfaceDescription, OperationSignature
 from repro.rmitypes import StructType
-from repro.soap.encoding import xsd_qname
-from repro.xmlutil import Namespaces, QName, XmlElement, serialize, serialize_pretty
+from repro.xmlutil import Namespaces, serialize, serialize_pretty
 
-_WSDL = Namespaces.WSDL
-_SOAP = Namespaces.WSDL_SOAP
-_XSD = Namespaces.XSD
+#: Clark-notation prefixes of the WSDL, WSDL-SOAP and XSD namespaces.
+_WSDL = f"{{{Namespaces.WSDL}}}"
+_SOAP = f"{{{Namespaces.WSDL_SOAP}}}"
+_XSD = f"{{{Namespaces.XSD}}}"
 
 
 def generate_wsdl(description: InterfaceDescription, pretty: bool = False) -> str:
@@ -26,11 +28,11 @@ def generate_wsdl(description: InterfaceDescription, pretty: bool = False) -> st
     return serialize_pretty(element) if pretty else serialize(element)
 
 
-def build_wsdl_element(description: InterfaceDescription) -> XmlElement:
-    """Build the WSDL document as an :class:`XmlElement` tree."""
+def build_wsdl_element(description: InterfaceDescription) -> Element:
+    """Build the WSDL document as an ElementTree."""
     tns = description.namespace
-    definitions = XmlElement(
-        QName(_WSDL, "definitions"),
+    definitions = Element(
+        f"{_WSDL}definitions",
         {
             "name": description.service_name,
             "targetNamespace": tns,
@@ -47,85 +49,81 @@ def build_wsdl_element(description: InterfaceDescription) -> XmlElement:
     return definitions
 
 
-def _add_types(definitions: XmlElement, description: InterfaceDescription) -> None:
-    types = definitions.add(QName(_WSDL, "types"))
-    schema = types.add(
-        QName(_XSD, "schema"), {"targetNamespace": description.namespace}
-    )
+def _add_types(definitions: Element, description: InterfaceDescription) -> None:
+    types = SubElement(definitions, f"{_WSDL}types")
+    schema = SubElement(types, f"{_XSD}schema", {"targetNamespace": description.namespace})
     for struct in description.structs:
         _add_complex_type(schema, struct, description.namespace)
 
 
-def _add_complex_type(schema: XmlElement, struct: StructType, tns: str) -> None:
-    complex_type = schema.add(QName(_XSD, "complexType"), {"name": struct.name})
-    sequence = complex_type.add(QName(_XSD, "sequence"))
+def _add_complex_type(schema: Element, struct: StructType, tns: str) -> None:
+    complex_type = SubElement(schema, f"{_XSD}complexType", {"name": struct.name})
+    sequence = SubElement(complex_type, f"{_XSD}sequence")
     for field_def in struct.fields:
-        sequence.add(
-            QName(_XSD, "element"),
-            {
-                "name": field_def.name,
-                "type": field_def.field_type.type_name,
-            },
+        SubElement(
+            sequence,
+            f"{_XSD}element",
+            {"name": field_def.name, "type": field_def.field_type.type_name},
         )
 
 
-def _add_messages(definitions: XmlElement, operation: OperationSignature, tns: str) -> None:
-    request = definitions.add(
-        QName(_WSDL, "message"), {"name": f"{operation.name}Request"}
-    )
+def _add_messages(definitions: Element, operation: OperationSignature, tns: str) -> None:
+    request = SubElement(definitions, f"{_WSDL}message", {"name": f"{operation.name}Request"})
     for parameter in operation.parameters:
-        request.add(
-            QName(_WSDL, "part"),
+        SubElement(
+            request,
+            f"{_WSDL}part",
             {"name": parameter.name, "type": parameter.param_type.type_name},
         )
-    response = definitions.add(
-        QName(_WSDL, "message"), {"name": f"{operation.name}Response"}
-    )
-    response.add(
-        QName(_WSDL, "part"),
+    response = SubElement(definitions, f"{_WSDL}message", {"name": f"{operation.name}Response"})
+    SubElement(
+        response,
+        f"{_WSDL}part",
         {"name": "return", "type": operation.return_type.type_name},
     )
 
 
-def _add_port_type(definitions: XmlElement, description: InterfaceDescription, tns: str) -> None:
-    port_type = definitions.add(
-        QName(_WSDL, "portType"), {"name": f"{description.service_name}PortType"}
+def _add_port_type(definitions: Element, description: InterfaceDescription, tns: str) -> None:
+    port_type = SubElement(
+        definitions, f"{_WSDL}portType", {"name": f"{description.service_name}PortType"}
     )
     for operation in description.operations:
-        op_element = port_type.add(QName(_WSDL, "operation"), {"name": operation.name})
-        op_element.add(QName(_WSDL, "input"), {"message": f"{operation.name}Request"})
-        op_element.add(QName(_WSDL, "output"), {"message": f"{operation.name}Response"})
+        op_element = SubElement(port_type, f"{_WSDL}operation", {"name": operation.name})
+        SubElement(op_element, f"{_WSDL}input", {"message": f"{operation.name}Request"})
+        SubElement(op_element, f"{_WSDL}output", {"message": f"{operation.name}Response"})
 
 
-def _add_binding(definitions: XmlElement, description: InterfaceDescription, tns: str) -> None:
-    binding = definitions.add(
-        QName(_WSDL, "binding"),
+def _add_binding(definitions: Element, description: InterfaceDescription, tns: str) -> None:
+    binding = SubElement(
+        definitions,
+        f"{_WSDL}binding",
         {
             "name": f"{description.service_name}SoapBinding",
             "type": f"{description.service_name}PortType",
         },
     )
-    binding.add(
-        QName(_SOAP, "binding"),
+    SubElement(
+        binding,
+        f"{_SOAP}binding",
         {"style": "rpc", "transport": "http://schemas.xmlsoap.org/soap/http"},
     )
     for operation in description.operations:
-        op_element = binding.add(QName(_WSDL, "operation"), {"name": operation.name})
-        op_element.add(
-            QName(_SOAP, "operation"),
+        op_element = SubElement(binding, f"{_WSDL}operation", {"name": operation.name})
+        SubElement(
+            op_element,
+            f"{_SOAP}operation",
             {"soapAction": f"{description.namespace}#{operation.name}"},
         )
 
 
-def _add_service(definitions: XmlElement, description: InterfaceDescription, tns: str) -> None:
-    service = definitions.add(
-        QName(_WSDL, "service"), {"name": description.service_name}
-    )
-    port = service.add(
-        QName(_WSDL, "port"),
+def _add_service(definitions: Element, description: InterfaceDescription, tns: str) -> None:
+    service = SubElement(definitions, f"{_WSDL}service", {"name": description.service_name})
+    port = SubElement(
+        service,
+        f"{_WSDL}port",
         {
             "name": f"{description.service_name}Port",
             "binding": f"{description.service_name}SoapBinding",
         },
     )
-    port.add(QName(_SOAP, "address"), {"location": description.endpoint_url})
+    SubElement(port, f"{_SOAP}address", {"location": description.endpoint_url})

@@ -8,6 +8,7 @@ module and hands the resulting description to the stub compiler.
 from __future__ import annotations
 
 import functools
+from xml.etree.ElementTree import Element
 
 from repro.errors import WsdlError, XmlError
 from repro.interface import (
@@ -17,11 +18,12 @@ from repro.interface import (
     Parameter,
 )
 from repro.rmitypes import StructType, TypeRegistry, parse_type, resolve_structs
-from repro.xmlutil import Namespaces, QName, XmlElement, parse
+from repro.xmlutil import Namespaces, parse
 
-_WSDL = Namespaces.WSDL
-_SOAP = Namespaces.WSDL_SOAP
-_XSD = Namespaces.XSD
+#: Clark-notation prefixes of the WSDL, WSDL-SOAP and XSD namespaces.
+_WSDL = f"{{{Namespaces.WSDL}}}"
+_SOAP = f"{{{Namespaces.WSDL_SOAP}}}"
+_XSD = f"{{{Namespaces.XSD}}}"
 
 
 @functools.lru_cache(maxsize=DESCRIPTION_MEMO_SIZE)
@@ -46,14 +48,14 @@ def _parse_wsdl(text: str) -> InterfaceDescription:
         root = parse(text)
     except XmlError as exc:
         raise WsdlError(f"malformed WSDL document: {exc}") from None
-    if root.name != QName(_WSDL, "definitions"):
-        raise WsdlError(f"root element must be wsdl:definitions, got {root.name}")
+    if root.tag != f"{_WSDL}definitions":
+        raise WsdlError(f"root element must be wsdl:definitions, got {root.tag}")
 
-    service_name = root.attribute("name")
-    namespace = root.attribute("targetNamespace")
+    service_name = root.get("name")
+    namespace = root.get("targetNamespace")
     if not service_name or not namespace:
         raise WsdlError("wsdl:definitions must carry name and targetNamespace")
-    version_text = root.attribute("version", "0")
+    version_text = root.get("version", "0")
     try:
         version = int(version_text)
     except ValueError:
@@ -75,25 +77,25 @@ def _parse_wsdl(text: str) -> InterfaceDescription:
     )
 
 
-def _parse_structs(root: XmlElement) -> list[StructType]:
-    types = root.find(QName(_WSDL, "types"))
+def _parse_structs(root: Element) -> list[StructType]:
+    types = root.find(f"{_WSDL}types")
     if types is None:
         return []
-    schema = types.find(QName(_XSD, "schema"))
+    schema = types.find(f"{_XSD}schema")
     if schema is None:
         return []
 
     raw: list[tuple[str, list[tuple[str, str]]]] = []
-    for complex_type in schema.find_all(QName(_XSD, "complexType")):
-        name = complex_type.attribute("name")
+    for complex_type in schema.findall(f"{_XSD}complexType"):
+        name = complex_type.get("name")
         if not name:
             raise WsdlError("complexType without a name")
-        sequence = complex_type.find(QName(_XSD, "sequence"))
+        sequence = complex_type.find(f"{_XSD}sequence")
         fields: list[tuple[str, str]] = []
         if sequence is not None:
-            for element in sequence.find_all(QName(_XSD, "element")):
-                field_name = element.attribute("name")
-                field_type = element.attribute("type")
+            for element in sequence.findall(f"{_XSD}element"):
+                field_name = element.get("name")
+                field_type = element.get("type")
                 if not field_name or not field_type:
                     raise WsdlError(f"malformed field in complexType {name!r}")
                 fields.append((field_name, field_type))
@@ -102,7 +104,7 @@ def _parse_structs(root: XmlElement) -> list[StructType]:
 
 
 def _parse_messages(
-    root: XmlElement, registry: TypeRegistry
+    root: Element, registry: TypeRegistry
 ) -> dict[str, list[tuple[str, "object"]]]:
     """Return message name -> list of (part name, resolved type).
 
@@ -110,14 +112,14 @@ def _parse_messages(
     name ``return``, which is not a legal parameter identifier.
     """
     messages: dict[str, list[tuple[str, object]]] = {}
-    for message in root.find_all(QName(_WSDL, "message")):
-        name = message.attribute("name")
+    for message in root.findall(f"{_WSDL}message"):
+        name = message.get("name")
         if not name:
             raise WsdlError("wsdl:message without a name")
         parts: list[tuple[str, object]] = []
-        for part in message.find_all(QName(_WSDL, "part")):
-            part_name = part.attribute("name")
-            part_type = part.attribute("type")
+        for part in message.findall(f"{_WSDL}part"):
+            part_name = part.get("name")
+            part_type = part.get("type")
             if not part_name or not part_type:
                 raise WsdlError(f"malformed part in message {name!r}")
             parts.append((part_name, parse_type(part_type, registry)))
@@ -126,20 +128,20 @@ def _parse_messages(
 
 
 def _parse_port_type(
-    root: XmlElement, messages: dict[str, list[tuple[str, object]]]
+    root: Element, messages: dict[str, list[tuple[str, object]]]
 ) -> list[OperationSignature]:
     operations: list[OperationSignature] = []
-    port_type = root.find(QName(_WSDL, "portType"))
+    port_type = root.find(f"{_WSDL}portType")
     if port_type is None:
         return operations
-    for op_element in port_type.find_all(QName(_WSDL, "operation")):
-        name = op_element.attribute("name")
+    for op_element in port_type.findall(f"{_WSDL}operation"):
+        name = op_element.get("name")
         if not name:
             raise WsdlError("wsdl:operation without a name")
-        input_element = op_element.find(QName(_WSDL, "input"))
-        output_element = op_element.find(QName(_WSDL, "output"))
-        request_message = input_element.attribute("message") if input_element is not None else None
-        response_message = output_element.attribute("message") if output_element is not None else None
+        input_element = op_element.find(f"{_WSDL}input")
+        output_element = op_element.find(f"{_WSDL}output")
+        request_message = input_element.get("message") if input_element is not None else None
+        response_message = output_element.get("message") if output_element is not None else None
         parameters = tuple(
             Parameter(part_name, part_type)
             for part_name, part_type in messages.get(request_message or "", [])
@@ -157,14 +159,14 @@ def _parse_port_type(
     return operations
 
 
-def _parse_endpoint(root: XmlElement) -> str:
-    service = root.find(QName(_WSDL, "service"))
+def _parse_endpoint(root: Element) -> str:
+    service = root.find(f"{_WSDL}service")
     if service is None:
         return ""
-    port = service.find(QName(_WSDL, "port"))
+    port = service.find(f"{_WSDL}port")
     if port is None:
         return ""
-    address = port.find(QName(_SOAP, "address"))
+    address = port.find(f"{_SOAP}address")
     if address is None:
         return ""
-    return address.attribute("location", "") or ""
+    return address.get("location", "") or ""

@@ -1,8 +1,8 @@
-"""Parsing XML text back into :class:`XmlElement` trees.
+"""Parsing XML text into ``xml.etree.ElementTree`` element trees.
 
-Parsing uses the standard library's ``xml.etree.ElementTree`` (namespace
-resolution, entity handling) and converts the result into the package's own
-element model so the rest of the code base deals with a single representation.
+The standard library resolves namespaces (tags come back in Clark
+notation) and entities; this module only maps its errors onto
+:class:`~repro.errors.XmlError`.
 """
 
 from __future__ import annotations
@@ -10,12 +10,10 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 
 from repro.errors import XmlError
-from repro.xmlutil.element import XmlElement
-from repro.xmlutil.qname import QName
 
 
-def parse(text: str | bytes) -> XmlElement:
-    """Parse XML ``text`` and return the root :class:`XmlElement`.
+def parse(text: str | bytes) -> ET.Element:
+    """Parse XML ``text`` and return the root element.
 
     Raises
     ------
@@ -28,23 +26,18 @@ def parse(text: str | bytes) -> XmlElement:
         except UnicodeDecodeError as exc:
             raise XmlError(f"document is not valid UTF-8: {exc}") from None
     try:
-        root = ET.fromstring(text)
+        return ET.fromstring(text)
     except ET.ParseError as exc:
         raise XmlError(f"malformed XML: {exc}") from None
-    return _convert(root)
 
 
-def _convert(node: ET.Element) -> XmlElement:
-    element = XmlElement(QName.from_clark(node.tag))
-    for key, value in node.attrib.items():
-        element.set_attribute(QName.from_clark(key), value)
-    # Leaf elements carry data (string values may legitimately start or end
-    # with whitespace); for elements with children the text is only the
-    # serialiser's indentation and is dropped.
-    if len(node):
-        element.text = (node.text or "").strip()
-    else:
-        element.text = node.text or ""
-    for child in node:
-        element.add_child(_convert(child))
-    return element
+def text_of(element: ET.Element) -> str:
+    """The text ``element`` carries as data.
+
+    A leaf's text is data (string values may legitimately start or end with
+    whitespace); the text of an element with children is only the
+    serialiser's indentation, so it is stripped.
+    """
+    if len(element):
+        return (element.text or "").strip()
+    return element.text or ""

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.errors import XmlError
 
@@ -45,7 +44,7 @@ class QName:
     @classmethod
     def plain(cls, local_name: str) -> "QName":
         """A name with no namespace."""
-        return _plain_cached(local_name)
+        return cls(None, local_name)
 
     def clark(self) -> str:
         """Return the Clark notation form ``{namespace}local`` used by
@@ -57,29 +56,19 @@ class QName:
     @classmethod
     def from_clark(cls, text: str) -> "QName":
         """Parse Clark notation (``{ns}local`` or plain ``local``)."""
-        return _from_clark_cached(text)
+        namespace, local = split_clark(text)
+        return cls(namespace or None, local)
 
     def __str__(self) -> str:
         return self.clark()
 
 
-# QName is immutable, and the same handful of names appear in every envelope
-# a fleet sweep parses or serialises, so construction/validation is memoised
-# and instances shared.  The caches are unbounded in principle but names come
-# from interface definitions, not payload data, so their population is small.
-
-
-@lru_cache(maxsize=4096)
-def _plain_cached(local_name: str) -> QName:
-    return QName(None, local_name)
-
-
-@lru_cache(maxsize=4096)
-def _from_clark_cached(text: str) -> QName:
-    if text.startswith("{"):
-        try:
-            namespace, local = text[1:].split("}", 1)
-        except ValueError:
-            raise XmlError(f"malformed Clark notation: {text!r}") from None
-        return QName(namespace, local)
-    return QName(None, text)
+def split_clark(name: str) -> tuple[str, str]:
+    """``(namespace, local)`` of a Clark-notation name (``{ns}local`` or
+    plain ``local``, whose namespace is ``""``)."""
+    if name[:1] == "{":
+        namespace, brace, local = name[1:].partition("}")
+        if not brace:
+            raise XmlError(f"malformed Clark notation: {name!r}")
+        return namespace, local
+    return "", name

@@ -1,4 +1,4 @@
-"""Deterministic serialisation of :class:`XmlElement` trees.
+"""Deterministic serialisation of ElementTree elements, and XML escaping.
 
 The serialiser collects every namespace used anywhere in the document,
 declares all of them on the root element with stable prefixes (well-known
@@ -6,47 +6,83 @@ namespaces get their conventional prefixes, others get ``ns0``, ``ns1``, ...)
 and escapes text and attribute values.  Determinism matters because the
 published WSDL/IDL documents are compared byte-for-byte by the SDE publisher
 to detect redundant publications.
+
+The SOAP envelope writer renders envelopes straight to text with this
+module's escaping and character check and the same prefix rule, so both
+writers give the same bytes for the same document.
 """
 
 from __future__ import annotations
 
-from repro.xmlutil.element import XmlElement
-from repro.xmlutil.qname import Namespaces, QName
+from xml.etree.ElementTree import Element
 
-_XML_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>'
+from repro.errors import XmlError
+from repro.xmlutil.qname import Namespaces, split_clark
+
+XML_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>'
+
+#: Characters XML 1.0 (§2.2) cannot carry, apart from lone surrogates, which
+#: UTF-8 cannot encode either.
+_ILLEGAL = tuple(chr(code) for code in range(0x20) if chr(code) not in "\t\n\r") + (
+    "\ufffe",
+    "\uffff",
+)
 
 
-def _escape_text(value: str) -> str:
-    if "&" in value or "<" in value or ">" in value:
+def escape_text(value: str) -> str:
+    """Escape character data.
+
+    A carriage return becomes ``&#13;``: left raw, end-of-line handling
+    (XML 1.0 §2.11) would hand the reader a newline instead.
+    """
+    if "&" in value or "<" in value or ">" in value or "\r" in value:
         return (
             value.replace("&", "&amp;")
             .replace("<", "&lt;")
             .replace(">", "&gt;")
+            .replace("\r", "&#13;")
         )
     return value
 
 
-def _escape_attribute(value: str) -> str:
-    return _escape_text(value).replace('"', "&quot;")
+def escape_attribute(value: str) -> str:
+    """Escape an attribute value.
+
+    Tab and newline become character references too: left raw,
+    attribute-value normalisation (XML 1.0 §3.3.3) turns them into spaces.
+    """
+    value = escape_text(value).replace('"', "&quot;")
+    if "\t" in value or "\n" in value:
+        return value.replace("\t", "&#9;").replace("\n", "&#10;")
+    return value
 
 
-#: Public aliases used by the SOAP envelope fast path, which must escape
-#: byte-identically to this serialiser.
-escape_text = _escape_text
-escape_attribute = _escape_attribute
+def encode_document(text: str) -> bytes:
+    """The UTF-8 bytes of the document ``text``.
+
+    Raises
+    ------
+    XmlError
+        If ``text`` holds a character XML 1.0 cannot carry (a C0 control
+        other than tab, newline and carriage return, U+FFFE, U+FFFF or a
+        lone surrogate).  The message names the character and the text
+        between the markup around it.
+    """
+    try:
+        wire = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise _illegal_character(text, exc.start) from None
+    for char in _ILLEGAL:
+        if char in text:
+            raise _illegal_character(text, text.index(char))
+    return wire
 
 
-def _collect_namespaces(root: XmlElement) -> list[str]:
-    # A dict doubles as an ordered set: first-seen document order, O(1) membership.
-    seen: dict[str, None] = {}
-    for element in root.iter():
-        namespace = element.name.namespace
-        if namespace:
-            seen[namespace] = None
-        for qname in element.attributes:
-            if qname.namespace:
-                seen[qname.namespace] = None
-    return list(seen)
+def _illegal_character(text: str, position: int) -> XmlError:
+    start = text.rfind(">", 0, position) + 1
+    end = text.find("<", position)
+    run = text[start:] if end < 0 else text[start:end]
+    return XmlError(f"XML 1.0 cannot carry {text[position]!r} (in {run!r})")
 
 
 def _assign_prefixes(namespaces: list[str]) -> dict[str, str]:
@@ -62,29 +98,40 @@ def _assign_prefixes(namespaces: list[str]) -> dict[str, str]:
     return prefixes
 
 
-def _qualified(qname: QName, prefixes: dict[str, str]) -> str:
-    if qname.namespace:
-        return f"{prefixes[qname.namespace]}:{qname.local_name}"
-    return qname.local_name
+def _collect_namespaces(root: Element) -> list[str]:
+    # A dict doubles as an ordered set: first-seen document order, O(1) membership.
+    seen: dict[str, None] = {}
+    for element in root.iter():
+        for name in (element.tag, *element.attrib):
+            namespace = split_clark(name)[0]
+            if namespace:
+                seen[namespace] = None
+    return list(seen)
 
 
-def serialize(root: XmlElement, xml_declaration: bool = True) -> str:
+def _qualified(name: str, prefixes: dict[str, str]) -> str:
+    namespace, local = split_clark(name)
+    if namespace:
+        return f"{prefixes[namespace]}:{local}"
+    return local
+
+
+def serialize(root: Element, xml_declaration: bool = True) -> str:
     """Serialise ``root`` to a compact, single-line-per-document string."""
     return _serialize(root, pretty=False, xml_declaration=xml_declaration)
 
 
-def serialize_pretty(root: XmlElement, xml_declaration: bool = True) -> str:
+def serialize_pretty(root: Element, xml_declaration: bool = True) -> str:
     """Serialise ``root`` with two-space indentation for human consumption
     (the SDE Manager Interface's "view the WSDL/CORBA-IDL" feature)."""
     return _serialize(root, pretty=True, xml_declaration=xml_declaration)
 
 
-def _serialize(root: XmlElement, pretty: bool, xml_declaration: bool) -> str:
-    namespaces = _collect_namespaces(root)
-    prefixes = _assign_prefixes(namespaces)
+def _serialize(root: Element, pretty: bool, xml_declaration: bool) -> str:
+    prefixes = _assign_prefixes(_collect_namespaces(root))
     parts: list[str] = []
     if xml_declaration:
-        parts.append(_XML_DECLARATION)
+        parts.append(XML_DECLARATION)
         if pretty:
             parts.append("\n")
     _write_element(root, prefixes, parts, pretty, depth=0, declare_namespaces=True)
@@ -92,7 +139,7 @@ def _serialize(root: XmlElement, pretty: bool, xml_declaration: bool) -> str:
 
 
 def _write_element(
-    element: XmlElement,
+    element: Element,
     prefixes: dict[str, str],
     parts: list[str],
     pretty: bool,
@@ -102,26 +149,26 @@ def _write_element(
     indent = "  " * depth if pretty else ""
     newline = "\n" if pretty else ""
 
-    tag = _qualified(element.name, prefixes)
+    tag = _qualified(element.tag, prefixes)
     attribute_parts: list[str] = []
     if declare_namespaces:
         for namespace, prefix in prefixes.items():
-            attribute_parts.append(f'xmlns:{prefix}="{_escape_attribute(namespace)}"')
-    for name, value in element.attributes.items():
-        attribute_parts.append(f'{_qualified(name, prefixes)}="{_escape_attribute(value)}"')
+            attribute_parts.append(f'xmlns:{prefix}="{escape_attribute(namespace)}"')
+    for name, value in element.attrib.items():
+        attribute_parts.append(f'{_qualified(name, prefixes)}="{escape_attribute(value)}"')
 
     attributes_text = (" " + " ".join(attribute_parts)) if attribute_parts else ""
 
-    if not element.children and not element.text:
+    if not len(element) and not element.text:
         parts.append(f"{indent}<{tag}{attributes_text}/>{newline}")
         return
 
     parts.append(f"{indent}<{tag}{attributes_text}>")
     if element.text:
-        parts.append(_escape_text(element.text))
-    if element.children:
+        parts.append(escape_text(element.text))
+    if len(element):
         parts.append(newline)
-        for child in element.children:
+        for child in element:
             _write_element(child, prefixes, parts, pretty, depth + 1, declare_namespaces=False)
         parts.append(indent)
     parts.append(f"</{tag}>{newline}")

@@ -1,11 +1,7 @@
 """Integration tests for the performance model.
 
-Covers the two observable guarantees the simulation-core fast path and the
-bounded server-CPU model make together:
+Covers the observable guarantees of the bounded server-CPU model:
 
-* the codec/scheduler optimizations change *nothing* about simulated time —
-  a workload produces identical per-call RTTs with the SOAP fast path on or
-  off;
 * with ``server_cores=1`` the steady-state mean RTT grows monotonically
   with fleet size (the ROADMAP contention item), while the determinism
   contract (same spec → identical per-call RTTs at 32+ clients) holds.
@@ -17,20 +13,6 @@ import pytest
 
 from repro.experiments.multi_client import run_multi_client
 from repro.net.latency import era_2004_cost_model
-from repro.soap.envelope import set_fast_serialization
-
-
-class TestFastPathRttIdentity:
-    @pytest.mark.parametrize("technology", ["soap", "corba"])
-    def test_fast_serialization_does_not_change_rtts(self, technology):
-        baseline = run_multi_client(technology, 4, calls_per_client=3)
-        previous = set_fast_serialization(False)
-        try:
-            slow = run_multi_client(technology, 4, calls_per_client=3)
-        finally:
-            set_fast_serialization(previous)
-        assert baseline.report.all_rtts == slow.report.all_rtts
-        assert baseline.report.duration == slow.report.duration
 
 
 class TestServerContention:

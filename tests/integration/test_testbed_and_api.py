@@ -23,7 +23,7 @@ from repro.errors import (
 
 class TestPublicApi:
     def test_version_exported(self):
-        assert repro.__version__ == "3.0.0"
+        assert repro.__version__ == "4.0.0"
 
     def test_quickstart_from_readme(self):
         runtime = (

@@ -48,19 +48,6 @@ class TestHttpRequestMessage:
         with pytest.raises(HttpError):
             HttpRequest.from_bytes(raw)
 
-    def test_precomputed_wire_body_is_byte_identical(self):
-        body = "<x>héllo</x>"  # non-ASCII: byte length != char length
-        plain = HttpRequest("POST", "/x", {"Content-Type": "text/xml"}, body)
-        wired = HttpRequest(
-            "POST",
-            "/x",
-            {"Content-Type": "text/xml"},
-            body,
-            body_wire=body.encode("utf-8"),
-        )
-        assert wired.to_bytes() == plain.to_bytes()
-        assert wired == plain  # body_wire never participates in equality
-
 
 class TestHttpResponseMessage:
     def test_wire_roundtrip(self):
@@ -83,13 +70,6 @@ class TestHttpResponseMessage:
         assert HttpResponse.ok_xml("<a/>").header("content-type").startswith("text/xml")
         assert HttpResponse.not_found("missing").status == 404
         assert HttpResponse.server_error("boom").status == 500
-
-    def test_ok_xml_with_precomputed_wire_is_byte_identical(self):
-        body = "<a>résumé</a>"
-        plain = HttpResponse.ok_xml(body)
-        wired = HttpResponse.ok_xml(body, wire=body.encode("utf-8"))
-        assert wired.to_bytes() == plain.to_bytes()
-        assert wired == plain
 
     def test_malformed_status_rejected(self):
         raw = b"HTTP/1.1 abc Bad\r\n\r\n"

@@ -14,15 +14,19 @@ from repro.rmitypes import (
     StructType,
     TypeRegistry,
 )
-from repro.soap.encoding import decode_dynamic, decode_value, encode_value, xsd_qname
-from repro.xmlutil import Namespaces
+from repro.soap.encoding import decode_typed, decode_value, encode_value, xsd_qname
+from repro.xmlutil import Namespaces, parse
 
 ADDRESS = StructType("Address", (FieldDef("street", STRING), FieldDef("number", INT)))
 
 
+def encoded(name, value, rmi_type, registry=None):
+    """The element ``encode_value`` writes, read back as an ElementTree node."""
+    return parse(encode_value(name, value, rmi_type, registry))
+
+
 def roundtrip(value, rmi_type, registry=None):
-    element = encode_value("value", value, rmi_type, registry)
-    return decode_value(element, rmi_type, registry)
+    return decode_value(encoded("value", value, rmi_type, registry), rmi_type, registry)
 
 
 class TestPrimitiveRoundtrips:
@@ -44,17 +48,17 @@ class TestPrimitiveRoundtrips:
             encode_value("v", "not an int", INT)
 
     def test_boolean_wire_format(self):
-        assert encode_value("v", True, BOOLEAN).text == "true"
-        assert encode_value("v", False, BOOLEAN).text == "false"
+        assert encode_value("v", True, BOOLEAN) == '<v type="boolean">true</v>'
+        assert encode_value("v", False, BOOLEAN) == '<v type="boolean">false</v>'
 
     def test_malformed_boolean_rejected_at_decode(self):
-        element = encode_value("v", 5, INT)
+        element = encoded("v", 5, INT)
         element.text = "maybe"
         with pytest.raises(SoapEncodingError):
             decode_value(element, BOOLEAN)
 
     def test_malformed_int_rejected_at_decode(self):
-        element = encode_value("v", 5, INT)
+        element = encoded("v", 5, INT)
         element.text = "five"
         with pytest.raises(SoapEncodingError):
             decode_value(element, INT)
@@ -78,27 +82,26 @@ class TestCompositeRoundtrips:
         assert roundtrip(value, ADDRESS, registry) == value
 
     def test_struct_missing_field_in_document(self):
-        element = encode_value("v", {"street": "Main", "number": 1}, ADDRESS)
-        element.children = [child for child in element.children if child.name.local_name != "number"]
+        element = encoded("v", {"street": "Main", "number": 1}, ADDRESS)
+        element.remove(element.find("number"))
         with pytest.raises(SoapEncodingError):
             decode_value(element, ADDRESS)
 
 
 class TestDynamicDecoding:
     def test_decode_dynamic_uses_type_attribute(self):
-        element = encode_value("arg0", 7, INT)
-        assert decode_dynamic(element) == 7
+        assert decode_typed(encoded("arg0", 7, INT)) == (7, INT)
 
     def test_decode_dynamic_struct(self):
         registry = TypeRegistry((ADDRESS,))
-        element = encode_value("arg0", {"street": "Main", "number": 3}, ADDRESS, registry)
-        assert decode_dynamic(element, registry) == {"street": "Main", "number": 3}
+        element = encoded("arg0", {"street": "Main", "number": 3}, ADDRESS, registry)
+        assert decode_typed(element, registry) == ({"street": "Main", "number": 3}, ADDRESS)
 
     def test_decode_dynamic_without_type_attribute_rejected(self):
-        element = encode_value("arg0", 7, INT)
-        element.attributes.clear()
+        element = encoded("arg0", 7, INT)
+        element.attrib.clear()
         with pytest.raises(SoapEncodingError):
-            decode_dynamic(element)
+            decode_typed(element)
 
 
 class TestXsdMapping:

@@ -1,9 +1,23 @@
-"""Tests for the XML utilities (QNames, elements, serialiser, parser)."""
+"""Tests for the XML utilities (QNames, serialiser, parser) on ElementTree."""
+
+from xml.etree.ElementTree import Element, SubElement
 
 import pytest
 
 from repro.errors import XmlError
-from repro.xmlutil import Namespaces, QName, XmlElement, parse, serialize, serialize_pretty
+from repro.xmlutil import Namespaces, QName, parse, serialize, serialize_pretty, text_of
+from repro.xmlutil.serializer import encode_document
+
+
+def same_tree(one: Element, two: Element) -> bool:
+    """Equal tags, attributes, data text (see ``text_of``) and children."""
+    return (
+        one.tag == two.tag
+        and one.attrib == two.attrib
+        and text_of(one) == text_of(two)
+        and len(one) == len(two)
+        and all(same_tree(mine, theirs) for mine, theirs in zip(one, two))
+    )
 
 
 class TestQName:
@@ -30,87 +44,47 @@ class TestQName:
             QName.from_clark("{unclosed")
 
 
-class TestXmlElement:
-    def test_add_and_find_children(self):
-        root = XmlElement("root")
-        child = root.add("child", {"id": "1"}, text="hello")
-        assert root.find("child") is child
-        assert root.find("missing") is None
-        assert child.attribute("id") == "1"
-
-    def test_find_all(self):
-        root = XmlElement("root")
-        root.add("item")
-        root.add("item")
-        root.add("other")
-        assert len(root.find_all("item")) == 2
-
-    def test_require_raises_when_missing(self):
-        root = XmlElement("root")
-        with pytest.raises(XmlError):
-            root.require("missing")
-
-    def test_iter_is_depth_first(self):
-        root = XmlElement("a")
-        b = root.add("b")
-        b.add("c")
-        root.add("d")
-        names = [element.name.local_name for element in root.iter()]
-        assert names == ["a", "b", "c", "d"]
-
-    def test_structural_equality_ignores_surrounding_whitespace(self):
-        one = XmlElement("a", text=" hello ")
-        two = XmlElement("a", text="hello")
-        assert one.structurally_equal(two)
-
-    def test_structural_inequality_on_attributes(self):
-        one = XmlElement("a", {"x": "1"})
-        two = XmlElement("a", {"x": "2"})
-        assert not one.structurally_equal(two)
-
-    def test_invalid_child_rejected(self):
-        with pytest.raises(XmlError):
-            XmlElement("a").add_child("not an element")
-
-
 class TestSerialisationAndParsing:
     def test_roundtrip_simple_document(self):
-        root = XmlElement("doc")
-        root.add("child", {"attr": "value"}, text="text")
+        root = Element("doc")
+        SubElement(root, "child", {"attr": "value"}).text = "text"
         parsed = parse(serialize(root))
-        assert root.structurally_equal(parsed)
+        assert same_tree(root, parsed)
 
     def test_roundtrip_namespaced_document(self):
-        root = XmlElement(QName(Namespaces.SOAP_ENVELOPE, "Envelope"))
-        body = root.add_child(XmlElement(QName(Namespaces.SOAP_ENVELOPE, "Body")))
-        body.add(QName("urn:app", "call"), {"kind": "test"})
-        parsed = parse(serialize(root))
-        assert root.structurally_equal(parsed)
+        root = Element(QName(Namespaces.SOAP_ENVELOPE, "Envelope").clark())
+        body = SubElement(root, QName(Namespaces.SOAP_ENVELOPE, "Body").clark())
+        SubElement(body, "{urn:app}call", {"kind": "test", "{urn:app}flag": "1"})
+        text = serialize(root)
+        assert text.count("xmlns:") == 2
+        assert '<ns0:call kind="test" ns0:flag="1"/>' in text
+        assert same_tree(root, parse(text))
 
     def test_escaping_of_special_characters(self):
-        root = XmlElement("doc", {"attr": 'quote " and <angle>'}, text="a < b & c > d")
+        root = Element("doc", {"attr": 'quote " and <angle>\ttab\nline\rcr'})
+        root.text = "a < b & c > d\r\n"
         parsed = parse(serialize(root))
-        assert parsed.text == "a < b & c > d"
-        assert parsed.attribute("attr") == 'quote " and <angle>'
+        assert parsed.text == "a < b & c > d\r\n"
+        assert parsed.get("attr") == 'quote " and <angle>\ttab\nline\rcr'
 
     def test_well_known_prefixes_used(self):
-        root = XmlElement(QName(Namespaces.WSDL, "definitions"))
+        root = Element(QName(Namespaces.WSDL, "definitions").clark())
         assert "xmlns:wsdl=" in serialize(root)
 
     def test_deterministic_output(self):
-        root = XmlElement("doc")
-        root.add("a", {"k": "v"})
+        root = Element("doc")
+        SubElement(root, "a", {"k": "v"})
         assert serialize(root) == serialize(root)
 
     def test_pretty_output_contains_newlines_and_parses(self):
-        root = XmlElement("doc")
-        root.add("child", text="x")
+        root = Element("doc")
+        SubElement(root, "child").text = "x"
         pretty = serialize_pretty(root)
         assert "\n" in pretty
-        assert root.structurally_equal(parse(pretty))
+        assert same_tree(root, parse(pretty))
 
     def test_parse_bytes(self):
-        assert parse(b"<root/>").name.local_name == "root"
+        assert parse(b"<root/>").tag == "root"
 
     def test_parse_malformed_rejected(self):
         with pytest.raises(XmlError):
@@ -121,6 +95,34 @@ class TestSerialisationAndParsing:
             parse(b"\xff\xfe<root/>")
 
     def test_xml_declaration_optional(self):
-        root = XmlElement("doc")
+        root = Element("doc")
         assert serialize(root, xml_declaration=False).startswith("<doc")
         assert serialize(root).startswith("<?xml")
+
+    def test_parse_returns_clark_notation(self):
+        root = parse('<a:x xmlns:a="urn:a"><y a:k="v"/></a:x>')
+        assert root.tag == "{urn:a}x"
+        assert root[0].attrib == {"{urn:a}k": "v"}
+
+
+class TestTextOf:
+    def test_leaf_text_is_data(self):
+        assert text_of(parse("<a>  padded  </a>")) == "  padded  "
+        assert text_of(parse("<a/>")) == ""
+
+    def test_indentation_of_a_parent_is_dropped(self):
+        assert text_of(parse("<a>\n  <b/>\n</a>")) == ""
+
+
+class TestEncodeDocument:
+    def test_returns_utf8(self):
+        assert encode_document("<a>é</a>") == "<a>é</a>".encode("utf-8")
+
+    @pytest.mark.parametrize("char", ["\x00", "\x1b", "\ufffe", "\uffff", "\udfff"])
+    def test_names_the_run_holding_an_illegal_character(self, char):
+        with pytest.raises(XmlError) as raised:
+            encode_document(f"<a><b>x{char}y</b></a>")
+        assert repr(f"x{char}y") in str(raised.value)
+
+    def test_tab_newline_and_carriage_return_are_legal(self):
+        assert encode_document("<a>\t\n\r</a>") == b"<a>\t\n\r</a>"
