@@ -67,7 +67,7 @@ def main() -> None:
     print(node.manager_interface.view_interface_document("MailService"))
 
     # -- a CDE client connects via the published IDL + IOR --------------------
-    client = runtime.cde.connect_corba(publisher.document_url, publisher.ior_url)
+    client = runtime.connect("MailService")
     client.invoke("send", {"sender": "kjg", "recipient": "sajeeva",
                            "subject": "SDE draft", "body": "please review"})
     client.invoke("send", {"sender": "bem", "recipient": "sajeeva",

@@ -10,7 +10,7 @@ and CORBA Servers* (Pallemulle, Goldman & Morgan, WUCSE-2004-75 / ICDCS
   (:mod:`repro.core.protocol`);
 * every substrate it depends on, implemented from scratch: a JPie-style
   dynamic-class environment (:mod:`repro.jpie`), a SOAP/WSDL stack
-  (:mod:`repro.soap`), a CORBA stack with IDL/IOR/GIOP/ORB/DII/DSI
+  (:mod:`repro.soap`), a CORBA stack with IDL/IOR/GIOP/ORB/DSI
   (:mod:`repro.corba`), an HTTP substrate and simulated network
   (:mod:`repro.net`), and a deterministic discrete-event simulation kernel
   (:mod:`repro.sim`);

@@ -67,12 +67,12 @@ from typing import TYPE_CHECKING, Any
 from repro.cluster.histogram import DEFAULT_BIN_WIDTH, LatencyHistogram
 from repro.cluster.report import CohortReport
 from repro.errors import ClusterError, NoAliveReplicaError
-from repro.evolve.graph import ClientBinding
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.driver import FleetDriver
     from repro.cluster.registry import Replica, ServiceEntry, ServiceRegistry
     from repro.cluster.topology import ClusterWorld
+    from repro.evolve.graph import ClientBinding
     from repro.net.simnet import Host
 
 
@@ -178,7 +178,8 @@ class CohortFlow:
             calls_per_client=calls,
             rtt=LatencyHistogram(model.bin_width),
         )
-        self.binding = ClientBinding()
+        #: The flow's stack's stub-binding state (set by :meth:`prepare`).
+        self.binding: "ClientBinding | None" = None
         self.finished = False
         self.driver: "FleetDriver | None" = None
         self.entry: "ServiceEntry | None" = None
@@ -192,8 +193,6 @@ class CohortFlow:
         #: only finishes once these drain, so a run never stops between a
         #: final tick and its settlements.
         self._outstanding = 0
-        #: §6 watermark — highest interface version observed by any settle.
-        self._seen_version = -1
         self._origin = 0.0
         self._period = 0.0
         self._base_rtt = 0.0
@@ -225,11 +224,8 @@ class CohortFlow:
         # Stack indexes must not collide with discrete clients' replica
         # bookkeeping; flows get a distinct high range.
         self.stack = factory(self.host, 1_000_000 + self.index, self.entry.replicas)
+        self.binding = self.stack.binding
         self.stack.prepare()
-        for replica in self.entry.replicas:
-            description = self.stack.bound_description(replica.index)
-            if description is not None:
-                self.binding.bind(replica.index, description)
         self._calibrate()
 
     def _calibrate(self) -> None:
@@ -316,7 +312,7 @@ class CohortFlow:
         # flag two fresh replicas publishing different versions within one
         # tick as a violation — but distinct modeled clients may
         # legitimately observe distinct fresh versions.)
-        watermark = self._seen_version
+        watermark = self.binding.seen_version
         carried, self._carry = self._carry, []
         for count, attempt in carried:
             self._route(count, attempt, watermark)
@@ -416,8 +412,6 @@ class CohortFlow:
                     watermark=watermark,
                     calls=share,
                 )
-        if version > self._seen_version:
-            self._seen_version = version
         self.binding.observe(version)
         successes = share
         if self.entry.version_routing and not self.binding.compatible_with(replica):

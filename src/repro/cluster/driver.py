@@ -46,7 +46,6 @@ from repro.cluster.report import (
     ServiceReport,
 )
 from repro.errors import NoAliveReplicaError, TransportError
-from repro.evolve.graph import ClientBinding
 from repro.faults.policy import RetryPolicy
 from repro.net.simnet import Host
 from repro.obs import hooks as _obs_hooks
@@ -110,11 +109,11 @@ class _FleetClient:
         self.report = ClientReport(
             name=plan.host.name, protocol=plan.protocol, service=plan.service
         )
-        #: Stub-binding state for version-aware routing: which description
-        #: this client compiled stubs from, per replica, plus the recency
-        #: watermark.  Inert (pure bookkeeping) unless the service entry has
-        #: ``version_routing`` armed.
-        self.binding = ClientBinding()
+        #: The stack's stub-binding state, read by version-aware routing:
+        #: which description this client compiled stubs from, per replica,
+        #: plus the recency watermark.  Inert (pure bookkeeping) unless the
+        #: service entry has ``version_routing`` armed.
+        self.binding = self.stack.binding
         self._calls_issued = 0
         #: The operation this client currently calls; starts at the plan's
         #: and may switch to an upgrade-declared successor after a rebind.
@@ -139,14 +138,6 @@ class _FleetClient:
         #: Version tier ("compatible" / "fresh" / None) of the most recent
         #: selection for this client — flight-dump context.
         self._tier: str | None = None
-
-    def prepare(self) -> None:
-        """Fetch and parse the published interface documents (blocking)."""
-        self.stack.prepare()
-        for replica in self.entry.replicas:
-            description = self.stack.bound_description(replica.index)
-            if description is not None:
-                self.binding.bind(replica.index, description)
 
     def start(self) -> None:
         """Issue this client's first call."""
@@ -419,9 +410,8 @@ class _FleetClient:
             rollout = self.entry.active_rollout
             if rollout is not None:
                 rollout.note_rebind()
-            description = self.stack.bound_description(replica.index)
+            description = self.binding.bound.get(replica.index)
             if description is not None:
-                self.binding.bind(replica.index, description)
                 self._re_resolve_operation(description)
             if obs is not None:
                 obs.end_span(
@@ -655,7 +645,7 @@ class FleetDriver:
     def run(self) -> ClusterReport:
         """Prepare the fleet, run it to completion, and report."""
         for client in self.clients:
-            client.prepare()
+            client.stack.prepare()
         for flow in self.flows:
             # Flow preparation fetches documents and runs the calibration
             # probe — real pre-window traffic, like the clients' fetches —

@@ -12,7 +12,16 @@ knows how to
   return the transport :class:`~repro.net.transport.Deferred`;
 * ``classify(value, error)`` — map the reply to one of the outcome
   categories ``"success"`` / ``"stale"`` / ``"not_initialized"`` /
-  ``"other"``.
+  ``"other"``;
+* ``result(value)`` / ``fault_text(value, error)`` — the operation's return
+  value, or the protocol fault as text.
+
+Each stack owns one :class:`~repro.evolve.graph.ClientBinding`
+(``stack.binding``): the description it bound per replica, which
+version-aware routing reads and ``prepare_replica``/``rebind_replica``
+replace.  The fleet driver drives the stacks asynchronously; the CDE's
+:class:`~repro.core.cde.binding.DynamicClientBinding` drives one to
+completion per call.
 
 ``soap`` and ``corba`` are registered by default; a third technology plugs
 in with :func:`register_client_protocol` (or per-scenario via
@@ -28,6 +37,7 @@ from repro.core.sde.corba_handler import EXC_NON_EXISTENT_METHOD, EXC_SERVER_NOT
 from repro.corba.idl import parse_idl
 from repro.corba.orb import ClientOrb, RemoteObjectReference
 from repro.errors import ClusterError, CorbaUserException, MiddlewareError
+from repro.evolve.graph import ClientBinding
 from repro.net.http import HttpClient
 from repro.net.simnet import Address, Host
 from repro.net.transport import Deferred
@@ -52,6 +62,10 @@ class ProtocolClient:
         self.index = index
         self.replicas = tuple(replicas)
         self.http = HttpClient(host, name=f"wl-http-{index}")
+        #: The descriptions this stack's stubs were built from, per replica,
+        #: and the §6 recency watermark.  Stacks without parsed descriptions
+        #: bind nothing, which disables the compatibility check.
+        self.binding = ClientBinding()
 
     # -- interface documents -------------------------------------------------
 
@@ -81,17 +95,19 @@ class ProtocolClient:
         """Map a resolved reply to an outcome category."""
         raise NotImplementedError
 
-    # -- interface evolution -------------------------------------------------
+    def result(self, value: Any) -> Any:
+        """The operation's return value carried by a successful reply."""
+        return value
 
-    def bound_description(self, replica_index: int):
-        """The interface description this stack's stubs were built from.
+    def fault_text(self, value: Any, error: BaseException | None) -> str | None:
+        """The protocol fault of an unsuccessful reply, as text.
 
-        The version-aware routing layer compares it against each replica's
-        currently published description.  ``None`` (the base default, for
-        stacks without parsed descriptions) disables the compatibility
-        check for that replica.
+        ``None`` means the call failed below the protocol (``error`` is a
+        transport or decoding failure, not a fault the server sent).
         """
-        return None
+        return None if error is not None else str(value)
+
+    # -- interface evolution -------------------------------------------------
 
     def rebind_replica(self, replica: "Replica") -> Deferred:
         """Asynchronously re-fetch and re-parse one replica's documents.
@@ -123,17 +139,19 @@ class SoapProtocolClient(ProtocolClient):
 
     def __init__(self, host: Host, index: int, replicas: Sequence["Replica"]) -> None:
         super().__init__(host, index, replicas)
-        self._descriptions: dict[int, Any] = {}
         self._registries: dict[int, Any] = {}
 
-    def prepare_replica(self, replica: "Replica") -> None:
-        document = self.fetch(replica.publisher.document_url)
+    def _bind(self, replica_index: int, document: str):
         description = parse_wsdl(document)
-        self._descriptions[replica.index] = description
-        self._registries[replica.index] = description.type_registry()
+        self.binding.bind(replica_index, description)
+        self._registries[replica_index] = description.type_registry()
+        return description
+
+    def prepare_replica(self, replica: "Replica") -> None:
+        self._bind(replica.index, self.fetch(replica.publisher.document_url))
 
     def call(self, replica: "Replica", operation: str, arguments: tuple[Any, ...]) -> Deferred:
-        description = self._descriptions[replica.index]
+        description = self.binding.bound[replica.index]
         registry = self._registries[replica.index]
         request = SoapRequest.for_call(
             operation, arguments, namespace=description.namespace, registry=registry
@@ -158,14 +176,11 @@ class SoapProtocolClient(ProtocolClient):
         return wire.transform(decode)
 
     def reset_replica(self, replica: "Replica") -> None:
-        description = self._descriptions.get(replica.index)
+        description = self.binding.bound.get(replica.index)
         if description is None:
             return
         address, _path = HttpClient.parse_url(description.endpoint_url)
         self.http.channel.reset(address)
-
-    def bound_description(self, replica_index: int):
-        return self._descriptions.get(replica_index)
 
     def rebind_replica(self, replica: "Replica") -> Deferred:
         wire = self.http.request_async("GET", replica.publisher.document_url)
@@ -177,10 +192,7 @@ class SoapProtocolClient(ProtocolClient):
                 raise MiddlewareError(
                     f"could not re-retrieve WSDL: HTTP {response.status}"
                 )
-            description = parse_wsdl(response.body)
-            self._descriptions[replica.index] = description
-            self._registries[replica.index] = description.type_registry()
-            return description
+            return self._bind(replica.index, response.body)
 
         return wire.transform(decode)
 
@@ -195,6 +207,12 @@ class SoapProtocolClient(ProtocolClient):
             return OUTCOME_NOT_INITIALIZED
         return OUTCOME_OTHER
 
+    def result(self, value: Any) -> Any:
+        return value.return_value
+
+    def fault_text(self, value: Any, error: BaseException | None) -> str | None:
+        return None if error is not None else str(value.fault)
+
 
 class CorbaProtocolClient(ProtocolClient):
     """CORBA/GIOP client stack (IDL description + ORB remote references)."""
@@ -202,12 +220,11 @@ class CorbaProtocolClient(ProtocolClient):
     def __init__(self, host: Host, index: int, replicas: Sequence["Replica"]) -> None:
         super().__init__(host, index, replicas)
         self.orb: ClientOrb | None = None
-        self._descriptions: dict[int, Any] = {}
         self._remotes: dict[int, RemoteObjectReference] = {}
 
     def prepare_replica(self, replica: "Replica") -> None:
         document = self.fetch(replica.publisher.document_url)
-        self._descriptions[replica.index] = parse_idl(document)
+        self.binding.bind(replica.index, parse_idl(document))
         if self.orb is None:
             self.orb = ClientOrb(self.host)
         ior_text = self.fetch(replica.publisher.ior_url)  # type: ignore[attr-defined]
@@ -222,9 +239,6 @@ class CorbaProtocolClient(ProtocolClient):
             return
         self.orb.channel.reset(Address(remote.ior.host, remote.ior.port))
 
-    def bound_description(self, replica_index: int):
-        return self._descriptions.get(replica_index)
-
     def rebind_replica(self, replica: "Replica") -> Deferred:
         # The IOR survives republication (the endpoint keeps its port), so a
         # rebind only refreshes the IDL document and the parsed description.
@@ -238,7 +252,7 @@ class CorbaProtocolClient(ProtocolClient):
                     f"could not re-retrieve IDL: HTTP {response.status}"
                 )
             description = parse_idl(response.body)
-            self._descriptions[replica.index] = description
+            self.binding.bind(replica.index, description)
             return description
 
         return wire.transform(decode)
@@ -251,6 +265,9 @@ class CorbaProtocolClient(ProtocolClient):
         if isinstance(error, CorbaUserException) and error.type_name == EXC_SERVER_NOT_INITIALIZED:
             return OUTCOME_NOT_INITIALIZED
         return OUTCOME_OTHER
+
+    def fault_text(self, value: Any, error: BaseException | None) -> str | None:
+        return str(error) if isinstance(error, CorbaUserException) else None
 
 
 #: A protocol-client factory: ``(host, client_index, replicas) -> ProtocolClient``.

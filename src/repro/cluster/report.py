@@ -428,10 +428,6 @@ class ClusterReport:
         """Every RTT observed against ``service``, grouped by client."""
         return [rtt for client in self.clients_for(service) for rtt in client.rtts]
 
-    def rtt_percentiles_for(self, service: str) -> dict[str, float]:
-        """p50/p95/p99 RTT of the named service's calls during the run."""
-        return rtt_percentiles(self.rtts_for(service))
-
     # -- fleet-wide aggregates ---------------------------------------------
 
     @property
@@ -453,11 +449,6 @@ class ClusterReport:
     def total_stale_faults(self) -> int:
         """Stale-method ("Non existent Method") faults across the fleet."""
         return sum(client.stale_faults for client in self.clients)
-
-    @property
-    def total_not_initialized_faults(self) -> int:
-        """"Server Not Initialized" faults across the fleet."""
-        return sum(client.not_initialized_faults for client in self.clients)
 
     @property
     def total_other_faults(self) -> int:
@@ -550,11 +541,6 @@ class ClusterReport:
             cohort.rebinds for cohort in self.cohorts
         )
 
-    @property
-    def total_downtime_s(self) -> float:
-        """Crashed machine-seconds within the window, over all nodes."""
-        return sum(node.downtime_s for node in self.nodes)
-
     # -- cohort aggregates (flow-modeled client mass) ------------------------
 
     @property
@@ -571,11 +557,6 @@ class ClusterReport:
     def total_modeled_calls(self) -> int:
         """Modeled calls completed across every cohort flow."""
         return sum(cohort.calls for cohort in self.cohorts)
-
-    @property
-    def total_modeled_successes(self) -> int:
-        """Modeled calls that succeeded across every cohort flow."""
-        return sum(cohort.successes for cohort in self.cohorts)
 
     @property
     def total_stale_faults_modeled(self) -> int:
@@ -710,11 +691,6 @@ class ClusterReport:
     def server_connections(self) -> int:
         """Transport connections this run's fleet opened, fleet-wide."""
         return sum(service.connections for service in self.services)
-
-    @property
-    def server_replies_sent(self) -> int:
-        """Replies sent by every service endpoint during the run."""
-        return sum(service.replies_sent for service in self.services)
 
     @property
     def publications(self) -> int:

@@ -46,7 +46,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.cluster.cohort import CohortFlow, CohortModel
 from repro.cluster.driver import ClientPlan, FleetDriver
-from repro.cluster.protocols import ProtocolClientFactory
+from repro.cluster.protocols import ProtocolClientFactory, client_protocol_factory
 from repro.cluster.registry import (
     POLICY_ROUND_ROBIN,
     Replica,
@@ -58,7 +58,7 @@ from repro.cluster.report import ClusterReport
 from repro.cluster.topology import ClusterWorld, ServerNode
 from repro.core.cde import ClientDevelopmentEnvironment, DynamicClientBinding
 from repro.core.sde import SDEConfig, Technology
-from repro.errors import ClusterError
+from repro.errors import ClusterError, ServiceNotFoundError
 from repro.faults import FaultInjector, RetryPolicy
 from repro.interface import Parameter
 from repro.jpie import DynamicClass
@@ -598,21 +598,24 @@ class ScenarioRuntime:
             self._cde = ClientDevelopmentEnvironment(self.world.add_client("cde"))
         return self._cde
 
-    def connect(
-        self, service: str, replica: int = 0, reactive_updates: bool = True
-    ) -> DynamicClientBinding:
-        """Connect a CDE binding to one replica of a managed service."""
-        entry = self.registry.lookup(service)
-        publisher = self._replica(service, replica).publisher
-        if entry.technology == "soap":
-            return self.cde.connect_soap(publisher.document_url, reactive_updates=reactive_updates)
-        if entry.technology == "corba":
-            return self.cde.connect_corba(
-                publisher.document_url,
-                publisher.ior_url,  # type: ignore[attr-defined]
-                reactive_updates=reactive_updates,
-            )
-        raise ClusterError(f"no CDE binding for technology {entry.technology!r}")
+    def connect(self, name: str, replica: int = 0) -> DynamicClientBinding:
+        """Connect a CDE binding to one replica of a registered service, or
+        to a class created live on a server node (``replica`` then counts
+        the nodes managing a class of that name, in node order)."""
+        try:
+            target = self._replica(name, replica)
+        except ServiceNotFoundError:
+            nodes = [node for node in self.nodes if node.sde.is_managed(name)]
+            if not 0 <= replica < len(nodes):
+                raise ClusterError(
+                    f"no service {name!r}, and {len(nodes)} node(s) manage a class "
+                    f"of that name; replica index {replica} is out of range"
+                ) from None
+            node = nodes[replica]
+            target = Replica(name, replica, node, node.sde.managed_server(name))
+        technology = target.managed.technology.name
+        factory = self._protocol_factories.get(technology) or client_protocol_factory(technology)
+        return self.cde.connect(factory, target)
 
     # -- the measured run ---------------------------------------------------
 

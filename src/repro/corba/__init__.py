@@ -1,4 +1,4 @@
-"""CORBA stack: IDL, IOR, GIOP/IIOP, ORB, DII, DSI, and the static baseline.
+"""CORBA stack: IDL, IOR, GIOP/IIOP, ORB, DSI, and the static baseline.
 
 This package plays the role OpenORB plays in the paper (§2.2):
 
@@ -11,8 +11,10 @@ This package plays the role OpenORB plays in the paper (§2.2):
 * :mod:`repro.corba.orb` / :mod:`repro.corba.poa` /
   :mod:`repro.corba.servant` — the Object Request Broker, object adapter and
   servants;
-* :mod:`repro.corba.dii` / :mod:`repro.corba.dsi` — the Dynamic Invocation
-  and Dynamic Skeleton Interfaces used by CDE and SDE respectively;
+* :mod:`repro.corba.dsi` — the Dynamic Skeleton Interface SDE serves
+  through; CDE's dynamic invocation is
+  :meth:`~repro.corba.orb.RemoteObjectReference.invoke_async` with an
+  operation named at run time;
 * :mod:`repro.corba.server` / :mod:`repro.corba.client` — the *static*
   CORBA server and client used as the Table 1 baseline ("OpenORB/OpenORB").
 """
@@ -21,7 +23,6 @@ from repro.corba.ior import IOR
 from repro.corba.orb import ClientOrb, ServerOrb, RemoteObjectReference
 from repro.corba.servant import Servant, StaticServant
 from repro.corba.dsi import DynamicServant, ServerRequest
-from repro.corba.dii import DiiRequest
 from repro.corba.server import StaticCorbaServer, CorbaServiceDefinition
 from repro.corba.client import StaticCorbaClient
 
@@ -34,7 +35,6 @@ __all__ = [
     "StaticServant",
     "DynamicServant",
     "ServerRequest",
-    "DiiRequest",
     "StaticCorbaServer",
     "CorbaServiceDefinition",
     "StaticCorbaClient",

@@ -44,7 +44,6 @@ _TAG_NAMES = {
 _PACK_LONG = struct.Struct(">q").pack
 _PACK_ULONG = struct.Struct(">I").pack
 _PACK_DOUBLE = struct.Struct(">d").pack
-_PACK_FLOAT = struct.Struct(">f").pack
 _UNPACK_LONG = struct.Struct(">q").unpack_from
 _UNPACK_ULONG = struct.Struct(">I").unpack_from
 _UNPACK_DOUBLE = struct.Struct(">d").unpack_from
@@ -73,10 +72,6 @@ class CdrOutputStream:
 
     # -- primitives --------------------------------------------------------
 
-    def write_octet(self, value: int) -> None:
-        """Write a single unsigned byte."""
-        self._buffer.append(value & 0xFF)
-
     def write_long(self, value: int) -> None:
         """Write a signed 64-bit integer."""
         try:
@@ -93,14 +88,6 @@ class CdrOutputStream:
     def write_double(self, value: float) -> None:
         """Write a 64-bit IEEE double."""
         self._buffer += _PACK_DOUBLE(float(value))
-
-    def write_float(self, value: float) -> None:
-        """Write a 32-bit IEEE float."""
-        self._buffer += _PACK_FLOAT(float(value))
-
-    def write_boolean(self, value: bool) -> None:
-        """Write a boolean octet."""
-        self._buffer.append(1 if value else 0)
 
     def write_string(self, value: str) -> None:
         """Write a length-prefixed UTF-8 string."""

@@ -99,11 +99,6 @@ class ServerOrb:
         """True while the ORB is accepting requests."""
         return self.endpoint.running
 
-    @property
-    def replies_dropped_after_stop(self) -> int:
-        """GIOP replies that resolved after :meth:`stop` and were dropped."""
-        return self.endpoint.stats.replies_dropped
-
     def object_reference(self, object_key: str, type_id: str | None = None) -> IOR:
         """Build the IOR naming the object registered under ``object_key``."""
         if type_id is None:

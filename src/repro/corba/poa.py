@@ -53,10 +53,5 @@ class PortableObjectAdapter:
             )
         return servant
 
-    @property
-    def active_keys(self) -> tuple[str, ...]:
-        """The currently active object keys."""
-        return tuple(self._servants)
-
     def __repr__(self) -> str:
         return f"PortableObjectAdapter({self.name!r}, active={list(self._servants)})"

@@ -152,10 +152,5 @@ class StaticCorbaServer:
         """Number of successful invocations handled by the ORB."""
         return self.orb.requests_handled
 
-    @property
-    def connection_count(self) -> int:
-        """Client connections the IIOP endpoint has accepted."""
-        return len(self.orb.endpoint.connections)
-
     def __repr__(self) -> str:
         return f"StaticCorbaServer({self.definition.service_name!r} at {self.host.name}:{self.iiop_port})"

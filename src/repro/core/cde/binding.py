@@ -1,10 +1,13 @@
 """Dynamic client bindings: CDE's live view of one remote server.
 
-A binding owns the client's current copy of the published interface
-description and a transport to the server endpoint.  Invocations are sent
+A binding is a blocking façade over one client protocol stack — the same
+:class:`~repro.cluster.protocols.ProtocolClient` the fleet driver runs
+asynchronously — bound to one replica.  The stack fetches and parses the
+published interface description, builds and sends requests and sorts the
+replies; the binding runs each call to completion.  Invocations are sent
 even when the local view might be stale — that is the nature of live
 development — and the client half of the §6 consistency algorithm runs when
-the server answers with a "Non existent Method" fault:
+the stack classifies a reply as a "Non existent Method" fault:
 
 1. the client view of the server interface is updated to the currently
    published one (which, thanks to the server half in §5.7, is guaranteed to
@@ -23,33 +26,22 @@ interleavings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.corba.dii import create_request
-from repro.corba.ior import IOR
-from repro.corba.orb import ClientOrb, RemoteObjectReference
+from repro.cluster import protocols
 from repro.errors import (
-    CorbaUserException,
-    MiddlewareError,
     NonExistentMethodError,
     RemoteApplicationError,
     ServerNotInitializedError,
-    StubError,
 )
-from repro.corba.idl import parse_idl
 from repro.interface import InterfaceDescription, InterfaceDiff
-from repro.rmitypes import infer_type
-from repro.soap.envelope import SoapRequest, SoapResponse
-from repro.soap.faults import SoapFault
-from repro.soap.wsdl import parse_wsdl
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cluster.registry import Replica
     from repro.core.cde.client_env import ClientDevelopmentEnvironment
     from repro.core.cde.stub_manager import ClientStubManager
-
-TECHNOLOGY_SOAP = "soap"
-TECHNOLOGY_CORBA = "corba"
 
 
 @dataclass(frozen=True)
@@ -68,74 +60,48 @@ class GuaranteeRecord:
         return self.client_version_after_refresh >= self.server_version
 
 
-@dataclass
-class BindingStats:
-    """Counters kept by a dynamic client binding."""
-
-    invocations: int = 0
-    successful_calls: int = 0
-    application_faults: int = 0
-    stale_faults: int = 0
-    not_initialized_faults: int = 0
-    refreshes: int = 0
-    #: Per-call round-trip times in virtual seconds, in call order.
-    rtt_samples: list[float] = field(default_factory=list)
-
-    @property
-    def mean_rtt(self) -> float:
-        """Mean observed round-trip time (0.0 before the first call)."""
-        if not self.rtt_samples:
-            return 0.0
-        return sum(self.rtt_samples) / len(self.rtt_samples)
-
-
 class DynamicClientBinding:
-    """A live client binding to one SOAP or CORBA server."""
+    """A live, blocking client binding to one replica of a server."""
 
     def __init__(
         self,
         cde: "ClientDevelopmentEnvironment",
-        technology: str,
-        document_url: str,
-        ior_url: str | None = None,
-        reactive_updates: bool = True,
+        stack: "protocols.ProtocolClient",
+        replica: "Replica",
     ) -> None:
-        if technology not in (TECHNOLOGY_SOAP, TECHNOLOGY_CORBA):
-            raise StubError(f"unknown technology {technology!r}")
-        if technology == TECHNOLOGY_CORBA and ior_url is None:
-            raise StubError("CORBA bindings require an IOR URL")
         self.cde = cde
-        self.technology = technology
-        self.document_url = document_url
-        self.ior_url = ior_url
-        #: §6 client-side algorithm: refresh the view and involve the
-        #: debugger when a stale fault arrives.  Disabling this gives the
-        #: naive client of the Figure 7 baseline.
-        self.reactive_updates = reactive_updates
-        self.description: InterfaceDescription | None = None
-        self.stats = BindingStats()
+        self.stack = stack
+        self.replica = replica
+        #: Calls per :meth:`~repro.cluster.protocols.ProtocolClient.classify`
+        #: outcome, plus ``"refreshes"``.
+        self.stats: Counter[str] = Counter()
         self.guarantee_records: list[GuaranteeRecord] = []
         self.stub_manager: "ClientStubManager | None" = None
-
-        self._client_orb: ClientOrb | None = None
-        self._remote_object: RemoteObjectReference | None = None
-        if technology == TECHNOLOGY_CORBA:
-            self._client_orb = ClientOrb(
-                cde.host, cost_model=cde.cost_model, speed_factor=cde.speed_factor
-            )
         self.refresh()
 
     # -- the client view of the interface -------------------------------------
 
     @property
+    def description(self) -> InterfaceDescription | None:
+        """The client's current view of the server interface."""
+        return self.stack.binding.bound.get(self.replica.index)
+
+    @property
     def interface_version(self) -> int:
         """The publication version of the client's current view."""
-        return self.description.version if self.description is not None else -1
+        description = self.description
+        return description.version if description is not None else -1
 
     @property
     def service_name(self) -> str:
         """The remote service name."""
-        return self.description.service_name if self.description is not None else ""
+        description = self.description
+        return description.service_name if description is not None else ""
+
+    @property
+    def technology(self) -> str:
+        """The RMI technology of the bound server."""
+        return self.replica.managed.technology.name
 
     def refresh(self) -> InterfaceDiff:
         """Re-fetch the published interface description and update the view.
@@ -144,26 +110,14 @@ class DynamicClientBinding:
         callers (and the debugger display) can show what changed.
         """
         previous = self.description
-        document = self._fetch(self.document_url)
-        if self.technology == TECHNOLOGY_SOAP:
-            new_description = parse_wsdl(document)
-        else:
-            new_description = parse_idl(document)
-            ior_text = self._fetch(self.ior_url or "")
-            self._remote_object = self._client_orb.string_to_object(ior_text)  # type: ignore[union-attr]
-        self.description = new_description
-        self.stats.refreshes += 1
-        if self.stub_manager is not None:
-            self.stub_manager.update_from(new_description)
-        if previous is None:
+        self.stack.prepare_replica(self.replica)
+        current = self.description
+        self.stats["refreshes"] += 1
+        if current is None:
             return InterfaceDiff()
-        return previous.diff(new_description)
-
-    def _fetch(self, url: str) -> str:
-        response = self.cde.http_client.get(url)
-        if not response.ok:
-            raise StubError(f"could not retrieve {url}: HTTP {response.status}")
-        return response.body
+        if self.stub_manager is not None:
+            self.stub_manager.update_from(current)
+        return previous.diff(current) if previous is not None else InterfaceDiff()
 
     # -- invocation --------------------------------------------------------------
 
@@ -173,108 +127,38 @@ class DynamicClientBinding:
         The call is attempted even if ``operation`` is not (or no longer)
         part of the client's current view — the server decides.
         """
-        self.stats.invocations += 1
-        started = self._scheduler.now
+        stack, replica = self.stack, self.replica
+        reply: list[tuple[Any, BaseException | None]] = []
+        deferred = stack.call(replica, operation, arguments)
+        deferred.subscribe(lambda value, error, _delay: reply.append((value, error)))
         try:
-            if self.technology == TECHNOLOGY_SOAP:
-                return self._invoke_soap(operation, arguments)
-            return self._invoke_corba(operation, arguments)
-        finally:
-            self.stats.rtt_samples.append(self._scheduler.now - started)
-
-    @property
-    def _scheduler(self):
-        return self.cde.host.network.scheduler
-
-    # -- SOAP path ------------------------------------------------------------------
-
-    def _invoke_soap(self, operation: str, arguments: tuple[Any, ...]) -> Any:
-        assert self.description is not None
-        signature = self.description.operation(operation)
-        registry = self.description.type_registry()
-        if signature is not None and signature.arity == len(arguments):
-            request = SoapRequest(
-                operation=operation,
-                arguments=arguments,
-                argument_types=signature.parameter_types(),
-                namespace=self.description.namespace,
+            self.cde.host.network.scheduler.run_until(
+                lambda: bool(reply), description=deferred.description
             )
-        else:
-            request = SoapRequest.for_call(
-                operation, arguments, namespace=self.description.namespace, registry=registry
-            )
-        response = self._soap_transport(request)
-        if response.is_fault:
-            self._raise_for_fault(operation, arguments, response.fault)
-        self.stats.successful_calls += 1
-        return response.return_value
-
-    def _soap_transport(self, request: SoapRequest) -> SoapResponse:
-        assert self.description is not None
-        request_xml = request.to_xml()
-        self.cde.charge_text_cost(len(request_xml))
-        http_response = self.cde.http_client.post(
-            self.description.endpoint_url,
-            request_xml,
-            headers={"Content-Type": "text/xml; charset=utf-8"},
-        )
-        if not http_response.ok:
-            raise MiddlewareError(
-                f"SOAP endpoint returned HTTP {http_response.status}: {http_response.body}"
-            )
-        self.cde.charge_text_cost(len(http_response.body))
-        return SoapResponse.from_xml(http_response.body, self.description.type_registry())
-
-    def _raise_for_fault(self, operation: str, arguments: tuple[Any, ...], fault: SoapFault) -> None:
-        if fault.is_non_existent_method:
-            self._handle_stale_fault(operation, arguments, fault.detail)
-        if fault.is_server_not_initialized:
-            self.stats.not_initialized_faults += 1
-            raise ServerNotInitializedError(fault.fault_string)
-        self.stats.application_faults += 1
-        raise RemoteApplicationError(str(fault))
-
-    # -- CORBA path --------------------------------------------------------------------
-
-    def _invoke_corba(self, operation: str, arguments: tuple[Any, ...]) -> Any:
-        if self._remote_object is None:
-            raise StubError("CORBA binding has no remote object reference")
-        try:
-            result = create_request(self._remote_object, operation, *arguments).invoke()
-        except CorbaUserException as exc:
-            self._raise_for_corba_exception(operation, arguments, exc)
-            raise  # unreachable; _raise_for_corba_exception always raises
-        self.stats.successful_calls += 1
-        return result
-
-    def _raise_for_corba_exception(
-        self, operation: str, arguments: tuple[Any, ...], exc: CorbaUserException
-    ) -> None:
-        from repro.core.sde.corba_handler import (
-            EXC_APPLICATION,
-            EXC_NON_EXISTENT_METHOD,
-            EXC_SERVER_NOT_INITIALIZED,
-        )
-
-        if exc.type_name == EXC_NON_EXISTENT_METHOD:
-            self._handle_stale_fault(operation, arguments, exc.message)
-        if exc.type_name == EXC_SERVER_NOT_INITIALIZED:
-            self.stats.not_initialized_faults += 1
-            raise ServerNotInitializedError(exc.message)
-        if exc.type_name == EXC_APPLICATION:
-            self.stats.application_faults += 1
-            raise RemoteApplicationError(exc.message)
-        self.stats.application_faults += 1
-        raise RemoteApplicationError(f"{exc.type_name}: {exc.message}")
+        except BaseException:
+            # The reply may still arrive; a kept-alive connection must not
+            # correlate it with the next call.
+            stack.reset_replica(replica)
+            raise
+        value, error = reply[0]
+        outcome = stack.classify(value, error)
+        self.stats[outcome] += 1
+        if outcome == protocols.OUTCOME_SUCCESS:
+            return stack.result(value)
+        fault = stack.fault_text(value, error)
+        if fault is None:
+            stack.reset_replica(replica)
+            raise error  # type: ignore[misc]
+        if outcome == protocols.OUTCOME_STALE:
+            self._handle_stale_fault(operation, arguments, fault)
+        if outcome == protocols.OUTCOME_NOT_INITIALIZED:
+            raise ServerNotInitializedError(fault)
+        raise RemoteApplicationError(fault)
 
     # -- the §6 client-side algorithm -----------------------------------------------------
 
-    def _handle_stale_fault(self, operation: str, arguments: tuple[Any, ...], detail: str) -> None:
-        self.stats.stale_faults += 1
-        server_version = _parse_published_version(detail)
-        if not self.reactive_updates:
-            # Naive client (Figure 7 baseline): no automatic view update.
-            raise NonExistentMethodError(operation, server_version)
+    def _handle_stale_fault(self, operation: str, arguments: tuple[Any, ...], fault: str) -> None:
+        server_version = _parse_published_version(fault)
         diff = self.refresh()
         record = GuaranteeRecord(
             operation=operation,

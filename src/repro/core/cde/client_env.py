@@ -2,42 +2,33 @@
 
 CDE "simplifies distributed application development by masking technical
 differences between local and remote method invocations" (§2.3): the
-developer asks for a connection to a SOAP or CORBA server and receives a
-:class:`~repro.core.cde.binding.DynamicClientBinding` plus, optionally, a
-dynamic stub class managed by
+developer connects to a server through any registered client protocol stack
+and receives a :class:`~repro.core.cde.binding.DynamicClientBinding` plus,
+optionally, a dynamic stub class managed by
 :class:`~repro.core.cde.stub_manager.ClientStubManager`.
 """
 
 from __future__ import annotations
 
-from repro.core.cde.binding import (
-    DynamicClientBinding,
-    TECHNOLOGY_CORBA,
-    TECHNOLOGY_SOAP,
-)
+from typing import TYPE_CHECKING
+
+from repro.core.cde.binding import DynamicClientBinding
 from repro.core.cde.stub_manager import ClientStubManager
 from repro.jpie.debugger import JPieDebugger
 from repro.jpie.environment import JPieEnvironment
-from repro.net.http import HttpClient
-from repro.net.latency import CostModel
 from repro.net.simnet import Host
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cluster.protocols import ProtocolClientFactory
+    from repro.cluster.registry import Replica
 
 
 class ClientDevelopmentEnvironment:
     """A running CDE session on the client machine."""
 
-    def __init__(
-        self,
-        host: Host,
-        environment: JPieEnvironment | None = None,
-        cost_model: CostModel | None = None,
-        speed_factor: float = 1.0,
-    ) -> None:
+    def __init__(self, host: Host) -> None:
         self.host = host
-        self.jpie = environment if environment is not None else JPieEnvironment("cde")
-        self.cost_model = cost_model
-        self.speed_factor = speed_factor
-        self.http_client = HttpClient(host, name="cde-http")
+        self.jpie = JPieEnvironment("cde")
         self.bindings: list[DynamicClientBinding] = []
 
     @property
@@ -45,27 +36,10 @@ class ClientDevelopmentEnvironment:
         """The client-side JPie debugger (§6, Figure 9)."""
         return self.jpie.debugger
 
-    # -- connections ------------------------------------------------------------
-
-    def connect_soap(self, wsdl_url: str, reactive_updates: bool = True) -> DynamicClientBinding:
-        """Bind to a SOAP server via its published WSDL document."""
-        binding = DynamicClientBinding(
-            self, TECHNOLOGY_SOAP, wsdl_url, reactive_updates=reactive_updates
-        )
-        self.bindings.append(binding)
-        return binding
-
-    def connect_corba(
-        self, idl_url: str, ior_url: str, reactive_updates: bool = True
-    ) -> DynamicClientBinding:
-        """Bind to a CORBA server via its published IDL document and IOR."""
-        binding = DynamicClientBinding(
-            self,
-            TECHNOLOGY_CORBA,
-            idl_url,
-            ior_url=ior_url,
-            reactive_updates=reactive_updates,
-        )
+    def connect(self, factory: "ProtocolClientFactory", replica: "Replica") -> DynamicClientBinding:
+        """Bind to ``replica`` through a new stack built by ``factory``."""
+        stack = factory(self.host, len(self.bindings), (replica,))
+        binding = DynamicClientBinding(self, stack, replica)
         self.bindings.append(binding)
         return binding
 
@@ -74,21 +48,6 @@ class ClientDevelopmentEnvironment:
     ) -> ClientStubManager:
         """Create a client-side dynamic stub class mirroring the binding."""
         return ClientStubManager(binding, self.jpie, class_name)
-
-    # -- cost accounting ----------------------------------------------------------
-
-    def charge_text_cost(self, size_bytes: int) -> None:
-        """Advance the virtual clock by the client-side cost of handling a
-        textual message of ``size_bytes`` bytes."""
-        if self.cost_model is None:
-            return
-        cost = self.cost_model.text_processing(size_bytes) * self.speed_factor
-        if cost <= 0:
-            return
-        scheduler = self.host.network.scheduler
-        done: list[bool] = []
-        scheduler.schedule(cost, lambda: done.append(True), label="cde client processing")
-        scheduler.run_until(lambda: bool(done), description="CDE client processing")
 
     def __repr__(self) -> str:
         return f"ClientDevelopmentEnvironment(host={self.host.name!r}, bindings={len(self.bindings)})"

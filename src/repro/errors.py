@@ -242,10 +242,6 @@ class TechnologyError(MiddlewareError):
     """Raised when an unknown or misconfigured technology plug-in is used."""
 
 
-class StubError(MiddlewareError):
-    """Raised by CDE when a client stub cannot be built or refreshed."""
-
-
 # -- cluster / scenario layer ------------------------------------------------------
 
 

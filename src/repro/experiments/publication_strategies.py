@@ -65,11 +65,6 @@ class StrategyResult:
     final_interface_published: bool
     staleness_after_last_edit: float
 
-    @property
-    def useful_publications(self) -> int:
-        """Publications that describe an interface surviving a burst."""
-        return self.publications - self.transient_publications
-
 
 def _apply_session(world: ClusterWorld, dynamic_class, session) -> list[int]:
     """Replay the editing session; return the scheduler times (as indices in

@@ -62,11 +62,6 @@ class RttResult:
     mean_rtt: float
     paper_rtt: float
 
-    @property
-    def overhead_vs_paper(self) -> float:
-        """Ratio of measured to paper-reported RTT (for the record only)."""
-        return self.mean_rtt / self.paper_rtt if self.paper_rtt else float("nan")
-
 
 def _echo_signature() -> OperationSignature:
     return OperationSignature("echo", (Parameter("message", STRING),), STRING)

@@ -32,11 +32,6 @@ class HttpClient:
         """Total requests issued through this client."""
         return self.channel.requests_sent
 
-    @property
-    def responses_received(self) -> int:
-        """Total responses received by this client."""
-        return self.channel.replies_received
-
     # -- public API ---------------------------------------------------------
 
     def get(self, url: str, headers: dict[str, str] | None = None) -> HttpResponse:

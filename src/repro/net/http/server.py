@@ -148,11 +148,6 @@ class HttpServer:
         """True while the server is bound to its port."""
         return self.endpoint.running
 
-    @property
-    def replies_dropped_after_stop(self) -> int:
-        """Replies that were completed after :meth:`stop` and dropped."""
-        return self.endpoint.stats.replies_dropped
-
     # -- request handling ---------------------------------------------------
 
     def _on_request(self, message: Message, connection: Connection) -> ReplyOutcome:

@@ -336,10 +336,6 @@ class Network:
         """Remove the fault profile from one link direction (no-op if none)."""
         self._link_faults.pop((source, destination), None)
 
-    def link_fault(self, source: str, destination: str) -> "LinkFault | None":
-        """The fault profile governing ``source`` → ``destination``, if any."""
-        return self._link_faults.get((source, destination))
-
     # -- transmission -------------------------------------------------------
 
     def _transmit(

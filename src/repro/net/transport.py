@@ -503,16 +503,6 @@ class RouteTable(Generic[T]):
                     return candidate
         return None
 
-    @property
-    def exact_count(self) -> int:
-        """Number of exact-match registrations."""
-        return len(self._exact)
-
-    @property
-    def prefix_count(self) -> int:
-        """Number of prefix registrations."""
-        return len(self._prefix)
-
     def __repr__(self) -> str:
         return f"RouteTable(exact={len(self._exact)}, prefix={len(self._prefix)})"
 

@@ -303,7 +303,7 @@ def python_default(rmi_type: RmiType) -> Any:
 
 
 def infer_type(value: Any, registry: TypeRegistry | None = None) -> RmiType:
-    """Infer the RMI type of a Python value (used by the DII layer).
+    """Infer the RMI type of a Python value (how SOAP call arguments are typed).
 
     Dictionaries are matched against registered structs by field-name set;
     unknown shapes raise.

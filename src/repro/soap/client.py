@@ -72,19 +72,12 @@ class SoapClient:
         return self.stub.invoke(operation, *arguments)
 
     def call_raw(self, request: SoapRequest) -> SoapResponse:
-        """Send a pre-built SOAP Request (bypassing stub signature checks).
-
-        CDE's dynamic client uses this path when the developer invokes an
-        operation whose local view may be stale — the server, not the stub,
-        decides whether the operation still exists.
-        """
+        """Send a pre-built SOAP Request, bypassing the stub's signature
+        checks, and return the raw response (faults included) — the server,
+        not the stub, decides whether the operation exists."""
         if self.description is None:
             raise SoapError("client is not connected; call connect(wsdl_url) first")
         return self._transport(request)
-
-    def call_and_unwrap(self, request: SoapRequest) -> Any:
-        """Like :meth:`call_raw` but unwraps the value / raises on faults."""
-        return unwrap_response(self.call_raw(request))
 
     # -- transport ------------------------------------------------------------
 

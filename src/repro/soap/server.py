@@ -110,11 +110,6 @@ class StaticSoapServer:
         """The URL from which the WSDL document is served."""
         return f"{self.endpoint_url}?wsdl"
 
-    @property
-    def wsdl_document(self) -> str:
-        """The WSDL document describing this (fixed) service."""
-        return self._wsdl_document
-
     def start(self) -> None:
         """Deploy: bind the HTTP server and begin accepting calls."""
         self.http_server.start()

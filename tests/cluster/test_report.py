@@ -66,8 +66,5 @@ class TestEmptyReports:
         assert report.mean_rtt == 0.0
         assert report.max_rtt == 0.0
         assert report.rtt_percentiles == {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-        assert report.rtt_percentiles_for("Echo") == {
-            "p50": 0.0, "p95": 0.0, "p99": 0.0,
-        }
         assert report.service("Echo").calls_by_version == {}
         assert report.throughput == 0.0

@@ -215,3 +215,12 @@ class TestThirdTechnologyThroughScenario:
         )
         assert stale.total_stale_faults == 4 * 2
         assert stale.service("Shout").stalled_calls > 0
+
+    def test_cde_binding_drives_the_toy_stack(self):
+        """CDE connects through the scenario's client stack for the
+        technology, so a third technology needs no CDE code of its own."""
+        runtime = _toy_scenario().build()
+        runtime.publish("Shout")
+        binding = runtime.connect("Shout", replica=1)
+        assert binding.invoke("shout", "hey") == "OK HEY"
+        assert binding.stats[OUTCOME_SUCCESS] == 1

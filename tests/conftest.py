@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.cluster import Scenario, op
@@ -19,6 +21,31 @@ def _reset_ids():
     reset_global_ids()
     yield
     reset_global_ids()
+
+
+def _delivered_digest(runtime) -> tuple[int, str]:
+    """SHA-256 over every delivered message's identity, times and payload."""
+    digest = hashlib.sha256()
+    messages = runtime.world.network.delivered_messages
+    for message in messages:
+        identity = (
+            message.message_id,
+            str(message.source),
+            str(message.destination),
+            message.sent_at.hex(),
+            message.delivered_at.hex(),
+        )
+        digest.update(repr(identity).encode())
+        digest.update(message.payload)
+    return len(messages), digest.hexdigest()
+
+
+@pytest.fixture
+def delivered_digest():
+    """``digest(runtime) -> (count, sha256)`` over the runtime's delivery log
+    (set ``runtime.world.network.record_deliveries`` first): pins wire bytes
+    that report fingerprints do not cover."""
+    return _delivered_digest
 
 
 @pytest.fixture

@@ -1,13 +1,12 @@
-"""Tests for the ORB core, POA, servants, DSI and DII."""
+"""Tests for the ORB core, POA, servants and DSI."""
 
 import pytest
 
-from repro.corba.dii import DiiRequest, create_request
 from repro.corba.dsi import DynamicServant, ServerRequest
 from repro.corba.orb import ClientOrb, ServerOrb
 from repro.corba.poa import PortableObjectAdapter
 from repro.corba.servant import StaticServant
-from repro.errors import CorbaError, CorbaSystemException, CorbaUserException
+from repro.errors import CorbaSystemException, CorbaUserException
 from repro.interface import OperationSignature, Parameter
 from repro.net.transport import Deferred
 from repro.rmitypes import INT, STRING
@@ -41,7 +40,6 @@ class TestPoa:
         servant = StaticServant("X")
         poa.activate_object("X", servant)
         assert poa.servant_for("X") is servant
-        assert poa.active_keys == ("X",)
 
     def test_duplicate_activation_rejected(self):
         poa = PortableObjectAdapter()
@@ -223,32 +221,6 @@ class TestDsi:
         result = client_orb.object_for(orb.object_reference("Dyn")).invoke("slow")
         assert result == "late result"
         assert scheduler.now >= 1.0
-
-
-class TestDii:
-    def test_create_request_and_invoke(self, network, scheduler):
-        orb, client_orb, _servant = build_static_world(network)
-        reference = client_orb.object_for(orb.object_reference("Calculator"))
-        request = create_request(reference, "add", 4).add_argument(5)
-        assert request.invoke() == 9
-        assert request.result == 9
-
-    def test_double_invoke_rejected(self, network, scheduler):
-        orb, client_orb, _servant = build_static_world(network)
-        reference = client_orb.object_for(orb.object_reference("Calculator"))
-        request = create_request(reference, "add", 1, 2)
-        request.invoke()
-        with pytest.raises(CorbaError):
-            request.invoke()
-        with pytest.raises(CorbaError):
-            request.add_argument(3)
-
-    def test_result_before_invoke_rejected(self, network, scheduler):
-        orb, client_orb, _servant = build_static_world(network)
-        reference = client_orb.object_for(orb.object_reference("Calculator"))
-        request = DiiRequest(reference, "add", [1, 2])
-        with pytest.raises(CorbaError):
-            _ = request.result
 
 
 class TestConnectionRecovery:

@@ -38,8 +38,7 @@ class TestSoapCallHandler:
         calculator = node.environment.create_class("Calculator", superclass=sde.soap_server_class)
         calculator.add_method("add", (), INT, body=lambda self: 0, distributed=True)
         runtime.settle()
-        publisher = sde.managed_server("Calculator").publisher
-        binding = runtime.cde.connect_soap(publisher.document_url)
+        binding = runtime.connect("Calculator")
         with pytest.raises(ServerNotInitializedError):
             binding.invoke("add")
         handler = sde.managed_server("Calculator").call_handler
@@ -178,8 +177,7 @@ class TestCorbaCallHandler:
         mailer = node.environment.create_class("Mailer", superclass=node.sde.corba_server_class)
         mailer.add_method("ping", (), STRING, body=lambda self: "pong", distributed=True)
         runtime.settle()
-        publisher = node.sde.managed_server("Mailer").publisher
-        binding = runtime.cde.connect_corba(publisher.document_url, publisher.ior_url)
+        binding = runtime.connect("Mailer")
         with pytest.raises(ServerNotInitializedError):
             binding.invoke("ping")
         mailer.new_instance()

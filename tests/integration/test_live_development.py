@@ -62,7 +62,7 @@ class TestLiveSoapWorkflow:
         )
         instance = counter.new_instance()
         runtime.settle()
-        binding = runtime.cde.connect_soap(node.sde.managed_server("Counter").publisher.document_url)
+        binding = runtime.connect("Counter")
         assert binding.invoke("increment") == 1
         assert binding.invoke("increment") == 2
         # Live body change: increment by ten, state (count=2) is preserved.
@@ -112,8 +112,7 @@ class TestLiveCorbaWorkflow:
         mailer.new_instance()
         runtime.settle()
 
-        publisher = node.sde.managed_server("MailService").publisher
-        binding = runtime.cde.connect_corba(publisher.document_url, publisher.ior_url)
+        binding = runtime.connect("MailService")
         assert binding.invoke("send") == 1
 
         # Live rename while the client still knows the old name.

@@ -234,7 +234,7 @@ class TestHttpServerAndClient:
         bodies = [client.get("http://server:8080/test").body for _ in range(3)]
         assert bodies == ["1", "2", "3"]
         assert client.requests_sent == 3
-        assert client.responses_received == 3
+        assert client.channel.replies_received == 3
 
     def test_duplicate_route_first_wins_and_removal_restores(self, network, scheduler):
         server = HttpServer(network.host("server"), 8080)

@@ -11,35 +11,17 @@ that adds a frame per message fails here and names the cost.
 from __future__ import annotations
 
 import gc
-import hashlib
 import sys
 
 from repro.cluster.presets import fault_drill_scenario
 
 
-def _delivered_digest(runtime) -> tuple[int, str]:
-    """SHA-256 over every delivered message's identity, times and payload."""
-    digest = hashlib.sha256()
-    messages = runtime.world.network.delivered_messages
-    for message in messages:
-        identity = (
-            message.message_id,
-            str(message.source),
-            str(message.destination),
-            message.sent_at.hex(),
-            message.delivered_at.hex(),
-        )
-        digest.update(repr(identity).encode())
-        digest.update(message.payload)
-    return len(messages), digest.hexdigest()
-
-
 class TestWireIdentity:
-    def test_fault_drill_wire_bytes_are_pinned(self):
+    def test_fault_drill_wire_bytes_are_pinned(self, delivered_digest):
         runtime = fault_drill_scenario(32).build()
         runtime.world.network.record_deliveries = True
         runtime.run()
-        assert _delivered_digest(runtime) == (
+        assert delivered_digest(runtime) == (
             450,
             "9531ff2c714bc1381d0f12f91da54db0e0e5148f77d8879335f7e0f6b359f4fc",
         )

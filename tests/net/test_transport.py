@@ -85,7 +85,6 @@ class TestRouteTable:
         table.add_exact(("GET", "/a"), "route-a")
         assert table.lookup(("GET", "/a")) == "route-a"
         assert table.lookup(("POST", "/a")) is None
-        assert table.exact_count == 1
 
     def test_prefix_fallback_in_registration_order(self):
         table: RouteTable[str] = RouteTable()
@@ -106,8 +105,7 @@ class TestRouteTable:
         table.remove("r")
         table.remove("r")  # second removal is a no-op
         assert table.lookup(("GET", "/a")) is None
-        assert table.exact_count == 0
-        assert table.prefix_count == 0
+        assert table.lookup(("GET", "/a/x"), prefix_scope="GET", path="/a/x") is None
 
 
 def _collecting_client(network, host_name="client", port=40000):

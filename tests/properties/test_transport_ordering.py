@@ -175,10 +175,10 @@ class TestStallDrainProperties:
         runtime = _stalled_runtime()
         scheduler = runtime.world.scheduler
         handler = runtime.replicas("EchoService")[0].call_handler
-        binding = runtime.connect("EchoService", reactive_updates=False)
+        binding = runtime.connect("EchoService")
         description = binding.description
         registry = description.type_registry()
-        http = runtime.cde.http_client
+        http = binding.stack.http
 
         def post_async(operation, arguments):
             request = SoapRequest.for_call(
