@@ -3,15 +3,13 @@
 The 4-server × 256-client mixed SOAP/CORBA **fault drill** is the
 reproduction's acceptance workload: two replicated echo services, failover
 retry on every client, a mid-run edit + publish, one crash, one partition
-that later heals, and a restart.  It started life inside
-``benchmarks/bench_fault_drill.py``; it now lives here so the acceptance
-benchmark, the headline ``events_per_second`` benchmark, and the
-compiled-vs-pure backend equivalence test all drive the byte-identical
-scenario definition.
+that later heals, and a restart.  The repo benchmark's ``drill-mixed``
+and ``cohort-250k`` workloads and the tests all drive this one scenario
+definition.
 
 The drill is parameterised (``servers=``, ``clients=``, ``cohort=``, ...)
-so the same definition scales from the quick CI grid up to the
-million-client cohort benchmark (:func:`million_client_scenario`) — the
+so the same definition scales from a handful of test clients up to the
+million-client cohort drill (:func:`million_client_scenario`) — the
 defaults reproduce the historical drill byte-for-byte.
 """
 
@@ -26,16 +24,14 @@ from repro.net.latency import CostModel
 from repro.rmitypes import STRING
 from repro.traffic.trace import echo_body
 
-#: The acceptance floor is 256 clients; quick CI grids run a quarter of it.
+#: Client count of the drill (the acceptance floor).
 FAULT_DRILL_CLIENTS = 256
-FAULT_DRILL_CLIENTS_QUICK = 64
 
 #: Server count of the drill (fixed by the historical scenario definition).
 FAULT_DRILL_SERVERS = 4
 
-#: The cohort benchmark's headline scale, and its quick-grid stand-in.
+#: Client count of the million-client cohort drill.
 MILLION_CLIENTS = 1_000_000
-MILLION_CLIENTS_QUICK = 100_000
 
 
 def fault_drill_scenario(

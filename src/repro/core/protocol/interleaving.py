@@ -288,7 +288,7 @@ class ReactivePublishingExperiment:
 
 
 # ---------------------------------------------------------------------------
-# Convenience entry points used by the benchmarks and EXPERIMENTS.md
+# Convenience entry points (re-exported by repro.experiments)
 # ---------------------------------------------------------------------------
 
 

@@ -1,7 +1,7 @@
 """Experiment drivers reproducing the paper's evaluation.
 
-Each module regenerates one table, figure or ablation and is wrapped by a
-benchmark in ``benchmarks/`` (the DESIGN.md experiment index maps them):
+Each module regenerates one table, figure or ablation; the tests under
+``tests/integration/`` check their shapes and pin their exact values:
 
 * :mod:`repro.experiments.table1` — E1, the Table 1 round-trip-time
   comparison between SDE servers and their static counterparts;
@@ -15,7 +15,8 @@ benchmark in ``benchmarks/`` (the DESIGN.md experiment index maps them):
   cost versus interface size;
 * :mod:`repro.experiments.multi_client` — E8, multi-client scale-out over
   the shared transport layer (RTT, throughput and §5.7 stall-queue depth as
-  the client fleet grows 1 → 512 for both middlewares, optionally through a bounded server-CPU model).
+  the client fleet grows, for both middlewares, optionally through a
+  bounded server-CPU model).
 """
 
 from repro.core.protocol.interleaving import run_figure7_matrix, run_figure8_matrix
@@ -33,7 +34,6 @@ from repro.experiments.interface_generation import (
 from repro.experiments.multi_client import (
     MultiClientResult,
     run_multi_client,
-    run_scaling,
 )
 
 __all__ = [
@@ -52,5 +52,4 @@ __all__ = [
     "run_interface_generation_sweep",
     "MultiClientResult",
     "run_multi_client",
-    "run_scaling",
 ]

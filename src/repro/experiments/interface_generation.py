@@ -4,8 +4,7 @@ Section 5.6's premise is that "the generation and publication of the server
 interface description is a relatively expensive operation", which is what
 justifies suppressing transient publications.  This experiment sweeps the
 number of distributed operations and reports the size of the generated WSDL
-and CORBA-IDL documents (the wall-clock generation time is measured by the
-pytest-benchmark wrapper around this driver).
+and CORBA-IDL documents.
 """
 
 from __future__ import annotations

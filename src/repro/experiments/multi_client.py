@@ -3,7 +3,7 @@
 The paper evaluates one client against one SDE (Table 1).  This experiment
 asks the scaling question the reproduction's north-star cares about: what
 happens to per-call round-trip time and to the §5.7 stall queue as the
-number of concurrent clients grows 1 → 512, for both middlewares?
+number of concurrent clients grows, for both middlewares?
 
 Each configuration is one declarative :class:`repro.cluster.Scenario` —
 one SDE server machine, an echo service, N clients — driven by the
@@ -18,7 +18,8 @@ deterministic callback-driven cluster fleet driver.  Two scenarios:
   queue grows with the fleet size.
 
 Determinism: the same configuration always yields byte-identical RTT
-sequences, which the multi-client benchmark asserts.
+sequences (``tests/core/test_workload.py`` and
+``tests/integration/test_perf_model.py`` assert it).
 """
 
 from __future__ import annotations
@@ -29,9 +30,6 @@ from repro.cluster import ClusterReport, Scenario, edit, op
 from repro.core.sde import SDEConfig
 from repro.net.latency import CostModel
 from repro.rmitypes import STRING
-
-#: Client counts swept by the scaling benchmark (1 → 512).
-DEFAULT_CLIENT_COUNTS: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 
 #: The echo payload used for every measured call.
 ECHO_PAYLOAD = "hello from the client fleet"
@@ -156,29 +154,6 @@ def run_multi_client(
         server_cores=node.cores,
         server_waited_seconds=node.waited_seconds,
     )
-
-
-def run_scaling(
-    technologies: tuple[str, ...] = ("soap", "corba"),
-    client_counts: tuple[int, ...] = DEFAULT_CLIENT_COUNTS,
-    calls_per_client: int = 10,
-    scenario: str = SCENARIO_STEADY,
-    cost_model: CostModel | None = None,
-    server_cores: int | None = None,
-) -> list[MultiClientResult]:
-    """Sweep client counts for each technology and return all results."""
-    return [
-        run_multi_client(
-            technology,
-            clients,
-            calls_per_client=calls_per_client,
-            scenario=scenario,
-            cost_model=cost_model,
-            server_cores=server_cores,
-        )
-        for technology in technologies
-        for clients in client_counts
-    ]
 
 
 def format_scaling(results: list[MultiClientResult]) -> str:

@@ -16,7 +16,7 @@ This driver rebuilds the same four configurations in the simulated world:
 a 3.2 GHz-class server host, a slower client host (the 1 GHz PowerBook is
 modelled by a client speed factor), a T1-LAN latency profile and the
 calibrated 2004-era CPU cost model.  The absolute numbers depend on the cost
-calibration; the claims the benchmark asserts are the paper's qualitative
+calibration; the claims the tests assert are the paper's qualitative
 ones — both SOAP configurations are slower than their CORBA counterparts,
 and each SDE server stays within ~25% of its static counterpart.
 """

@@ -133,7 +133,7 @@ def loopback_profile() -> LatencyModel:
 
 
 def wan_profile() -> LatencyModel:
-    """A wide-area profile used by the sensitivity ablation benchmarks."""
+    """A wide-area profile: 40 ms propagation, 1 MB/s, 5 ms per message."""
     return LatencyModel(
         propagation=0.040,
         bandwidth_bytes_per_second=1_000_000.0,

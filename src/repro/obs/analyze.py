@@ -21,9 +21,8 @@ module turns them into *answers*:
   the top-decile calls against the median cohort, ranked by which
   component grew.
 * :func:`diff_profiles` compares two profiles (two runs, two commits, two
-  configs) and attributes the RTT delta to components; the ``run_all.py``
-  perf gate uses the same arithmetic (via :func:`dominant_component`) to
-  name the regressed layer in ``--strict`` failures.
+  configs) and attributes the RTT delta to components, naming the one that
+  grew most (:func:`dominant_component`).
 * :func:`load_spans` accepts every span source the repo produces: a live
   :class:`~repro.obs.api.Observability`, span JSONL exports,
   ``repro-trace/1`` recordings and flight-recorder dumps.
@@ -571,8 +570,8 @@ def dominant_component(
     """The component whose mean grew most between two ``component_means``.
 
     Returns ``(name, before_mean_s, now_mean_s)``, or None when either blob
-    is missing or nothing regressed.  ``benchmarks/run_all.py`` uses it to
-    attribute flagged regressions.
+    is missing or nothing regressed.  :class:`ProfileDiff` uses it to name
+    its dominant component.
     """
     if not isinstance(before, Mapping) or not isinstance(now, Mapping):
         return None
@@ -652,45 +651,6 @@ def format_diff(diff: ProfileDiff) -> str:
     return "\n".join(lines)
 
 
-# -- bench-trajectory diff (the CI wiring) -------------------------------------
-
-
-def bench_profile_diff(trajectory: Mapping[str, Any], quick: bool) -> dict[str, Any]:
-    """Diff the last two comparable ``obs_profile`` blobs per benchmark.
-
-    ``trajectory`` is the parsed ``BENCH_results.json``.  Only benchmarks
-    that recorded an ``obs_profile`` (component means) in ``extra_info``
-    participate; only runs with the same quick/full mode are comparable.
-    """
-    appearances: dict[str, list[dict]] = {}
-    for run in trajectory.get("runs", []):
-        if bool(run.get("quick")) != quick:
-            continue
-        for bench in run.get("benchmarks", []):
-            profile = (bench.get("extra_info") or {}).get("obs_profile")
-            if isinstance(profile, Mapping):
-                appearances.setdefault(bench["name"], []).append(dict(profile))
-    diffs: dict[str, Any] = {}
-    for name in sorted(appearances):
-        blobs = appearances[name]
-        if len(blobs) < 2:
-            diffs[name] = {"status": "first-appearance", "current": blobs[-1]}
-            continue
-        before, now = blobs[-2], blobs[-1]
-        dominant = dominant_component(before, now)
-        diffs[name] = {
-            "status": "compared",
-            "previous": before,
-            "current": now,
-            "deltas": {
-                key: round(now[key] - before[key], 9)
-                for key in sorted(set(before) & set(now))
-            },
-            "dominant_component": dominant[0] if dominant else None,
-        }
-    return diffs
-
-
 # -- CLI -----------------------------------------------------------------------
 
 
@@ -711,14 +671,7 @@ def main(argv: "list[str] | None" = None) -> int:
     p_profile.add_argument("--json", dest="json_out", help="also write the profile JSON")
 
     p_diff = sub.add_parser("diff", help="attribute the delta between two runs")
-    p_diff.add_argument("sources", nargs="*", help="two span sources (before, after)")
-    p_diff.add_argument(
-        "--bench",
-        help="diff the last two obs_profile blobs per benchmark in BENCH_results.json",
-    )
-    p_diff.add_argument(
-        "--quick", action="store_true", help="compare quick-grid bench runs (--bench)"
-    )
+    p_diff.add_argument("sources", nargs=2, help="two span sources (before, after)")
     p_diff.add_argument("--json", dest="json_out", help="also write the diff JSON")
 
     p_slo = sub.add_parser(
@@ -743,31 +696,6 @@ def main(argv: "list[str] | None" = None) -> int:
         return 0
 
     if args.command == "diff":
-        if args.bench:
-            trajectory = json.loads(Path(args.bench).read_text())
-            diffs = bench_profile_diff(trajectory, quick=args.quick)
-            if not diffs:
-                print("no benchmarks with obs_profile blobs in the trajectory")
-            for name, entry in diffs.items():
-                if entry["status"] != "compared":
-                    print(f"{name}: first profiled appearance (nothing to diff)")
-                    continue
-                dominant = entry["dominant_component"]
-                rtt_delta = entry["deltas"].get("rtt", 0.0)
-                print(
-                    f"{name}: simulated rtt mean {rtt_delta * 1e3:+.3f}ms; "
-                    + (
-                        f"dominant regressed component: {dominant}"
-                        if dominant
-                        else "no component regressed"
-                    )
-                )
-            if args.json_out:
-                Path(args.json_out).write_text(json.dumps(diffs, indent=2) + "\n")
-                print(f"wrote {args.json_out}")
-            return 0
-        if len(args.sources) != 2:
-            parser.error("diff needs two span sources (or --bench)")
         diff = diff_profiles(args.sources[0], args.sources[1])
         print(format_diff(diff))
         if args.json_out:

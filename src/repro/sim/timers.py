@@ -125,8 +125,8 @@ class PeriodicTimer:
     """A repeating timer used by the polling-based publication strategy.
 
     The paper rejects pure polling for interface publication (§5.6); the
-    ablation benchmark ``bench_publication_strategies`` implements the polling
-    strategy with this class to quantify why.
+    publisher's polling strategy runs on this class, and the E4 ablation
+    (:mod:`repro.experiments.publication_strategies`) quantifies why.
     """
 
     def __init__(

@@ -5,7 +5,7 @@ WSDL document over HTTP, compiles it into method stubs, and then issues SOAP
 Requests against the endpoint address found in the document.  Client-side CPU
 cost (request encoding, response decoding) is charged to the virtual clock —
 in the paper's testbed the client is the slower machine (a 1 GHz PowerBook),
-which the benchmark models with a ``speed_factor`` greater than one.
+which the Table 1 experiment models with a ``speed_factor`` greater than one.
 """
 
 from __future__ import annotations

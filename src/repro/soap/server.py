@@ -9,7 +9,7 @@ development cycle the paper contrasts SDE with (§1, §3).
 
 Server-side CPU cost (XML parsing, dispatch, response generation) is charged
 to the virtual clock through a :class:`~repro.net.latency.CostModel`, which is
-how the Table 1 benchmark reproduces realistic round-trip times.
+how the Table 1 experiment reproduces realistic round-trip times.
 """
 
 from __future__ import annotations

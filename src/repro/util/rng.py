@@ -1,9 +1,9 @@
-"""Deterministic random number generation for workloads and latency jitter.
+"""Deterministic random number generation for fault injection.
 
-The benchmark harnesses need repeatable randomness (payload sizes, edit
-traces, jitter on network latency).  ``DeterministicRng`` is a small facade
-over :class:`random.Random` that documents the subset of operations the rest
-of the code base relies on and makes the seed explicit everywhere.
+Lossy links need repeatable randomness (message loss and latency jitter).
+``DeterministicRng`` is a small facade over :class:`random.Random` that
+documents the subset of operations the rest of the code base relies on and
+makes the seed explicit everywhere.
 """
 
 from __future__ import annotations

@@ -173,6 +173,18 @@ class TestCohortFaults:
         assert report.total_stale_faults_modeled > 0
         assert report.total_recency_violations == 0
         assert any(record.service == "EchoSoap" for record in report.rollouts)
+        # Every client is carried: 32 representatives, the rest modeled,
+        # and every modeled call completed or was abandoned.
+        assert report.simulated_clients == 1500
+        assert len(report.clients) == 32
+        assert report.modeled_clients == 1500 - 32
+        assert (
+            report.total_modeled_calls + report.total_abandoned_calls
+            == report.modeled_clients * 2
+        )
+        # The bounded server cores contended: modeled latency spread out.
+        percentiles = report.modeled_rtt_percentiles
+        assert percentiles["p99"] > percentiles["p50"]
 
 
 class TestPresetParameterization:

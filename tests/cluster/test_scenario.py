@@ -321,6 +321,7 @@ class TestSweepReproducibility:
         first = _mixed_scenario(64, think_time=0.01).run()
         second = _mixed_scenario(64, think_time=0.01).run()
         assert first.total_calls == 64 * 3
+        assert first.total_successes == first.total_calls
         assert first.all_rtts == second.all_rtts
         assert first.duration == second.duration
         assert first.events_dispatched == second.events_dispatched

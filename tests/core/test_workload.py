@@ -157,6 +157,24 @@ class TestScalingExperiment:
         assert result.stalled_calls > 0
         assert result.max_stall_queue_depth > 0
 
+    @pytest.mark.parametrize("technology", ["soap", "corba"])
+    @pytest.mark.parametrize("clients", [8, 32])
+    def test_stale_storm_queue_grows_with_the_fleet(self, technology, clients):
+        result = run_multi_client(
+            technology, clients, calls_per_client=6, scenario=SCENARIO_STALE_STORM
+        )
+        # Every third of six calls per client is stale.
+        assert result.report.total_stale_faults == clients * 2
+        assert result.stalled_calls > 0
+        assert result.max_stall_queue_depth >= clients // 4
+
+    def test_corba_stays_cheaper_than_soap_as_the_fleet_grows(self):
+        # Table 1's shape must survive scale-out.
+        for clients in (1, 8, 32):
+            corba = run_multi_client("corba", clients, calls_per_client=3)
+            soap = run_multi_client("soap", clients, calls_per_client=3)
+            assert corba.mean_rtt < soap.mean_rtt, clients
+
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError):
             run_multi_client("soap", clients=1, scenario="nope")

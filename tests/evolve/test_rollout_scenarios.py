@@ -268,6 +268,43 @@ class TestCrashMidRollout:
         assert report.total_abandoned_calls == 0
         assert report.total_rebinds > 0
 
+    def test_mixed_fleet_fails_over_while_both_services_roll(self):
+        # Four servers, SOAP and CORBA: the crash lands before the SOAP
+        # rollout's first wave, so only that rollout defers a wave.
+        report = (
+            Scenario(name="crash-roll-mixed", sde_config=SDEConfig(generation_cost=0.02))
+            .servers(4)
+            .service("EchoSoap", [ECHO], technology="soap", replicas=2)
+            .service("EchoCorba", [ECHO], technology="corba", replicas=2)
+            .clients(
+                16, protocol_mix={"soap": 0.5, "corba": 0.5}, calls=8,
+                arguments=("hi",), think_time=0.02, arrival=0.0005,
+                retry=RetryPolicy(max_attempts=4, timeout=0.08, backoff=0.005),
+            )
+            .at(0.015, crash("server-1"))  # hosts EchoSoap replica 0
+            .at(0.020, rolling("EchoSoap", BREAKING, batch_size=1, drain=0.03))
+            .at(0.025, rolling("EchoCorba", BREAKING, batch_size=1, drain=0.03))
+            .at(0.150, restart("server-1"))
+            .run()
+        )
+        (soap,) = report.rollouts_for("EchoSoap")
+        (corba,) = report.rollouts_for("EchoCorba")
+        assert (soap.deferred_resumes, corba.deferred_resumes) == (1, 0)
+        for rollout in (soap, corba):
+            assert rollout.completed and not rollout.aborted
+            assert rollout.classification == CLASS_BREAKING
+            assert len(rollout.waves) == 2
+        for name in ("EchoSoap", "EchoCorba"):
+            assert all(replica.interface_version >= 3 for replica in report.service(name).replicas)
+            assert len(report.service(name).calls_by_version) >= 2
+        assert report.total_calls == 16 * 8
+        assert report.total_successes + report.total_stale_faults == report.total_calls
+        assert report.total_other_faults == 0
+        assert report.total_recency_violations == 0
+        assert report.total_failed_attempts > 0
+        assert report.total_rebinds == report.total_stale_faults > 0
+        assert [node.name for node in report.nodes if node.downtime_s > 0] == ["server-1"]
+
     def test_crash_mid_rollout_is_byte_deterministic(self):
         first = self._build().run()
         second = self._build().run()

@@ -15,10 +15,12 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import POLICY_STICKY, Scenario, edit, op, publish
+from repro.cluster.presets import fault_drill_scenario
 from repro.core.sde import SDEConfig
 from repro.errors import NoAliveReplicaError
 from repro.faults import RetryPolicy, crash, drop_link, heal, partition, restart
 from repro.rmitypes import STRING
+from repro.traffic import FlashCrowd, Poisson
 
 
 def _echo():
@@ -296,3 +298,30 @@ class TestPartitionsAndLossyLinks:
         runtime.fault_injector.crash("server")
         with pytest.raises(NoAliveReplicaError):
             runtime.registry.select("Echo", "someone")
+
+
+class TestMixedFaultDrill:
+    """The preset 4-server mixed SOAP/CORBA drill at 64 clients: crash,
+    partition, heal, restart and a mid-run publish, under the historical
+    stagger and two seeded open-loop arrival shapes."""
+
+    @pytest.mark.parametrize(
+        "arrival",
+        [
+            0.0005,
+            Poisson(rate=500.0, seed=42),
+            FlashCrowd(at=0.05, magnitude=3.0, decay=0.01, rate=500.0, seed=42),
+        ],
+        ids=["stagger", "poisson", "flash-crowd"],
+    )
+    def test_every_call_completes_and_reruns_are_identical(self, arrival):
+        first = fault_drill_scenario(64, arrival=arrival).run()
+        second = fault_drill_scenario(64, arrival=arrival).run()
+        assert first.fingerprint() == second.fingerprint()
+        assert first.total_calls + first.total_abandoned_calls == 64 * 4
+        assert first.total_successes == first.total_calls
+        assert first.total_failed_attempts > 0
+        assert first.total_retried_calls > 0
+        assert first.total_recency_violations == 0
+        crashed = [node for node in first.nodes if node.downtime_s > 0]
+        assert [(node.name, node.outages) for node in crashed] == [("server-1", 1)]

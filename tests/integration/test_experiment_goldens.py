@@ -13,6 +13,8 @@ from dataclasses import astuple
 import pytest
 
 from repro.core.protocol.interleaving import ReactivePublishingExperiment
+from repro.experiments.encoding_costs import run_encoding_comparison
+from repro.experiments.interface_generation import run_interface_generation_sweep
 from repro.experiments.publication_strategies import run_publication_strategy_comparison
 from repro.experiments.stale_flood import run_stale_flood
 from repro.experiments.table1 import run_table1
@@ -55,3 +57,25 @@ def test_publication_strategy_comparison():
 def test_stale_flood(change_interface_first, expected):
     result = run_stale_flood(change_interface_first=change_interface_first)
     assert astuple(result) == expected
+
+
+def test_encoding_comparison_wire_sizes():
+    # (label, SOAP request, SOAP response, GIOP request, GIOP reply) bytes
+    assert [astuple(r) for r in run_encoding_comparison()] == [
+        ("two ints", 253, 248, 64, 45),
+        ("small string", 237, 257, 57, 46),
+        ("medium string", 488, 508, 308, 297),
+        ("large string", 4328, 4348, 4148, 4137),
+        ("int array (100)", 3913, 255, 953, 45),
+        ("struct", 314, 261, 102, 38),
+        ("struct array (25)", 2957, 253, 1268, 45),
+    ]
+
+
+def test_interface_generation_document_sizes():
+    # (operations, WSDL bytes, IDL bytes)
+    assert [astuple(r) for r in run_interface_generation_sweep((1, 10, 50))] == [
+        (1, 1267, 264),
+        (10, 5554, 717),
+        (50, 24879, 2764),
+    ]

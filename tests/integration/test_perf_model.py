@@ -18,17 +18,21 @@ from repro.net.latency import era_2004_cost_model
 class TestServerContention:
     @pytest.mark.parametrize("technology", ["soap", "corba"])
     def test_single_core_rtt_grows_with_fleet_size(self, technology):
-        rtts = []
-        for clients in (1, 4, 8, 16):
-            result = run_multi_client(
+        results = [
+            run_multi_client(
                 technology,
                 clients,
                 calls_per_client=3,
                 cost_model=era_2004_cost_model(),
                 server_cores=1,
             )
-            rtts.append(result.mean_rtt)
+            for clients in (1, 4, 8, 16)
+        ]
+        rtts = [result.mean_rtt for result in results]
         assert all(a < b for a, b in zip(rtts, rtts[1:])), rtts
+        # Larger fleets really queued for the one core.
+        assert all(result.server_cores == 1 for result in results)
+        assert results[-1].server_waited_seconds > results[0].server_waited_seconds
 
     @pytest.mark.parametrize("technology", ["soap", "corba"])
     def test_unbounded_cores_keep_rtt_flat(self, technology):

@@ -113,6 +113,12 @@ class TestStaleFloodAblation:
         assert result.generations == 0
         assert result.non_existent_method_faults == 10
 
+    def test_fast_flood_during_editing_stays_bounded(self):
+        """Stale calls every 10 ms while the developer keeps editing."""
+        result = run_stale_flood(stale_calls=40, interval=0.01, publication_timeout=2.0)
+        assert result.non_existent_method_faults == 40
+        assert result.generations <= 2
+
 
 class TestEncodingAndGenerationSweeps:
     def test_soap_messages_larger_than_giop(self):

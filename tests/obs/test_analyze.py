@@ -31,7 +31,6 @@ from repro.obs.analyze import (
     ALL_COMPONENTS,
     RTT_COMPONENTS,
     attribute_calls,
-    bench_profile_diff,
     build_profile,
     diff_profiles,
     dominant_component,
@@ -390,35 +389,6 @@ class TestDiffAndDominant:
         tied = dict(before, cpu=0.002, network=0.002)
         assert dominant_component(before, tied)[0] == "cpu"
 
-    def test_bench_profile_diff_compares_the_last_two_blobs(self):
-        blob = lambda stall: {
-            "network": 0.001,
-            "stall": stall,
-            "core_wait": 0.0,
-            "cpu": 0.0,
-            "backoff": 0.0,
-            "rebind": 0.0,
-            "rtt": 0.001 + stall,
-        }
-        trajectory = {
-            "runs": [
-                {"quick": True, "benchmarks": [{"name": "drill", "extra_info": {"obs_profile": blob(0.001)}}]},
-                {"quick": False, "benchmarks": [{"name": "drill", "extra_info": {"obs_profile": blob(0.5)}}]},
-                {"quick": True, "benchmarks": [{"name": "drill", "extra_info": {"obs_profile": blob(0.003)}}]},
-                {"quick": True, "benchmarks": [{"name": "fresh", "extra_info": {"obs_profile": blob(0.0)}}]},
-            ]
-        }
-        diffs = bench_profile_diff(trajectory, quick=True)
-        assert diffs["drill"]["status"] == "compared"
-        # The full-mode run in the middle must not pollute the quick series.
-        assert diffs["drill"]["previous"]["stall"] == 0.001
-        assert diffs["drill"]["dominant_component"] == "stall"
-        assert diffs["drill"]["deltas"]["stall"] == pytest.approx(0.002)
-        assert diffs["fresh"]["status"] == "first-appearance"
-        assert bench_profile_diff(trajectory, quick=False) == {
-            "drill": {"status": "first-appearance", "current": blob(0.5)}
-        }
-
 
 class TestAnalyzeCLI:
     @pytest.fixture()
@@ -452,6 +422,9 @@ class TestAnalyzeCLI:
         assert code == 0
         assert "no component regressed" in capsys.readouterr().out
         assert json.loads(out_json.read_text())["dominant_component"] is None
+        # argparse rejects anything but exactly two sources.
+        with pytest.raises(SystemExit):
+            analyze_main(["diff", str(jsonl)])
 
     def test_slo_subcommand_reevaluates_offline(self, artifacts, capsys):
         _obs, report, _jsonl, metrics, tmp_path = artifacts
