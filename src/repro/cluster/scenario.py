@@ -41,7 +41,7 @@ import inspect
 import math
 from array import array
 from dataclasses import dataclass, field, replace
-from itertools import compress
+from itertools import compress, cycle, islice
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.cluster.cohort import CohortFlow, CohortModel
@@ -421,27 +421,46 @@ class Scenario:
 
 
 def _weighted_interleave(mix: Sequence[tuple[str, float]], count: int) -> list[str]:
-    """Deterministically spread ``count`` slots over weighted protocol names."""
+    """Deterministically spread ``count`` slots over weighted protocol names.
+
+    Returns the interleave's repeating unit: position ``p`` of the ``count``
+    slots speaks ``unit[p % len(unit)]``.  The unit is the whole sequence
+    unless the greedy provably repeats sooner.
+    """
     names = [name for name, weight in mix if weight > 0]
     if not names:
         raise ClusterError("protocol_mix needs at least one positive weight")
     weights = dict(mix)
     total = sum(weights[name] for name in names)
     shares = [weights[name] / total for name in names]
+    # Each share is a float m / 2**k.  While every |m| * slot < 2**53 each
+    # product and lag below is exact, so the greedy is exact rational
+    # arithmetic; if every lag is back to 0 at slot D (the largest 2**k) the
+    # state is the start state again and the first D slots repeat.  If not
+    # (shares that do not sum to exactly 1), the same loop runs on to
+    # ``count``.  For the 50/50 mix D == 2; a 0.7/0.3 mix has D near 2**54
+    # and runs to ``count`` from the start.
+    numerators, denominators = zip(*(share.as_integer_ratio() for share in shares))
+    period = max(denominators)
+    if period >= count or max(map(abs, numerators)) * count >= 2**53:
+        period = count
     assigned = [0] * len(names)
     rest = range(1, len(names))
     sequence = []
-    for slot in range(1, count + 1):
-        # The protocol furthest behind its target share wins the slot (the
-        # strict ``>`` keeps declaration order on ties), so mixes interleave
-        # instead of blocking.  No Python-level call per slot.
-        best, lag = 0, shares[0] * slot - assigned[0]
-        for i in rest:
-            behind = shares[i] * slot - assigned[i]
-            if behind > lag:
-                best, lag = i, behind
-        assigned[best] += 1
-        sequence.append(names[best])
+    for stop in (period, count):
+        for slot in range(len(sequence) + 1, stop + 1):
+            # The protocol furthest behind its target share wins the slot
+            # (the strict ``>`` keeps declaration order on ties), so mixes
+            # interleave instead of blocking.  No Python-level call per slot.
+            best, lag = 0, shares[0] * slot - assigned[0]
+            for i in rest:
+                behind = shares[i] * slot - assigned[i]
+                if behind > lag:
+                    best, lag = i, behind
+            assigned[best] += 1
+            sequence.append(names[best])
+        if all(taken == share * stop for taken, share in zip(assigned, shares)):
+            break
     return sequence
 
 
@@ -729,21 +748,23 @@ class ScenarioRuntime:
             # representatives' assignments are exactly what positions
             # 0..reps-1 would get in the all-discrete group and the flow
             # mass inherits the rest — cohort aggregation never shifts who
-            # speaks which protocol.  No per-client Python call here
+            # speaks which protocol.  Position p speaks unit[p % len(unit)],
+            # and the unit is one interleave period (two names for a 50/50
+            # mix), so no per-client list or Python call is made here
             # (ARCHITECTURE.md "Plan building").
             if group.service is not None:
                 entry = self.registry.lookup(group.service)
-                protocols = [entry.technology] * group.count
+                unit = [entry.technology]
                 service_of = {entry.technology: entry.name}
             else:
                 mix = group.protocol_mix or ((self._default_technology(), 1.0),)
-                protocols = _weighted_interleave(mix, group.count)
+                unit = _weighted_interleave(mix, group.count)
                 service_of = {
                     protocol: self._service_for_protocol(protocol).name
-                    for protocol in dict.fromkeys(protocols)
+                    for protocol in dict.fromkeys(unit)
                 }
             for position in range(discrete_count):
-                protocol = protocols[position]
+                protocol = unit[position % len(unit)]
                 service = service_of[protocol]
                 operation = group.operation or self._default_operation(service)
                 plans.append(
@@ -766,13 +787,15 @@ class ScenarioRuntime:
             if group.cohort is None or group.count <= discrete_count:
                 continue
             # One flow per protocol of the mass, in first-position order,
-            # holding exactly its own positions' offsets.
-            mass_protocols = protocols[discrete_count:]
-            mass_offsets = group_offsets[discrete_count:]
-            kinds = list(dict.fromkeys(mass_protocols))
+            # holding exactly its own positions' offsets: mass position j is
+            # group position reps + j, so it speaks the unit rotated by reps.
+            turn = discrete_count % len(unit)
+            rotated = unit[turn:] + unit[:turn]
+            kinds = list(dict.fromkeys(rotated[: group.count - discrete_count]))
             for protocol in kinds:
+                mass_offsets = islice(group_offsets, discrete_count, None)
                 offsets = mass_offsets if len(kinds) == 1 else compress(
-                    mass_offsets, map(protocol.__eq__, mass_protocols)
+                    mass_offsets, cycle(map(protocol.__eq__, rotated))
                 )
                 service = service_of[protocol]
                 flow_number = len(flows) + 1

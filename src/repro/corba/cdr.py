@@ -85,10 +85,6 @@ class CdrOutputStream:
             raise MarshalError(f"unsigned long out of range: {value!r}")
         self._buffer += _PACK_ULONG(value)
 
-    def write_double(self, value: float) -> None:
-        """Write a 64-bit IEEE double."""
-        self._buffer += _PACK_DOUBLE(float(value))
-
     def write_string(self, value: str) -> None:
         """Write a length-prefixed UTF-8 string."""
         encoded = value.encode("utf-8")

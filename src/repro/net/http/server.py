@@ -96,27 +96,12 @@ class HttpServer:
         """Register ``handler`` for ``path`` and return the created route."""
         route = Route(path=path, handler=handler, methods=tuple(m.upper() for m in methods), prefix=prefix)
         self._routes.append(route)
-        self._register(route)
-        return route
-
-    def _register(self, route: Route) -> None:
         for method in route.methods:
             if route.prefix:
                 self._table.add_prefix(method, route.path, route)
             else:
                 self._table.add_exact((method, route.path), route)
-
-    def remove_route(self, route: Route) -> None:
-        """Unregister a previously added route; removing twice is a no-op.
-
-        The route table is rebuilt from the remaining routes so a route that
-        was shadowed by a duplicate registration becomes reachable again.
-        """
-        if route in self._routes:
-            self._routes.remove(route)
-        self._table = RouteTable()
-        for remaining in self._routes:
-            self._register(remaining)
+        return route
 
     @property
     def routes(self) -> tuple[Route, ...]:

@@ -37,30 +37,8 @@ from repro.rmitypes import (
     TypeRegistry,
     parse_type,
 )
-from repro.xmlutil import Namespaces, QName, text_of
+from repro.xmlutil import text_of
 from repro.xmlutil.serializer import escape_text
-
-_XSD_BY_PRIMITIVE = {
-    "int": "int",
-    "double": "double",
-    "float": "float",
-    "boolean": "boolean",
-    "string": "string",
-    "char": "string",
-    "void": "anyType",
-}
-
-
-def xsd_qname(rmi_type: RmiType, target_namespace: str) -> QName:
-    """Return the XSD (or target-namespace) QName describing ``rmi_type``."""
-    if isinstance(rmi_type, PrimitiveType):
-        return QName(Namespaces.XSD, _XSD_BY_PRIMITIVE[rmi_type.name])
-    if isinstance(rmi_type, ArrayType):
-        return QName(Namespaces.SOAP_ENCODING, "Array")
-    if isinstance(rmi_type, StructType):
-        return QName(target_namespace, rmi_type.name)
-    raise SoapEncodingError(f"cannot map {rmi_type!r} to an XSD type")
-
 
 def encode_value(
     name: str,

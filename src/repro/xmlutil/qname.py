@@ -53,12 +53,6 @@ class QName:
             return f"{{{self.namespace}}}{self.local_name}"
         return self.local_name
 
-    @classmethod
-    def from_clark(cls, text: str) -> "QName":
-        """Parse Clark notation (``{ns}local`` or plain ``local``)."""
-        namespace, local = split_clark(text)
-        return cls(namespace or None, local)
-
     def __str__(self) -> str:
         return self.clark()
 

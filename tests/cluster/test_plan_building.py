@@ -1,10 +1,11 @@
 """Plan building: the fast builder against the original one, kept as the spec.
 
 ``ScenarioRuntime._build_plans`` turns every client group into discrete
-:class:`ClientPlan` s and cohort-flow offset arrays.  It was rewritten to make
-no Python-level call per client (ARCHITECTURE.md "Plan building"); the
-original per-client construction lives on here as the reference, and every
-float and assignment must match it bit for bit.
+:class:`ClientPlan` s and cohort-flow offset arrays.  It makes no Python-level
+call per client and builds the protocol interleave once per period
+(ARCHITECTURE.md "Plan building"); the original per-client construction lives
+on here as the reference, and every float and assignment must match it bit
+for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import gc
 import sys
 from array import array
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import CohortModel, Scenario, op
@@ -34,6 +36,11 @@ def _reference_interleave(mix, count):
         assigned[name] += 1
         sequence.append(name)
     return sequence
+
+
+def _expand(unit, count):
+    """The per-position sequence a repeating interleave unit stands for."""
+    return [unit[position % len(unit)] for position in range(count)]
 
 
 def _reference_build(runtime):
@@ -110,11 +117,45 @@ class TestInterleaveEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_matches_the_max_key_greedy(self, weights, count):
         mix = [(f"p{i}", weight) for i, weight in enumerate(weights)]
-        assert _weighted_interleave(mix, count) == _reference_interleave(mix, count)
+        unit = _weighted_interleave(mix, count)
+        assert _expand(unit, count) == _reference_interleave(mix, count)
 
     def test_ties_keep_declaration_order(self):
         mix = [("b", 1.0), ("a", 1.0), ("c", 1.0)]
-        assert _weighted_interleave(mix, 6) == ["b", "a", "c"] * 2
+        assert _expand(_weighted_interleave(mix, 6), 6) == ["b", "a", "c"] * 2
+
+
+# Dyadic mixes and their period D: the largest denominator 2**k over the
+# shares ``weight / total``.
+DYADIC_MIXES = [
+    ((("soap", 0.5), ("corba", 0.5)), 2),
+    ((("a", 0.25), ("b", 0.75)), 4),
+    ((("a", 3.0), ("b", 5.0)), 8),
+    ((("a", 0.5), ("b", 0.25), ("c", 0.25)), 4),
+    ((("a", 0.125), ("b", 0.375), ("c", 0.25), ("d", 0.25)), 8),
+]
+
+
+class TestInterleavePeriod:
+    @pytest.mark.parametrize("mix, period", DYADIC_MIXES)
+    def test_expanded_unit_matches_the_spec(self, mix, period):
+        for count in (period - 1, period, period + 1, 7 * period + 3, 100_000):
+            unit = _weighted_interleave(mix, count)
+            # Fewer than D + 1 slots run to ``count``; more repeat D slots.
+            assert len(unit) == (period if period < count else count)
+            assert _expand(unit, count) == _reference_interleave(mix, count)
+
+    def test_lags_not_back_to_zero_take_the_full_loop(self):
+        # The total overflows to inf, so both shares are 0.0 (D == 1) and sum
+        # to 0, not 1: after slot D the first protocol is 1 ahead of its
+        # share, the check fails and the greedy runs every slot.
+        mix = (("a", 1e308), ("b", 1e308))
+        unit = _weighted_interleave(mix, 101)
+        assert len(unit) == 101
+        assert unit == _reference_interleave(mix, 101)
+
+    def test_million_client_half_mix_is_two_slots(self):
+        assert len(_weighted_interleave((("soap", 0.5), ("corba", 0.5)), 10**6)) == 2
 
 
 class TestBuilderEquivalence:
@@ -124,6 +165,16 @@ class TestBuilderEquivalence:
         plans, flows = runtime._build_plans()
         assert sorted(flow.protocol for flow in flows) == ["corba", "soap", "toy"]
         assert sum(flow.mass for flow in flows) + len(plans) == 20_000
+        assert _rows(plans, flows) == _reference_build(runtime)
+
+    def test_20k_dyadic_group_with_odd_representatives(self):
+        # D == 4 and 33 representatives: the flow mass starts one slot into
+        # the period, so the flows' masks are the rotated unit.
+        mix = {"soap": 0.5, "corba": 0.25, "toy": 0.25}
+        runtime = _runtime(20_000, mix, Poisson(rate=1e5, seed=3), representatives=33)
+        assert len(_weighted_interleave(tuple(mix.items()), 20_000)) == 4
+        plans, flows = runtime._build_plans()
+        assert [flow.protocol for flow in flows] == ["corba", "toy", "soap"]
         assert _rows(plans, flows) == _reference_build(runtime)
 
     @given(

@@ -236,17 +236,13 @@ class TestHttpServerAndClient:
         assert client.requests_sent == 3
         assert client.channel.replies_received == 3
 
-    def test_duplicate_route_first_wins_and_removal_restores(self, network, scheduler):
+    def test_duplicate_route_first_wins(self, network, scheduler):
         server = HttpServer(network.host("server"), 8080)
-        first = server.add_route("/dup", lambda request: HttpResponse.ok_text("first"))
-        second = server.add_route("/dup", lambda request: HttpResponse.ok_text("second"))
+        server.add_route("/dup", lambda request: HttpResponse.ok_text("first"))
+        server.add_route("/dup", lambda request: HttpResponse.ok_text("second"))
         server.start()
         client = HttpClient(network.host("client"))
         assert client.get("http://server:8080/dup").body == "first"
-        server.remove_route(first)
-        assert client.get("http://server:8080/dup").body == "second"
-        server.remove_route(second)
-        assert client.get("http://server:8080/dup").status == 404
 
     def test_requests_served_counter(self, network, scheduler):
         server = self._serve(network, lambda request: HttpResponse.ok_text("x"))

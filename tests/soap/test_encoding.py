@@ -14,8 +14,8 @@ from repro.rmitypes import (
     StructType,
     TypeRegistry,
 )
-from repro.soap.encoding import decode_typed, decode_value, encode_value, xsd_qname
-from repro.xmlutil import Namespaces, parse
+from repro.soap.encoding import decode_typed, decode_value, encode_value
+from repro.xmlutil import parse
 
 ADDRESS = StructType("Address", (FieldDef("street", STRING), FieldDef("number", INT)))
 
@@ -102,18 +102,3 @@ class TestDynamicDecoding:
         element.attrib.clear()
         with pytest.raises(SoapEncodingError):
             decode_typed(element)
-
-
-class TestXsdMapping:
-    def test_primitive_mapping(self):
-        assert xsd_qname(INT, "urn:x").namespace == Namespaces.XSD
-        assert xsd_qname(INT, "urn:x").local_name == "int"
-        assert xsd_qname(STRING, "urn:x").local_name == "string"
-
-    def test_array_maps_to_soapenc(self):
-        assert xsd_qname(ArrayType(INT), "urn:x").namespace == Namespaces.SOAP_ENCODING
-
-    def test_struct_maps_to_target_namespace(self):
-        qname = xsd_qname(ADDRESS, "urn:myapp")
-        assert qname.namespace == "urn:myapp"
-        assert qname.local_name == "Address"
