@@ -42,12 +42,11 @@ Determinism
 -----------
 
 Everything here is a pure function of the scenario spec and the virtual
-clock: arrival offsets are precomputed, ticks fire on the scheduler,
-settlement events go through per-server-node
-:class:`~repro.sim.scheduler.EventStream` partitions whose merged dispatch
-order is provably the single-queue order, and all accounting is integer
-counters plus a fixed-bin histogram.  Two runs of the same scenario produce
-byte-identical :meth:`CohortReport.fingerprint` values.
+clock: arrival offsets are precomputed, ticks and settlement events fire
+on the one scheduler queue in ``(time, insertion order)`` order, and all
+accounting is integer counters plus a fixed-bin histogram.  Two runs of
+the same scenario produce byte-identical :meth:`CohortReport.fingerprint`
+values.
 
 §6 recency at flow granularity: the flow keeps a watermark of the highest
 interface version it has observed.  A settlement that observes a version
@@ -378,10 +377,7 @@ class CohortFlow:
         scheduler = self.driver.scheduler
         self._outstanding += len(picks)
         for replica, share in picks:
-            # Settlement rides the target node's event stream: per-node
-            # event populations stay contiguous, and the merged dispatch
-            # order is provably the single-queue order.
-            scheduler.partition(replica.node.name).schedule(
+            scheduler.schedule(
                 0.0,
                 self._settle,
                 replica,

@@ -4,8 +4,8 @@ A scenario's services are N-replica entities: one logical name backed by
 managed server classes spread across the world's server nodes.  The
 registry resolves a service name to a :class:`ServiceEntry` through the
 transport layer's :class:`~repro.net.transport.RouteTable` (O(1) exact
-match, registration-order prefix aliases), and each entry picks a replica
-per call through a pluggable policy:
+match), and each entry picks a replica per call through a pluggable
+policy:
 
 * **round-robin** — a global cyclic counter, so consecutive calls (in
   deterministic event order) rotate through the replicas;
@@ -82,9 +82,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 POLICY_ROUND_ROBIN = "round-robin"
 POLICY_STICKY = "sticky"
 POLICY_LEAST_LOADED = "least-loaded"
-
-#: Prefix-route scope used for service-name aliases in the route table.
-_ALIAS_SCOPE = "service-alias"
 
 
 @dataclass
@@ -687,13 +684,9 @@ class ServiceRegistry:
         self._services.append(entry)
         return entry
 
-    def add_alias(self, prefix: str, service_name: str) -> None:
-        """Route every name starting with ``prefix`` to ``service_name``."""
-        self._routes.add_prefix(_ALIAS_SCOPE, prefix, self.lookup(service_name))
-
     def lookup(self, name: str) -> ServiceEntry:
-        """Resolve a service name (exact, then registered prefix aliases)."""
-        entry = self._routes.lookup(name, prefix_scope=_ALIAS_SCOPE, path=name)
+        """Resolve a service name by exact match."""
+        entry = self._routes.lookup(name)
         if entry is None:
             raise ServiceNotFoundError(
                 f"no service {name!r}; registered: {[s.name for s in self._services]}"

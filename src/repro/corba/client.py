@@ -1,8 +1,8 @@
 """Static CORBA client — the "OpenORB client" baseline of Table 1 / Figure 2.
 
 The client follows the interaction of Figure 2: it obtains the CORBA-IDL
-document and the IOR (directly or over HTTP), initialises its client ORB from
-the IOR, and invokes the methods declared in the IDL through typed stubs.
+document and the IOR, initialises its client ORB from the IOR, and invokes
+the methods declared in the IDL through typed stubs.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from repro.corba.ior import IOR
 from repro.corba.orb import ClientOrb, RemoteObjectReference
 from repro.errors import CorbaError
 from repro.interface import InterfaceDescription, OperationSignature
-from repro.net.http import HttpClient
 from repro.net.latency import CostModel
 from repro.net.simnet import Host
 
@@ -97,7 +96,6 @@ class StaticCorbaClient:
     ) -> None:
         self.host = host
         self.orb = ClientOrb(host, cost_model=cost_model, speed_factor=speed_factor)
-        self.http_client = HttpClient(host, name="corba-client")
         self.description: InterfaceDescription | None = None
         self.stub: CorbaStub | None = None
 
@@ -112,16 +110,6 @@ class StaticCorbaClient:
         self.stub = CorbaStub(self.description, reference)
         return self.stub
 
-    def connect_via_http(self, idl_url: str, ior_url: str) -> CorbaStub:
-        """Retrieve the IDL document and IOR over HTTP, then connect."""
-        idl_response = self.http_client.get(idl_url)
-        if not idl_response.ok:
-            raise CorbaError(f"could not retrieve IDL from {idl_url}: HTTP {idl_response.status}")
-        ior_response = self.http_client.get(ior_url)
-        if not ior_response.ok:
-            raise CorbaError(f"could not retrieve IOR from {ior_url}: HTTP {ior_response.status}")
-        return self.connect(idl_response.body, ior_response.body.strip())
-
     # -- invocation (Figure 2, steps 2 and 3) ------------------------------------
 
     def invoke(self, operation: str, *arguments: Any) -> Any:
@@ -131,9 +119,8 @@ class StaticCorbaClient:
         return self.stub.invoke(operation, *arguments)
 
     def close(self) -> None:
-        """Release the client ORB's and HTTP client's connections."""
+        """Release the client ORB's connections."""
         self.orb.close()
-        self.http_client.close()
 
     def __repr__(self) -> str:
         target = self.description.service_name if self.description else "<disconnected>"

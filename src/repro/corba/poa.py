@@ -26,18 +26,6 @@ class PortableObjectAdapter:
             )
         self._servants[object_key] = servant
 
-    def deactivate_object(self, object_key: str) -> None:
-        """Remove the servant registered under ``object_key``."""
-        self._servants.pop(object_key, None)
-
-    def replace_servant(self, object_key: str, servant: Servant) -> None:
-        """Swap the servant registered under ``object_key``.
-
-        SDE uses this when a new instance of the dynamic server class is
-        created without re-initialising the server ORB (§5.2.2).
-        """
-        self._servants[object_key] = servant
-
     def servant_for(self, object_key: str) -> Servant:
         """Return the servant for ``object_key``.
 

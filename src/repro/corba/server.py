@@ -1,9 +1,8 @@
 """Static CORBA server — the "OpenORB server" baseline of Table 1.
 
 A :class:`StaticCorbaServer` deploys a fixed service behind a server ORB:
-the CORBA-IDL document and the IOR are generated at deployment time and can
-optionally be published over an HTTP server (the paper's clients retrieve
-both documents over HTTP, Figure 2 step 1).  There is no live update
+the CORBA-IDL document and the IOR are generated at deployment time and
+handed to clients directly (Figure 2 step 1).  There is no live update
 machinery — the static baseline, like a plain OpenORB deployment, requires a
 restart to change the interface.
 """
@@ -20,7 +19,6 @@ from repro.corba.poa import PortableObjectAdapter
 from repro.corba.servant import StaticServant
 from repro.errors import CorbaError
 from repro.interface import InterfaceDescription, OperationSignature
-from repro.net.http import HttpResponse, HttpServer
 from repro.net.latency import CostModel
 from repro.net.simnet import Host
 from repro.rmitypes import StructType
@@ -58,7 +56,6 @@ class StaticCorbaServer:
         definition: CorbaServiceDefinition,
         cost_model: CostModel | None = None,
         speed_factor: float = 1.0,
-        http_port: int | None = None,
     ) -> None:
         self.host = host
         self.iiop_port = iiop_port
@@ -86,12 +83,6 @@ class StaticCorbaServer:
         ).with_operations(definition.signatures(), definition.structs)
         self._idl_document = generate_idl(self.description)
 
-        self.http_server: HttpServer | None = None
-        if http_port is not None:
-            self.http_server = HttpServer(host, http_port, name=f"corba-pub:{definition.service_name}")
-            self.http_server.add_route(self.idl_path, lambda _req: HttpResponse.ok_text(self._idl_document), methods=("GET",))
-            self.http_server.add_route(self.ior_path, lambda _req: HttpResponse.ok_text(self.ior.stringify()), methods=("GET",))
-
     # -- documents -------------------------------------------------------------
 
     @property
@@ -109,43 +100,15 @@ class StaticCorbaServer:
             object_key=self.object_key,
         )
 
-    @property
-    def idl_path(self) -> str:
-        """HTTP path of the published IDL document (when HTTP publication is on)."""
-        return f"/corba/{self.definition.service_name}.idl"
-
-    @property
-    def ior_path(self) -> str:
-        """HTTP path of the published IOR (when HTTP publication is on)."""
-        return f"/corba/{self.definition.service_name}.ior"
-
-    @property
-    def idl_url(self) -> str:
-        """Full URL of the published IDL document."""
-        if self.http_server is None:
-            raise CorbaError("HTTP publication is not enabled for this server")
-        return f"{self.http_server.url}{self.idl_path}"
-
-    @property
-    def ior_url(self) -> str:
-        """Full URL of the published IOR."""
-        if self.http_server is None:
-            raise CorbaError("HTTP publication is not enabled for this server")
-        return f"{self.http_server.url}{self.ior_path}"
-
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self) -> None:
-        """Deploy: start the server ORB (and the HTTP publication server)."""
+        """Deploy: start the server ORB."""
         self.orb.start()
-        if self.http_server is not None:
-            self.http_server.start()
 
     def stop(self) -> None:
         """Undeploy the service."""
         self.orb.stop()
-        if self.http_server is not None:
-            self.http_server.stop()
 
     @property
     def calls_served(self) -> int:

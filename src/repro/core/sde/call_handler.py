@@ -154,19 +154,22 @@ class CallHandler:
         outcome.on_result(result, method.signature())
 
     def _match(self, operation: str, arguments: tuple[Any, ...]):
-        """Find a distributed method matching the requested call, if any."""
-        for method in self.dynamic_class.distributed_methods():
-            if method.name != operation:
-                continue
-            if len(method.parameters) != len(arguments):
+        """Find a distributed method matching the requested call, if any.
+
+        Only the class's own methods are served, as in
+        :meth:`~repro.jpie.dynamic_class.DynamicClass.distributed_methods`.
+        """
+        method = self.dynamic_class._methods.get(operation)
+        if method is None or not method.is_distributed:
+            return None
+        if len(method.parameters) != len(arguments):
+            return None
+        for value, parameter in zip(arguments, method.parameters):
+            try:
+                parameter.param_type.validate(value)
+            except Exception:
                 return None
-            for value, parameter in zip(arguments, method.parameters):
-                try:
-                    parameter.param_type.validate(value)
-                except Exception:
-                    return None
-            return method
-        return None
+        return method
 
     @property
     def stall_queue_depth(self) -> int:

@@ -160,10 +160,6 @@ class InterfaceDescription:
         """Return a copy carrying the given publication version."""
         return replace(self, version=version)
 
-    def with_endpoint(self, endpoint_url: str) -> "InterfaceDescription":
-        """Return a copy pointing at a different endpoint URL."""
-        return replace(self, endpoint_url=endpoint_url)
-
     # -- queries --------------------------------------------------------------
 
     def operation(self, name: str) -> OperationSignature | None:

@@ -7,14 +7,13 @@ interleavings of Figures 7 and 8 — deterministic and testable, everything in
 this reproduction is driven by a virtual clock and an event scheduler.
 """
 
-from repro.sim.scheduler import Event, EventStream, Scheduler
+from repro.sim.scheduler import Event, Scheduler
 from repro.sim.servercore import ServerCore
 from repro.sim.timers import ResettableTimer, PeriodicTimer
 from repro.sim.latch import CompletionLatch
 
 __all__ = [
     "Event",
-    "EventStream",
     "Scheduler",
     "ServerCore",
     "ResettableTimer",

@@ -18,24 +18,6 @@ Hot-path invariants (the fleet sweeps dispatch millions of events per run):
   idle cancel-heavy heap cannot hold dead entries indefinitely);
 * dispatch avoids the ``**kwargs`` unpacking path when a callback was
   scheduled without keyword arguments (the overwhelmingly common case).
-
-Partitioned event streams
--------------------------
-
-:meth:`Scheduler.partition` splits the queue into named
-:class:`EventStream` partitions (the cluster layer keeps one per server
-node) while preserving the global dispatch contract exactly: every event —
-whichever stream it was scheduled on — carries a timestamp and a ticket
-from one *global* sequence counter, and dispatch always runs the globally
-minimal ``(time, sequence)`` entry next.  Scattering events over streams
-therefore never changes the dispatch order relative to the single-heap
-scheduler (pinned by the determinism-fingerprint test in
-``tests/sim/test_partitioned_scheduler.py``); what it buys is a queue
-*shape* that scales with the number of streams, not the number of
-producers — per-server flow aggregates stay O(servers) entries deep — and
-a seam along which one world can later be sharded across processes.  A
-scheduler that never partitions pays nothing: the single-queue dispatch
-fast path is only left once the first partition exists.
 """
 
 from __future__ import annotations
@@ -144,11 +126,6 @@ class Scheduler:
         #: Dispatch trace: a plain list, or a bounded deque when
         #: ``enable_tracing`` was given a limit.
         self._trace: "list[tuple[float, str]] | deque[tuple[float, str]] | None" = None
-        #: Named partitions (see :meth:`partition`).  ``_extra_queues`` holds
-        #: their raw heaps; dispatch leaves the single-queue fast path only
-        #: while this list is non-empty.
-        self._partitions: dict[Any, "EventStream"] = {}
-        self._extra_queues: list[list[tuple[float, int, Event]]] = []
 
     # -- inspection -------------------------------------------------------
 
@@ -227,38 +204,6 @@ class Scheduler:
         self.last_event = event
         return event
 
-    def call_soon(
-        self, callback: Callable[..., None], *args: Any, label: str = "soon", **kwargs: Any
-    ) -> Event:
-        """Schedule ``callback`` to run at the current virtual time."""
-        return self.schedule(0.0, callback, *args, label=label, **kwargs)
-
-    # -- partitions -------------------------------------------------------
-
-    def partition(self, key: Any) -> "EventStream":
-        """Return the :class:`EventStream` partition for ``key``, creating it
-        on first use.
-
-        Partitions share this scheduler's time, pending accounting and —
-        crucially — its global sequence counter, so events scheduled on any
-        mix of streams dispatch in exactly the ``(time, insertion order)``
-        order the single shared queue would have produced.  Creating the
-        first partition switches dispatch to the merged path; a scheduler
-        that never calls this keeps the single-queue fast path.
-        """
-        stream = self._partitions.get(key)
-        if stream is None:
-            heap: list[tuple[float, int, Event]] = []
-            stream = EventStream(self, key, heap)
-            self._partitions[key] = stream
-            self._extra_queues.append(heap)
-        return stream
-
-    @property
-    def partition_count(self) -> int:
-        """Number of partitions created via :meth:`partition`."""
-        return len(self._partitions)
-
     # -- execution --------------------------------------------------------
 
     def step(self) -> bool:
@@ -267,23 +212,6 @@ class Scheduler:
         Returns ``True`` if an event was dispatched, ``False`` if the queue
         was empty (cancelled events are discarded silently).
         """
-        if self._extra_queues:
-            queue = self._min_live_queue()
-            if queue is None:
-                return False
-            _time, _seq, event = heapq.heappop(queue)
-            self.now = event.time
-            event.dispatched = True
-            self._pending -= 1
-            self._dispatched_count += 1
-            if self._trace is not None:
-                self._trace.append((event.time, event.label))
-            kwargs = event.kwargs
-            if kwargs:
-                event.callback(*event.args, **kwargs)
-            else:
-                event.callback(*event.args)
-            return True
         queue = self._queue
         while queue:
             _time, _seq, event = heapq.heappop(queue)
@@ -327,30 +255,11 @@ class Scheduler:
         """
         if duration < 0:
             raise SchedulerError(f"duration must be non-negative, got {duration}")
-        deadline = self.now + duration
-        dispatched = self.run_until_time(deadline, max_events=max_events)
-        if self.now < deadline:
-            self.now = float(deadline)
-        return dispatched
+        return self.run_until_time(self.now + duration, max_events=max_events)
 
     def run_until_time(self, deadline: float, max_events: int = 1_000_000) -> int:
         """Dispatch every event whose time is ``<= deadline``."""
         dispatched = 0
-        if self._extra_queues:
-            while True:
-                queue = self._min_live_queue()
-                if queue is None or queue[0][0] > deadline:
-                    break
-                self.step()
-                dispatched += 1
-                if dispatched >= max_events:
-                    raise SchedulerError(
-                        f"run_until_time dispatched {max_events} events "
-                        "without reaching the deadline"
-                    )
-            if self.now < deadline:
-                self.now = float(deadline)
-            return dispatched
         while self._queue:
             entry = self._queue[0]
             if entry[2].cancelled:
@@ -365,7 +274,7 @@ class Scheduler:
                 raise SchedulerError(
                     f"run_until_time dispatched {max_events} events without reaching the deadline"
                 )
-        if self.now < deadline and not self._has_pending_before(deadline):
+        if self.now < deadline:
             self.now = float(deadline)
         return dispatched
 
@@ -403,45 +312,6 @@ class Scheduler:
 
     # -- internals --------------------------------------------------------
 
-    def _min_live_queue(self) -> "list[tuple[float, int, Event]] | None":
-        """The queue whose live head has the globally minimal ``(time, seq)``.
-
-        Cancelled heads surfacing during the scan are discarded for good.
-        Linear in the number of partitions — the cluster layer keeps one per
-        server node, so this stays a handful of comparisons per dispatch.
-        """
-        best_queue = None
-        best_time = 0.0
-        best_seq = 0
-        queue = self._queue
-        while queue:
-            head = queue[0]
-            if head[2].cancelled:
-                heapq.heappop(queue)
-                self._cancelled_in_queue -= 1
-                continue
-            best_queue = queue
-            best_time = head[0]
-            best_seq = head[1]
-            break
-        for queue in self._extra_queues:
-            while queue:
-                head = queue[0]
-                if head[2].cancelled:
-                    heapq.heappop(queue)
-                    self._cancelled_in_queue -= 1
-                    continue
-                if (
-                    best_queue is None
-                    or head[0] < best_time
-                    or (head[0] == best_time and head[1] < best_seq)
-                ):
-                    best_queue = queue
-                    best_time = head[0]
-                    best_seq = head[1]
-                break
-        return best_queue
-
     def _note_cancelled(self) -> None:
         """Account for an :meth:`Event.cancel`; purge once cancels dominate."""
         self._pending -= 1
@@ -455,37 +325,17 @@ class Scheduler:
         dispatches shrink the heap too, so the threshold can be crossed
         without any new cancel arriving.
         """
-        total = len(self._queue)
-        for extra in self._extra_queues:
-            total += len(extra)
-        if self._cancelled_in_queue > _PURGE_MIN_QUEUE and self._cancelled_in_queue * 2 > total:
+        if (
+            self._cancelled_in_queue > _PURGE_MIN_QUEUE
+            and self._cancelled_in_queue * 2 > len(self._queue)
+        ):
             # In-place (slice) assignment: run loops hold references to the
             # queue list across dispatches, and a cancel inside a callback
             # must not strand them on a stale heap.
             queue = self._queue
             queue[:] = [entry for entry in queue if not entry[2].cancelled]
             heapq.heapify(queue)
-            for queue in self._extra_queues:
-                queue[:] = [entry for entry in queue if not entry[2].cancelled]
-                heapq.heapify(queue)
             self._cancelled_in_queue = 0
-
-    def _has_pending_before(self, deadline: float) -> bool:
-        # Cancelled entries at the top were already popped by the callers'
-        # loops, so the heap minimum decides in O(1) (amortised: any
-        # cancelled entries surfacing here are discarded for good).
-        if self._extra_queues:
-            queue = self._min_live_queue()
-            return queue is not None and queue[0][0] <= deadline
-        queue = self._queue
-        while queue:
-            entry = queue[0]
-            if entry[2].cancelled:
-                heapq.heappop(queue)
-                self._cancelled_in_queue -= 1
-                continue
-            return entry[0] <= deadline
-        return False
 
     def __repr__(self) -> str:
         return (
@@ -493,86 +343,3 @@ class Scheduler:
             f"dispatched={self._dispatched_count})"
         )
 
-
-class EventStream:
-    """One named partition of a :class:`Scheduler`'s event queue.
-
-    Obtained via :meth:`Scheduler.partition`.  A stream is a separate heap
-    with the *same* dispatch semantics as the shared queue: timestamps come
-    from the scheduler's time and insertion tickets from its global
-    sequence counter, so the merged dispatch order is identical to what a
-    single queue would produce.  The cluster layer keeps one stream per
-    server node and aims cohort-flow settlement events at it, so a
-    million-client flow keeps the queue O(servers) deep instead of
-    O(in-flight calls), and per-node event populations stay contiguous for
-    future multi-process sharding.
-
-    Events scheduled through a stream are ordinary :class:`Event` objects —
-    cancellation and tracing behave exactly as for :meth:`Scheduler.schedule`.
-    """
-
-    __slots__ = ("scheduler", "key", "_heap")
-
-    def __init__(
-        self,
-        scheduler: Scheduler,
-        key: Any,
-        heap: list[tuple[float, int, Event]],
-    ) -> None:
-        self.scheduler = scheduler
-        self.key = key
-        self._heap = heap
-
-    def __len__(self) -> int:
-        """Entries currently in this stream's heap (may include cancelled)."""
-        return len(self._heap)
-
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[..., None],
-        *args: Any,
-        label: str = "event",
-        **kwargs: Any,
-    ) -> Event:
-        """Schedule ``callback`` on this stream ``delay`` seconds from now."""
-        scheduler = self.scheduler
-        if delay < 0:
-            raise SchedulerError(f"cannot schedule an event in the past (delay={delay})")
-        event = Event(
-            scheduler.now + delay, callback, args, kwargs or None, label, scheduler
-        )
-        heapq.heappush(self._heap, (event.time, next(scheduler._sequence), event))
-        scheduler._pending += 1
-        scheduler.last_event = event
-        return event
-
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        *args: Any,
-        label: str = "event",
-        **kwargs: Any,
-    ) -> Event:
-        """Schedule ``callback`` on this stream at absolute time ``time``."""
-        scheduler = self.scheduler
-        if time < scheduler.now:
-            raise SchedulerError(
-                f"cannot schedule an event at {time} before current time {scheduler.now}"
-            )
-        time = float(time)
-        event = Event(time, callback, args, kwargs or None, label, scheduler)
-        heapq.heappush(self._heap, (time, next(scheduler._sequence), event))
-        scheduler._pending += 1
-        scheduler.last_event = event
-        return event
-
-    def call_soon(
-        self, callback: Callable[..., None], *args: Any, label: str = "soon", **kwargs: Any
-    ) -> Event:
-        """Schedule ``callback`` on this stream at the current virtual time."""
-        return self.schedule(0.0, callback, *args, label=label, **kwargs)
-
-    def __repr__(self) -> str:
-        return f"EventStream({self.key!r}, entries={len(self._heap)})"

@@ -79,8 +79,3 @@ class SoapFault:
     def is_server_not_initialized(self) -> bool:
         """True for the "Server not initialized" fault."""
         return self.fault_string == FaultCodes.SERVER_NOT_INITIALIZED
-
-    @property
-    def is_malformed_request(self) -> bool:
-        """True for the "Malformed SOAP Request" fault."""
-        return self.fault_string == FaultCodes.MALFORMED_REQUEST

@@ -118,21 +118,6 @@ class TestCohortDeterminism:
         assert first.all_rtts == second.all_rtts
         assert first.events_dispatched == second.events_dispatched
 
-    def test_partitioned_streams_only_appear_with_flows(self):
-        """Discrete-only scenarios keep the scheduler's single-queue path."""
-        runtime = _echo_scenario(4, calls=1, replicas=2, arrival=0.0).build()
-        runtime.run()
-        assert runtime.world.scheduler.partition_count == 0
-        cohort_runtime = _echo_scenario(
-            8,
-            calls=1,
-            replicas=2,
-            arrival=0.0,
-            cohort=CohortModel(representatives=0),
-        ).build()
-        cohort_runtime.run()
-        assert cohort_runtime.world.scheduler.partition_count > 0
-
 
 class TestCohortFaults:
     def test_total_outage_abandons_after_retry_budget(self):

@@ -161,11 +161,6 @@ class TestServiceRegistry:
         with pytest.raises(ClusterError):
             registry.register(ServiceEntry("mail", "corba"))
 
-    def test_prefix_alias_routes_to_service(self):
-        registry, entry = self._registry()
-        registry.add_alias("mail-", "mail")
-        assert registry.lookup("mail-eu-west") is entry
-
     def test_select_accounts_routed_calls_and_in_flight(self):
         registry, entry = self._registry()
         replica = registry.select("mail", "client-1")

@@ -52,19 +52,6 @@ class TestPoa:
             PortableObjectAdapter().servant_for("ghost")
         assert excinfo.value.name == "OBJECT_NOT_EXIST"
 
-    def test_replace_servant(self):
-        poa = PortableObjectAdapter()
-        poa.activate_object("X", StaticServant("X"))
-        replacement = StaticServant("X2")
-        poa.replace_servant("X", replacement)
-        assert poa.servant_for("X") is replacement
-
-    def test_deactivate(self):
-        poa = PortableObjectAdapter()
-        poa.activate_object("X", StaticServant("X"))
-        poa.deactivate_object("X")
-        with pytest.raises(CorbaSystemException):
-            poa.servant_for("X")
 
 
 class TestStaticServant:

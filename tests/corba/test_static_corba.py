@@ -42,11 +42,6 @@ class TestDeployment:
         assert server.ior.object_key == "Calculator"
         assert server.ior.port == 9000
 
-    def test_http_publication_requires_port(self, network, scheduler):
-        server = StaticCorbaServer(network.host("server"), 9000, build_definition())
-        with pytest.raises(CorbaError):
-            _ = server.idl_url
-
 
 class TestClientServerRoundTrips:
     def test_direct_connect_and_call(self, network, scheduler):
@@ -63,13 +58,6 @@ class TestClientServerRoundTrips:
         client = StaticCorbaClient(network.host("client"))
         stub = client.connect(server.idl_document, server.ior.stringify())
         assert stub.add(1, 1) == 2
-
-    def test_connect_via_http(self, network, scheduler):
-        server = StaticCorbaServer(network.host("server"), 9000, build_definition(), http_port=8085)
-        server.start()
-        client = StaticCorbaClient(network.host("client"))
-        stub = client.connect_via_http(server.idl_url, server.ior_url)
-        assert stub.norm({"x": 3.0, "y": 4.0}) == pytest.approx(5.0)
 
     def test_struct_argument_roundtrip(self, network, scheduler):
         server = StaticCorbaServer(network.host("server"), 9000, build_definition())

@@ -11,6 +11,7 @@ from repro.errors import (
 from repro.net.http import HttpClient
 from repro.rmitypes import INT, STRING
 from repro.soap.envelope import SoapRequest, SoapResponse
+from repro.soap.faults import FaultCodes
 
 
 def _operations():
@@ -72,6 +73,18 @@ class TestSoapCallHandler:
         handler = replica.call_handler
         assert handler.stats.non_existent_method_faults == 1
 
+    def test_match_serves_only_distributed_methods_that_fit(self, fast_scenario):
+        """A non-distributed method, an arity mismatch and a failed argument
+        validation all fall through to the §5.7 stale-call path."""
+        runtime, replica = _calculator(fast_scenario)
+        handler = replica.call_handler
+        calculator = runtime.dynamic_class("Calculator")
+        assert handler._match("add", (2, 3)) is calculator.method("add")
+        assert handler._match("add", (2,)) is None
+        assert handler._match("add", ("two", 3)) is None
+        calculator.method("explode").set_distributed(False)
+        assert handler._match("explode", ("boom",)) is None
+
     def test_changed_signature_treated_as_stale(self, fast_scenario):
         runtime, replica = _calculator(fast_scenario)
         calculator = runtime.dynamic_class("Calculator")
@@ -95,7 +108,7 @@ class TestSoapCallHandler:
         response = client.post(handler.endpoint_url, "this is not xml")
         parsed = SoapResponse.from_xml(response.body)
         assert parsed.is_fault
-        assert parsed.fault.is_malformed_request
+        assert parsed.fault.fault_string == FaultCodes.MALFORMED_REQUEST
         assert handler.stats.malformed_requests == 1
 
     def test_get_on_endpoint_points_to_wsdl(self, fast_scenario):

@@ -38,12 +38,6 @@ class TestScheduling:
         with pytest.raises(SchedulerError):
             scheduler.schedule_at(0.5, lambda: None)
 
-    def test_call_soon_runs_at_current_time(self, scheduler: Scheduler):
-        times = []
-        scheduler.schedule(1.0, lambda: scheduler.call_soon(lambda: times.append(scheduler.now)))
-        scheduler.run_until_idle()
-        assert times == [1.0]
-
     def test_arguments_forwarded(self, scheduler: Scheduler):
         received = []
         scheduler.schedule(0.1, lambda a, b=None: received.append((a, b)), 1, b=2)
@@ -100,6 +94,20 @@ class TestRunModes:
         scheduler.schedule(3.0, lambda: ran.append(3))
         scheduler.run_until_time(2.0)
         assert ran == [1, 2]
+
+        # A cancelled event before a deadline that falls between two live
+        # events: the clock lands exactly on the deadline and the later live
+        # event stays pending.
+        gapped = Scheduler()
+        gapped_ran = []
+        gapped.schedule(1.0, lambda: gapped_ran.append(1))
+        gapped.schedule(1.5, lambda: gapped_ran.append("cancelled")).cancel()
+        later = gapped.schedule(3.0, lambda: gapped_ran.append(3))
+        gapped.run_until_time(2.0)
+        assert gapped_ran == [1]
+        assert gapped.now == 2.0
+        assert later.pending
+        assert gapped.pending_count == 1
 
     def test_run_until_condition(self, scheduler: Scheduler):
         state = {"done": False}
