@@ -42,11 +42,16 @@ Determinism
 -----------
 
 Everything here is a pure function of the scenario spec and the virtual
-clock: arrival offsets are precomputed, ticks and settlement events fire
-on the one scheduler queue in ``(time, insertion order)`` order, and all
-accounting is integer counters plus a fixed-bin histogram.  Two runs of
-the same scenario produce byte-identical :meth:`CohortReport.fingerprint`
-values.
+clock: a flow reads its arrival offsets in order from the group's seeded
+stream, ticks and settlement events fire on the one scheduler queue in
+``(time, insertion order)`` order, and all accounting is integer counters
+plus a fixed-bin histogram.  Two runs of the same scenario produce
+byte-identical :meth:`CohortReport.fingerprint` values.
+
+A flow holds only the offsets it still needs: each tick it reads ahead of
+the clock in chunks of :data:`READ_CHUNK`, and drops the prefix that every
+call rank has passed.  Its buffer therefore spans about ``calls - 1``
+periods of arrivals, not the whole mass.
 
 §6 recency at flow granularity: the flow keeps a watermark of the highest
 interface version it has observed.  A settlement that observes a version
@@ -58,14 +63,15 @@ counter at zero, exactly as on the discrete path.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from itertools import islice
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.cluster.histogram import DEFAULT_BIN_WIDTH, LatencyHistogram
 from repro.cluster.report import CohortReport
 from repro.errors import ClusterError, NoAliveReplicaError
+from repro.traffic.arrivals import _checked
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.driver import FleetDriver
@@ -73,6 +79,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.topology import ClusterWorld
     from repro.evolve.graph import ClientBinding
     from repro.net.simnet import Host
+
+
+#: Arrival offsets a flow reads from its stream at a time.
+READ_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -132,9 +142,9 @@ class CohortFlow:
     """One client group's modeled mass: an arrival process over the registry.
 
     Created by the scenario's plan builder — one flow per (group, protocol,
-    service) with ``mass = count - representatives`` modeled clients, each
-    issuing ``calls`` calls spaced ``period`` apart starting at its own
-    arrival offset.
+    service) with ``mass`` modeled clients, each issuing ``calls`` calls
+    spaced ``period`` apart starting at its own arrival offset.  The
+    ``arrivals`` iterator yields exactly ``mass`` offsets, sorted.
     """
 
     def __init__(
@@ -148,7 +158,8 @@ class CohortFlow:
         arguments: tuple[Any, ...],
         calls: int,
         think_time: float,
-        offsets: "array[float]",
+        arrivals: Iterator[float],
+        mass: int,
         model: CohortModel,
         host: "Host",
         world: "ClusterWorld",
@@ -162,13 +173,13 @@ class CohortFlow:
         self.arguments = arguments
         self.calls = calls
         self.think_time = think_time
-        #: Sorted per-client arrival offsets (seconds after flow start).
-        self.offsets = offsets
+        #: The not-yet-read arrival offsets (seconds after flow start), sorted.
+        self.arrivals = arrivals
         self.model = model
         self.host = host
         self.world = world
         self.registry = registry
-        self.mass = len(offsets)
+        self.mass = mass
         self.report = CohortReport(
             name=name,
             protocol=protocol,
@@ -183,9 +194,15 @@ class CohortFlow:
         self.driver: "FleetDriver | None" = None
         self.entry: "ServiceEntry | None" = None
         self.stack = None
-        #: Per-call-rank pointer into ``offsets``: ``_ptrs[k]`` counts the
-        #: modeled clients whose (k+1)-th call has already been injected.
+        #: Per-call-rank arrival position: ``_ptrs[k]`` counts the modeled
+        #: clients whose (k+1)-th call has already been injected.
         self._ptrs = [0] * calls
+        #: The offsets read but not yet passed by every call rank: arrival
+        #: positions ``_base`` up to ``_read``.
+        self._buffer: list[float] = []
+        self._base = 0
+        self._read = 0
+        self._exhausted = False
         #: Routed-but-failed batches carried to the next tick: (count, attempt).
         self._carry: list[tuple[int, int]] = []
         #: Settlement events scheduled but not yet dispatched — the flow
@@ -276,6 +293,7 @@ class CohortFlow:
         """Begin the flow: anchor the arrival timeline and arm the first tick."""
         assert self.driver is not None
         self._origin = self.driver.scheduler.now
+        self._fill(-1.0)  # offsets are non-negative: just the first chunk
         first = self._next_arrival()
         if first is None:
             self._finish()
@@ -286,15 +304,45 @@ class CohortFlow:
             label=f"{self.name} tick",
         )
 
+    def _fill(self, elapsed: float) -> None:
+        """Read offsets until one lies beyond ``elapsed`` or the stream ends.
+
+        Every call rank's next arrival is then in the buffer: rank ``k``
+        waits for offsets up to ``elapsed - k * period``, and none of them
+        has passed the first offset beyond ``elapsed``.
+        """
+        buffer = self._buffer
+        while not self._exhausted and (not buffer or buffer[-1] <= elapsed):
+            chunk = list(islice(self.arrivals, READ_CHUNK))
+            self._read += len(chunk)
+            if self._read > self.mass:
+                raise ClusterError(
+                    f"cohort flow {self.name!r} read more than its {self.mass} "
+                    "arrival offsets"
+                )
+            if len(chunk) < READ_CHUNK:
+                self._exhausted = True
+                if self._read < self.mass:
+                    raise ClusterError(
+                        f"cohort flow {self.name!r} read {self._read} arrival "
+                        f"offsets for {self.mass} modeled clients"
+                    )
+            try:
+                _checked(chunk)
+            except ClusterError as error:
+                raise ClusterError(f"cohort flow {self.name!r}: {error}") from None
+            buffer += chunk
+
     def _next_arrival(self) -> float | None:
         """Absolute time of the earliest not-yet-injected modeled call."""
         earliest: float | None = None
-        offsets = self.offsets
+        buffer = self._buffer
+        base = self._base
         period = self._period
         for rank, pointer in enumerate(self._ptrs):
             if pointer >= self.mass:
                 continue
-            due = self._origin + offsets[pointer] + rank * period
+            due = self._origin + buffer[pointer - base] + rank * period
             if earliest is None or due < earliest:
                 earliest = due
         return earliest
@@ -317,15 +365,25 @@ class CohortFlow:
             self._route(count, attempt, watermark)
         arrivals = 0
         elapsed = now - self._origin
-        offsets = self.offsets
+        self._fill(elapsed)
+        buffer = self._buffer
+        base = self._base
+        ptrs = self._ptrs
         for rank in range(self.calls):
-            pointer = self._ptrs[rank]
+            pointer = ptrs[rank]
             if pointer >= self.mass:
                 continue
-            advanced = bisect_right(offsets, elapsed - rank * self._period, pointer)
+            advanced = base + bisect_right(
+                buffer, elapsed - rank * self._period, pointer - base
+            )
             if advanced > pointer:
                 arrivals += advanced - pointer
-                self._ptrs[rank] = advanced
+                ptrs[rank] = advanced
+        # Drop the prefix every call rank has passed.
+        passed = min(ptrs) - base
+        if passed:
+            del buffer[:passed]
+            self._base = base + passed
         if arrivals:
             self._route(arrivals, 1, watermark)
         upcoming = self._next_arrival()

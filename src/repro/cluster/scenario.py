@@ -39,9 +39,8 @@ from __future__ import annotations
 
 import inspect
 import math
-from array import array
 from dataclasses import dataclass, field, replace
-from itertools import compress, cycle, islice
+from itertools import compress, cycle, islice, tee
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.cluster.cohort import CohortFlow, CohortModel
@@ -64,7 +63,7 @@ from repro.interface import Parameter
 from repro.jpie import DynamicClass
 from repro.net import LatencyModel
 from repro.rmitypes import RmiType, VOID
-from repro.traffic.arrivals import resolve_offsets
+from repro.traffic.arrivals import ArrivalProcess, _checked, resolve_offsets
 
 #: Default protocol for services that do not name a technology.
 DEFAULT_TECHNOLOGY = "soap"
@@ -740,10 +739,12 @@ class ScenarioRuntime:
         for group, discrete_count in zip(self.scenario._client_groups, discrete_counts):
             # One resolution covers the FULL group (scalar spacing, callable,
             # or seeded ArrivalProcess — see repro.traffic.arrivals), so the
-            # discrete representatives and the flow mass draw their offsets
+            # discrete representatives and the flow mass read their offsets
             # from the same stream: cohort aggregation never shifts when
-            # anyone arrives.
-            group_offsets = resolve_offsets(group.arrival, group.count)
+            # anyone arrives.  The representatives take the first offsets
+            # now; the flows read the rest tick by tick.
+            offsets = resolve_offsets(group.arrival, group.count)
+            starts = _checked(list(islice(offsets, discrete_count)))
             # The protocol interleave covers the FULL group, so the
             # representatives' assignments are exactly what positions
             # 0..reps-1 would get in the all-discrete group and the flow
@@ -777,7 +778,7 @@ class ScenarioRuntime:
                         operation=operation,
                         arguments=group.arguments,
                         think_time=group.think_time,
-                        start_offset=group_offsets[position],
+                        start_offset=starts[position],
                         stale_every=group.stale_every,
                         stale_operation=group.stale_operation,
                         retry=group.retry,
@@ -787,16 +788,22 @@ class ScenarioRuntime:
             if group.cohort is None or group.count <= discrete_count:
                 continue
             # One flow per protocol of the mass, in first-position order,
-            # holding exactly its own positions' offsets: mass position j is
+            # reading exactly its own positions' offsets: mass position j is
             # group position reps + j, so it speaks the unit rotated by reps.
+            # With several protocols each flow filters its own tee of the
+            # stream; every flow reads up to the same clock, so the tees stay
+            # about a chunk apart.  A callable's offsets come in position
+            # order, so each flow sorts its share of them.
+            mass = group.count - discrete_count
             turn = discrete_count % len(unit)
             rotated = unit[turn:] + unit[:turn]
-            kinds = list(dict.fromkeys(rotated[: group.count - discrete_count]))
-            for protocol in kinds:
-                mass_offsets = islice(group_offsets, discrete_count, None)
-                offsets = mass_offsets if len(kinds) == 1 else compress(
-                    mass_offsets, cycle(map(protocol.__eq__, rotated))
-                )
+            laps, rest = divmod(mass, len(rotated))
+            kinds = list(dict.fromkeys(rotated[:mass]))
+            streams = tee(offsets, len(kinds)) if len(kinds) > 1 else [offsets]
+            ordered = isinstance(group.arrival, ArrivalProcess) or not callable(group.arrival)
+            for protocol, stream in zip(kinds, streams):
+                if len(kinds) > 1:
+                    stream = compress(stream, cycle(map(protocol.__eq__, rotated)))
                 service = service_of[protocol]
                 flow_number = len(flows) + 1
                 flows.append(
@@ -809,7 +816,8 @@ class ScenarioRuntime:
                         arguments=group.arguments,
                         calls=group.calls,
                         think_time=group.think_time,
-                        offsets=array("d", sorted(offsets)),
+                        arrivals=stream if ordered else iter(sorted(stream)),
+                        mass=laps * rotated.count(protocol) + rotated[:rest].count(protocol),
                         model=group.cohort,
                         host=self.world.add_client(f"cohort-client-{flow_number}"),
                         world=self.world,

@@ -27,6 +27,28 @@ it accepts the legacy scalar spacing, the legacy position→offset callable,
 and any :class:`ArrivalProcess`, replacing the scalar-vs-callable
 special-casing that used to live in ``cluster/scenario.py`` and
 ``cluster/cohort.py``.
+
+What is drawn when
+------------------
+
+:func:`resolve_offsets` hands back an iterator, and how much of it exists
+up front depends on the form:
+
+* :class:`Poisson` draws lazily: each offset is drawn when the consumer
+  reads it.  A cohort flow reads its share one tick at a time, so a
+  million-client group's draws happen inside the flow's ticks and only the
+  offsets a flow still needs are ever held.
+* Scalar spacing computes ``position * step`` on read; a bad step (negative,
+  not finite, or ``(count - 1) * step`` overflowing) is rejected when the
+  offsets are resolved.
+* Every other :class:`ArrivalProcess` draws the whole group at resolve time
+  and sorts it (:meth:`ArrivalProcess.offsets`).
+* A callable is evaluated for every position at resolve time and yields in
+  position order, which need not be sorted.
+
+Offsets that are drawn lazily are checked by their reader: the cohort flow
+runs :func:`_checked` on every chunk it reads, and the plan builder on the
+discrete representatives' offsets.
 """
 
 from __future__ import annotations
@@ -35,7 +57,9 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Iterable
+from itertools import accumulate, islice, repeat, starmap
+from operator import mul, sub, truediv
+from typing import Any, Iterable, Iterator
 
 from repro.errors import ClusterError
 
@@ -67,6 +91,14 @@ class ArrivalProcess:
             )
         return _checked(values)
 
+    def stream(self, count: int) -> Iterator[float]:
+        """The group's offsets in arrival order, for :func:`resolve_offsets`.
+
+        By default the whole group is drawn and sorted now (:meth:`offsets`);
+        a process whose draws come out sorted may yield them as they are read.
+        """
+        return iter(self.offsets(count))
+
     def _rng(self) -> random.Random:
         # A fresh generator per call: the process is a pure function of its
         # seed, so recording, replaying and re-running never re-sample.
@@ -87,17 +119,18 @@ class Poisson(ArrivalProcess):
         if self.rate <= 0:
             raise ClusterError(f"Poisson rate must be positive, got {self.rate}")
 
-    def sample(self, rng: random.Random, count: int) -> list[float]:
-        # CPython's expovariate formula with bound methods in locals: the
-        # same floats as ``rng.expovariate(rate)``, no Python call per draw.
-        draw, log, rate = rng.random, math.log, self.rate
-        offsets: list[float] = []
-        append = offsets.append
-        now = 0.0
-        for _ in range(count):
-            now += -log(1.0 - draw()) / rate
-            append(now)
-        return offsets
+    def sample(self, rng: random.Random, count: int) -> Iterator[float]:
+        # CPython's expovariate formula, -log(1 - u) / rate, as C iterators:
+        # the same floats as ``rng.expovariate(rate)`` summed one by one
+        # from 0.0, drawn as they are read, with no Python call per draw.
+        # (Negating the divisor instead of the logarithm is exact.)
+        draws = starmap(rng.random, repeat((), count))
+        gaps = map(truediv, map(math.log, map(sub, repeat(1.0), draws)), repeat(-self.rate))
+        return islice(accumulate(gaps, initial=0.0), 1, None)
+
+    def stream(self, count: int) -> Iterator[float]:
+        """The cumulative sums, drawn as they are read: already sorted."""
+        return self.sample(self._rng(), count)
 
 
 @dataclass(frozen=True)
@@ -270,28 +303,35 @@ def _checked(offsets: list[float]) -> list[float]:
     return offsets
 
 
-def resolve_offsets(arrival: Any, count: int) -> list[float]:
-    """Per-position start offsets for a ``count``-client group.
+def resolve_offsets(arrival: Any, count: int) -> Iterator[float]:
+    """Per-position start offsets for a ``count``-client group, in order.
 
     The one shared resolver behind ``Scenario.clients(..., arrival=...)``
     and the cohort flow builder:
 
     * a float ``s`` staggers position *i* at ``i * s`` (the legacy form);
-    * a callable maps the position to its offset;
-    * an :class:`ArrivalProcess` draws the whole group's offsets from its
-      seeded stream (position = arrival rank).
+    * a callable maps the position to its offset (yielded in position
+      order, which need not be sorted);
+    * an :class:`ArrivalProcess` streams the group's offsets from its
+      seeded stream (position = arrival rank; see "What is drawn when").
 
-    Offsets must be finite and non-negative; the same list feeds both the
+    Offsets must be finite and non-negative; the same stream feeds both the
     discrete representatives and the modeled flow mass, so cohort
     aggregation never shifts when anyone arrives.
     """
     if count < 0:
         raise ClusterError(f"arrival count must be non-negative, got {count}")
     if isinstance(arrival, ArrivalProcess):
-        return arrival.offsets(count)
+        return arrival.stream(count)
     if callable(arrival):
-        return _checked([float(arrival(position)) for position in range(count)])
+        return iter(_checked([float(arrival(position)) for position in range(count)]))
     step = float(arrival)
     if step < 0:
         raise ClusterError(f"arrival spacing must be non-negative, got {step}")
-    return _checked([position * step for position in range(count)])
+    # The largest offset is the last one: checking it checks them all.
+    last = (count - 1) * step if count else 0.0
+    if not math.isfinite(last):
+        raise ClusterError(
+            f"arrival offsets must be finite, got {last} from spacing {step}"
+        )
+    return map(mul, range(count), repeat(step))

@@ -367,7 +367,7 @@ def scenario_to_spec(scenario: Scenario) -> dict[str, Any]:
                 "arguments": _arguments_to_json(group.arguments),
                 "think_time": group.think_time,
                 # The resolved offsets ARE the arrival spec from here on.
-                "offsets": resolve_offsets(group.arrival, group.count),
+                "offsets": list(resolve_offsets(group.arrival, group.count)),
                 "stale_every": group.stale_every,
                 "stale_operation": group.stale_operation,
                 "retry": (

@@ -12,10 +12,13 @@ different host name).
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import CohortModel, Scenario, op
+from repro.cluster.cohort import READ_CHUNK, CohortFlow
 from repro.cluster.presets import (
     cohort_scale_cost_model,
     fault_drill_scenario,
@@ -25,6 +28,7 @@ from repro.core.sde import SDEConfig
 from repro.errors import ClusterError
 from repro.faults import crash
 from repro.rmitypes import STRING
+from repro.traffic import Poisson
 
 
 def _echo_scenario(clients, *, calls, replicas, arrival, cohort=None):
@@ -238,12 +242,12 @@ class TestFlowOffsets:
 
     def test_callable_offsets_are_sorted(self):
         _plans, (flow,) = self._plans(4, lambda i: (3 - i) * 0.5)
-        assert list(flow.offsets) == [0.0, 0.5, 1.0, 1.5]
+        assert list(array("d", flow.arrivals)) == [0.0, 0.5, 1.0, 1.5]
 
     def test_float_step_scales_positions(self):
         plans, (flow,) = self._plans(7, 0.25, representatives=4)
         assert [plan.start_offset for plan in plans] == [0.0, 0.25, 0.5, 0.75]
-        assert list(flow.offsets) == [1.0, 1.25, 1.5]
+        assert list(array("d", flow.arrivals)) == [1.0, 1.25, 1.5]
 
     def test_negative_step_rejected(self):
         with pytest.raises(ClusterError):
@@ -252,3 +256,60 @@ class TestFlowOffsets:
     def test_negative_offset_rejected(self):
         with pytest.raises(ClusterError):
             self._plans(2, lambda i: i - 1.0)
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["shorter", "longer"])
+    def test_stream_length_must_match_the_mass(self, extra):
+        _plans, (flow,) = self._plans(3000, 0.001)
+        flow.arrivals = iter([0.0] * (flow.mass + extra))
+        with pytest.raises(ClusterError, match="cohort flow 'cohort-1'"):
+            flow._fill(float("inf"))
+
+    def test_overflowing_poisson_offsets_fail_the_run(self):
+        # Gaps near 1e306 seconds: the cumulative offsets pass the largest
+        # float within a few hundred clients and become inf.
+        arrival = Poisson(rate=1e-306)
+        with pytest.raises(ClusterError, match="cohort flow 'cohort-1'.*finite"):
+            _echo_scenario(
+                1000,
+                calls=1,
+                replicas=1,
+                arrival=arrival,
+                cohort=CohortModel(representatives=0),
+            ).run()
+        # Without a flow the representatives' offsets are checked up front.
+        with pytest.raises(ClusterError, match="must be finite"):
+            _echo_scenario(1000, calls=1, replicas=1, arrival=arrival).run()
+
+
+class TestFlowBuffer:
+    """A flow holds about ``calls - 1`` periods of arrivals, not its mass."""
+
+    def test_peak_buffer_does_not_grow_with_the_mass(self, monkeypatch):
+        peaks = {}
+        fill = CohortFlow._fill
+
+        def recording_fill(flow, elapsed):
+            fill(flow, elapsed)
+            peaks[flow.name] = max(peaks.get(flow.name, 0), len(flow._buffer))
+
+        monkeypatch.setattr(CohortFlow, "_fill", recording_fill)
+
+        def peak_buffers(clients):
+            peaks.clear()
+            report = fault_drill_scenario(
+                clients,
+                cores=2,
+                cohort=CohortModel(representatives=32),
+                calls=3,
+                arrival=Poisson(rate=50_000.0, seed=1),
+                cost_model=cohort_scale_cost_model(),
+            ).run()
+            assert report.modeled_clients == clients - 32
+            return dict(peaks)
+
+        small, large = peak_buffers(10_000), peak_buffers(40_000)
+        assert sorted(small) == sorted(large) == ["cohort-1", "cohort-2"]
+        for name, peak in small.items():
+            # Each flow's mass is about 5,000 and 20,000 clients.
+            assert peak < 5_000
+            assert abs(large[name] - peak) <= READ_CHUNK

@@ -1,11 +1,11 @@
 """Plan building: the fast builder against the original one, kept as the spec.
 
 ``ScenarioRuntime._build_plans`` turns every client group into discrete
-:class:`ClientPlan` s and cohort-flow offset arrays.  It makes no Python-level
-call per client and builds the protocol interleave once per period
-(ARCHITECTURE.md "Plan building"); the original per-client construction lives
-on here as the reference, and every float and assignment must match it bit
-for bit.
+:class:`ClientPlan` s and cohort flows that read their arrival offsets lazily.
+It makes no Python-level call per client and builds the protocol interleave
+once per period (ARCHITECTURE.md "Plan building"); the original per-client
+construction lives on here as the reference, and every float and assignment
+must match it bit for bit once each flow's stream is drained.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import gc
 import sys
 from array import array
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,7 +55,7 @@ def _reference_build(runtime):
             if group.cohort is None
             else min(group.count, group.cohort.representatives)
         )
-        offsets = resolve_offsets(group.arrival, group.count)
+        offsets = list(resolve_offsets(group.arrival, group.count))
         protocols = _reference_interleave(group.protocol_mix, group.count)
         targets = [
             (protocol, runtime._service_for_protocol(protocol).name)
@@ -76,7 +77,7 @@ def _rows(plans, flows):
     assert [flow.index for flow in flows] == list(range(1, len(flows) + 1))
     return (
         [(p.index, p.protocol, p.service, p.start_offset.hex()) for p in plans],
-        [(f.protocol, f.service, f.offsets.tobytes()) for f in flows],
+        [(f.protocol, f.service, array("d", f.arrivals).tobytes()) for f in flows],
     )
 
 
@@ -158,6 +159,30 @@ class TestInterleavePeriod:
         assert len(_weighted_interleave((("soap", 0.5), ("corba", 0.5)), 10**6)) == 2
 
 
+@dataclass(frozen=True)
+class _CountingPoisson(Poisson):
+    """Poisson arrivals that count the offsets read from their stream."""
+
+    reads: list = field(default_factory=lambda: [0], compare=False)
+
+    def stream(self, count):
+        for offset in super().stream(count):
+            self.reads[0] += 1
+            yield offset
+
+
+class TestLazyReads:
+    def test_build_plans_reads_only_the_representatives(self):
+        arrival = _CountingPoisson(rate=1e5, seed=5)
+        runtime = _runtime(10_000, {"soap": 0.5, "corba": 0.5}, arrival)
+        plans, flows = runtime._build_plans()
+        assert len(plans) == 32
+        assert arrival.reads == [32]
+        drained = [array("d", flow.arrivals) for flow in flows]
+        assert arrival.reads == [10_000]
+        assert [len(offsets) for offsets in drained] == [flow.mass for flow in flows]
+
+
 class TestBuilderEquivalence:
     def test_20k_three_protocol_cohort_group(self):
         mix = {"soap": 0.5, "corba": 0.3, "toy": 0.2}
@@ -200,12 +225,12 @@ class TestBuilderEquivalence:
         mix = {"soap": 0.7, "corba": 0.3}
         runtime = _runtime(count, mix, arrival, representatives)
         plans, flows = runtime._build_plans()
-        full = resolve_offsets(arrival, count)
+        full = list(resolve_offsets(arrival, count))
         protocols = _reference_interleave(tuple(mix.items()), count)
         discrete = min(count, representatives)
         assert [plan.start_offset for plan in plans] == full[:discrete]
         assert [plan.protocol for plan in plans] == protocols[:discrete]
-        by_protocol = {flow.protocol: list(flow.offsets) for flow in flows}
+        by_protocol = {flow.protocol: list(array("d", flow.arrivals)) for flow in flows}
         for protocol in mix:
             expected = sorted(
                 full[p] for p in range(discrete, count) if protocols[p] == protocol
@@ -238,18 +263,26 @@ def _python_calls(function):
     return calls
 
 
+def _build_and_drain(runtime):
+    """Build the plans and read every flow's whole arrival stream."""
+    _plans, flows = runtime._build_plans()
+    for flow in flows:
+        array("d", flow.arrivals)
+
+
 class TestNoPerClientCalls:
     def test_python_call_count_does_not_grow_with_the_group(self):
         # A deterministic guard, not a timing: growing the cohort group
-        # tenfold must not add a single Python-level call to plan building.
+        # tenfold must not add a single Python-level call to plan building
+        # or to drawing and splitting the flows' arrivals.
         mix = {"soap": 0.5, "corba": 0.5}
         runtimes = {
             count: _runtime(count, mix, Poisson(rate=count / 0.2, seed=0))
             for count in (1_000, 10_000, 100_000)
         }
-        _python_calls(runtimes.pop(1_000)._build_plans)  # first-use warm-up
+        _python_calls(lambda: _build_and_drain(runtimes.pop(1_000)))  # warm-up
         counts = {
-            count: _python_calls(runtime._build_plans)
+            count: _python_calls(lambda: _build_and_drain(runtime))
             for count, runtime in runtimes.items()
         }
         assert counts[10_000] == counts[100_000]

@@ -49,7 +49,7 @@ class TestDeterminism:
 
     def test_zero_count(self):
         assert Poisson(rate=10.0).offsets(0) == []
-        assert resolve_offsets(Poisson(rate=10.0), 0) == []
+        assert list(resolve_offsets(Poisson(rate=10.0), 0)) == []
 
 
 class TestShapes:
@@ -121,24 +121,24 @@ class TestValidation:
 
 class TestResolveOffsets:
     def test_scalar_spacing(self):
-        assert resolve_offsets(0.5, 4) == [0.0, 0.5, 1.0, 1.5]
+        assert list(resolve_offsets(0.5, 4)) == [0.0, 0.5, 1.0, 1.5]
 
     def test_callable(self):
-        assert resolve_offsets(lambda i: i * i * 0.1, 4) == pytest.approx(
+        assert list(resolve_offsets(lambda i: i * i * 0.1, 4)) == pytest.approx(
             [0.0, 0.1, 0.4, 0.9]
         )
 
     def test_process_delegates_to_offsets(self):
         process = Poisson(rate=50.0, seed=9)
-        assert resolve_offsets(process, 16) == process.offsets(16)
+        assert list(resolve_offsets(process, 16)) == process.offsets(16)
 
     def test_negative_spacing_rejected(self):
         with pytest.raises(ClusterError, match="spacing must be non-negative"):
-            resolve_offsets(-0.1, 4)
+            list(resolve_offsets(-0.1, 4))
 
     def test_negative_callable_offset_rejected(self):
         with pytest.raises(ClusterError, match="offsets must be non-negative"):
-            resolve_offsets(lambda i: -1.0, 2)
+            list(resolve_offsets(lambda i: -1.0, 2))
 
     @pytest.mark.parametrize(
         "arrival, count",
@@ -153,7 +153,7 @@ class TestResolveOffsets:
     )
     def test_non_finite_offsets_rejected(self, arrival, count):
         with pytest.raises(ClusterError, match="must be finite"):
-            resolve_offsets(arrival, count)
+            list(resolve_offsets(arrival, count))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_process_offsets_rejected(self, bad):
@@ -164,11 +164,11 @@ class TestResolveOffsets:
         with pytest.raises(ClusterError, match="must be finite"):
             Broken().offsets(4)
         with pytest.raises(ClusterError, match="must be finite"):
-            resolve_offsets(Broken(), 4)
+            list(resolve_offsets(Broken(), 4))
 
     def test_finite_offsets_whose_sum_overflows_pass(self):
         # sum() overflowing is not a bad offset: only a located one raises.
-        assert resolve_offsets(lambda i: 1e308, 3) == [1e308] * 3
+        assert list(resolve_offsets(lambda i: 1e308, 3)) == [1e308] * 3
 
 
 def _reference_poisson(rate: float, seed: int, count: int) -> list[float]:
