@@ -13,8 +13,7 @@ Layering (see ARCHITECTURE.md "Scenario API"):
   :class:`ServerNode`: generalised host creation (any number of SDE server
   machines and client machines on one scheduler/network);
 * :mod:`repro.cluster.registry` — :class:`ServiceRegistry` and the
-  replica-selection policies (round-robin / sticky / least-loaded) on top
-  of the transport layer's :class:`~repro.net.transport.RouteTable`;
+  replica-selection policies (round-robin / sticky / least-loaded);
 * :mod:`repro.cluster.protocols` — pluggable client-side protocol stacks
   (SOAP, CORBA, and any registered third technology);
 * :mod:`repro.cluster.driver` — the deterministic callback-driven fleet

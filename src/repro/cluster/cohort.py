@@ -257,21 +257,16 @@ class CohortFlow:
             busy_before = core.busy_seconds if core is not None else 0.0
             scheduler = self.driver.scheduler
             probe_started = scheduler.now
-            outcome: dict[str, Any] = {}
-
-            def resolved(value: Any, error: BaseException | None, _delay: float = 0.0) -> None:
-                outcome["done"] = (value, error)
-
-            self.stack.call(replica, self.operation, self.arguments).subscribe(resolved)
-            scheduler.run_until(
-                lambda: "done" in outcome,
-                description=f"{self.name} calibration probe",
-            )
-            _value, error = outcome["done"]
-            if error is not None:
+            probe = self.stack.call(replica, self.operation, self.arguments)
+            probe.description = f"{self.name} calibration probe"
+            try:
+                probe.wait(scheduler)
+            except BaseException as error:
+                if not probe.completed:
+                    raise
                 raise ClusterError(
                     f"cohort flow {self.name!r} calibration probe failed: {error!r}"
-                )
+                ) from None
             base_rtt = scheduler.now - probe_started
             if core is not None:
                 probe_cpu = core.busy_seconds - busy_before

@@ -9,10 +9,8 @@ and percentiles walk the sorted bins — exact to within half a bin width,
 byte-deterministic (no sampling, no randomness), and mergeable across
 cohorts.
 
-The discrete report path keeps its exact per-sample percentiles below
-:data:`repro.cluster.report.EXACT_PERCENTILE_SAMPLE_LIMIT`; the histogram
-takes over only above it, so every pre-existing scenario's numbers stay
-byte-identical.
+Only cohort flows use it: the discrete report path keeps exact per-sample
+percentiles (:func:`repro.cluster.report.percentile`).
 """
 
 from __future__ import annotations

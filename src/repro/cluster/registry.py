@@ -2,9 +2,8 @@
 
 A scenario's services are N-replica entities: one logical name backed by
 managed server classes spread across the world's server nodes.  The
-registry resolves a service name to a :class:`ServiceEntry` through the
-transport layer's :class:`~repro.net.transport.RouteTable` (O(1) exact
-match), and each entry picks a replica per call through a pluggable
+registry resolves a service name to a :class:`ServiceEntry` with one dict
+lookup, and each entry picks a replica per call through a pluggable
 policy:
 
 * **round-robin** — a global cyclic counter, so consecutive calls (in
@@ -53,10 +52,11 @@ Bulk selection for cohort flows
 -------------------------------
 
 The cohort-flow layer (:mod:`repro.cluster.cohort`) routes a whole tick's
-worth of modeled calls at once.  :meth:`ServiceEntry.select_many` mirrors
-:meth:`ServiceEntry.select` — same failover skipping, same version tiers —
-but returns ``[(replica, call_count), ...]`` computed in closed form, so a
-million modeled calls cost O(replicas), not O(calls).  Each built-in
+worth of modeled calls at once.  :meth:`ServiceEntry.select_many` shares
+:meth:`ServiceEntry.select`'s tier decision (``_candidates``: version tiers
+and the §6 refusal) and its policy's failover skipping, but returns
+``[(replica, call_count), ...]`` computed in closed form, so a million
+modeled calls cost O(replicas), not O(calls).  Each built-in
 policy's bulk result equals what ``count`` repeated single selections
 would have produced (round-robin: exact cursor arithmetic; sticky:
 aggregate mass pinning; least-loaded: deterministic water-fill), which is
@@ -70,7 +70,6 @@ from typing import TYPE_CHECKING, Callable, Hashable
 
 from repro.errors import ClusterError, NoAliveReplicaError, ServiceNotFoundError
 from repro.evolve.graph import VersionGraph
-from repro.net.transport import RouteTable
 from repro.obs import hooks as _obs_hooks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -557,38 +556,11 @@ class ServiceEntry:
         dead one — deterministically, with no flap-back — so a session that
         crosses replicas during an upgrade stays migrated.
         """
-        if not self.replicas:
-            raise ClusterError(f"service {self.name!r} has no replicas")
-        candidates = self.replicas
-        tier = None
-        if self.version_routing and binding is not None:
-            fresh = [
-                replica
-                for replica in self.replicas
-                if replica.alive and binding.fresh(replica)
-            ]
-            compatible = [
-                replica for replica in fresh if binding.compatible_with(replica)
-            ]
-            if compatible:
-                candidates = compatible
-                tier = "compatible"
-            elif fresh:
-                candidates = fresh
-                tier = "fresh"
-            else:
-                if _obs_hooks.ACTIVE is not None:
-                    _obs_hooks.ACTIVE.note_no_alive(self.name)
-                raise NoAliveReplicaError(
-                    f"every replica of {self.name!r} is down or publishes an "
-                    f"interface older than the client already observed "
-                    f"(watermark v{binding.seen_version})"
-                )
+        candidates, tier = self._candidates(binding)
         try:
             replica = self.policy.select(candidates, client_key)
         except NoAliveReplicaError:
-            if _obs_hooks.ACTIVE is not None:
-                _obs_hooks.ACTIVE.note_no_alive(self.name)
+            self._note_no_alive()
             raise
         if _obs_hooks.ACTIVE is not None:
             _obs_hooks.ACTIVE.note_select(self.name, tier, self.policy.name)
@@ -612,53 +584,59 @@ class ServiceEntry:
         """
         if count <= 0:
             return []
-        if not self.replicas:
-            raise ClusterError(f"service {self.name!r} has no replicas")
-        if reachable is None:
-            usable = None
-        else:
-            test = reachable
-            usable = lambda replica: replica.alive and test(replica)  # noqa: E731
-        if self.version_routing and binding is not None:
-            fresh = [
-                replica
-                for replica in self.replicas
-                if replica.alive
-                and (reachable is None or reachable(replica))
-                and binding.fresh(replica)
-            ]
-            compatible = [
-                replica for replica in fresh if binding.compatible_with(replica)
-            ]
-            if compatible:
-                candidates = compatible
-                tier = "compatible"
-            elif fresh:
-                candidates = fresh
-                tier = "fresh"
-            else:
-                if _obs_hooks.ACTIVE is not None:
-                    _obs_hooks.ACTIVE.note_no_alive(self.name)
-                raise NoAliveReplicaError(
-                    f"every replica of {self.name!r} is down or publishes an "
-                    f"interface older than the client already observed "
-                    f"(watermark v{binding.seen_version})"
-                )
-            # The tier lists are pre-filtered, so the policy's default
-            # alive-check suffices below.
-            picks = self.policy.select_many(candidates, client_key, count)
-            if _obs_hooks.ACTIVE is not None:
-                _obs_hooks.ACTIVE.note_select(self.name, tier, self.policy.name)
-            return picks
+        candidates, tier = self._candidates(binding, reachable)
+        usable = None
+        if tier is None and reachable is not None:
+            # A tier list is pre-filtered, so the policy's default
+            # alive-check suffices there; the full list needs both tests.
+            usable = lambda replica: replica.alive and reachable(replica)  # noqa: E731
         try:
-            picks = self.policy.select_many(self.replicas, client_key, count, usable)
+            picks = self.policy.select_many(candidates, client_key, count, usable)
         except NoAliveReplicaError:
-            if _obs_hooks.ACTIVE is not None:
-                _obs_hooks.ACTIVE.note_no_alive(self.name)
+            self._note_no_alive()
             raise
         if _obs_hooks.ACTIVE is not None:
-            _obs_hooks.ACTIVE.note_select(self.name, None, self.policy.name)
+            _obs_hooks.ACTIVE.note_select(self.name, tier, self.policy.name)
         return picks
+
+    def _candidates(
+        self,
+        binding: "ClientBinding | None",
+        reachable: "Callable[[Replica], bool] | None" = None,
+    ) -> tuple[list[Replica], "str | None"]:
+        """The replicas a policy may choose from, and their version tier.
+
+        Without version routing (or a binding) that is every replica and no
+        tier.  Otherwise it is the alive (and ``reachable``) replicas that
+        are fresh for ``binding`` — narrowed to the compatible ones when
+        any are — or :class:`NoAliveReplicaError` when none is fresh.
+        """
+        if not self.replicas:
+            raise ClusterError(f"service {self.name!r} has no replicas")
+        if not self.version_routing or binding is None:
+            return self.replicas, None
+        fresh = [
+            replica
+            for replica in self.replicas
+            if replica.alive
+            and (reachable is None or reachable(replica))
+            and binding.fresh(replica)
+        ]
+        compatible = [replica for replica in fresh if binding.compatible_with(replica)]
+        if compatible:
+            return compatible, "compatible"
+        if fresh:
+            return fresh, "fresh"
+        self._note_no_alive()
+        raise NoAliveReplicaError(
+            f"every replica of {self.name!r} is down or publishes an "
+            f"interface older than the client already observed "
+            f"(watermark v{binding.seen_version})"
+        )
+
+    def _note_no_alive(self) -> None:
+        if _obs_hooks.ACTIVE is not None:
+            _obs_hooks.ACTIVE.note_no_alive(self.name)
 
     def __repr__(self) -> str:
         return (
@@ -668,28 +646,26 @@ class ServiceEntry:
 
 
 class ServiceRegistry:
-    """Name → service resolution on top of the transport route table."""
+    """Name → service resolution: one dict, in registration order."""
 
     def __init__(self) -> None:
-        self._routes: RouteTable[ServiceEntry] = RouteTable()
-        self._services: list[ServiceEntry] = []
+        self._services: dict[str, ServiceEntry] = {}
 
     def register(self, entry: ServiceEntry) -> ServiceEntry:
         """Register a service under its exact name."""
-        if any(existing.name == entry.name for existing in self._services):
+        if entry.name in self._services:
             raise ClusterError(f"service {entry.name!r} is already registered")
         if not entry.version_graph.service:
             entry.version_graph.service = entry.name
-        self._routes.add_exact(entry.name, entry)
-        self._services.append(entry)
+        self._services[entry.name] = entry
         return entry
 
     def lookup(self, name: str) -> ServiceEntry:
         """Resolve a service name by exact match."""
-        entry = self._routes.lookup(name)
+        entry = self._services.get(name)
         if entry is None:
             raise ServiceNotFoundError(
-                f"no service {name!r}; registered: {[s.name for s in self._services]}"
+                f"no service {name!r}; registered: {list(self._services)}"
             )
         return entry
 
@@ -735,7 +711,7 @@ class ServiceRegistry:
     @property
     def services(self) -> tuple[ServiceEntry, ...]:
         """Every registered service, in registration order."""
-        return tuple(self._services)
+        return tuple(self._services.values())
 
     def __repr__(self) -> str:
-        return f"ServiceRegistry({[s.name for s in self._services]})"
+        return f"ServiceRegistry({list(self._services)})"

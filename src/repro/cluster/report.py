@@ -21,10 +21,9 @@ Cohort scenarios (``clients(1_000_000, cohort=...)``) additionally carry
 one :class:`CohortReport` per flow: aggregate counters plus a streaming
 :class:`~repro.cluster.histogram.LatencyHistogram` instead of per-call
 floats, so a million modeled clients cost kilobytes of report, not
-gigabytes.  Discrete RTT percentiles stay exact (per-sample, linear
-interpolation) below :data:`EXACT_PERCENTILE_SAMPLE_LIMIT` samples —
-keeping every pre-existing scenario byte-identical — and switch to the
-histogram above it.
+gigabytes.  Discrete RTT percentiles are exact (per-sample, linear
+interpolation, :func:`percentile`): discrete clients keep one float per
+call anyway, and cohort-scale populations report from their histograms.
 """
 
 from __future__ import annotations
@@ -40,11 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: The percentile levels every per-service / fleet-wide summary reports.
 PERCENTILE_LEVELS = (50.0, 95.0, 99.0)
-
-#: Sample-count ceiling for the exact per-sample percentile path; larger
-#: samples answer from a fixed-bin histogram (still deterministic, exact to
-#: within half a bin width).  Every pre-cohort scenario sits far below this.
-EXACT_PERCENTILE_SAMPLE_LIMIT = 65536
 
 
 def percentile(values: Sequence[float], level: float) -> float:
@@ -474,20 +468,8 @@ class ClusterReport:
 
     @property
     def rtt_percentiles(self) -> dict[str, float]:
-        """Fleet-wide p50/p95/p99 round-trip times (discrete clients).
-
-        Exact (per-sample, linear interpolation) up to
-        :data:`EXACT_PERCENTILE_SAMPLE_LIMIT` samples — which covers every
-        discrete-only scenario byte-identically — then histogram-backed
-        (deterministic, half-bin-width resolution) beyond it.
-        """
-        rtts = self.all_rtts
-        if len(rtts) <= EXACT_PERCENTILE_SAMPLE_LIMIT:
-            return rtt_percentiles(rtts)
-        histogram = LatencyHistogram()
-        for rtt in rtts:
-            histogram.add(rtt)
-        return histogram.percentiles()
+        """Fleet-wide p50/p95/p99 round-trip times (discrete clients, exact)."""
+        return rtt_percentiles(self.all_rtts)
 
     @property
     def throughput(self) -> float:

@@ -128,19 +128,16 @@ class DynamicClientBinding:
         part of the client's current view — the server decides.
         """
         stack, replica = self.stack, self.replica
-        reply: list[tuple[Any, BaseException | None]] = []
         deferred = stack.call(replica, operation, arguments)
-        deferred.subscribe(lambda value, error, _delay: reply.append((value, error)))
         try:
-            self.cde.host.network.scheduler.run_until(
-                lambda: bool(reply), description=deferred.description
-            )
-        except BaseException:
-            # The reply may still arrive; a kept-alive connection must not
-            # correlate it with the next call.
-            stack.reset_replica(replica)
-            raise
-        value, error = reply[0]
+            value, error = deferred.wait(self.cde.host.network.scheduler), None
+        except BaseException as exc:
+            if not deferred.completed:
+                # The reply may still arrive; a kept-alive connection must
+                # not correlate it with the next call.
+                stack.reset_replica(replica)
+                raise
+            value, error = None, exc
         outcome = stack.classify(value, error)
         self.stats[outcome] += 1
         if outcome == protocols.OUTCOME_SUCCESS:

@@ -34,13 +34,13 @@ resilience scenarios assert on.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import ConnectionAbortedError
 from repro.faults.profile import LinkFaultProfile
 from repro.obs import hooks as _obs_hooks
-from repro.util.rng import DeterministicRng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.topology import ClusterWorld, ServerNode
@@ -195,16 +195,22 @@ class FaultInjector:
         """Degrade the ``a`` ↔ ``b`` link: seeded loss and/or jitter.
 
         Each direction gets its own :class:`LinkFaultProfile` with an
-        independent RNG stream forked from ``seed``, so the two directions
-        never perturb each other's draws.  The default ``loss=1.0`` is a
+        independent RNG stream seeded by the string ``"{seed}:{a}->{b}"``,
+        so the two directions never perturb each other's draws.  String
+        seeds are hashed with SHA-512, not with the per-process salted
+        ``hash``, so a run's losses and delays are the same in every
+        interpreter.  The default ``loss=1.0`` is a
         hard blackhole — `drop_link` with no keywords behaves like a
         partition that is evaluated per message and shows up in the drop
         statistics.  Returns the ``(a→b, b→a)`` profiles.
         """
         name_a, name_b = self._host_name(a), self._host_name(b)
-        base = DeterministicRng(seed)
-        forward = LinkFaultProfile(loss, jitter, base.fork(f"{name_a}->{name_b}"))
-        backward = LinkFaultProfile(loss, jitter, base.fork(f"{name_b}->{name_a}"))
+        forward = LinkFaultProfile(
+            loss, jitter, random.Random(f"{seed}:{name_a}->{name_b}")
+        )
+        backward = LinkFaultProfile(
+            loss, jitter, random.Random(f"{seed}:{name_b}->{name_a}")
+        )
         self.network.set_link_fault(name_a, name_b, forward)
         self.network.set_link_fault(name_b, name_a, backward)
         self._faulted_links.add((name_a, name_b))

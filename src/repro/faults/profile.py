@@ -2,7 +2,7 @@
 
 A :class:`LinkFaultProfile` governs exactly one link *direction* (``A → B``).
 Every message transmitted on that direction draws from the profile's private
-:class:`~repro.util.rng.DeterministicRng` stream — first a loss draw, then
+:class:`random.Random` stream — first a loss draw, then
 (when the message survives and the profile jitters) a delay draw — so the
 fate of the *n*-th message on a link is a pure function of the seed and the
 (deterministic) transmission order.  The network clamps jittered arrivals to
@@ -12,7 +12,7 @@ transport layer's per-connection FIFO correlation survives any profile.
 
 from __future__ import annotations
 
-from repro.util.rng import DeterministicRng
+import random
 
 
 class LinkFaultProfile:
@@ -27,8 +27,8 @@ class LinkFaultProfile:
         Maximum extra one-way delay in virtual seconds; each surviving
         message is delayed by ``uniform(0, jitter)``.
     rng:
-        The seeded random stream to draw from; one profile must own its
-        stream exclusively (fork per direction, see
+        The seeded random stream to draw from (default ``Random(0)``); one
+        profile must own its stream exclusively (one per direction, see
         :meth:`repro.faults.FaultInjector.drop_link`).
     """
 
@@ -36,7 +36,7 @@ class LinkFaultProfile:
         self,
         loss: float = 0.0,
         jitter: float = 0.0,
-        rng: DeterministicRng | None = None,
+        rng: random.Random | None = None,
     ) -> None:
         if not 0.0 <= loss <= 1.0:
             raise ValueError(f"loss probability must be in [0, 1], got {loss}")
@@ -44,7 +44,7 @@ class LinkFaultProfile:
             raise ValueError(f"jitter must be >= 0, got {jitter}")
         self.loss = loss
         self.jitter = jitter
-        self.rng = rng if rng is not None else DeterministicRng(0)
+        self.rng = rng if rng is not None else random.Random(0)
         #: The network's per-direction ordering clamp (simnet maintains it).
         self.last_arrival = 0.0
         #: Messages this profile dropped / delayed (diagnostics).

@@ -22,7 +22,6 @@ from repro.net.transport import (
     Connection,
     Deferred,
     Endpoint,
-    RouteTable,
     TransportStats,
 )
 
@@ -40,6 +39,5 @@ __all__ = [
     "Connection",
     "Deferred",
     "Endpoint",
-    "RouteTable",
     "TransportStats",
 ]

@@ -14,10 +14,9 @@ Handlers may return:
 
 Connection semantics (per-peer FIFO reply ordering, keep-alive accounting,
 dropping replies completed after :meth:`HttpServer.stop`) come from the
-underlying :class:`~repro.net.transport.Endpoint`; route lookup for exact
-paths is O(1) through a :class:`~repro.net.transport.RouteTable` keyed by
-``(method, path)``, with a registration-order scan reserved for prefix
-routes.
+underlying :class:`~repro.net.transport.Endpoint`.  Exact paths are found
+in O(1) through a dict keyed by ``(method, path)``; prefix routes are
+scanned in registration order only when no exact route matches.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Callable, Union
 from repro.errors import HttpError
 from repro.net.http.messages import HttpRequest, HttpResponse, StatusCodes
 from repro.net.simnet import Address, Host, Message
-from repro.net.transport import Connection, Deferred, Endpoint, ReplyOutcome, RouteTable
+from repro.net.transport import Connection, Deferred, Endpoint, ReplyOutcome
 from repro.sim.servercore import ServerCore
 
 
@@ -44,19 +43,6 @@ class Route:
     handler: Handler
     methods: tuple[str, ...] = ("GET", "POST")
     prefix: bool = False
-
-    def matches(self, method: str, path: str) -> bool:
-        """True if this route should handle the given method/path.
-
-        Query strings (``?wsdl``) are ignored for matching purposes, as they
-        are by the servlet containers the paper builds on.
-        """
-        if method not in self.methods:
-            return False
-        bare_path = path.split("?", 1)[0]
-        if self.prefix:
-            return bare_path.startswith(self.path)
-        return bare_path == self.path
 
 
 class HttpServer:
@@ -80,7 +66,10 @@ class HttpServer:
             cores=cores,
         )
         self._routes: list[Route] = []
-        self._table: RouteTable[Route] = RouteTable()
+        #: Exact routes by ``(method, path)``; the first registration wins.
+        self._exact: dict[tuple[str, str], Route] = {}
+        #: Prefix routes, scanned in registration order after an exact miss.
+        self._prefixes: list[Route] = []
         self.requests_served = 0
         self.last_request: HttpRequest | None = None
 
@@ -96,11 +85,11 @@ class HttpServer:
         """Register ``handler`` for ``path`` and return the created route."""
         route = Route(path=path, handler=handler, methods=tuple(m.upper() for m in methods), prefix=prefix)
         self._routes.append(route)
-        for method in route.methods:
-            if route.prefix:
-                self._table.add_prefix(method, route.path, route)
-            else:
-                self._table.add_exact((method, route.path), route)
+        if route.prefix:
+            self._prefixes.append(route)
+        else:
+            for method in route.methods:
+                self._exact.setdefault((method, route.path), route)
         return route
 
     @property
@@ -144,9 +133,16 @@ class HttpServer:
         self.last_request = request
         self.requests_served += 1
 
-        route = self._match(request)
+        # Query strings (``?wsdl``) are ignored for matching, as they are by
+        # the servlet containers the paper builds on.
+        bare_path = request.path.split("?", 1)[0]
+        route = self._exact.get((request.method, bare_path))
         if route is None:
-            return HttpResponse.not_found(f"no route for {request.path}").to_bytes()
+            for route in self._prefixes:
+                if request.method in route.methods and bare_path.startswith(route.path):
+                    break
+            else:
+                return HttpResponse.not_found(f"no route for {request.path}").to_bytes()
 
         try:
             result = route.handler(request)
@@ -159,12 +155,6 @@ class HttpServer:
             response, delay = result
             return response.to_bytes(), delay
         return result.to_bytes()
-
-    def _match(self, request: HttpRequest) -> Route | None:
-        bare_path = request.path.split("?", 1)[0]
-        return self._table.lookup(
-            (request.method, bare_path), prefix_scope=request.method, path=bare_path
-        )
 
     @staticmethod
     def _encode_resolution(value: HttpResponse | None, error: BaseException | None) -> bytes:

@@ -18,14 +18,12 @@ the shared machinery out:
   binding, the connection table and the reply path; replies completed after
   :meth:`Endpoint.stop` are dropped (and counted) instead of being sent
   through an unbound port.
-* :class:`RouteTable` — an O(1) exact-match route table with a
-  registration-order scan reserved for prefix routes.
 * :class:`ClientChannel` — the client side: one persistent source port per
   destination (a client connection), blocking *and* asynchronous request
   helpers, and FIFO reply correlation.
 
 The HTTP server/client and the server/client ORBs are thin protocol codecs
-over these five classes; the SDE call handlers and CDE bindings sit one layer
+over these four classes; the SDE call handlers and CDE bindings sit one layer
 above and never touch raw ports.
 
 Both connection kinds behave as byte streams: a message sent right after a
@@ -41,12 +39,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Generic, Hashable, TypeVar, Union
+from typing import Any, Callable, Generic, TypeVar, Union
 
 from repro.errors import ConnectionAbortedError, TransportError
 from repro.net.simnet import Address, Host, Message
 from repro.obs import hooks as _obs_hooks
-from repro.sim.latch import CompletionLatch
 from repro.sim.servercore import ServerCore
 
 T = TypeVar("T")
@@ -54,26 +51,6 @@ T = TypeVar("T")
 #: Tie-break added when a send must be held back so it cannot arrive at the
 #: exact instant of (and race with) the message in front of it.
 _STREAM_ORDER_EPSILON = 1e-9
-
-#: Transport-layer interceptors (the observability layer's tap): callables
-#: ``fn(kind, address, payload_size, description)`` invoked on every client
-#: send (``"client_send"``) and server receive (``"server_receive"``).
-#: Empty in the common case — the hot paths guard with one truthiness test,
-#: the same nil-cost discipline as ``Scheduler.tracing``.
-_INTERCEPTORS: list[Callable[[str, Any, int, str], None]] = []
-
-
-def register_interceptor(interceptor: Callable[[str, Any, int, str], None]) -> None:
-    """Install a transport interceptor (idempotent)."""
-    if interceptor not in _INTERCEPTORS:
-        _INTERCEPTORS.append(interceptor)
-
-
-def unregister_interceptor(interceptor: Callable[[str, Any, int, str], None]) -> None:
-    """Remove a transport interceptor (no-op when absent)."""
-    if interceptor in _INTERCEPTORS:
-        _INTERCEPTORS.remove(interceptor)
-
 
 #: Callback signature for :meth:`Deferred.subscribe`:
 #: ``callback(value, error, delay)`` with exactly one of value/error set.
@@ -140,17 +117,19 @@ class Deferred(Generic[T]):
         return out
 
     def wait(self, scheduler, max_events: int = 1_000_000) -> T:
-        """Drive ``scheduler`` until resolved; return the value or raise."""
-        latch: CompletionLatch[T] = CompletionLatch(scheduler, description=self.description)
+        """Drive ``scheduler`` until resolved; return the value or raise.
 
-        def resolved(value: Any, error: BaseException | None, _delay: float) -> None:
-            if error is not None:
-                latch.fail(error)
-            else:
-                latch.complete(value)
-
-        self.subscribe(resolved)
-        return latch.wait(max_events=max_events)
+        This is the blocking half of every synchronous call: the caller
+        dispatches simulated events until the reply has been delivered.
+        A :class:`~repro.errors.DeadlockError` naming :attr:`description`
+        means the queue drained first — nothing can ever resolve it.
+        """
+        scheduler.run_until(
+            lambda: self._done, max_events=max_events, description=self.description
+        )
+        if self._error is not None:
+            raise self._error
+        return self._value  # type: ignore[return-value]
 
     def _resolve(self, value: Any, error: BaseException | None, delay: float) -> None:
         if self._done:
@@ -376,11 +355,6 @@ class Endpoint:
 
     def _on_message(self, message: Message, host: Host) -> None:
         self.stats.requests_received += 1
-        if _INTERCEPTORS:
-            for interceptor in _INTERCEPTORS:
-                interceptor(
-                    "server_receive", message.source, len(message.payload), self.name
-                )
         connection = self.connection_for(message.source)
         seq = connection.begin_request()
         try:
@@ -454,57 +428,6 @@ class Endpoint:
             f"Endpoint({self.host.name}:{self.port}, {state}, "
             f"connections={len(self._connections)})"
         )
-
-
-class RouteTable(Generic[T]):
-    """Exact-match routing in O(1) with ordered prefix fallback.
-
-    Exact routes are stored in a dict keyed by an arbitrary hashable routing
-    key (the HTTP server uses ``(method, path)``); prefix routes are scanned
-    in registration order, matching the servlet-container behaviour the paper
-    builds on.
-    """
-
-    def __init__(self) -> None:
-        self._exact: dict[Hashable, T] = {}
-        self._prefix: list[tuple[Hashable, str, T]] = []
-
-    def add_exact(self, key: Hashable, value: T) -> None:
-        """Register ``value`` under an exact-match key.
-
-        The first registration of a key wins, matching the registration-order
-        scan this table replaces.
-        """
-        self._exact.setdefault(key, value)
-
-    def add_prefix(self, key: Hashable, prefix: str, value: T) -> None:
-        """Register a prefix route; ``key`` scopes it (e.g. the method)."""
-        self._prefix.append((key, prefix, value))
-
-    def remove(self, value: T) -> None:
-        """Remove every registration of ``value``; unknown values are a no-op."""
-        self._exact = {key: v for key, v in self._exact.items() if v is not value}
-        self._prefix = [entry for entry in self._prefix if entry[2] is not value]
-
-    def lookup(
-        self, key: Hashable, prefix_scope: Hashable = None, path: str | None = None
-    ) -> T | None:
-        """Exact lookup on ``key``, then prefix scan against ``path``.
-
-        Prefix routes are consulted only when their scope (e.g. the HTTP
-        method) equals ``prefix_scope``, in registration order.
-        """
-        value = self._exact.get(key)
-        if value is not None:
-            return value
-        if path is not None:
-            for scope, prefix, candidate in self._prefix:
-                if scope == prefix_scope and path.startswith(prefix):
-                    return candidate
-        return None
-
-    def __repr__(self) -> str:
-        return f"RouteTable(exact={len(self._exact)}, prefix={len(self._prefix)})"
 
 
 class _ClientConnection:
@@ -687,9 +610,9 @@ class ClientChannel:
         description: str = "request",
     ) -> Deferred[T]:
         """Send ``payload`` and return a deferred for the parsed reply."""
-        if _INTERCEPTORS:
-            for interceptor in _INTERCEPTORS:
-                interceptor("client_send", destination, len(payload), description)
+        active = _obs_hooks.ACTIVE
+        if active is not None:
+            active.note_client_send(destination, len(payload))
         deferred: Deferred[T] = Deferred(description)
         self.connection_for(destination).send(payload, parse, deferred)
         self.requests_sent += 1

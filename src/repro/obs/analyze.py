@@ -65,9 +65,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from pathlib import Path
 from typing import Any, Iterable, Mapping
+
+from repro.cluster.report import percentile
 
 #: The components that sum exactly to each call's measured RTT.
 RTT_COMPONENTS = ("network", "stall", "core_wait", "cpu", "backoff")
@@ -80,21 +81,6 @@ NANOS_PER_SECOND = 1_000_000_000
 def _ns(seconds: float) -> int:
     """Quantise an absolute simulated timestamp to integer nanoseconds."""
     return round(seconds * 1e9)
-
-
-def _percentile(ordered: "list[int]", level: float) -> float:
-    """Linear-interpolation percentile of a pre-sorted sample (ns)."""
-    if not ordered:
-        return 0.0
-    if len(ordered) == 1:
-        return float(ordered[0])
-    rank = (len(ordered) - 1) * (level / 100.0)
-    low = math.floor(rank)
-    high = math.ceil(rank)
-    if low == high:
-        return float(ordered[low])
-    fraction = rank - low
-    return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
 
 
 # -- span loading --------------------------------------------------------------
@@ -408,9 +394,9 @@ def _stats(values_ns: list[int], rtt_total_ns: int = 0) -> dict[str, Any]:
         "count": count,
         "total_s": total / 1e9,
         "mean_s": (total / count) / 1e9 if count else 0.0,
-        "p50_s": _percentile(ordered, 50.0) / 1e9,
-        "p95_s": _percentile(ordered, 95.0) / 1e9,
-        "p99_s": _percentile(ordered, 99.0) / 1e9,
+        "p50_s": percentile(ordered, 50.0) / 1e9,
+        "p95_s": percentile(ordered, 95.0) / 1e9,
+        "p99_s": percentile(ordered, 99.0) / 1e9,
         "max_s": (ordered[-1] / 1e9) if ordered else 0.0,
     }
     if rtt_total_ns:

@@ -108,8 +108,6 @@ class Observability:
         #: ``(service, tier, policy)`` of the most recent registry decision;
         #: the fleet driver reads it into the attempt span's attributes.
         self.last_select: tuple[str, "str | None", str] | None = None
-        #: Transport-interceptor event count (client sends + server receives).
-        self.transport_events = 0
         self._no_alive_streak = 0
         self._last_server_span: "Span | None" = None
         self._installed = False
@@ -150,13 +148,9 @@ class Observability:
             else None
         )
         self.last_select = None
-        self.transport_events = 0
         self._no_alive_streak = 0
         self._last_server_span = None
         hooks.ACTIVE = self
-        from repro.net import transport
-
-        transport.register_interceptor(self._transport_event)
         if config.scheduler_trace:
             scheduler.enable_tracing(limit=config.ring_capacity)
         self._installed = True
@@ -171,9 +165,6 @@ class Observability:
             hooks.ACTIVE = None
         hooks.CONTEXT = None
         hooks.SERVER_WIRE_CONTEXT = None
-        from repro.net import transport
-
-        transport.unregister_interceptor(self._transport_event)
         if self.sampler is not None:
             self.sampler.stop()
 
@@ -436,11 +427,15 @@ class Observability:
         if self.config.spans:
             self.tracer.instant(name, attrs=attrs)
 
-    # -- transport interceptor ---------------------------------------------
+    # -- transport ---------------------------------------------------------
 
-    def _transport_event(self, kind: str, address: Any, size: int, description: str) -> None:
-        self.transport_events += 1
-        if kind != "client_send" or not self.config.spans:
+    def note_client_send(self, destination: Any, size: int) -> None:
+        """A client request of ``size`` bytes leaving for ``destination``.
+
+        Recorded as a ``transport.send`` event on the span of the attempt
+        being issued (``hooks.CONTEXT``), if any.
+        """
+        if not self.config.spans:
             return
         context = hooks.CONTEXT
         if context is None:
@@ -450,7 +445,7 @@ class Observability:
             span.add_event(
                 self.scheduler.now,
                 "transport.send",
-                {"to": str(address), "bytes": size},
+                {"to": str(destination), "bytes": size},
             )
 
     # -- results -----------------------------------------------------------

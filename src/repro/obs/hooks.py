@@ -11,15 +11,18 @@ Three module globals carry all the state:
 
 ``ACTIVE``
     The installed :class:`repro.obs.api.Observability` instance, or
-    ``None`` while observability is off.  Every hook site guards with
-    ``if hooks.ACTIVE is not None``.
+    ``None`` while observability is off.  It is observability's only tap:
+    every hook site — the transport's client send, the registry's
+    selections, the call handlers, faults and rollouts — guards with
+    ``if hooks.ACTIVE is not None`` and calls a method on it.  Nothing
+    registers callbacks anywhere else.
 
 ``CONTEXT``
     The :class:`~repro.obs.context.TraceContext` of the client attempt
     currently being *issued*.  The fleet driver sets it immediately before
     the synchronous protocol-stack call construction and resets it right
-    after, so the SOAP/GIOP encoders and the transport interceptor read it
-    without any plumbing through intermediate signatures.  The simulation
+    after, so the SOAP/GIOP encoders and the transport's client-send hook
+    read it without any plumbing through intermediate signatures.  The simulation
     is single-threaded and call construction never yields to the
     scheduler, so a plain module global is race-free by construction.
 

@@ -10,7 +10,6 @@ this reproduction is driven by a virtual clock and an event scheduler.
 from repro.sim.scheduler import Event, Scheduler
 from repro.sim.servercore import ServerCore
 from repro.sim.timers import ResettableTimer, PeriodicTimer
-from repro.sim.latch import CompletionLatch
 
 __all__ = [
     "Event",
@@ -18,5 +17,4 @@ __all__ = [
     "ServerCore",
     "ResettableTimer",
     "PeriodicTimer",
-    "CompletionLatch",
 ]

@@ -2,10 +2,10 @@
 
 Given a parsed :class:`~repro.interface.InterfaceDescription` and a transport
 callable (anything that can take a :class:`~repro.soap.envelope.SoapRequest`
-and return a :class:`~repro.soap.envelope.SoapResponse`), the compiler builds
-a :class:`CompiledStub` whose attributes are callable server-method stubs.
-The static SOAP client (§2.1, Figure 1) and CDE's dynamic client stubs are
-both built on top of this.
+and return a :class:`~repro.soap.envelope.SoapResponse`), :class:`CompiledStub`
+exposes the service's operations as callable server-method stubs.  The static
+SOAP client (§2.1, Figure 1) is built on it.  CDE's dynamic bindings are not:
+they call through the client protocol stacks of :mod:`repro.cluster.protocols`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ class StubMethod:
         signature: OperationSignature,
         namespace: str,
         transport: Transport,
-        registry_provider: Callable[[], Any] | None = None,
     ) -> None:
         self.signature = signature
         self._namespace = namespace
@@ -114,16 +113,3 @@ class CompiledStub:
             f"operations={list(self._methods)})"
         )
 
-
-class WsdlCompiler:
-    """Builds :class:`CompiledStub` objects from interface descriptions."""
-
-    def __init__(self, transport_factory: Callable[[InterfaceDescription], Transport]) -> None:
-        self._transport_factory = transport_factory
-        self.compilations = 0
-
-    def compile(self, description: InterfaceDescription) -> CompiledStub:
-        """Compile ``description`` into a stub bound to a fresh transport."""
-        transport = self._transport_factory(description)
-        self.compilations += 1
-        return CompiledStub(description, transport)

@@ -1,7 +1,6 @@
 """General-purpose utilities shared by every layer of the reproduction."""
 
 from repro.util.ids import IdGenerator, fresh_id
-from repro.util.rng import DeterministicRng
 from repro.util.validation import (
     require,
     require_identifier,
@@ -14,7 +13,6 @@ from repro.util.listenable import Listenable
 __all__ = [
     "IdGenerator",
     "fresh_id",
-    "DeterministicRng",
     "require",
     "require_identifier",
     "require_non_negative",

@@ -13,6 +13,8 @@ different host name).
 from __future__ import annotations
 
 from array import array
+from types import SimpleNamespace
+from typing import Any
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,8 +27,9 @@ from repro.cluster.presets import (
     million_client_scenario,
 )
 from repro.core.sde import SDEConfig
-from repro.errors import ClusterError
+from repro.errors import ClusterError, DeadlockError
 from repro.faults import crash
+from repro.net.transport import Deferred
 from repro.rmitypes import STRING
 from repro.traffic import Poisson
 
@@ -279,6 +282,52 @@ class TestFlowOffsets:
         # Without a flow the representatives' offsets are checked up front.
         with pytest.raises(ClusterError, match="must be finite"):
             _echo_scenario(1000, calls=1, replicas=1, arrival=arrival).run()
+
+
+class _ProbeStack:
+    """A flow stack whose calibration probe is one scripted deferred."""
+
+    def __init__(self, probe: Deferred) -> None:
+        self.probe = probe
+
+    def call(self, replica, operation, arguments):
+        return self.probe
+
+
+class TestCalibrationProbe:
+    """``_calibrate`` blocks on one probe call through the flow's stack."""
+
+    @staticmethod
+    def _flow(probe: Deferred) -> tuple[CohortFlow, Any]:
+        runtime = _echo_scenario(
+            10, calls=1, replicas=1, arrival=0.001, cohort=CohortModel(representatives=0)
+        ).build()
+        _plans, (flow,) = runtime._build_plans()
+        flow.entry = runtime.registry.lookup("Echo")
+        flow.driver = SimpleNamespace(scheduler=runtime.world.scheduler)
+        flow.stack = _ProbeStack(probe)
+        return flow, runtime.world.scheduler
+
+    def test_probe_rtt_calibrates_the_flow(self):
+        probe = Deferred("probe")
+        flow, scheduler = self._flow(probe)
+        scheduler.schedule(0.004, probe.complete, "reply")
+        flow._calibrate()
+        assert flow.report.calibrated_rtt_s == pytest.approx(0.004)
+
+    def test_failed_probe_names_the_flow(self):
+        probe = Deferred("probe")
+        flow, scheduler = self._flow(probe)
+        scheduler.schedule(0.004, probe.fail, RuntimeError("no route"))
+        with pytest.raises(
+            ClusterError, match="cohort flow 'cohort-1' calibration probe failed: .*no route"
+        ):
+            flow._calibrate()
+
+    def test_unanswered_probe_deadlocks_naming_the_flow(self):
+        flow, _scheduler = self._flow(Deferred("probe"))
+        with pytest.raises(DeadlockError, match="cohort-1 calibration probe"):
+            flow._calibrate()
 
 
 class TestFlowBuffer:

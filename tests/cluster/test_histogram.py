@@ -6,11 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.histogram import DEFAULT_BIN_WIDTH, LatencyHistogram
-from repro.cluster.report import (
-    EXACT_PERCENTILE_SAMPLE_LIMIT,
-    ClusterReport,
-    rtt_percentiles,
-)
+from repro.cluster.report import ClientReport, ClusterReport, rtt_percentiles
 from repro.errors import ClusterError
 
 
@@ -176,8 +172,18 @@ class TestLatencyHistogram:
 
 class TestReportPercentilePaths:
     def test_exact_path_below_threshold(self):
-        """Small discrete fleets keep the exact per-sample percentiles —
-        byte-identical to the pre-histogram behaviour."""
-        assert EXACT_PERCENTILE_SAMPLE_LIMIT >= 4096  # seed scenarios fit
+        """Small discrete fleets keep the exact per-sample percentiles."""
         report = ClusterReport(started_at=0.0, finished_at=1.0)
         assert report.rtt_percentiles == {"p50": 0.0, "p95": 0.0, "p99": 0.0}
+        report.clients.append(ClientReport("c", rtts=[0.3, 0.1, 0.2]))
+        assert report.rtt_percentiles == rtt_percentiles([0.1, 0.2, 0.3])
+
+    def test_discrete_percentiles_are_exact_at_any_size(self):
+        """Above the 65,536 samples where a histogram once took over,
+        discrete fleets still report exact per-sample percentiles; only
+        cohort flows use the histogram."""
+        report = ClusterReport(started_at=0.0, finished_at=1.0)
+        rtts = [(index * 7919 % 70_001) * 1e-6 for index in range(70_001)]
+        report.clients.append(ClientReport("c", rtts=rtts))
+        assert report.rtt_percentiles == rtt_percentiles(rtts)
+        assert report.rtt_percentiles["p50"] == sorted(rtts)[35_000]

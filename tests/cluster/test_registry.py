@@ -170,6 +170,13 @@ class TestServiceRegistry:
         registry.end_call(replica)
         assert replica.in_flight == 0
 
+    def test_services_keep_registration_order(self):
+        registry, entry = self._registry()
+        other = registry.register(ServiceEntry("calendar", "corba"))
+        assert registry.services == (entry, other)
+        with pytest.raises(ServiceNotFoundError, match=r"\['mail', 'calendar'\]"):
+            registry.lookup("chat")
+
     def test_empty_service_rejected_on_select(self):
         registry = ServiceRegistry()
         registry.register(ServiceEntry("empty", "soap"))
@@ -338,3 +345,57 @@ class TestVersionAwareSelection:
         entry = self._entry(replicas)
         with pytest.raises(NoAliveReplicaError):
             entry.select("x", self._binding(replicas))
+
+
+class TestBulkSelectionTiers:
+    """``select_many`` narrows by the same version tiers as ``select``."""
+
+    _entry = TestVersionAwareSelection._entry
+    _binding = TestVersionAwareSelection._binding
+
+    def test_breaking_replica_avoided_in_bulk(self):
+        replicas = _versioned_replicas([(2, ("echo",)), (2, ("echo",))])
+        binding = self._binding(replicas)
+        replicas[0].managed.publisher = _FakePublisher(3, _described(3, "echo_v2"))
+        entry = self._entry(replicas)
+        assert entry.select_many("x", 4, binding) == [(replicas[1], 4)]
+
+    def test_bulk_falls_back_to_the_fresh_tier(self):
+        replicas = _versioned_replicas([(3, ("echo_v2",)), (3, ("echo_v2",))])
+        binding = ClientBinding()
+        for replica in replicas:
+            binding.bind(replica.index, _described(2, "echo"))
+        entry = self._entry(replicas)
+        assert entry.select_many("x", 4, binding) == [(replicas[0], 2), (replicas[1], 2)]
+
+    def test_bulk_refuses_exactly_like_a_single_selection(self):
+        replicas = _versioned_replicas([(3, ("echo",)), (2, ("echo",))])
+        binding = self._binding(replicas)
+        binding.observe(3)
+        replicas[0].node.is_alive = False
+        entry = self._entry(replicas)
+        with pytest.raises(NoAliveReplicaError) as single:
+            entry.select("x", binding)
+        with pytest.raises(NoAliveReplicaError) as bulk:
+            entry.select_many("x", 4, binding)
+        assert str(bulk.value) == str(single.value)
+
+    def test_unreachable_replicas_leave_the_fresh_tier(self):
+        replicas = _versioned_replicas([(2, ("echo",)), (2, ("echo",))])
+        entry = self._entry(replicas)
+        picks = entry.select_many(
+            "x", 4, self._binding(replicas), reachable=lambda replica: replica.index == 1
+        )
+        assert picks == [(replicas[1], 4)]
+
+    def test_reachable_filters_without_version_routing(self):
+        replicas = _node_replicas(3)
+        entry = ServiceEntry("svc", "soap", RoundRobinPolicy())
+        entry.replicas = replicas
+        picks = entry.select_many("x", 4, reachable=lambda replica: replica.index != 1)
+        assert picks == [(replicas[0], 2), (replicas[2], 2)]
+
+    def test_no_calls_need_no_replicas(self):
+        assert ServiceEntry("empty", "soap").select_many("x", 0) == []
+        with pytest.raises(ClusterError):
+            ServiceEntry("empty", "soap").select_many("x", 1)

@@ -7,10 +7,11 @@ import pytest
 
 import repro.core.cde
 from repro.cluster import Scenario, op
-from repro.cluster.protocols import OUTCOME_STALE, OUTCOME_SUCCESS
+from repro.cluster.protocols import OUTCOME_OTHER, OUTCOME_STALE, OUTCOME_SUCCESS
 from repro.core.cde import ClientStubManager
 from repro.core.sde import SDEConfig
-from repro.errors import NonExistentMethodError
+from repro.errors import DeadlockError, NonExistentMethodError, TransportError
+from repro.net.transport import Deferred
 from repro.rmitypes import INT, STRING
 
 
@@ -35,6 +36,49 @@ class TestBindingBasics:
         assert diff.added == ("square",)
         assert binding.description.has_operation("square")
         assert binding.stats["refreshes"] >= 2
+
+
+class _ScriptedStack:
+    """The binding's real stack, except that ``call`` returns a scripted
+    deferred and ``reset_replica`` is recorded."""
+
+    def __init__(self, stack, deferred: Deferred) -> None:
+        self._stack = stack
+        self._deferred = deferred
+        self.resets = []
+
+    def call(self, replica, operation, arguments):
+        return self._deferred
+
+    def reset_replica(self, replica):
+        self.resets.append(replica.index)
+
+    def __getattr__(self, name):
+        return getattr(self._stack, name)
+
+
+class TestInvokeWait:
+    """``invoke`` blocks on the reply deferred; failures reset the replica."""
+
+    def test_reply_that_never_comes_deadlocks_and_resets(self, calculator_runtime):
+        _runtime, _calculator, binding = calculator_runtime
+        stack = _ScriptedStack(binding.stack, Deferred("orphan reply"))
+        binding.stack = stack
+        with pytest.raises(DeadlockError, match="orphan reply"):
+            binding.invoke("add", 1, 2)
+        assert stack.resets == [binding.replica.index]
+        assert binding.stats[OUTCOME_OTHER] == 0
+
+    def test_transport_failure_is_classified_and_resets(self, calculator_runtime):
+        _runtime, _calculator, binding = calculator_runtime
+        failed = Deferred("failed reply")
+        failed.fail(TransportError("link down"))
+        stack = _ScriptedStack(binding.stack, failed)
+        binding.stack = stack
+        with pytest.raises(TransportError, match="link down"):
+            binding.invoke("add", 1, 2)
+        assert stack.resets == [binding.replica.index]
+        assert binding.stats[OUTCOME_OTHER] == 1
 
 
 class TestStaleCallHandling:

@@ -2,24 +2,38 @@
 
 from __future__ import annotations
 
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+from repro.cluster.scenario import Scenario
 from repro.errors import ConnectionAbortedError
 from repro.faults import FaultInjector, LinkFaultProfile, RetryPolicy
 from repro.net.simnet import Address, Network
 from repro.net.transport import ClientChannel, Endpoint
 from repro.sim import Scheduler
-from repro.util.rng import DeterministicRng
 
 
 class TestLinkFaultProfile:
     def test_same_seed_same_fate_sequence(self):
-        a = LinkFaultProfile(loss=0.3, jitter=0.01, rng=DeterministicRng(7))
-        b = LinkFaultProfile(loss=0.3, jitter=0.01, rng=DeterministicRng(7))
+        a = LinkFaultProfile(loss=0.3, jitter=0.01, rng=random.Random(7))
+        b = LinkFaultProfile(loss=0.3, jitter=0.01, rng=random.Random(7))
         fates_a = [a.sample(100) for _ in range(50)]
         fates_b = [b.sample(100) for _ in range(50)]
         assert fates_a == fates_b
         assert a.dropped == b.dropped > 0
+
+    def test_same_string_seed_same_fate_sequence(self):
+        a = LinkFaultProfile(loss=0.3, jitter=0.01, rng=random.Random("7:a->b"))
+        b = LinkFaultProfile(loss=0.3, jitter=0.01, rng=random.Random("7:a->b"))
+        assert _fates(a) == _fates(b)
+        assert a.dropped == b.dropped > 0
+        assert a.delayed == b.delayed > 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -30,6 +44,78 @@ class TestLinkFaultProfile:
     def test_loss_zero_never_drops_and_jitter_zero_never_delays(self):
         profile = LinkFaultProfile(loss=0.0, jitter=0.0)
         assert [profile.sample(10) for _ in range(20)] == [(False, 0.0)] * 20
+
+    def test_jitter_stays_within_its_bound(self):
+        profile = LinkFaultProfile(jitter=0.25, rng=random.Random(0))
+        delays = [profile.sample(10)[1] for _ in range(200)]
+        assert all(0.0 <= delay <= 0.25 for delay in delays)
+        assert profile.delayed == 200
+
+
+def _fates(profile: LinkFaultProfile, count: int = 50) -> list[tuple[bool, float]]:
+    return [profile.sample(100) for _ in range(count)]
+
+
+class TestDropLinkSeeding:
+    def _drop(self, seed: int) -> tuple[LinkFaultProfile, LinkFaultProfile]:
+        runtime = Scenario().servers(2).build()
+        return runtime.fault_injector.drop_link(0, 1, loss=0.3, jitter=0.002, seed=seed)
+
+    def test_each_direction_draws_from_its_own_string_seed(self):
+        forward, backward = self._drop(7)
+        expected_forward = LinkFaultProfile(0.3, 0.002, random.Random("7:server-1->server-2"))
+        expected_backward = LinkFaultProfile(0.3, 0.002, random.Random("7:server-2->server-1"))
+        assert _fates(forward) == _fates(expected_forward)
+        assert _fates(backward) == _fates(expected_backward)
+
+    def test_directions_are_deterministic_and_independent(self):
+        forward, backward = self._drop(7)
+        again_forward, again_backward = self._drop(7)
+        assert _fates(forward) == _fates(again_forward)
+        assert _fates(backward) == _fates(again_backward)
+        assert _fates(forward) != _fates(backward)
+
+    def test_different_seeds_differ(self):
+        assert _fates(self._drop(1)[0]) != _fates(self._drop(2)[0])
+
+    def test_lossy_link_digest_is_the_same_in_every_interpreter(self):
+        """A seeded lossy, jittery link gives one report digest whatever
+        ``PYTHONHASHSEED`` is, so a recorded trace replays in any process."""
+        program = textwrap.dedent(
+            """
+            from repro.cluster.scenario import Scenario, op
+            from repro.faults import RetryPolicy, drop_link
+            from repro.rmitypes import STRING
+            from repro.traffic.trace import echo_body, fingerprint_digest
+
+            echo = op("echo", (("message", STRING),), STRING, body=echo_body)
+            report = (
+                Scenario(name="lossy")
+                .servers(1)
+                .service("Echo", [echo])
+                .clients(4, service="Echo", calls=6, arguments=("hi",), think_time=0.01,
+                         retry=RetryPolicy(max_attempts=8, timeout=0.04, backoff=0.002))
+                .at(0.010, drop_link("server", "fleet-client-1", loss=0.3,
+                                     jitter=0.002, seed=7))
+                .run()
+            )
+            assert report.total_failed_attempts > 0
+            print(fingerprint_digest(report))
+            """
+        )
+        source = Path(__file__).resolve().parents[2] / "src"
+        digests = set()
+        for hash_seed in ("0", "1"):
+            env = {**os.environ, "PYTHONPATH": str(source), "PYTHONHASHSEED": hash_seed}
+            result = subprocess.run(
+                [sys.executable, "-c", program],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            digests.add(result.stdout.strip())
+        assert len(digests) == 1
 
 
 class TestNetworkLinkFaults:
@@ -60,7 +146,7 @@ class TestNetworkLinkFaults:
 
     def test_jitter_never_reorders_a_link_direction(self):
         scheduler, network, source, received = self._world()
-        profile = LinkFaultProfile(jitter=0.5, rng=DeterministicRng(3))
+        profile = LinkFaultProfile(jitter=0.5, rng=random.Random(3))
         network.set_link_fault("src", "dst", profile)
         for index in range(30):
             source.send(Address("dst", 9), b"%03d" % index)

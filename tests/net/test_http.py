@@ -175,6 +175,38 @@ class TestHttpServerAndClient:
         client = HttpClient(network.host("client"))
         assert client.get("http://server:8080/docs/a/b").body == "/docs/a/b"
 
+    def test_prefix_routes_first_registered_wins(self, network, scheduler):
+        server = HttpServer(network.host("server"), 8080)
+        server.add_route("/docs/", lambda request: HttpResponse.ok_text("docs"), prefix=True)
+        server.add_route("/docs/deep/", lambda request: HttpResponse.ok_text("deep"), prefix=True)
+        server.start()
+        client = HttpClient(network.host("client"))
+        assert client.get("http://server:8080/docs/deep/x").body == "docs"
+
+    def test_prefix_route_scoped_by_method(self, network, scheduler):
+        server = HttpServer(network.host("server"), 8080)
+        server.add_route(
+            "/docs/", lambda request: HttpResponse.ok_text("docs"), methods=("GET",), prefix=True
+        )
+        server.start()
+        client = HttpClient(network.host("client"))
+        assert client.post("http://server:8080/docs/x", "body").status == 404
+        assert client.get("http://server:8080/docs/x").body == "docs"
+
+    def test_exact_route_scoped_by_method(self, network, scheduler):
+        self._serve(network, lambda request: HttpResponse.ok_text("x"), methods=("GET",))
+        client = HttpClient(network.host("client"))
+        assert client.post("http://server:8080/test", "body").status == 404
+
+    def test_exact_route_beats_an_earlier_prefix_route(self, network, scheduler):
+        server = HttpServer(network.host("server"), 8080)
+        server.add_route("/", lambda request: HttpResponse.ok_text("prefix"), prefix=True)
+        server.add_route("/exact", lambda request: HttpResponse.ok_text("exact"))
+        server.start()
+        client = HttpClient(network.host("client"))
+        assert client.get("http://server:8080/exact").body == "exact"
+        assert client.get("http://server:8080/other").body == "prefix"
+
     def test_handler_exception_becomes_500(self, network, scheduler):
         def handler(request):
             raise RuntimeError("handler blew up")

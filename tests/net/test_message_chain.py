@@ -59,9 +59,11 @@ class TestChainLength:
         cost 73,757 frames in the simulation core and the network stack when
         every message computed its delay twice, went through a listener
         adapter and per-message closures, and read virtual time through two
-        properties; shortening that chain brought it to 35,198.  The bound
-        is that figure plus 2%: a change that adds a frame per message
-        (about 930 more) fails here.
+        properties; shortening that chain brought it to 35,198.  Waiting on
+        the reply deferred directly instead of through a second future, and
+        routing through plain dicts instead of a route-table class, brought
+        it to 33,239.  The bound is that figure plus 2%: a change that adds
+        a frame per message (about 930 more) fails here.
         """
         runtime = fault_drill_scenario(64).build()
-        assert _chain_calls(runtime.run) <= 35_902
+        assert _chain_calls(runtime.run) <= 33_904

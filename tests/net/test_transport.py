@@ -1,17 +1,12 @@
-"""Tests for the shared transport layer (Deferred, Endpoint, routes, channels)."""
+"""Tests for the shared transport layer (Deferred, Connection, Endpoint, channels)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import TransportError
+from repro.errors import DeadlockError, TransportError
 from repro.net.simnet import Address
-from repro.net.transport import (
-    ClientChannel,
-    Deferred,
-    Endpoint,
-    RouteTable,
-)
+from repro.net.transport import ClientChannel, Deferred, Endpoint
 
 
 class TestDeferred:
@@ -46,6 +41,14 @@ class TestDeferred:
         with pytest.raises(TransportError):
             deferred.fail(RuntimeError("late"))
 
+    def test_failed_deferred_rejects_later_resolution(self):
+        deferred = Deferred("d")
+        deferred.fail(RuntimeError("first"))
+        with pytest.raises(TransportError, match="completed twice"):
+            deferred.complete(1)
+        with pytest.raises(TransportError, match="completed twice"):
+            deferred.fail(RuntimeError("second"))
+
     def test_transform_encodes_value_and_error(self):
         source = Deferred("s")
         encoded = source.transform(
@@ -78,34 +81,50 @@ class TestDeferred:
         with pytest.raises(ValueError):
             deferred.wait(scheduler)
 
+    def test_wait_returns_value_at_its_completion_time(self, scheduler):
+        deferred = Deferred("d")
+        scheduler.schedule(1.0, lambda: deferred.complete(42))
+        assert deferred.wait(scheduler) == 42
+        assert scheduler.now == 1.0
 
-class TestRouteTable:
-    def test_exact_lookup(self):
-        table: RouteTable[str] = RouteTable()
-        table.add_exact(("GET", "/a"), "route-a")
-        assert table.lookup(("GET", "/a")) == "route-a"
-        assert table.lookup(("POST", "/a")) is None
+    def test_wait_reraises_the_failure_it_was_given(self, scheduler):
+        deferred = Deferred("d")
+        broken = RuntimeError("broken")
+        scheduler.schedule(1.0, lambda: deferred.fail(broken))
+        with pytest.raises(RuntimeError, match="broken") as raised:
+            deferred.wait(scheduler)
+        assert raised.value is broken
+        assert scheduler.now == 1.0
 
-    def test_prefix_fallback_in_registration_order(self):
-        table: RouteTable[str] = RouteTable()
-        table.add_prefix("GET", "/docs/", "docs")
-        table.add_prefix("GET", "/docs/deep/", "deep")
-        found = table.lookup(("GET", "/docs/deep/x"), prefix_scope="GET", path="/docs/deep/x")
-        assert found == "docs"  # first registered wins, like the servlet scan
+    def test_wait_deadlocks_when_nothing_resolves_it(self, scheduler):
+        with pytest.raises(DeadlockError, match="orphan"):
+            Deferred("orphan").wait(scheduler)
 
-    def test_prefix_scoped_by_method(self):
-        table: RouteTable[str] = RouteTable()
-        table.add_prefix("GET", "/docs/", "docs")
-        assert table.lookup(("POST", "/docs/x"), prefix_scope="POST", path="/docs/x") is None
+    def test_wait_on_a_resolved_deferred_dispatches_nothing(self, scheduler):
+        deferred = Deferred("d")
+        deferred.complete("ready")
+        scheduler.schedule(1.0, lambda: None)
+        assert deferred.wait(scheduler) == "ready"
+        assert scheduler.now == 0.0
 
-    def test_remove_is_idempotent(self):
-        table: RouteTable[str] = RouteTable()
-        table.add_exact(("GET", "/a"), "r")
-        table.add_prefix("GET", "/a/", "r")
-        table.remove("r")
-        table.remove("r")  # second removal is a no-op
-        assert table.lookup(("GET", "/a")) is None
-        assert table.lookup(("GET", "/a/x"), prefix_scope="GET", path="/a/x") is None
+    def test_completed_flag(self):
+        deferred = Deferred("d")
+        assert not deferred.completed
+        deferred.complete(None)
+        assert deferred.completed
+
+    def test_nested_waits(self, scheduler):
+        """A blocking operation may itself perform a blocking operation."""
+        outer = Deferred("outer")
+        inner = Deferred("inner")
+
+        def start_inner():
+            scheduler.schedule(1.0, lambda: inner.complete("inner-done"))
+            outer.complete(f"outer saw {inner.wait(scheduler)}")
+
+        scheduler.schedule(1.0, start_inner)
+        assert outer.wait(scheduler) == "outer saw inner-done"
+        assert scheduler.now == 2.0
 
 
 def _collecting_client(network, host_name="client", port=40000):

@@ -91,6 +91,30 @@ class TestDrillDeterminism:
         assert len(report.metrics.times) > 0
 
 
+class TestTransportSendEvents:
+    def test_every_client_send_lands_on_its_attempt_span(self):
+        obs = Observability()
+        report = _drill().run(obs=obs)
+        sends = [
+            (span, attrs)
+            for span in obs.spans
+            for _time, name, attrs in span.events
+            if name == "transport.send"
+        ]
+        assert len(sends) >= report.total_calls
+        assert {span.kind for span, _attrs in sends} == {"attempt"}
+        assert all(attrs["bytes"] > 0 and attrs["to"] for _span, attrs in sends)
+
+    def test_a_send_outside_an_attempt_records_nothing(self):
+        obs = Observability()
+        obs.install(Scenario().build().world.scheduler)
+        try:
+            obs.note_client_send("server-1:8080", 64)
+        finally:
+            obs.uninstall()
+        assert obs.spans == []
+
+
 class TestObsOffIsInvisible:
     def test_report_fingerprint_is_untouched(self):
         baseline = _drill().run()

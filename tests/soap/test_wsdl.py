@@ -6,7 +6,7 @@ from repro.errors import SoapError, WsdlError
 from repro.interface import InterfaceDescription, OperationSignature, Parameter
 from repro.rmitypes import ArrayType, DOUBLE, FieldDef, INT, STRING, StructType, VOID
 from repro.soap.envelope import SoapResponse
-from repro.soap.wsdl import WsdlCompiler, generate_wsdl, parse_wsdl
+from repro.soap.wsdl import generate_wsdl, parse_wsdl
 from repro.soap.wsdl.compiler import CompiledStub
 
 
@@ -169,9 +169,3 @@ class TestStubCompilation:
         stub.add(1, 2)
         stub.add(3, 4)
         assert stub.method("add").call_count == 2
-
-    def test_compiler_counts_compilations(self):
-        compiler = WsdlCompiler(lambda description: self._transport_recording()[1])
-        compiler.compile(build_description())
-        compiler.compile(build_description())
-        assert compiler.compilations == 2
