@@ -26,6 +26,7 @@ guarantee holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.cluster.protocols import (
@@ -220,9 +221,7 @@ class _FleetClient:
             finally:
                 _obs_hooks.CONTEXT = None
         deferred.subscribe(
-            lambda value, error, _delay: self._on_reply(
-                token, timeout_event, replica, operation, arguments, value, error
-            )
+            partial(self._on_reply, token, timeout_event, replica, operation, arguments)
         )
 
     def _on_timeout(
@@ -251,6 +250,7 @@ class _FleetClient:
         arguments: tuple[Any, ...],
         value: Any,
         error: BaseException | None,
+        _delay: float,
     ) -> None:
         if token is not self._pending:
             # A late reply of a timed-out attempt: its accounting (in-flight
@@ -431,7 +431,7 @@ class _FleetClient:
             self._operation = successor
 
     def _observe_recency(self, replica: Replica) -> None:
-        version = replica.publisher.version
+        version = replica.managed.publisher.version
         self.binding.observe(version)
         if version < self._seen_version:
             self.report.recency_violations += 1
@@ -632,6 +632,9 @@ class FleetDriver:
         self._version_calls: dict[int, dict[int, int]] = {}
         self.clients = [_FleetClient(self, plan) for plan in self.plans]
         self._finished_clients = 0
+        #: True once every client and flow has finished: the run's stop
+        #: condition, read once per dispatched event.
+        self._finished = False
         #: Cohort flows: the modeled client mass riding the same registry
         #: and server cores as the discrete fleet (see repro.cluster.cohort).
         self.flows = list(cohorts)
@@ -692,11 +695,11 @@ class FleetDriver:
                 self.scheduler.schedule(self.until, _noop, label="run deadline")
             if self.clients or self.flows:
                 self.scheduler.run_until(
-                    lambda: (
-                        self._finished_clients == len(self.clients)
-                        and self._finished_flows == len(self.flows)
-                    )
-                    or (deadline is not None and self.scheduler.now >= deadline),
+                    # Without a deadline, getattr bound by partial reads the
+                    # flag with no Python frame per dispatched event.
+                    partial(getattr, self, "_finished")
+                    if deadline is None
+                    else lambda: self._finished or self.scheduler.now >= deadline,
                     description=self.description,
                     max_events=1_000_000_000,
                 )
@@ -775,14 +778,22 @@ class FleetDriver:
 
     def _client_finished(self) -> None:
         self._finished_clients += 1
+        self._note_finished()
 
     def _flow_finished(self, flow: object) -> None:
         self._finished_flows += 1
+        self._note_finished()
+
+    def _note_finished(self) -> None:
+        self._finished = (
+            self._finished_clients == len(self.clients)
+            and self._finished_flows == len(self.flows)
+        )
 
     def _note_version_call(self, replica: Replica, count: int = 1) -> None:
         """Count ``count`` completed calls under the replica's current version."""
         per_version = self._version_calls.setdefault(id(replica), {})
-        version = replica.publisher.version
+        version = replica.managed.publisher.version
         per_version[version] = per_version.get(version, 0) + count
 
     def _note_success(self, replica: Replica) -> None:

@@ -31,6 +31,7 @@ extensibility claim is exercised at the Scenario level.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.core.sde.corba_handler import EXC_NON_EXISTENT_METHOD, EXC_SERVER_NOT_INITIALIZED
@@ -38,7 +39,7 @@ from repro.corba.idl import parse_idl
 from repro.corba.orb import ClientOrb, RemoteObjectReference
 from repro.errors import ClusterError, CorbaUserException, MiddlewareError
 from repro.evolve.graph import ClientBinding
-from repro.net.http import HttpClient
+from repro.net.http import HttpClient, HttpResponse
 from repro.net.simnet import Address, Host
 from repro.net.transport import Deferred
 from repro.obs import hooks as _obs_hooks
@@ -159,21 +160,13 @@ class SoapProtocolClient(ProtocolClient):
         context = _obs_hooks.CONTEXT
         if context is not None:
             request.trace_context = context.encode()
-        wire = self.http.request_async(
+        return self.http.request_async(
             "POST",
             description.endpoint_url,
             body=request.to_xml(),
             headers={"Content-Type": "text/xml; charset=utf-8"},
+            decode=partial(_soap_response, registry),
         )
-
-        def decode(response, error):
-            if error is not None:
-                raise error
-            if not response.ok:
-                raise MiddlewareError(f"SOAP endpoint returned HTTP {response.status}")
-            return SoapResponse.from_xml(response.body, registry)
-
-        return wire.transform(decode)
 
     def reset_replica(self, replica: "Replica") -> None:
         description = self.binding.bound.get(replica.index)
@@ -183,18 +176,14 @@ class SoapProtocolClient(ProtocolClient):
         self.http.channel.reset(address)
 
     def rebind_replica(self, replica: "Replica") -> Deferred:
-        wire = self.http.request_async("GET", replica.publisher.document_url)
-
-        def decode(response, error):
-            if error is not None:
-                raise error
+        def decode(response: HttpResponse):
             if not response.ok:
                 raise MiddlewareError(
                     f"could not re-retrieve WSDL: HTTP {response.status}"
                 )
             return self._bind(replica.index, response.body)
 
-        return wire.transform(decode)
+        return self.http.request_async("GET", replica.publisher.document_url, decode=decode)
 
     def classify(self, value: Any, error: BaseException | None) -> str:
         if error is not None:
@@ -242,11 +231,7 @@ class CorbaProtocolClient(ProtocolClient):
     def rebind_replica(self, replica: "Replica") -> Deferred:
         # The IOR survives republication (the endpoint keeps its port), so a
         # rebind only refreshes the IDL document and the parsed description.
-        wire = self.http.request_async("GET", replica.publisher.document_url)
-
-        def decode(response, error):
-            if error is not None:
-                raise error
+        def decode(response: HttpResponse):
             if not response.ok:
                 raise MiddlewareError(
                     f"could not re-retrieve IDL: HTTP {response.status}"
@@ -255,7 +240,7 @@ class CorbaProtocolClient(ProtocolClient):
             self.binding.bind(replica.index, description)
             return description
 
-        return wire.transform(decode)
+        return self.http.request_async("GET", replica.publisher.document_url, decode=decode)
 
     def classify(self, value: Any, error: BaseException | None) -> str:
         if error is None:
@@ -268,6 +253,13 @@ class CorbaProtocolClient(ProtocolClient):
 
     def fault_text(self, value: Any, error: BaseException | None) -> str | None:
         return str(error) if isinstance(error, CorbaUserException) else None
+
+
+def _soap_response(registry: Any, response: HttpResponse) -> SoapResponse:
+    """Decode one SOAP call's HTTP response with the bound types."""
+    if not response.ok:
+        raise MiddlewareError(f"SOAP endpoint returned HTTP {response.status}")
+    return SoapResponse.from_xml(response.body, registry)
 
 
 #: A protocol-client factory: ``(host, client_index, replicas) -> ProtocolClient``.

@@ -6,6 +6,10 @@ preceded by a one-octet type tag (in real CORBA terms, the values travel as
 the Dynamic Skeleton Interface on the server side unmarshal requests without
 compile-time knowledge of the interface — exactly the property SDE relies on
 to avoid re-initialising the server ORB when methods change (§5.2.2).
+
+Values are encoded and decoded in one pass, one function call per value,
+primitives packed in place; the field-by-field streams (used for IORs)
+decode values with that same code.
 """
 
 from __future__ import annotations
@@ -26,51 +30,166 @@ TAG_SEQUENCE = 0x06
 TAG_STRUCT = 0x07
 TAG_FLOAT = 0x08
 
-_TAG_NAMES = {
-    TAG_NULL: "null",
-    TAG_BOOLEAN: "boolean",
-    TAG_INT: "long",
-    TAG_DOUBLE: "double",
-    TAG_FLOAT: "float",
-    TAG_STRING: "string",
-    TAG_CHAR: "char",
-    TAG_SEQUENCE: "sequence",
-    TAG_STRUCT: "struct",
-}
-
-# Prebound big-endian packers: struct.Struct methods skip the per-call format
-# parse/lookup of module-level struct.pack, and the GIOP hot loop marshals
-# hundreds of thousands of values per fleet sweep.
-_PACK_LONG = struct.Struct(">q").pack
-_PACK_ULONG = struct.Struct(">I").pack
+# Prebound big-endian codecs: struct.Struct methods skip the per-call format
+# parse/lookup of module-level struct.pack.
+_LONG = struct.Struct(">q")
+_ULONG = struct.Struct(">I")
+_PACK_LONG = _LONG.pack
+_PACK_ULONG = _ULONG.pack
 _PACK_DOUBLE = struct.Struct(">d").pack
-_UNPACK_LONG = struct.Struct(">q").unpack_from
-_UNPACK_ULONG = struct.Struct(">I").unpack_from
+_UNPACK_LONG = _LONG.unpack_from
+_UNPACK_ULONG = _ULONG.unpack_from
 _UNPACK_DOUBLE = struct.Struct(">d").unpack_from
 _UNPACK_FLOAT = struct.Struct(">f").unpack_from
 
-#: Default preallocation for output buffers; RMI argument lists and results
-#: almost always fit, so the bytearray never reallocates mid-marshal.
-_DEFAULT_BUFFER_SIZE = 256
+
+def _truncated(data: bytes, offset: int, wanted: int) -> MarshalError:
+    return MarshalError(
+        f"unexpected end of CDR stream: wanted {wanted} bytes, "
+        f"have {max(len(data) - offset, 0)}"
+    )
+
+
+# -- encoding --------------------------------------------------------------------
+
+
+def _write_value(buffer: bytearray, value: Any) -> None:
+    """Append ``value`` with its inline type tag to ``buffer``."""
+    if isinstance(value, str):
+        encoded = value.encode("utf-8")
+        buffer.append(TAG_STRING)
+        buffer += _PACK_ULONG(len(encoded))
+        buffer += encoded
+    elif value is None:
+        buffer.append(TAG_NULL)
+    elif value is True:
+        buffer.append(TAG_BOOLEAN)
+        buffer.append(1)
+    elif value is False:
+        buffer.append(TAG_BOOLEAN)
+        buffer.append(0)
+    elif isinstance(value, int):
+        buffer.append(TAG_INT)
+        try:
+            buffer += _PACK_LONG(value)
+        except struct.error as exc:
+            raise MarshalError(f"integer {value!r} does not fit in 64 bits: {exc}") from None
+    elif isinstance(value, float):
+        buffer.append(TAG_DOUBLE)
+        buffer += _PACK_DOUBLE(value)
+    elif isinstance(value, (list, tuple)):
+        buffer.append(TAG_SEQUENCE)
+        buffer += _PACK_ULONG(len(value))
+        for item in value:
+            _write_value(buffer, item)
+    elif isinstance(value, dict):
+        buffer.append(TAG_STRUCT)
+        buffer += _PACK_ULONG(len(value))
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise MarshalError(f"struct field names must be strings, got {key!r}")
+            encoded = key.encode("utf-8")
+            buffer += _PACK_ULONG(len(encoded))
+            buffer += encoded
+            _write_value(buffer, item)
+    else:
+        raise MarshalError(f"cannot marshal value of type {type(value).__name__}")
+
+
+def marshal_values(values: tuple[Any, ...] | list[Any]) -> bytes:
+    """Marshal a sequence of values (an argument list or a single result)."""
+    buffer = bytearray(_PACK_ULONG(len(values)))
+    for value in values:
+        _write_value(buffer, value)
+    return bytes(buffer)
+
+
+# -- decoding --------------------------------------------------------------------
+
+
+def _read_value(data: bytes, offset: int) -> tuple[Any, int]:
+    """Decode the tagged value at ``offset``; return it and the offset after it.
+
+    Truncation surfaces as ``IndexError``/``struct.error`` and bad UTF-8 as
+    ``UnicodeDecodeError``; :func:`_read_values` maps both to
+    :class:`MarshalError`.
+    """
+    tag = data[offset]
+    offset += 1
+    if tag == TAG_STRING or tag == TAG_CHAR:
+        start = offset + 4
+        end = start + _UNPACK_ULONG(data, offset)[0]
+        if end > len(data):
+            raise _truncated(data, start, end - start)
+        return data[start:end].decode("utf-8"), end
+    if tag == TAG_INT:
+        return _UNPACK_LONG(data, offset)[0], offset + 8
+    if tag == TAG_NULL:
+        return None, offset
+    if tag == TAG_BOOLEAN:
+        return data[offset] != 0, offset + 1
+    if tag == TAG_DOUBLE:
+        return _UNPACK_DOUBLE(data, offset)[0], offset + 8
+    if tag == TAG_FLOAT:
+        return _UNPACK_FLOAT(data, offset)[0], offset + 4
+    if tag == TAG_SEQUENCE:
+        count = _UNPACK_ULONG(data, offset)[0]
+        offset += 4
+        items = []
+        for _ in range(count):
+            item, offset = _read_value(data, offset)
+            items.append(item)
+        return items, offset
+    if tag == TAG_STRUCT:
+        count = _UNPACK_ULONG(data, offset)[0]
+        offset += 4
+        fields: dict[str, Any] = {}
+        for _ in range(count):
+            start = offset + 4
+            offset = start + _UNPACK_ULONG(data, offset)[0]
+            if offset > len(data):
+                raise _truncated(data, start, offset - start)
+            key = data[start:offset].decode("utf-8")
+            fields[key], offset = _read_value(data, offset)
+        return fields, offset
+    raise MarshalError(f"unknown CDR type tag 0x{tag:02x}")
+
+
+def _read_values(data: bytes, offset: int, count: int) -> tuple[list[Any], int]:
+    """Decode ``count`` tagged values from ``offset``; return them and the
+    offset after the last, raising :class:`MarshalError` on malformed input."""
+    values = []
+    try:
+        for _ in range(count):
+            value, offset = _read_value(data, offset)
+            values.append(value)
+    except (IndexError, struct.error):
+        raise _truncated(data, offset, 1) from None
+    except UnicodeDecodeError as exc:
+        raise MarshalError(f"malformed string in CDR stream: {exc}") from None
+    return values, offset
+
+
+def unmarshal_values(data: bytes) -> list[Any]:
+    """Unmarshal a sequence of values written by :func:`marshal_values`."""
+    if len(data) < 4:
+        raise _truncated(data, 0, 4)
+    values, offset = _read_values(data, 4, _UNPACK_ULONG(data, 0)[0])
+    if offset != len(data):
+        raise MarshalError(f"{len(data) - offset} trailing bytes after CDR values")
+    return values
+
+
+# -- field-by-field cursors ------------------------------------------------------
 
 
 class CdrOutputStream:
-    """An output buffer for CDR marshalling.
-
-    Backed by one growable ``bytearray`` (pre-sized for the common small
-    message) rather than a list of ``bytes`` fragments, so marshalling a
-    value appends in place instead of allocating a fragment per primitive
-    and joining at the end.
-    """
+    """An output buffer for CDR marshalling, one field at a time."""
 
     __slots__ = ("_buffer",)
 
-    def __init__(self, expected_size: int = _DEFAULT_BUFFER_SIZE) -> None:
-        buffer = bytearray(expected_size)
-        del buffer[:]  # keep the allocation, drop the contents
-        self._buffer = buffer
-
-    # -- primitives --------------------------------------------------------
+    def __init__(self) -> None:
+        self._buffer = bytearray()
 
     def write_long(self, value: int) -> None:
         """Write a signed 64-bit integer."""
@@ -87,10 +206,7 @@ class CdrOutputStream:
 
     def write_string(self, value: str) -> None:
         """Write a length-prefixed UTF-8 string."""
-        encoded = value.encode("utf-8")
-        buffer = self._buffer
-        buffer += _PACK_ULONG(len(encoded))
-        buffer += encoded
+        self.write_bytes(value.encode("utf-8"))
 
     def write_bytes(self, value: bytes) -> None:
         """Write a length-prefixed byte sequence."""
@@ -98,43 +214,9 @@ class CdrOutputStream:
         buffer += _PACK_ULONG(len(value))
         buffer += value
 
-    # -- values -------------------------------------------------------------
-
     def write_value(self, value: Any) -> None:
         """Marshal ``value`` with an inline type tag."""
-        buffer = self._buffer
-        if value is None:
-            buffer.append(TAG_NULL)
-        elif value is True:
-            buffer.append(TAG_BOOLEAN)
-            buffer.append(1)
-        elif value is False:
-            buffer.append(TAG_BOOLEAN)
-            buffer.append(0)
-        elif isinstance(value, int):
-            buffer.append(TAG_INT)
-            self.write_long(value)
-        elif isinstance(value, float):
-            buffer.append(TAG_DOUBLE)
-            buffer += _PACK_DOUBLE(value)
-        elif isinstance(value, str):
-            buffer.append(TAG_STRING)
-            self.write_string(value)
-        elif isinstance(value, (list, tuple)):
-            buffer.append(TAG_SEQUENCE)
-            buffer += _PACK_ULONG(len(value))
-            for item in value:
-                self.write_value(item)
-        elif isinstance(value, dict):
-            buffer.append(TAG_STRUCT)
-            buffer += _PACK_ULONG(len(value))
-            for key in value:
-                if not isinstance(key, str):
-                    raise MarshalError(f"struct field names must be strings, got {key!r}")
-                self.write_string(key)
-                self.write_value(value[key])
-        else:
-            raise MarshalError(f"cannot marshal value of type {type(value).__name__}")
+        _write_value(self._buffer, value)
 
     def getvalue(self) -> bytes:
         """Return the marshalled bytes."""
@@ -142,11 +224,7 @@ class CdrOutputStream:
 
 
 class CdrInputStream:
-    """An input buffer for CDR unmarshalling.
-
-    Reads decode in place with prebound ``unpack_from`` callables — no
-    per-read slice for fixed-width primitives.
-    """
+    """A read cursor over CDR bytes, one field at a time."""
 
     __slots__ = ("_data", "_offset")
 
@@ -154,114 +232,40 @@ class CdrInputStream:
         self._data = data
         self._offset = 0
 
-    @property
-    def remaining(self) -> int:
-        """Number of unread bytes."""
-        return len(self._data) - self._offset
-
-    def _take(self, count: int) -> bytes:
-        offset = self._offset
-        end = offset + count
-        if end > len(self._data):
-            raise MarshalError(
-                f"unexpected end of CDR stream: wanted {count} bytes, have {self.remaining}"
-            )
-        self._offset = end
-        return self._data[offset:end]
-
-    def _advance(self, count: int) -> int:
-        offset = self._offset
-        if offset + count > len(self._data):
-            raise MarshalError(
-                f"unexpected end of CDR stream: wanted {count} bytes, have {self.remaining}"
-            )
-        self._offset = offset + count
-        return offset
-
-    # -- primitives ----------------------------------------------------------
-
-    def read_octet(self) -> int:
-        """Read a single unsigned byte."""
-        return self._data[self._advance(1)]
+    def _unpack(self, codec: struct.Struct) -> Any:
+        try:
+            value = codec.unpack_from(self._data, self._offset)[0]
+        except struct.error:
+            raise _truncated(self._data, self._offset, codec.size) from None
+        self._offset += codec.size
+        return value
 
     def read_long(self) -> int:
         """Read a signed 64-bit integer."""
-        return _UNPACK_LONG(self._data, self._advance(8))[0]
+        return self._unpack(_LONG)
 
     def read_ulong(self) -> int:
         """Read an unsigned 32-bit integer."""
-        return _UNPACK_ULONG(self._data, self._advance(4))[0]
-
-    def read_double(self) -> float:
-        """Read a 64-bit IEEE double."""
-        return _UNPACK_DOUBLE(self._data, self._advance(8))[0]
-
-    def read_float(self) -> float:
-        """Read a 32-bit IEEE float."""
-        return _UNPACK_FLOAT(self._data, self._advance(4))[0]
-
-    def read_boolean(self) -> bool:
-        """Read a boolean octet."""
-        return self.read_octet() != 0
-
-    def read_string(self) -> str:
-        """Read a length-prefixed UTF-8 string."""
-        length = self.read_ulong()
-        try:
-            return self._take(length).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MarshalError(f"malformed string in CDR stream: {exc}") from None
+        return self._unpack(_ULONG)
 
     def read_bytes(self) -> bytes:
         """Read a length-prefixed byte sequence."""
-        return self._take(self.read_ulong())
+        length = self.read_ulong()
+        start = self._offset
+        end = start + length
+        if end > len(self._data):
+            raise _truncated(self._data, start, length)
+        self._offset = end
+        return self._data[start:end]
 
-    # -- values ---------------------------------------------------------------
+    def read_string(self) -> str:
+        """Read a length-prefixed UTF-8 string."""
+        try:
+            return self.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MarshalError(f"malformed string in CDR stream: {exc}") from None
 
     def read_value(self) -> Any:
         """Unmarshal one tagged value."""
-        tag = self.read_octet()
-        if tag == TAG_NULL:
-            return None
-        if tag == TAG_BOOLEAN:
-            return self.read_boolean()
-        if tag == TAG_INT:
-            return self.read_long()
-        if tag == TAG_DOUBLE:
-            return self.read_double()
-        if tag == TAG_FLOAT:
-            return self.read_float()
-        if tag == TAG_STRING:
-            return self.read_string()
-        if tag == TAG_CHAR:
-            return self.read_string()
-        if tag == TAG_SEQUENCE:
-            count = self.read_ulong()
-            return [self.read_value() for _ in range(count)]
-        if tag == TAG_STRUCT:
-            count = self.read_ulong()
-            result: dict[str, Any] = {}
-            for _ in range(count):
-                key = self.read_string()
-                result[key] = self.read_value()
-            return result
-        raise MarshalError(f"unknown CDR type tag 0x{tag:02x}")
-
-
-def marshal_values(values: tuple[Any, ...] | list[Any]) -> bytes:
-    """Marshal a sequence of values (an argument list or a single result)."""
-    stream = CdrOutputStream()
-    stream.write_ulong(len(values))
-    for value in values:
-        stream.write_value(value)
-    return stream.getvalue()
-
-
-def unmarshal_values(data: bytes) -> list[Any]:
-    """Unmarshal a sequence of values written by :func:`marshal_values`."""
-    stream = CdrInputStream(data)
-    count = stream.read_ulong()
-    values = [stream.read_value() for _ in range(count)]
-    if stream.remaining:
-        raise MarshalError(f"{stream.remaining} trailing bytes after CDR values")
-    return values
+        values, self._offset = _read_values(self._data, self._offset, 1)
+        return values[0]

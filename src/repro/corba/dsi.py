@@ -75,7 +75,7 @@ class DynamicServant(Servant):
         self.requests_handled = 0
 
     def invoke(self, operation: str, arguments: list[Any]) -> Any:
-        request = ServerRequest(operation=operation, arguments=list(arguments))
+        request = ServerRequest(operation, arguments)
         self._handler(request)
         self.requests_handled += 1
         return request.outcome()

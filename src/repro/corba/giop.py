@@ -5,18 +5,29 @@ and Reply (§2.2 considers only the RMI aspect of CORBA).  Messages carry a
 12-byte header (magic, version, message type, body size) followed by a CDR
 body, mirroring real GIOP closely enough that sizes and parse costs behave
 realistically while keeping the implementation compact.
+
+Framing is one pass each way: the header is one ``struct`` record, and the
+body's fixed fields (ids, length-prefixed strings and octet sequences) are
+packed and unpacked in place, with no call per field.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from enum import IntEnum
 
-from repro.corba.cdr import CdrInputStream, CdrOutputStream
 from repro.errors import GiopError, MarshalError
 
 _MAGIC = b"GIOP"
 _VERSION = (1, 2)
+#: magic, major, minor, flags (0 = big-endian), message type, body size.
+_HEADER = struct.Struct(">4sBBBBI")
+_HEADER_SIZE = _HEADER.size
+_PACK_HEADER = _HEADER.pack
+_PACK_ULONG = struct.Struct(">I").pack
+_UNPACK_ULONG = struct.Struct(">I").unpack_from
+_UNPACK_TWO_ULONGS = struct.Struct(">II").unpack_from
 
 
 class MessageType(IntEnum):
@@ -32,6 +43,11 @@ class ReplyStatus(IntEnum):
     NO_EXCEPTION = 0
     USER_EXCEPTION = 1
     SYSTEM_EXCEPTION = 2
+
+
+_REQUEST = int(MessageType.REQUEST)
+_REPLY = int(MessageType.REPLY)
+_REPLY_STATUSES = {int(status): status for status in ReplyStatus}
 
 
 @dataclass(frozen=True)
@@ -50,14 +66,21 @@ class RequestMessage:
 
     def to_bytes(self) -> bytes:
         """Serialise header + body."""
-        body = CdrOutputStream()
-        body.write_ulong(self.request_id)
-        body.write_string(self.object_key)
-        body.write_string(self.operation)
-        body.write_bytes(self.arguments_cdr)
-        if self.service_context:
-            body.write_bytes(self.service_context)
-        return _frame(MessageType.REQUEST, body.getvalue())
+        key = self.object_key.encode("utf-8")
+        operation = self.operation.encode("utf-8")
+        arguments = self.arguments_cdr
+        context = self.service_context
+        try:
+            body = b"".join((
+                _PACK_ULONG(self.request_id), _PACK_ULONG(len(key)), key,
+                _PACK_ULONG(len(operation)), operation,
+                _PACK_ULONG(len(arguments)), arguments,
+            ))
+        except struct.error as exc:
+            raise MarshalError(f"GIOP request id out of range: {exc}") from None
+        if context:
+            body += _PACK_ULONG(len(context)) + context
+        return _PACK_HEADER(_MAGIC, *_VERSION, 0, _REQUEST, len(body)) + body
 
 
 @dataclass(frozen=True)
@@ -72,24 +95,19 @@ class ReplyMessage:
 
     def to_bytes(self) -> bytes:
         """Serialise header + body."""
-        body = CdrOutputStream()
-        body.write_ulong(self.request_id)
-        body.write_ulong(int(self.status))
-        body.write_string(self.exception_type)
-        body.write_string(self.exception_detail)
-        body.write_bytes(self.body_cdr)
-        return _frame(MessageType.REPLY, body.getvalue())
-
-
-def _frame(message_type: MessageType, body: bytes) -> bytes:
-    header = bytearray()
-    header.extend(_MAGIC)
-    header.append(_VERSION[0])
-    header.append(_VERSION[1])
-    header.append(0)  # flags: big-endian
-    header.append(int(message_type))
-    header.extend(len(body).to_bytes(4, "big"))
-    return bytes(header) + body
+        exception_type = self.exception_type.encode("utf-8")
+        detail = self.exception_detail.encode("utf-8")
+        result = self.body_cdr
+        try:
+            body = b"".join((
+                _PACK_ULONG(self.request_id), _PACK_ULONG(self.status),
+                _PACK_ULONG(len(exception_type)), exception_type,
+                _PACK_ULONG(len(detail)), detail,
+                _PACK_ULONG(len(result)), result,
+            ))
+        except struct.error as exc:
+            raise MarshalError(f"GIOP reply id out of range: {exc}") from None
+        return _PACK_HEADER(_MAGIC, *_VERSION, 0, _REPLY, len(body)) + body
 
 
 def parse_message(data: bytes) -> RequestMessage | ReplyMessage:
@@ -101,43 +119,56 @@ def parse_message(data: bytes) -> RequestMessage | ReplyMessage:
         If the header is malformed, the size field disagrees with the
         payload, or the body cannot be unmarshalled.
     """
-    if len(data) < 12:
-        raise GiopError(f"GIOP message too short: {len(data)} bytes")
-    if data[:4] != _MAGIC:
-        raise GiopError(f"bad GIOP magic: {data[:4]!r}")
-    major, minor, _flags, message_type = data[4], data[5], data[6], data[7]
+    end = len(data)
+    if end < _HEADER_SIZE:
+        raise GiopError(f"GIOP message too short: {end} bytes")
+    magic, major, minor, _flags, message_type, size = _HEADER.unpack_from(data)
+    if magic != _MAGIC:
+        raise GiopError(f"bad GIOP magic: {magic!r}")
     if (major, minor) != _VERSION:
         raise GiopError(f"unsupported GIOP version {major}.{minor}")
-    size = int.from_bytes(data[8:12], "big")
-    body = data[12:]
-    if len(body) != size:
-        raise GiopError(f"GIOP size field says {size} bytes but body has {len(body)}")
-
-    stream = CdrInputStream(body)
+    if end - _HEADER_SIZE != size:
+        raise GiopError(
+            f"GIOP size field says {size} bytes but body has {end - _HEADER_SIZE}"
+        )
+    # Each field is a ulong length and that many bytes.  A length running
+    # past the end makes the next unpack raise; the last field is checked.
     try:
-        if message_type == MessageType.REQUEST:
-            request_id = stream.read_ulong()
-            object_key = stream.read_string()
-            operation = stream.read_string()
-            arguments_cdr = stream.read_bytes()
+        if message_type == _REQUEST:
+            request_id, length = _UNPACK_TWO_ULONGS(data, 12)
+            offset = 20 + length
+            object_key = data[20:offset].decode("utf-8")
+            start = offset + 4
+            offset = start + _UNPACK_ULONG(data, offset)[0]
+            operation = data[start:offset].decode("utf-8")
+            start = offset + 4
+            offset = start + _UNPACK_ULONG(data, offset)[0]
+            arguments = data[start:offset]
             # The trailing service-context slot is optional: absent bytes
             # decode to an empty context (old peers, untraced requests).
-            service_context = stream.read_bytes() if stream.remaining else b""
-            return RequestMessage(
-                request_id=request_id,
-                object_key=object_key,
-                operation=operation,
-                arguments_cdr=arguments_cdr,
-                service_context=service_context,
-            )
-        if message_type == MessageType.REPLY:
-            return ReplyMessage(
-                request_id=stream.read_ulong(),
-                status=ReplyStatus(stream.read_ulong()),
-                exception_type=stream.read_string(),
-                exception_detail=stream.read_string(),
-                body_cdr=stream.read_bytes(),
-            )
-    except (MarshalError, ValueError) as exc:
+            context = b""
+            if offset < end:
+                start = offset + 4
+                offset = start + _UNPACK_ULONG(data, offset)[0]
+                context = data[start:offset]
+            if offset > end:
+                raise MarshalError(f"field runs {offset - end} bytes past the message")
+            return RequestMessage(request_id, object_key, operation, arguments, context)
+        if message_type == _REPLY:
+            request_id, status = _UNPACK_TWO_ULONGS(data, 12)
+            reply_status = _REPLY_STATUSES.get(status)
+            if reply_status is None:
+                raise MarshalError(f"{status} is not a valid ReplyStatus")
+            offset = 24 + _UNPACK_ULONG(data, 20)[0]
+            exception_type = data[24:offset].decode("utf-8")
+            start = offset + 4
+            offset = start + _UNPACK_ULONG(data, offset)[0]
+            detail = data[start:offset].decode("utf-8")
+            start = offset + 4
+            offset = start + _UNPACK_ULONG(data, offset)[0]
+            if offset > end:
+                raise MarshalError(f"field runs {offset - end} bytes past the message")
+            return ReplyMessage(request_id, reply_status, data[start:offset], exception_type, detail)
+    except (MarshalError, ValueError, struct.error) as exc:
         raise GiopError(f"malformed GIOP body: {exc}") from None
     raise GiopError(f"unknown GIOP message type {message_type}")

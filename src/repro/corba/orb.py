@@ -22,6 +22,7 @@ charged to the virtual clock through the optional
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Any
 
 from repro.corba.cdr import marshal_values, unmarshal_values
@@ -46,6 +47,7 @@ from repro.net.transport import (
     Connection,
     Deferred,
     Endpoint,
+    Later,
     ReplyOutcome,
 )
 from repro.obs import hooks as _obs_hooks
@@ -109,6 +111,7 @@ class ServerOrb:
     # -- request handling -----------------------------------------------------
 
     def _on_request(self, message: Message, connection: Connection) -> ReplyOutcome:
+        request_size = len(message.payload)
         try:
             giop = parse_message(message.payload)
         except GiopError:
@@ -119,19 +122,18 @@ class ServerOrb:
         if not isinstance(giop, RequestMessage):
             return None
 
-        request_size = len(message.payload)
         if giop.service_context and _obs_hooks.ACTIVE is not None:
             # Stage the incoming trace context for the call handler, which
             # consumes (and clears) it synchronously inside ``invoke``.
             _obs_hooks.SERVER_WIRE_CONTEXT = giop.service_context
         try:
             servant = self.poa.servant_for(giop.object_key)
-            arguments = unmarshal_values(giop.arguments_cdr)
-            result = servant.invoke(giop.operation, arguments)
+            result = servant.invoke(giop.operation, unmarshal_values(giop.arguments_cdr))
         except Exception as exc:  # noqa: BLE001 - mapped to a GIOP reply
             return self._encoded(giop.request_id, None, exc, request_size, 0.0)
 
         if isinstance(result, Deferred):
+            # Held by the servant (a §5.7 stall): encoded when it resolves.
             out: Deferred = Deferred(f"giop reply {giop.request_id}")
             result.subscribe(
                 lambda value, error, delay: out.complete(
@@ -149,58 +151,35 @@ class ServerOrb:
         request_size: int,
         extra_delay: float,
     ) -> tuple[bytes, float]:
-        try:
-            reply = (
-                self._exception_reply(request_id, error)
-                if error is not None
-                else self._success_reply(request_id, value)
-            )
-        except Exception as marshal_error:  # noqa: BLE001 - e.g. unmarshallable result
-            # A result the CDR layer cannot encode must still produce a
-            # reply, or the client (and this connection's FIFO) hangs.
-            reply = self._exception_reply(request_id, marshal_error)
-        delay = extra_delay + self._processing_delay(request_size, len(reply.body_cdr))
-        return reply.to_bytes(), delay
-
-    def _success_reply(self, request_id: int, result: Any) -> ReplyMessage:
-        self.requests_handled += 1
-        return ReplyMessage(
-            request_id=request_id,
-            status=ReplyStatus.NO_EXCEPTION,
-            body_cdr=marshal_values((result,)),
-        )
+        if error is None:
+            self.requests_handled += 1
+            try:
+                reply = ReplyMessage(request_id, ReplyStatus.NO_EXCEPTION, marshal_values((value,)))
+            except Exception as marshal_error:  # noqa: BLE001 - e.g. unmarshallable result
+                # A result the CDR layer cannot encode must still produce a
+                # reply, or the client (and this connection's FIFO) hangs.
+                reply = self._exception_reply(request_id, marshal_error)
+        else:
+            reply = self._exception_reply(request_id, error)
+        if self.cost_model is not None:
+            extra_delay += self._processing_delay(request_size, len(reply.body_cdr))
+        return reply.to_bytes(), extra_delay
 
     def _exception_reply(self, request_id: int, exc: BaseException) -> ReplyMessage:
         if isinstance(exc, CorbaUserException):
             self.user_exceptions_sent += 1
-            return ReplyMessage(
-                request_id=request_id,
-                status=ReplyStatus.USER_EXCEPTION,
-                body_cdr=b"",
-                exception_type=exc.type_name,
-                exception_detail=exc.message,
-            )
-        if isinstance(exc, CorbaSystemException):
+            status, name, detail = ReplyStatus.USER_EXCEPTION, exc.type_name, exc.message
+        elif isinstance(exc, CorbaSystemException):
             self.system_exceptions_sent += 1
-            return ReplyMessage(
-                request_id=request_id,
-                status=ReplyStatus.SYSTEM_EXCEPTION,
-                body_cdr=b"",
-                exception_type=exc.name,
-                exception_detail=exc.detail,
+            status, name, detail = ReplyStatus.SYSTEM_EXCEPTION, exc.name, exc.detail
+        else:
+            self.system_exceptions_sent += 1
+            status, name, detail = (
+                ReplyStatus.SYSTEM_EXCEPTION, "UNKNOWN", f"{type(exc).__name__}: {exc}"
             )
-        self.system_exceptions_sent += 1
-        return ReplyMessage(
-            request_id=request_id,
-            status=ReplyStatus.SYSTEM_EXCEPTION,
-            body_cdr=b"",
-            exception_type="UNKNOWN",
-            exception_detail=f"{type(exc).__name__}: {exc}",
-        )
+        return ReplyMessage(request_id, status, b"", name, detail)
 
     def _processing_delay(self, request_size: int, reply_size: int) -> float:
-        if self.cost_model is None:
-            return 0.0
         cost = self.cost_model.binary_processing(request_size)
         cost += self.cost_model.binary_processing(reply_size)
         cost += self.dynamic_dispatch_overhead
@@ -276,70 +255,47 @@ class ClientOrb:
     def invoke_async(self, ior: IOR, operation: str, arguments: tuple[Any, ...]) -> Deferred:
         """Issue one remote invocation without blocking.
 
-        The returned deferred resolves with the operation result, or fails
-        with the mapped CORBA exception.  Marshalling cost is charged as a
-        virtual-clock delay before the request leaves; unmarshalling cost
-        delays the resolution, so the round-trip time a caller observes is
-        identical to the blocking path.
+        The returned deferred — the request's only one — resolves with the
+        operation result, or fails with the mapped CORBA exception: the
+        reply is decoded and interpreted in the transport's parse.
+        Marshalling cost is charged as a virtual-clock delay before the
+        request leaves; unmarshalling cost delays the resolution, so the
+        round-trip time a caller observes is identical to the blocking path.
         """
         request_id = next(self._request_ids)
-        arguments_cdr = marshal_values(tuple(arguments))
         # In-band trace propagation: an active client-side trace context
         # rides the request's GIOP service-context slot (untraced calls
         # frame nothing, keeping their bytes identical).
         context = _obs_hooks.CONTEXT
-        request = RequestMessage(
-            request_id=request_id,
-            object_key=ior.object_key,
-            operation=operation,
-            arguments_cdr=arguments_cdr,
-            service_context=context.encode_bytes() if context is not None else b"",
+        payload = RequestMessage(
+            request_id,
+            ior.object_key,
+            operation,
+            marshal_values(arguments),
+            context.encode_bytes() if context is not None else b"",
+        ).to_bytes()
+        return self.channel.request_async(
+            Address(ior.host, ior.port),
+            payload,
+            partial(self._reply_value, request_id),
+            description=f"CORBA {operation} on {ior.object_key}",
+            delay=self._cost(len(payload)),
         )
-        payload = request.to_bytes()
-        scheduler = self.channel.scheduler
-        result: Deferred = Deferred(f"CORBA {operation} on {ior.object_key}")
 
-        def parse(message: Message) -> ReplyMessage:
-            try:
-                giop = parse_message(message.payload)
-            except GiopError as exc:
-                raise CorbaError(f"malformed GIOP reply: {exc}") from None
-            if not isinstance(giop, ReplyMessage) or giop.request_id != request_id:
-                raise CorbaError("GIOP reply does not match the outstanding request")
-            return giop
-
-        def on_reply(reply: ReplyMessage | None, error: BaseException | None, _delay: float) -> None:
-            if error is not None:
-                result.fail(error)
-                return
-            self.calls_made += 1
-            cost = self._cost(len(reply.body_cdr) + 24)
-            if cost > 0:
-                scheduler.schedule(cost, finish, reply, label="client-orb processing")
-            else:
-                finish(reply)
-
-        def finish(reply: ReplyMessage) -> None:
-            try:
-                result.complete(self._interpret_reply(reply))
-            except Exception as exc:  # noqa: BLE001 - CORBA exceptions propagate
-                result.fail(exc)
-
-        def send() -> None:
-            wire = self.channel.request_async(
-                Address(ior.host, ior.port),
-                payload,
-                parse,
-                description=f"CORBA {operation} on {ior.object_key}",
-            )
-            wire.subscribe(on_reply)
-
-        marshal_cost = self._cost(len(payload))
-        if marshal_cost > 0:
-            scheduler.schedule(marshal_cost, send, label="client-orb processing")
-        else:
-            send()
-        return result
+    def _reply_value(self, request_id: int, message: Message) -> Any:
+        """The result carried by the reply to ``request_id`` (or its
+        unmarshalling cost and then the result, as :class:`Later`)."""
+        try:
+            reply = parse_message(message.payload)
+        except GiopError as exc:
+            raise CorbaError(f"malformed GIOP reply: {exc}") from None
+        if not isinstance(reply, ReplyMessage) or reply.request_id != request_id:
+            raise CorbaError("GIOP reply does not match the outstanding request")
+        self.calls_made += 1
+        cost = self._cost(len(reply.body_cdr) + 24)
+        if cost > 0:
+            return Later(cost, partial(self._interpret_reply, reply))
+        return self._interpret_reply(reply)
 
     def close(self) -> None:
         """Close every connection this ORB holds."""

@@ -15,12 +15,14 @@ The SOAP and CORBA call handlers share all of their interesting behaviour:
 The technology-specific subclasses translate between the wire format and
 :meth:`CallHandler.dispatch`, which reports its outcome through the
 :class:`DispatchOutcome` callbacks so replies can be deferred while the
-publisher catches up.
+publisher catches up.  Most calls report before ``dispatch`` returns; the
+SOAP and CORBA handlers then encode the reply in that same frame and create
+a deferred only for a call a §5.7 stall holds back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import (
@@ -54,13 +56,21 @@ class CallStats:
     max_stall_queue_depth: int = 0
 
 
-@dataclass
 class DispatchOutcome:
-    """Callbacks a technology handler provides for one dispatched call."""
+    """Where one dispatched call reports: a technology handler subclasses
+    this with a per-call reply object.
 
-    on_result: Callable[[Any, OperationSignature], None]
-    on_fault: Callable[[BaseException], None]
-    operation: str = ""
+    Exactly one of :meth:`on_result`/:meth:`on_fault` is called, once;
+    :meth:`CallHandler.dispatch` sets :attr:`operation`.
+    """
+
+    operation = ""
+
+    def on_result(self, value: Any, signature: OperationSignature) -> None:
+        raise NotImplementedError
+
+    def on_fault(self, error: BaseException) -> None:
+        raise NotImplementedError
 
 
 class CallHandler:
@@ -133,17 +143,19 @@ class CallHandler:
             outcome.on_fault(ServerNotInitializedError("Server not initialized"))
             return
 
-        method = self._match(operation, arguments)
-        if method is None:
+        # Only the class's own distributed methods are served, as in
+        # :meth:`~repro.jpie.dynamic_class.DynamicClass.distributed_methods`.
+        method = self.server.dynamic_class._methods.get(operation)
+        if method is None or not method.is_distributed:
             self._handle_stale_call(operation, outcome)
             return
 
         try:
             result = method.invoke(self.active_instance, *arguments)
         except SignatureError:
-            # The signature changed between matching and invocation, or the
-            # argument types no longer fit: from the client's point of view
-            # the method it knew about no longer exists.
+            # The arity or the argument types do not fit the method's current
+            # signature: from the client's point of view the method it knew
+            # about no longer exists.
             self._handle_stale_call(operation, outcome)
             return
         except Exception as exc:  # noqa: BLE001 - becomes an application fault
@@ -152,24 +164,6 @@ class CallHandler:
             return
         self.stats.calls_completed += 1
         outcome.on_result(result, method.signature())
-
-    def _match(self, operation: str, arguments: tuple[Any, ...]):
-        """Find a distributed method matching the requested call, if any.
-
-        Only the class's own methods are served, as in
-        :meth:`~repro.jpie.dynamic_class.DynamicClass.distributed_methods`.
-        """
-        method = self.dynamic_class._methods.get(operation)
-        if method is None or not method.is_distributed:
-            return None
-        if len(method.parameters) != len(arguments):
-            return None
-        for value, parameter in zip(arguments, method.parameters):
-            try:
-                parameter.param_type.validate(value)
-            except Exception:
-                return None
-        return method
 
     @property
     def stall_queue_depth(self) -> int:

@@ -89,20 +89,13 @@ class CorbaCallHandler(CallHandler):
     # -- DSI dispatch -------------------------------------------------------------
 
     def _serve_request(self, request: ServerRequest) -> None:
-        deferred: Deferred = Deferred(f"giop result for {request.operation}")
-
-        def on_result(value: Any, signature: OperationSignature) -> None:
-            deferred.complete(value)
-
-        def on_fault(error: BaseException) -> None:
-            deferred.fail(self._exception_for(error))
-
-        self.dispatch(
-            request.operation,
-            tuple(request.arguments),
-            DispatchOutcome(on_result=on_result, on_fault=on_fault),
-        )
-        request.set_result(deferred)
+        reply = _CorbaReply(self, request)
+        self.dispatch(request.operation, request.arguments, reply)
+        if not request.completed:
+            # Held by a §5.7 stall: the ORB encodes the reply on resolution.
+            deferred: Deferred = Deferred(f"giop result for {request.operation}")
+            reply.resolve, reply.reject = deferred.complete, deferred.fail
+            request.set_result(deferred)
 
     def _exception_for(self, error: BaseException) -> CorbaUserException:
         if isinstance(error, ServerNotInitializedError):
@@ -113,3 +106,20 @@ class CorbaCallHandler(CallHandler):
                 detail += f"; publishedVersion={error.interface_version}"
             return CorbaUserException(EXC_NON_EXISTENT_METHOD, detail)
         return CorbaUserException(EXC_APPLICATION, f"{type(error).__name__}: {error}")
+
+
+class _CorbaReply(DispatchOutcome):
+    """Where one DSI request's dispatch reports: into the
+    :class:`ServerRequest` while ``dispatch`` runs, into a deferred once a
+    §5.7 stall has held the call past it."""
+
+    def __init__(self, handler: CorbaCallHandler, request: ServerRequest) -> None:
+        self.handler = handler
+        self.operation = request.operation
+        self.resolve, self.reject = request.set_result, request.set_exception
+
+    def on_result(self, value: Any, signature: OperationSignature) -> None:
+        self.resolve(value)
+
+    def on_fault(self, error: BaseException) -> None:
+        self.reject(self.handler._exception_for(error))

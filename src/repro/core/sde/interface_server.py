@@ -85,7 +85,7 @@ class InterfaceServer:
 
     def url_for(self, path: str) -> str:
         """The full URL at which ``path`` is served."""
-        return f"{self.base_url}{path}"
+        return f"{self.http_server.url}{path}"
 
     # -- request handling --------------------------------------------------------
 

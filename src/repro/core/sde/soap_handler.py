@@ -5,10 +5,11 @@ SOAP to Java and Java to SOAP translation for remote method invocations."
 Here it binds an HTTP endpoint on the server host, parses incoming SOAP
 Requests, feeds them through the shared dispatch logic of
 :class:`~repro.core.sde.call_handler.CallHandler`, and encodes the outcome as
-a SOAP Response (value or fault).  Replies are issued through the transport
-layer's generic :class:`~repro.net.transport.Deferred` so a §5.7 stall simply
-delays the reply without blocking the simulated server; per-connection FIFO
-ordering guarantees stalled replies drain in arrival order.
+a SOAP Response (value or fault).  A call answered during dispatch is
+encoded and returned in that frame; one a §5.7 stall holds back is answered
+through the transport layer's :class:`~repro.net.transport.Deferred`, which
+delays the reply without blocking the simulated server, and per-connection
+FIFO ordering guarantees stalled replies drain in arrival order.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ class SoapCallHandler(CallHandler):
             cores=manager.server_core,
         )
         self.http_server.add_route(self.endpoint_path, self._handle, methods=("GET", "POST"))
+        #: The class's struct types and the registry decoding requests with
+        #: them, rebuilt only when the structs change.
+        self._registry: tuple[tuple, TypeRegistry] = ((), TypeRegistry())
 
     # -- endpoint ------------------------------------------------------------
 
@@ -72,48 +76,34 @@ class SoapCallHandler(CallHandler):
             # Convenience: point clients at the published WSDL document.
             return HttpResponse.ok_text(self.server.publisher.document_url)
 
-        namespace = self.server.publisher.namespace
-        registry = TypeRegistry(self.dynamic_class.struct_types)
+        structs = self.server.dynamic_class.struct_types
+        cached_structs, registry = self._registry
+        if structs != cached_structs:
+            registry = TypeRegistry(structs)
+            self._registry = structs, registry
         try:
             soap_request = SoapRequest.from_xml(request.body, registry)
         except SoapError as exc:
             self.note_malformed_request(str(exc))
             fault = SoapFault.malformed_request(str(exc))
-            return self._fault_response("", fault, len(request.body))
-
-        deferred: Deferred = Deferred(f"soap reply for {soap_request.operation}")
-
-        def on_result(value: Any, signature: OperationSignature) -> None:
-            response = SoapResponse.for_result(
-                soap_request.operation, value, signature.return_type, namespace=namespace
-            )
-            body = response.to_xml()
-            deferred.complete(
-                HttpResponse.ok_xml(body),
-                self._processing_delay(len(request.body), len(body)),
-            )
-
-        def on_fault(error: BaseException) -> None:
-            fault = self._fault_for(soap_request.operation, error)
-            response = SoapResponse.for_fault(soap_request.operation, fault, namespace=namespace)
-            body = response.to_xml()
-            deferred.complete(
-                HttpResponse.ok_xml(body),
-                self._processing_delay(len(request.body), len(body)),
-            )
+            return self._encoded(SoapResponse.for_fault("", fault), len(request.body))
 
         if soap_request.trace_context is not None and _obs_hooks.ACTIVE is not None:
             # Staged for CallHandler.dispatch, which consumes and clears it
             # synchronously before this frame returns.
             _obs_hooks.SERVER_WIRE_CONTEXT = soap_request.trace_context
-        self.dispatch(
-            soap_request.operation,
-            soap_request.arguments,
-            DispatchOutcome(on_result=on_result, on_fault=on_fault),
-        )
-        return deferred
+        reply = _SoapReply(self, soap_request.operation, len(request.body))
+        self.dispatch(soap_request.operation, soap_request.arguments, reply)
+        if reply.response is not None:
+            return reply.response
+        reply.deferred = Deferred(f"soap reply for {soap_request.operation}")
+        return reply.deferred
 
     # -- fault mapping ----------------------------------------------------------------
+
+    def _encoded(self, response: SoapResponse, request_size: int) -> tuple[HttpResponse, float]:
+        body = response.to_xml()
+        return HttpResponse.ok_xml(body), self._processing_delay(request_size, len(body))
 
     def _fault_for(self, operation: str, error: BaseException) -> SoapFault:
         if isinstance(error, ServerNotInitializedError):
@@ -123,14 +113,6 @@ class SoapCallHandler(CallHandler):
         if isinstance(error, MalformedRequestError):
             return SoapFault.malformed_request(str(error))
         return SoapFault.application_fault(error)
-
-    def _fault_response(self, operation: str, fault: SoapFault, request_size: int):
-        response = SoapResponse.for_fault(operation, fault)
-        body = response.to_xml()
-        delay = self._processing_delay(request_size, len(body))
-        if delay > 0:
-            return HttpResponse.ok_xml(body), delay
-        return HttpResponse.ok_xml(body)
 
     # -- cost accounting ---------------------------------------------------------------
 
@@ -142,3 +124,34 @@ class SoapCallHandler(CallHandler):
         cost += cost_model.text_processing(response_size)
         cost += cost_model.dynamic_dispatch_overhead()
         return cost * self.manager.config.speed_factor
+
+
+class _SoapReply(DispatchOutcome):
+    """Where one SOAP call's dispatch reports: into :attr:`response` while
+    ``dispatch`` runs, into :attr:`deferred` once a §5.7 stall has held the
+    call past it."""
+
+    def __init__(self, handler: SoapCallHandler, operation: str, request_size: int) -> None:
+        self.handler = handler
+        self.operation = operation
+        #: Read on arrival: the reply is rendered in the namespace served then.
+        self.namespace = handler.server.publisher.namespace
+        self.request_size = request_size
+        self.response: tuple[HttpResponse, float] | None = None
+        self.deferred: Deferred | None = None
+
+    def on_result(self, value: Any, signature: OperationSignature) -> None:
+        self._reply(SoapResponse.for_result(
+            self.operation, value, signature.return_type, namespace=self.namespace
+        ))
+
+    def on_fault(self, error: BaseException) -> None:
+        fault = self.handler._fault_for(self.operation, error)
+        self._reply(SoapResponse.for_fault(self.operation, fault, namespace=self.namespace))
+
+    def _reply(self, response: SoapResponse) -> None:
+        encoded = self.handler._encoded(response, self.request_size)
+        if self.deferred is None:
+            self.response = encoded
+        else:
+            self.deferred.complete(*encoded)

@@ -40,6 +40,9 @@ class DynamicMethod:
         self._name = name
         self._parameters = tuple(parameters)
         self._return_type = return_type
+        #: The signature built from the three fields above; dropped whenever
+        #: one of them changes (OperationSignature is immutable).
+        self._signature: OperationSignature | None = None
         self._body: MethodBody = body if body is not None else _default_body
         self.modifiers: set[Modifier] = set(modifiers or {Modifier.PUBLIC})
         self.owner = None  # set by DynamicClass.add_method
@@ -74,11 +77,9 @@ class DynamicMethod:
 
     def signature(self) -> OperationSignature:
         """The method's signature as a technology-neutral operation."""
-        return OperationSignature(
-            name=self._name,
-            parameters=self._parameters,
-            return_type=self._return_type,
-        )
+        if self._signature is None:
+            self._signature = OperationSignature(self._name, self._parameters, self._return_type)
+        return self._signature
 
     # -- invocation -------------------------------------------------------------
 
@@ -116,12 +117,13 @@ class DynamicMethod:
         if self.owner is not None:
             self.owner._rename_method(self, new_name)
         else:
-            self._name = new_name
+            self._apply_rename(new_name)
 
     def set_parameters(self, parameters: tuple[Parameter, ...]) -> None:
         """Replace the formal parameter list."""
         old = self._parameters
         self._parameters = tuple(parameters)
+        self._signature = None
         # Validate the combination early (duplicate names, etc.).
         try:
             self.signature()
@@ -137,6 +139,7 @@ class DynamicMethod:
         """Change the declared return type."""
         old = self._return_type
         self._return_type = return_type
+        self._signature = None
         if self.owner is not None:
             self.owner._method_signature_changed(
                 self, f"return type {old.type_name} -> {return_type.type_name}"
@@ -177,6 +180,7 @@ class DynamicMethod:
 
     def _apply_rename(self, new_name: str) -> None:
         self._name = new_name
+        self._signature = None
 
     def __repr__(self) -> str:
         flags = ",".join(sorted(str(m) for m in self.modifiers))

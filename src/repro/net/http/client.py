@@ -6,10 +6,13 @@ HTTP/1.1 keep-alive — through a :class:`~repro.net.transport.ClientChannel`.
 how synchronous RMI calls are expressed on the single-threaded simulator;
 ``request_async`` returns a :class:`~repro.net.transport.Deferred` instead,
 which is what lets a multi-client workload keep many requests in flight
-deterministically.
+deterministically; with a ``decode`` it resolves with the decoded response.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from typing import Any, Callable
 
 from repro.errors import HttpError
 from repro.net.http.messages import HttpRequest, HttpResponse
@@ -70,11 +73,17 @@ class HttpClient:
         url: str,
         body: str = "",
         headers: dict[str, str] | None = None,
-    ) -> Deferred[HttpResponse]:
-        """Issue a request without blocking; resolve with the response."""
+        decode: Callable[[HttpResponse], Any] | None = None,
+    ) -> Deferred:
+        """Issue a request without blocking; resolve with the response, or
+        with ``decode(response)`` when given (an error it raises fails the
+        deferred)."""
         destination, payload = self._build(method, url, body, headers)
         return self.channel.request_async(
-            destination, payload, self._parse_response, description=f"{method} {url}"
+            destination,
+            payload,
+            self._parse_response if decode is None else partial(_decoded, decode),
+            description=f"{method} {url}",
         )
 
     def _build(
@@ -123,3 +132,7 @@ class HttpClient:
 
     def __repr__(self) -> str:
         return f"HttpClient(host={self.host.name!r}, sent={self.requests_sent})"
+
+
+def _decoded(decode: Callable[[HttpResponse], Any], message: Message) -> Any:
+    return decode(HttpResponse.from_bytes(message.payload))

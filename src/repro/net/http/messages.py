@@ -5,9 +5,11 @@ latency model sees realistic message sizes (headers included) and tests can
 assert on exact wire bytes.
 
 Header names are title-cased once: on construction, or by the parser for a
-message read off the wire.  Every message is one datagram, so a missing
-``Content-Length`` is accepted; one that is present must equal the body's
-byte length, which :meth:`HttpRequest.to_bytes` always writes.
+message read off the wire, which builds the message from the parsed fields
+directly instead of re-running the constructor's checks.  Every message is
+one datagram, so a missing ``Content-Length`` is accepted; one that is
+present must equal the body's byte length, which :meth:`HttpRequest.to_bytes`
+always writes.
 """
 
 from __future__ import annotations
@@ -62,11 +64,7 @@ class HttpRequest:
     http_version: str = "HTTP/1.1"
 
     def __post_init__(self) -> None:
-        self.method = self.method.upper()
-        if self.method not in _SUPPORTED_METHODS:
-            raise HttpError(f"unsupported HTTP method {self.method!r}")
-        if not self.path.startswith("/"):
-            raise HttpError(f"request path must start with '/', got {self.path!r}")
+        self.method = _checked_request_line(self.method, self.path)
         headers = self.headers
         self.headers = dict(zip(map(str.title, headers), headers.values())) if headers else {}
 
@@ -86,8 +84,12 @@ class HttpRequest:
         if len(parts) != 3:
             raise HttpError(f"malformed request line: {start!r}")
         method, path, version = parts
-        request = cls(method=method, path=path, body=body, http_version=version)
+        request = object.__new__(cls)
+        request.method = _checked_request_line(method, path)
+        request.path = path
         request.headers = headers
+        request.body = body
+        request.http_version = version
         return request
 
 
@@ -130,8 +132,11 @@ class HttpResponse:
             status_code = int(status)
         except ValueError:
             raise HttpError(f"malformed status code: {status!r}") from None
-        response = cls(status=status_code, body=body, http_version=version)
+        response = object.__new__(cls)
+        response.status = status_code
         response.headers = headers
+        response.body = body
+        response.http_version = version
         return response
 
     # -- convenience constructors -----------------------------------------
@@ -157,6 +162,16 @@ class HttpResponse:
         return cls(StatusCodes.INTERNAL_SERVER_ERROR, {"Content-Type": "text/plain"}, detail)
 
 
+def _checked_request_line(method: str, path: str) -> str:
+    """``method`` upper-cased, once it and ``path`` are known to be valid."""
+    method = method.upper()
+    if method not in _SUPPORTED_METHODS:
+        raise HttpError(f"unsupported HTTP method {method!r}")
+    if not path.startswith("/"):
+        raise HttpError(f"request path must start with '/', got {path!r}")
+    return method
+
+
 def _encode(start_line: str, message: "HttpRequest | HttpResponse") -> bytes:
     """The wire bytes of ``message`` under ``start_line``.
 
@@ -166,12 +181,10 @@ def _encode(start_line: str, message: "HttpRequest | HttpResponse") -> bytes:
     body = message.body.encode("utf-8")
     headers = message.headers.copy()
     headers["Content-Length"] = str(len(body))
-    lines = [start_line]
-    for name, value in sorted(headers.items()):
-        lines.append(f"{name}: {value}")
-    lines.append("")
-    lines.append("")
-    return _CRLF.join(lines).encode("utf-8") + body
+    head = start_line
+    for name in sorted(headers):
+        head += f"{_CRLF}{name}: {headers[name]}"
+    return (head + _CRLF + _CRLF).encode("utf-8") + body
 
 
 def _decode(data: bytes, what: str) -> tuple[str, dict[str, str], str]:

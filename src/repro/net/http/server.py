@@ -65,13 +65,11 @@ class HttpServer:
             name=name,
             cores=cores,
         )
-        self._routes: list[Route] = []
         #: Exact routes by ``(method, path)``; the first registration wins.
         self._exact: dict[tuple[str, str], Route] = {}
         #: Prefix routes, scanned in registration order after an exact miss.
         self._prefixes: list[Route] = []
         self.requests_served = 0
-        self.last_request: HttpRequest | None = None
 
     # -- configuration ----------------------------------------------------
 
@@ -84,18 +82,12 @@ class HttpServer:
     ) -> Route:
         """Register ``handler`` for ``path`` and return the created route."""
         route = Route(path=path, handler=handler, methods=tuple(m.upper() for m in methods), prefix=prefix)
-        self._routes.append(route)
         if route.prefix:
             self._prefixes.append(route)
         else:
             for method in route.methods:
                 self._exact.setdefault((method, route.path), route)
         return route
-
-    @property
-    def routes(self) -> tuple[Route, ...]:
-        """The registered routes in registration order."""
-        return tuple(self._routes)
 
     @property
     def address(self) -> Address:
@@ -130,7 +122,6 @@ class HttpServer:
         except HttpError as exc:
             return HttpResponse(StatusCodes.BAD_REQUEST, body=str(exc)).to_bytes()
 
-        self.last_request = request
         self.requests_served += 1
 
         # Query strings (``?wsdl``) are ignored for matching, as they are by
@@ -164,4 +155,4 @@ class HttpServer:
 
     def __repr__(self) -> str:
         state = "running" if self.running else "stopped"
-        return f"HttpServer({self.url}, routes={len(self._routes)}, {state})"
+        return f"HttpServer({self.url}, routes={len(self._exact) + len(self._prefixes)}, {state})"

@@ -48,7 +48,8 @@ class LatencyModel:
 
     def one_way_delay(self, size_bytes: int) -> float:
         """Return the one-way delay for a message of ``size_bytes`` bytes."""
-        require_non_negative(size_bytes, "size_bytes")
+        if size_bytes < 0:  # inline: this runs once per message sent
+            raise ValueError(f"size_bytes must be non-negative, got {size_bytes!r}")
         transmission = 0.0
         if self.bandwidth_bytes_per_second > 0:
             transmission = size_bytes / self.bandwidth_bytes_per_second

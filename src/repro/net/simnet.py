@@ -173,7 +173,98 @@ class Host:
             payload = bytes(payload)
         if source is None:
             source = Address(self.name, source_port)
-        return self.network._transmit(self, source, destination, payload, delay)
+        # Transmission, inline (one frame per message): delivery is
+        # scheduled after the one-way delay given by the governing latency
+        # model (``delay``, when the sender already computed it).  Traffic
+        # into a partition is counted as dropped and silently discarded,
+        # mirroring packet loss.
+        #
+        # Same-instant coalescing: when this send arrives at the exact
+        # virtual time of the previous one *and* nothing else was scheduled
+        # in between, the message joins the previous delivery's batch
+        # instead of costing its own heap entry.  Because the batch event
+        # was the most recently scheduled event, delivering the newcomer
+        # immediately after its batch siblings is exactly the ``(time,
+        # insertion order)`` the scheduler would have produced anyway —
+        # determinism is unchanged.
+        network = self.network
+        destination_host = network._hosts.get(destination.host)
+        if destination_host is None:
+            raise HostNotFoundError(f"unknown host {destination.host!r}")
+        scheduler = network.scheduler
+        now = scheduler.now
+
+        size = len(payload)
+        network._next_message_id += 1
+        message = Message(network._next_message_id, source, destination, payload, now)
+        source_stats = self.stats
+        source_stats.messages_sent += 1
+        source_stats.bytes_sent += size
+        stats = network.stats
+        stats.messages_sent += 1
+        stats.bytes_sent += size
+
+        if network._partitions and network.is_partitioned(source.host, destination.host):
+            stats.messages_dropped += 1
+            source_stats.messages_dropped += 1
+            if _obs_hooks.ACTIVE is not None:
+                _obs_hooks.ACTIVE.instant(
+                    "net.drop", reason="partition", source=source.host, to=destination.host
+                )
+            return message
+        if self.down or destination_host.down:
+            # A crashed machine neither sends nor receives; dropping at
+            # transmit time keeps the event queue free of doomed deliveries.
+            stats.messages_dropped += 1
+            source_stats.messages_dropped += 1
+            if _obs_hooks.ACTIVE is not None:
+                _obs_hooks.ACTIVE.instant(
+                    "net.drop", reason="host-down", source=source.host, to=destination.host
+                )
+            return message
+
+        if delay is None:
+            delay = network.link_latency(source.host, destination.host).one_way_delay(size)
+        if network._link_faults:
+            fault = network._link_faults.get((source.host, destination.host))
+            if fault is not None:
+                drop, extra = fault.sample(size)
+                if drop:
+                    stats.messages_dropped += 1
+                    source_stats.messages_dropped += 1
+                    if _obs_hooks.ACTIVE is not None:
+                        _obs_hooks.ACTIVE.instant(
+                            "net.drop",
+                            reason="link-fault",
+                            source=source.host,
+                            to=destination.host,
+                        )
+                    return message
+                if fault.jitter > 0.0:
+                    # Jitter must not let a later message overtake an earlier
+                    # one on the same link direction: clamp the arrival to be
+                    # strictly after the latest one already scheduled, so the
+                    # transport layer's per-connection FIFO correlation holds.
+                    arrival = now + delay + extra
+                    if arrival <= fault.last_arrival:
+                        arrival = fault.last_arrival + 1e-9
+                    fault.last_arrival = arrival
+                    delay = arrival - now
+        arrival = now + delay
+        batch = network._batch
+        if (
+            batch is not None
+            and batch[0] == arrival
+            and batch[1] is scheduler.last_event
+            and batch[1].pending
+        ):
+            batch[2].append(message)
+            return message
+        pending = [message]
+        label = f"deliver {source} -> {destination}" if scheduler.tracing else "deliver"
+        event = scheduler.schedule(delay, network._deliver_batch, pending, label=label)
+        network._batch = (arrival, event, pending)
+        return message
 
     def deliver(self, message: Message) -> None:
         """Called by the network when a message arrives at this host."""
@@ -337,108 +428,6 @@ class Network:
         self._link_faults.pop((source, destination), None)
 
     # -- transmission -------------------------------------------------------
-
-    def _transmit(
-        self,
-        source_host: Host,
-        source: Address,
-        destination: Address,
-        payload: bytes,
-        delay: float | None,
-    ) -> Message:
-        """Queue ``payload`` for delivery and return the in-flight message.
-
-        Called by :meth:`Host.send` only.  Delivery is scheduled on the event
-        scheduler after the one-way delay given by the governing latency
-        model (``delay``, when the sender already computed it).  Traffic into
-        a partition is counted as dropped and silently discarded, mirroring
-        packet loss.
-
-        Same-instant coalescing: when this send arrives at the exact virtual
-        time of the previous one *and* nothing else was scheduled in between,
-        the message joins the previous delivery's batch instead of costing
-        its own heap entry.  Because the batch event was the most recently
-        scheduled event, delivering the newcomer immediately after its batch
-        siblings is exactly the ``(time, insertion order)`` the scheduler
-        would have produced anyway — determinism is unchanged.
-        """
-        destination_host = self._hosts.get(destination.host)
-        if destination_host is None:
-            raise HostNotFoundError(f"unknown host {destination.host!r}")
-        scheduler = self.scheduler
-        now = scheduler.now
-
-        size = len(payload)
-        self._next_message_id += 1
-        message = Message(self._next_message_id, source, destination, payload, now)
-        source_stats = source_host.stats
-        source_stats.messages_sent += 1
-        source_stats.bytes_sent += size
-        stats = self.stats
-        stats.messages_sent += 1
-        stats.bytes_sent += size
-
-        if self._partitions and self.is_partitioned(source.host, destination.host):
-            stats.messages_dropped += 1
-            source_stats.messages_dropped += 1
-            if _obs_hooks.ACTIVE is not None:
-                _obs_hooks.ACTIVE.instant(
-                    "net.drop", reason="partition", source=source.host, to=destination.host
-                )
-            return message
-        if source_host.down or destination_host.down:
-            # A crashed machine neither sends nor receives; dropping at
-            # transmit time keeps the event queue free of doomed deliveries.
-            stats.messages_dropped += 1
-            source_stats.messages_dropped += 1
-            if _obs_hooks.ACTIVE is not None:
-                _obs_hooks.ACTIVE.instant(
-                    "net.drop", reason="host-down", source=source.host, to=destination.host
-                )
-            return message
-
-        if delay is None:
-            delay = self.link_latency(source.host, destination.host).one_way_delay(size)
-        if self._link_faults:
-            fault = self._link_faults.get((source.host, destination.host))
-            if fault is not None:
-                drop, extra = fault.sample(size)
-                if drop:
-                    stats.messages_dropped += 1
-                    source_stats.messages_dropped += 1
-                    if _obs_hooks.ACTIVE is not None:
-                        _obs_hooks.ACTIVE.instant(
-                            "net.drop",
-                            reason="link-fault",
-                            source=source.host,
-                            to=destination.host,
-                        )
-                    return message
-                if fault.jitter > 0.0:
-                    # Jitter must not let a later message overtake an earlier
-                    # one on the same link direction: clamp the arrival to be
-                    # strictly after the latest one already scheduled, so the
-                    # transport layer's per-connection FIFO correlation holds.
-                    arrival = now + delay + extra
-                    if arrival <= fault.last_arrival:
-                        arrival = fault.last_arrival + 1e-9
-                    fault.last_arrival = arrival
-                    delay = arrival - now
-        arrival = now + delay
-        batch = self._batch
-        if (
-            batch is not None
-            and batch[0] == arrival
-            and batch[1] is scheduler.last_event
-            and batch[1].pending
-        ):
-            batch[2].append(message)
-            return message
-        pending = [message]
-        label = f"deliver {source} -> {destination}" if scheduler.tracing else "deliver"
-        event = scheduler.schedule(delay, self._deliver_batch, pending, label=label)
-        self._batch = (arrival, event, pending)
-        return message
 
     def _deliver_batch(self, messages: list[Message]) -> None:
         now = self.scheduler.now

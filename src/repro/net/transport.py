@@ -22,6 +22,10 @@ the shared machinery out:
   destination (a client connection), blocking *and* asynchronous request
   helpers, and FIFO reply correlation.
 
+A request has one future: the channel's deferred, resolved by a ``parse``
+that decodes the whole reply.  Client processing time is a scheduled delay
+on that path: ``request_async(delay=...)`` and a parse returning :class:`Later`.
+
 The HTTP server/client and the server/client ORBs are thin protocol codecs
 over these four classes; the SDE call handlers and CDE bindings sit one layer
 above and never touch raw ports.
@@ -39,7 +43,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Generic, TypeVar, Union
+from typing import Any, Callable, Generic, NamedTuple, TypeVar, Union
 
 from repro.errors import ConnectionAbortedError, TransportError
 from repro.net.simnet import Address, Host, Message
@@ -124,8 +128,10 @@ class Deferred(Generic[T]):
         A :class:`~repro.errors.DeadlockError` naming :attr:`description`
         means the queue drained first — nothing can ever resolve it.
         """
+        # ``getattr`` bound by ``partial`` reads the flag without a Python
+        # frame per dispatched event.
         scheduler.run_until(
-            lambda: self._done, max_events=max_events, description=self.description
+            partial(getattr, self, "_done"), max_events=max_events, description=self.description
         )
         if self._error is not None:
             raise self._error
@@ -145,6 +151,15 @@ class Deferred(Generic[T]):
     def __repr__(self) -> str:
         state = "resolved" if self._done else "pending"
         return f"Deferred({self.description!r}, {state})"
+
+
+class Later(NamedTuple):
+    """What a reply ``parse`` returns to resolve its request ``delay`` seconds
+    later with ``finish()`` (or the error it raises): client processing
+    time, such as decoding cost, charged after the reply arrived."""
+
+    delay: float
+    finish: Callable[[], Any]
 
 
 #: What an endpoint handler may return for one request: an immediate payload,
@@ -186,16 +201,6 @@ class Connection:
         self._resolved: dict[int, bytes | None] = {}
         #: Latest scheduled arrival time of anything sent on this connection.
         self._last_arrival = 0.0
-
-    # -- request numbering --------------------------------------------------
-
-    def begin_request(self) -> int:
-        """Allocate the FIFO slot for a newly arrived request."""
-        seq = self._next_seq
-        self._next_seq += 1
-        self.requests_received += 1
-        self.last_activity = self.endpoint.scheduler.now
-        return seq
 
     @property
     def in_flight(self) -> int:
@@ -354,32 +359,29 @@ class Endpoint:
     # -- dispatch loop ------------------------------------------------------
 
     def _on_message(self, message: Message, host: Host) -> None:
-        self.stats.requests_received += 1
+        stats = self.stats
+        stats.requests_received += 1
         connection = self.connection_for(message.source)
-        seq = connection.begin_request()
+        # Allocate the request's FIFO slot.
+        seq = connection._next_seq
+        connection._next_seq = seq + 1
+        connection.requests_received += 1
+        connection.last_activity = self.scheduler.now
         try:
             outcome = self.handler(message, connection)
         except BaseException:
             # The protocol handler crashed without producing a reply.  Its
             # FIFO slot must still be released — a permanently unresolved
             # slot would withhold every later reply on this connection.
-            self.stats.handler_errors += 1
+            stats.handler_errors += 1
             connection.resolve(seq, None)
             raise
-        self._settle(connection, seq, outcome)
-
-    def _settle(self, connection: Connection, seq: int, outcome: ReplyOutcome) -> None:
-        if outcome is None:
-            connection.resolve(seq, None)
-            return
-        if isinstance(outcome, Deferred):
-            outcome.subscribe(partial(self._settle_resolved, connection, seq))
-            return
         if isinstance(outcome, tuple):
-            payload, delay = outcome
-            self._settle_resolved(connection, seq, payload, None, delay)
-            return
-        connection.resolve(seq, outcome)
+            self._settle_resolved(connection, seq, outcome[0], None, outcome[1])
+        elif isinstance(outcome, Deferred):
+            outcome.subscribe(partial(self._settle_resolved, connection, seq))
+        else:
+            connection.resolve(seq, outcome)
 
     def _settle_resolved(
         self,
@@ -448,16 +450,27 @@ class _ClientConnection:
         self._last_arrival = 0.0
         channel.host.bind(port, self._on_message)
 
-    def send(self, payload: bytes, parse: Callable[[Message], T], deferred: Deferred) -> None:
+    def send(
+        self,
+        payload: bytes,
+        parse: Callable[[Message], Any],
+        deferred: Deferred,
+        context: Any,
+    ) -> None:
         """Transmit ``payload`` and expect (in FIFO order) one reply for it.
 
-        Like the server side, the connection behaves as a byte stream: a
-        pipelined request is held back just long enough that it cannot
-        overtake the previous one in flight.
+        ``context`` is the trace context of the attempt that issued the
+        request (``hooks.CONTEXT`` at issue time).  Like the server side, the
+        connection behaves as a byte stream: a pipelined request is held
+        back just long enough that it cannot overtake the previous one in
+        flight.
         """
+        channel = self.channel
+        active = _obs_hooks.ACTIVE
+        if active is not None:
+            active.note_client_send(self.destination, len(payload), context)
         self._expectations.append((parse, deferred))
         self.requests_sent += 1
-        channel = self.channel
         host = channel.host
         scheduler = channel.scheduler
         destination = self.destination
@@ -481,6 +494,7 @@ class _ClientConnection:
         else:
             host.send(destination, payload, self.port, delay, self.address)
         self._last_arrival = arrival
+        channel.requests_sent += 1
 
     def _send_now(self, payload: bytes, delay: float) -> None:
         self.channel.host.send(self.destination, payload, self.port, delay, self.address)
@@ -548,11 +562,19 @@ class _ClientConnection:
             return
         parse, deferred = self._expectations.popleft()
         self.replies_received += 1
-        self.channel.replies_received += 1
+        channel = self.channel
+        channel.replies_received += 1
         try:
-            deferred.complete(parse(message))
+            value = parse(message)
         except Exception as exc:  # noqa: BLE001 - parse errors fail the call
-            deferred.fail(exc)
+            deferred._resolve(None, exc, 0.0)
+            return
+        if type(value) is Later:
+            channel.scheduler.schedule(
+                value.delay, _finish, deferred, value.finish, label=f"{channel.name} processing"
+            )
+            return
+        deferred._resolve(value, None, 0.0)
 
     def __repr__(self) -> str:
         return (
@@ -608,15 +630,38 @@ class ClientChannel:
         payload: bytes,
         parse: Callable[[Message], T],
         description: str = "request",
+        delay: float = 0.0,
     ) -> Deferred[T]:
-        """Send ``payload`` and return a deferred for the parsed reply."""
-        active = _obs_hooks.ACTIVE
-        if active is not None:
-            active.note_client_send(destination, len(payload))
+        """Send ``payload`` and return a deferred for ``parse(reply)`` (an
+        error it raises fails the deferred).  A positive ``delay`` is client
+        processing time: the request leaves that many seconds from now."""
         deferred: Deferred[T] = Deferred(description)
-        self.connection_for(destination).send(payload, parse, deferred)
-        self.requests_sent += 1
+        if delay > 0:
+            self.scheduler.schedule(
+                delay,
+                self._send_later,
+                destination,
+                payload,
+                parse,
+                deferred,
+                _obs_hooks.CONTEXT,
+                label=f"{self.name} processing",
+            )
+        else:
+            self.connection_for(destination).send(payload, parse, deferred, _obs_hooks.CONTEXT)
         return deferred
+
+    def _send_later(
+        self,
+        destination: Address,
+        payload: bytes,
+        parse: Callable[[Message], Any],
+        deferred: Deferred,
+        context: Any,
+    ) -> None:
+        # The connection is looked up when the request leaves, so a reset
+        # during the processing delay sends it on a fresh connection.
+        self.connection_for(destination).send(payload, parse, deferred, context)
 
     def request(
         self,
@@ -701,3 +746,13 @@ class ClientChannel:
             f"ClientChannel(host={self.host.name!r}, "
             f"connections={len(self._connections)}, sent={self.requests_sent})"
         )
+
+
+def _finish(deferred: Deferred, finish: Callable[[], Any]) -> None:
+    """Resolve ``deferred`` with the value of a :class:`Later` reply."""
+    try:
+        value = finish()
+    except Exception as exc:  # noqa: BLE001 - e.g. a CORBA exception reply
+        deferred.fail(exc)
+        return
+    deferred.complete(value)

@@ -429,16 +429,14 @@ class Observability:
 
     # -- transport ---------------------------------------------------------
 
-    def note_client_send(self, destination: Any, size: int) -> None:
+    def note_client_send(self, destination: Any, size: int, context: Any = None) -> None:
         """A client request of ``size`` bytes leaving for ``destination``.
 
-        Recorded as a ``transport.send`` event on the span of the attempt
-        being issued (``hooks.CONTEXT``), if any.
+        Recorded as a ``transport.send`` event, at the time the bytes leave,
+        on the span of the attempt that issued the request: ``context`` is
+        ``hooks.CONTEXT`` as it was at issue time (``None``: no attempt).
         """
-        if not self.config.spans:
-            return
-        context = hooks.CONTEXT
-        if context is None:
+        if not self.config.spans or context is None:
             return
         span = self.tracer._open.get(context.span_id)
         if span is not None:

@@ -81,7 +81,12 @@ class Event:
         self.cancelled = True
         scheduler = self._scheduler
         if scheduler is not None:
-            scheduler._note_cancelled()
+            # The scheduler's cancel accounting, inline: every per-attempt
+            # timeout of a fleet call ends here.
+            scheduler._pending -= 1
+            scheduler._cancelled_in_queue += 1
+            if scheduler._cancelled_in_queue > _PURGE_MIN_QUEUE:
+                scheduler._maybe_purge()
 
     @property
     def pending(self) -> bool:
@@ -295,33 +300,31 @@ class Scheduler:
         DeadlockError
             If the event queue drains while ``condition()`` is still false —
             i.e. nothing in the simulated system can ever satisfy it.
+        SchedulerError
+            If ``condition()`` is still false after ``max_events`` events
+            (it is tested once more after the last of them).
         """
         dispatched = 0
         while not condition():
+            if dispatched >= max_events:
+                raise SchedulerError(
+                    f"run_until dispatched {max_events} events waiting for {description}"
+                )
             if not self.step():
                 raise DeadlockError(
                     f"no pending events but {description} is still unsatisfied "
                     f"at t={self.now:.6f}"
                 )
             dispatched += 1
-            if dispatched >= max_events:
-                raise SchedulerError(
-                    f"run_until dispatched {max_events} events waiting for {description}"
-                )
         return dispatched
 
     # -- internals --------------------------------------------------------
 
-    def _note_cancelled(self) -> None:
-        """Account for an :meth:`Event.cancel`; purge once cancels dominate."""
-        self._pending -= 1
-        self._cancelled_in_queue += 1
-        self._maybe_purge()
-
     def _maybe_purge(self) -> None:
         """Sweep cancelled heap entries once they outnumber the live ones.
 
-        Called after every cancel and from :attr:`pending_count` reads —
+        Called after a cancel (once more than ``_PURGE_MIN_QUEUE`` cancelled
+        entries wait) and from :attr:`pending_count` reads —
         dispatches shrink the heap too, so the threshold can be crossed
         without any new cancel arriving.
         """

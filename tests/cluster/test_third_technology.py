@@ -78,19 +78,23 @@ class ToyCallHandler(CallHandler):
 
     def _handle(self, request):
         operation, _, argument = request.body.partition("\n")
-        deferred = Deferred(f"toy reply for {operation}")
+        reply = _ToyReply(Deferred(f"toy reply for {operation}"))
+        self.dispatch(operation, (argument,), reply)
+        return reply.deferred
 
-        def on_result(value, _signature):
-            deferred.complete(HttpResponse.ok_text(f"OK {value}"))
 
-        def on_fault(error):
-            kind = "STALE" if isinstance(error, NonExistentMethodError) else "FAULT"
-            deferred.complete(HttpResponse.ok_text(f"{kind} {type(error).__name__}"))
+class _ToyReply(DispatchOutcome):
+    """The toy technology's per-call reply: a plain-text HTTP response."""
 
-        self.dispatch(
-            operation, (argument,), DispatchOutcome(on_result=on_result, on_fault=on_fault)
-        )
-        return deferred
+    def __init__(self, deferred):
+        self.deferred = deferred
+
+    def on_result(self, value, _signature):
+        self.deferred.complete(HttpResponse.ok_text(f"OK {value}"))
+
+    def on_fault(self, error):
+        kind = "STALE" if isinstance(error, NonExistentMethodError) else "FAULT"
+        self.deferred.complete(HttpResponse.ok_text(f"{kind} {type(error).__name__}"))
 
 
 def _toy_technology() -> Technology:

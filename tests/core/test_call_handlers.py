@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import op
+from repro.core.sde.call_handler import DispatchOutcome
 from repro.errors import (
     NonExistentMethodError,
     RemoteApplicationError,
@@ -79,11 +80,29 @@ class TestSoapCallHandler:
         runtime, replica = _calculator(fast_scenario)
         handler = replica.call_handler
         calculator = runtime.dynamic_class("Calculator")
-        assert handler._match("add", (2, 3)) is calculator.method("add")
-        assert handler._match("add", (2,)) is None
-        assert handler._match("add", ("two", 3)) is None
+
+        def outcome_of(operation, arguments):
+            seen = []
+
+            class Recorded(DispatchOutcome):
+                def on_result(self, value, signature):
+                    seen.append(value)
+
+                def on_fault(self, error):
+                    seen.append(type(error))
+
+            handler.dispatch(operation, arguments, Recorded())
+            runtime.world.run_until_idle()
+            return seen
+
+        assert outcome_of("add", (2, 3)) == [5]
+        assert outcome_of("add", (2,)) == [NonExistentMethodError]
+        assert outcome_of("add", ("two", 3)) == [NonExistentMethodError]
         calculator.method("explode").set_distributed(False)
-        assert handler._match("explode", ("boom",)) is None
+        assert outcome_of("explode", ("boom",)) == [NonExistentMethodError]
+        assert handler.stats.stalled_calls == 3
+        assert calculator.method("add").invocation_count == 1
+        assert calculator.method("explode").invocation_count == 0
 
     def test_changed_signature_treated_as_stale(self, fast_scenario):
         runtime, replica = _calculator(fast_scenario)

@@ -3,9 +3,10 @@
 Every RMI message walks scheduler → simnet → transport → HTTP/GIOP on both
 legs of a call.  Report fingerprints cover times and counts but not payload
 bytes, so the first test pins every delivered message of a small mixed
-SOAP/CORBA fault drill byte for byte.  The second counts the Python frames
-the simulation core and the network stack spend on a drill, so a change
-that adds a frame per message fails here and names the cost.
+SOAP/CORBA fault drill byte for byte.  The others count the Python frames
+the simulation core and the network stack, and the GIOP/CDR and HTTP codecs,
+spend on a drill, so a change that adds a frame per message fails here and
+names the cost.
 """
 
 from __future__ import annotations
@@ -27,17 +28,15 @@ class TestWireIdentity:
         )
 
 
-def _chain_calls(function) -> int:
-    """Python ``call`` events in ``repro.net``/``repro.sim`` code while
+def _chain_calls(function, prefixes: tuple[str, ...]) -> int:
+    """Python ``call`` events in code of the ``prefixes`` modules while
     ``function`` runs, with the collector drained and paused (a collection
     mid-run would finalize earlier tests' garbage)."""
     calls = 0
 
     def profile(frame, event, _arg):
         nonlocal calls
-        if event == "call" and frame.f_globals.get("__name__", "").startswith(
-            ("repro.net", "repro.sim")
-        ):
+        if event == "call" and frame.f_globals.get("__name__", "").startswith(prefixes):
             calls += 1
 
     gc.collect()
@@ -62,8 +61,28 @@ class TestChainLength:
         properties; shortening that chain brought it to 35,198.  Waiting on
         the reply deferred directly instead of through a second future, and
         routing through plain dicts instead of a route-table class, brought
-        it to 33,239.  The bound is that figure plus 2%: a change that adds
-        a frame per message (about 930 more) fails here.
+        it to 33,239.  One future per request (the reply decoded in the
+        transport's parse), HTTP messages parsed without re-running their
+        constructor checks, the network's transmit step folded into
+        ``Host.send`` and the scheduler's cancel accounting into
+        ``Event.cancel`` brought it to 25,395.  The bound is that figure plus
+        2%: a change that adds a frame per message (about 930 more) fails
+        here.
         """
         runtime = fault_drill_scenario(64).build()
-        assert _chain_calls(runtime.run) <= 33_904
+        assert _chain_calls(runtime.run, ("repro.net", "repro.sim")) <= 25_903
+
+    def test_fault_drill_codec_frames_stay_within_budget(self):
+        """The same guard for the protocol codecs, GIOP/CDR and HTTP.
+
+        The drill cost 24,189 frames in ``repro.corba`` and
+        ``repro.net.http`` when CDR was read one primitive per method call,
+        the GIOP header field by field, and every call chained a second
+        future onto the transport's.  Framing GIOP and CDR in one ``struct``
+        pass and encoding synchronous server results in the dispatch frame
+        brought it to 12,685.  The bound is that figure plus 2%.  (IDL
+        parses are memoised per process, so a test run that parsed the
+        drill's IDL earlier counts fewer; the bound is an upper one.)
+        """
+        runtime = fault_drill_scenario(64).build()
+        assert _chain_calls(runtime.run, ("repro.corba", "repro.net.http")) <= 12_939

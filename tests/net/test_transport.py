@@ -6,7 +6,10 @@ import pytest
 
 from repro.errors import DeadlockError, TransportError
 from repro.net.simnet import Address
-from repro.net.transport import ClientChannel, Deferred, Endpoint
+from repro.net.transport import ClientChannel, Deferred, Endpoint, Later
+from repro.obs import hooks
+from repro.obs.api import Observability
+from repro.obs.spans import KIND_ATTEMPT
 
 
 class TestDeferred:
@@ -285,6 +288,57 @@ class TestClientChannel:
             deferred.subscribe(lambda value, error, delay: replies.append(value))
         scheduler.run_until_idle()
         assert replies == [b"echo:0", b"echo:1", b"echo:2"]
+
+    def test_client_processing_delays_stay_on_the_one_request(self, network, scheduler):
+        """A send delay holds the request; a parse returning ``Later``
+        resolves the request's own deferred that much after the reply."""
+        self._echo_endpoint(network)
+        channel = ClientChannel(network.host("client"))
+        plain = channel.request(Address("server", 9200), b"x", lambda m: m.payload)
+        round_trip = scheduler.now
+        started = scheduler.now
+        deferred = channel.request_async(
+            Address("server", 9200),
+            b"x",
+            lambda m: Later(0.25, lambda: m.payload.upper()),
+            delay=0.5,
+        )
+        assert deferred.wait(scheduler) == plain.upper()
+        assert scheduler.now - started == pytest.approx(0.5 + round_trip + 0.25)
+
+        def refused():
+            raise ValueError("decoding failed")
+
+        started = scheduler.now
+        failing = channel.request_async(
+            Address("server", 9200), b"x", lambda m: Later(0.25, refused)
+        )
+        with pytest.raises(ValueError):
+            failing.wait(scheduler)
+        assert scheduler.now - started == pytest.approx(round_trip + 0.25)
+
+    def test_delayed_request_is_traced_and_counted_when_it_leaves(self, network, scheduler):
+        """The ``transport.send`` event of a request with a send delay lands
+        on the issuing attempt's span at the time the bytes leave."""
+        self._echo_endpoint(network)
+        channel = ClientChannel(network.host("client"))
+        obs = Observability().install(scheduler)
+        try:
+            span = obs.tracer.begin("attempt", KIND_ATTEMPT)
+            hooks.CONTEXT = span.context
+            issued = scheduler.now
+            deferred = channel.request_async(
+                Address("server", 9200), b"x", lambda m: m.payload, delay=0.5
+            )
+            hooks.CONTEXT = None
+            assert channel.requests_sent == 0
+            deferred.wait(scheduler)
+        finally:
+            obs.uninstall()
+        assert channel.requests_sent == 1
+        assert [(time, name) for time, name, _attrs in span.events] == [
+            (pytest.approx(issued + 0.5), "transport.send")
+        ]
 
     def test_parse_error_fails_request(self, network, scheduler):
         self._echo_endpoint(network)

@@ -139,15 +139,18 @@ class TestStallDrainProperties:
         handler = runtime.replicas("EchoService")[0].call_handler
         completed: list[str] = []
 
+        class Recorded(DispatchOutcome):
+            def __init__(self, tag: str) -> None:
+                self.tag = tag
+
+            def on_result(self, value, signature) -> None:
+                completed.append(self.tag)
+
+            def on_fault(self, error) -> None:
+                completed.append(self.tag)
+
         def dispatch(tag: str, operation: str, arguments: tuple) -> None:
-            handler.dispatch(
-                operation,
-                arguments,
-                DispatchOutcome(
-                    on_result=lambda value, signature: completed.append(tag),
-                    on_fault=lambda error: completed.append(tag),
-                ),
-            )
+            handler.dispatch(operation, arguments, Recorded(tag))
 
         # The stale call stalls the handler (the §5.7 trigger)...
         dispatch("stale", "not_a_method", ())

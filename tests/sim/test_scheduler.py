@@ -117,6 +117,25 @@ class TestRunModes:
         assert dispatched == 1
         assert scheduler.now == 1.0
 
+    def test_run_until_accepts_a_condition_met_by_the_last_allowed_event(
+        self, scheduler: Scheduler
+    ):
+        box = []
+        for value in range(3):
+            scheduler.schedule(1.0 + value, box.append, value)
+        assert scheduler.run_until(lambda: len(box) == 3, max_events=3) == 3
+        assert box == [0, 1, 2]
+
+    def test_run_until_guard_raises_when_the_condition_still_fails(
+        self, scheduler: Scheduler
+    ):
+        box = []
+        for value in range(4):
+            scheduler.schedule(1.0 + value, box.append, value)
+        with pytest.raises(SchedulerError):
+            scheduler.run_until(lambda: len(box) == 4, max_events=3)
+        assert box == [0, 1, 2]
+
     def test_run_until_raises_deadlock_when_unsatisfiable(self, scheduler: Scheduler):
         with pytest.raises(DeadlockError):
             scheduler.run_until(lambda: False)
