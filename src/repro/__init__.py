@@ -25,8 +25,8 @@ and CORBA Servers* (Pallemulle, Goldman & Morgan, WUCSE-2004-75 / ICDCS
   so resilience scenarios can prove the §6 recency guarantee under
   failure;
 * the **interface-evolution subsystem** (:mod:`repro.evolve`) — a typed
-  diff engine over published WSDL/IDL documents (compatible vs. breaking
-  publications), per-service version graphs with version-aware routing,
+  diff engine over published interface descriptions (compatible vs.
+  breaking publications), per-service version graphs with version-aware routing,
   and ``rolling`` / ``canary`` / ``abort_rollout`` upgrade drills that
   move an N-replica fleet to a new interface while hundreds of clients
   keep calling;
@@ -92,7 +92,6 @@ from repro.evolve import (
     abort_rollout,
     canary,
     diff_descriptions,
-    diff_documents,
     rolling,
     upgrade,
 )
@@ -156,7 +155,6 @@ __all__ = [
     "InterfaceUpgrade",
     "InterfaceDelta",
     "diff_descriptions",
-    "diff_documents",
     "crash",
     "restart",
     "partition",

@@ -15,7 +15,7 @@ Layering (see ARCHITECTURE.md "Scenario API"):
 * :mod:`repro.cluster.registry` — :class:`ServiceRegistry` and the
   replica-selection policies (round-robin / sticky / least-loaded);
 * :mod:`repro.cluster.protocols` — pluggable client-side protocol stacks
-  (SOAP, CORBA, and any registered third technology);
+  (SOAP, CORBA, and each scenario's third technologies);
 * :mod:`repro.cluster.driver` — the deterministic callback-driven fleet
   driver;
 * :mod:`repro.cluster.cohort` — million-client scale: cohort/flow-level
@@ -48,9 +48,6 @@ from repro.cluster.protocols import (
     CorbaProtocolClient,
     ProtocolClient,
     SoapProtocolClient,
-    client_protocol_factory,
-    register_client_protocol,
-    registered_client_protocols,
 )
 from repro.cluster.registry import (
     POLICY_LEAST_LOADED,
@@ -157,7 +154,4 @@ __all__ = [
     "ProtocolClient",
     "SoapProtocolClient",
     "CorbaProtocolClient",
-    "register_client_protocol",
-    "client_protocol_factory",
-    "registered_client_protocols",
 ]

@@ -27,16 +27,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from repro.cluster.protocols import (
+    BUILTIN_STACKS,
     OUTCOME_NOT_INITIALIZED,
     OUTCOME_OTHER,
     OUTCOME_STALE,
     OUTCOME_SUCCESS,
     ProtocolClient,
     ProtocolClientFactory,
-    client_protocol_factory,
+    stack_factory,
 )
 from repro.cluster.registry import Replica, ServiceRegistry
 from repro.cluster.report import (
@@ -596,7 +597,7 @@ class FleetDriver:
         registry: ServiceRegistry,
         plans: Iterable[ClientPlan],
         scripted_events: Iterable[tuple[float, Callable[[], None]]] = (),
-        protocol_factories: dict[str, ProtocolClientFactory] | None = None,
+        protocol_factories: Mapping[str, ProtocolClientFactory] = BUILTIN_STACKS,
         description: str = "cluster fleet",
         until: float | None = None,  # run-relative horizon, like the offsets
         faults: "FaultInjector | None" = None,
@@ -608,7 +609,7 @@ class FleetDriver:
         self.registry = registry
         self.plans = tuple(plans)
         self.scripted_events = tuple(scripted_events)
-        self._protocol_factories = protocol_factories or {}
+        self._protocol_factories = protocol_factories
         self.description = description
         self.until = until
         #: Optional :class:`repro.traffic.trace.TraceWriter`: per-call
@@ -641,9 +642,8 @@ class FleetDriver:
         self._finished_flows = 0
 
     def protocol_factory(self, name: str) -> ProtocolClientFactory:
-        """Scenario-local client-stack factory, else the global registry."""
-        local = self._protocol_factories.get(name)
-        return local if local is not None else client_protocol_factory(name)
+        """The client-stack factory for technology ``name``."""
+        return stack_factory(self._protocol_factories, name)
 
     def run(self) -> ClusterReport:
         """Prepare the fleet, run it to completion, and report."""

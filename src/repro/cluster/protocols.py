@@ -23,16 +23,18 @@ replace.  The fleet driver drives the stacks asynchronously; the CDE's
 :class:`~repro.core.cde.binding.DynamicClientBinding` drives one to
 completion per call.
 
-``soap`` and ``corba`` are registered by default; a third technology plugs
-in with :func:`register_client_protocol` (or per-scenario via
-``Scenario.technology(..., client=...)``), which is how the §5.3
-extensibility claim is exercised at the Scenario level.
+The built-in ``soap`` and ``corba`` stacks are the read-only
+:data:`BUILTIN_STACKS`; a third technology brings its stack with its one
+registration, ``Scenario.technology(technology, client)``, which is how
+the §5.3 extensibility claim is exercised at the Scenario level.  Each
+scenario runtime looks its stacks up in one map with :func:`stack_factory`.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.core.sde.corba_handler import EXC_NON_EXISTENT_METHOD, EXC_SERVER_NOT_INITIALIZED
 from repro.corba.idl import parse_idl
@@ -265,31 +267,17 @@ def _soap_response(registry: Any, response: HttpResponse) -> SoapResponse:
 #: A protocol-client factory: ``(host, client_index, replicas) -> ProtocolClient``.
 ProtocolClientFactory = Callable[[Host, int, Sequence["Replica"]], ProtocolClient]
 
-_CLIENT_PROTOCOLS: dict[str, ProtocolClientFactory] = {
-    "soap": SoapProtocolClient,
-    "corba": CorbaProtocolClient,
-}
+#: The built-in client stacks, by technology name.
+BUILTIN_STACKS: Mapping[str, ProtocolClientFactory] = MappingProxyType(
+    {"soap": SoapProtocolClient, "corba": CorbaProtocolClient}
+)
 
 
-def register_client_protocol(
-    name: str, factory: ProtocolClientFactory, override: bool = False
-) -> None:
-    """Register a client-side stack for a (possibly third-party) technology."""
-    if name in _CLIENT_PROTOCOLS and not override:
-        raise ClusterError(f"client protocol {name!r} is already registered")
-    _CLIENT_PROTOCOLS[name] = factory
-
-
-def client_protocol_factory(name: str) -> ProtocolClientFactory:
-    """The registered client-stack factory for ``name``."""
-    factory = _CLIENT_PROTOCOLS.get(name)
+def stack_factory(
+    factories: Mapping[str, ProtocolClientFactory], name: str
+) -> ProtocolClientFactory:
+    """The client-stack factory for technology ``name`` in ``factories``."""
+    factory = factories.get(name)
     if factory is None:
-        raise ClusterError(
-            f"no client protocol {name!r}; registered: {sorted(_CLIENT_PROTOCOLS)}"
-        )
+        raise ClusterError(f"no client stack for {name!r}; known: {sorted(factories)}")
     return factory
-
-
-def registered_client_protocols() -> tuple[str, ...]:
-    """Names of every globally registered client protocol."""
-    return tuple(_CLIENT_PROTOCOLS)

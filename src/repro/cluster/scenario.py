@@ -45,7 +45,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.cluster.cohort import CohortFlow, CohortModel
 from repro.cluster.driver import ClientPlan, FleetDriver
-from repro.cluster.protocols import ProtocolClientFactory, client_protocol_factory
+from repro.cluster.protocols import BUILTIN_STACKS, ProtocolClientFactory, stack_factory
 from repro.cluster.registry import (
     POLICY_ROUND_ROBIN,
     Replica,
@@ -212,7 +212,7 @@ class Scenario:
         self._server_count = 1
         self._server_cores: int | None = None
         self._default_technology: str | None = None
-        self._technologies: list[tuple[Technology, ProtocolClientFactory | None]] = []
+        self._technologies: list[tuple[Technology, ProtocolClientFactory]] = []
         self._services: list[_ServiceSpec] = []
         self._client_groups: list[_ClientGroupSpec] = []
         self._timeline: list[tuple[float, Callable[..., None]]] = []
@@ -245,14 +245,12 @@ class Scenario:
         return self
 
     def technology(
-        self, technology: Technology, *, client: ProtocolClientFactory | None = None
+        self, technology: Technology, client: ProtocolClientFactory
     ) -> "Scenario":
-        """Register a third :class:`Technology` on every server node.
-
-        ``client`` supplies the matching client-side stack factory; without
-        it the technology must already have a globally registered client
-        protocol (see :func:`repro.cluster.protocols.register_client_protocol`).
-        """
+        """Register a third :class:`Technology` on every server node, with
+        ``client``, the factory of its client-side stack — the technology's
+        one registration (fleet clients, cohort flows and ``connect`` all
+        build their stacks from it)."""
         self._technologies.append((technology, client))
         return self
 
@@ -484,9 +482,8 @@ class ScenarioRuntime:
                 node.sde.register_technology(technology)
             self.nodes.append(node)
         self._protocol_factories = {
-            technology.name: client
-            for technology, client in scenario._technologies
-            if client is not None
+            **BUILTIN_STACKS,
+            **{technology.name: client for technology, client in scenario._technologies},
         }
         self.registry = ServiceRegistry()
         self._service_specs: dict[str, _ServiceSpec] = {}
@@ -632,8 +629,7 @@ class ScenarioRuntime:
             node = nodes[replica]
             target = Replica(name, replica, node, node.sde.managed_server(name))
         technology = target.managed.technology.name
-        factory = self._protocol_factories.get(technology) or client_protocol_factory(technology)
-        return self.cde.connect(factory, target)
+        return self.cde.connect(stack_factory(self._protocol_factories, technology), target)
 
     # -- the measured run ---------------------------------------------------
 

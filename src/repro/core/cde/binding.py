@@ -36,7 +36,8 @@ from repro.errors import (
     RemoteApplicationError,
     ServerNotInitializedError,
 )
-from repro.interface import InterfaceDescription, InterfaceDiff
+from repro.evolve.diff import InterfaceDelta, diff_descriptions
+from repro.interface import InterfaceDescription
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.registry import Replica
@@ -51,7 +52,7 @@ class GuaranteeRecord:
     operation: str
     server_version: int
     client_version_after_refresh: int
-    interface_diff: InterfaceDiff
+    interface_diff: InterfaceDelta
 
     @property
     def satisfied(self) -> bool:
@@ -103,21 +104,23 @@ class DynamicClientBinding:
         """The RMI technology of the bound server."""
         return self.replica.managed.technology.name
 
-    def refresh(self) -> InterfaceDiff:
+    def refresh(self) -> InterfaceDelta:
         """Re-fetch the published interface description and update the view.
 
-        Returns the difference between the previous and the new view so
-        callers (and the debugger display) can show what changed.
+        Returns the delta from the previous to the new view so callers (and
+        the debugger display) can show what changed; it is empty on the
+        first refresh and for a stack that binds no descriptions.
         """
         previous = self.description
         self.stack.prepare_replica(self.replica)
         current = self.description
         self.stats["refreshes"] += 1
-        if current is None:
-            return InterfaceDiff()
-        if self.stub_manager is not None:
+        if current is not None and self.stub_manager is not None:
             self.stub_manager.update_from(current)
-        return previous.diff(current) if previous is not None else InterfaceDiff()
+        if previous is None or current is None:
+            version = self.interface_version
+            return InterfaceDelta(self.service_name, version, version)
+        return diff_descriptions(previous, current)
 
     # -- invocation --------------------------------------------------------------
 
@@ -170,14 +173,14 @@ class DynamicClientBinding:
             source=f"{self.technology}:{self.service_name}",
             exception=error,
             description=(
-                f"call to stale method {operation!r}; interface changes: {diff}"
+                f"call to stale method {operation!r}; interface changes: {diff.summary()}"
             ),
             retry=lambda: self.invoke(operation, *arguments),
             context={
                 "operation": operation,
                 "server_version": server_version,
                 "client_version": self.interface_version,
-                "diff": str(diff),
+                "diff": diff.summary(),
             },
         )
         raise error

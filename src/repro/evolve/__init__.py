@@ -6,8 +6,7 @@ This subsystem models what the rest of the repo treated as an opaque
 version bump:
 
 * a **typed diff engine** (:mod:`repro.evolve.diff`) — compares published
-  interface descriptions (or the published *documents*, uniformly for the
-  WSDL and CORBA-IDL formats) and classifies every publication as
+  interface descriptions and classifies every publication as
   *compatible* (operations added) or *breaking* (operations removed or
   signature-changed);
 * a per-service **version graph** (:mod:`repro.evolve.graph`) — every
@@ -41,11 +40,7 @@ from repro.evolve.diff import (
     OperationChange,
     StructChange,
     diff_descriptions,
-    diff_documents,
     is_compatible,
-    parse_description,
-    register_description_parser,
-    registered_description_parsers,
 )
 from repro.evolve.graph import ClientBinding, PublishedVersion, VersionGraph
 from repro.evolve.rollout import (
@@ -63,11 +58,7 @@ __all__ = [
     "OperationChange",
     "StructChange",
     "diff_descriptions",
-    "diff_documents",
     "is_compatible",
-    "parse_description",
-    "register_description_parser",
-    "registered_description_parsers",
     "CHANGE_ADDED",
     "CHANGE_REMOVED",
     "CHANGE_SIGNATURE",

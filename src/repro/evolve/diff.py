@@ -10,14 +10,17 @@ signatures changed).  This module makes that distinction first-class:
   :class:`~repro.interface.InterfaceDescription` snapshots and returns a
   typed :class:`InterfaceDelta` — one :class:`OperationChange` per
   operation added / removed / signature-changed, plus struct-type changes;
-* :func:`diff_documents` does the same over the *published documents*,
-  uniformly for both description formats: the WSDL path parses with
-  :func:`repro.soap.wsdl.parse_wsdl`, the CORBA path with
-  :func:`repro.corba.idl.parse_idl`, and a third technology can register
-  its own parser with :func:`register_description_parser`;
+* :meth:`InterfaceDelta.summary` is the one-line text the CDE's debugger
+  shows a developer (``added: quote; removed: price``);
 * :func:`is_compatible` answers the routing-layer question — "do stubs
   bound against ``bound`` still work against ``current``?" — used by the
   version-aware replica selection in :mod:`repro.cluster.registry`.
+
+Every caller diffs typed descriptions: the rollout controller compares a
+replica's published description before and after a wave (the document it
+published is rendered from that description, and parsing a rendered WSDL
+or IDL document gives back the same signature and version), and the CDE
+compares the views a client bound before and after a refresh.
 
 Classification rules (documented in ARCHITECTURE.md "Interface evolution"):
 an *added* operation or struct type is **compatible** (old stubs never call
@@ -28,13 +31,9 @@ interface cannot honour).  A delta is breaking iff any of its changes is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
-from repro.corba.idl import parse_idl
-from repro.errors import EvolveError
 from repro.interface import InterfaceDescription, OperationSignature
-from repro.soap.wsdl import parse_wsdl
 
 #: Change kinds carried by :class:`OperationChange` / :class:`StructChange`.
 CHANGE_ADDED = "added"
@@ -147,6 +146,13 @@ class InterfaceDelta:
     def _names(self, kind: str) -> tuple[str, ...]:
         return tuple(change.name for change in self.operations if change.kind == kind)
 
+    def summary(self) -> str:
+        """One line naming the added, removed and changed operations, e.g.
+        ``added: quote; removed: price`` (``no interface changes`` if none)."""
+        kinds = (("added", self.added), ("removed", self.removed), ("changed", self.changed))
+        parts = [f"{kind}: {', '.join(names)}" for kind, names in kinds if names]
+        return "; ".join(parts) or "no interface changes"
+
     def describe(self) -> str:
         """Multi-line summary: classification header plus one line per change."""
         lines = [
@@ -213,54 +219,3 @@ def is_compatible(bound: InterfaceDescription, current: InterfaceDescription) ->
         if current_structs.get(struct.name) != struct:
             return False
     return True
-
-
-# -- uniform document-level diffs ---------------------------------------------------
-
-#: Description-document parser per technology name: ``document text -> description``.
-DescriptionParser = Callable[[str], InterfaceDescription]
-
-_PARSERS: dict[str, DescriptionParser] = {
-    "soap": parse_wsdl,
-    "corba": parse_idl,
-}
-
-
-def register_description_parser(
-    technology: str, parser: DescriptionParser, override: bool = False
-) -> None:
-    """Register a document parser for a (possibly third-party) technology."""
-    if technology in _PARSERS and not override:
-        raise EvolveError(f"description parser {technology!r} is already registered")
-    _PARSERS[technology] = parser
-
-
-def registered_description_parsers() -> tuple[str, ...]:
-    """Names of every technology with a registered description parser."""
-    return tuple(_PARSERS)
-
-
-def parse_description(document: str, technology: str) -> InterfaceDescription:
-    """Parse a published interface document of the named technology."""
-    parser = _PARSERS.get(technology)
-    if parser is None:
-        raise EvolveError(
-            f"no description parser for technology {technology!r}; "
-            f"registered: {sorted(_PARSERS)}"
-        )
-    return parser(document)
-
-
-def diff_documents(
-    old_document: str, new_document: str, technology: str
-) -> InterfaceDelta:
-    """Diff two *published documents* (WSDL, IDL, or a registered format).
-
-    This is the uniform entry point the rollout machinery uses to classify
-    each upgrade wave from what the replicas actually published, not from
-    what the upgrade plan intended.
-    """
-    return diff_descriptions(
-        parse_description(old_document, technology),
-        parse_description(new_document, technology),
-    )

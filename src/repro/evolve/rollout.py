@@ -23,10 +23,10 @@ restarts, upgrades it, and only then completes (crash mid-rollout →
 deterministic resume), unless an abort turns the rollout into a rollback.
 
 Each wave is classified by the diff engine from what the replicas actually
-*published* — the before/after documents are compared with
-:func:`~repro.evolve.diff.diff_documents` (WSDL and CORBA-IDL uniformly;
-an unregistered third-technology format falls back to comparing the typed
-descriptions) — and everything is recorded in a :class:`RolloutReport`
+*published* — each replica's published description before and after the
+wave is compared with :func:`~repro.evolve.diff.diff_descriptions` (its
+published WSDL/IDL document is rendered from that description, for every
+technology alike) — and everything is recorded in a :class:`RolloutReport`
 that the fleet driver folds into the run's
 :class:`~repro.cluster.report.ClusterReport`.
 """
@@ -36,7 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
-from repro.errors import EvolveError, RolloutError
+from repro.errors import RolloutError
+from repro.interface import InterfaceDescription
 from repro.obs import hooks as _obs_hooks
 from repro.evolve.diff import (
     CLASS_BREAKING,
@@ -44,7 +45,6 @@ from repro.evolve.diff import (
     CLASS_IDENTICAL,
     InterfaceDelta,
     diff_descriptions,
-    diff_documents,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -341,10 +341,7 @@ class RolloutController:
                 replicas=wave.replicas,
             )
         before = {
-            replica.index: (
-                replica.publisher.published_document,
-                replica.publisher.published_description,
-            )
+            replica.index: replica.publisher.published_description
             for replica in targets
         }
         for replica in targets:
@@ -365,14 +362,15 @@ class RolloutController:
         self,
         wave: WaveReport,
         targets: tuple["Replica", ...],
-        before: dict[int, tuple[str, Any]],
+        before: dict[int, InterfaceDescription],
     ) -> None:
         self._busy = False
         if self._stale() or self.state != STATE_RUNNING:
             return
         wave.published_at = self.scheduler.now
         wave.deltas = tuple(
-            self._classify(replica, *before[replica.index]) for replica in targets
+            diff_descriptions(before[replica.index], replica.publisher.published_description)
+            for replica in targets
         )
         if self._abort_requested:
             self._rollback()
@@ -383,20 +381,6 @@ class RolloutController:
             )
             return
         self._finish(STATE_COMPLETED)
-
-    def _classify(
-        self, replica: "Replica", old_document: str, old_description: Any
-    ) -> InterfaceDelta:
-        """Diff what the replica actually published, uniformly per format."""
-        publisher = replica.publisher
-        try:
-            return diff_documents(
-                old_document, publisher.published_document, self.entry.technology
-            )
-        except EvolveError:
-            # No registered parser for a third technology's document format:
-            # fall back to the typed descriptions both sides carry anyway.
-            return diff_descriptions(old_description, publisher.published_description)
 
     # -- applying and reverting the upgrade -----------------------------------
 

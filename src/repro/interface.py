@@ -192,18 +192,6 @@ class InterfaceDescription:
             and self.endpoint_url == other.endpoint_url
         )
 
-    def diff(self, other: "InterfaceDescription") -> "InterfaceDiff":
-        """Compute added/removed/changed operations going from ``self`` to
-        ``other`` (used by CDE to report what changed to the developer)."""
-        mine = {op.name: op for op in self.operations}
-        theirs = {op.name: op for op in other.operations}
-        added = tuple(sorted(set(theirs) - set(mine)))
-        removed = tuple(sorted(set(mine) - set(theirs)))
-        changed = tuple(
-            sorted(name for name in set(mine) & set(theirs) if mine[name] != theirs[name])
-        )
-        return InterfaceDiff(added=added, removed=removed, changed=changed)
-
     def describe(self) -> str:
         """Human-readable multi-line summary of the interface."""
         lines = [f"service {self.service_name} (namespace {self.namespace}, "
@@ -215,28 +203,3 @@ class InterfaceDescription:
             lines.append(f"  {operation.describe()}")
         return "\n".join(lines)
 
-
-@dataclass(frozen=True)
-class InterfaceDiff:
-    """The difference between two interface descriptions."""
-
-    added: tuple[str, ...] = ()
-    removed: tuple[str, ...] = ()
-    changed: tuple[str, ...] = ()
-
-    @property
-    def empty(self) -> bool:
-        """True if nothing changed."""
-        return not (self.added or self.removed or self.changed)
-
-    def __str__(self) -> str:
-        if self.empty:
-            return "no interface changes"
-        parts = []
-        if self.added:
-            parts.append(f"added: {', '.join(self.added)}")
-        if self.removed:
-            parts.append(f"removed: {', '.join(self.removed)}")
-        if self.changed:
-            parts.append(f"changed: {', '.join(self.changed)}")
-        return "; ".join(parts)

@@ -14,6 +14,7 @@ writers give the same bytes for the same document.
 
 from __future__ import annotations
 
+import re
 from xml.etree.ElementTree import Element
 
 from repro.errors import XmlError
@@ -21,9 +22,13 @@ from repro.xmlutil.qname import Namespaces, split_clark
 
 XML_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>'
 
-#: Characters XML 1.0 (§2.2) cannot carry, apart from lone surrogates, which
-#: UTF-8 cannot encode either.
-_ILLEGAL = tuple(chr(code) for code in range(0x20) if chr(code) not in "\t\n\r") + (
+#: Characters XML 1.0 (§2.2) cannot carry: C0 controls other than tab,
+#: newline and carriage return, U+FFFE, U+FFFF and lone surrogates.
+_ILLEGAL = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff\ud800-\udfff]")
+#: The same less the surrogates, which ``str.encode`` rejects.  Their 31
+#: ``in`` tests (``memchr``) cost a tenth of one ``_ILLEGAL.search`` over a
+#: 4.5 KB envelope, so the search only names the first in a failing text.
+_ILLEGAL_CHARS = tuple(chr(code) for code in range(0x20) if chr(code) not in "\t\n\r") + (
     "\ufffe",
     "\uffff",
 )
@@ -65,20 +70,21 @@ def encode_document(text: str) -> bytes:
     XmlError
         If ``text`` holds a character XML 1.0 cannot carry (a C0 control
         other than tab, newline and carriage return, U+FFFE, U+FFFF or a
-        lone surrogate).  The message names the character and the text
-        between the markup around it.
+        lone surrogate).  The message names the first such character and
+        the text between the markup around it.
     """
     try:
         wire = text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise _illegal_character(text, exc.start) from None
-    for char in _ILLEGAL:
+    except UnicodeEncodeError:
+        raise _illegal_character(text) from None
+    for char in _ILLEGAL_CHARS:
         if char in text:
-            raise _illegal_character(text, text.index(char))
+            raise _illegal_character(text)
     return wire
 
 
-def _illegal_character(text: str, position: int) -> XmlError:
+def _illegal_character(text: str) -> XmlError:
+    position = _ILLEGAL.search(text).start()
     start = text.rfind(">", 0, position) + 1
     end = text.find("<", position)
     run = text[start:] if end < 0 else text[start:end]

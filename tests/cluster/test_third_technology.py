@@ -11,6 +11,8 @@ classification and determinism, all through the declarative API.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.cluster import Scenario, edit, op, publish
 from repro.cluster.protocols import (
     OUTCOME_OTHER,
@@ -21,7 +23,7 @@ from repro.cluster.protocols import (
 from repro.core.sde import SDEConfig, Technology
 from repro.core.sde.call_handler import CallHandler, DispatchOutcome
 from repro.core.sde.publisher import DLPublisher
-from repro.errors import NonExistentMethodError
+from repro.errors import ClusterError, NonExistentMethodError
 from repro.net.http import HttpServer
 from repro.net.http.messages import HttpResponse
 from repro.net.transport import Deferred
@@ -228,3 +230,15 @@ class TestThirdTechnologyThroughScenario:
         binding = runtime.connect("Shout", replica=1)
         assert binding.invoke("shout", "hey") == "OK HEY"
         assert binding.stats[OUTCOME_SUCCESS] == 1
+
+    def test_connect_to_a_technology_without_a_client_stack_raises(self):
+        """A technology registered on a server node but not through
+        ``Scenario.technology`` has no client stack: ``connect`` names the
+        stacks the scenario knows."""
+        runtime = Scenario(name="no-toy-stack").build()
+        node = runtime.nodes[0]
+        node.sde.register_technology(_toy_technology())
+        node.environment.create_class("Loose", superclass=node.sde.gateway_class(TOY))
+        runtime.settle()
+        with pytest.raises(ClusterError, match=r"'toy'.*\['corba', 'soap'\]"):
+            runtime.connect("Loose")

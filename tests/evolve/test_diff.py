@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.corba.idl import generate_idl
-from repro.errors import EvolveError
+from repro.corba.idl import generate_idl, parse_idl
 from repro.evolve import (
     CHANGE_ADDED,
     CHANGE_REMOVED,
@@ -15,14 +14,11 @@ from repro.evolve import (
     CLASS_IDENTICAL,
     VersionGraph,
     diff_descriptions,
-    diff_documents,
     is_compatible,
-    parse_description,
-    register_description_parser,
 )
 from repro.interface import InterfaceDescription, OperationSignature, Parameter
 from repro.rmitypes import FieldDef, INT, STRING, StructType, VOID
-from repro.soap.wsdl import generate_wsdl
+from repro.soap.wsdl import generate_wsdl, parse_wsdl
 
 
 def _description(version: int, *operations: OperationSignature, structs=()) -> InterfaceDescription:
@@ -119,46 +115,31 @@ class TestIsCompatible:
 
 
 class TestDiffDocuments:
-    """The same classification, uniformly over the published documents."""
+    """The same classification from the parsed published documents."""
 
     @pytest.mark.parametrize(
-        "technology,render",
-        [("soap", generate_wsdl), ("corba", generate_idl)],
+        "parse,render",
+        [(parse_wsdl, generate_wsdl), (parse_idl, generate_idl)],
         ids=["wsdl", "idl"],
     )
-    def test_breaking_rename_classified_from_documents(self, technology, render):
-        old = render(_description(1, ECHO))
-        new = render(_description(2, ECHO_V2))
-        delta = diff_documents(old, new, technology)
+    def test_breaking_rename_classified_from_documents(self, parse, render):
+        old = parse(render(_description(1, ECHO)))
+        new = parse(render(_description(2, ECHO_V2)))
+        delta = diff_descriptions(old, new)
         assert delta.classification == CLASS_BREAKING
         assert delta.removed == ("echo",)
         assert delta.added == ("echo_v2",)
         assert delta.old_version == 1 and delta.new_version == 2
 
     @pytest.mark.parametrize(
-        "technology,render",
-        [("soap", generate_wsdl), ("corba", generate_idl)],
+        "parse,render",
+        [(parse_wsdl, generate_wsdl), (parse_idl, generate_idl)],
         ids=["wsdl", "idl"],
     )
-    def test_compatible_addition_classified_from_documents(self, technology, render):
-        old = render(_description(1, ECHO))
-        new = render(_description(2, ECHO, PING))
-        assert diff_documents(old, new, technology).classification == CLASS_COMPATIBLE
-
-    def test_unknown_technology_raises(self):
-        with pytest.raises(EvolveError):
-            parse_description("whatever", "smoke-signals")
-
-    def test_third_technology_parser_registers(self):
-        def parser(document: str) -> InterfaceDescription:
-            return _description(int(document))
-
-        register_description_parser("test-tech-diff", parser)
-        delta = diff_documents("1", "2", "test-tech-diff")
-        assert delta.empty
-        with pytest.raises(EvolveError):
-            register_description_parser("test-tech-diff", parser)
-        register_description_parser("test-tech-diff", parser, override=True)
+    def test_compatible_addition_classified_from_documents(self, parse, render):
+        old = parse(render(_description(1, ECHO)))
+        new = parse(render(_description(2, ECHO, PING)))
+        assert diff_descriptions(old, new).classification == CLASS_COMPATIBLE
 
 
 class TestVersionGraph:

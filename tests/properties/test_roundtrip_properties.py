@@ -16,6 +16,7 @@ from repro.corba.cdr import marshal_values, unmarshal_values
 from repro.corba.giop import ReplyMessage, ReplyStatus, RequestMessage, parse_message
 from repro.corba.idl import generate_idl, parse_idl
 from repro.corba.ior import IOR
+from repro.evolve import diff_descriptions
 from repro.interface import InterfaceDescription, OperationSignature, Parameter
 from repro.net.http.messages import HttpRequest, HttpResponse
 from repro.rmitypes import (
@@ -278,8 +279,8 @@ class TestInterfaceDocumentProperties:
     @given(interface_descriptions(), interface_descriptions())
     @settings(max_examples=40, deadline=None)
     def test_diff_is_antisymmetric_on_added_removed(self, one, two):
-        forward = one.diff(two)
-        backward = two.diff(one)
+        forward = diff_descriptions(one, two)
+        backward = diff_descriptions(two, one)
         assert set(forward.added) == set(backward.removed)
         assert set(forward.removed) == set(backward.added)
         assert set(forward.changed) == set(backward.changed)
@@ -287,4 +288,16 @@ class TestInterfaceDocumentProperties:
     @given(interface_descriptions())
     @settings(max_examples=40, deadline=None)
     def test_diff_with_self_is_empty(self, description):
-        assert description.diff(description).empty
+        delta = diff_descriptions(description, description)
+        assert delta.empty
+        assert delta.summary() == "no interface changes"
+
+    @given(interface_descriptions(), interface_descriptions())
+    @settings(max_examples=40, deadline=None)
+    def test_roundtripped_descriptions_diff_like_the_originals(self, one, two):
+        """Classifying a rollout wave from the published descriptions gives
+        what the published documents would: the delta survives a WSDL or
+        IDL round trip of both sides."""
+        expected = diff_descriptions(one, two)
+        for parse, generate in ((parse_wsdl, generate_wsdl), (parse_idl, generate_idl)):
+            assert diff_descriptions(parse(generate(one)), parse(generate(two))) == expected

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.evolve import diff_descriptions
 from repro.interface import (
     InterfaceDescription,
     InterfaceError,
@@ -93,10 +94,10 @@ class TestInterfaceDescription:
         assert "struct Point" in text
 
 
-class TestInterfaceDiff:
+class TestInterfaceDelta:
     def test_no_changes(self):
         description = InterfaceDescription("Svc", "urn:x").with_operations([_add()])
-        assert description.diff(description).empty
+        assert diff_descriptions(description, description).empty
 
     def test_added_removed_changed(self):
         changed_add = OperationSignature(
@@ -106,16 +107,15 @@ class TestInterfaceDiff:
         after = InterfaceDescription("Svc", "urn:x").with_operations(
             [changed_add, OperationSignature("ping")]
         )
-        diff = before.diff(after)
-        assert diff.added == ("ping",)
-        assert diff.removed == ("greet",)
-        assert diff.changed == ("add",)
-        assert not diff.empty
+        delta = diff_descriptions(before, after)
+        assert delta.added == ("ping",)
+        assert delta.removed == ("greet",)
+        assert delta.changed == ("add",)
+        assert not delta.empty
+        assert delta.summary() == "added: ping; removed: greet; changed: add"
 
     def test_diff_string_rendering(self):
         before = InterfaceDescription("Svc", "urn:x").with_operations([_add()])
         after = InterfaceDescription("Svc", "urn:x").with_operations([_greet()])
-        text = str(before.diff(after))
-        assert "added: greet" in text
-        assert "removed: add" in text
-        assert str(before.diff(before)) == "no interface changes"
+        assert diff_descriptions(before, after).summary() == "added: greet; removed: add"
+        assert diff_descriptions(before, before).summary() == "no interface changes"

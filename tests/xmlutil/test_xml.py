@@ -122,5 +122,13 @@ class TestEncodeDocument:
             encode_document(f"<a><b>x{char}y</b></a>")
         assert repr(f"x{char}y") in str(raised.value)
 
+    @pytest.mark.parametrize(
+        ("text", "first"), [("x\x1fy\x01z", "\x1f"), ("x\x01y\udfffz", "\x01")]
+    )
+    def test_names_the_first_illegal_character(self, text, first):
+        with pytest.raises(XmlError) as raised:
+            encode_document(f"<a>{text}</a>")
+        assert str(raised.value).startswith(f"XML 1.0 cannot carry {first!r} ")
+
     def test_tab_newline_and_carriage_return_are_legal(self):
         assert encode_document("<a>\t\n\r</a>") == b"<a>\t\n\r</a>"
