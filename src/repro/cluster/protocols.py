@@ -41,10 +41,11 @@ from repro.corba.idl import parse_idl
 from repro.corba.orb import ClientOrb, RemoteObjectReference
 from repro.errors import ClusterError, CorbaUserException, MiddlewareError
 from repro.evolve.graph import ClientBinding
-from repro.net.http import HttpClient, HttpResponse
+from repro.net.http import HttpClient, HttpResponse, PreparedRequest
 from repro.net.simnet import Address, Host
 from repro.net.transport import Deferred
 from repro.obs import hooks as _obs_hooks
+from repro.rmitypes import TypeRegistry
 from repro.soap.envelope import SoapRequest, SoapResponse
 from repro.soap.wsdl import parse_wsdl
 
@@ -138,44 +139,48 @@ class ProtocolClient:
 
 
 class SoapProtocolClient(ProtocolClient):
-    """SOAP-over-HTTP client stack (WSDL description + envelope codec)."""
+    """SOAP-over-HTTP client stack (WSDL description + envelope codec).
+
+    Binding a replica's WSDL parses its endpoint URL and renders the POST's
+    request line and headers once; each call then frames its envelope's
+    wire bytes with them.
+    """
 
     def __init__(self, host: Host, index: int, replicas: Sequence["Replica"]) -> None:
         super().__init__(host, index, replicas)
-        self._registries: dict[int, Any] = {}
+        #: Per bound replica: the namespace and types its calls are encoded
+        #: with, the prepared POST and the reply decoder.
+        self._endpoints: dict[
+            int, tuple[str, TypeRegistry, PreparedRequest, Callable[[HttpResponse], SoapResponse]]
+        ] = {}
 
     def _bind(self, replica_index: int, document: str):
         description = parse_wsdl(document)
         self.binding.bind(replica_index, description)
-        self._registries[replica_index] = description.type_registry()
+        registry = description.type_registry()
+        self._endpoints[replica_index] = (
+            description.namespace,
+            registry,
+            self.http.prepare("POST", description.endpoint_url, _SOAP_HEADERS),
+            partial(_soap_response, registry),
+        )
         return description
 
     def prepare_replica(self, replica: "Replica") -> None:
         self._bind(replica.index, self.fetch(replica.publisher.document_url))
 
     def call(self, replica: "Replica", operation: str, arguments: tuple[Any, ...]) -> Deferred:
-        description = self.binding.bound[replica.index]
-        registry = self._registries[replica.index]
-        request = SoapRequest.for_call(
-            operation, arguments, namespace=description.namespace, registry=registry
-        )
+        namespace, registry, post, decode = self._endpoints[replica.index]
+        request = SoapRequest.for_call(operation, arguments, namespace=namespace, registry=registry)
         context = _obs_hooks.CONTEXT
         if context is not None:
             request.trace_context = context.encode()
-        return self.http.request_async(
-            "POST",
-            description.endpoint_url,
-            body=request.to_xml(),
-            headers={"Content-Type": "text/xml; charset=utf-8"},
-            decode=partial(_soap_response, registry),
-        )
+        return self.http.send_async(post, request.to_wire(), decode)
 
     def reset_replica(self, replica: "Replica") -> None:
-        description = self.binding.bound.get(replica.index)
-        if description is None:
-            return
-        address, _path = HttpClient.parse_url(description.endpoint_url)
-        self.http.channel.reset(address)
+        endpoint = self._endpoints.get(replica.index)
+        if endpoint is not None:
+            self.http.channel.reset(endpoint[2].destination)
 
     def rebind_replica(self, replica: "Replica") -> Deferred:
         def decode(response: HttpResponse):
@@ -257,7 +262,11 @@ class CorbaProtocolClient(ProtocolClient):
         return str(error) if isinstance(error, CorbaUserException) else None
 
 
-def _soap_response(registry: Any, response: HttpResponse) -> SoapResponse:
+#: The headers of every SOAP call's POST besides ``Host``.
+_SOAP_HEADERS = {"Content-Type": "text/xml; charset=utf-8"}
+
+
+def _soap_response(registry: TypeRegistry, response: HttpResponse) -> SoapResponse:
     """Decode one SOAP call's HTTP response with the bound types."""
     if not response.ok:
         raise MiddlewareError(f"SOAP endpoint returned HTTP {response.status}")

@@ -11,7 +11,7 @@ signatures changed).  This module makes that distinction first-class:
   typed :class:`InterfaceDelta` — one :class:`OperationChange` per
   operation added / removed / signature-changed, plus struct-type changes;
 * :meth:`InterfaceDelta.summary` is the one-line text the CDE's debugger
-  shows a developer (``added: quote; removed: price``);
+  shows a developer (``added: quote; removed: price; changed struct: P``);
 * :func:`is_compatible` answers the routing-layer question — "do stubs
   bound against ``bound`` still work against ``current``?" — used by the
   version-aware replica selection in :mod:`repro.cluster.registry`.
@@ -147,10 +147,16 @@ class InterfaceDelta:
         return tuple(change.name for change in self.operations if change.kind == kind)
 
     def summary(self) -> str:
-        """One line naming the added, removed and changed operations, e.g.
-        ``added: quote; removed: price`` (``no interface changes`` if none)."""
-        kinds = (("added", self.added), ("removed", self.removed), ("changed", self.changed))
-        parts = [f"{kind}: {', '.join(names)}" for kind, names in kinds if names]
+        """One line naming the added, removed and changed operations, then
+        struct types, e.g. ``added: quote; removed: price; changed struct:
+        Order`` (``no interface changes`` if none)."""
+        labels = (("added", CHANGE_ADDED), ("removed", CHANGE_REMOVED), ("changed", CHANGE_SIGNATURE))
+        parts = []
+        for what, changes in (("", self.operations), (" struct", self.structs)):
+            for label, kind in labels:
+                names = [change.name for change in changes if change.kind == kind]
+                if names:
+                    parts.append(f"{label}{what}: {', '.join(names)}")
         return "; ".join(parts) or "no interface changes"
 
     def describe(self) -> str:

@@ -10,7 +10,7 @@ built on the shared :mod:`repro.net.transport` layer.
 
 from repro.net.http.messages import HttpRequest, HttpResponse, StatusCodes
 from repro.net.http.server import HttpServer, Route
-from repro.net.http.client import HttpClient
+from repro.net.http.client import HttpClient, PreparedRequest
 
 __all__ = [
     "HttpRequest",
@@ -19,4 +19,5 @@ __all__ = [
     "HttpServer",
     "Route",
     "HttpClient",
+    "PreparedRequest",
 ]

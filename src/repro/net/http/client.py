@@ -7,19 +7,37 @@ how synchronous RMI calls are expressed on the single-threaded simulator;
 ``request_async`` returns a :class:`~repro.net.transport.Deferred` instead,
 which is what lets a multi-client workload keep many requests in flight
 deterministically; with a ``decode`` it resolves with the decoded response.
+A sender that posts many bodies to one URL with the same headers parses the
+URL and renders the request line and headers once (:meth:`HttpClient.prepare`)
+and frames each body's bytes with them (:meth:`HttpClient.send_async`).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable
 
 from repro.errors import HttpError
-from repro.net.http.messages import HttpRequest, HttpResponse
+from repro.net.http.messages import HttpRequest, HttpResponse, frame, request_head
 from repro.net.simnet import Address, Host, Message
 from repro.net.transport import ClientChannel, Deferred
 
 _EPHEMERAL_BASE = 49152
+
+
+@dataclass(frozen=True)
+class PreparedRequest:
+    """A request's destination, request line and headers, rendered once for
+    any number of bodies."""
+
+    destination: Address
+    #: The request line and headers as :func:`~repro.net.http.messages.frame`
+    #: takes them.
+    head: str
+    tail: str
+    #: ``"<method> <url>"``, which names the request's reply future.
+    description: str
 
 
 class HttpClient:
@@ -102,6 +120,29 @@ class HttpClient:
             body=body,
         )
         return destination, request.to_bytes()
+
+    def prepare(
+        self, method: str, url: str, headers: dict[str, str] | None = None
+    ) -> PreparedRequest:
+        """Parse ``url`` and render the request line and headers, with the
+        default ``Host`` as :meth:`request` sends it, once for :meth:`send_async`."""
+        destination, path = self.parse_url(url)
+        fields = {"Host": f"{destination.host}:{destination.port}", **(headers or {})}
+        return PreparedRequest(destination, *request_head(method, path, fields), f"{method} {url}")
+
+    def send_async(
+        self,
+        request: PreparedRequest,
+        body: bytes,
+        decode: Callable[[HttpResponse], Any] | None = None,
+    ) -> Deferred:
+        """:meth:`request_async` for a prepared request and the body's UTF-8 bytes."""
+        return self.channel.request_async(
+            request.destination,
+            frame(request.head, request.tail, body),
+            self._parse_response if decode is None else partial(_decoded, decode),
+            description=request.description,
+        )
 
     def close(self) -> None:
         """Close every kept-alive connection and release its port."""

@@ -8,13 +8,17 @@ Header names are title-cased once: on construction, or by the parser for a
 message read off the wire, which builds the message from the parsed fields
 directly instead of re-running the constructor's checks.  Every message is
 one datagram, so a missing ``Content-Length`` is accepted; one that is
-present must equal the body's byte length, which :meth:`HttpRequest.to_bytes`
-always writes.
+present must equal the body's byte length, which :func:`frame` always
+writes.  :func:`frame` is the one writer of the wire format: a message's
+start line and headers are rendered around ``Content-Length`` once, so a
+sender with a fixed request line and headers renders them once
+(:func:`request_head`) and frames each body with them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.errors import HttpError
 
@@ -74,7 +78,8 @@ class HttpRequest:
 
     def to_bytes(self) -> bytes:
         """Serialise to the textual HTTP/1.1 wire format."""
-        return _encode(f"{self.method} {self.path} {self.http_version}", self)
+        start_line = f"{self.method} {self.path} {self.http_version}"
+        return frame(*_head(start_line, tuple(self.headers.items())), self.body.encode("utf-8"))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "HttpRequest":
@@ -118,7 +123,8 @@ class HttpResponse:
     def to_bytes(self) -> bytes:
         """Serialise to the textual HTTP/1.1 wire format."""
         reason = StatusCodes.REASONS.get(self.status, "Unknown")
-        return _encode(f"{self.http_version} {self.status} {reason}", self)
+        start_line = f"{self.http_version} {self.status} {reason}"
+        return frame(*_head(start_line, tuple(self.headers.items())), self.body.encode("utf-8"))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "HttpResponse":
@@ -172,19 +178,44 @@ def _checked_request_line(method: str, path: str) -> str:
     return method
 
 
-def _encode(start_line: str, message: "HttpRequest | HttpResponse") -> bytes:
-    """The wire bytes of ``message`` under ``start_line``.
+def request_head(method: str, path: str, headers: dict[str, str]) -> tuple[str, str]:
+    """An HTTP/1.1 request line and ``headers`` as :func:`frame` takes them,
+    header names title-cased (of two that differ only in case, the later
+    wins) and the request line checked as :class:`HttpRequest` checks it."""
+    method = _checked_request_line(method, path)
+    fields = dict(zip(map(str.title, headers), headers.values()))
+    return _head(f"{method} {path} HTTP/1.1", tuple(fields.items()))
 
-    Headers go out sorted by name, ``Content-Length`` always the body's byte
-    length whatever the header dict says.
+
+@lru_cache(maxsize=256)
+def _head(start_line: str, headers: tuple[tuple[str, str], ...]) -> tuple[str, str]:
+    """``start_line`` and the header lines that sort before ``Content-Length``,
+    and the header lines that sort after it.
+
+    ``headers`` are ``(name, value)`` pairs with distinct, title-cased names;
+    a ``Content-Length`` among them is left out, since :func:`frame` writes
+    the body's.  Memoised, so messages with one start line and header set
+    (every SOAP reply, every request to one URL) render them once.
     """
-    body = message.body.encode("utf-8")
-    headers = message.headers.copy()
-    headers["Content-Length"] = str(len(body))
     head = start_line
-    for name in sorted(headers):
-        head += f"{_CRLF}{name}: {headers[name]}"
-    return (head + _CRLF + _CRLF).encode("utf-8") + body
+    tail = ""
+    for name, value in sorted(headers):
+        if name < "Content-Length":
+            head += f"{_CRLF}{name}: {value}"
+        elif name > "Content-Length":
+            tail += f"{_CRLF}{name}: {value}"
+    return head, tail
+
+
+def frame(head: str, tail: str, body: bytes) -> bytes:
+    """The wire bytes of a message: ``head``, the ``Content-Length`` of
+    ``body``, ``tail``, a blank line and ``body``.
+
+    ``head`` and ``tail`` are a start line and headers as
+    :func:`request_head` renders them: headers sorted by name, each line led
+    by CRLF.
+    """
+    return f"{head}{_CRLF}Content-Length: {len(body)}{tail}{_CRLF}{_CRLF}".encode("utf-8") + body
 
 
 def _decode(data: bytes, what: str) -> tuple[str, dict[str, str], str]:

@@ -19,22 +19,27 @@ struct ``S``              ``tns:S`` complex type
 ========================  =======================
 
 Values go straight between Python and text: :func:`encode_value` writes an
-element's XML, and :func:`decode_value` / :func:`decode_typed` read an
-``xml.etree.ElementTree`` element.
+element's XML.  :func:`read_typed` reads it back from the text in exactly
+the form :func:`encode_value` writes, and raises :class:`Unrecognised` at
+anything else; :func:`decode_value` / :func:`decode_typed` read an
+``xml.etree.ElementTree`` element, whatever form the text had.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Any
 from xml.etree.ElementTree import Element
 
 from repro.errors import SoapEncodingError
 from repro.rmitypes import (
+    PRIMITIVES,
     ArrayType,
     PrimitiveType,
     RmiType,
     StructType,
     TypeRegistry,
+    TypeError_,
     parse_type,
 )
 from repro.xmlutil import text_of
@@ -93,6 +98,129 @@ def _encode(name: str, start: str, value: Any, rmi_type: RmiType) -> str:
     else:
         raise SoapEncodingError(f"cannot encode value of type {rmi_type!r}")
     return f"<{start}>{content}</{name}>" if content else f"<{start}/>"
+
+
+# -- reading the written form ---------------------------------------------------
+
+
+class Unrecognised(Exception):
+    """The text is not in the form the writer emits.
+
+    Raised by :func:`read_typed` and :func:`unescape`, also for a value the
+    type cannot decode; the caller then reads the text with ElementTree,
+    which gives the same value or raises the error that applies.
+    """
+
+
+#: A value element's start tag as :func:`encode_value` writes it: the name,
+#: an array item's ``index``, the type label, and ``/`` when it is empty.
+_START = re.compile(
+    r'<([A-Za-z_][A-Za-z0-9_]*)(?: index="[0-9]+")? type="([A-Za-z_][A-Za-z0-9_]*(?:\[\])*)"(/?)>'
+)
+#: The references :func:`~repro.xmlutil.serializer.escape_text` writes.
+_REFERENCES = {"amp": "&", "lt": "<", "gt": ">", "#13": "\r"}
+
+
+def unescape(text: str) -> str:
+    """The character data that :func:`escape_text` wrote as ``text``.
+
+    Raises :class:`Unrecognised` at any other ``&``.
+    """
+    if "&" not in text:
+        return text
+    head, *references = text.split("&")
+    parts = [head]
+    for reference in references:
+        name, semicolon, rest = reference.partition(";")
+        char = _REFERENCES.get(name)
+        if char is None or not semicolon:
+            raise Unrecognised
+        parts += (char, rest)
+    return "".join(parts)
+
+
+def read_typed(
+    text: str, position: int, registry: TypeRegistry | None = None
+) -> tuple[Any, RmiType, int]:
+    """Read the value element :func:`encode_value` wrote at ``text[position:]``.
+
+    Returns ``(value, type, end)``: what :func:`decode_typed` gives for the
+    element, and the position after it.  Nested elements must carry the
+    names and labels the writer gives them, struct fields in declaration
+    order.  The caller checks, once for the whole document, that it holds
+    no ``]]>``, raw carriage return or character XML 1.0 cannot carry.
+
+    Raises
+    ------
+    Unrecognised
+        If the element is not in that form, or its label or a value does not
+        decode.
+    """
+    match = _START.match(text, position)
+    if match is None:
+        raise Unrecognised
+    label = match[2]
+    rmi_type = PRIMITIVES.get(label)
+    if rmi_type is None:
+        try:
+            rmi_type = parse_type(label, registry)
+        except TypeError_:
+            raise Unrecognised from None
+    value, end = _read(text, match, rmi_type)
+    return value, rmi_type, end
+
+
+def _read(text: str, start: re.Match, rmi_type: RmiType) -> tuple[Any, int]:
+    """The value of the element opened by ``start``, and the position after it."""
+    end = start.end()
+    empty = start[3]
+    if isinstance(rmi_type, PrimitiveType):
+        content = ""
+        if not empty:
+            stop = text.find("<", end)
+            close = f"</{start[1]}>"
+            if stop < 0 or not text.startswith(close, stop):
+                raise Unrecognised
+            content = text[end:stop]
+            if "&" in content:
+                content = unescape(content)
+            end = stop + len(close)
+        try:
+            return _decode_primitive(content, rmi_type), end
+        except SoapEncodingError:
+            raise Unrecognised from None
+    if isinstance(rmi_type, ArrayType):
+        items: list[Any] = []
+        if not empty:
+            item_type = rmi_type.element_type
+            while (item := _START.match(text, end)) is not None:
+                value, end = _read(text, item, item_type)
+                items.append(value)
+            end = _closed(text, end, start[1])
+        return items, end
+    if isinstance(rmi_type, StructType):
+        fields: dict[str, Any] = {}
+        if empty:
+            if rmi_type.fields:
+                raise Unrecognised
+            return fields, end
+        for field_def in rmi_type.fields:
+            field = _START.match(text, end)
+            if field is None or field[1] != field_def.name:
+                raise Unrecognised
+            fields[field_def.name], end = _read(text, field, field_def.field_type)
+        return fields, _closed(text, end, start[1])
+    raise Unrecognised
+
+
+def _closed(text: str, position: int, name: str) -> int:
+    """The position after the end tag ``</name>`` at ``position``."""
+    if position < 0 or not text.startswith(f"</{name}>", position):
+        raise Unrecognised
+    return position + len(name) + 3
+
+
+# -- reading an element tree -------------------------------------------------------
 
 
 def decode_value(

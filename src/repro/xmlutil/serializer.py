@@ -28,7 +28,8 @@ _ILLEGAL = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff\ud800-\udfff]")
 #: The same less the surrogates, which ``str.encode`` rejects.  Their 31
 #: ``in`` tests (``memchr``) cost a tenth of one ``_ILLEGAL.search`` over a
 #: 4.5 KB envelope, so the search only names the first in a failing text.
-_ILLEGAL_CHARS = tuple(chr(code) for code in range(0x20) if chr(code) not in "\t\n\r") + (
+#: The SOAP envelope reader makes the same tests.
+ILLEGAL_CHARS = tuple(chr(code) for code in range(0x20) if chr(code) not in "\t\n\r") + (
     "\ufffe",
     "\uffff",
 )
@@ -77,7 +78,7 @@ def encode_document(text: str) -> bytes:
         wire = text.encode("utf-8")
     except UnicodeEncodeError:
         raise _illegal_character(text) from None
-    for char in _ILLEGAL_CHARS:
+    for char in ILLEGAL_CHARS:
         if char in text:
             raise _illegal_character(text)
     return wire

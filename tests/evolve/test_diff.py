@@ -98,6 +98,21 @@ class TestDiffDescriptions:
         assert delta.classification == CLASS_BREAKING
         assert [change.kind for change in delta.structs] == [CHANGE_SIGNATURE]
 
+    def test_summary_names_struct_changes_after_operations(self):
+        before = _description(1, ECHO, structs=(StructType("P", (FieldDef("x", INT),)),))
+        after = _description(2, ECHO, structs=(StructType("P", (FieldDef("x", STRING),)),))
+        delta = diff_descriptions(before, after)
+        assert delta.classification == CLASS_BREAKING
+        assert delta.summary() == "changed struct: P"
+        added = StructType("Q", ())
+        grown = _description(3, PING, structs=(StructType("P", (FieldDef("x", INT),)), added))
+        assert diff_descriptions(before, grown).summary() == (
+            "added: ping; removed: echo; added struct: Q"
+        )
+        assert diff_descriptions(grown, _description(4)).summary() == (
+            "removed: ping; removed struct: P, Q"
+        )
+
 
 class TestIsCompatible:
     def test_additions_keep_old_stubs_working(self):

@@ -4,9 +4,9 @@ Every RMI message walks scheduler → simnet → transport → HTTP/GIOP on both
 legs of a call.  Report fingerprints cover times and counts but not payload
 bytes, so the first test pins every delivered message of a small mixed
 SOAP/CORBA fault drill byte for byte.  The others count the Python frames
-the simulation core and the network stack, and the GIOP/CDR and HTTP codecs,
-spend on a drill, so a change that adds a frame per message fails here and
-names the cost.
+the simulation core and the network stack, the GIOP/CDR and HTTP codecs,
+and the SOAP envelope codec spend on a drill, so a change that adds a frame
+per message fails here and names the cost.
 """
 
 from __future__ import annotations
@@ -65,12 +65,14 @@ class TestChainLength:
         transport's parse), HTTP messages parsed without re-running their
         constructor checks, the network's transmit step folded into
         ``Host.send`` and the scheduler's cancel accounting into
-        ``Event.cancel`` brought it to 25,395.  The bound is that figure plus
-        2%: a change that adds a frame per message (about 930 more) fails
-        here.
+        ``Event.cancel`` brought it to 25,395.  Framing each SOAP call's POST
+        from an endpoint parsed once per bind, and rendering a fixed start
+        line and header set once, brought it to 24,921.  The bound is that
+        figure plus 2%: a change that adds a frame per message (about 930
+        more) fails here.
         """
         runtime = fault_drill_scenario(64).build()
-        assert _chain_calls(runtime.run, ("repro.net", "repro.sim")) <= 25_903
+        assert _chain_calls(runtime.run, ("repro.net", "repro.sim")) <= 25_419
 
     def test_fault_drill_codec_frames_stay_within_budget(self):
         """The same guard for the protocol codecs, GIOP/CDR and HTTP.
@@ -80,9 +82,22 @@ class TestChainLength:
         the GIOP header field by field, and every call chained a second
         future onto the transport's.  Framing GIOP and CDR in one ``struct``
         pass and encoding synchronous server results in the dispatch frame
-        brought it to 12,685.  The bound is that figure plus 2%.  (IDL
-        parses are memoised per process, so a test run that parsed the
+        brought it to 12,685; framing SOAP POSTs from a prepared request
+        line and headers, to 12,201.  The bound is that figure plus 2%.
+        (IDL parses are memoised per process, so a test run that parsed the
         drill's IDL earlier counts fewer; the bound is an upper one.)
         """
         runtime = fault_drill_scenario(64).build()
-        assert _chain_calls(runtime.run, ("repro.corba", "repro.net.http")) <= 12_939
+        assert _chain_calls(runtime.run, ("repro.corba", "repro.net.http")) <= 12_445
+
+    def test_fault_drill_soap_frames_stay_within_budget(self):
+        """The same guard for the SOAP envelope codec and ``repro.xmlutil``.
+
+        The drill cost 8,087 frames there when every envelope was read
+        through an ElementTree tree.  Reading requests and value responses
+        by one scan of the text the writer emits brought it to 6,920.  The
+        bound is that figure plus 2%.  (WSDL parses are memoised per
+        process, so the bound is an upper one here too.)
+        """
+        runtime = fault_drill_scenario(64).build()
+        assert _chain_calls(runtime.run, ("repro.soap", "repro.xmlutil")) <= 7_058
