@@ -15,7 +15,9 @@ Run with:  python examples/corba_mail_service.py
 """
 
 from repro.cluster import Scenario
-from repro.corba import CorbaServiceDefinition, StaticCorbaClient, StaticCorbaServer
+from repro.cluster.protocols import BUILTIN_STACKS
+from repro.cluster.registry import Replica
+from repro.corba import CorbaServiceDefinition, StaticCorbaServer
 from repro.interface import Parameter
 from repro.jpie import export_operation_table
 from repro.rmitypes import BOOLEAN, FieldDef, INT, STRING, ArrayType, StructType
@@ -90,11 +92,14 @@ def main() -> None:
     definition.structs.append(MESSAGE)
     for signature, implementation in export_operation_table(mail, instance):
         definition.add_operation(signature, implementation)
-    static_server = StaticCorbaServer(node.host, 9500, definition)
+    static_server = StaticCorbaServer(node.host, 9500, definition, http_port=8500)
     static_server.start()
 
-    static_client = StaticCorbaClient(runtime.cde.host)
-    stub = static_client.connect(static_server.idl_document, static_server.ior)
+    # The same client stack binds the static server through the IDL and IOR
+    # it serves, and the CDE's stub class gives it typed methods.
+    release = Replica("MailServiceRelease", 0, node, static_server)
+    static_client = runtime.cde.connect(BUILTIN_STACKS["corba"], release)
+    stub = runtime.cde.create_stub_class(static_client).new_stub_instance()
     print("static export inbox:", stub.inbox_subjects("sajeeva"))
     print("static export word count:", stub.count_words("sajeeva"))
 

@@ -16,6 +16,11 @@ knows how to
 * ``result(value)`` / ``fault_text(value, error)`` — the operation's return
   value, or the protocol fault as text.
 
+A stack built with a ``cost_model`` charges the client machine's own
+processing (encoding before the request leaves, decoding after the reply
+arrives, times ``speed_factor``) as delays on the call's deferred path —
+how Table 1 models the paper's slower client machine.
+
 Each stack owns one :class:`~repro.evolve.graph.ClientBinding`
 (``stack.binding``): the description it bound per replica, which
 version-aware routing reads and ``prepare_replica``/``rebind_replica``
@@ -23,7 +28,8 @@ replace.  The fleet driver drives the stacks asynchronously; the CDE's
 :class:`~repro.core.cde.binding.DynamicClientBinding` drives one to
 completion per call.
 
-The built-in ``soap`` and ``corba`` stacks are the read-only
+Each stack class names the technology it speaks (``technology``).  The
+built-in ``soap`` and ``corba`` stacks are the read-only
 :data:`BUILTIN_STACKS`; a third technology brings its stack with its one
 registration, ``Scenario.technology(technology, client)``, which is how
 the §5.3 extensibility claim is exercised at the Scenario level.  Each
@@ -42,8 +48,9 @@ from repro.corba.orb import ClientOrb, RemoteObjectReference
 from repro.errors import ClusterError, CorbaUserException, MiddlewareError
 from repro.evolve.graph import ClientBinding
 from repro.net.http import HttpClient, HttpResponse, PreparedRequest
+from repro.net.latency import CostModel
 from repro.net.simnet import Address, Host
-from repro.net.transport import Deferred
+from repro.net.transport import Deferred, Later
 from repro.obs import hooks as _obs_hooks
 from repro.rmitypes import TypeRegistry
 from repro.soap.envelope import SoapRequest, SoapResponse
@@ -61,10 +68,25 @@ OUTCOME_OTHER = "other"
 class ProtocolClient:
     """Base class: one client machine's stack for one protocol."""
 
-    def __init__(self, host: Host, index: int, replicas: Sequence["Replica"]) -> None:
+    #: The technology the stack speaks, as CDE bindings report it; every
+    #: stack names its own.
+    technology: str
+
+    def __init__(
+        self,
+        host: Host,
+        index: int,
+        replicas: Sequence["Replica"],
+        cost_model: CostModel | None = None,
+        speed_factor: float = 1.0,
+    ) -> None:
         self.host = host
         self.index = index
         self.replicas = tuple(replicas)
+        #: Client processing cost (``None`` charges nothing); the client
+        #: machine is ``speed_factor`` times slower than the model's.
+        self.cost_model = cost_model
+        self.speed_factor = speed_factor
         self.http = HttpClient(host, name=f"wl-http-{index}")
         #: The descriptions this stack's stubs were built from, per replica,
         #: and the §6 recency watermark.  Stacks without parsed descriptions
@@ -141,18 +163,23 @@ class ProtocolClient:
 class SoapProtocolClient(ProtocolClient):
     """SOAP-over-HTTP client stack (WSDL description + envelope codec).
 
-    Binding a replica's WSDL parses its endpoint URL and renders the POST's
-    request line and headers once; each call then frames its envelope's
-    wire bytes with them.
+    Binding a replica's WSDL parses its endpoint URL, renders the POST's
+    request line and headers and picks the reply decoder once; each call
+    then frames its envelope's wire bytes with them.  With a cost model,
+    ``text_processing`` of the request's wire bytes delays its send and
+    that of the reply body delays the call's resolution.
     """
 
-    def __init__(self, host: Host, index: int, replicas: Sequence["Replica"]) -> None:
-        super().__init__(host, index, replicas)
+    technology = "soap"
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
         #: Per bound replica: the namespace and types its calls are encoded
         #: with, the prepared POST and the reply decoder.
         self._endpoints: dict[
-            int, tuple[str, TypeRegistry, PreparedRequest, Callable[[HttpResponse], SoapResponse]]
+            int, tuple[str, TypeRegistry, PreparedRequest, Callable[[HttpResponse], Any]]
         ] = {}
+        self._send = self.http.send_async if self.cost_model is None else self._send_charged
 
     def _bind(self, replica_index: int, document: str):
         description = parse_wsdl(document)
@@ -162,9 +189,20 @@ class SoapProtocolClient(ProtocolClient):
             description.namespace,
             registry,
             self.http.prepare("POST", description.endpoint_url, _SOAP_HEADERS),
-            partial(_soap_response, registry),
+            partial(_soap_response, registry)
+            if self.cost_model is None
+            else partial(_charged_soap_response, registry, self._text_cost),
         )
         return description
+
+    def _text_cost(self, size: int) -> float:
+        """The client's cost of encoding or decoding ``size`` bytes of XML."""
+        return self.cost_model.text_processing(size) * self.speed_factor  # type: ignore[union-attr]
+
+    def _send_charged(
+        self, post: PreparedRequest, wire: bytes, decode: Callable[[HttpResponse], Later]
+    ) -> Deferred:
+        return self.http.send_async(post, wire, decode, self._text_cost(len(wire)))
 
     def prepare_replica(self, replica: "Replica") -> None:
         self._bind(replica.index, self.fetch(replica.publisher.document_url))
@@ -175,7 +213,7 @@ class SoapProtocolClient(ProtocolClient):
         context = _obs_hooks.CONTEXT
         if context is not None:
             request.trace_context = context.encode()
-        return self.http.send_async(post, request.to_wire(), decode)
+        return self._send(post, request.to_wire(), decode)
 
     def reset_replica(self, replica: "Replica") -> None:
         endpoint = self._endpoints.get(replica.index)
@@ -211,10 +249,17 @@ class SoapProtocolClient(ProtocolClient):
 
 
 class CorbaProtocolClient(ProtocolClient):
-    """CORBA/GIOP client stack (IDL description + ORB remote references)."""
+    """CORBA/GIOP client stack (IDL description + ORB remote references).
 
-    def __init__(self, host: Host, index: int, replicas: Sequence["Replica"]) -> None:
-        super().__init__(host, index, replicas)
+    A cost model goes to the stack's :class:`~repro.corba.orb.ClientOrb`,
+    which charges marshalling before a request leaves and unmarshalling
+    after its reply arrives.
+    """
+
+    technology = "corba"
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
         self.orb: ClientOrb | None = None
         self._remotes: dict[int, RemoteObjectReference] = {}
 
@@ -222,7 +267,7 @@ class CorbaProtocolClient(ProtocolClient):
         document = self.fetch(replica.publisher.document_url)
         self.binding.bind(replica.index, parse_idl(document))
         if self.orb is None:
-            self.orb = ClientOrb(self.host)
+            self.orb = ClientOrb(self.host, self.cost_model, self.speed_factor)
         ior_text = self.fetch(replica.publisher.ior_url)  # type: ignore[attr-defined]
         self._remotes[replica.index] = self.orb.string_to_object(ior_text.strip())
 
@@ -273,12 +318,20 @@ def _soap_response(registry: TypeRegistry, response: HttpResponse) -> SoapRespon
     return SoapResponse.from_xml(response.body, registry)
 
 
-#: A protocol-client factory: ``(host, client_index, replicas) -> ProtocolClient``.
+def _charged_soap_response(
+    registry: TypeRegistry, cost: Callable[[int], float], response: HttpResponse
+) -> Later:
+    """:func:`_soap_response`, after the client's cost of decoding the body."""
+    return Later(cost(len(response.body)), partial(_soap_response, registry, response))
+
+
+#: A protocol-client factory: ``(host, client_index, replicas) -> ProtocolClient``
+#: (the built-in stacks also take ``cost_model`` and ``speed_factor``).
 ProtocolClientFactory = Callable[[Host, int, Sequence["Replica"]], ProtocolClient]
 
 #: The built-in client stacks, by technology name.
 BUILTIN_STACKS: Mapping[str, ProtocolClientFactory] = MappingProxyType(
-    {"soap": SoapProtocolClient, "corba": CorbaProtocolClient}
+    {stack.technology: stack for stack in (SoapProtocolClient, CorbaProtocolClient)}
 )
 
 

@@ -75,6 +75,8 @@ from repro.obs import hooks as _obs_hooks
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.sde.manager import ManagedServer
     from repro.cluster.topology import ServerNode
+    from repro.corba.server import StaticCorbaServer
+    from repro.soap.server import StaticSoapServer
     from repro.evolve.graph import ClientBinding
     from repro.evolve.rollout import RolloutController, RolloutReport
 
@@ -85,12 +87,18 @@ POLICY_LEAST_LOADED = "least-loaded"
 
 @dataclass
 class Replica:
-    """One deployed copy of a service: a managed server on some node."""
+    """One deployed copy of a service: a managed server on some node.
+
+    A client stack reads only its ``service``, ``index`` and ``publisher``
+    (the URLs of the published documents), so a static server, which
+    publishes its own, can be the ``managed`` server of an off-registry
+    replica that a CDE binds.
+    """
 
     service: str
     index: int
     node: "ServerNode"
-    managed: "ManagedServer"
+    managed: "ManagedServer | StaticSoapServer | StaticCorbaServer"
     #: Calls currently awaiting a reply from this replica.
     in_flight: int = 0
     #: Calls ever routed to this replica.

@@ -1,4 +1,4 @@
-"""CORBA stack: IDL, IOR, GIOP/IIOP, ORB, DSI, and the static baseline.
+"""CORBA stack: IDL, IOR, GIOP/IIOP, ORB, DSI, and the static server.
 
 This package plays the role OpenORB plays in the paper (§2.2):
 
@@ -15,8 +15,10 @@ This package plays the role OpenORB plays in the paper (§2.2):
   through; CDE's dynamic invocation is
   :meth:`~repro.corba.orb.RemoteObjectReference.invoke_async` with an
   operation named at run time;
-* :mod:`repro.corba.server` / :mod:`repro.corba.client` — the *static*
-  CORBA server and client used as the Table 1 baseline ("OpenORB/OpenORB").
+* :mod:`repro.corba.server` — the *static* CORBA server: the Table 1
+  baseline ("OpenORB" server) and the §7 export target.  Every CORBA
+  client, the Table 1 "OpenORB" client included, is the fleet's
+  :class:`~repro.cluster.protocols.CorbaProtocolClient`.
 """
 
 from repro.corba.ior import IOR
@@ -24,7 +26,6 @@ from repro.corba.orb import ClientOrb, ServerOrb, RemoteObjectReference
 from repro.corba.servant import Servant, StaticServant
 from repro.corba.dsi import DynamicServant, ServerRequest
 from repro.corba.server import StaticCorbaServer, CorbaServiceDefinition
-from repro.corba.client import StaticCorbaClient
 
 __all__ = [
     "IOR",
@@ -37,5 +38,4 @@ __all__ = [
     "ServerRequest",
     "StaticCorbaServer",
     "CorbaServiceDefinition",
-    "StaticCorbaClient",
 ]

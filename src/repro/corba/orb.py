@@ -233,10 +233,6 @@ class ClientOrb:
         initialisation, Figure 2 step 1)."""
         return RemoteObjectReference(self, IOR.from_string(stringified_ior))
 
-    def object_for(self, ior: IOR) -> RemoteObjectReference:
-        """Wrap an already-parsed IOR."""
-        return RemoteObjectReference(self, ior)
-
     def invoke(self, ior: IOR, operation: str, arguments: tuple[Any, ...]) -> Any:
         """Marshal, transmit, await and unmarshal one remote invocation.
 
@@ -296,10 +292,6 @@ class ClientOrb:
         if cost > 0:
             return Later(cost, partial(self._interpret_reply, reply))
         return self._interpret_reply(reply)
-
-    def close(self) -> None:
-        """Close every connection this ORB holds."""
-        self.channel.close()
 
     # -- internals ------------------------------------------------------------
 

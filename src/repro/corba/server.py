@@ -2,9 +2,10 @@
 
 A :class:`StaticCorbaServer` deploys a fixed service behind a server ORB:
 the CORBA-IDL document and the IOR are generated at deployment time and
-handed to clients directly (Figure 2 step 1).  There is no live update
-machinery — the static baseline, like a plain OpenORB deployment, requires a
-restart to change the interface.
+served over HTTP on the server's host (Figure 2 step 1), where the fleet's
+CORBA client stack fetches them as it does an SDE replica's.  There is no
+live update machinery — the static baseline, like a plain OpenORB
+deployment, requires a restart to change the interface.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.corba.poa import PortableObjectAdapter
 from repro.corba.servant import StaticServant
 from repro.errors import CorbaError
 from repro.interface import InterfaceDescription, OperationSignature
+from repro.net.http import HttpRequest, HttpResponse, HttpServer
 from repro.net.latency import CostModel
 from repro.net.simnet import Host
 from repro.rmitypes import StructType
@@ -56,6 +58,7 @@ class StaticCorbaServer:
         definition: CorbaServiceDefinition,
         cost_model: CostModel | None = None,
         speed_factor: float = 1.0,
+        http_port: int = 8080,
     ) -> None:
         self.host = host
         self.iiop_port = iiop_port
@@ -83,7 +86,37 @@ class StaticCorbaServer:
         ).with_operations(definition.signatures(), definition.structs)
         self._idl_document = generate_idl(self.description)
 
+        #: Serves the IDL document and the stringified IOR (Figure 2 step 1).
+        self.http_server = HttpServer(host, http_port, name=f"corba:{definition.service_name}")
+        self._documents = {
+            self._document_path("idl"): self._idl_document,
+            self._document_path("ior"): self.ior.stringify(),
+        }
+        for path in self._documents:
+            self.http_server.add_route(path, self._serve, methods=("GET",))
+
     # -- documents -------------------------------------------------------------
+
+    def _document_path(self, extension: str) -> str:
+        return f"/idl/{self.definition.service_name}.{extension}"
+
+    def _serve(self, request: HttpRequest) -> HttpResponse:
+        return HttpResponse.ok_text(self._documents[request.path], "text/plain; charset=utf-8")
+
+    @property
+    def document_url(self) -> str:
+        """The URL from which the IDL document is served."""
+        return f"{self.http_server.url}{self._document_path('idl')}"
+
+    @property
+    def ior_url(self) -> str:
+        """The URL from which the stringified IOR is served."""
+        return f"{self.http_server.url}{self._document_path('ior')}"
+
+    @property
+    def publisher(self) -> "StaticCorbaServer":
+        """The server publishes its own (fixed) IDL document and IOR."""
+        return self
 
     @property
     def idl_document(self) -> str:
@@ -103,12 +136,14 @@ class StaticCorbaServer:
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self) -> None:
-        """Deploy: start the server ORB."""
+        """Deploy: start the server ORB and serve the documents."""
         self.orb.start()
+        self.http_server.start()
 
     def stop(self) -> None:
         """Undeploy the service."""
         self.orb.stop()
+        self.http_server.stop()
 
     @property
     def calls_served(self) -> int:

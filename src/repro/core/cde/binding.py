@@ -101,8 +101,8 @@ class DynamicClientBinding:
 
     @property
     def technology(self) -> str:
-        """The RMI technology of the bound server."""
-        return self.replica.managed.technology.name
+        """The RMI technology of the bound server (the stack's)."""
+        return self.stack.technology
 
     def refresh(self) -> InterfaceDelta:
         """Re-fetch the published interface description and update the view.

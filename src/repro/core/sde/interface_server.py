@@ -45,16 +45,6 @@ class InterfaceServer:
         """Base URL of the interface server."""
         return self.http_server.url
 
-    @property
-    def transport_stats(self):
-        """Transport-layer counters (connections, replies, drops)."""
-        return self.http_server.endpoint.stats
-
-    @property
-    def connection_count(self) -> int:
-        """Distinct client connections that fetched documents."""
-        return len(self.http_server.endpoint.connections)
-
     # -- publication ----------------------------------------------------------
 
     def publish(self, path: str, content: str, content_type: str = "text/xml; charset=utf-8") -> str:

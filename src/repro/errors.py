@@ -89,21 +89,6 @@ class SoapEncodingError(SoapError):
     """Raised when a value cannot be encoded to, or decoded from, SOAP XML."""
 
 
-class SoapFaultError(SoapError):
-    """Raised on the client side when a SOAP Fault is received.
-
-    Attributes
-    ----------
-    fault:
-        The decoded :class:`repro.soap.faults.SoapFault` carried by the
-        response.
-    """
-
-    def __init__(self, fault):
-        super().__init__(str(fault))
-        self.fault = fault
-
-
 class WsdlError(SoapError):
     """Raised for malformed or inconsistent WSDL documents."""
 

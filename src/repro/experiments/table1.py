@@ -15,25 +15,31 @@ OpenORB / OpenORB           0.42
 This driver rebuilds the same four configurations in the simulated world:
 a 3.2 GHz-class server host, a slower client host (the 1 GHz PowerBook is
 modelled by a client speed factor), a T1-LAN latency profile and the
-calibrated 2004-era CPU cost model.  The absolute numbers depend on the cost
-calibration; the claims the tests assert are the paper's qualitative
-ones — both SOAP configurations are slower than their CORBA counterparts,
-and each SDE server stays within ~25% of its static counterpart.
+calibrated 2004-era CPU cost model.  Every configuration runs on a
+:class:`~repro.cluster.Scenario` world and calls through the same client:
+the CDE's typed stub class over the technology's fleet client stack,
+charged the client machine's processing cost.  The static servers run on
+the world's server machine and are bound like replicas.  The absolute
+numbers depend on the cost calibration; the claims the tests assert are
+the paper's qualitative ones — both SOAP configurations are slower than
+their CORBA counterparts, and each SDE server stays within ~25% of its
+static counterpart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.cluster import Scenario, ScenarioRuntime, op
-from repro.core.sde import SDEConfig
-from repro.corba import CorbaServiceDefinition, StaticCorbaClient, StaticCorbaServer
+from repro.cluster.protocols import BUILTIN_STACKS
+from repro.cluster.registry import Replica
+from repro.core.sde import ManagedServer, SDEConfig
+from repro.corba import CorbaServiceDefinition, StaticCorbaServer
 from repro.interface import OperationSignature, Parameter
-from repro.net import Network, t1_lan_profile
 from repro.net.latency import CostModel, era_2004_cost_model
 from repro.rmitypes import STRING
-from repro.sim import Scheduler
-from repro.soap import SoapClient, SoapServiceDefinition, StaticSoapServer
+from repro.soap import SoapServiceDefinition, StaticSoapServer
 
 #: Relative speed of the paper's client machine (1 GHz PowerBook G4) compared
 #: with its server machine (3.2 GHz Pentium 4).
@@ -49,6 +55,11 @@ PAPER_TABLE1_RTT: dict[str, float] = {
 
 #: The echo payload used for every measured call.
 ECHO_PAYLOAD = "hello from the client development environment"
+
+#: The static servers' HTTP port on the server machine, beside the idle
+#: SDE's Interface Server (8080); four digits, like the SDE's own ports, so
+#: every URL on the wire keeps its length.
+STATIC_HTTP_PORT = 8180
 
 
 @dataclass(frozen=True)
@@ -71,7 +82,15 @@ def _echo_body(_instance, message: str) -> str:
     return message
 
 
-def _sde_echo_world(technology: str, cost_model: CostModel) -> ScenarioRuntime:
+def _echo_definition(definition_class):
+    """The static echo service, for a :class:`SoapServiceDefinition` or a
+    :class:`CorbaServiceDefinition`."""
+    definition = definition_class("EchoService", "urn:bench:echo")
+    definition.add_operation(_echo_signature(), lambda message: message)
+    return definition
+
+
+def _sde_echo_target(technology: str, cost_model: CostModel) -> tuple[ScenarioRuntime, Replica]:
     """The paper's SDE server desktop with a published live echo service."""
     runtime = (
         Scenario(sde_config=SDEConfig(cost_model=cost_model, publication_timeout=2.0))
@@ -83,18 +102,47 @@ def _sde_echo_world(technology: str, cost_model: CostModel) -> ScenarioRuntime:
         .build()
     )
     runtime.publish("EchoService")
-    return runtime
+    return runtime, runtime.replicas("EchoService")[0]
 
 
-def _measure(scheduler: Scheduler, call_once, calls: int) -> float:
+def _static_target(make_server) -> tuple[ScenarioRuntime, Replica]:
+    """A world whose server machine runs the static echo server
+    ``make_server(host)`` (the §7 export target), as a client stack's target."""
+    runtime = Scenario().build()
+    node = runtime.nodes[0]
+    server = make_server(node.host)
+    server.start()
+    return runtime, Replica("EchoService", 0, node, server)
+
+
+def _measure(
+    configuration: str,
+    technology: str,
+    runtime: ScenarioRuntime,
+    target: Replica,
+    calls: int,
+    cost_model: CostModel,
+) -> RttResult:
+    """Mean RTT of ``calls`` echo calls from the CDE's typed stub class,
+    over the technology's client stack on the slower client machine."""
+    binding = runtime.cde.connect(
+        partial(
+            BUILTIN_STACKS[technology], cost_model=cost_model, speed_factor=CLIENT_SPEED_FACTOR
+        ),
+        target,
+    )
+    stub = runtime.cde.create_stub_class(binding).new_stub_instance()
+    scheduler = runtime.world.scheduler
     total = 0.0
     for _ in range(calls):
         start = scheduler.now
-        result = call_once()
+        result = stub.echo(ECHO_PAYLOAD)
         if result != ECHO_PAYLOAD:
             raise AssertionError(f"echo returned {result!r}")
         total += scheduler.now - start
-    return total / calls
+    dynamic_server = isinstance(target.managed, ManagedServer)
+    paper_rtt = PAPER_TABLE1_RTT[configuration]
+    return RttResult(configuration, technology, dynamic_server, calls, total / calls, paper_rtt)
 
 
 # ---------------------------------------------------------------------------
@@ -103,98 +151,43 @@ def _measure(scheduler: Scheduler, call_once, calls: int) -> float:
 
 
 def run_static_soap(calls: int = 100, cost_model: CostModel | None = None) -> RttResult:
-    """Axis-Tomcat server / Axis client (both static)."""
+    """Axis-Tomcat/Axis: a static SOAP server."""
     cost_model = cost_model or era_2004_cost_model()
-    scheduler = Scheduler()
-    network = Network(scheduler, t1_lan_profile())
-    server_host = network.add_host("server")
-    client_host = network.add_host("client")
-
-    definition = SoapServiceDefinition("EchoService", "urn:bench:echo")
-    definition.add_operation(_echo_signature(), lambda message: message)
-    server = StaticSoapServer(server_host, 8080, definition, cost_model=cost_model)
-    server.start()
-
-    client = SoapClient(client_host, cost_model=cost_model, speed_factor=CLIENT_SPEED_FACTOR)
-    stub = client.connect(server.wsdl_url)
-    mean = _measure(scheduler, lambda: stub.echo(ECHO_PAYLOAD), calls)
-    return RttResult(
-        configuration="Axis-Tomcat/Axis",
-        technology="soap",
-        dynamic_server=False,
-        calls=calls,
-        mean_rtt=mean,
-        paper_rtt=PAPER_TABLE1_RTT["Axis-Tomcat/Axis"],
+    runtime, target = _static_target(
+        lambda host: StaticSoapServer(
+            host, STATIC_HTTP_PORT, _echo_definition(SoapServiceDefinition), cost_model
+        )
     )
+    return _measure("Axis-Tomcat/Axis", "soap", runtime, target, calls, cost_model)
 
 
 def run_sde_soap(calls: int = 100, cost_model: CostModel | None = None) -> RttResult:
-    """SDE SOAP server (live, running within JPie) / static Axis client."""
+    """SDE SOAP/Axis: the live SDE SOAP server, running within JPie."""
     cost_model = cost_model or era_2004_cost_model()
-    runtime = _sde_echo_world("soap", cost_model)
-    publisher = runtime.replicas("EchoService")[0].publisher
-    client = SoapClient(
-        runtime.world.add_client("client"), cost_model=cost_model, speed_factor=CLIENT_SPEED_FACTOR
-    )
-    stub = client.connect(publisher.document_url)
-    mean = _measure(runtime.world.scheduler, lambda: stub.echo(ECHO_PAYLOAD), calls)
-    return RttResult(
-        configuration="SDE SOAP/Axis",
-        technology="soap",
-        dynamic_server=True,
-        calls=calls,
-        mean_rtt=mean,
-        paper_rtt=PAPER_TABLE1_RTT["SDE SOAP/Axis"],
-    )
+    runtime, target = _sde_echo_target("soap", cost_model)
+    return _measure("SDE SOAP/Axis", "soap", runtime, target, calls, cost_model)
 
 
 def run_static_corba(calls: int = 100, cost_model: CostModel | None = None) -> RttResult:
-    """OpenORB server / OpenORB client (both static)."""
+    """OpenORB/OpenORB: a static CORBA server."""
     cost_model = cost_model or era_2004_cost_model()
-    scheduler = Scheduler()
-    network = Network(scheduler, t1_lan_profile())
-    server_host = network.add_host("server")
-    client_host = network.add_host("client")
-
-    definition = CorbaServiceDefinition("EchoService", "urn:bench:echo")
-    definition.add_operation(_echo_signature(), lambda message: message)
-    server = StaticCorbaServer(server_host, 9000, definition, cost_model=cost_model)
-    server.start()
-
-    client = StaticCorbaClient(
-        client_host, cost_model=cost_model, speed_factor=CLIENT_SPEED_FACTOR
+    runtime, target = _static_target(
+        lambda host: StaticCorbaServer(
+            host,
+            9000,
+            _echo_definition(CorbaServiceDefinition),
+            cost_model,
+            http_port=STATIC_HTTP_PORT,
+        )
     )
-    stub = client.connect(server.idl_document, server.ior)
-    mean = _measure(scheduler, lambda: stub.echo(ECHO_PAYLOAD), calls)
-    return RttResult(
-        configuration="OpenORB/OpenORB",
-        technology="corba",
-        dynamic_server=False,
-        calls=calls,
-        mean_rtt=mean,
-        paper_rtt=PAPER_TABLE1_RTT["OpenORB/OpenORB"],
-    )
+    return _measure("OpenORB/OpenORB", "corba", runtime, target, calls, cost_model)
 
 
 def run_sde_corba(calls: int = 100, cost_model: CostModel | None = None) -> RttResult:
-    """SDE CORBA server (live, running within JPie) / static OpenORB client."""
+    """SDE CORBA/OpenORB: the live SDE CORBA server, running within JPie."""
     cost_model = cost_model or era_2004_cost_model()
-    runtime = _sde_echo_world("corba", cost_model)
-    replica = runtime.replicas("EchoService")[0]
-    client = StaticCorbaClient(
-        runtime.world.add_client("client"), cost_model=cost_model, speed_factor=CLIENT_SPEED_FACTOR
-    )
-    idl_document = replica.node.sde.interface_server.document(replica.publisher.document_path)
-    stub = client.connect(idl_document, replica.call_handler.ior)  # type: ignore[attr-defined]
-    mean = _measure(runtime.world.scheduler, lambda: stub.echo(ECHO_PAYLOAD), calls)
-    return RttResult(
-        configuration="SDE CORBA/OpenORB",
-        technology="corba",
-        dynamic_server=True,
-        calls=calls,
-        mean_rtt=mean,
-        paper_rtt=PAPER_TABLE1_RTT["SDE CORBA/OpenORB"],
-    )
+    runtime, target = _sde_echo_target("corba", cost_model)
+    return _measure("SDE CORBA/OpenORB", "corba", runtime, target, calls, cost_model)
 
 
 def run_table1(calls: int = 100, cost_model: CostModel | None = None) -> list[RttResult]:

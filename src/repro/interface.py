@@ -74,10 +74,6 @@ class OperationSignature:
         """Number of formal parameters."""
         return len(self.parameters)
 
-    def parameter_types(self) -> tuple[RmiType, ...]:
-        """The parameter types in declaration order."""
-        return tuple(p.param_type for p in self.parameters)
-
     def describe(self) -> str:
         """A human-readable rendering, e.g. ``int add(int a, int b)``."""
         params = ", ".join(str(p) for p in self.parameters)

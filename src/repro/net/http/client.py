@@ -59,15 +59,6 @@ class HttpClient:
         """Issue a blocking GET request to ``url``."""
         return self.request("GET", url, headers=headers)
 
-    def post(
-        self,
-        url: str,
-        body: str,
-        headers: dict[str, str] | None = None,
-    ) -> HttpResponse:
-        """Issue a blocking POST request with ``body`` to ``url``."""
-        return self.request("POST", url, body=body, headers=headers)
-
     def request(
         self,
         method: str,
@@ -135,18 +126,18 @@ class HttpClient:
         request: PreparedRequest,
         body: bytes,
         decode: Callable[[HttpResponse], Any] | None = None,
+        delay: float = 0.0,
     ) -> Deferred:
-        """:meth:`request_async` for a prepared request and the body's UTF-8 bytes."""
+        """:meth:`request_async` for a prepared request and the body's UTF-8
+        bytes; a positive ``delay`` (client processing time) holds the
+        request back that many seconds."""
         return self.channel.request_async(
             request.destination,
             frame(request.head, request.tail, body),
             self._parse_response if decode is None else partial(_decoded, decode),
-            description=request.description,
+            request.description,
+            delay,
         )
-
-    def close(self) -> None:
-        """Close every kept-alive connection and release its port."""
-        self.channel.close()
 
     # -- helpers ------------------------------------------------------------
 

@@ -3,7 +3,9 @@
 A :class:`StaticSoapServer` hosts a fixed service implementation: the WSDL
 document is generated once at deployment time, served from
 ``GET /services/<name>?wsdl``, and SOAP calls are dispatched to statically
-bound Python callables.  There is no live update machinery; changing the
+bound Python callables.  Clients bind it like an SDE replica: the server
+is its own publisher, so a :class:`~repro.cluster.registry.Replica` built
+on it hands its WSDL URL to the fleet's SOAP client stack.  There is no live update machinery; changing the
 interface requires redeploying the server, exactly like the traditional
 development cycle the paper contrasts SDE with (§1, §3).
 
@@ -106,9 +108,14 @@ class StaticSoapServer:
         return f"http://{self.host.name}:{self.port}{self._service_path}"
 
     @property
-    def wsdl_url(self) -> str:
+    def document_url(self) -> str:
         """The URL from which the WSDL document is served."""
         return f"{self.endpoint_url}?wsdl"
+
+    @property
+    def publisher(self) -> "StaticSoapServer":
+        """The server publishes its own (fixed) WSDL document."""
+        return self
 
     def start(self) -> None:
         """Deploy: bind the HTTP server and begin accepting calls."""

@@ -127,6 +127,8 @@ def _toy_technology() -> Technology:
 class ToyProtocolClient(ProtocolClient):
     """Client-side stack for the toy protocol: plain-text POSTs."""
 
+    technology = TOY
+
     def __init__(self, host, index, replicas):
         super().__init__(host, index, replicas)
         self.documents = {}

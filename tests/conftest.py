@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 
 import pytest
 
 from repro.cluster import Scenario, op
+from repro.cluster.protocols import BUILTIN_STACKS
+from repro.cluster.registry import Replica
 from repro.core.sde import SDEConfig
 from repro.net import Network, loopback_profile, t1_lan_profile
 from repro.net.latency import era_2004_cost_model
@@ -70,6 +73,26 @@ def lan_network(scheduler: Scheduler) -> Network:
     net.add_host("server")
     net.add_host("client")
     return net
+
+
+@pytest.fixture
+def static_world():
+    """``build(make_server, technology, **stack_options)``: start the static
+    server ``make_server(host)`` on a fresh one-server world's server
+    machine and bind the CDE to it through the technology's client stack
+    (built with ``stack_options``, e.g. ``cost_model``); returns
+    ``(runtime, server, binding)``."""
+
+    def build(make_server, technology, **stack_options):
+        runtime = Scenario().build()
+        node = runtime.nodes[0]
+        server = make_server(node.host)
+        server.start()
+        target = Replica(server.description.service_name, 0, node, server)
+        stack = partial(BUILTIN_STACKS[technology], **stack_options)
+        return runtime, server, runtime.cde.connect(stack, target)
+
+    return build
 
 
 @pytest.fixture

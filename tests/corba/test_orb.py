@@ -3,7 +3,7 @@
 import pytest
 
 from repro.corba.dsi import DynamicServant, ServerRequest
-from repro.corba.orb import ClientOrb, ServerOrb
+from repro.corba.orb import ClientOrb, RemoteObjectReference, ServerOrb
 from repro.corba.poa import PortableObjectAdapter
 from repro.corba.servant import StaticServant
 from repro.errors import CorbaSystemException, CorbaUserException
@@ -84,7 +84,7 @@ class TestStaticServant:
 class TestRemoteInvocation:
     def test_successful_call(self, network, scheduler):
         orb, client_orb, _servant = build_static_world(network)
-        reference = client_orb.object_for(orb.object_reference("Calculator"))
+        reference = RemoteObjectReference(client_orb, orb.object_reference("Calculator"))
         assert reference.invoke("add", 2, 3) == 5
         assert orb.requests_handled == 1
 
@@ -96,7 +96,7 @@ class TestRemoteInvocation:
 
     def test_user_exception_propagates(self, network, scheduler):
         orb, client_orb, _servant = build_static_world(network)
-        reference = client_orb.object_for(orb.object_reference("Calculator"))
+        reference = RemoteObjectReference(client_orb, orb.object_reference("Calculator"))
         with pytest.raises(CorbaUserException) as excinfo:
             reference.invoke("fail", "mailbox full")
         assert excinfo.value.type_name == "MailError"
@@ -105,7 +105,7 @@ class TestRemoteInvocation:
 
     def test_unexpected_exception_becomes_system_exception(self, network, scheduler):
         orb, client_orb, _servant = build_static_world(network)
-        reference = client_orb.object_for(orb.object_reference("Calculator"))
+        reference = RemoteObjectReference(client_orb, orb.object_reference("Calculator"))
         with pytest.raises(CorbaSystemException) as excinfo:
             reference.invoke("crash")
         assert excinfo.value.name == "UNKNOWN"
@@ -119,7 +119,7 @@ class TestRemoteInvocation:
             raise KeyboardInterrupt
 
         servant.register(OperationSignature("interrupt", (), STRING), interrupted)
-        reference = client_orb.object_for(orb.object_reference("Calculator"))
+        reference = RemoteObjectReference(client_orb, orb.object_reference("Calculator"))
         deferred = reference.invoke_async("interrupt")
         with pytest.raises(KeyboardInterrupt):
             scheduler.run_until_idle()
@@ -128,7 +128,7 @@ class TestRemoteInvocation:
 
     def test_unknown_operation_is_bad_operation(self, network, scheduler):
         orb, client_orb, _servant = build_static_world(network)
-        reference = client_orb.object_for(orb.object_reference("Calculator"))
+        reference = RemoteObjectReference(client_orb, orb.object_reference("Calculator"))
         with pytest.raises(CorbaSystemException) as excinfo:
             reference.invoke("nonexistent")
         assert excinfo.value.name == "BAD_OPERATION"
@@ -140,19 +140,19 @@ class TestRemoteInvocation:
 
         wrong = IOR(ior.type_id, ior.host, ior.port, "Ghost")
         with pytest.raises(CorbaSystemException) as excinfo:
-            client_orb.object_for(wrong).invoke("add", 1, 2)
+            RemoteObjectReference(client_orb, wrong).invoke("add", 1, 2)
         assert excinfo.value.name == "OBJECT_NOT_EXIST"
 
     def test_stopped_orb_unreachable(self, network, scheduler):
         orb, client_orb, _servant = build_static_world(network)
-        reference = client_orb.object_for(orb.object_reference("Calculator"))
+        reference = RemoteObjectReference(client_orb, orb.object_reference("Calculator"))
         orb.stop()
         with pytest.raises(Exception):
             reference.invoke("add", 1, 2)
 
     def test_sequential_calls_have_distinct_request_ids(self, network, scheduler):
         orb, client_orb, _servant = build_static_world(network)
-        reference = client_orb.object_for(orb.object_reference("Calculator"))
+        reference = RemoteObjectReference(client_orb, orb.object_reference("Calculator"))
         assert [reference.invoke("add", i, i) for i in range(3)] == [0, 2, 4]
         assert client_orb.calls_made == 3
 
@@ -170,7 +170,7 @@ class TestDsi:
         orb = ServerOrb(network.host("server"), 9000, poa=poa)
         orb.start()
         client_orb = ClientOrb(network.host("client"))
-        reference = client_orb.object_for(orb.object_reference("Dyn"))
+        reference = RemoteObjectReference(client_orb, orb.object_reference("Dyn"))
         assert reference.invoke("anything", 1, "two") == "handled anything"
         assert seen == [("anything", (1, "two"))]
 
@@ -184,7 +184,7 @@ class TestDsi:
         orb.start()
         client_orb = ClientOrb(network.host("client"))
         with pytest.raises(CorbaUserException):
-            client_orb.object_for(orb.object_reference("Dyn")).invoke("x")
+            RemoteObjectReference(client_orb, orb.object_reference("Dyn")).invoke("x")
 
     def test_handler_must_complete_request(self):
         request = ServerRequest("op", [])
@@ -205,7 +205,7 @@ class TestDsi:
         orb.start()
         scheduler.schedule(1.0, lambda: deferred_holder[0].complete("late result"))
         client_orb = ClientOrb(network.host("client"))
-        result = client_orb.object_for(orb.object_reference("Dyn")).invoke("slow")
+        result = RemoteObjectReference(client_orb, orb.object_reference("Dyn")).invoke("slow")
         assert result == "late result"
         assert scheduler.now >= 1.0
 
@@ -216,7 +216,7 @@ class TestConnectionRecovery:
         next call after a restart correlates correctly instead of matching
         the dead call's stale FIFO expectation."""
         orb, client_orb, _servant = build_static_world(network)
-        reference = client_orb.object_for(orb.object_reference("Calculator"))
+        reference = RemoteObjectReference(client_orb, orb.object_reference("Calculator"))
         assert reference.invoke("add", 1, 2) == 3
 
         orb.stop()
@@ -228,7 +228,7 @@ class TestConnectionRecovery:
 
     def test_user_exception_keeps_connection_usable(self, network, scheduler):
         orb, client_orb, _servant = build_static_world(network)
-        reference = client_orb.object_for(orb.object_reference("Calculator"))
+        reference = RemoteObjectReference(client_orb, orb.object_reference("Calculator"))
         with pytest.raises(CorbaUserException):
             reference.invoke("fail", "nope")
         assert reference.invoke("add", 2, 2) == 4
@@ -241,7 +241,7 @@ class TestConnectionRecovery:
             OperationSignature("weird", (), STRING),
             lambda: object(),
         )
-        reference = client_orb.object_for(orb.object_reference("Calculator"))
+        reference = RemoteObjectReference(client_orb, orb.object_reference("Calculator"))
         with pytest.raises(CorbaSystemException):
             reference.invoke("weird")
         assert reference.invoke("add", 1, 1) == 2

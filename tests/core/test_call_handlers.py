@@ -124,7 +124,7 @@ class TestSoapCallHandler:
         runtime, replica = _calculator(fast_scenario)
         handler = replica.call_handler
         client = HttpClient(runtime.cde.host)
-        response = client.post(handler.endpoint_url, "this is not xml")
+        response = client.request("POST", handler.endpoint_url, "this is not xml")
         parsed = SoapResponse.from_xml(response.body)
         assert parsed.is_fault
         assert parsed.fault.fault_string == FaultCodes.MALFORMED_REQUEST
@@ -173,8 +173,8 @@ class TestSoapCallHandler:
 
         responses = {}
         scheduler = runtime.world.scheduler
-        scheduler.schedule(0.0, lambda: responses.update(stale=client_a.post(handler.endpoint_url, stale.to_xml())))
-        scheduler.schedule(0.001, lambda: responses.update(valid=client_b.post(handler.endpoint_url, valid.to_xml())))
+        scheduler.schedule(0.0, lambda: responses.update(stale=client_a.request("POST", handler.endpoint_url, stale.to_xml())))
+        scheduler.schedule(0.001, lambda: responses.update(valid=client_b.request("POST", handler.endpoint_url, valid.to_xml())))
         scheduler.run_until_idle()
 
         stale_response = SoapResponse.from_xml(responses["stale"].body)

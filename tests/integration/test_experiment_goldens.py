@@ -23,10 +23,10 @@ from repro.experiments.table1 import run_table1
 def test_table1_mean_rtts():
     results = run_table1(calls=20)
     assert [(r.configuration, r.mean_rtt) for r in results] == [
-        ("SDE SOAP/Axis", 0.5478194300518134),
-        ("Axis-Tomcat/Axis", 0.5010176165803107),
-        ("SDE CORBA/OpenORB", 0.4876101865284972),
-        ("OpenORB/OpenORB", 0.40261018652849756),
+        ("SDE SOAP/Axis", 0.5476225388601031),
+        ("Axis-Tomcat/Axis", 0.5008466321243523),
+        ("SDE CORBA/OpenORB", 0.4876101865284973),
+        ("OpenORB/OpenORB", 0.4026101865284975),
     ]
 
 

@@ -3,11 +3,13 @@
 import pytest
 
 from repro.cluster import op
-from repro.corba import CorbaServiceDefinition, StaticCorbaServer, StaticCorbaClient
+from repro.cluster.protocols import BUILTIN_STACKS
+from repro.cluster.registry import Replica
+from repro.corba import CorbaServiceDefinition, StaticCorbaServer
 from repro.errors import NonExistentMethodError
 from repro.jpie import export_operation_table
 from repro.rmitypes import DOUBLE, FieldDef, INT, STRING, StructType
-from repro.soap import SoapServiceDefinition, StaticSoapServer, SoapClient
+from repro.soap import SoapServiceDefinition, StaticSoapServer
 
 
 def calculator_operations():
@@ -157,8 +159,9 @@ class TestExportToStaticServers:
             definition.add_operation(signature, implementation)
         static_server = StaticSoapServer(runtime.nodes[0].host, 8200, definition)
         static_server.start()
-        client = SoapClient(runtime.cde.host)
-        stub = client.connect(static_server.wsdl_url)
+        target = Replica("CalculatorExport", 0, runtime.nodes[0], static_server)
+        binding = runtime.cde.connect(BUILTIN_STACKS["soap"], target)
+        stub = runtime.cde.create_stub_class(binding).new_stub_instance()
         assert stub.add(5, 6) == 11
 
     def test_export_corba_server(self, fast_scenario):
@@ -173,10 +176,11 @@ class TestExportToStaticServers:
             managed.dynamic_class, managed.instance
         ):
             definition.add_operation(signature, implementation)
-        static_server = StaticCorbaServer(runtime.nodes[0].host, 9300, definition)
+        static_server = StaticCorbaServer(runtime.nodes[0].host, 9300, definition, http_port=8200)
         static_server.start()
-        client = StaticCorbaClient(runtime.cde.host)
-        stub = client.connect(static_server.idl_document, static_server.ior)
+        target = Replica("CalculatorExport", 0, runtime.nodes[0], static_server)
+        binding = runtime.cde.connect(BUILTIN_STACKS["corba"], target)
+        stub = runtime.cde.create_stub_class(binding).new_stub_instance()
         assert stub.add(7, 8) == 15
 
 

@@ -155,7 +155,7 @@ class TestHttpServerAndClient:
 
         self._serve(network, handler)
         client = HttpClient(network.host("client"))
-        client.post("http://server:8080/test", "payload")
+        client.request("POST", "http://server:8080/test", "payload")
         assert seen == ["payload"]
 
     def test_unknown_route_is_404(self, network, scheduler):
@@ -190,13 +190,13 @@ class TestHttpServerAndClient:
         )
         server.start()
         client = HttpClient(network.host("client"))
-        assert client.post("http://server:8080/docs/x", "body").status == 404
+        assert client.request("POST", "http://server:8080/docs/x", "body").status == 404
         assert client.get("http://server:8080/docs/x").body == "docs"
 
     def test_exact_route_scoped_by_method(self, network, scheduler):
         self._serve(network, lambda request: HttpResponse.ok_text("x"), methods=("GET",))
         client = HttpClient(network.host("client"))
-        assert client.post("http://server:8080/test", "body").status == 404
+        assert client.request("POST", "http://server:8080/test", "body").status == 404
 
     def test_exact_route_beats_an_earlier_prefix_route(self, network, scheduler):
         server = HttpServer(network.host("server"), 8080)

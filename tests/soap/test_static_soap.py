@@ -1,24 +1,19 @@
-"""Tests for the static SOAP server/client baseline (the "Axis" stack)."""
+"""Tests for the static SOAP server baseline (the "Axis" stack) and the
+client cost of the fleet's SOAP stack that Table 1 calls it through."""
 
 import pytest
 
-from repro.errors import SoapError, SoapFaultError
+from repro.cluster.protocols import SoapProtocolClient
+from repro.errors import NonExistentMethodError, RemoteApplicationError, SoapError
 from repro.interface import OperationSignature, Parameter
-from repro.net import Network, t1_lan_profile
 from repro.net.latency import era_2004_cost_model
 from repro.rmitypes import DOUBLE, FieldDef, INT, STRING, StructType
-from repro.sim import Scheduler
-from repro.soap import SoapClient, SoapServiceDefinition, StaticSoapServer
+from repro.soap import SoapServiceDefinition, StaticSoapServer
 
 POINT = StructType("Point", (FieldDef("x", DOUBLE), FieldDef("y", DOUBLE)))
 
 
-def build_world(cost_model=None, latency=None):
-    scheduler = Scheduler()
-    network = Network(scheduler, latency or t1_lan_profile())
-    server_host = network.add_host("server")
-    client_host = network.add_host("client")
-
+def calculator(host, cost_model=None):
     definition = SoapServiceDefinition("Calculator", "urn:calc")
     definition.structs.append(POINT)
     definition.add_operation(
@@ -33,10 +28,26 @@ def build_world(cost_model=None, latency=None):
         OperationSignature("fail", (Parameter("reason", STRING),), STRING),
         lambda reason: (_ for _ in ()).throw(RuntimeError(reason)),
     )
-    server = StaticSoapServer(server_host, 8080, definition, cost_model=cost_model)
-    server.start()
-    client = SoapClient(client_host, cost_model=cost_model)
-    return scheduler, server, client
+    definition.add_operation(
+        OperationSignature("echo", (Parameter("m", STRING),), STRING), lambda m: m
+    )
+    return StaticSoapServer(host, 8180, definition, cost_model=cost_model)
+
+
+@pytest.fixture
+def build_world(static_world):
+    """``(runtime, server, binding)`` for a CDE bound to a static calculator."""
+
+    def build(server_cost=None, **stack_options):
+        return static_world(lambda host: calculator(host, server_cost), "soap", **stack_options)
+
+    return build
+
+
+def rtt(runtime, binding, operation, *arguments):
+    start = runtime.world.now
+    binding.invoke(operation, *arguments)
+    return runtime.world.now - start
 
 
 class TestServiceDefinition:
@@ -57,103 +68,98 @@ class TestServiceDefinition:
 
 
 class TestStaticRoundTrips:
-    def test_wsdl_served_over_http(self):
-        _scheduler, server, client = build_world()
-        document = client.fetch_wsdl(server.wsdl_url)
+    def test_wsdl_served_over_http(self, build_world):
+        _runtime, server, binding = build_world()
+        document = binding.stack.fetch(server.document_url)
+        assert server.document_url == f"{server.endpoint_url}?wsdl"
         assert "Calculator" in document
         assert server.endpoint_url in document
+        assert binding.description.operation_names() == server.description.operation_names()
 
-    def test_connect_and_call(self):
-        _scheduler, server, client = build_world()
-        stub = client.connect(server.wsdl_url)
+    def test_connect_and_call(self, build_world):
+        runtime, server, binding = build_world()
+        stub = runtime.cde.create_stub_class(binding).new_stub_instance()
         assert stub.add(2, 3) == 5
         assert server.calls_served == 1
 
-    def test_struct_argument(self):
-        _scheduler, server, client = build_world()
-        stub = client.connect(server.wsdl_url)
+    def test_struct_argument(self, build_world):
+        runtime, _server, binding = build_world()
+        stub = runtime.cde.create_stub_class(binding).new_stub_instance()
         assert stub.norm({"x": 3.0, "y": 4.0}) == pytest.approx(5.0)
 
-    def test_invoke_by_name(self):
-        _scheduler, server, client = build_world()
-        client.connect(server.wsdl_url)
-        assert client.invoke("add", 10, 20) == 30
+    def test_invoke_by_name(self, build_world):
+        _runtime, _server, binding = build_world()
+        assert binding.invoke("add", 10, 20) == 30
 
-    def test_application_exception_becomes_fault(self):
-        _scheduler, server, client = build_world()
-        client.connect(server.wsdl_url)
-        with pytest.raises(SoapFaultError) as excinfo:
-            client.invoke("fail", "kaput")
-        assert "kaput" in str(excinfo.value)
+    def test_application_exception_becomes_fault(self, build_world):
+        _runtime, server, binding = build_world()
+        with pytest.raises(RemoteApplicationError, match="kaput"):
+            binding.invoke("fail", "kaput")
         assert server.faults_returned == 1
 
-    def test_unknown_operation_fault(self):
-        _scheduler, server, client = build_world()
-        client.connect(server.wsdl_url)
-        from repro.soap.envelope import SoapRequest
+    def test_unknown_operation_fault(self, build_world):
+        """The server, not the client, decides whether an operation exists:
+        the binding sends the call and takes the §6 stale-call path."""
+        _runtime, server, binding = build_world()
+        with pytest.raises(NonExistentMethodError):
+            binding.invoke("subtract", 1, 2)
+        assert server.faults_returned == 1
+        assert binding.stats["stale"] == 1
 
-        response = client.call_raw(SoapRequest.for_call("subtract", (1, 2), namespace="urn:calc"))
-        assert response.is_fault
-        assert response.fault.is_non_existent_method
+    def test_call_before_connect_rejected(self, build_world):
+        """A stack calls only a replica whose WSDL it has bound."""
+        runtime, _server, binding = build_world()
+        stack = SoapProtocolClient(runtime.cde.host, 1, (binding.replica,))
+        with pytest.raises(KeyError):
+            stack.call(binding.replica, "add", (1, 2))
+        assert stack.http.requests_sent == 0
 
-    def test_call_before_connect_rejected(self):
-        _scheduler, _server, client = build_world()
-        with pytest.raises(SoapError):
-            client.invoke("add", 1, 2)
+    def test_refresh_rebuilds_stub(self, build_world):
+        runtime, _server, binding = build_world()
+        stubs = runtime.cde.create_stub_class(binding)
+        first = binding.description
+        delta = binding.refresh()
+        assert delta.empty
+        assert binding.description == first
+        assert set(stubs.operation_names) == {"add", "norm", "fail", "echo"}
+        assert stubs.updates_applied == 2
 
-    def test_refresh_rebuilds_stub(self):
-        _scheduler, server, client = build_world()
-        first = client.connect(server.wsdl_url)
-        second = client.refresh(server.wsdl_url)
-        assert first is not second
-        assert set(second.operation_names) == set(first.operation_names)
-
-    def test_stopped_server_unreachable(self):
-        _scheduler, server, client = build_world()
-        client.connect(server.wsdl_url)
+    def test_stopped_server_unreachable(self, build_world):
+        _runtime, server, binding = build_world()
         server.stop()
         with pytest.raises(Exception):
-            client.invoke("add", 1, 2)
+            binding.invoke("add", 1, 2)
 
 
 class TestCostAccounting:
-    def test_cost_model_increases_rtt(self):
-        scheduler_fast, server_fast, client_fast = build_world(cost_model=None)
-        stub_fast = client_fast.connect(server_fast.wsdl_url)
-        start = scheduler_fast.now
-        stub_fast.add(1, 2)
-        fast_rtt = scheduler_fast.now - start
-
-        scheduler_slow, server_slow, client_slow = build_world(cost_model=era_2004_cost_model())
-        stub_slow = client_slow.connect(server_slow.wsdl_url)
-        start = scheduler_slow.now
-        stub_slow.add(1, 2)
-        slow_rtt = scheduler_slow.now - start
-
-        assert slow_rtt > fast_rtt
-
-    def test_client_speed_factor_scales_cost(self):
+    def test_cost_model_increases_rtt(self, build_world):
+        fast_runtime, _server, fast = build_world()
         cost = era_2004_cost_model()
-        scheduler = Scheduler()
-        network = Network(scheduler, t1_lan_profile())
-        server_host = network.add_host("server")
-        client_a = network.add_host("client")
-        definition = SoapServiceDefinition("Echo", "urn:echo")
-        definition.add_operation(
-            OperationSignature("echo", (Parameter("m", STRING),), STRING), lambda m: m
-        )
-        server = StaticSoapServer(server_host, 8080, definition, cost_model=cost)
-        server.start()
+        slow_runtime, _server, slow = build_world(cost_model=cost)
+        assert rtt(slow_runtime, slow, "add", 1, 2) > rtt(fast_runtime, fast, "add", 1, 2)
 
-        slow_client = SoapClient(client_a, cost_model=cost, speed_factor=4.0)
-        stub = slow_client.connect(server.wsdl_url)
-        start = scheduler.now
-        stub.echo("hi")
-        slow_rtt = scheduler.now - start
+    def test_client_speed_factor_scales_cost(self, build_world):
+        cost = era_2004_cost_model()
+        slow_runtime, _server, slow = build_world(cost, cost_model=cost, speed_factor=4.0)
+        fast_runtime, _server, fast = build_world(cost, cost_model=cost, speed_factor=1.0)
+        assert rtt(slow_runtime, slow, "echo", "hi") > rtt(fast_runtime, fast, "echo", "hi")
 
-        fast_client = SoapClient(client_a, cost_model=cost, speed_factor=1.0)
-        stub = fast_client.connect(server.wsdl_url)
+    def test_charges_are_exact_delays_on_the_call_path(self, build_world):
+        """The request leaves ``text_processing(len(wire)) × k`` after the
+        call, and the call resolves ``text_processing(len(body)) × k`` after
+        the reply arrives; ``call`` itself advances no time."""
+        cost, k = era_2004_cost_model(), 2.5
+        runtime, _server, binding = build_world(cost_model=cost, speed_factor=k)
+        network = runtime.world.network
+        network.record_deliveries = True
+        scheduler = runtime.world.scheduler
         start = scheduler.now
-        stub.echo("hi")
-        fast_rtt = scheduler.now - start
-        assert slow_rtt > fast_rtt
+        deferred = binding.stack.call(binding.replica, "echo", ("hi",))
+        assert not deferred.completed
+        assert scheduler.now == start
+        assert deferred.wait(scheduler).return_value == "hi"
+        post, reply = network.delivered_messages
+        wire = post.payload.split(b"\r\n\r\n", 1)[1]
+        body = reply.payload.split(b"\r\n\r\n", 1)[1].decode()
+        assert post.sent_at == start + cost.text_processing(len(wire)) * k
+        assert scheduler.now == reply.delivered_at + cost.text_processing(len(body)) * k

@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.errors import SoapError, WsdlError
+from repro.errors import MemberNotFoundError, SignatureError, WsdlError
 from repro.interface import InterfaceDescription, OperationSignature, Parameter
 from repro.rmitypes import ArrayType, DOUBLE, FieldDef, INT, STRING, StructType, VOID
-from repro.soap.envelope import SoapResponse
+from repro.soap import SoapResponse, SoapServiceDefinition, StaticSoapServer
 from repro.soap.wsdl import generate_wsdl, parse_wsdl
-from repro.soap.wsdl.compiler import CompiledStub
 
 
 POINT = StructType("Point", (FieldDef("x", DOUBLE), FieldDef("y", DOUBLE)))
@@ -114,58 +113,79 @@ class TestParsing:
             parse_wsdl('<?xml version="1.0"?><wsdl:definitions xmlns:wsdl="http://schemas.xmlsoap.org/wsdl/"/>')
 
 
+def static_calculator(host):
+    """A static server deploying :func:`build_description`'s operations."""
+    implementations = {
+        "add": lambda a, b: a + b,
+        "greet": lambda name: f"hi {name}",
+        "norm": lambda p: (p["x"] ** 2 + p["y"] ** 2) ** 0.5,
+        "tags": lambda: ["a", "b"],
+        "reset": lambda: None,
+    }
+    description = build_description()
+    definition = SoapServiceDefinition(
+        description.service_name, description.namespace, structs=[POINT, SEGMENT]
+    )
+    for operation in description.operations:
+        definition.add_operation(operation, implementations[operation.name])
+    return StaticSoapServer(host, 8180, definition)
+
+
 class TestStubCompilation:
-    def _transport_recording(self, result_value=5, return_type=INT):
-        calls = []
+    """The ``WSDL2Java`` analogue: the CDE's stub class, built from the SOAP
+    stack's bind of a static server's WSDL; it checks every call before
+    anything is sent."""
 
-        def transport(request):
-            calls.append(request)
-            return SoapResponse.for_result(request.operation, result_value, return_type)
+    @pytest.fixture
+    def compiled(self, static_world):
+        runtime, server, binding = static_world(static_calculator, "soap")
+        stubs = runtime.cde.create_stub_class(binding)
+        return server, binding.stack.http, stubs, stubs.new_stub_instance()
 
-        return calls, transport
+    def test_stub_exposes_operations(self, compiled):
+        _server, _http, stubs, _stub = compiled
+        assert set(stubs.operation_names) == {"add", "greet", "norm", "tags", "reset"}
 
-    def test_stub_exposes_operations(self):
-        calls, transport = self._transport_recording()
-        stub = CompiledStub(build_description(), transport)
-        assert set(stub.operation_names) == {"add", "greet", "norm", "tags", "reset"}
-
-    def test_attribute_style_invocation(self):
-        calls, transport = self._transport_recording()
-        stub = CompiledStub(build_description(), transport)
+    def test_attribute_style_invocation(self, compiled):
+        server, _http, _stubs, stub = compiled
         assert stub.add(2, 3) == 5
-        assert calls[0].operation == "add"
-        assert calls[0].arguments == (2, 3)
+        assert stub.norm({"x": 3.0, "y": 4.0}) == 5.0
+        assert server.calls_served == 2
 
-    def test_invoke_by_name(self):
-        calls, transport = self._transport_recording("hi", STRING)
-        stub = CompiledStub(build_description(), transport)
-        assert stub.invoke("greet", "bob") == "hi"
+    def test_invoke_by_name(self, compiled):
+        _server, _http, _stubs, stub = compiled
+        assert stub.invoke("greet", "bob") == "hi bob"
 
-    def test_arity_checked_before_transport(self):
-        calls, transport = self._transport_recording()
-        stub = CompiledStub(build_description(), transport)
-        with pytest.raises(SoapError):
+    def test_arity_checked_before_transport(self, compiled):
+        server, http, _stubs, stub = compiled
+        sent = http.requests_sent
+        with pytest.raises(SignatureError):
             stub.add(1)
-        assert calls == []
+        assert server.calls_served == 0
+        assert http.requests_sent == sent
 
-    def test_argument_types_checked(self):
-        calls, transport = self._transport_recording()
-        stub = CompiledStub(build_description(), transport)
-        with pytest.raises(Exception):
+    def test_argument_types_checked(self, compiled):
+        server, http, _stubs, stub = compiled
+        sent = http.requests_sent
+        with pytest.raises(SignatureError):
             stub.add("one", 2)
-        assert calls == []
+        assert server.calls_served == 0
+        assert http.requests_sent == sent
 
-    def test_unknown_operation_raises(self):
-        _calls, transport = self._transport_recording()
-        stub = CompiledStub(build_description(), transport)
-        with pytest.raises(SoapError):
+    def test_unknown_operation_raises(self, compiled):
+        server, http, _stubs, stub = compiled
+        sent = http.requests_sent
+        with pytest.raises(MemberNotFoundError):
             stub.invoke("subtract", 1, 2)
         with pytest.raises(AttributeError):
             stub.subtract
+        assert server.calls_served == 0
+        assert http.requests_sent == sent
 
-    def test_call_count_tracked(self):
-        _calls, transport = self._transport_recording()
-        stub = CompiledStub(build_description(), transport)
+    def test_call_count_tracked(self, compiled):
+        server, _http, stubs, stub = compiled
         stub.add(1, 2)
         stub.add(3, 4)
-        assert stub.method("add").call_count == 2
+        assert stubs.stub_class.method("add").invocation_count == 2
+        assert server.calls_served == 2
+
