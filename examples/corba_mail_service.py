@@ -17,8 +17,8 @@ Run with:  python examples/corba_mail_service.py
 from repro.cluster import Scenario
 from repro.cluster.protocols import BUILTIN_STACKS
 from repro.cluster.registry import Replica
-from repro.corba import CorbaServiceDefinition, StaticCorbaServer
-from repro.interface import Parameter
+from repro.corba import StaticCorbaServer
+from repro.interface import Parameter, ServiceDefinition
 from repro.jpie import export_operation_table
 from repro.rmitypes import BOOLEAN, FieldDef, INT, STRING, ArrayType, StructType
 
@@ -88,7 +88,7 @@ def main() -> None:
 
     # -- end of development: export to a static CORBA server (§7) -------------
     instance = sde.managed_server("MailService").instance
-    definition = CorbaServiceDefinition("MailServiceRelease", "urn:mail:release")
+    definition = ServiceDefinition("MailServiceRelease", "urn:mail:release")
     definition.structs.append(MESSAGE)
     for signature, implementation in export_operation_table(mail, instance):
         definition.add_operation(signature, implementation)

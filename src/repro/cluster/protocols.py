@@ -44,7 +44,8 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.core.sde.corba_handler import EXC_NON_EXISTENT_METHOD, EXC_SERVER_NOT_INITIALIZED
 from repro.corba.idl import parse_idl
-from repro.corba.orb import ClientOrb, RemoteObjectReference
+from repro.corba.ior import IOR
+from repro.corba.orb import ClientOrb
 from repro.errors import ClusterError, CorbaUserException, MiddlewareError
 from repro.evolve.graph import ClientBinding
 from repro.net.http import HttpClient, HttpResponse, PreparedRequest
@@ -261,7 +262,7 @@ class CorbaProtocolClient(ProtocolClient):
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self.orb: ClientOrb | None = None
-        self._remotes: dict[int, RemoteObjectReference] = {}
+        self._iors: dict[int, IOR] = {}
 
     def prepare_replica(self, replica: "Replica") -> None:
         document = self.fetch(replica.publisher.document_url)
@@ -269,16 +270,17 @@ class CorbaProtocolClient(ProtocolClient):
         if self.orb is None:
             self.orb = ClientOrb(self.host, self.cost_model, self.speed_factor)
         ior_text = self.fetch(replica.publisher.ior_url)  # type: ignore[attr-defined]
-        self._remotes[replica.index] = self.orb.string_to_object(ior_text.strip())
+        self._iors[replica.index] = IOR.from_string(ior_text.strip())
 
     def call(self, replica: "Replica", operation: str, arguments: tuple[Any, ...]) -> Deferred:
-        return self._remotes[replica.index].invoke_async(operation, *arguments)
+        ior = self._iors[replica.index]
+        return self.orb.invoke_async(ior, operation, arguments)
 
     def reset_replica(self, replica: "Replica") -> None:
-        remote = self._remotes.get(replica.index)
-        if remote is None or self.orb is None:
+        ior = self._iors.get(replica.index)
+        if ior is None or self.orb is None:
             return
-        self.orb.channel.reset(Address(remote.ior.host, remote.ior.port))
+        self.orb.channel.reset(Address(ior.host, ior.port))
 
     def rebind_replica(self, replica: "Replica") -> Deferred:
         # The IOR survives republication (the endpoint keeps its port), so a

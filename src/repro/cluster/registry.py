@@ -155,31 +155,10 @@ class ReplicaPolicy:
     ) -> list[tuple[Replica, int]]:
         """Distribute ``count`` calls from one flow; ``[(replica, n), ...]``.
 
-        Built-in policies override this with closed-form O(replicas)
-        implementations equivalent to ``count`` repeated :meth:`select`
-        calls.  This default keeps third-party policies working by looping
-        ``select`` over the usable subset — O(count), correct but slow for
-        large flows (positional policies that override :meth:`select` only
-        see the filtered list here, matching the tiered-candidate narrowing
-        :class:`ServiceEntry` already performs).
+        Equivalent to ``count`` repeated :meth:`select` calls over the
+        usable replicas; each policy gives it in closed form, O(replicas).
         """
-        if count <= 0:
-            return []
-        pool = replicas if usable is None else [r for r in replicas if usable(r)]
-        if not pool:
-            service = replicas[0].service if replicas else "?"
-            raise NoAliveReplicaError(f"every replica of {service!r} is down")
-        shares: dict[int, int] = {}
-        order: list[Replica] = []
-        for _ in range(count):
-            replica = self.select(pool, client_key)
-            key = id(replica)
-            if key in shares:
-                shares[key] += 1
-            else:
-                shares[key] = 1
-                order.append(replica)
-        return [(replica, shares[id(replica)]) for replica in order]
+        raise NotImplementedError
 
 
 def _usable_positions(

@@ -9,14 +9,13 @@ The :class:`ServerOrb` is a GIOP codec over the shared transport layer: a
 :class:`~repro.net.transport.Endpoint` owns the IIOP port, the per-connection
 FIFO reply ordering and the drop-after-stop accounting, while the ORB parses
 GIOP Requests, locates the servant through the object adapter and encodes
-GIOP Replies.  The :class:`ClientOrb` turns an IOR into a
-:class:`RemoteObjectReference` whose :meth:`~RemoteObjectReference.invoke`
-performs a blocking remote call over a persistent
-:class:`~repro.net.transport.ClientChannel` connection;
-:meth:`ClientOrb.invoke_async` is the non-blocking variant used by the
-multi-client workload driver.  CPU cost for marshalling and dispatch is
-charged to the virtual clock through the optional
-:class:`~repro.net.latency.CostModel`.
+GIOP Replies.  The :class:`ClientOrb` sends every request with
+:meth:`ClientOrb.invoke_async`: one GIOP Request to the object an IOR
+names, over a persistent :class:`~repro.net.transport.ClientChannel`
+connection, answered by the request's one
+:class:`~repro.net.transport.Deferred` (a blocking caller waits on it).
+CPU cost for marshalling and dispatch is charged to the virtual clock
+through the optional :class:`~repro.net.latency.CostModel`.
 """
 
 from __future__ import annotations
@@ -152,13 +151,14 @@ class ServerOrb:
         extra_delay: float,
     ) -> tuple[bytes, float]:
         if error is None:
-            self.requests_handled += 1
             try:
                 reply = ReplyMessage(request_id, ReplyStatus.NO_EXCEPTION, marshal_values((value,)))
             except Exception as marshal_error:  # noqa: BLE001 - e.g. unmarshallable result
                 # A result the CDR layer cannot encode must still produce a
                 # reply, or the client (and this connection's FIFO) hangs.
                 reply = self._exception_reply(request_id, marshal_error)
+            else:
+                self.requests_handled += 1
         else:
             reply = self._exception_reply(request_id, error)
         if self.cost_model is not None:
@@ -190,25 +190,6 @@ class ServerOrb:
         return f"ServerOrb({self.host.name}:{self.port}, {state})"
 
 
-class RemoteObjectReference:
-    """A client-side reference to a remote CORBA object."""
-
-    def __init__(self, orb: "ClientOrb", ior: IOR) -> None:
-        self.orb = orb
-        self.ior = ior
-
-    def invoke(self, operation: str, *arguments: Any) -> Any:
-        """Perform a blocking remote invocation of ``operation``."""
-        return self.orb.invoke(self.ior, operation, arguments)
-
-    def invoke_async(self, operation: str, *arguments: Any) -> Deferred:
-        """Issue a non-blocking remote invocation of ``operation``."""
-        return self.orb.invoke_async(self.ior, operation, arguments)
-
-    def __repr__(self) -> str:
-        return f"RemoteObjectReference({self.ior.type_id} at {self.ior.host}:{self.ior.port})"
-
-
 class ClientOrb:
     """The client-side ORB."""
 
@@ -227,27 +208,6 @@ class ClientOrb:
 
     # -- public API -----------------------------------------------------------
 
-    def string_to_object(self, stringified_ior: str) -> RemoteObjectReference:
-        """Parse a stringified IOR and return an object reference
-        (the CORBA ``string_to_object`` operation used at client
-        initialisation, Figure 2 step 1)."""
-        return RemoteObjectReference(self, IOR.from_string(stringified_ior))
-
-    def invoke(self, ior: IOR, operation: str, arguments: tuple[Any, ...]) -> Any:
-        """Marshal, transmit, await and unmarshal one remote invocation.
-
-        CORBA exceptions are replies, not transport failures, so they leave
-        the connection intact; anything else (dead server, malformed reply)
-        resets it so a stale expectation cannot mis-correlate the next call.
-        """
-        try:
-            return self.invoke_async(ior, operation, arguments).wait(self.channel.scheduler)
-        except (CorbaUserException, CorbaSystemException):
-            raise
-        except BaseException:
-            self.channel.reset(Address(ior.host, ior.port))
-            raise
-
     def invoke_async(self, ior: IOR, operation: str, arguments: tuple[Any, ...]) -> Deferred:
         """Issue one remote invocation without blocking.
 
@@ -256,7 +216,7 @@ class ClientOrb:
         reply is decoded and interpreted in the transport's parse.
         Marshalling cost is charged as a virtual-clock delay before the
         request leaves; unmarshalling cost delays the resolution, so the
-        round-trip time a caller observes is identical to the blocking path.
+        round-trip time a caller observes includes both.
         """
         request_id = next(self._request_ids)
         # In-band trace propagation: an active client-side trace context

@@ -10,42 +10,15 @@ deployment, requires a restart to change the interface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable
-
 from repro.corba.idl import generate_idl
 from repro.corba.ior import IOR
 from repro.corba.orb import ServerOrb
 from repro.corba.poa import PortableObjectAdapter
 from repro.corba.servant import StaticServant
-from repro.errors import CorbaError
-from repro.interface import InterfaceDescription, OperationSignature
+from repro.interface import ServiceDefinition
 from repro.net.http import HttpRequest, HttpResponse, HttpServer
 from repro.net.latency import CostModel
 from repro.net.simnet import Host
-from repro.rmitypes import StructType
-
-
-@dataclass
-class CorbaServiceDefinition:
-    """A statically deployed CORBA service: signatures plus implementations."""
-
-    service_name: str
-    namespace: str
-    operations: list[tuple[OperationSignature, Callable[..., Any]]] = field(default_factory=list)
-    structs: list[StructType] = field(default_factory=list)
-
-    def add_operation(
-        self, signature: OperationSignature, implementation: Callable[..., Any]
-    ) -> None:
-        """Register an operation and its implementation."""
-        if any(existing.name == signature.name for existing, _ in self.operations):
-            raise CorbaError(f"operation {signature.name!r} is already defined")
-        self.operations.append((signature, implementation))
-
-    def signatures(self) -> tuple[OperationSignature, ...]:
-        """The operation signatures in registration order."""
-        return tuple(signature for signature, _ in self.operations)
 
 
 class StaticCorbaServer:
@@ -55,7 +28,7 @@ class StaticCorbaServer:
         self,
         host: Host,
         iiop_port: int,
-        definition: CorbaServiceDefinition,
+        definition: ServiceDefinition,
         cost_model: CostModel | None = None,
         speed_factor: float = 1.0,
         http_port: int = 8080,
@@ -79,11 +52,9 @@ class StaticCorbaServer:
             speed_factor=speed_factor,
         )
 
-        self.description = InterfaceDescription(
-            service_name=definition.service_name,
-            namespace=definition.namespace,
-            endpoint_url=f"iiop://{host.name}:{iiop_port}/{self.object_key}",
-        ).with_operations(definition.signatures(), definition.structs)
+        self.description = definition.description(
+            f"iiop://{host.name}:{iiop_port}/{self.object_key}"
+        )
         self._idl_document = generate_idl(self.description)
 
         #: Serves the IDL document and the stringified IOR (Figure 2 step 1).

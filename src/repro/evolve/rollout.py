@@ -145,13 +145,6 @@ class RolloutReport:
         return self.finished_at - self.started_at
 
     @property
-    def wave_durations(self) -> tuple[float, ...]:
-        """Edit-to-published duration of every completed wave."""
-        return tuple(
-            wave.duration for wave in self.waves if wave.duration is not None
-        )
-
-    @property
     def classification(self) -> str:
         """``breaking`` if any wave's published delta was; else compatible."""
         deltas = [delta for wave in self.waves for delta in wave.deltas]

@@ -108,17 +108,3 @@ def default_workloads() -> list[tuple[str, str, tuple[Any, ...], Any]]:
 def run_encoding_comparison() -> list[EncodingResult]:
     """Measure the default payload sweep."""
     return [measure_call(label, op, args, result) for label, op, args, result in default_workloads()]
-
-
-def format_encoding_comparison(results: list[EncodingResult]) -> str:
-    """Render the sweep as a table."""
-    lines = [
-        f"{'workload':20s} {'SOAP bytes':>12s} {'GIOP bytes':>12s} {'ratio':>7s}",
-        "-" * 56,
-    ]
-    for result in results:
-        lines.append(
-            f"{result.label:20s} {result.soap_total:12d} {result.giop_total:12d} "
-            f"{result.size_ratio:7.1f}"
-        )
-    return "\n".join(lines)

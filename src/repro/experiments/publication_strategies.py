@@ -165,22 +165,3 @@ def run_publication_strategy_comparison(
         run_single_strategy(strategy, session, timeout, generation_cost, poll_interval)
         for strategy in ALL_STRATEGIES
     ]
-
-
-def format_strategy_comparison(results: list[StrategyResult]) -> str:
-    """Render the comparison as a small table."""
-    lines = [
-        f"{'strategy':18s} {'edits':>6s} {'gens':>6s} {'pubs':>6s} {'transient':>10s} {'staleness':>10s}",
-        "-" * 62,
-    ]
-    for result in results:
-        staleness = (
-            f"{result.staleness_after_last_edit:.2f}s"
-            if result.staleness_after_last_edit != float("inf")
-            else "never"
-        )
-        lines.append(
-            f"{result.strategy:18s} {result.edits:6d} {result.generations:6d} "
-            f"{result.publications:6d} {result.transient_publications:10d} {staleness:>10s}"
-        )
-    return "\n".join(lines)

@@ -35,11 +35,11 @@ from repro.cluster import Scenario, ScenarioRuntime, op
 from repro.cluster.protocols import BUILTIN_STACKS
 from repro.cluster.registry import Replica
 from repro.core.sde import ManagedServer, SDEConfig
-from repro.corba import CorbaServiceDefinition, StaticCorbaServer
-from repro.interface import OperationSignature, Parameter
+from repro.corba import StaticCorbaServer
+from repro.interface import OperationSignature, Parameter, ServiceDefinition
 from repro.net.latency import CostModel, era_2004_cost_model
 from repro.rmitypes import STRING
-from repro.soap import SoapServiceDefinition, StaticSoapServer
+from repro.soap import StaticSoapServer
 
 #: Relative speed of the paper's client machine (1 GHz PowerBook G4) compared
 #: with its server machine (3.2 GHz Pentium 4).
@@ -82,10 +82,9 @@ def _echo_body(_instance, message: str) -> str:
     return message
 
 
-def _echo_definition(definition_class):
-    """The static echo service, for a :class:`SoapServiceDefinition` or a
-    :class:`CorbaServiceDefinition`."""
-    definition = definition_class("EchoService", "urn:bench:echo")
+def _echo_definition() -> ServiceDefinition:
+    """The static echo service both static servers deploy."""
+    definition = ServiceDefinition("EchoService", "urn:bench:echo")
     definition.add_operation(_echo_signature(), lambda message: message)
     return definition
 
@@ -154,9 +153,7 @@ def run_static_soap(calls: int = 100, cost_model: CostModel | None = None) -> Rt
     """Axis-Tomcat/Axis: a static SOAP server."""
     cost_model = cost_model or era_2004_cost_model()
     runtime, target = _static_target(
-        lambda host: StaticSoapServer(
-            host, STATIC_HTTP_PORT, _echo_definition(SoapServiceDefinition), cost_model
-        )
+        lambda host: StaticSoapServer(host, STATIC_HTTP_PORT, _echo_definition(), cost_model)
     )
     return _measure("Axis-Tomcat/Axis", "soap", runtime, target, calls, cost_model)
 
@@ -175,7 +172,7 @@ def run_static_corba(calls: int = 100, cost_model: CostModel | None = None) -> R
         lambda host: StaticCorbaServer(
             host,
             9000,
-            _echo_definition(CorbaServiceDefinition),
+            _echo_definition(),
             cost_model,
             http_port=STATIC_HTTP_PORT,
         )
@@ -199,16 +196,3 @@ def run_table1(calls: int = 100, cost_model: CostModel | None = None) -> list[Rt
         run_sde_corba(calls, cost_model),
         run_static_corba(calls, cost_model),
     ]
-
-
-def format_table1(results: list[RttResult]) -> str:
-    """Render the results as a table matching the paper's layout."""
-    lines = [
-        f"{'Server/Client':26s} {'RTT (s)':>9s} {'paper':>8s}",
-        "-" * 45,
-    ]
-    for result in results:
-        lines.append(
-            f"{result.configuration:26s} {result.mean_rtt:9.3f} {result.paper_rtt:8.2f}"
-        )
-    return "\n".join(lines)

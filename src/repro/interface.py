@@ -8,7 +8,9 @@ publishing.  This module defines that description:
 * :class:`OperationSignature` — a remote operation (name, parameters, return
   type);
 * :class:`InterfaceDescription` — a versioned set of operations plus the
-  user-defined struct types they reference.
+  user-defined struct types they reference;
+* :class:`ServiceDefinition` — a statically deployed service: signatures
+  plus the callables implementing them, which both static servers take.
 
 The model is deliberately value-like (frozen dataclasses, structural
 equality) so that "has the interface changed?" is a simple ``!=`` between the
@@ -19,7 +21,7 @@ stable-change detection mechanism (§5.6).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Any, Callable, Iterable
 
 from repro.errors import ReproError
 from repro.rmitypes import RmiType, TypeRegistry, StructType, VOID
@@ -199,3 +201,45 @@ class InterfaceDescription:
             lines.append(f"  {operation.describe()}")
         return "\n".join(lines)
 
+
+@dataclass
+class ServiceDefinition:
+    """A statically deployed service: signatures plus their implementations.
+
+    Both static servers (:class:`~repro.soap.server.StaticSoapServer`,
+    :class:`~repro.corba.server.StaticCorbaServer`) take one: the Table 1
+    baselines and the §7 export target.
+    """
+
+    service_name: str
+    namespace: str
+    operations: list[tuple[OperationSignature, Callable[..., Any]]] = field(default_factory=list)
+    structs: list[StructType] = field(default_factory=list)
+
+    def add_operation(
+        self, signature: OperationSignature, implementation: Callable[..., Any]
+    ) -> None:
+        """Register an operation and its implementation."""
+        if self.operation(signature.name) is not None:
+            raise InterfaceError(f"operation {signature.name!r} is already defined")
+        self.operations.append((signature, implementation))
+
+    def operation(self, name: str) -> tuple[OperationSignature, Callable[..., Any]] | None:
+        """The ``(signature, implementation)`` registered as ``name``, if any."""
+        for entry in self.operations:
+            if entry[0].name == name:
+                return entry
+        return None
+
+    def signatures(self) -> tuple[OperationSignature, ...]:
+        """The operation signatures in registration order."""
+        return tuple(signature for signature, _ in self.operations)
+
+    def description(self, endpoint_url: str) -> InterfaceDescription:
+        """The description a server deploying this service at
+        ``endpoint_url`` publishes."""
+        return InterfaceDescription(
+            service_name=self.service_name,
+            namespace=self.namespace,
+            endpoint_url=endpoint_url,
+        ).with_operations(self.signatures(), self.structs)

@@ -363,17 +363,6 @@ class DynamicClass(Listenable):
             undo=None,
         )
 
-    def _field_changed(self, field: DynamicField, detail: str) -> None:
-        self._record_and_notify(
-            ClassChangeEvent(
-                kind=ClassChangeKind.FIELD_CHANGED,
-                class_name=self._name,
-                member_name=field.name,
-                detail=detail,
-            ),
-            undo=None,
-        )
-
     def _record_and_notify(
         self, event: ClassChangeEvent, undo: Callable[[], None] | None
     ) -> None:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.errors import DynamicClassError
 from repro.jpie.modifiers import Modifier
 from repro.rmitypes import RmiType, STRING, python_default
 from repro.util.validation import require_identifier
@@ -62,24 +61,6 @@ class DynamicField:
             self.owner._rename_field(self, new_name)
         else:
             self._name = new_name
-
-    def set_type(self, field_type: RmiType, initial_value: Any = None) -> None:
-        """Change the declared type (and optionally the initial value)."""
-        if initial_value is None:
-            initial_value = python_default(field_type)
-        field_type.validate(initial_value)
-        old = self._field_type
-        self._field_type = field_type
-        self._initial_value = initial_value
-        if self.owner is not None:
-            self.owner._field_changed(self, f"type {old.type_name} -> {field_type.type_name}")
-
-    def set_initial_value(self, value: Any) -> None:
-        """Change the initial value new instances receive."""
-        self._field_type.validate(value)
-        self._initial_value = value
-        if self.owner is not None:
-            self.owner._field_changed(self, "initial value changed")
 
     def _apply_rename(self, new_name: str) -> None:
         self._name = new_name

@@ -12,7 +12,6 @@ from typing import Any
 from repro.errors import MemberNotFoundError
 from repro.jpie.dynamic_class import DynamicClass
 from repro.jpie.dynamic_field import DynamicField
-from repro.rmitypes import python_default
 from repro.util.ids import fresh_id
 
 
@@ -47,11 +46,6 @@ class DynamicInstance:
         field = self.dynamic_class.field(name)
         field.field_type.validate(value)
         self._field_values[name] = value
-
-    @property
-    def field_values(self) -> dict[str, Any]:
-        """A snapshot of the instance's field values."""
-        return dict(self._field_values)
 
     # -- invocation --------------------------------------------------------------
 

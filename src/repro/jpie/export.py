@@ -61,10 +61,9 @@ def export_operation_table(
     """Freeze the distributed interface into a static operation table.
 
     The result is directly usable as the operation list of a
-    :class:`~repro.soap.server.SoapServiceDefinition` or
-    :class:`~repro.corba.server.CorbaServiceDefinition`, which is how the
-    "convert into a static SOAP or CORBA server" step works: the exported
-    table no longer follows live changes.
+    :class:`~repro.interface.ServiceDefinition`, which either static server
+    deploys; that is how the "convert into a static SOAP or CORBA server"
+    step works: the exported table no longer follows live changes.
 
     If ``instance`` is omitted a fresh instance of the dynamic class is
     created to carry the exported state.

@@ -10,14 +10,15 @@ This package plays the role Apache Axis (plus Tomcat) plays in the paper:
   Axis' ``Java2WSDL``; ``WSDL2Java`` is :func:`~repro.soap.wsdl.parse_wsdl`
   plus the client stack's bind, :mod:`repro.cluster.protocols`);
 * :mod:`repro.soap.server` — the *static* SOAP server: the Table 1
-  baseline ("Axis-Tomcat") and the §7 export target.  Every SOAP client,
+  baseline ("Axis-Tomcat") and the §7 export target, deploying a
+  :class:`~repro.interface.ServiceDefinition`.  Every SOAP client,
   the Table 1 "Axis" client included, is the fleet's
   :class:`~repro.cluster.protocols.SoapProtocolClient`.
 """
 
 from repro.soap.faults import SoapFault, FaultCodes
 from repro.soap.envelope import SoapRequest, SoapResponse
-from repro.soap.server import StaticSoapServer, SoapServiceDefinition
+from repro.soap.server import StaticSoapServer
 
 __all__ = [
     "SoapFault",
@@ -25,5 +26,4 @@ __all__ = [
     "SoapRequest",
     "SoapResponse",
     "StaticSoapServer",
-    "SoapServiceDefinition",
 ]

@@ -16,54 +16,15 @@ how the Table 1 experiment reproduces realistic round-trip times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable
-
 from repro.errors import SoapError
-from repro.interface import InterfaceDescription, OperationSignature
+from repro.interface import ServiceDefinition
 from repro.net.http import HttpRequest, HttpResponse, HttpServer
 from repro.net.latency import CostModel
 from repro.net.simnet import Host
-from repro.rmitypes import StructType, TypeRegistry
+from repro.rmitypes import TypeRegistry
 from repro.soap.envelope import SoapRequest, SoapResponse
 from repro.soap.faults import SoapFault
 from repro.soap.wsdl import generate_wsdl
-
-
-@dataclass
-class SoapServiceDefinition:
-    """A statically deployed service: signatures plus their implementations."""
-
-    service_name: str
-    namespace: str
-    operations: list[tuple[OperationSignature, Callable[..., Any]]] = field(default_factory=list)
-    structs: list[StructType] = field(default_factory=list)
-
-    def add_operation(
-        self, signature: OperationSignature, implementation: Callable[..., Any]
-    ) -> None:
-        """Register an operation and its implementation."""
-        if any(existing.name == signature.name for existing, _ in self.operations):
-            raise SoapError(f"operation {signature.name!r} is already defined")
-        self.operations.append((signature, implementation))
-
-    def signatures(self) -> tuple[OperationSignature, ...]:
-        """The operation signatures in registration order."""
-        return tuple(signature for signature, _ in self.operations)
-
-    def implementation(self, name: str) -> Callable[..., Any] | None:
-        """The implementation registered for operation ``name``, if any."""
-        for signature, implementation in self.operations:
-            if signature.name == name:
-                return implementation
-        return None
-
-    def signature(self, name: str) -> OperationSignature | None:
-        """The signature registered for operation ``name``, if any."""
-        for signature, _ in self.operations:
-            if signature.name == name:
-                return signature
-        return None
 
 
 class StaticSoapServer:
@@ -73,7 +34,7 @@ class StaticSoapServer:
         self,
         host: Host,
         port: int,
-        definition: SoapServiceDefinition,
+        definition: ServiceDefinition,
         cost_model: CostModel | None = None,
         speed_factor: float = 1.0,
     ) -> None:
@@ -87,20 +48,13 @@ class StaticSoapServer:
         self.faults_returned = 0
 
         self._service_path = f"/services/{definition.service_name}"
-        self.description = self._build_description()
+        self.description = definition.description(self.endpoint_url)
         self._registry = TypeRegistry(definition.structs)
         self._wsdl_document = generate_wsdl(self.description)
 
         self.http_server.add_route(self._service_path, self._handle, methods=("GET", "POST"))
 
     # -- deployment ---------------------------------------------------------
-
-    def _build_description(self) -> InterfaceDescription:
-        return InterfaceDescription(
-            service_name=self.definition.service_name,
-            namespace=self.definition.namespace,
-            endpoint_url=self.endpoint_url,
-        ).with_operations(self.definition.signatures(), self.definition.structs)
 
     @property
     def endpoint_url(self) -> str:
@@ -140,9 +94,8 @@ class StaticSoapServer:
             response = SoapResponse.for_fault("", SoapFault.malformed_request(str(exc)))
             return self._reply(request, response)
 
-        signature = self.definition.signature(soap_request.operation)
-        implementation = self.definition.implementation(soap_request.operation)
-        if signature is None or implementation is None:
+        entry = self.definition.operation(soap_request.operation)
+        if entry is None:
             self.faults_returned += 1
             response = SoapResponse.for_fault(
                 soap_request.operation,
@@ -150,6 +103,7 @@ class StaticSoapServer:
             )
             return self._reply(request, response)
 
+        signature, implementation = entry
         try:
             result = implementation(*soap_request.arguments)
             response = SoapResponse.for_result(

@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.corba import StaticCorbaServer
 from repro.corba.dsi import DynamicServant, ServerRequest
-from repro.corba.orb import ClientOrb, RemoteObjectReference, ServerOrb
+from repro.corba.ior import IOR
+from repro.corba.orb import ClientOrb, ServerOrb
 from repro.corba.poa import PortableObjectAdapter
 from repro.corba.servant import StaticServant
 from repro.errors import CorbaSystemException, CorbaUserException
-from repro.interface import OperationSignature, Parameter
+from repro.interface import OperationSignature, Parameter, ServiceDefinition
 from repro.net.transport import Deferred
 from repro.rmitypes import INT, STRING
 
@@ -84,30 +86,29 @@ class TestStaticServant:
 class TestRemoteInvocation:
     def test_successful_call(self, network, scheduler):
         orb, client_orb, _servant = build_static_world(network)
-        reference = RemoteObjectReference(client_orb, orb.object_reference("Calculator"))
-        assert reference.invoke("add", 2, 3) == 5
+        ior = orb.object_reference("Calculator")
+        assert client_orb.invoke_async(ior, "add", (2, 3)).wait(scheduler) == 5
         assert orb.requests_handled == 1
 
-    def test_string_to_object_roundtrip(self, network, scheduler):
+    def test_stringified_ior_roundtrip(self, network, scheduler):
         orb, client_orb, _servant = build_static_world(network)
-        stringified = orb.object_reference("Calculator").stringify()
-        reference = client_orb.string_to_object(stringified)
-        assert reference.invoke("add", 10, 20) == 30
+        ior = IOR.from_string(orb.object_reference("Calculator").stringify())
+        assert client_orb.invoke_async(ior, "add", (10, 20)).wait(scheduler) == 30
 
     def test_user_exception_propagates(self, network, scheduler):
         orb, client_orb, _servant = build_static_world(network)
-        reference = RemoteObjectReference(client_orb, orb.object_reference("Calculator"))
+        ior = orb.object_reference("Calculator")
         with pytest.raises(CorbaUserException) as excinfo:
-            reference.invoke("fail", "mailbox full")
+            client_orb.invoke_async(ior, "fail", ("mailbox full",)).wait(scheduler)
         assert excinfo.value.type_name == "MailError"
         assert "mailbox full" in excinfo.value.message
         assert orb.user_exceptions_sent == 1
 
     def test_unexpected_exception_becomes_system_exception(self, network, scheduler):
         orb, client_orb, _servant = build_static_world(network)
-        reference = RemoteObjectReference(client_orb, orb.object_reference("Calculator"))
+        ior = orb.object_reference("Calculator")
         with pytest.raises(CorbaSystemException) as excinfo:
-            reference.invoke("crash")
+            client_orb.invoke_async(ior, "crash", ()).wait(scheduler)
         assert excinfo.value.name == "UNKNOWN"
 
     def test_interpreter_signal_is_not_a_reply(self, network, scheduler):
@@ -119,8 +120,8 @@ class TestRemoteInvocation:
             raise KeyboardInterrupt
 
         servant.register(OperationSignature("interrupt", (), STRING), interrupted)
-        reference = RemoteObjectReference(client_orb, orb.object_reference("Calculator"))
-        deferred = reference.invoke_async("interrupt")
+        ior = orb.object_reference("Calculator")
+        deferred = client_orb.invoke_async(ior, "interrupt", ())
         with pytest.raises(KeyboardInterrupt):
             scheduler.run_until_idle()
         assert not deferred.completed
@@ -128,32 +129,31 @@ class TestRemoteInvocation:
 
     def test_unknown_operation_is_bad_operation(self, network, scheduler):
         orb, client_orb, _servant = build_static_world(network)
-        reference = RemoteObjectReference(client_orb, orb.object_reference("Calculator"))
+        ior = orb.object_reference("Calculator")
         with pytest.raises(CorbaSystemException) as excinfo:
-            reference.invoke("nonexistent")
+            client_orb.invoke_async(ior, "nonexistent", ()).wait(scheduler)
         assert excinfo.value.name == "BAD_OPERATION"
 
     def test_unknown_object_key(self, network, scheduler):
         orb, client_orb, _servant = build_static_world(network)
         ior = orb.object_reference("Calculator")
-        from repro.corba.ior import IOR
-
         wrong = IOR(ior.type_id, ior.host, ior.port, "Ghost")
         with pytest.raises(CorbaSystemException) as excinfo:
-            RemoteObjectReference(client_orb, wrong).invoke("add", 1, 2)
+            client_orb.invoke_async(wrong, "add", (1, 2)).wait(scheduler)
         assert excinfo.value.name == "OBJECT_NOT_EXIST"
 
     def test_stopped_orb_unreachable(self, network, scheduler):
         orb, client_orb, _servant = build_static_world(network)
-        reference = RemoteObjectReference(client_orb, orb.object_reference("Calculator"))
+        ior = orb.object_reference("Calculator")
         orb.stop()
         with pytest.raises(Exception):
-            reference.invoke("add", 1, 2)
+            client_orb.invoke_async(ior, "add", (1, 2)).wait(scheduler)
 
     def test_sequential_calls_have_distinct_request_ids(self, network, scheduler):
         orb, client_orb, _servant = build_static_world(network)
-        reference = RemoteObjectReference(client_orb, orb.object_reference("Calculator"))
-        assert [reference.invoke("add", i, i) for i in range(3)] == [0, 2, 4]
+        ior = orb.object_reference("Calculator")
+        results = [client_orb.invoke_async(ior, "add", (i, i)).wait(scheduler) for i in range(3)]
+        assert results == [0, 2, 4]
         assert client_orb.calls_made == 3
 
 
@@ -170,8 +170,9 @@ class TestDsi:
         orb = ServerOrb(network.host("server"), 9000, poa=poa)
         orb.start()
         client_orb = ClientOrb(network.host("client"))
-        reference = RemoteObjectReference(client_orb, orb.object_reference("Dyn"))
-        assert reference.invoke("anything", 1, "two") == "handled anything"
+        ior = orb.object_reference("Dyn")
+        result = client_orb.invoke_async(ior, "anything", (1, "two")).wait(scheduler)
+        assert result == "handled anything"
         assert seen == [("anything", (1, "two"))]
 
     def test_dynamic_servant_exception(self, network, scheduler):
@@ -184,7 +185,7 @@ class TestDsi:
         orb.start()
         client_orb = ClientOrb(network.host("client"))
         with pytest.raises(CorbaUserException):
-            RemoteObjectReference(client_orb, orb.object_reference("Dyn")).invoke("x")
+            client_orb.invoke_async(orb.object_reference("Dyn"), "x", ()).wait(scheduler)
 
     def test_handler_must_complete_request(self):
         request = ServerRequest("op", [])
@@ -205,33 +206,40 @@ class TestDsi:
         orb.start()
         scheduler.schedule(1.0, lambda: deferred_holder[0].complete("late result"))
         client_orb = ClientOrb(network.host("client"))
-        result = RemoteObjectReference(client_orb, orb.object_reference("Dyn")).invoke("slow")
+        result = client_orb.invoke_async(orb.object_reference("Dyn"), "slow", ()).wait(scheduler)
         assert result == "late result"
         assert scheduler.now >= 1.0
 
 
 class TestConnectionRecovery:
-    def test_invoke_recovers_after_server_restart(self, network, scheduler):
-        """A failed call (dead server) resets the client connection, so the
+    def test_invoke_recovers_after_server_restart(self, static_world):
+        """A failed call (dead server) makes the CDE binding reset its
+        stack's connection (``CorbaProtocolClient.reset_replica``), so the
         next call after a restart correlates correctly instead of matching
         the dead call's stale FIFO expectation."""
-        orb, client_orb, _servant = build_static_world(network)
-        reference = RemoteObjectReference(client_orb, orb.object_reference("Calculator"))
-        assert reference.invoke("add", 1, 2) == 3
+        definition = ServiceDefinition("Calculator", "urn:calc")
+        definition.add_operation(
+            OperationSignature("add", (Parameter("a", INT), Parameter("b", INT)), INT),
+            lambda a, b: a + b,
+        )
+        _runtime, server, binding = static_world(
+            lambda host: StaticCorbaServer(host, 9000, definition, http_port=8180), "corba"
+        )
+        assert binding.invoke("add", 1, 2) == 3
 
-        orb.stop()
+        server.orb.stop()
         with pytest.raises(Exception):
-            reference.invoke("add", 3, 4)
+            binding.invoke("add", 3, 4)
 
-        orb.start()
-        assert reference.invoke("add", 3, 4) == 7
+        server.orb.start()
+        assert binding.invoke("add", 3, 4) == 7
 
     def test_user_exception_keeps_connection_usable(self, network, scheduler):
         orb, client_orb, _servant = build_static_world(network)
-        reference = RemoteObjectReference(client_orb, orb.object_reference("Calculator"))
+        ior = orb.object_reference("Calculator")
         with pytest.raises(CorbaUserException):
-            reference.invoke("fail", "nope")
-        assert reference.invoke("add", 2, 2) == 4
+            client_orb.invoke_async(ior, "fail", ("nope",)).wait(scheduler)
+        assert client_orb.invoke_async(ior, "add", (2, 2)).wait(scheduler) == 4
 
     def test_unmarshallable_result_becomes_system_exception(self, network, scheduler):
         """A servant result the CDR layer cannot encode still yields a GIOP
@@ -241,7 +249,10 @@ class TestConnectionRecovery:
             OperationSignature("weird", (), STRING),
             lambda: object(),
         )
-        reference = RemoteObjectReference(client_orb, orb.object_reference("Calculator"))
+        ior = orb.object_reference("Calculator")
         with pytest.raises(CorbaSystemException):
-            reference.invoke("weird")
-        assert reference.invoke("add", 1, 1) == 2
+            client_orb.invoke_async(ior, "weird", ()).wait(scheduler)
+        # Counted as a system exception, never also as a handled call.
+        assert (orb.requests_handled, orb.system_exceptions_sent) == (0, 1)
+        assert client_orb.invoke_async(ior, "add", (1, 1)).wait(scheduler) == 2
+        assert (orb.requests_handled, orb.system_exceptions_sent) == (1, 1)

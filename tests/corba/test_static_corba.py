@@ -4,10 +4,10 @@ by the fleet's CORBA client stack through its published IDL and IOR."""
 import pytest
 
 from repro.cluster.protocols import CorbaProtocolClient
-from repro.corba import CorbaServiceDefinition, StaticCorbaServer
+from repro.corba import StaticCorbaServer
 from repro.corba.ior import IOR
-from repro.errors import CorbaError, CorbaUserException, MemberNotFoundError, SignatureError
-from repro.interface import OperationSignature, Parameter
+from repro.errors import CorbaUserException, MemberNotFoundError, SignatureError
+from repro.interface import InterfaceError, OperationSignature, Parameter, ServiceDefinition
 from repro.net.latency import era_2004_cost_model
 from repro.rmitypes import DOUBLE, FieldDef, INT, STRING, StructType
 
@@ -15,7 +15,7 @@ POINT = StructType("Point", (FieldDef("x", DOUBLE), FieldDef("y", DOUBLE)))
 
 
 def build_definition():
-    definition = CorbaServiceDefinition("Calculator", "urn:calc")
+    definition = ServiceDefinition("Calculator", "urn:calc")
     definition.structs.append(POINT)
     definition.add_operation(
         OperationSignature("add", (Parameter("a", INT), Parameter("b", INT)), INT),
@@ -48,10 +48,13 @@ def build_world(static_world):
 
 
 class TestDeployment:
-    def test_duplicate_operation_rejected(self):
-        definition = build_definition()
-        with pytest.raises(CorbaError):
-            definition.add_operation(OperationSignature("add", (), INT), lambda: 0)
+    def test_duplicate_operation_rejected(self, build_world):
+        """The deployed definition refuses a second ``add``, and the server
+        keeps dispatching the first."""
+        _runtime, server, binding = build_world()
+        with pytest.raises(InterfaceError, match=r"^operation 'add' is already defined$"):
+            server.definition.add_operation(OperationSignature("add", (), INT), lambda: 0)
+        assert binding.invoke("add", 2, 3) == 5
 
     def test_idl_and_ior_available(self, build_world):
         """Figure 2 step 1: the IDL document and the IOR are served over HTTP."""

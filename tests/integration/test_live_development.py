@@ -5,11 +5,12 @@ import pytest
 from repro.cluster import op
 from repro.cluster.protocols import BUILTIN_STACKS
 from repro.cluster.registry import Replica
-from repro.corba import CorbaServiceDefinition, StaticCorbaServer
+from repro.corba import StaticCorbaServer
 from repro.errors import NonExistentMethodError
+from repro.interface import ServiceDefinition
 from repro.jpie import export_operation_table
 from repro.rmitypes import DOUBLE, FieldDef, INT, STRING, StructType
-from repro.soap import SoapServiceDefinition, StaticSoapServer
+from repro.soap import StaticSoapServer
 
 
 def calculator_operations():
@@ -152,7 +153,7 @@ class TestExportToStaticServers:
         runtime.publish("Calculator")
         managed = runtime.replicas("Calculator")[0].managed
 
-        definition = SoapServiceDefinition("CalculatorExport", "urn:calc:export")
+        definition = ServiceDefinition("CalculatorExport", "urn:calc:export")
         for signature, implementation in export_operation_table(
             managed.dynamic_class, managed.instance
         ):
@@ -171,7 +172,7 @@ class TestExportToStaticServers:
         runtime.publish("Calculator")
         managed = runtime.replicas("Calculator")[0].managed
 
-        definition = CorbaServiceDefinition("CalculatorExport", "urn:calc:export")
+        definition = ServiceDefinition("CalculatorExport", "urn:calc:export")
         for signature, implementation in export_operation_table(
             managed.dynamic_class, managed.instance
         ):

@@ -1,9 +1,16 @@
-"""Property-based tests (hypothesis) for the wire formats and documents.
+"""Property-based tests (hypothesis) for the wire formats, the documents
+and the scheduler's dispatch order.
 
 Every encoding in the system must round-trip: what one endpoint serialises,
-the other must reconstruct exactly.  These properties cover CDR values, GIOP
-frames, IORs, HTTP messages, SOAP envelopes, and the WSDL / CORBA-IDL
-documents generated from arbitrary interface descriptions.
+the other must reconstruct exactly.  These properties cover CDR values
+(plus pinned golden wire bytes), GIOP frames, IORs, HTTP messages, SOAP
+envelopes (whose wire bytes must be their text's UTF-8 encoding; the exact
+bytes are pinned by the corpus in ``tests/soap/test_envelope_wire_golden.py``),
+and the WSDL / CORBA-IDL documents generated from arbitrary interface
+descriptions.  The scheduler must dispatch in exactly ``(time,
+insertion-order)`` under arbitrary schedule/cancel churn, matching a naive
+reference event for event, with ``pending_count`` equal to a full scan at
+every step.
 """
 
 from __future__ import annotations
@@ -27,22 +34,23 @@ from repro.rmitypes import (
     INT,
     STRING,
     StructType,
-    TypeRegistry,
     infer_type,
 )
+from repro.sim import Scheduler
 from repro.soap.envelope import SoapRequest, SoapResponse
+from repro.soap.faults import SoapFault
 from repro.soap.wsdl import generate_wsdl, parse_wsdl
 
 # ---------------------------------------------------------------------------
 # Value strategies
 # ---------------------------------------------------------------------------
 
-#: Text that survives XML round-tripping: tab, newline and carriage return
-#: included, no other control characters (XML 1.0 cannot carry them; the SOAP
-#: encoder refuses them, which ``tests/soap`` checks).
+#: Every string XML 1.0 can carry, tab, newline and carriage return
+#: included: the other C0 controls, U+FFFE and U+FFFF are refused by the SOAP
+#: encoder (tested in ``tests/soap``).
 xml_text = st.text(
     alphabet=st.one_of(
-        st.characters(exclude_categories=("Cs", "Cc"), max_codepoint=0x2FFF),
+        st.characters(exclude_categories=("Cs", "Cc"), exclude_characters="\ufffe\uffff"),
         st.sampled_from("\t\n\r"),
     ),
     max_size=40,
@@ -88,6 +96,21 @@ class TestCdrProperties:
     @given(st.lists(st.integers(min_value=-(2**60), max_value=2**60), max_size=8))
     def test_integer_sequences_roundtrip(self, values):
         assert unmarshal_values(marshal_values(tuple(values))) == values
+
+    def test_golden_wire_bytes(self):
+        """The wire format cannot drift: these bytes are what the seed's
+        fragment-list implementation produced."""
+        wire = marshal_values((None, True, 7, 2.5, "hi", [1], {"k": "v"}))
+        assert wire == bytes.fromhex(
+            "00000007"  # 7 values
+            "00"  # null
+            "0101"  # boolean true
+            "020000000000000007"  # long 7
+            "034004000000000000"  # double 2.5
+            "04000000026869"  # string "hi"
+            "0600000001020000000000000001"  # sequence [1]
+            "0700000001000000016b040000000176"  # struct {"k": "v"}
+        )
 
 
 class TestGiopProperties:
@@ -171,6 +194,27 @@ class TestHttpProperties:
 # SOAP envelope properties
 # ---------------------------------------------------------------------------
 
+_int = st.integers(min_value=-(2**31), max_value=2**31)
+_float = st.floats(allow_nan=False, allow_infinity=False, width=32)
+# Arrays must be homogeneous: infer_type derives the element type from the
+# first item (an empty array is typed as strings) and the encoder rejects
+# mixed lists.
+soap_value = st.one_of(
+    _int,
+    st.booleans(),
+    xml_text,
+    _float,
+    st.lists(_int, max_size=5),
+    st.lists(st.booleans(), min_size=1, max_size=5),
+    st.lists(xml_text, min_size=1, max_size=5),
+    st.lists(_float, min_size=1, max_size=5),
+)
+soap_operations = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,12}", fullmatch=True)
+soap_namespaces = st.sampled_from(
+    ["urn:sde:EchoService", "urn:repro", "urn:x-test:service", "http://example.org/ns"]
+)
+
+
 soap_argument = st.one_of(
     st.integers(min_value=-(2**31), max_value=2**31),
     st.booleans(),
@@ -195,6 +239,34 @@ class TestSoapEnvelopeProperties:
         parsed = SoapResponse.from_xml(response.to_xml())
         assert not parsed.is_fault
         assert parsed.return_value == value
+
+
+class TestSoapWireEncoding:
+    """``to_wire`` and ``to_xml_and_wire`` must give exactly
+    ``to_xml().encode("utf-8")`` — including for non-ASCII argument text,
+    where the str/bytes length split matters."""
+
+    @given(soap_operations, soap_namespaces, st.lists(soap_value, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_request_wire_matches_encoded_xml(self, operation, namespace, arguments):
+        request = SoapRequest.for_call(operation, tuple(arguments), namespace=namespace)
+        expected = request.to_xml().encode("utf-8")
+        assert request.to_wire() == expected
+        assert request.to_xml_and_wire() == (request.to_xml(), expected)
+
+    @given(soap_operations, soap_namespaces, soap_value)
+    @settings(max_examples=150, deadline=None)
+    def test_response_wire_matches_encoded_xml(self, operation, namespace, value):
+        response = SoapResponse.for_result(
+            operation, value, infer_type(value), namespace=namespace
+        )
+        expected = response.to_xml().encode("utf-8")
+        assert response.to_wire() == expected
+        assert response.to_xml_and_wire() == (response.to_xml(), expected)
+
+    def test_fault_response_wire_matches_encoded_xml(self):
+        response = SoapResponse.for_fault("op", SoapFault.non_existent_method("op"))
+        assert response.to_wire() == response.to_xml().encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -301,3 +373,117 @@ class TestInterfaceDocumentProperties:
         expected = diff_descriptions(one, two)
         for parse, generate in ((parse_wsdl, generate_wsdl), (parse_idl, generate_idl)):
             assert diff_descriptions(parse(generate(one)), parse(generate(two))) == expected
+
+
+# ---------------------------------------------------------------------------
+# Scheduler dispatch order under cancellation churn
+# ---------------------------------------------------------------------------
+
+#: One scheduled event: (delay-bucket, cancel-the-event-this-many-back).
+_churn_ops = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=9),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=5)),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+class TestSchedulerChurnProperties:
+    @given(ops=_churn_ops)
+    @settings(max_examples=120, deadline=None)
+    def test_dispatch_order_matches_reference_under_cancellation(self, ops):
+        """Pre-run cancels never perturb the (time, insertion) order of the
+        survivors, and cancelled events never run."""
+        scheduler = Scheduler()
+        dispatched: list[int] = []
+        events = []
+        expected = []  # (time_bucket, insertion_index) of surviving events
+        for index, (bucket, cancel_back) in enumerate(ops):
+            event = scheduler.schedule(
+                bucket * 0.125, lambda i=index: dispatched.append(i)
+            )
+            events.append((index, bucket, event))
+            if cancel_back is not None and cancel_back <= len(events):
+                events[-cancel_back][2].cancel()
+
+        survivors = [
+            (bucket, index) for index, bucket, event in events if not event.cancelled
+        ]
+        survivors.sort()
+        scheduler.run_until_idle()
+        assert dispatched == [index for _bucket, index in survivors]
+        assert scheduler.pending_count == 0
+
+    @given(ops=_churn_ops)
+    @settings(max_examples=120, deadline=None)
+    def test_pending_count_matches_live_scan(self, ops):
+        """The O(1) counter agrees with an exhaustive pending scan after
+        every schedule/cancel and after every dispatch."""
+        scheduler = Scheduler()
+        events = []
+        for bucket, cancel_back in ops:
+            events.append(scheduler.schedule(bucket * 0.125, lambda: None))
+            if cancel_back is not None and cancel_back <= len(events):
+                events[-cancel_back].cancel()
+            assert scheduler.pending_count == sum(1 for e in events if e.pending)
+        while scheduler.step():
+            assert scheduler.pending_count == sum(1 for e in events if e.pending)
+
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=9),
+                st.one_of(st.none(), st.integers(min_value=1, max_value=10)),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_mid_run_cancellation_matches_reference(self, ops):
+        """Events cancelling *future* events mid-run behave exactly like a
+        naive sorted-list reference scheduler."""
+
+        # Reference: pick the lowest (time, seq) live event, run its effect.
+        cancelled_ref = set()
+        order_ref: list[int] = []
+        reference = sorted(
+            (bucket, index, ahead) for index, (bucket, ahead) in enumerate(ops)
+        )
+        done_ref = set()
+        while True:
+            candidate = next(
+                (
+                    entry
+                    for entry in reference
+                    if entry[1] not in done_ref and entry[1] not in cancelled_ref
+                ),
+                None,
+            )
+            if candidate is None:
+                break
+            _bucket, index, ahead = candidate
+            done_ref.add(index)
+            order_ref.append(index)
+            if ahead is not None and index + ahead < len(ops):
+                cancelled_ref.add(index + ahead)
+
+        # Optimized scheduler, same semantics expressed through Event.cancel.
+        scheduler = Scheduler()
+        order: list[int] = []
+        events: list = []
+
+        def make_callback(index: int, ahead: int | None):
+            def run() -> None:
+                order.append(index)
+                if ahead is not None and index + ahead < len(events):
+                    events[index + ahead].cancel()
+
+            return run
+
+        for index, (bucket, ahead) in enumerate(ops):
+            events.append(scheduler.schedule(bucket * 0.125, make_callback(index, ahead)))
+        scheduler.run_until_idle()
+        assert order == order_ref

@@ -4,17 +4,17 @@ client cost of the fleet's SOAP stack that Table 1 calls it through."""
 import pytest
 
 from repro.cluster.protocols import SoapProtocolClient
-from repro.errors import NonExistentMethodError, RemoteApplicationError, SoapError
-from repro.interface import OperationSignature, Parameter
+from repro.errors import NonExistentMethodError, RemoteApplicationError
+from repro.interface import InterfaceError, OperationSignature, Parameter, ServiceDefinition
 from repro.net.latency import era_2004_cost_model
 from repro.rmitypes import DOUBLE, FieldDef, INT, STRING, StructType
-from repro.soap import SoapServiceDefinition, StaticSoapServer
+from repro.soap import StaticSoapServer
 
 POINT = StructType("Point", (FieldDef("x", DOUBLE), FieldDef("y", DOUBLE)))
 
 
 def calculator(host, cost_model=None):
-    definition = SoapServiceDefinition("Calculator", "urn:calc")
+    definition = ServiceDefinition("Calculator", "urn:calc")
     definition.structs.append(POINT)
     definition.add_operation(
         OperationSignature("add", (Parameter("a", INT), Parameter("b", INT)), INT),
@@ -51,20 +51,13 @@ def rtt(runtime, binding, operation, *arguments):
 
 
 class TestServiceDefinition:
-    def test_duplicate_operation_rejected(self):
-        definition = SoapServiceDefinition("X", "urn:x")
-        signature = OperationSignature("op", (), INT)
-        definition.add_operation(signature, lambda: 1)
-        with pytest.raises(SoapError):
-            definition.add_operation(signature, lambda: 2)
-
-    def test_lookup_helpers(self):
-        definition = SoapServiceDefinition("X", "urn:x")
-        signature = OperationSignature("op", (), INT)
-        definition.add_operation(signature, lambda: 1)
-        assert definition.signature("op") == signature
-        assert definition.implementation("op")() == 1
-        assert definition.signature("missing") is None
+    def test_duplicate_operation_rejected(self, build_world):
+        """The deployed definition refuses a second ``add``, and the server
+        keeps dispatching the first."""
+        _runtime, server, binding = build_world()
+        with pytest.raises(InterfaceError, match=r"^operation 'add' is already defined$"):
+            server.definition.add_operation(OperationSignature("add", (), INT), lambda: 0)
+        assert binding.invoke("add", 2, 3) == 5
 
 
 class TestStaticRoundTrips:

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.errors import MemberNotFoundError, SignatureError, WsdlError
-from repro.interface import InterfaceDescription, OperationSignature, Parameter
+from repro.interface import InterfaceDescription, OperationSignature, Parameter, ServiceDefinition
 from repro.rmitypes import ArrayType, DOUBLE, FieldDef, INT, STRING, StructType, VOID
-from repro.soap import SoapResponse, SoapServiceDefinition, StaticSoapServer
+from repro.soap import SoapResponse, StaticSoapServer
 from repro.soap.wsdl import generate_wsdl, parse_wsdl
 
 
@@ -123,7 +123,7 @@ def static_calculator(host):
         "reset": lambda: None,
     }
     description = build_description()
-    definition = SoapServiceDefinition(
+    definition = ServiceDefinition(
         description.service_name, description.namespace, structs=[POINT, SEGMENT]
     )
     for operation in description.operations:

@@ -1,15 +1,19 @@
-"""Tests for the technology-neutral interface description model."""
+"""Tests for the technology-neutral interface description model and the
+static service definition both static servers deploy."""
 
 import pytest
 
+from repro.corba import StaticCorbaServer
 from repro.evolve import diff_descriptions
 from repro.interface import (
     InterfaceDescription,
     InterfaceError,
     OperationSignature,
     Parameter,
+    ServiceDefinition,
 )
 from repro.rmitypes import DOUBLE, FieldDef, INT, STRING, StructType, VOID
+from repro.soap import StaticSoapServer
 
 
 def _add():
@@ -90,6 +94,45 @@ class TestInterfaceDescription:
         text = description.describe()
         assert "int add(int a, int b)" in text
         assert "struct Point" in text
+
+
+class TestServiceDefinition:
+    def _calculator(self):
+        definition = ServiceDefinition("Calculator", "urn:calc")
+        definition.structs.append(StructType("P", (FieldDef("x", DOUBLE),)))
+        definition.add_operation(_greet(), lambda name: f"hi {name}")
+        definition.add_operation(_add(), lambda a, b: a + b)
+        return definition
+
+    def test_duplicate_operation_rejected(self):
+        definition = self._calculator()
+        with pytest.raises(InterfaceError, match=r"^operation 'add' is already defined$"):
+            definition.add_operation(OperationSignature("add"), lambda: 0)
+        assert definition.signatures() == (_greet(), _add())
+
+    def test_operation_lookup_returns_signature_and_implementation(self):
+        definition = self._calculator()
+        signature, implementation = definition.operation("add")
+        assert signature == _add()
+        assert implementation(2, 3) == 5
+        assert definition.operation("missing") is None
+
+    @pytest.mark.parametrize(
+        "deploy",
+        [
+            lambda host, definition: StaticSoapServer(host, 8180, definition),
+            lambda host, definition: StaticCorbaServer(host, 9000, definition, http_port=8180),
+        ],
+        ids=["soap", "corba"],
+    )
+    def test_static_servers_publish_the_definition(self, network, deploy):
+        definition = self._calculator()
+        server = deploy(network.host("server"), definition)
+        description = server.description
+        assert description == definition.description(description.endpoint_url)
+        assert description.operation_names() == ("add", "greet")
+        assert description.structs == tuple(definition.structs)
+        assert description.endpoint_url.split("://")[1].startswith("server:")
 
 
 class TestInterfaceDelta:
