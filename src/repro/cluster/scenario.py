@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import compress, cycle, islice, tee
 from typing import Any, Callable, Iterable, Sequence
 

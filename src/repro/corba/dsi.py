@@ -12,7 +12,7 @@ Call Handler is implemented on top of this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.corba.servant import Servant

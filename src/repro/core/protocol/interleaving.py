@@ -20,8 +20,7 @@ to that call.  For every combination the §6 recency guarantee must hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from repro.cluster import Scenario, op
 from repro.core.sde import SDEConfig

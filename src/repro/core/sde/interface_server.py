@@ -21,7 +21,8 @@ class InterfaceServer:
         self.host = host
         self.port = port
         self.http_server = HttpServer(host, port, name="sde-interface-server")
-        self._documents: dict[str, tuple[str, str]] = {}
+        #: Path -> content, type and its 200 reply framed on the first GET.
+        self._documents: dict[str, tuple[str, str, bytes | None]] = {}
         self._publication_count: dict[str, int] = {}
         self.http_server.add_route("/", self._serve, methods=("GET",), prefix=True)
 
@@ -51,7 +52,7 @@ class InterfaceServer:
         """Publish (or republish) ``content`` at ``path`` and return its URL."""
         if not path.startswith("/"):
             raise PublicationError(f"publication path must start with '/', got {path!r}")
-        self._documents[path] = (content, content_type)
+        self._documents[path] = (content, content_type, None)
         self._publication_count[path] = self._publication_count.get(path, 0) + 1
         return self.url_for(path)
 
@@ -79,13 +80,16 @@ class InterfaceServer:
 
     # -- request handling --------------------------------------------------------
 
-    def _serve(self, request) -> HttpResponse:
+    def _serve(self, request) -> HttpResponse | bytes:
         path = request.path.split("?", 1)[0]
         entry = self._documents.get(path)
         if entry is None:
             return HttpResponse.not_found(f"no published document at {path}")
-        content, content_type = entry
-        return HttpResponse(200, {"Content-Type": content_type}, content)
+        content, content_type, framed = entry
+        if framed is None:
+            framed = HttpResponse(200, {"Content-Type": content_type}, content).to_bytes()
+            self._documents[path] = content, content_type, framed
+        return framed
 
     def __repr__(self) -> str:
         return f"InterfaceServer({self.base_url}, documents={len(self._documents)})"

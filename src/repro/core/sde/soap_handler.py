@@ -25,6 +25,7 @@ from repro.errors import (
 )
 from repro.interface import OperationSignature
 from repro.net.http import HttpRequest, HttpResponse, HttpServer
+from repro.net.http.messages import frame, response_head
 from repro.net.transport import Deferred
 from repro.obs import hooks as _obs_hooks
 from repro.rmitypes import TypeRegistry
@@ -33,6 +34,9 @@ from repro.soap.faults import SoapFault
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.sde.manager import ManagedServer, SDEManager
+
+#: Every SOAP reply's status line and headers, as ``HttpResponse.ok_xml``'s.
+_OK_XML = response_head(200, HttpResponse.ok_xml("").headers)
 
 
 class SoapCallHandler(CallHandler):
@@ -101,9 +105,9 @@ class SoapCallHandler(CallHandler):
 
     # -- fault mapping ----------------------------------------------------------------
 
-    def _encoded(self, response: SoapResponse, request_size: int) -> tuple[HttpResponse, float]:
-        body = response.to_xml()
-        return HttpResponse.ok_xml(body), self._processing_delay(request_size, len(body))
+    def _encoded(self, response: SoapResponse, request_size: int) -> tuple[bytes, float]:
+        xml, wire = response.to_xml_and_wire()
+        return frame(*_OK_XML, wire), self._processing_delay(request_size, len(xml))
 
     def _fault_for(self, operation: str, error: BaseException) -> SoapFault:
         if isinstance(error, ServerNotInitializedError):
@@ -137,7 +141,7 @@ class _SoapReply(DispatchOutcome):
         #: Read on arrival: the reply is rendered in the namespace served then.
         self.namespace = handler.server.publisher.namespace
         self.request_size = request_size
-        self.response: tuple[HttpResponse, float] | None = None
+        self.response: tuple[bytes, float] | None = None
         self.deferred: Deferred | None = None
 
     def on_result(self, value: Any, signature: OperationSignature) -> None:

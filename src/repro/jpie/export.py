@@ -13,7 +13,6 @@ from typing import Any, Callable
 from repro.errors import ExportError
 from repro.interface import OperationSignature
 from repro.jpie.dynamic_class import DynamicClass
-from repro.jpie.modifiers import Modifier
 
 
 def export_static_class(dynamic_class: DynamicClass) -> type:

@@ -9,7 +9,7 @@ reset their stability timers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import JPieError

@@ -6,19 +6,21 @@ assert on exact wire bytes.
 
 Header names are title-cased once: on construction, or by the parser for a
 message read off the wire, which builds the message from the parsed fields
-directly instead of re-running the constructor's checks.  Every message is
+directly instead of re-running the constructor's checks, and splits and
+checks each distinct head once (:func:`_parse_head`).  Every message is
 one datagram, so a missing ``Content-Length`` is accepted; one that is
 present must equal the body's byte length, which :func:`frame` always
 writes.  :func:`frame` is the one writer of the wire format: a message's
 start line and headers are rendered around ``Content-Length`` once, so a
-sender with a fixed request line and headers renders them once
-(:func:`request_head`) and frames each body with them.
+sender with a fixed start line and headers renders them once
+(:func:`request_head`, :func:`response_head`) and frames each body with them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 from repro.errors import HttpError
 
@@ -84,13 +86,9 @@ class HttpRequest:
     @classmethod
     def from_bytes(cls, data: bytes) -> "HttpRequest":
         """Parse a request from its wire format."""
-        start, headers, body = _decode(data, "request")
-        parts = start.split(" ")
-        if len(parts) != 3:
-            raise HttpError(f"malformed request line: {start!r}")
-        method, path, version = parts
+        (method, path, version), headers, body = _decode(data, "request", _request_line)
         request = object.__new__(cls)
-        request.method = _checked_request_line(method, path)
+        request.method = method
         request.path = path
         request.headers = headers
         request.body = body
@@ -129,17 +127,9 @@ class HttpResponse:
     @classmethod
     def from_bytes(cls, data: bytes) -> "HttpResponse":
         """Parse a response from its wire format."""
-        start, headers, body = _decode(data, "response")
-        parts = start.split(" ", 2)
-        if len(parts) < 2:
-            raise HttpError(f"malformed status line: {start!r}")
-        version, status = parts[0], parts[1]
-        try:
-            status_code = int(status)
-        except ValueError:
-            raise HttpError(f"malformed status code: {status!r}") from None
+        (status, version), headers, body = _decode(data, "response", _status_line)
         response = object.__new__(cls)
-        response.status = status_code
+        response.status = status
         response.headers = headers
         response.body = body
         response.http_version = version
@@ -187,6 +177,12 @@ def request_head(method: str, path: str, headers: dict[str, str]) -> tuple[str, 
     return _head(f"{method} {path} HTTP/1.1", tuple(fields.items()))
 
 
+def response_head(status: int, headers: dict[str, str]) -> tuple[str, str]:
+    """:func:`request_head` for an HTTP/1.1 status line."""
+    fields = dict(zip(map(str.title, headers), headers.values()))
+    return _head(f"HTTP/1.1 {status} {StatusCodes.reason(status)}", tuple(fields.items()))
+
+
 @lru_cache(maxsize=256)
 def _head(start_line: str, headers: tuple[tuple[str, str], ...]) -> tuple[str, str]:
     """``start_line`` and the header lines that sort before ``Content-Length``,
@@ -218,37 +214,73 @@ def frame(head: str, tail: str, body: bytes) -> bytes:
     return f"{head}{_CRLF}Content-Length: {len(body)}{tail}{_CRLF}{_CRLF}".encode("utf-8") + body
 
 
-def _decode(data: bytes, what: str) -> tuple[str, dict[str, str], str]:
-    """Split a wire message into its start line, title-cased headers and body.
+def _decode(data: bytes, what: str, start_fields: Callable) -> tuple[tuple, dict[str, str], str]:
+    """Split a wire message into its start-line fields (as ``start_fields``
+    reads them), title-cased headers and body.
 
     Raises :class:`HttpError` on malformed framing, including a
-    ``Content-Length`` that is not the body's byte length.
+    ``Content-Length`` that is not the body's byte length; of several faults,
+    the first of head UTF-8, body UTF-8, header line, length, start line.
     """
     end = data.find(_HEAD_END)
     try:
         if end < 0:
             data.decode("utf-8")
             raise HttpError(f"HTTP {what} is missing the header/body separator")
-        head = data[:end].decode("utf-8")
+        fields, headers, length, error = _parse_head(data[:end], start_fields)
         body = data[end + 4 :]
         text = body.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise HttpError(f"HTTP {what} is not valid UTF-8: {exc}") from None
-    lines = head.split(_CRLF)
+    if length is not None and length[1] != len(body):
+        raise HttpError(
+            f"HTTP {what} Content-Length {length[0]!r} does not match "
+            f"its {len(body)}-byte body"
+        )
+    if error is not None:
+        raise HttpError(error)
+    return fields, headers.copy(), text
+
+
+@lru_cache(maxsize=256)
+def _parse_head(head: bytes, start_fields: Callable) -> tuple:
+    """The start-line fields, title-cased headers, ``Content-Length`` (its
+    text and value, -1 unless all ASCII digits) and error message, if any,
+    of the bytes before a message's blank line.  Memoised, since senders
+    repeat a few heads; callers copy the headers before handing them out.
+    """
+    lines = head.decode("utf-8").split(_CRLF)
     headers: dict[str, str] = {}
     for line in lines[1:]:
         if not line:
             continue
         name, colon, value = line.partition(":")
         if not colon:
-            raise HttpError(f"malformed header line: {line!r}")
+            return None, headers, None, f"malformed header line: {line!r}"
         headers[name.strip().title()] = value.strip()
     length = headers.get("Content-Length")
-    if length is not None and not (
-        length.isascii() and length.isdigit() and int(length) == len(body)
-    ):
-        raise HttpError(
-            f"HTTP {what} Content-Length {length!r} does not match "
-            f"its {len(body)}-byte body"
-        )
-    return lines[0], headers, text
+    if length is not None:
+        length = length, int(length) if length.isascii() and length.isdigit() else -1
+    try:
+        return start_fields(lines[0]), headers, length, None
+    except HttpError as exc:
+        return None, headers, length, str(exc)
+
+
+def _request_line(start: str) -> tuple[str, str, str]:
+    """A request line's checked ``(method, path, version)``."""
+    parts = start.split(" ")
+    if len(parts) != 3:
+        raise HttpError(f"malformed request line: {start!r}")
+    return _checked_request_line(parts[0], parts[1]), parts[1], parts[2]
+
+
+def _status_line(start: str) -> tuple[int, str]:
+    """A status line's ``(status, version)``."""
+    parts = start.split(" ", 2)
+    if len(parts) < 2:
+        raise HttpError(f"malformed status line: {start!r}")
+    try:
+        return int(parts[1]), parts[0]
+    except ValueError:
+        raise HttpError(f"malformed status code: {parts[1]!r}") from None

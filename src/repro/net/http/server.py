@@ -2,7 +2,7 @@
 
 Handlers may return:
 
-* an :class:`HttpResponse` — sent immediately;
+* a response (an :class:`HttpResponse` or its framed bytes) — sent at once;
 * a ``(response, processing_delay)`` tuple — sent ``processing_delay``
   virtual seconds later, which is how server-side CPU cost (XML parsing,
   reflection dispatch) is charged to the round-trip time;
@@ -31,7 +31,7 @@ from repro.net.transport import Connection, Deferred, Endpoint, ReplyOutcome
 from repro.sim.servercore import ServerCore
 
 
-HandlerResult = Union[HttpResponse, tuple[HttpResponse, float], Deferred]
+HandlerResult = Union[HttpResponse, bytes, tuple[Union[HttpResponse, bytes], float], Deferred]
 Handler = Callable[[HttpRequest], HandlerResult]
 
 
@@ -144,14 +144,14 @@ class HttpServer:
             return result.transform(self._encode_resolution)
         if isinstance(result, tuple):
             response, delay = result
-            return response.to_bytes(), delay
-        return result.to_bytes()
+            return (response if isinstance(response, bytes) else response.to_bytes()), delay
+        return result if isinstance(result, bytes) else result.to_bytes()
 
     @staticmethod
-    def _encode_resolution(value: HttpResponse | None, error: BaseException | None) -> bytes:
+    def _encode_resolution(value: HttpResponse | bytes, error: BaseException | None) -> bytes:
         if error is not None:
             return HttpResponse.server_error(f"{type(error).__name__}: {error}").to_bytes()
-        return value.to_bytes()  # type: ignore[union-attr]
+        return value if isinstance(value, bytes) else value.to_bytes()
 
     def __repr__(self) -> str:
         state = "running" if self.running else "stopped"

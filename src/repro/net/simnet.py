@@ -132,7 +132,7 @@ class Host:
         """
         if port in self._listeners:
             raise PortInUseError(f"port {port} on host {self.name!r} is already bound")
-        self._listeners[port] = getattr(listener, "on_message", listener)
+        self._listeners[port] = listener if callable(listener) else listener.on_message
 
     def unbind(self, port: int) -> None:
         """Detach the listener from ``port``; unknown ports are ignored."""

@@ -10,7 +10,7 @@ timer expiration" maps to :meth:`ResettableTimer.force_expire`.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Callable
 
 from repro.errors import SchedulerError
 from repro.sim.scheduler import Event, Scheduler

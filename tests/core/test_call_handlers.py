@@ -9,7 +9,8 @@ from repro.errors import (
     RemoteApplicationError,
     ServerNotInitializedError,
 )
-from repro.net.http import HttpClient
+from repro.net.http import HttpClient, HttpRequest, HttpResponse
+from repro.net.transport import ClientChannel
 from repro.rmitypes import INT, STRING
 from repro.soap.envelope import SoapRequest, SoapResponse
 from repro.soap.faults import FaultCodes
@@ -182,6 +183,31 @@ class TestSoapCallHandler:
         assert stale_response.is_fault and stale_response.fault.is_non_existent_method
         assert not valid_response.is_fault and valid_response.return_value == 3
         assert handler.stats.queued_while_stalled >= 1
+
+
+    @pytest.mark.parametrize("call", ["value", "fault", "stalled", "malformed"])
+    def test_reply_bytes_are_the_framed_envelope(self, fast_scenario, call):
+        """Every SOAP reply leaves as the bytes ``HttpResponse.ok_xml`` would
+        frame for its envelope: value, fault, §5.7-stalled and malformed."""
+        runtime, replica = _calculator(fast_scenario)
+        handler = replica.call_handler
+        namespace = handler.server.publisher.namespace
+        if call == "stalled":
+            runtime.dynamic_class("Calculator").method("add").rename("sum")
+        body = {
+            "value": SoapRequest.for_call("add", (2, 3), namespace=namespace).to_xml(),
+            "fault": SoapRequest.for_call("explode", ("boom",), namespace=namespace).to_xml(),
+            "stalled": SoapRequest.for_call("add", (2, 3), namespace=namespace).to_xml(),
+            "malformed": "this is not xml",
+        }[call]
+        channel = ClientChannel(runtime.cde.host)
+        address, path = HttpClient.parse_url(handler.endpoint_url)
+        request = HttpRequest("POST", path, {"Content-Type": "text/xml"}, body).to_bytes()
+        wire = channel.request(address, request, lambda message: message.payload)
+        xml = wire.partition(b"\r\n\r\n")[2].decode("utf-8")
+        assert wire == HttpResponse.ok_xml(xml).to_bytes()
+        assert SoapResponse.from_xml(xml).is_fault == (call != "value")
+        assert handler.stats.stalled_calls == (call == "stalled")
 
 
 class TestCorbaCallHandler:

@@ -41,6 +41,24 @@ class TestPublication:
         interface_server.withdraw("/doc")
         assert client.get(interface_server.url_for("/doc")).status == 404
 
+    def test_publish_and_withdraw_invalidate_the_framed_document(
+        self, interface_server, client
+    ):
+        """A document is framed on its first GET and sent as those bytes
+        until it is republished or withdrawn."""
+        url = interface_server.publish("/doc", "v1", "text/plain")
+        assert client.get(url).body == "v1"
+        assert client.get(url).body == "v1"
+        interface_server.publish("/doc", "v2", "text/plain")
+        assert client.get(url).body == "v2"
+        interface_server.withdraw("/doc")
+        assert client.get(url).status == 404
+        interface_server.publish("/doc", "<v3/>")
+        response = client.get(url)
+        assert (response.body, response.header("content-type")) == (
+            "<v3/>", "text/xml; charset=utf-8"
+        )
+
     def test_document_accessor(self, interface_server):
         interface_server.publish("/doc", "content", "text/plain")
         assert interface_server.document("/doc") == "content"

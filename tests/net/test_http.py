@@ -77,6 +77,27 @@ class TestHttpResponseMessage:
             HttpResponse.from_bytes(raw)
 
 
+class TestHeadMemo:
+    """Each distinct head is split once; every message still gets its own fields."""
+
+    def test_mutating_parsed_headers_leaves_the_next_parse_alone(self):
+        raw = b"POST /x HTTP/1.1\r\nContent-Type: text/xml\r\nHost: s\r\n\r\n<x/>"
+        first = HttpRequest.from_bytes(raw)
+        first.headers["Content-Type"] = "changed"
+        first.headers["Extra"] = "added"
+        second = HttpRequest.from_bytes(raw)
+        assert second.headers == {"Content-Type": "text/xml", "Host": "s"}
+        assert second.headers is not first.headers
+
+    def test_a_seen_head_still_checks_each_bodys_length(self):
+        head = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n"
+        assert HttpResponse.from_bytes(head + b"ok").body == "ok"
+        with pytest.raises(HttpError, match="does not match its 3-byte body"):
+            HttpResponse.from_bytes(head + b"okk")
+        with pytest.raises(HttpError, match="not valid UTF-8"):
+            HttpResponse.from_bytes(head + b"\xff\xfe")
+
+
 class TestContentLength:
     """Every message is one datagram: ``Content-Length`` must describe it."""
 
@@ -239,6 +260,22 @@ class TestHttpServerAndClient:
         client = HttpClient(network.host("client"))
         response = client.get("http://server:8080/test")
         assert response.body == "late"
+        assert scheduler.now >= 2.0
+
+    def test_handler_may_return_framed_bytes(self, network, scheduler):
+        """A handler's response may be the wire bytes of one, sent as they
+        are: directly, with a processing delay, or through a deferred."""
+        framed = HttpResponse.ok_text("framed").to_bytes()
+        later = Deferred()
+        results = iter([framed, (framed, 0.5), later])
+        self._serve(network, lambda request: next(results))
+        scheduler.schedule(2.0, lambda: later.complete(framed))
+        client = HttpClient(network.host("client"))
+        start = scheduler.now
+        assert client.get("http://server:8080/test").body == "framed"
+        assert client.get("http://server:8080/test").body == "framed"
+        assert scheduler.now - start >= 0.5
+        assert client.get("http://server:8080/test").body == "framed"
         assert scheduler.now >= 2.0
 
     def test_deferred_double_completion_rejected(self):

@@ -72,6 +72,17 @@ class TestDelivery:
         scheduler.run_until_idle()
         assert [m.payload for m in received] == [b"hello"]
 
+    def test_port_listener_object_receives_through_on_message(self, network, scheduler):
+        received, listener = _collector()
+
+        class Listener:
+            on_message = staticmethod(listener)
+
+        network.host("server").bind(80, Listener())
+        network.host("client").send(Address("server", 80), b"hello")
+        scheduler.run_until_idle()
+        assert [m.payload for m in received] == [b"hello"]
+
     def test_delivery_delayed_by_latency(self, scheduler):
         network = Network(scheduler, LatencyModel(propagation=0.5, bandwidth_bytes_per_second=0, per_message_overhead=0))
         server = network.add_host("server")

@@ -6,7 +6,10 @@ damage, each parser must either return a message or raise its own layer's
 error (:class:`GiopError`, :class:`MarshalError`, :class:`HttpError`), never
 an ``IndexError``, ``struct.error`` or ``UnicodeDecodeError`` from inside.
 Every prefix of a valid message, and every single-byte change to one, is
-tried.  The values nest three levels deep and draw their text from the
+tried.  HTTP heads are split once per distinct head and remembered; on the
+same damaged messages the memoised parser must give exactly the fields, or
+the error text, of the per-message split it replaced, kept here as the
+reference.  The values nest three levels deep and draw their text from the
 codec alphabets: tab, newline, carriage return and non-BMP characters.
 
 SOAP envelopes are read by a scan of the form the envelope writer emits
@@ -160,6 +163,118 @@ def test_http_response_parser_raises_only_http_errors(status, fields, body):
     parsed = HttpResponse.from_bytes(data)
     assert (parsed.status, parsed.body) == (status, body)
     _survives_damage(HttpResponse.from_bytes, data, HttpError)
+
+
+# -- HTTP heads: the memoised parse against the per-message split ---------------------
+
+
+def _reference_decode(data: bytes, what: str) -> tuple[str, dict[str, str], str]:
+    """The per-message split the memoised head parse replaced: start line,
+    title-cased headers and body, every head split and checked anew."""
+    end = data.find(b"\r\n\r\n")
+    try:
+        if end < 0:
+            data.decode("utf-8")
+            raise HttpError(f"HTTP {what} is missing the header/body separator")
+        head = data[:end].decode("utf-8")
+        body = data[end + 4 :]
+        text = body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise HttpError(f"HTTP {what} is not valid UTF-8: {exc}") from None
+    lines = head.split("\r\n")
+    headers: dict[str, str] = {}
+    for line in lines[1:]:
+        if not line:
+            continue
+        name, colon, value = line.partition(":")
+        if not colon:
+            raise HttpError(f"malformed header line: {line!r}")
+        headers[name.strip().title()] = value.strip()
+    length = headers.get("Content-Length")
+    if length is not None and not (
+        length.isascii() and length.isdigit() and int(length) == len(body)
+    ):
+        raise HttpError(
+            f"HTTP {what} Content-Length {length!r} does not match "
+            f"its {len(body)}-byte body"
+        )
+    return lines[0], headers, text
+
+
+def _reference_request(data: bytes) -> tuple:
+    start, headers, body = _reference_decode(data, "request")
+    parts = start.split(" ")
+    if len(parts) != 3:
+        raise HttpError(f"malformed request line: {start!r}")
+    method, path, version = parts
+    method = method.upper()
+    if method not in {"GET", "POST", "PUT", "DELETE", "HEAD"}:
+        raise HttpError(f"unsupported HTTP method {method!r}")
+    if not path.startswith("/"):
+        raise HttpError(f"request path must start with '/', got {path!r}")
+    return method, path, version, headers, body
+
+
+def _reference_response(data: bytes) -> tuple:
+    start, headers, body = _reference_decode(data, "response")
+    parts = start.split(" ", 2)
+    if len(parts) < 2:
+        raise HttpError(f"malformed status line: {start!r}")
+    try:
+        status = int(parts[1])
+    except ValueError:
+        raise HttpError(f"malformed status code: {parts[1]!r}") from None
+    return status, parts[0], headers, body
+
+
+def _outcome(parse: Callable[[bytes], tuple], data: bytes) -> tuple:
+    try:
+        return ("parsed", parse(data))
+    except HttpError as exc:
+        return ("error", str(exc))
+
+
+def _request_fields(data: bytes) -> tuple:
+    request = HttpRequest.from_bytes(data)
+    return request.method, request.path, request.http_version, request.headers, request.body
+
+
+def _response_fields(data: bytes) -> tuple:
+    response = HttpResponse.from_bytes(data)
+    return response.status, response.http_version, response.headers, response.body
+
+
+def _matches_reference(parse: Callable[[bytes], tuple], reference: Callable[[bytes], tuple],
+                       data: bytes) -> None:
+    """``parse`` gives the reference's fields or error text on ``data``, its
+    prefixes and single-byte changes, each parsed twice (a memo miss, then
+    most likely a hit).  Each is also tried with one more body byte, which
+    adds a ``Content-Length`` mismatch (``x``) or invalid UTF-8 in the body
+    (``\xff``) to its fault, so the order of the checks is compared too."""
+    for damaged in (data, *_damaged(data)):
+        for message in (damaged, damaged + b"x", damaged + b"\xff"):
+            expected = _outcome(reference, message)
+            assert _outcome(parse, message) == expected, message
+            assert _outcome(parse, message) == expected, message
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    st.sampled_from(["GET", "POST", "PUT", "DELETE", "HEAD"]),
+    st.from_regex(r"/[a-z0-9/?=]{0,8}", fullmatch=True),
+    headers,
+    codec_text,
+)
+def test_http_request_head_memo_matches_the_per_message_split(method, path, fields, body):
+    data = HttpRequest(method, path, fields, body).to_bytes()
+    _matches_reference(_request_fields, _reference_request, data)
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.sampled_from([200, 400, 404, 500, 503]), headers, codec_text)
+def test_http_response_head_memo_matches_the_per_message_split(status, fields, body):
+    data = HttpResponse(status, fields, body).to_bytes()
+    _matches_reference(_response_fields, _reference_response, data)
 
 
 # -- SOAP envelopes: the written-form scan against the ElementTree reference ----------
