@@ -50,8 +50,9 @@ def main() -> None:
     report = build_world().run()
 
     print(f"fleet: {len(report.clients)} clients over {len(report.nodes)} servers")
+    outcomes = report.outcomes("all")
     print(
-        f"calls: {report.total_calls} ({report.total_successes} ok), "
+        f"calls: {outcomes.calls} ({outcomes.successes} ok), "
         f"simulated duration {report.duration:.3f}s, "
         f"throughput {report.throughput:.0f} calls/s"
     )

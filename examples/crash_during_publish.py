@@ -57,14 +57,15 @@ def main() -> None:
     report = build_world().run()
 
     print(f"fleet: {len(report.clients)} clients over {len(report.nodes)} servers")
+    outcomes = report.outcomes("all")
     print(
-        f"calls: {report.total_calls} ({report.total_successes} ok), "
+        f"calls: {outcomes.calls} ({outcomes.successes} ok), "
         f"simulated duration {report.duration:.3f}s"
     )
     print(
-        f"failover: {report.total_failed_attempts} failed attempts, "
-        f"{report.total_retried_calls} retried, "
-        f"{report.total_abandoned_calls} abandoned"
+        f"failover: {outcomes.failed_attempts} failed attempts, "
+        f"{outcomes.retried_calls} retried, "
+        f"{outcomes.abandoned_calls} abandoned"
     )
     for node in report.nodes:
         if node.outages:
@@ -88,9 +89,9 @@ def main() -> None:
         f"p95={percentiles['p95']:.5f}s p99={percentiles['p99']:.5f}s"
     )
 
-    assert report.total_successes == report.total_calls
-    assert report.total_retried_calls > 0, "the crash must have forced failover"
-    assert report.total_recency_violations == 0, "§6 must hold across failover"
+    assert outcomes.successes == outcomes.calls
+    assert outcomes.retried_calls > 0, "the crash must have forced failover"
+    assert outcomes.recency_violations == 0, "§6 must hold across failover"
     print("recency: zero violations across replica failover ✓")
 
     rerun = build_world().run()

@@ -77,17 +77,18 @@ def main() -> None:
 
     echo = report.service("Echo")
     print(f"calls by published version: {echo.calls_by_version}")
+    outcomes = report.outcomes("all")
     print(
-        f"fleet outcome: {report.total_successes} ok, "
-        f"{report.total_stale_faults} stale faults, "
-        f"{report.total_rebinds} rebinds, "
-        f"{report.total_other_faults} other faults"
+        f"fleet outcome: {outcomes.successes} ok, "
+        f"{outcomes.stale_faults} stale faults, "
+        f"{outcomes.rebinds} rebinds, "
+        f"{outcomes.other_faults} other faults"
     )
-    print(f"recency violations (must be 0): {report.total_recency_violations}")
+    print(f"recency violations (must be 0): {outcomes.recency_violations}")
 
-    assert report.total_other_faults == 0, "a breaking upgrade must never be silent"
-    assert report.total_rebinds == report.total_stale_faults
-    assert report.total_recency_violations == 0
+    assert outcomes.other_faults == 0, "a breaking upgrade must never be silent"
+    assert outcomes.rebinds == outcomes.stale_faults
+    assert outcomes.recency_violations == 0
     assert rollout.classification == "breaking"
     print("OK: stale-fault + rebind observed; nothing silently wrong; §6 held.")
 

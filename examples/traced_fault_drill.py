@@ -84,9 +84,10 @@ def main() -> None:
     report = build_world().run(obs=obs)
 
     print(f"fleet: {len(report.clients)} clients over {len(report.nodes)} servers")
+    outcomes = report.outcomes("all")
     print(
-        f"calls: {report.total_calls} ({report.total_successes} ok), "
-        f"{report.total_retried_calls} retried across the crash + partition"
+        f"calls: {outcomes.calls} ({outcomes.successes} ok), "
+        f"{outcomes.retried_calls} retried across the crash + partition"
     )
 
     spans = obs.spans
@@ -127,8 +128,8 @@ def main() -> None:
     print(f"exported: {metrics_path}")
     print(f"exported: {profile_path}")
 
-    assert report.total_successes == report.total_calls
-    assert report.total_recency_violations == 0, "§6 must hold across the drill"
+    assert outcomes.successes == outcomes.calls
+    assert outcomes.recency_violations == 0, "§6 must hold across the drill"
     assert servers and all(span.parent_id is not None for span in servers)
     assert profile.max_residual_ns == 0, "components must sum exactly to each RTT"
     assert all(result.ok for result in report.slo_results if result.name != "echo-latency")

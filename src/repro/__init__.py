@@ -53,7 +53,7 @@ Describe a world declaratively and run it:
 ...     .clients(8, service="Echo", calls=5, arguments=("ping",))
 ...     .run()
 ... )
->>> report.total_successes
+>>> report.outcomes("discrete").successes
 40
 
 or build it for interactive live development (the paper's §4 workflow):

@@ -3,8 +3,13 @@
 One :class:`ClusterReport` describes everything a scenario run observed,
 across every protocol in play:
 
-* per-client call outcomes (:class:`ClientReport`) — RTT sequences, fault
-  classification, and the replica each call was routed to;
+* call outcomes — one :class:`Outcomes` taxonomy (successes, §5.7 stale
+  faults, failed/retried/abandoned calls, §6 recency violations,
+  rebinds) shared by each discrete :class:`ClientReport` and each cohort
+  flow's :class:`CohortReport`, and summed per population by
+  :meth:`ClusterReport.outcomes` (``"discrete"``, ``"modeled"`` or
+  ``"all"``);
+* per-client RTT sequences and the replica each call was routed to;
 * per-service / per-replica server-side accounting
   (:class:`ServiceReport` / :class:`ReplicaReport`) — §5.7 stall-queue
   numbers, transport connection and reply counters, and publication
@@ -17,19 +22,18 @@ All counters are *per run*: the fleet driver snapshots the underlying
 lifetime statistics before the measured window and reports deltas, so
 repeated runs against one world do not bleed into each other.
 
-Cohort scenarios (``clients(1_000_000, cohort=...)``) additionally carry
-one :class:`CohortReport` per flow: aggregate counters plus a streaming
-:class:`~repro.cluster.histogram.LatencyHistogram` instead of per-call
-floats, so a million modeled clients cost kilobytes of report, not
-gigabytes.  Discrete RTT percentiles are exact (per-sample, linear
-interpolation, :func:`percentile`): discrete clients keep one float per
-call anyway, and cohort-scale populations report from their histograms.
+Cohort flows (``clients(1_000_000, cohort=...)``) record RTTs in a
+streaming :class:`~repro.cluster.histogram.LatencyHistogram` plus exact
+sum/max instead of per-call floats, so a million modeled clients cost
+kilobytes of report, not gigabytes.  Discrete RTT percentiles are exact
+(per-sample, linear interpolation, :func:`percentile`): discrete clients
+keep one float per call anyway.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.cluster.histogram import LatencyHistogram
@@ -74,42 +78,37 @@ def rtt_percentiles(values: Sequence[float]) -> dict[str, float]:
     }
 
 
-@dataclass
-class ClientReport:
-    """What one fleet client observed: its RTT sequence and fault
-    classification, protocol, target service and per-call replica routing."""
+@dataclass(kw_only=True)
+class Outcomes:
+    """The §5.7/§6 outcome taxonomy of one population's calls.
 
-    name: str
-    rtts: list[float] = field(default_factory=list)
+    Both :class:`ClientReport` (one discrete client, each call counting
+    once) and :class:`CohortReport` (a flow, each count a modeled client's
+    call) are ``Outcomes``; :meth:`ClusterReport.outcomes` sums them per
+    population.  RTTs stay on the reports: exact per-call lists for
+    discrete clients, a streaming histogram for flows.
+    """
+
     successes: int = 0
+    #: §5.7 stale ("Non existent Method") faults.
     stale_faults: int = 0
     not_initialized_faults: int = 0
+    #: Unclassified faults: silent wrong answers / protocol errors.
     other_faults: int = 0
-    protocol: str = ""
-    service: str = ""
-    #: Replica index (within the service) each call was routed to, in call order.
-    replica_sequence: list[int] = field(default_factory=list)
     #: Attempts that failed at the transport level (connection aborted by a
-    #: crash, no alive replica, per-attempt timeout) — §faults availability.
+    #: crash, no alive or reachable replica, per-attempt timeout).
     failed_attempts: int = 0
     #: Calls reissued after a failed attempt (failover retries).
     retried_calls: int = 0
     #: Calls given up after the retry budget was exhausted (no RTT recorded).
     abandoned_calls: int = 0
-    #: §6 recency violations: successful replies whose serving replica's
-    #: published interface version (sampled at reply time — a simulation
-    #: probe of server state, not a wire field) is *older* than one this
-    #: client already observed for the service.  The counter measures
-    #: cross-replica published-version monotonicity per client: with
-    #: publication coordinated across replicas (the ``edit``/``publish``/
-    #: ``churn`` timeline actions publish every replica at the same virtual
-    #: instant) the stall protocol keeps it at 0 across crashes, restarts
-    #: and failover; *uncoordinated* per-replica publication is a genuine
-    #: recency hazard and is deliberately flagged (see the
-    #: engineered-violation test in ``tests/faults``).  Rollouts publish
-    #: per replica *by design*; there the version-aware routing layer
-    #: enforces per-client monotonicity instead (ARCHITECTURE.md
-    #: "Interface evolution").
+    #: §6 recency violations: replies from a replica whose published
+    #: interface version (a simulation probe of server state at reply time,
+    #: not a wire field) is *older* than one this client or flow already
+    #: observed for the service.  Coordinated publication keeps it at 0
+    #: across crashes, restarts and failover, and version-aware routing
+    #: does across rollouts; uncoordinated per-replica publication is
+    #: flagged (the engineered-violation test in ``tests/faults``).
     recency_violations: int = 0
     #: Stub refreshes after a §5.7 stale fault under version-aware routing
     #: (the client re-fetched a replica's interface document and re-bound —
@@ -117,9 +116,46 @@ class ClientReport:
     rebinds: int = 0
 
     @property
+    def answered(self) -> int:
+        """Calls that got an answer: results plus explicit protocol faults."""
+        return self.successes + self.stale_faults + self.not_initialized_faults
+
+    @property
     def calls(self) -> int:
-        """Calls this client completed (successes plus faults)."""
-        return len(self.rtts)
+        """Calls that ran to completion, right or wrong."""
+        return self.answered + self.other_faults
+
+    @property
+    def issued(self) -> int:
+        """Calls issued: completed plus abandoned."""
+        return self.calls + self.abandoned_calls
+
+    @staticmethod
+    def total(parts: Sequence["Outcomes"]) -> "Outcomes":
+        """Every counter summed over ``parts``."""
+        return Outcomes(
+            **{name: sum(getattr(part, name) for part in parts) for name in OUTCOME_FIELDS}
+        )
+
+    def __add__(self, other: "Outcomes") -> "Outcomes":
+        return Outcomes.total((self, other))
+
+
+#: The counters every :class:`Outcomes` carries, in declaration order.
+OUTCOME_FIELDS = tuple(entry.name for entry in fields(Outcomes))
+
+
+@dataclass
+class ClientReport(Outcomes):
+    """What one fleet client observed: its outcomes, RTT sequence,
+    protocol, target service and per-call replica routing."""
+
+    name: str
+    rtts: list[float] = field(default_factory=list)
+    protocol: str = ""
+    service: str = ""
+    #: Replica index (within the service) each call was routed to, in call order.
+    replica_sequence: list[int] = field(default_factory=list)
 
     def fingerprint(self) -> tuple:
         """Hashable snapshot of everything this client observed.
@@ -157,15 +193,15 @@ class ClientReport:
 
 
 @dataclass
-class CohortReport:
+class CohortReport(Outcomes):
     """Aggregate accounting for one cohort flow (the modeled client mass).
 
-    Mirrors :class:`ClientReport`'s outcome taxonomy at flow granularity:
-    the counters are *client-call* counts (a flow call models one client's
-    call), RTTs live in a streaming histogram plus exact sum/max, and
-    routing is recorded per replica index.  Everything here is
-    byte-deterministic — two runs of the same scenario produce identical
-    :meth:`fingerprint` values.
+    The :class:`Outcomes` counters are *client-call* counts (a flow call
+    models one client's call; flows only ever succeed or fault stale),
+    RTTs live in a streaming histogram plus exact sum/max, and routing is
+    recorded per replica index.  Everything here is byte-deterministic —
+    two runs of the same scenario produce identical :meth:`fingerprint`
+    values.
     """
 
     name: str
@@ -175,16 +211,6 @@ class CohortReport:
     modeled_clients: int
     #: Calls each modeled client issues over the run.
     calls_per_client: int = 0
-    #: Modeled calls that completed successfully.
-    successes: int = 0
-    #: Modeled §5.7 stale faults (breaking upgrade reached the flow).
-    stale_faults: int = 0
-    failed_attempts: int = 0
-    retried_calls: int = 0
-    abandoned_calls: int = 0
-    #: §6 recency violations at flow granularity (see :class:`ClientReport`).
-    recency_violations: int = 0
-    rebinds: int = 0
     #: Flow ticks executed (arrival batches injected).
     ticks: int = 0
     #: Modeled calls routed per replica index.
@@ -197,11 +223,6 @@ class CohortReport:
     #: RTT and server CPU cost of one real call through the full stack).
     calibrated_rtt_s: float = 0.0
     calibrated_cpu_cost_s: float = 0.0
-
-    @property
-    def calls(self) -> int:
-        """Modeled calls that completed (successes plus stale faults)."""
-        return self.successes + self.stale_faults
 
     @property
     def mean_rtt(self) -> float:
@@ -369,9 +390,9 @@ class ClusterReport:
     #: deterministic proxy for how much simulated work the run performed.
     events_dispatched: int = 0
     #: One :class:`CohortReport` per cohort flow (empty for discrete-only
-    #: scenarios).  Discrete aggregates (``total_calls``, ``all_rtts``, ...)
-    #: deliberately exclude these; the ``total_modeled_*`` /
-    #: ``simulated_clients`` aggregates fold them in.
+    #: scenarios).  The RTT aggregates (``all_rtts``, ``rtt_percentiles``,
+    #: ...) cover discrete clients only; ``outcomes(kind)`` names its
+    #: population.
     cohorts: list[CohortReport] = field(default_factory=list)
     #: Sampled time-series gauges (:class:`repro.obs.MetricsReport`) when the
     #: run had observability metrics on, else ``None``.  Deliberately *not*
@@ -429,25 +450,17 @@ class ClusterReport:
         """Virtual seconds from first call issued to last reply received."""
         return self.finished_at - self.started_at
 
-    @property
-    def total_calls(self) -> int:
-        """Calls completed across the whole fleet."""
-        return sum(client.calls for client in self.clients)
-
-    @property
-    def total_successes(self) -> int:
-        """Successful calls across the whole fleet."""
-        return sum(client.successes for client in self.clients)
-
-    @property
-    def total_stale_faults(self) -> int:
-        """Stale-method ("Non existent Method") faults across the fleet."""
-        return sum(client.stale_faults for client in self.clients)
-
-    @property
-    def total_other_faults(self) -> int:
-        """Unclassified faults across the fleet."""
-        return sum(client.other_faults for client in self.clients)
+    def outcomes(self, kind: str) -> Outcomes:
+        """The call outcomes of one population: ``"discrete"`` clients,
+        ``"modeled"`` cohort flows, or ``"all"`` of both."""
+        populations = {
+            "discrete": self.clients,
+            "modeled": self.cohorts,
+            "all": [*self.clients, *self.cohorts],
+        }
+        if kind not in populations:
+            raise ValueError(f"unknown population {kind!r}; expected one of {list(populations)}")
+        return Outcomes.total(populations[kind])
 
     @property
     def all_rtts(self) -> list[float]:
@@ -473,55 +486,40 @@ class ClusterReport:
 
     @property
     def throughput(self) -> float:
-        """Completed calls per virtual second."""
-        return self.total_calls / self.duration if self.duration > 0 else 0.0
+        """Completed discrete calls per virtual second."""
+        calls = self.outcomes("discrete").calls
+        return calls / self.duration if self.duration > 0 else 0.0
 
-    # -- availability aggregates (fault drills) ------------------------------
+    # -- names the repo benchmark (benchmarks/e2e/run.py) still reads, each
+    # -- with the population it has always read ------------------------------
 
     @property
     def total_failed_attempts(self) -> int:
-        """Transport-level attempt failures (aborts, timeouts) fleet-wide.
-
-        Includes cohort flows: a flow tick that found no routable replica
-        counts one failed attempt per modeled call, like a discrete
-        client's timed-out attempt.
-        """
-        return sum(client.failed_attempts for client in self.clients) + sum(
-            cohort.failed_attempts for cohort in self.cohorts
-        )
+        return self.outcomes("all").failed_attempts
 
     @property
     def total_retried_calls(self) -> int:
-        """Failover retries issued across the whole fleet (cohorts included)."""
-        return sum(client.retried_calls for client in self.clients) + sum(
-            cohort.retried_calls for cohort in self.cohorts
-        )
-
-    @property
-    def total_abandoned_calls(self) -> int:
-        """Calls abandoned after exhausting their retry budget, fleet-wide
-        (cohorts included)."""
-        return sum(client.abandoned_calls for client in self.clients) + sum(
-            cohort.abandoned_calls for cohort in self.cohorts
-        )
-
-    @property
-    def total_recency_violations(self) -> int:
-        """§6 recency violations fleet-wide (the protocol keeps this at 0).
-
-        Covers discrete clients *and* cohort flows: the million-client
-        acceptance drill asserts this exact counter stays 0.
-        """
-        return sum(client.recency_violations for client in self.clients) + sum(
-            cohort.recency_violations for cohort in self.cohorts
-        )
+        return self.outcomes("all").retried_calls
 
     @property
     def total_rebinds(self) -> int:
-        """Stub rebinds after stale faults fleet-wide (cohorts included)."""
-        return sum(client.rebinds for client in self.clients) + sum(
-            cohort.rebinds for cohort in self.cohorts
-        )
+        return self.outcomes("all").rebinds
+
+    @property
+    def total_stale_faults(self) -> int:
+        return self.outcomes("discrete").stale_faults
+
+    @property
+    def total_stale_faults_modeled(self) -> int:
+        return self.outcomes("modeled").stale_faults
+
+    @property
+    def modeled_rtt_percentiles(self) -> dict[str, float]:
+        """p50/p95/p99 over every cohort flow's merged RTT histogram."""
+        merged = LatencyHistogram()
+        for cohort in self.cohorts:
+            merged.merge(cohort.rtt)
+        return merged.percentiles()
 
     # -- cohort aggregates (flow-modeled client mass) ------------------------
 
@@ -534,36 +532,6 @@ class ClusterReport:
     def simulated_clients(self) -> int:
         """Total clients this run stands for: discrete plus flow-modeled."""
         return len(self.clients) + self.modeled_clients
-
-    @property
-    def total_modeled_calls(self) -> int:
-        """Modeled calls completed across every cohort flow."""
-        return sum(cohort.calls for cohort in self.cohorts)
-
-    @property
-    def total_stale_faults_modeled(self) -> int:
-        """Modeled §5.7 stale faults across every cohort flow."""
-        return sum(cohort.stale_faults for cohort in self.cohorts)
-
-    @property
-    def modeled_rtt_histogram(self) -> LatencyHistogram:
-        """Every cohort flow's RTT histogram merged into one."""
-        merged = LatencyHistogram()
-        for cohort in self.cohorts:
-            merged.merge(cohort.rtt)
-        return merged
-
-    @property
-    def modeled_rtt_percentiles(self) -> dict[str, float]:
-        """p50/p95/p99 over the modeled calls (histogram resolution)."""
-        return self.modeled_rtt_histogram.percentiles()
-
-    @property
-    def modeled_mean_rtt(self) -> float:
-        """Mean modeled round-trip time across every cohort flow."""
-        total = sum(cohort.rtt_sum for cohort in self.cohorts)
-        count = sum(cohort.rtt.count for cohort in self.cohorts)
-        return total / count if count else 0.0
 
     def cohort_fingerprint(self) -> tuple:
         """Hashable snapshot of every cohort's counters (determinism asserts)."""
@@ -683,5 +651,5 @@ class ClusterReport:
         return (
             f"ClusterReport(clients={len(self.clients)}, "
             f"services={[s.name for s in self.services]}, "
-            f"calls={self.total_calls}, duration={self.duration:.4f})"
+            f"calls={self.outcomes('discrete').calls}, duration={self.duration:.4f})"
         )

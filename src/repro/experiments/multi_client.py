@@ -58,11 +58,6 @@ class MultiClientResult:
     #: Seconds requests spent queued for a server core across the run.
     server_waited_seconds: float = 0.0
 
-    @property
-    def total_calls(self) -> int:
-        """Calls completed across the fleet."""
-        return self.report.total_calls
-
 
 def _echo_body(_instance, message: str) -> str:
     return message

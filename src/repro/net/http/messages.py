@@ -260,7 +260,10 @@ def _parse_head(head: bytes, start_fields: Callable) -> tuple:
         headers[name.strip().title()] = value.strip()
     length = headers.get("Content-Length")
     if length is not None:
-        length = length, int(length) if length.isascii() and length.isdigit() else -1
+        try:
+            length = length, int(length) if length.isascii() and length.isdigit() else -1
+        except ValueError:  # more digits than int() reads: no body is that long
+            length = length, -1
     try:
         return start_fields(lines[0]), headers, length, None
     except HttpError as exc:

@@ -40,6 +40,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
+from repro.cluster.report import Outcomes
 from repro.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -198,10 +199,11 @@ def register_slo_gauges(sampler: "MetricsSampler", driver: Any, slos: Sequence[S
 
     The gauges are pure functions of the fleet's client-report state at the
     sampling instant (cumulative counters, never reset), so the series
-    inherit the sampler's byte-determinism for free.  Cohort flows
-    contribute to recency SLOs (their reports carry the violation counter)
-    but not to latency/availability ones — flow latency lives in streaming
-    histograms, not per-call lists.
+    inherit the sampler's byte-determinism for free.  Recency SLOs count
+    the matching cohort flows' modeled calls and violations alongside the
+    discrete clients'; latency and availability ones count discrete
+    clients only — flow latency lives in streaming histograms, not
+    per-call lists.
     """
     for slo in slos:
         clients = [
@@ -231,40 +233,27 @@ def register_slo_gauges(sampler: "MetricsSampler", driver: Any, slos: Sequence[S
         elif slo.kind == KIND_AVAILABILITY:
 
             def good(clients=clients) -> int:
-                return sum(_answered(client.report) for client in clients)
+                return _outcomes(clients).answered
 
             def total(clients=clients) -> int:
-                return sum(
-                    _answered(client.report)
-                    + client.report.other_faults
-                    + client.report.abandoned_calls
-                    for client in clients
-                )
+                return _outcomes(clients).issued
 
         else:  # KIND_RECENCY
 
-            def good(clients=clients, flows=flows) -> int:
-                completed = sum(_completed(client.report) for client in clients)
-                violations = sum(
-                    client.report.recency_violations for client in clients
-                ) + sum(flow.report.recency_violations for flow in flows)
-                return max(completed - violations, 0)
+            def good(members=clients + flows) -> int:
+                outcomes = _outcomes(members)
+                return max(outcomes.calls - outcomes.recency_violations, 0)
 
-            def total(clients=clients) -> int:
-                return sum(_completed(client.report) for client in clients)
+            def total(members=clients + flows) -> int:
+                return _outcomes(members).calls
 
         sampler.register(slo.good_series, good)
         sampler.register(slo.total_series, total)
 
 
-def _answered(report: Any) -> int:
-    """Calls that got an answer (results plus explicit protocol faults)."""
-    return report.successes + report.stale_faults + report.not_initialized_faults
-
-
-def _completed(report: Any) -> int:
-    """Calls that ran to completion, right or wrong."""
-    return _answered(report) + report.other_faults
+def _outcomes(members: Sequence[Any]) -> Outcomes:
+    """The summed live outcomes of fleet clients and/or cohort flows."""
+    return Outcomes.total([member.report for member in members])
 
 
 # -- evaluation (post-run / offline side) --------------------------------------

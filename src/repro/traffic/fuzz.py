@@ -7,7 +7,7 @@ schedule (crash/restart, partition/heal) and an optional breaking rollout
 plan — builds the Scenario, runs it **while recording a trace**, and
 asserts the reproduction's load-bearing invariants:
 
-* **§6 recency** — ``report.total_recency_violations == 0``: no client
+* **§6 recency** — ``report.outcomes("all").recency_violations == 0``: no client
   ever observes an interface version older than one it already saw,
   across stale faults, failover and mid-run rollouts.
 * **No silent wrong answers** — the only faults clients see are the §5.7
@@ -174,9 +174,10 @@ def build_scenario(case: Mapping[str, Any]) -> Scenario:
 def check_report(case: Mapping[str, Any], report) -> list[str]:
     """The §6 / no-silent-wrong-answer / conservation invariants."""
     violations: list[str] = []
-    if report.total_recency_violations != 0:
+    recency_violations = report.outcomes("all").recency_violations
+    if recency_violations != 0:
         violations.append(
-            f"§6 recency violated: {report.total_recency_violations} observations "
+            f"§6 recency violated: {recency_violations} observations "
             "of an interface version older than one already seen"
         )
     for client in report.clients:
@@ -190,20 +191,14 @@ def check_report(case: Mapping[str, Any], report) -> list[str]:
                 f"{client.name}: {client.not_initialized_faults} "
                 "server-not-initialized faults"
             )
-        outcomes = (
-            client.successes
-            + client.stale_faults
-            + client.not_initialized_faults
-            + client.other_faults
-        )
-        if outcomes != len(client.rtts):
+        if client.calls != len(client.rtts):
             violations.append(
-                f"{client.name}: {outcomes} classified outcomes for "
+                f"{client.name}: {client.calls} classified outcomes for "
                 f"{len(client.rtts)} recorded RTTs"
             )
-        if len(client.rtts) + client.abandoned_calls != case["calls"]:
+        if client.issued != case["calls"]:
             violations.append(
-                f"{client.name}: {len(client.rtts)} completed + "
+                f"{client.name}: {client.calls} completed + "
                 f"{client.abandoned_calls} abandoned != {case['calls']} planned calls"
             )
     return violations

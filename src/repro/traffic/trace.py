@@ -580,8 +580,8 @@ class TraceWriter:
                 "fingerprint_sha256": fingerprint_digest(report),
                 "started_at": report.started_at,
                 "finished_at": report.finished_at,
-                "total_calls": report.total_calls,
-                "recency_violations": report.total_recency_violations,
+                "total_calls": report.outcomes("discrete").calls,
+                "recency_violations": report.outcomes("all").recency_violations,
             }
         )
 

@@ -89,9 +89,10 @@ class TestCohortDiscreteEquivalence:
             r.calls_routed for r in discrete.service("Echo").replicas
         ]
         # Conservation: every modeled call completed, none abandoned.
-        assert modeled.total_modeled_calls == clients * calls
-        assert modeled.total_abandoned_calls == 0
-        assert modeled.total_recency_violations == 0
+        flows = modeled.outcomes("modeled")
+        assert flows.calls == clients * calls
+        assert flows.abandoned_calls == 0
+        assert modeled.outcomes("all").recency_violations == 0
         assert modeled.simulated_clients == discrete.simulated_clients == clients
         # The calibrated CPU model charges what the discrete stack charged,
         # up to message-size differences from the probe host's name.
@@ -111,8 +112,8 @@ class TestCohortDiscreteEquivalence:
         assert len(report.clients) == 4
         assert report.modeled_clients == 16
         assert report.simulated_clients == 20
-        assert report.total_calls == 4 * 2  # discrete calls stay discrete
-        assert report.total_modeled_calls == 16 * 2
+        assert report.outcomes("discrete").calls == 4 * 2  # discrete calls stay discrete
+        assert report.outcomes("modeled").calls == 16 * 2
         assert report.service("Echo").calls_routed == 20 * 2
 
 
@@ -143,7 +144,7 @@ class TestCohortFaults:
         assert cohort.abandoned_calls == 12 * 2
         assert cohort.retried_calls == 12 * 2 * 2  # two retries per call
         assert cohort.failed_attempts == 12 * 2 * 3  # every attempt failed
-        assert report.total_recency_violations == 0
+        assert report.outcomes("all").recency_violations == 0
 
     def test_drill_with_cohort_keeps_recency_and_conserves_calls(self):
         """Crash + partition + heal + restart at cohort scale: §6 holds."""
@@ -151,29 +152,35 @@ class TestCohortFaults:
             800, cohort=CohortModel(representatives=8), calls=2, arrival=0.2 / 800
         ).run()
         assert report.modeled_clients == 800 - 8
-        assert report.total_recency_violations == 0
-        modeled_issued = report.modeled_clients * 2
-        assert (
-            report.total_modeled_calls + report.total_abandoned_calls
-            == modeled_issued
+        assert report.outcomes("all").recency_violations == 0
+        assert report.outcomes("modeled").issued == report.modeled_clients * 2
+
+    def test_drill_outcomes_sum_both_populations_and_conserve_calls(self):
+        """Crash + partition with a cohort: the fleet-wide tally is the
+        discrete one plus the modeled one, and each population issued
+        exactly the calls it planned."""
+        report = fault_drill_scenario(512, cohort=CohortModel(representatives=32)).run()
+        discrete = report.outcomes("discrete")
+        modeled = report.outcomes("modeled")
+        assert report.outcomes("all") == discrete + modeled
+        assert discrete.issued == len(report.clients) * 4
+        assert modeled.issued == sum(
+            cohort.modeled_clients * cohort.calls_per_client for cohort in report.cohorts
         )
 
     def test_rolling_breaking_upgrade_rebinds_flows(self):
         """The million-client drill's breaking upgrade reaches the flows."""
         report = million_client_scenario(1500).run()
-        assert report.total_rebinds > 0
-        assert report.total_stale_faults_modeled > 0
-        assert report.total_recency_violations == 0
+        assert report.outcomes("all").rebinds > 0
+        assert report.outcomes("modeled").stale_faults > 0
+        assert report.outcomes("all").recency_violations == 0
         assert any(record.service == "EchoSoap" for record in report.rollouts)
         # Every client is carried: 32 representatives, the rest modeled,
         # and every modeled call completed or was abandoned.
         assert report.simulated_clients == 1500
         assert len(report.clients) == 32
         assert report.modeled_clients == 1500 - 32
-        assert (
-            report.total_modeled_calls + report.total_abandoned_calls
-            == report.modeled_clients * 2
-        )
+        assert report.outcomes("modeled").issued == report.modeled_clients * 2
         # The bounded server cores contended: modeled latency spread out.
         percentiles = report.modeled_rtt_percentiles
         assert percentiles["p99"] > percentiles["p50"]
@@ -207,7 +214,7 @@ class TestPresetParameterization:
         downtimes = {node.name: node.downtime_s for node in report.nodes}
         assert downtimes["server-1"] > 0  # crash + restart window
         assert downtimes["server-2"] == 0  # partitioned, never crashed
-        assert report.total_calls > 0
+        assert report.outcomes("discrete").calls > 0
 
     def test_clients_rejects_non_cohort_model(self):
         with pytest.raises(ClusterError):

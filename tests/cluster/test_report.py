@@ -11,8 +11,11 @@ import pytest
 
 from repro import STRING, Scenario, op
 from repro.cluster.report import (
+    OUTCOME_FIELDS,
     ClientReport,
     ClusterReport,
+    CohortReport,
+    Outcomes,
     percentile,
     rtt_percentiles,
 )
@@ -42,7 +45,7 @@ class TestEmptyReports:
         assert report.max_rtt == 0.0
         assert report.throughput == 0.0
         assert report.rtt_percentiles == {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-        assert report.total_calls == 0
+        assert report.outcomes("discrete").calls == 0
 
     def test_client_report_without_calls(self):
         client = ClientReport(name="idle")
@@ -60,7 +63,7 @@ class TestEmptyReports:
             .clients(2, service="Echo", calls=3, arguments=("hi",), arrival=1.0)
             .run(until=0.0001)
         )
-        assert report.total_calls == 0
+        assert report.outcomes("discrete").calls == 0
         assert report.all_rtts == []
         # Every aggregate and percentile helper stays well-defined.
         assert report.mean_rtt == 0.0
@@ -68,3 +71,42 @@ class TestEmptyReports:
         assert report.rtt_percentiles == {"p50": 0.0, "p95": 0.0, "p99": 0.0}
         assert report.service("Echo").calls_by_version == {}
         assert report.throughput == 0.0
+
+
+class TestOutcomes:
+    def test_reports_take_every_counter_from_outcomes(self):
+        for report_class in (ClientReport, CohortReport):
+            assert issubclass(report_class, Outcomes)
+            assert not set(report_class.__annotations__) & set(OUTCOME_FIELDS)
+
+    def test_derived_counts(self):
+        outcomes = Outcomes(
+            successes=5, stale_faults=2, not_initialized_faults=1, other_faults=3,
+            abandoned_calls=4,
+        )
+        assert outcomes.answered == 8
+        assert outcomes.calls == 11
+        assert outcomes.issued == 15
+
+    def test_sums_fieldwise(self):
+        first = Outcomes(**{name: index + 1 for index, name in enumerate(OUTCOME_FIELDS)})
+        second = Outcomes(**{name: 10 for name in OUTCOME_FIELDS})
+        assert first + second == Outcomes(
+            **{name: index + 11 for index, name in enumerate(OUTCOME_FIELDS)}
+        )
+        assert Outcomes.total([first, second, first]) == first + second + first
+        assert Outcomes.total([]) == Outcomes()
+
+    def test_populations(self):
+        client = ClientReport("c", successes=3, stale_faults=1, rebinds=1)
+        cohort = CohortReport(
+            name="f", protocol="soap", service="S", modeled_clients=8, successes=16,
+            abandoned_calls=2,
+        )
+        report = ClusterReport(0.0, 1.0, clients=[client], cohorts=[cohort])
+        assert report.outcomes("discrete") == Outcomes(successes=3, stale_faults=1, rebinds=1)
+        assert report.outcomes("modeled") == Outcomes(successes=16, abandoned_calls=2)
+        assert report.outcomes("all") == report.outcomes("discrete") + report.outcomes("modeled")
+        assert report.outcomes("all").issued == 22
+        with pytest.raises(ValueError, match="unknown population"):
+            report.outcomes("cohorts")

@@ -48,8 +48,9 @@ class TestScenarioBasics:
             .clients(8, service="Echo", calls=5, arguments=("ping",))
             .run()
         )
-        assert report.total_calls == 40
-        assert report.total_successes == 40
+        outcomes = report.outcomes("all")
+        assert outcomes.calls == 40
+        assert outcomes.successes == 40
         assert report.service("Echo").calls_routed == 40
         assert report.service("Echo").replica_count == 2
         # One keep-alive connection per client, split over the replicas.
@@ -62,7 +63,7 @@ class TestScenarioBasics:
             .clients(2, service="Echo", calls=2, arguments=("x",))
             .run()
         )
-        assert report.total_successes == 4
+        assert report.outcomes("discrete").successes == 4
 
     def test_protocol_mix_interleaves_deterministically(self):
         report = _mixed_scenario(8).run()
@@ -137,8 +138,8 @@ class TestScenarioBasics:
         )
         first = runtime.run(until=1.0)
         second = runtime.run(until=1.0)
-        assert first.total_calls == 4
-        assert second.total_calls == 4
+        assert first.outcomes("discrete").calls == 4
+        assert second.outcomes("discrete").calls == 4
         assert second.started_at > first.started_at
         assert second.duration == pytest.approx(1.0)
 
@@ -153,16 +154,18 @@ class TestScenarioBasics:
             .build()
         )
         first = runtime.run(until=3.0)
-        frozen_calls = first.total_calls
+        first_outcomes = first.outcomes("all")
+        frozen_calls = first_outcomes.calls
         assert 0 < frozen_calls < 100  # genuinely cut short
         assert first.duration == pytest.approx(3.0)  # the horizon is exact
         second = runtime.run(until=3.0)
         # The first report stayed frozen after its run returned.
-        assert first.total_calls == frozen_calls
+        assert first_outcomes.calls == frozen_calls
         # The second window's routing reflects only its own fleet (at most
         # one in-flight call per client may be unrecorded at the deadline).
         routed = second.service("Echo").calls_routed
-        assert second.total_calls <= routed <= second.total_calls + 2
+        second_outcomes = second.outcomes("all")
+        assert second_outcomes.calls <= routed <= second_outcomes.calls + 2
 
     def test_until_bounds_a_sparse_event_queue_exactly(self):
         """A think timer far beyond the horizon must not be dispatched just
@@ -175,7 +178,7 @@ class TestScenarioBasics:
             .run(until=2.0)
         )
         assert report.duration == pytest.approx(2.0)
-        assert report.total_calls == 1
+        assert report.outcomes("discrete").calls == 1
         assert report.service("Echo").calls_routed == 1
 
     def test_timeline_is_armed_once_and_cut_actions_never_fire(self):
@@ -191,7 +194,7 @@ class TestScenarioBasics:
         )
         runtime.run(until=5.0)
         report = runtime.run(until=15.0)
-        assert report.total_successes == 1
+        assert report.outcomes("discrete").successes == 1
         assert not runtime.dynamic_class("Echo").has_method("late_op")
 
     def test_fired_timeline_actions_are_not_replayed_by_later_runs(self):
@@ -206,7 +209,7 @@ class TestScenarioBasics:
         # Re-running must not replay churn round 0 ("already has a method")
         # and the epoch guard stops the pending self-scheduled rounds.
         report = runtime.run(until=30.0)
-        assert report.total_successes == 2
+        assert report.outcomes("discrete").successes == 2
         assert runtime.dynamic_class("Echo").has_method("churned_op_0")
         assert not runtime.dynamic_class("Echo").has_method("churned_op_1")
 
@@ -245,7 +248,7 @@ class TestScenarioBasics:
         publisher = runtime.replicas("Echo")[0].publisher
         forced_before = publisher.stats.forced_publications
         report = runtime.run()
-        assert report.total_successes == 1
+        assert report.outcomes("discrete").successes == 1
         assert publisher.stats.forced_publications == forced_before
 
 
@@ -282,7 +285,7 @@ class TestStickyRouting:
             )
 
         report = build().run()
-        assert report.total_successes == 36
+        assert report.outcomes("discrete").successes == 36
         # The mid-run publication actually happened...
         assert report.service("Echo").publications >= 2
         # ...and every client stayed pinned to its replica throughout.
@@ -320,8 +323,9 @@ class TestSweepReproducibility:
         produces identical per-call RTT sequences across two fresh runs."""
         first = _mixed_scenario(64, think_time=0.01).run()
         second = _mixed_scenario(64, think_time=0.01).run()
-        assert first.total_calls == 64 * 3
-        assert first.total_successes == first.total_calls
+        first_outcomes = first.outcomes("all")
+        assert first_outcomes.calls == 64 * 3
+        assert first_outcomes.successes == first_outcomes.calls
         assert first.all_rtts == second.all_rtts
         assert first.duration == second.duration
         assert first.events_dispatched == second.events_dispatched
@@ -352,7 +356,7 @@ class TestTimeline:
             .run()
         )
         assert report.service("Echo").publications >= 3
-        assert report.total_calls == 40
+        assert report.outcomes("discrete").calls == 40
 
     def test_timeline_without_clients_needs_until(self):
         scenario = (
@@ -363,7 +367,7 @@ class TestTimeline:
         with pytest.raises(ClusterError):
             scenario.run()
         report = scenario.run(until=10.0)
-        assert report.total_calls == 0
+        assert report.outcomes("discrete").calls == 0
         # The edit settled into a publication before the horizon.
         assert report.service("Echo").publications >= 1
 
@@ -377,7 +381,7 @@ class TestTimeline:
             .run()
         )
         assert fired == [True]
-        assert report.total_calls == 2
+        assert report.outcomes("discrete").calls == 2
 
 
 class TestInteractiveRuntime:

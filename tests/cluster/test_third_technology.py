@@ -180,8 +180,9 @@ def _toy_scenario(clients: int = 6, **scenario_kwargs) -> Scenario:
 class TestThirdTechnologyThroughScenario:
     def test_toy_technology_runs_end_to_end(self):
         report = _toy_scenario().run()
-        assert report.total_calls == 24
-        assert report.total_successes == 24
+        outcomes = report.outcomes("all")
+        assert outcomes.calls == 24
+        assert outcomes.successes == 24
         service = report.service("Shout")
         assert service.technology == TOY
         assert service.replica_count == 2
@@ -205,7 +206,7 @@ class TestThirdTechnologyThroughScenario:
             .at(0.0, edit("Shout", op("added_later")))
             .run()
         )
-        assert report.total_successes == 16
+        assert report.outcomes("discrete").successes == 16
 
         stale = (
             Scenario(name="toy-stale", sde_config=SDEConfig(publication_timeout=5.0))
@@ -221,7 +222,7 @@ class TestThirdTechnologyThroughScenario:
             .at(0.0, edit("Shout", op("added_later")))
             .run()
         )
-        assert stale.total_stale_faults == 4 * 2
+        assert stale.outcomes("discrete").stale_faults == 4 * 2
         assert stale.service("Shout").stalled_calls > 0
 
     def test_cde_binding_drives_the_toy_stack(self):

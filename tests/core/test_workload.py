@@ -66,9 +66,10 @@ class TestWorkloadSteadyState:
     @pytest.mark.parametrize("technology", ["soap", "corba"])
     def test_all_calls_succeed(self, technology):
         report = _echo_fleet(technology, clients=6, calls=4).run()
-        assert report.total_calls == 24
-        assert report.total_successes == 24
-        assert report.total_stale_faults == 0
+        outcomes = report.outcomes("all")
+        assert outcomes.calls == 24
+        assert outcomes.successes == 24
+        assert outcomes.stale_faults == 0
         assert report.duration > 0
         assert report.mean_rtt > 0
         assert report.throughput > 0
@@ -112,12 +113,13 @@ class TestWorkloadStaleStorm:
     def test_stall_queue_forms_and_drains(self, technology):
         report = _stale_storm(technology, clients=8, calls=6, stale_every=3).run()
         # Every third of six calls per client is stale.
-        assert report.total_stale_faults == 8 * 2
+        outcomes = report.outcomes("all")
+        assert outcomes.stale_faults == 8 * 2
         assert report.stalled_calls > 0
         assert report.max_stall_queue_depth > 0
         # Everything drained: every call got an answer.
-        assert report.total_calls == 8 * 6
-        assert report.total_successes == 8 * 4
+        assert outcomes.calls == 8 * 6
+        assert outcomes.successes == 8 * 4
 
 
 class TestWorkloadReruns:
@@ -132,7 +134,7 @@ class TestWorkloadReruns:
         # The timeline fires only in the first run, so the rerun's stale
         # calls meet a current published interface and never stall.
         rerun = runtime.run()
-        assert rerun.total_stale_faults == 6 * 2
+        assert rerun.outcomes("discrete").stale_faults == 6 * 2
         assert rerun.max_stall_queue_depth == 0
         # The lifetime maximum on the handler stats survives for observers.
         handler = runtime.replicas("EchoService")[0].call_handler
@@ -146,7 +148,7 @@ class TestScalingExperiment:
     @pytest.mark.parametrize("technology", ["soap", "corba"])
     def test_steady_scenario_summary(self, technology):
         result = run_multi_client(technology, clients=4, calls_per_client=3)
-        assert result.total_calls == 12
+        assert result.report.outcomes("discrete").calls == 12
         assert result.server_connections == 4
         assert result.stalled_calls == 0
 
@@ -164,7 +166,7 @@ class TestScalingExperiment:
             technology, clients, calls_per_client=6, scenario=SCENARIO_STALE_STORM
         )
         # Every third of six calls per client is stale.
-        assert result.report.total_stale_faults == clients * 2
+        assert result.report.outcomes("discrete").stale_faults == clients * 2
         assert result.stalled_calls > 0
         assert result.max_stall_queue_depth >= clients // 4
 

@@ -76,10 +76,11 @@ class TestCompatibleRolling:
         # deliberately publish divergent versions mid-rollout — the
         # version-aware routing keeps every client's observed version
         # monotone (the §6 guarantee for compatible upgrades).
-        assert report.total_successes == report.total_calls == 64
-        assert report.total_stale_faults == 0
-        assert report.total_rebinds == 0
-        assert report.total_recency_violations == 0
+        outcomes = report.outcomes("all")
+        assert outcomes.successes == outcomes.calls == 64
+        assert outcomes.stale_faults == 0
+        assert outcomes.rebinds == 0
+        assert outcomes.recency_violations == 0
         (rollout,) = report.rollouts
         assert rollout.completed
         assert rollout.classification == CLASS_COMPATIBLE
@@ -112,17 +113,18 @@ class TestBreakingRolling:
         )
         # Every affected client observes the break as an explicit §5.7
         # stale fault followed by a rebind; nothing is silently wrong.
-        assert report.total_stale_faults > 0
-        assert report.total_rebinds == report.total_stale_faults
-        assert report.total_other_faults == 0
-        assert report.total_successes + report.total_stale_faults == report.total_calls
-        assert report.total_recency_violations == 0
+        outcomes = report.outcomes("all")
+        assert outcomes.stale_faults > 0
+        assert outcomes.rebinds == outcomes.stale_faults
+        assert outcomes.other_faults == 0
+        assert outcomes.successes + outcomes.stale_faults == outcomes.calls
+        assert outcomes.recency_violations == 0
         (rollout,) = report.rollouts
         assert rollout.completed and not rollout.aborted
         assert rollout.classification == CLASS_BREAKING
         # The window counters cover the rollout only; clients that cross
         # after the last wave published rebind outside it.
-        assert 0 < rollout.rebinds_during <= report.total_rebinds
+        assert 0 < rollout.rebinds_during <= outcomes.rebinds
         assert rollout.stale_faults_during == rollout.rebinds_during
         assert rollout.stale_fault_rate > 0.0
         # The waves' published-document deltas carry the typed changes.
@@ -159,10 +161,11 @@ class TestBreakingRolling:
             .at(0.03, rolling("Echo", BREAKING, batch_size=1, drain=0.03))
             .run()
         )
-        assert report.total_stale_faults > 0
-        assert report.total_rebinds == report.total_stale_faults
-        assert report.total_other_faults == 0
-        assert report.total_recency_violations == 0
+        outcomes = report.outcomes("all")
+        assert outcomes.stale_faults > 0
+        assert outcomes.rebinds == outcomes.stale_faults
+        assert outcomes.other_faults == 0
+        assert outcomes.recency_violations == 0
         assert report.rollouts[0].classification == CLASS_BREAKING
 
     def test_deliberate_stale_probes_do_not_rebind(self):
@@ -173,8 +176,9 @@ class TestBreakingRolling:
             .at(0.03, rolling("Echo", COMPATIBLE, batch_size=1, drain=0.03))
             .run()
         )
-        assert report.total_stale_faults > 0  # the probes
-        assert report.total_rebinds == 0
+        outcomes = report.outcomes("all")
+        assert outcomes.stale_faults > 0  # the probes
+        assert outcomes.rebinds == 0
 
 
 class TestCanaryAndAbort:
@@ -200,9 +204,10 @@ class TestCanaryAndAbort:
         assert runtime.replicas("Echo")[0].publisher.version > 3
         # Nothing was ever silently wrong, the §6 guarantee held, and every
         # client that crossed to the canary walked back after the rollback.
-        assert report.total_other_faults == 0
-        assert report.total_recency_violations == 0
-        assert report.total_rebinds == report.total_stale_faults
+        outcomes = report.outcomes("all")
+        assert outcomes.other_faults == 0
+        assert outcomes.recency_violations == 0
+        assert outcomes.rebinds == outcomes.stale_faults
         for client in report.clients:
             assert client.successes > 0
 
@@ -224,7 +229,8 @@ class TestCanaryAndAbort:
 
     def test_abort_without_active_rollout_is_a_noop(self):
         report = _scenario("abort-noop").at(0.03, abort_rollout("Echo")).run()
-        assert report.total_successes == report.total_calls
+        outcomes = report.outcomes("all")
+        assert outcomes.successes == outcomes.calls
         assert report.rollouts == []
 
     def test_overlapping_rollouts_rejected(self):
@@ -263,10 +269,11 @@ class TestCrashMidRollout:
                 "echo_v2",
             )
         # The full contract held across crash + rollout + failover.
-        assert report.total_other_faults == 0
-        assert report.total_recency_violations == 0
-        assert report.total_abandoned_calls == 0
-        assert report.total_rebinds > 0
+        outcomes = report.outcomes("all")
+        assert outcomes.other_faults == 0
+        assert outcomes.recency_violations == 0
+        assert outcomes.abandoned_calls == 0
+        assert outcomes.rebinds > 0
 
     def test_mixed_fleet_fails_over_while_both_services_roll(self):
         # Four servers, SOAP and CORBA: the crash lands before the SOAP
@@ -297,12 +304,13 @@ class TestCrashMidRollout:
         for name in ("EchoSoap", "EchoCorba"):
             assert all(replica.interface_version >= 3 for replica in report.service(name).replicas)
             assert len(report.service(name).calls_by_version) >= 2
-        assert report.total_calls == 16 * 8
-        assert report.total_successes + report.total_stale_faults == report.total_calls
-        assert report.total_other_faults == 0
-        assert report.total_recency_violations == 0
-        assert report.total_failed_attempts > 0
-        assert report.total_rebinds == report.total_stale_faults > 0
+        outcomes = report.outcomes("all")
+        assert outcomes.calls == 16 * 8
+        assert outcomes.successes + outcomes.stale_faults == outcomes.calls
+        assert outcomes.other_faults == 0
+        assert outcomes.recency_violations == 0
+        assert outcomes.failed_attempts > 0
+        assert outcomes.rebinds == outcomes.stale_faults > 0
         assert [node.name for node in report.nodes if node.downtime_s > 0] == ["server-1"]
 
     def test_crash_mid_rollout_is_byte_deterministic(self):

@@ -49,13 +49,14 @@ def _drill(policy="round-robin", clients=8, **fleet_kwargs) -> Scenario:
 class TestCrashFailover:
     def test_all_calls_complete_with_zero_recency_violations(self):
         report = _drill().run()
-        assert report.total_calls == 8 * 8
-        assert report.total_successes == report.total_calls
-        assert report.total_abandoned_calls == 0
+        outcomes = report.outcomes("all")
+        assert outcomes.calls == 8 * 8
+        assert outcomes.successes == outcomes.calls
+        assert outcomes.abandoned_calls == 0
         # In-flight calls at crash time failed fast and were retried.
-        assert report.total_failed_attempts > 0
-        assert report.total_retried_calls == report.total_failed_attempts
-        assert report.total_recency_violations == 0
+        assert outcomes.failed_attempts > 0
+        assert outcomes.retried_calls == outcomes.failed_attempts
+        assert outcomes.recency_violations == 0
 
     def test_availability_bookkeeping(self):
         report = _drill().run()
@@ -88,7 +89,8 @@ class TestCrashFailover:
 
     def test_sticky_sessions_repin_deterministically_and_stay(self):
         report = _drill(policy=POLICY_STICKY, clients=4).run()
-        assert report.total_successes == report.total_calls
+        outcomes = report.outcomes("all")
+        assert outcomes.successes == outcomes.calls
         for client in report.clients:
             sequence = client.replica_sequence
             # Once re-pinned away from the crashed replica a session never
@@ -137,15 +139,17 @@ class TestCrashFailover:
             )
         )
         report = scenario.run()
-        assert report.total_stale_faults == 4
-        assert report.total_retried_calls == 0
-        assert report.total_abandoned_calls == 0
+        outcomes = report.outcomes("all")
+        assert outcomes.stale_faults == 4
+        assert outcomes.retried_calls == 0
+        assert outcomes.abandoned_calls == 0
 
     def test_without_retry_policy_failures_surface_as_faults(self):
         report = _drill(retry=None).run()
-        assert report.total_calls == report.total_successes + report.total_other_faults
-        assert report.total_other_faults > 0
-        assert report.total_retried_calls == 0
+        outcomes = report.outcomes("all")
+        assert outcomes.calls == outcomes.successes + outcomes.other_faults
+        assert outcomes.other_faults > 0
+        assert outcomes.retried_calls == 0
 
 
 class TestCrashDuringPublish:
@@ -174,9 +178,10 @@ class TestCrashDuringPublish:
 
     def test_zero_recency_violations_across_failover(self):
         report = self._scenario().run()
-        assert report.total_successes == report.total_calls
-        assert report.total_retried_calls > 0
-        assert report.total_recency_violations == 0
+        outcomes = report.outcomes("all")
+        assert outcomes.successes == outcomes.calls
+        assert outcomes.retried_calls > 0
+        assert outcomes.recency_violations == 0
         # The publication round landed on both replicas despite the crash.
         echo = report.service("Echo")
         assert all(replica.interface_version >= 3 for replica in echo.replicas)
@@ -218,7 +223,7 @@ class TestCrashDuringPublish:
         report = scenario.run()
         pinned_to_first = report.clients[0]
         assert pinned_to_first.replica_sequence[0] == 0
-        assert report.total_recency_violations > 0
+        assert report.outcomes("all").recency_violations > 0
 
 
 class TestPartitionsAndLossyLinks:
@@ -239,10 +244,11 @@ class TestPartitionsAndLossyLinks:
             .at(0.120, heal("server-1"))
         )
         report = scenario.run()
-        assert report.total_successes == report.total_calls
+        outcomes = report.outcomes("all")
+        assert outcomes.successes == outcomes.calls
         # Requests into the partition timed out and were retried.
-        assert report.total_failed_attempts > 0
-        assert report.total_recency_violations == 0
+        assert outcomes.failed_attempts > 0
+        assert outcomes.recency_violations == 0
 
     def test_lossy_link_is_retried_and_deterministic(self):
         def build():
@@ -263,8 +269,9 @@ class TestPartitionsAndLossyLinks:
 
         first = build().run()
         second = build().run()
-        assert first.total_successes == first.total_calls
-        assert first.total_failed_attempts > 0
+        first_outcomes = first.outcomes("all")
+        assert first_outcomes.successes == first_outcomes.calls
+        assert first_outcomes.failed_attempts > 0
         assert first.all_rtts == second.all_rtts
         assert first.events_dispatched == second.events_dispatched
 
@@ -284,9 +291,10 @@ class TestPartitionsAndLossyLinks:
             .at(0.012, crash("server"))
         )
         report = scenario.run()
-        assert report.total_abandoned_calls > 0
-        assert report.total_calls + report.total_abandoned_calls == 3 * 4
-        assert report.total_recency_violations == 0
+        outcomes = report.outcomes("all")
+        assert outcomes.abandoned_calls > 0
+        assert outcomes.calls + outcomes.abandoned_calls == 3 * 4
+        assert outcomes.recency_violations == 0
 
     def test_selection_raises_when_every_replica_is_down(self):
         runtime = (
@@ -318,10 +326,11 @@ class TestMixedFaultDrill:
         first = fault_drill_scenario(64, arrival=arrival).run()
         second = fault_drill_scenario(64, arrival=arrival).run()
         assert first.fingerprint() == second.fingerprint()
-        assert first.total_calls + first.total_abandoned_calls == 64 * 4
-        assert first.total_successes == first.total_calls
-        assert first.total_failed_attempts > 0
-        assert first.total_retried_calls > 0
-        assert first.total_recency_violations == 0
+        first_outcomes = first.outcomes("all")
+        assert first_outcomes.calls + first_outcomes.abandoned_calls == 64 * 4
+        assert first_outcomes.successes == first_outcomes.calls
+        assert first_outcomes.failed_attempts > 0
+        assert first_outcomes.retried_calls > 0
+        assert first_outcomes.recency_violations == 0
         crashed = [node for node in first.nodes if node.downtime_s > 0]
         assert [(node.name, node.outages) for node in crashed] == [("server-1", 1)]

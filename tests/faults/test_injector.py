@@ -99,7 +99,7 @@ class TestDropLinkSeeding:
                                      jitter=0.002, seed=7))
                 .run()
             )
-            assert report.total_failed_attempts > 0
+            assert report.outcomes("all").failed_attempts > 0
             print(fingerprint_digest(report))
             """
         )

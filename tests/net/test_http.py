@@ -121,6 +121,22 @@ class TestContentLength:
         with pytest.raises(HttpError, match="Content-Length"):
             HttpResponse.from_bytes(raw)
 
+    def test_request_with_an_oversized_length_rejected(self):
+        """More digits than ``int()`` converts is a wrong length, not a crash."""
+        raw = b"POST /x HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\nhi"
+        with pytest.raises(HttpError, match="does not match its 2-byte body"):
+            HttpRequest.from_bytes(raw)
+
+    def test_response_with_an_oversized_length_rejected(self):
+        raw = b"HTTP/1.1 200 OK\r\nContent-Length: " + b"0" * 5000 + b"2\r\n\r\nhi"
+        with pytest.raises(HttpError, match="does not match its 2-byte body"):
+            HttpResponse.from_bytes(raw)
+
+    def test_an_oversized_length_outranks_a_bad_start_line(self):
+        raw = b"POST x HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\nhi"
+        with pytest.raises(HttpError, match="does not match"):
+            HttpRequest.from_bytes(raw)
+
     def test_length_counts_bytes_not_characters(self):
         raw = "HTTP/1.1 200 OK\r\nContent-Length: 6\r\n\r\nhéllo".encode("utf-8")
         assert HttpResponse.from_bytes(raw).body == "héllo"
@@ -140,6 +156,20 @@ class TestContentLength:
             Address("server", 8080), raw, lambda message: HttpResponse.from_bytes(message.payload)
         )
         assert response.status == StatusCodes.BAD_REQUEST
+        assert seen == []
+
+    def test_server_answers_400_to_an_oversized_length(self, network, scheduler):
+        server = HttpServer(network.host("server"), 8080)
+        seen = []
+        server.add_route("/x", lambda request: seen.append(request) or HttpResponse.ok_text("x"))
+        server.start()
+        channel = ClientChannel(network.host("client"))
+        raw = b"POST /x HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\nhello"
+        response = channel.request(
+            Address("server", 8080), raw, lambda message: HttpResponse.from_bytes(message.payload)
+        )
+        assert response.status == StatusCodes.BAD_REQUEST
+        assert "does not match" in response.body
         assert seen == []
 
     def test_client_call_fails_on_a_wrong_length(self, network, scheduler):

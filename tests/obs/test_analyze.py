@@ -133,7 +133,7 @@ class TestExactAttribution:
         obs = Observability()
         report = _drill().run(obs=obs)
         profile = obs.profile()
-        assert profile.call_count == report.total_calls == 48
+        assert profile.call_count == report.outcomes("discrete").calls == 48
         assert profile.dropped == 0
         assert profile.max_residual_ns == 0
         for attribution in profile.attributions:
@@ -164,7 +164,7 @@ class TestExactAttribution:
     def test_stall_time_attributed_to_the_stall_component(self):
         obs = Observability()
         report = _stall_drill().run(obs=obs)
-        assert report.total_stale_faults > 0
+        assert report.outcomes("discrete").stale_faults > 0
         profile = obs.profile()
         assert profile.max_residual_ns == 0
         # The stalled probes waited out the 50ms generation; that wait must
@@ -188,7 +188,7 @@ class TestExactAttribution:
     def test_backoff_counts_retry_gaps(self):
         obs = Observability()
         report = _drill().run(obs=obs)
-        assert report.total_retried_calls > 0
+        assert report.outcomes("all").retried_calls > 0
         profile = obs.profile()
         retried = [a for a in profile.attributions if a.attempts > 1]
         assert retried
@@ -197,7 +197,7 @@ class TestExactAttribution:
     def test_rebind_time_tracked_per_call_but_outside_the_rtt_sum(self):
         obs = Observability()
         report = _rebind_drill().run(obs=obs)
-        assert report.total_rebinds > 0
+        assert report.outcomes("all").rebinds > 0
         profile = obs.profile()
         assert profile.max_residual_ns == 0
         rebound = [a for a in profile.attributions if a.rebind_ns > 0]
@@ -273,7 +273,8 @@ class TestAcceptanceDrill:
         obs_two, report_two = self._run()
 
         profile = obs_one.profile()
-        assert report_one.total_calls == 1024
+        report_one_outcomes = report_one.outcomes("all")
+        assert report_one_outcomes.calls == 1024
         assert profile.call_count == 1024
         assert profile.dropped == 0
         # Every call's components sum exactly to its measured RTT.
@@ -283,7 +284,7 @@ class TestAcceptanceDrill:
         assert set(profile.by_protocol) == {"corba", "soap"}
         assert set(profile.by_service) == {"EchoCorba", "EchoSoap"}
         # The breaking rolling upgrade drove §5.7 stale faults + rebinds.
-        assert report_one.total_rebinds > 0
+        assert report_one_outcomes.rebinds > 0
         assert sum(a.rebind_ns for a in profile.attributions) > 0
 
         # Byte-determinism: profile, SLO results and metrics fingerprints.

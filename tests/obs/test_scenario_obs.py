@@ -101,7 +101,7 @@ class TestTransportSendEvents:
             for _time, name, attrs in span.events
             if name == "transport.send"
         ]
-        assert len(sends) >= report.total_calls
+        assert len(sends) >= report.outcomes("discrete").calls
         assert {span.kind for span, _attrs in sends} == {"attempt"}
         assert all(attrs["bytes"] > 0 and attrs["to"] for _span, attrs in sends)
 
@@ -163,7 +163,7 @@ class TestRecencyViolationFlightDump:
     def test_violation_auto_dumps_named_flight_file(self, tmp_path):
         obs = Observability(ObsConfig(dump_dir=tmp_path))
         report = self._violation_scenario().run(obs=obs)
-        assert report.total_recency_violations > 0
+        assert report.outcomes("all").recency_violations > 0
         dump = next(
             dump for dump in obs.flight_dumps if dump["reason"] == "recency-violation"
         )
@@ -204,7 +204,7 @@ class TestDumpDirEnv:
         monkeypatch.setenv("REPRO_OBS_DUMP_DIR", str(target))
         obs = Observability()
         report = _violation_scenario().run(obs=obs)
-        assert report.total_recency_violations > 0
+        assert report.outcomes("all").recency_violations > 0
         assert (target / "flight-001-recency-violation.json").exists()
 
     def test_explicit_dump_dir_wins_over_env(self, tmp_path, monkeypatch):

@@ -15,6 +15,7 @@ import math
 
 import pytest
 
+from repro.cluster import CohortModel
 from repro.cluster.presets import fault_drill_scenario
 from repro.errors import ReproError
 from repro.obs import ObsConfig, Observability
@@ -183,10 +184,25 @@ class TestScenarioIntegration:
         }
         availability = report.slo("fleet-availability")
         assert not availability.missing
-        assert availability.total == report.total_calls
+        assert availability.total == report.outcomes("discrete").calls
         assert report.slo("fleet-recency").ok
         with pytest.raises(KeyError):
             report.slo("undeclared")
+
+    def test_recency_counts_cohort_flows_with_the_clients(self):
+        """A recency SLO's good and total read one population: every
+        matching discrete and modeled call.  The horizon runs past the last
+        reply, so the final sample has seen every call."""
+        report = (
+            fault_drill_scenario(512, cohort=CohortModel(representatives=32))
+            .slo(recency_slo("fleet-recency"))
+            .run(until=1.0, obs=True)
+        )
+        outcomes = report.outcomes("all")
+        assert report.outcomes("modeled").calls > 0
+        recency = report.slo("fleet-recency")
+        assert recency.total == outcomes.calls
+        assert recency.good == outcomes.calls - outcomes.recency_violations
 
     def test_service_filter_counts_one_service_only(self):
         report = self._scenario().run(obs=True)

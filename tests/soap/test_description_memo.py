@@ -54,7 +54,8 @@ def test_fault_drill_parses_each_published_document_once(real_parses):
         for texts in real_parses.values():
             texts.clear()
         report = fault_drill_scenario(clients).run()
-        assert report.total_successes == report.total_calls == clients * 4
+        outcomes = report.outcomes("all")
+        assert outcomes.successes == outcomes.calls == clients * 4
         for kind, texts in real_parses.items():
             memo = PARSERS[kind][0].cache_info()
             assert len(texts) == len(set(texts)) == memo.misses

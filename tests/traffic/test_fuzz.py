@@ -104,4 +104,4 @@ def test_check_report_passes_on_a_clean_case():
     }
     report = build_scenario(case).run()
     assert check_report(case, report) == []
-    assert report.total_recency_violations == 0
+    assert report.outcomes("all").recency_violations == 0

@@ -19,11 +19,7 @@ ROOT = Path(__file__).resolve().parents[2]
 SCANNED = ("src", "tests", "examples", "benchmarks")
 
 #: Kept although nothing uses it yet.
-ALLOWED_UNUSED = {
-    # ROADMAP item 9 (measured cohort fidelity) decides whether the cohort
-    # flows' modelled mean RTT joins the fidelity schema or is deleted.
-    "modeled_mean_rtt",
-}
+ALLOWED_UNUSED: set[str] = set()
 
 _DEFINITION = re.compile(r"^[ \t]*(?:async[ \t]+)?(?:def|class)[ \t]+(\w+)", re.MULTILINE)
 _WORD = re.compile(r"\w+")
