@@ -68,7 +68,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.cluster.histogram import DEFAULT_BIN_WIDTH, LatencyHistogram
+from repro.cluster.histogram import LatencyHistogram
 from repro.cluster.report import CohortReport
 from repro.errors import ClusterError, NoAliveReplicaError
 from repro.traffic.arrivals import _checked
@@ -97,27 +97,18 @@ class CohortModel:
     tick:
         Flow batching quantum in virtual seconds: arrivals due within one
         tick settle together.  Smaller ticks trade events for resolution.
-    period:
-        Per-client inter-call period.  ``None`` (the default) calibrates it
-        as the probe's measured RTT plus the group's think time — the same
-        cycle a discrete client of the group would exhibit.
-    cpu_cost:
-        Server CPU seconds charged per modeled call.  ``None`` calibrates
-        it from the probe call's measured ``busy_seconds`` delta.
     max_attempts:
         Routing attempts per modeled call batch before the calls count as
         abandoned (a failed attempt is retried on the next tick, mirroring
         the discrete retry policies' backoff-and-reissue loop).
-    bin_width:
-        RTT histogram resolution in seconds.
+
+    A flow's call period and CPU cost per call are always calibrated by one
+    real probe call (:meth:`CohortFlow._calibrate`).
     """
 
     representatives: int = 32
     tick: float = 0.005
-    period: float | None = None
-    cpu_cost: float | None = None
     max_attempts: int = 4
-    bin_width: float = DEFAULT_BIN_WIDTH
 
     def __post_init__(self) -> None:
         if self.representatives < 0:
@@ -126,12 +117,6 @@ class CohortModel:
             )
         if self.tick <= 0:
             raise ClusterError(f"cohort tick must be positive, got {self.tick}")
-        if self.period is not None and self.period < 0:
-            raise ClusterError(f"cohort period must be non-negative, got {self.period}")
-        if self.cpu_cost is not None and self.cpu_cost < 0:
-            raise ClusterError(
-                f"cohort cpu_cost must be non-negative, got {self.cpu_cost}"
-            )
         if self.max_attempts < 1:
             raise ClusterError(
                 f"cohort max_attempts must be at least 1, got {self.max_attempts}"
@@ -186,7 +171,7 @@ class CohortFlow:
             service=service,
             modeled_clients=self.mass,
             calls_per_client=calls,
-            rtt=LatencyHistogram(model.bin_width),
+            rtt=LatencyHistogram(),
         )
         #: The flow's stack's stub-binding state (set by :meth:`prepare`).
         self.binding: "ClientBinding | None" = None
@@ -245,12 +230,11 @@ class CohortFlow:
         self._calibrate()
 
     def _calibrate(self) -> None:
-        """Measure the per-call baseline with one real probe call."""
-        model = self.model
-        need_probe = model.period is None or model.cpu_cost is None
-        base_rtt = 0.0
-        probe_cpu = 0.0
-        if need_probe and self.mass > 0:
+        """Measure the per-call baseline with one real probe call: the
+        period is its RTT plus the think time (a discrete client's cycle),
+        the CPU cost per modeled call its ``busy_seconds`` delta."""
+        base_rtt = probe_cpu = 0.0
+        if self.mass > 0:
             assert self.entry is not None and self.driver is not None
             replica = self.entry.replicas[0]
             core = replica.node.server_core
@@ -270,15 +254,9 @@ class CohortFlow:
             base_rtt = scheduler.now - probe_started
             if core is not None:
                 probe_cpu = core.busy_seconds - busy_before
-        if model.period is not None:
-            self._period = model.period
-            self._base_rtt = base_rtt if need_probe else max(
-                model.period - self.think_time, 0.0
-            )
-        else:
-            self._base_rtt = base_rtt
-            self._period = base_rtt + self.think_time
-        self._cpu_cost = model.cpu_cost if model.cpu_cost is not None else probe_cpu
+        self._base_rtt = base_rtt
+        self._period = base_rtt + self.think_time
+        self._cpu_cost = probe_cpu
         self.report.calibrated_rtt_s = self._base_rtt
         self.report.calibrated_cpu_cost_s = self._cpu_cost
 

@@ -56,11 +56,11 @@ worth of modeled calls at once.  :meth:`ServiceEntry.select_many` shares
 :meth:`ServiceEntry.select`'s tier decision (``_candidates``: version tiers
 and the §6 refusal) and its policy's failover skipping, but returns
 ``[(replica, call_count), ...]`` computed in closed form, so a million
-modeled calls cost O(replicas), not O(calls).  Each built-in
-policy's bulk result equals what ``count`` repeated single selections
-would have produced (round-robin: exact cursor arithmetic; sticky:
-aggregate mass pinning; least-loaded: deterministic water-fill), which is
-what the cohort-vs-discrete Hypothesis property pins.
+modeled calls cost O(replicas), not O(calls).  Over a fixed candidate
+list, each built-in policy's bulk result equals what ``count`` repeated
+single selections would have produced (round-robin: exact cursor
+arithmetic; sticky: aggregate mass pinning; least-loaded: deterministic
+water-fill), which is what the cohort-vs-discrete Hypothesis property pins.
 """
 
 from __future__ import annotations
@@ -155,8 +155,10 @@ class ReplicaPolicy:
     ) -> list[tuple[Replica, int]]:
         """Distribute ``count`` calls from one flow; ``[(replica, n), ...]``.
 
-        Equivalent to ``count`` repeated :meth:`select` calls over the
-        usable replicas; each policy gives it in closed form, O(replicas).
+        Over a fixed candidate list, equivalent to ``count`` repeated
+        :meth:`select` calls over the usable replicas (a cursor only modulo
+        the list's length, so not across lists of different lengths); each
+        policy gives it in closed form, O(replicas).
         """
         raise NotImplementedError
 
@@ -218,8 +220,8 @@ class RoundRobinPolicy(ReplicaPolicy):
         The usable positions, taken cyclically from the cursor, each receive
         ``count // usable`` calls plus one extra for the first
         ``count % usable`` of them; the cursor ends just past the last
-        position selected (mod the replica count — the observable part of
-        the raw counter).
+        position selected, modulo the replica count (:meth:`select` keeps
+        the raw counter; the two agree modulo the length of a fixed list).
         """
         if count <= 0:
             return []

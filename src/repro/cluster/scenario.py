@@ -226,13 +226,11 @@ class Scenario:
         *,
         cores: int | None = None,
         technology: str | None = None,
-        config: SDEConfig | None = None,
     ) -> "Scenario":
         """Declare the server fleet: ``count`` machines, each its own SDE.
 
         ``cores`` bounds every machine's CPU concurrency; ``technology``
-        sets the default technology for services that do not name one;
-        ``config`` overrides the scenario-wide :class:`SDEConfig` template.
+        sets the default technology for services that do not name one.
         """
         if count < 1:
             raise ClusterError("a scenario needs at least one server")
@@ -240,8 +238,6 @@ class Scenario:
         self._server_cores = cores
         if technology is not None:
             self._default_technology = technology
-        if config is not None:
-            self._base_config = config
         return self
 
     def technology(

@@ -64,7 +64,6 @@ class ServerOrb:
         port: int,
         poa: PortableObjectAdapter | None = None,
         cost_model: CostModel | None = None,
-        speed_factor: float = 1.0,
         dynamic_dispatch_overhead: float = 0.0,
         cores: "ServerCore | None" = None,
     ) -> None:
@@ -72,7 +71,6 @@ class ServerOrb:
         self.port = port
         self.poa = poa if poa is not None else PortableObjectAdapter()
         self.cost_model = cost_model
-        self.speed_factor = speed_factor
         self.dynamic_dispatch_overhead = dynamic_dispatch_overhead
         self.endpoint = Endpoint(
             host,
@@ -183,7 +181,7 @@ class ServerOrb:
         cost = self.cost_model.binary_processing(request_size)
         cost += self.cost_model.binary_processing(reply_size)
         cost += self.dynamic_dispatch_overhead
-        return cost * self.speed_factor
+        return cost
 
     def __repr__(self) -> str:
         state = "running" if self.running else "stopped"

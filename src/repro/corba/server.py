@@ -30,7 +30,6 @@ class StaticCorbaServer:
         iiop_port: int,
         definition: ServiceDefinition,
         cost_model: CostModel | None = None,
-        speed_factor: float = 1.0,
         http_port: int = 8080,
     ) -> None:
         self.host = host
@@ -44,13 +43,7 @@ class StaticCorbaServer:
             self.servant.register(signature, implementation)
         self.poa.activate_object(self.object_key, self.servant)
 
-        self.orb = ServerOrb(
-            host,
-            iiop_port,
-            poa=self.poa,
-            cost_model=cost_model,
-            speed_factor=speed_factor,
-        )
+        self.orb = ServerOrb(host, iiop_port, poa=self.poa, cost_model=cost_model)
 
         self.description = definition.description(
             f"iiop://{host.name}:{iiop_port}/{self.object_key}"

@@ -10,7 +10,8 @@ The SOAP and CORBA call handlers share all of their interesting behaviour:
 * calls to stale methods (name no longer present, or signature no longer
   matching) trigger the §5.7 protocol: the handler **stalls** the processing
   of incoming messages, asks the SDE Manager to bring the published interface
-  up to date, and only then returns the "Non existent Method" fault.
+  up to date, and only then returns the "Non existent Method" fault — always
+  (Figure 7's naive publishing is only :mod:`repro.core.protocol.interleaving`).
 
 The technology-specific subclasses translate between the wire format and
 :meth:`CallHandler.dispatch`, which reports its outcome through the
@@ -178,15 +179,6 @@ class CallHandler:
     # -- §5.7: stale calls -----------------------------------------------------------
 
     def _handle_stale_call(self, operation: str, outcome: DispatchOutcome) -> None:
-        if not self.manager.config.reactive_publication:
-            # Naive "active publishing" behaviour (Figure 7 baseline): reply
-            # immediately; the published interface may still be stale.
-            self.stats.non_existent_method_faults += 1
-            outcome.on_fault(
-                NonExistentMethodError(operation, self.server.publisher.version)
-            )
-            return
-
         self.stats.stalled_calls += 1
         self._stalled = True
 

@@ -59,7 +59,6 @@ class CorbaCallHandler(CallHandler):
             iiop_port,
             poa=self.poa,
             cost_model=cost_model,
-            speed_factor=manager.config.speed_factor,
             dynamic_dispatch_overhead=dynamic_overhead,
             cores=manager.server_core,
         )

@@ -46,6 +46,9 @@ from repro.net.simnet import Host
 from repro.sim.scheduler import Scheduler
 from repro.sim.servercore import ServerCore
 
+#: Namespace prefix of every generated interface (``urn:sde:<class name>``).
+NAMESPACE_PREFIX = "urn:sde"
+
 
 @dataclass
 class SDEConfig:
@@ -67,22 +70,13 @@ class SDEConfig:
     publication_strategy: str = STRATEGY_STABLE_TIMEOUT
     #: Polling interval when the polling strategy is selected.
     poll_interval: float = 10.0
-    #: §5.7 reactive publication: when a stale method is called, stall the
-    #: reply until the published interface is current.  Disabling this gives
-    #: the naive "active publishing" behaviour of Figure 7, used as the
-    #: baseline in the consistency experiments.
-    reactive_publication: bool = True
     #: CPU cost model charged by call handlers (None disables cost accounting).
     cost_model: CostModel | None = None
-    #: Relative speed of the server machine (1.0 = the calibrated baseline).
-    speed_factor: float = 1.0
     #: Number of server CPU cores shared by every managed class's endpoint.
     #: ``None`` keeps the seed behaviour — processing delays charged in
     #: parallel with unlimited implicit concurrency; a bound makes replies
     #: queue under load, so RTT degrades realistically as the fleet grows.
     server_cores: int | None = None
-    #: Namespace prefix used for generated interfaces.
-    namespace_prefix: str = "urn:sde"
 
 
 @dataclass
@@ -185,7 +179,7 @@ class SDEManager:
                 dynamic_class=server.dynamic_class,
                 interface_server=manager.interface_server,
                 scheduler=manager.scheduler,
-                namespace=f"{manager.config.namespace_prefix}:{server.name}",
+                namespace=f"{NAMESPACE_PREFIX}:{server.name}",
                 endpoint_url=server.call_handler.endpoint_url,
                 timeout=manager.config.publication_timeout,
                 generation_cost=manager.config.generation_cost,
@@ -210,7 +204,7 @@ class SDEManager:
                 dynamic_class=server.dynamic_class,
                 interface_server=manager.interface_server,
                 scheduler=manager.scheduler,
-                namespace=f"{manager.config.namespace_prefix}:{server.name}",
+                namespace=f"{NAMESPACE_PREFIX}:{server.name}",
                 endpoint_url=server.call_handler.endpoint_url,
                 timeout=manager.config.publication_timeout,
                 generation_cost=manager.config.generation_cost,

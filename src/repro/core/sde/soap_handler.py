@@ -127,7 +127,7 @@ class SoapCallHandler(CallHandler):
         cost = cost_model.text_processing(request_size)
         cost += cost_model.text_processing(response_size)
         cost += cost_model.dynamic_dispatch_overhead()
-        return cost * self.manager.config.speed_factor
+        return cost
 
 
 class _SoapReply(DispatchOutcome):

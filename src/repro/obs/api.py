@@ -29,7 +29,6 @@ unobserved one (while staying byte-identical run-to-run);
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -58,34 +57,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.analyze import LatencyProfile
     from repro.obs.slo import SLO, SLOResult
 
-#: Environment variable consulted when ``ObsConfig.dump_dir`` is unset —
-#: lets parallel pytest workers / CI jobs redirect flight dumps without
-#: threading a config through every fixture.
-DUMP_DIR_ENV = "REPRO_OBS_DUMP_DIR"
+#: Consecutive ``NoAliveReplicaError`` selections that count as a storm.
+STORM_THRESHOLD = 8
 
 
 @dataclass(frozen=True)
 class ObsConfig:
     """What to collect and how much memory to grant it."""
 
-    #: Collect causal spans (client call / attempt / server / rebind trees).
-    spans: bool = True
     #: Sample time-series gauges onto ``ClusterReport.metrics``.
     metrics: bool = True
     #: Simulated seconds between metric samples.
     sample_interval: float = 0.005
     #: Bound of the finished-span ring (and the scheduler dispatch trace).
     ring_capacity: int = 4096
-    #: Bound of each metrics series.
-    max_samples: int = 4096
-    #: Where flight-recorder dumps are written.  None consults the
-    #: ``REPRO_OBS_DUMP_DIR`` environment variable at install time and
-    #: falls back to in-memory only.
+    #: Where flight-recorder dumps are written (None: in memory only).
     dump_dir: "str | Path | None" = None
-    #: Maximum flight dumps kept per run.
-    max_dumps: int = 8
-    #: Consecutive ``NoAliveReplicaError`` selections that count as a storm.
-    storm_threshold: int = 8
     #: Also record the scheduler's ``(time, label)`` dispatch trace,
     #: ring-bounded by ``ring_capacity`` (the public face of
     #: ``Scheduler.enable_tracing``).
@@ -138,14 +125,9 @@ class Observability:
         config = self.config
         self.scheduler = scheduler
         self.tracer = Tracer(scheduler, config.ring_capacity)
-        dump_dir = config.dump_dir
-        if dump_dir is None:
-            dump_dir = os.environ.get(DUMP_DIR_ENV) or None
-        self.recorder = FlightRecorder(self.tracer, dump_dir, config.max_dumps)
+        self.recorder = FlightRecorder(self.tracer, config.dump_dir)
         self.sampler = (
-            MetricsSampler(scheduler, config.sample_interval, config.max_samples)
-            if config.metrics
-            else None
+            MetricsSampler(scheduler, config.sample_interval) if config.metrics else None
         )
         self.last_select = None
         self._no_alive_streak = 0
@@ -243,16 +225,16 @@ class Observability:
         sampler.start()
 
     def end_run(self) -> None:
-        """Stop the sampler (the run's window closed)."""
+        """The run's window closed: take the closing metrics sample, so the
+        final values (an SLO's totals) count calls that finished after the
+        last tick, and stop the sampler."""
         if self.sampler is not None:
-            self.sampler.stop()
+            self.sampler.close()
 
     # -- client-call spans (fleet-driver hooks) ----------------------------
 
-    def begin_call(self, client, operation: str) -> "Span | None":
+    def begin_call(self, client, operation: str) -> Span:
         """Root span of one client call (covers every retry attempt)."""
-        if not self.config.spans:
-            return None
         return self.tracer.begin(
             operation,
             KIND_CALL,
@@ -264,11 +246,9 @@ class Observability:
             },
         )
 
-    def begin_attempt(self, client, operation: str, replica) -> "Span | None":
+    def begin_attempt(self, client, operation: str, replica) -> Span:
         """One attempt span, child of the call span, carrying the registry's
         routing decision (replica, node, version tier, policy)."""
-        if not self.config.spans:
-            return None
         select = self.last_select
         return self.tracer.begin(
             operation,
@@ -304,10 +284,8 @@ class Observability:
                 operation=client._operation,
             )
 
-    def begin_rebind(self, client, replica) -> "Span | None":
+    def begin_rebind(self, client, replica) -> Span:
         """Span covering a §5.7 stub refresh after a stale fault."""
-        if not self.config.spans:
-            return None
         return self.tracer.begin(
             "rebind",
             KIND_REBIND,
@@ -339,7 +317,7 @@ class Observability:
         wire = hooks.SERVER_WIRE_CONTEXT
         hooks.SERVER_WIRE_CONTEXT = None
         self._last_server_span = None
-        if not self.config.spans or wire is None:
+        if wire is None:
             return
         parent = TraceContext.decode(wire)
         if parent is None:
@@ -403,7 +381,7 @@ class Observability:
     def note_no_alive(self, service: str) -> None:
         """Count a ``NoAliveReplicaError``; a streak trips the recorder."""
         self._no_alive_streak += 1
-        if self._no_alive_streak == self.config.storm_threshold:
+        if self._no_alive_streak == STORM_THRESHOLD:
             self.recorder.trip(
                 "no-alive-replica-storm",
                 service=service,
@@ -424,8 +402,7 @@ class Observability:
 
     def instant(self, name: str, **attrs: Any) -> None:
         """Record a point event as a zero-duration span."""
-        if self.config.spans:
-            self.tracer.instant(name, attrs=attrs)
+        self.tracer.instant(name, attrs=attrs)
 
     # -- transport ---------------------------------------------------------
 
@@ -436,7 +413,7 @@ class Observability:
         on the span of the attempt that issued the request: ``context`` is
         ``hooks.CONTEXT`` as it was at issue time (``None``: no attempt).
         """
-        if not self.config.spans or context is None:
+        if context is None:
             return
         span = self.tracer._open.get(context.span_id)
         if span is not None:

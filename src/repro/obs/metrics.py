@@ -89,6 +89,12 @@ class MetricsSampler:
             self.interval, self._tick, label="obs metrics sample"
         )
 
+    def close(self) -> None:
+        """Take a closing sample (unless one exists at this instant), then stop."""
+        if self._running and (not self._times or self._times[-1] != self.scheduler.now):
+            self._sample()
+        self.stop()
+
     def stop(self) -> None:
         """Stop sampling and cancel the pending tick."""
         self._running = False
@@ -99,12 +105,15 @@ class MetricsSampler:
     def _tick(self) -> None:
         if not self._running:
             return
-        self._times.append(self.scheduler.now)
-        for name, gauge in self._gauges.items():
-            self._series[name].append(float(gauge()))
+        self._sample()
         self._event = self.scheduler.schedule(
             self.interval, self._tick, label="obs metrics sample"
         )
+
+    def _sample(self) -> None:
+        self._times.append(self.scheduler.now)
+        for name, gauge in self._gauges.items():
+            self._series[name].append(float(gauge()))
 
     @property
     def sample_count(self) -> int:

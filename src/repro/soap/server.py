@@ -36,13 +36,11 @@ class StaticSoapServer:
         port: int,
         definition: ServiceDefinition,
         cost_model: CostModel | None = None,
-        speed_factor: float = 1.0,
     ) -> None:
         self.host = host
         self.port = port
         self.definition = definition
         self.cost_model = cost_model
-        self.speed_factor = speed_factor
         self.http_server = HttpServer(host, port, name=f"soap:{definition.service_name}")
         self.calls_served = 0
         self.faults_returned = 0
@@ -133,7 +131,7 @@ class StaticSoapServer:
             return 0.0
         cost = self.cost_model.text_processing(request_size)
         cost += self.cost_model.text_processing(response_size)
-        return cost * self.speed_factor
+        return cost
 
     def __repr__(self) -> str:
         return f"StaticSoapServer({self.definition.service_name!r} at {self.endpoint_url})"

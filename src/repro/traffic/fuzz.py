@@ -19,8 +19,9 @@ asserts the reproduction's load-bearing invariants:
   spec reruns to a byte-identical ``ClusterReport.fingerprint()``.
 
 Failures are minimised by Hypothesis's shrinker and the shrunken case's
-trace is left at ``$REPRO_FUZZ_ARTIFACTS/minimized-failure.jsonl`` (the
-CI fuzz job uploads it), so any red run ships a replayable reproduction.
+trace is left at ``fuzz-artifacts/minimized-failure.jsonl`` under the
+working directory (the CI fuzz job uploads it), so any red run ships a
+replayable reproduction.
 The failing case is then re-run with :mod:`repro.obs` armed, leaving its
 span log (``minimized-failure.spans.jsonl``) and any flight-recorder
 ``flight-*.json`` dumps beside the trace — the causal post-mortem, not
@@ -34,7 +35,6 @@ Everything is derandomised by default: the same seed explores the same
 
 from __future__ import annotations
 
-import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -55,8 +55,9 @@ from repro.traffic.arrivals import (
 )
 from repro.traffic.trace import TraceReader, echo_body, record, replay
 
-#: Where a failing (shrunken) case's trace is copied for post-mortem replay.
-ARTIFACTS_ENV = "REPRO_FUZZ_ARTIFACTS"
+#: Where a failing (shrunken) case's trace is copied for post-mortem replay
+#: (relative to the working directory).
+ARTIFACTS_DIR = "fuzz-artifacts"
 MINIMIZED_TRACE_NAME = "minimized-failure.jsonl"
 #: Span log of the failing case's diagnostic re-run (observability on).
 MINIMIZED_SPANS_NAME = "minimized-failure.spans.jsonl"
@@ -204,11 +205,10 @@ def check_report(case: Mapping[str, Any], report) -> list[str]:
     return violations
 
 
-def run_case(case: Mapping[str, Any], artifacts: str | Path | None = None) -> None:
+def run_case(case: Mapping[str, Any], artifacts: str | Path = ARTIFACTS_DIR) -> None:
     """Record one case, check every invariant, verify byte-exact replay.
 
-    On violation the trace is copied to the artifacts directory (argument,
-    ``$REPRO_FUZZ_ARTIFACTS``, or ``./fuzz-artifacts``) and an
+    On violation the trace is copied to the ``artifacts`` directory and an
     ``AssertionError`` is raised — under Hypothesis the shrinker then
     minimises the case, so the trace left behind reproduces the *smallest*
     failing world.
@@ -236,12 +236,8 @@ def run_case(case: Mapping[str, Any], artifacts: str | Path | None = None) -> No
         shutil.rmtree(workdir, ignore_errors=True)
 
 
-def _keep_artifact(trace_path: Path, artifacts: str | Path | None) -> Path:
-    directory = Path(
-        artifacts
-        if artifacts is not None
-        else os.environ.get(ARTIFACTS_ENV, "fuzz-artifacts")
-    )
+def _keep_artifact(trace_path: Path, artifacts: str | Path) -> Path:
+    directory = Path(artifacts)
     directory.mkdir(parents=True, exist_ok=True)
     destination = directory / MINIMIZED_TRACE_NAME
     shutil.copyfile(trace_path, destination)

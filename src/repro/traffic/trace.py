@@ -383,10 +383,7 @@ def scenario_to_spec(scenario: Scenario) -> dict[str, Any]:
                     {
                         "representatives": cohort.representatives,
                         "tick": cohort.tick,
-                        "period": cohort.period,
-                        "cpu_cost": cohort.cpu_cost,
                         "max_attempts": cohort.max_attempts,
-                        "bin_width": cohort.bin_width,
                     }
                     if cohort is not None
                     else None

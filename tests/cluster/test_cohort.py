@@ -227,8 +227,8 @@ class TestCohortModelValidation:
         [
             {"representatives": -1},
             {"tick": 0.0},
-            {"period": -0.1},
-            {"cpu_cost": -1e-9},
+            {"tick": -0.005},
+            {"max_attempts": -1},
             {"max_attempts": 0},
         ],
     )

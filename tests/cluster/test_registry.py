@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.registry import (
     LeastLoadedPolicy,
@@ -399,3 +400,69 @@ class TestBulkSelectionTiers:
         assert ServiceEntry("empty", "soap").select_many("x", 0) == []
         with pytest.raises(ClusterError):
             ServiceEntry("empty", "soap").select_many("x", 1)
+
+
+@st.composite
+def _fixed_lists(draw):
+    """A fixed candidate list with some dead replicas (at least one alive),
+    in-flight gauges, a prior raw cursor and a call count."""
+    alive = draw(st.lists(st.booleans(), min_size=1, max_size=6).filter(any))
+    replicas = [
+        Replica(
+            service="svc",
+            index=index,
+            node=_FakeNode(f"node-{index}", alive=up),
+            managed=None,
+            in_flight=draw(st.integers(0, 5)),
+        )
+        for index, up in enumerate(alive)
+    ]
+    return replicas, draw(st.integers(0, 50)), draw(st.integers(1, 40))
+
+
+def _tally(picks) -> dict[int, int]:
+    counts: dict[int, int] = {}
+    for replica in picks:
+        counts[replica.index] = counts.get(replica.index, 0) + 1
+    return counts
+
+
+class TestBulkMatchesRepeatedSelect:
+    """Over a fixed candidate list, ``select_many(..., count)`` is ``count``
+    repeated ``select`` calls: same calls per replica, same cursor modulo
+    the list length."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_fixed_lists())
+    def test_round_robin(self, case):
+        replicas, cursor, count = case
+        bulk, single = RoundRobinPolicy(), RoundRobinPolicy()
+        bulk._next = single._next = cursor
+        picks = bulk.select_many(replicas, "flow", count)
+        expected = _tally(single.select(replicas, "flow") for _ in range(count))
+        assert {replica.index: n for replica, n in picks} == expected
+        assert bulk._next == single._next % len(replicas)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_fixed_lists())
+    def test_sticky_first_contacts(self, case):
+        replicas, cursor, count = case
+        bulk, single = StickyPolicy(), StickyPolicy()
+        bulk._next = single._next = cursor
+        picks = bulk.select_many(replicas, "flow", count)
+        expected = _tally(single.select(replicas, ("client", k)) for k in range(count))
+        assert {replica.index: n for replica, n in picks} == expected
+        assert bulk._next == single._next % len(replicas)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_fixed_lists())
+    def test_least_loaded_is_the_greedy(self, case):
+        replicas, _cursor, count = case
+        policy = LeastLoadedPolicy()
+        picks = policy.select_many(replicas, "flow", count)
+        greedy: list[Replica] = []
+        for _ in range(count):
+            replica = policy.select(replicas, "flow")
+            replica.in_flight += 1
+            greedy.append(replica)
+        assert {replica.index: n for replica, n in picks} == _tally(greedy)

@@ -22,6 +22,7 @@ from repro.cluster.protocols import (
 )
 from repro.core.sde import SDEConfig, Technology
 from repro.core.sde.call_handler import CallHandler, DispatchOutcome
+from repro.core.sde.manager import NAMESPACE_PREFIX
 from repro.core.sde.publisher import DLPublisher
 from repro.errors import ClusterError, NonExistentMethodError
 from repro.net.http import HttpServer
@@ -105,7 +106,7 @@ def _toy_technology() -> Technology:
             dynamic_class=server.dynamic_class,
             interface_server=manager.interface_server,
             scheduler=manager.scheduler,
-            namespace=f"{manager.config.namespace_prefix}:{server.name}",
+            namespace=f"{NAMESPACE_PREFIX}:{server.name}",
             endpoint_url=server.call_handler.endpoint_url,
             timeout=manager.config.publication_timeout,
             generation_cost=manager.config.generation_cost,

@@ -146,6 +146,26 @@ class TestMetricsSampler:
         scheduler.run_for(0.05)
         assert sampler.sample_count == 2
 
+    def test_close_takes_one_closing_sample(self):
+        scheduler = Scheduler()
+        sampler = MetricsSampler(scheduler, interval=0.01)
+        sampler.register("g", lambda: scheduler.now)
+        sampler.start()
+        scheduler.run_for(0.025)
+        sampler.close()
+        sampler.close()
+        scheduler.run_for(0.05)
+        assert sampler.report().series["g"] == (0.01, 0.02, 0.025)
+
+    def test_close_adds_no_sample_at_a_sampled_instant(self):
+        scheduler = Scheduler()
+        sampler = MetricsSampler(scheduler, interval=0.01)
+        sampler.register("g", lambda: scheduler.now)
+        sampler.start()
+        scheduler.run_for(0.02)
+        sampler.close()
+        assert sampler.report().times == (0.01, 0.02)
+
     def test_series_ring_is_bounded(self):
         scheduler = Scheduler()
         sampler = MetricsSampler(scheduler, interval=0.01, max_samples=4)

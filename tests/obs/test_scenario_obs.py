@@ -198,25 +198,8 @@ class TestRecencyViolationFlightDump:
         assert report_one.metrics_fingerprint() == report_two.metrics_fingerprint()
 
 
-class TestDumpDirEnv:
-    def test_env_var_redirects_flight_dumps(self, tmp_path, monkeypatch):
-        target = tmp_path / "env-dumps"
-        monkeypatch.setenv("REPRO_OBS_DUMP_DIR", str(target))
-        obs = Observability()
-        report = _violation_scenario().run(obs=obs)
-        assert report.outcomes("all").recency_violations > 0
-        assert (target / "flight-001-recency-violation.json").exists()
-
-    def test_explicit_dump_dir_wins_over_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS_DUMP_DIR", str(tmp_path / "env-dumps"))
-        explicit = tmp_path / "explicit-dumps"
-        obs = Observability(ObsConfig(dump_dir=explicit))
-        _violation_scenario().run(obs=obs)
-        assert (explicit / "flight-001-recency-violation.json").exists()
-        assert not (tmp_path / "env-dumps").exists()
-
-    def test_unset_env_keeps_dumps_in_memory_only(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_OBS_DUMP_DIR", raising=False)
+class TestDumpDir:
+    def test_unset_dump_dir_keeps_dumps_in_memory_only(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         obs = Observability()
         _violation_scenario().run(obs=obs)

@@ -191,15 +191,17 @@ class TestScenarioIntegration:
 
     def test_recency_counts_cohort_flows_with_the_clients(self):
         """A recency SLO's good and total read one population: every
-        matching discrete and modeled call.  The horizon runs past the last
-        reply, so the final sample has seen every call."""
+        matching discrete and modeled call.  The run ends with its last
+        reply, after the last periodic sample: the closing sample taken
+        when the window closes still sees every call."""
         report = (
             fault_drill_scenario(512, cohort=CohortModel(representatives=32))
             .slo(recency_slo("fleet-recency"))
-            .run(until=1.0, obs=True)
+            .run(obs=True)
         )
         outcomes = report.outcomes("all")
         assert report.outcomes("modeled").calls > 0
+        assert outcomes.calls == 2048
         recency = report.slo("fleet-recency")
         assert recency.total == outcomes.calls
         assert recency.good == outcomes.calls - outcomes.recency_violations

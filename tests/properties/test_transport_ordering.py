@@ -112,7 +112,7 @@ def _stalled_runtime() -> ScenarioRuntime:
     """A world whose EchoService has an unpublished edit pending, so the
     next stale call stalls (timer running, no generation in progress)."""
     runtime = (
-        Scenario(sde_config=SDEConfig(publication_timeout=30.0, reactive_publication=True))
+        Scenario(sde_config=SDEConfig(publication_timeout=30.0))
         .service("EchoService", [op("echo", (("x", INT),), INT, body=lambda _self, x: x)])
         .build()
     )

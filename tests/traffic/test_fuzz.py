@@ -2,8 +2,8 @@
 
 CI runs this file with ``--hypothesis-seed=0`` (see the ``fuzz`` job): a
 bounded, derandomised sweep of ~25 worlds.  A failure leaves the shrunken
-case's trace at ``$REPRO_FUZZ_ARTIFACTS/minimized-failure.jsonl`` so the
-red run ships a replayable reproduction.
+case's trace at ``fuzz-artifacts/minimized-failure.jsonl`` (under the
+working directory) so the red run ships a replayable reproduction.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.traffic.fuzz import (
 def test_random_worlds_hold_the_invariants(case):
     # §6 recency == 0, no silent wrong answers, call conservation, and
     # byte-identical deterministic replay — for every generated world.  A
-    # failing case's trace lands in $REPRO_FUZZ_ARTIFACTS (CI uploads it).
+    # failing case's trace lands in ./fuzz-artifacts (CI uploads it).
     run_case(case)
 
 
