@@ -229,11 +229,16 @@ class Scenario:
     ) -> "Scenario":
         """Declare the server fleet: ``count`` machines, each its own SDE.
 
-        ``cores`` bounds every machine's CPU concurrency; ``technology``
+        ``cores`` bounds every machine's CPU concurrency (it may not differ
+        from the scenario's ``SDEConfig.server_cores``); ``technology``
         sets the default technology for services that do not name one.
         """
         if count < 1:
             raise ClusterError("a scenario needs at least one server")
+        configured = self._base_config.server_cores if self._base_config is not None else None
+        if None not in (cores, configured) and cores != configured:
+            raise ClusterError(f"servers(cores={cores}) conflicts with "
+                               f"SDEConfig(server_cores={configured})")
         self._server_count = count
         self._server_cores = cores
         if technology is not None:
@@ -467,7 +472,7 @@ class ScenarioRuntime:
         self.nodes: list[ServerNode] = []
         for index in range(scenario._server_count):
             config = replace(base_config)
-            if scenario._server_cores is not None and config.server_cores is None:
+            if scenario._server_cores is not None:
                 config.server_cores = scenario._server_cores
             # A single-machine scenario keeps the seed's host name (message
             # sizes embed URLs, so the name feeds size-dependent delays —

@@ -9,6 +9,8 @@ and IORs.  The SDE Manager Interface lets the developer start and stop it
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.errors import PublicationError
 from repro.net.http import HttpResponse, HttpServer
 from repro.net.simnet import Host
@@ -21,8 +23,8 @@ class InterfaceServer:
         self.host = host
         self.port = port
         self.http_server = HttpServer(host, port, name="sde-interface-server")
-        #: Path -> content, type and its 200 reply framed on the first GET.
-        self._documents: dict[str, tuple[str, str, bytes | None]] = {}
+        #: Path -> text (or a thunk rendering it), type and 200 reply framed on the first GET.
+        self._documents: dict[str, tuple[str | Callable[[], str], str, bytes | None]] = {}
         self._publication_count: dict[str, int] = {}
         self.http_server.add_route("/", self._serve, methods=("GET",), prefix=True)
 
@@ -48,8 +50,12 @@ class InterfaceServer:
 
     # -- publication ----------------------------------------------------------
 
-    def publish(self, path: str, content: str, content_type: str = "text/xml; charset=utf-8") -> str:
-        """Publish (or republish) ``content`` at ``path`` and return its URL."""
+    def publish(self, path: str, content: str | Callable[[], str],
+                content_type: str = "text/xml; charset=utf-8") -> str:
+        """Publish (or republish) ``content`` at ``path`` and return its URL.
+
+        A thunk ``content`` renders the text on the first read; one that
+        raises is not memoised, so the next read runs it again."""
         if not path.startswith("/"):
             raise PublicationError(f"publication path must start with '/', got {path!r}")
         self._documents[path] = (content, content_type, None)
@@ -62,7 +68,7 @@ class InterfaceServer:
 
     def document(self, path: str) -> str | None:
         """Return the currently published content at ``path``, if any."""
-        entry = self._documents.get(path)
+        entry = self._rendered(path)
         return entry[0] if entry else None
 
     def publication_count(self, path: str) -> int:
@@ -80,9 +86,15 @@ class InterfaceServer:
 
     # -- request handling --------------------------------------------------------
 
+    def _rendered(self, path: str) -> tuple[str, str, bytes | None] | None:
+        entry = self._documents.get(path)
+        if entry is not None and not isinstance(entry[0], str):
+            entry = self._documents[path] = entry[0](), entry[1], None
+        return entry
+
     def _serve(self, request) -> HttpResponse | bytes:
         path = request.path.split("?", 1)[0]
-        entry = self._documents.get(path)
+        entry = self._rendered(path)
         if entry is None:
             return HttpResponse.not_found(f"no published document at {path}")
         content, content_type, framed = entry

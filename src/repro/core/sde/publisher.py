@@ -21,6 +21,7 @@ the ``strategy`` argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import PublicationError
@@ -106,7 +107,6 @@ class DLPublisher:
 
         self.version = 0
         self.published_description: InterfaceDescription | None = None
-        self.published_document: str = ""
         self.publication_history: list[PublicationRecord] = []
         self.stats = PublisherStats()
 
@@ -124,7 +124,10 @@ class DLPublisher:
     # -- abstract rendering -------------------------------------------------
 
     def render(self, description: InterfaceDescription) -> str:
-        """Render ``description`` into the technology's document format."""
+        """Render ``description`` into the technology's document format.
+
+        Must be a pure function of ``description``: a version is published when
+        its generation completes, and its text rendered on its first read, if any."""
         raise NotImplementedError
 
     @property
@@ -311,10 +314,10 @@ class DLPublisher:
     def _publish(self, description: InterfaceDescription, forced: bool) -> None:
         self.version += 1
         versioned = description.with_version(self.version)
-        document = self.render(versioned)
-        self.interface_server.publish(self.document_path, document, self.content_type)
+        self.interface_server.publish(
+            self.document_path, partial(self.render, versioned), self.content_type
+        )
         self.published_description = versioned
-        self.published_document = document
         record = PublicationRecord(
             version=self.version,
             time=self.scheduler.now,

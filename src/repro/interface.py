@@ -119,13 +119,15 @@ class InterfaceDescription:
 
     def __post_init__(self) -> None:
         require_identifier(self.service_name, "service name")
-        seen: set[str] = set()
+        by_name: dict[str, OperationSignature] = {}
         for operation in self.operations:
-            if operation.name in seen:
+            if operation.name in by_name:
                 raise InterfaceError(
                     f"duplicate operation {operation.name!r} in service {self.service_name!r}"
                 )
-            seen.add(operation.name)
+            by_name[operation.name] = operation
+        # Not a field, so equality, hashing and ``replace`` ignore it.
+        object.__setattr__(self, "_by_name", by_name)
 
     # -- construction helpers ---------------------------------------------
 
@@ -162,14 +164,11 @@ class InterfaceDescription:
 
     def operation(self, name: str) -> OperationSignature | None:
         """Return the operation named ``name``, if present."""
-        for operation in self.operations:
-            if operation.name == name:
-                return operation
-        return None
+        return self._by_name.get(name)
 
     def has_operation(self, name: str) -> bool:
         """True if an operation named ``name`` is part of the interface."""
-        return self.operation(name) is not None
+        return name in self._by_name
 
     def operation_names(self) -> tuple[str, ...]:
         """All operation names, in the interface's deterministic order."""

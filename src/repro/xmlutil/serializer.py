@@ -3,9 +3,9 @@
 The serialiser collects every namespace used anywhere in the document,
 declares all of them on the root element with stable prefixes (well-known
 namespaces get their conventional prefixes, others get ``ns0``, ``ns1``, ...)
-and escapes text and attribute values.  Determinism matters because the
-published WSDL/IDL documents are compared byte-for-byte by the SDE publisher
-to detect redundant publications.
+and escapes text and attribute values.  Determinism matters because a
+published WSDL document is rendered on its first read and must be the same
+bytes however late that read comes.
 
 The SOAP envelope writer renders envelopes straight to text with this
 module's escaping and character check and the same prefix rule, so both

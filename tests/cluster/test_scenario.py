@@ -71,6 +71,21 @@ class TestScenarioBasics:
         assert protocols == ["soap", "corba"] * 4
         assert {client.service for client in report.clients} == {"EchoSoap", "EchoCorba"}
 
+    def test_server_cores_conflicting_with_the_config_are_rejected(self):
+        # servers(cores=) used to be dropped silently next to a configured
+        # server_cores: this scenario built nodes with cores [2, 2].
+        with pytest.raises(ClusterError, match=r"servers\(cores=4\).*server_cores=2"):
+            Scenario(sde_config=SDEConfig(server_cores=2)).servers(2, cores=4)
+
+    @pytest.mark.parametrize(
+        "config, cores",
+        [(SDEConfig(server_cores=2), 2), (SDEConfig(server_cores=2), None), (SDEConfig(), 4), (None, 4)],
+    )
+    def test_server_cores_from_either_place_or_both_equal(self, config, cores):
+        runtime = Scenario(sde_config=config).servers(2, cores=cores).build()
+        expected = cores if cores is not None else config.server_cores
+        assert [node.sde.config.server_cores for node in runtime.nodes] == [expected, expected]
+
     def test_mix_and_service_are_mutually_exclusive(self):
         with pytest.raises(ClusterError):
             Scenario().clients(2, service="Echo", protocol_mix={"soap": 1.0})

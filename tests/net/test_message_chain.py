@@ -102,9 +102,12 @@ class TestChainLength:
         through an ElementTree tree.  Reading requests and value responses
         by one scan of the text the writer emits brought it to 6,920.
         Framing each SOAP reply from the envelope's own wire bytes, not a
-        second ``to_xml`` encode, brought it from 6,920 to 6,789.  The
-        bound is that figure plus 2%.  (WSDL parses are memoised per
-        process, so the bound is an upper one here too.)
+        second ``to_xml`` encode, brought it to 6,789.  Rendering a published
+        WSDL document on its first read instead of at every publication (the
+        deploy-time minimal documents and the mid-run edit's version, which
+        no client fetches, are never rendered) brought it from 6,789 to
+        6,215.  The bound is that figure plus 2%.  (WSDL parses are memoised per process, so the bound
+        is an upper one here too.)
         """
         runtime = fault_drill_scenario(64).build()
-        assert _chain_calls(runtime.run, ("repro.soap", "repro.xmlutil")) <= 6_925
+        assert _chain_calls(runtime.run, ("repro.soap", "repro.xmlutil")) <= 6_339
