@@ -15,7 +15,12 @@ many pairs the change was better ("change better in k/N") and a verdict:
 * ``gain``: the change is better in at least nine tenths of the pairs (ties
   count for neither side) and the medians differ by more than the base
   runs' interquartile range;
-* ``worse``: the same rule with the sides swapped;
+* ``worse``: the same rule with the sides swapped, when the median shift
+  exceeds the metric's ``bound`` in ``BENCHMARK.json`` (relative to the
+  base median; a metric without a bound has none to stay inside);
+* ``within bound``: the ``worse`` rule fires, but the median shift is no
+  larger than the bound — measurably slower, yet inside what the
+  benchmark tolerates;
 * ``unresolved``: otherwise, when the base runs' interquartile range,
   relative to their median, exceeds the metric's ``bound`` in
   ``BENCHMARK.json`` (the runs spread too widely to call it unchanged);
@@ -70,12 +75,15 @@ def _quartiles(values: list[float]) -> list[float]:
 
 
 def verdict(row: dict[str, Any], bound: float | None) -> str:
-    """``gain``, ``worse``, ``unresolved`` or ``no change`` for one summarised metric."""
+    """``gain``, ``worse``, ``within bound``, ``unresolved`` or ``no change``
+    for one summarised metric."""
     spread = row["base_q3"] - row["base_q1"]
     shift = row["change_median"] - row["base_median"]
     if row["better"] >= WIN_SHARE * row["pairs"] and -shift > spread:
         return "gain"
     if row["worse"] >= WIN_SHARE * row["pairs"] and shift > spread:
+        if bound is not None and shift <= bound * abs(row["base_median"]):
+            return "within bound"
         return "worse"
     if bound is not None and spread > bound * abs(row["base_median"]):
         return "unresolved"

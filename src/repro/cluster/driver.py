@@ -394,7 +394,7 @@ class _FleetClient:
             return
         obs = self.driver.obs
         rebind_span = obs.begin_rebind(self, replica) if obs is not None else None
-        deferred = self.stack.rebind_replica(replica)
+        deferred = self.stack.bind_replica(replica)
 
         def rebound(_value: Any, error: BaseException | None, _delay: float) -> None:
             if self.driver.closed:

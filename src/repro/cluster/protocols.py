@@ -6,8 +6,9 @@ module makes the *client* side pluggable too.  A :class:`ProtocolClient`
 owns one simulated client machine's middleware stack for one protocol and
 knows how to
 
-* ``prepare()`` — fetch and parse the published interface documents of
-  every replica it may be routed to (blocking, before the measured window);
+* ``bind_replica(replica)`` — fetch and parse one replica's published
+  interface documents asynchronously (``prepare()`` binds every replica
+  it may be routed to, waiting for each, before the measured window);
 * ``call(replica, operation, arguments)`` — issue one asynchronous call and
   return the transport :class:`~repro.net.transport.Deferred`;
 * ``classify(value, error)`` — map the reply to one of the outcome
@@ -23,8 +24,9 @@ how Table 1 models the paper's slower client machine.
 
 Each stack owns one :class:`~repro.evolve.graph.ClientBinding`
 (``stack.binding``): the description it bound per replica, which
-version-aware routing reads and ``prepare_replica``/``rebind_replica``
-replace.  The fleet driver drives the stacks asynchronously; the CDE's
+version-aware routing reads and ``bind_replica`` replaces (before the run,
+after a §5.7 stale fault and on a CDE ``refresh()``).  The fleet driver
+drives the stacks asynchronously; the CDE's
 :class:`~repro.core.cde.binding.DynamicClientBinding` drives one to
 completion per call.
 
@@ -96,21 +98,50 @@ class ProtocolClient:
 
     # -- interface documents -------------------------------------------------
 
-    def fetch(self, url: str) -> str:
-        """Blocking HTTP fetch of a published interface document."""
-        response = self.http.get(url)
-        if not response.ok:
-            raise MiddlewareError(f"could not retrieve {url}: HTTP {response.status}")
-        return response.body
-
     def prepare(self) -> None:
-        """Fetch and parse every replica's published documents, in order."""
+        """Bind every replica, in order, waiting for each."""
         for replica in self.replicas:
             self.prepare_replica(replica)
 
     def prepare_replica(self, replica: "Replica") -> None:
-        """Fetch and parse one replica's published documents."""
-        raise NotImplementedError
+        """Bind one replica and wait for it (:meth:`bind_replica`).
+
+        A wait that unwinds before the bind completed leaves its GET pending,
+        so the document connection is reset: a late reply must not be
+        correlated with the next request.  A bind that failed after its
+        reply arrived resets nothing.
+        """
+        deferred = self.bind_replica(replica)
+        try:
+            deferred.wait(self.http.channel.scheduler)
+        except BaseException:
+            if not deferred.completed:
+                self.http.channel.reset(HttpClient.parse_url(replica.publisher.document_url)[0])
+            raise
+
+    def bind_replica(self, replica: "Replica") -> Deferred:
+        """Fetch and parse one replica's published documents, asynchronously.
+
+        The initial bind, the CDE's refresh and the fleet's rebind after a
+        §5.7 stale fault — the simulated analogue of re-running WSDL2Java /
+        the IDL compiler.  The base implementation resolves at once (a stack
+        without documents has nothing to bind).
+        """
+        deferred: Deferred = Deferred(f"bind {replica.service}#{replica.index}")
+        deferred.complete(None)
+        return deferred
+
+    def get_document(self, url: str, parse: Callable[[str], Any]) -> Deferred:
+        """GET the published document at ``url``; resolve with
+        ``parse(body)``.  Any answer but 200 fails the deferred with
+        ``could not retrieve <url>: HTTP <status>``."""
+
+        def decode(response: HttpResponse) -> Any:
+            if not response.ok:
+                raise MiddlewareError(f"could not retrieve {url}: HTTP {response.status}")
+            return parse(response.body)
+
+        return self.http.request_async("GET", url, decode=decode)
 
     # -- the call path -------------------------------------------------------
 
@@ -134,21 +165,7 @@ class ProtocolClient:
         """
         return None if error is not None else str(value)
 
-    # -- interface evolution -------------------------------------------------
-
-    def rebind_replica(self, replica: "Replica") -> Deferred:
-        """Asynchronously re-fetch and re-parse one replica's documents.
-
-        Called by the fleet driver after a §5.7 stale fault under
-        version-aware routing: the client's stubs are outdated, so it
-        rebinds — the simulated analogue of re-running WSDL2Java / the IDL
-        compiler — and only then resumes calling.  The base implementation
-        resolves immediately (a stack without documents has nothing to
-        refresh).
-        """
-        deferred: Deferred = Deferred(f"rebind {replica.service}#{replica.index}")
-        deferred.complete(None)
-        return deferred
+    # -- connection state ----------------------------------------------------
 
     def reset_replica(self, replica: "Replica") -> None:
         """Reset the transport connection to ``replica`` (timeout recovery).
@@ -205,9 +222,6 @@ class SoapProtocolClient(ProtocolClient):
     ) -> Deferred:
         return self.http.send_async(post, wire, decode, self._text_cost(len(wire)))
 
-    def prepare_replica(self, replica: "Replica") -> None:
-        self._bind(replica.index, self.fetch(replica.publisher.document_url))
-
     def call(self, replica: "Replica", operation: str, arguments: tuple[Any, ...]) -> Deferred:
         namespace, registry, post, decode = self._endpoints[replica.index]
         request = SoapRequest.for_call(operation, arguments, namespace=namespace, registry=registry)
@@ -221,15 +235,8 @@ class SoapProtocolClient(ProtocolClient):
         if endpoint is not None:
             self.http.channel.reset(endpoint[2].destination)
 
-    def rebind_replica(self, replica: "Replica") -> Deferred:
-        def decode(response: HttpResponse):
-            if not response.ok:
-                raise MiddlewareError(
-                    f"could not re-retrieve WSDL: HTTP {response.status}"
-                )
-            return self._bind(replica.index, response.body)
-
-        return self.http.request_async("GET", replica.publisher.document_url, decode=decode)
+    def bind_replica(self, replica: "Replica") -> Deferred:
+        return self.get_document(replica.publisher.document_url, partial(self._bind, replica.index))
 
     def classify(self, value: Any, error: BaseException | None) -> str:
         if error is not None:
@@ -264,14 +271,6 @@ class CorbaProtocolClient(ProtocolClient):
         self.orb: ClientOrb | None = None
         self._iors: dict[int, IOR] = {}
 
-    def prepare_replica(self, replica: "Replica") -> None:
-        document = self.fetch(replica.publisher.document_url)
-        self.binding.bind(replica.index, parse_idl(document))
-        if self.orb is None:
-            self.orb = ClientOrb(self.host, self.cost_model, self.speed_factor)
-        ior_text = self.fetch(replica.publisher.ior_url)  # type: ignore[attr-defined]
-        self._iors[replica.index] = IOR.from_string(ior_text.strip())
-
     def call(self, replica: "Replica", operation: str, arguments: tuple[Any, ...]) -> Deferred:
         ior = self._iors[replica.index]
         return self.orb.invoke_async(ior, operation, arguments)
@@ -282,19 +281,26 @@ class CorbaProtocolClient(ProtocolClient):
             return
         self.orb.channel.reset(Address(ior.host, ior.port))
 
-    def rebind_replica(self, replica: "Replica") -> Deferred:
-        # The IOR survives republication (the endpoint keeps its port), so a
-        # rebind only refreshes the IDL document and the parsed description.
-        def decode(response: HttpResponse):
-            if not response.ok:
-                raise MiddlewareError(
-                    f"could not re-retrieve IDL: HTTP {response.status}"
-                )
-            description = parse_idl(response.body)
-            self.binding.bind(replica.index, description)
-            return description
+    def bind_replica(self, replica: "Replica") -> Deferred:
+        publisher = replica.publisher
+        bound = self.get_document(publisher.document_url, partial(self._bind_idl, replica.index))
+        if replica.index in self._iors:
+            # The IOR survives republication (the endpoint keeps its port),
+            # so it is fetched once per replica, after its first IDL.
+            return bound
+        ior_url = publisher.ior_url  # type: ignore[attr-defined]
+        parse_ior = partial(self._bind_ior, replica.index)
+        return _then(bound, lambda _description: self.get_document(ior_url, parse_ior))
 
-        return self.http.request_async("GET", replica.publisher.document_url, decode=decode)
+    def _bind_idl(self, replica_index: int, document: str):
+        description = parse_idl(document)
+        self.binding.bind(replica_index, description)
+        if self.orb is None:
+            self.orb = ClientOrb(self.host, self.cost_model, self.speed_factor)
+        return description
+
+    def _bind_ior(self, replica_index: int, text: str) -> None:
+        self._iors[replica_index] = IOR.from_string(text.strip())
 
     def classify(self, value: Any, error: BaseException | None) -> str:
         if error is None:
@@ -325,6 +331,25 @@ def _charged_soap_response(
 ) -> Later:
     """:func:`_soap_response`, after the client's cost of decoding the body."""
     return Later(cost(len(response.body)), partial(_soap_response, registry, response))
+
+
+def _then(first: Deferred, after: Callable[[Any], Deferred]) -> Deferred:
+    """A deferred for ``after(value)`` once ``first`` resolves with a value,
+    failed with ``first``'s error otherwise."""
+    out: Deferred = Deferred(first.description)
+
+    def settle(value: Any, error: BaseException | None, _delay: float) -> None:
+        if error is None:
+            out.complete(value)
+        else:
+            out.fail(error)
+
+    first.subscribe(
+        lambda value, error, delay: after(value).subscribe(settle)
+        if error is None
+        else settle(value, error, delay)
+    )
+    return out
 
 
 #: A protocol-client factory: ``(host, client_index, replicas) -> ProtocolClient``

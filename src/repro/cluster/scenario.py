@@ -134,11 +134,16 @@ def churn(service: str, rounds: int = 3, period: float = 1.0, prefix: str = "chu
 
     Every ``period`` virtual seconds, for ``rounds`` rounds, one new
     distributed method is added to every replica of ``service`` and a
-    publication is forced — sustained interface churn under load.
+    publication is forced — sustained interface churn under load.  Methods
+    are ``{prefix}{n}``, ``n`` past the highest such method already there.
     """
 
     def action(runtime: "ScenarioRuntime") -> None:
-        state = {"round": 0}
+        taken = [method.name[len(prefix):] for replica in runtime.replicas(service)
+                 for method in replica.managed.dynamic_class.methods
+                 if method.name.startswith(prefix)]
+        first = 1 + max((int(suffix) for suffix in taken if suffix.isdigit()), default=-1)
+        state = {"round": first}
         epoch = runtime.run_epoch
 
         def one_round() -> None:
@@ -153,7 +158,7 @@ def churn(service: str, rounds: int = 3, period: float = 1.0, prefix: str = "chu
                     f"{prefix}{index}", (), VOID, body=lambda _self: None, distributed=True
                 )
                 replica.node.manager_interface.force_publication(replica.class_name)
-            if state["round"] < rounds:
+            if state["round"] < first + rounds:
                 runtime.world.scheduler.schedule(period, one_round, label="interface churn")
 
         one_round()

@@ -4,7 +4,7 @@ The paper relies on HTTP twice: as the transport for SOAP request/response
 traffic (§2.1) and as the publication channel for WSDL, CORBA-IDL and IOR
 documents served by SDE's integrated Interface Server (§5.1/§5.2).  This
 package provides a request/response message model with a textual wire format,
-a route-based :class:`HttpServer` and a blocking :class:`HttpClient`, both
+a route-based :class:`HttpServer` and an asynchronous :class:`HttpClient`, both
 built on the shared :mod:`repro.net.transport` layer.
 """
 

@@ -2,11 +2,12 @@
 
 The client keeps one persistent connection (source port) per destination —
 HTTP/1.1 keep-alive — through a :class:`~repro.net.transport.ClientChannel`.
-``request`` drives the event scheduler until the response arrives, which is
-how synchronous RMI calls are expressed on the single-threaded simulator;
-``request_async`` returns a :class:`~repro.net.transport.Deferred` instead,
-which is what lets a multi-client workload keep many requests in flight
+``request_async`` returns a :class:`~repro.net.transport.Deferred`, which is
+what lets a multi-client workload keep many requests in flight
 deterministically; with a ``decode`` it resolves with the decoded response.
+A synchronous caller waits on it (``request_async(...).wait(scheduler)``),
+which is how synchronous RMI calls are expressed on the single-threaded
+simulator.
 A sender that posts many bodies to one URL with the same headers parses the
 URL and renders the request line and headers once (:meth:`HttpClient.prepare`)
 and frames each body's bytes with them (:meth:`HttpClient.send_async`).
@@ -55,27 +56,6 @@ class HttpClient:
 
     # -- public API ---------------------------------------------------------
 
-    def get(self, url: str, headers: dict[str, str] | None = None) -> HttpResponse:
-        """Issue a blocking GET request to ``url``."""
-        return self.request("GET", url, headers=headers)
-
-    def request(
-        self,
-        method: str,
-        url: str,
-        body: str = "",
-        headers: dict[str, str] | None = None,
-    ) -> HttpResponse:
-        """Issue a blocking HTTP request and return the response.
-
-        ``url`` must be of the form ``http://<host>:<port>/<path>`` where
-        ``<host>`` is a simulated host name.
-        """
-        destination, payload = self._build(method, url, body, headers)
-        return self.channel.request(
-            destination, payload, self._parse_response, description=f"{method} {url}"
-        )
-
     def request_async(
         self,
         method: str,
@@ -86,7 +66,11 @@ class HttpClient:
     ) -> Deferred:
         """Issue a request without blocking; resolve with the response, or
         with ``decode(response)`` when given (an error it raises fails the
-        deferred)."""
+        deferred).
+
+        ``url`` must be of the form ``http://<host>:<port>/<path>`` where
+        ``<host>`` is a simulated host name.
+        """
         destination, payload = self._build(method, url, body, headers)
         return self.channel.request_async(
             destination,
@@ -116,7 +100,7 @@ class HttpClient:
         self, method: str, url: str, headers: dict[str, str] | None = None
     ) -> PreparedRequest:
         """Parse ``url`` and render the request line and headers, with the
-        default ``Host`` as :meth:`request` sends it, once for :meth:`send_async`."""
+        default ``Host`` as :meth:`request_async` sends it, once for :meth:`send_async`."""
         destination, path = self.parse_url(url)
         fields = {"Host": f"{destination.host}:{destination.port}", **(headers or {})}
         return PreparedRequest(destination, *request_head(method, path, fields), f"{method} {url}")

@@ -19,8 +19,9 @@ the shared machinery out:
   :meth:`Endpoint.stop` are dropped (and counted) instead of being sent
   through an unbound port.
 * :class:`ClientChannel` — the client side: one persistent source port per
-  destination (a client connection), blocking *and* asynchronous request
-  helpers, and FIFO reply correlation.
+  destination (a client connection), asynchronous requests and FIFO reply
+  correlation.  A caller whose :meth:`Deferred.wait` unwinds before the
+  deferred completed resets the connection; nothing else does.
 
 A request has one future: the channel's deferred, resolved by a ``parse``
 that decodes the whole reply.  Client processing time is a scheduled delay
@@ -324,9 +325,10 @@ class Endpoint:
         """Unbind the port; late replies are dropped and counted.
 
         A dropped reply leaves the requester's keep-alive connection owing
-        one response, exactly like a dead HTTP/1.1 server socket: the
-        requester's next blocking call on that connection fails and resets
-        it (see :meth:`ClientChannel.request`).
+        one response, exactly like a dead HTTP/1.1 server socket: a caller
+        waiting on that request raises :class:`~repro.errors.DeadlockError`
+        once the queue drains, and resets the connection
+        (:meth:`ClientChannel.reset`).
         """
         if not self._running:
             return
@@ -663,26 +665,6 @@ class ClientChannel:
         # during the processing delay sends it on a fresh connection.
         self.connection_for(destination).send(payload, parse, deferred, context)
 
-    def request(
-        self,
-        destination: Address,
-        payload: bytes,
-        parse: Callable[[Message], T],
-        description: str = "request",
-    ) -> T:
-        """Blocking request: drive the scheduler until the reply arrives.
-
-        If the request errors (connection refused, dead server, parse
-        failure), the connection is reset so a stale FIFO expectation cannot
-        mis-correlate the next reply on it.
-        """
-        deferred = self.request_async(destination, payload, parse, description)
-        try:
-            return deferred.wait(self.scheduler)
-        except BaseException:
-            self.reset(destination)
-            raise
-
     def abort_pending(self, destination_host: str, error: BaseException | None = None) -> int:
         """Fail fast every in-flight expectation aimed at ``destination_host``.
 
@@ -707,9 +689,9 @@ class ClientChannel:
         """Abandon the connection's pending expectations after a failure.
 
         Returns how many expectations were dropped (0 when no connection to
-        ``destination`` exists).  Blocking callers that unwind with an error
-        must call this so a stale FIFO expectation cannot mis-correlate the
-        connection's next reply.
+        ``destination`` exists).  A caller whose wait unwinds before its
+        deferred completed must call this so a stale FIFO expectation cannot
+        mis-correlate the connection's next reply.
         """
         connection = self._connections.get(destination)
         return connection.reset() if connection is not None else 0

@@ -373,6 +373,28 @@ class TestTimeline:
         assert report.service("Echo").publications >= 3
         assert report.outcomes("discrete").calls == 40
 
+    def test_a_second_churn_numbers_its_methods_on(self):
+        """A later churn of the same service adds methods after the first
+        churn's instead of aborting the run on a name already taken."""
+        first = churn("Echo", rounds=2, period=0.004)
+        runtime = (
+            Scenario(sde_config=SDEConfig(generation_cost=0.02))
+            .service("Echo", [_echo_op()])
+            .at(0.01, first)
+            .at(0.05, churn("Echo", rounds=2, period=0.004))
+            .build()
+        )
+        report = runtime.run(until=0.2)
+        names = [method.name for method in runtime.dynamic_class("Echo").methods]
+        assert [name for name in names if name.startswith("churned_op_")] == [
+            "churned_op_0", "churned_op_1", "churned_op_2", "churned_op_3"
+        ]
+        assert report.service("Echo").interface_version == 5
+        assert first.__trace_event__ == {
+            "kind": "churn", "service": "Echo", "rounds": 2, "period": 0.004,
+            "prefix": "churned_op_",
+        }
+
     def test_timeline_without_clients_needs_until(self):
         scenario = (
             Scenario()

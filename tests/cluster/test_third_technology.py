@@ -134,10 +134,12 @@ class ToyProtocolClient(ProtocolClient):
         super().__init__(host, index, replicas)
         self.documents = {}
 
-    def prepare_replica(self, replica):
-        document = self.fetch(replica.publisher.document_url)
-        assert document.startswith("TOY ")
-        self.documents[replica.index] = document
+    def bind_replica(self, replica):
+        def parse(document):
+            assert document.startswith("TOY ")
+            self.documents[replica.index] = document
+
+        return self.get_document(replica.publisher.document_url, parse)
 
     def call(self, replica, operation, arguments):
         body = operation + "\n" + "".join(str(a) for a in arguments)

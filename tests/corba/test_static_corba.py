@@ -58,12 +58,15 @@ class TestDeployment:
 
     def test_idl_and_ior_available(self, build_world):
         """Figure 2 step 1: the IDL document and the IOR are served over HTTP."""
-        _runtime, server, binding = build_world()
+        runtime, server, binding = build_world()
         assert "interface Calculator" in server.idl_document
         assert server.ior.object_key == "Calculator"
         assert server.ior.port == 9000
-        assert binding.stack.fetch(server.document_url) == server.idl_document
-        assert binding.stack.fetch(server.ior_url) == server.ior.stringify()
+        scheduler = runtime.world.scheduler
+        idl = binding.stack.get_document(server.document_url, str)
+        assert idl.wait(scheduler) == server.idl_document
+        ior = binding.stack.get_document(server.ior_url, str)
+        assert ior.wait(scheduler) == server.ior.stringify()
 
 
 class TestClientServerRoundTrips:
@@ -75,8 +78,9 @@ class TestClientServerRoundTrips:
 
     def test_connect_with_stringified_ior(self, build_world):
         """The stack initialises its ORB from the stringified IOR it fetched."""
-        _runtime, server, binding = build_world()
-        assert IOR.from_string(binding.stack.fetch(server.ior_url)) == server.ior
+        runtime, server, binding = build_world()
+        ior = binding.stack.get_document(server.ior_url, IOR.from_string)
+        assert ior.wait(runtime.world.scheduler) == server.ior
         assert binding.invoke("add", 1, 1) == 2
 
     def test_struct_argument_roundtrip(self, build_world):

@@ -125,7 +125,9 @@ class TestSoapCallHandler:
         runtime, replica = _calculator(fast_scenario)
         handler = replica.call_handler
         client = HttpClient(runtime.cde.host)
-        response = client.request("POST", handler.endpoint_url, "this is not xml")
+        response = client.request_async("POST", handler.endpoint_url, "this is not xml").wait(
+            runtime.world.scheduler
+        )
         parsed = SoapResponse.from_xml(response.body)
         assert parsed.is_fault
         assert parsed.fault.fault_string == FaultCodes.MALFORMED_REQUEST
@@ -135,7 +137,7 @@ class TestSoapCallHandler:
         runtime, replica = _calculator(fast_scenario)
         handler = replica.call_handler
         client = HttpClient(runtime.cde.host)
-        response = client.get(handler.endpoint_url)
+        response = client.request_async("GET", handler.endpoint_url).wait(runtime.world.scheduler)
         assert response.ok
         assert response.body.endswith("/wsdl/Calculator.wsdl")
 
@@ -174,12 +176,12 @@ class TestSoapCallHandler:
 
         responses = {}
         scheduler = runtime.world.scheduler
-        scheduler.schedule(0.0, lambda: responses.update(stale=client_a.request("POST", handler.endpoint_url, stale.to_xml())))
-        scheduler.schedule(0.001, lambda: responses.update(valid=client_b.request("POST", handler.endpoint_url, valid.to_xml())))
+        scheduler.schedule(0.0, lambda: responses.update(stale=client_a.request_async("POST", handler.endpoint_url, stale.to_xml())))
+        scheduler.schedule(0.001, lambda: responses.update(valid=client_b.request_async("POST", handler.endpoint_url, valid.to_xml())))
         scheduler.run_until_idle()
 
-        stale_response = SoapResponse.from_xml(responses["stale"].body)
-        valid_response = SoapResponse.from_xml(responses["valid"].body)
+        stale_response = SoapResponse.from_xml(responses["stale"].wait(scheduler).body)
+        valid_response = SoapResponse.from_xml(responses["valid"].wait(scheduler).body)
         assert stale_response.is_fault and stale_response.fault.is_non_existent_method
         assert not valid_response.is_fault and valid_response.return_value == 3
         assert handler.stats.queued_while_stalled >= 1
@@ -203,7 +205,9 @@ class TestSoapCallHandler:
         channel = ClientChannel(runtime.cde.host)
         address, path = HttpClient.parse_url(handler.endpoint_url)
         request = HttpRequest("POST", path, {"Content-Type": "text/xml"}, body).to_bytes()
-        wire = channel.request(address, request, lambda message: message.payload)
+        wire = channel.request_async(address, request, lambda message: message.payload).wait(
+            runtime.world.scheduler
+        )
         xml = wire.partition(b"\r\n\r\n")[2].decode("utf-8")
         assert wire == HttpResponse.ok_xml(xml).to_bytes()
         assert SoapResponse.from_xml(xml).is_fault == (call != "value")

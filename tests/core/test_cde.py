@@ -186,13 +186,14 @@ class TestCdeWireIdentity:
     """Report fingerprints do not cover CDE traffic, so this pins every byte
     a CDE session sends and receives: connect, a stub-class call, a direct
     call, a §6 stale fault with its refresh, and the debugger's "try
-    again"."""
+    again".  The CORBA stack fetches a replica's IOR once, on its first bind:
+    the §6 refresh re-fetches only the IDL."""
 
     @pytest.mark.parametrize(
         ("technology", "pinned"),
         [
             ("soap", (12, "86af1b23174789aae2758e4d1a5654348eb50cdcf54416c417949204b353575a")),
-            ("corba", (16, "357ae0c540637eb5be4a87feed1c01e26c7b4d961d48bfc278f5936da3f397c3")),
+            ("corba", (14, "dccd6e61e1782ef63df446c6d40f3c99a13d76610c648894509b2ebe8ab88fea")),
         ],
     )
     def test_session_wire_bytes_are_pinned(self, technology, pinned, delivered_digest):

@@ -3,8 +3,13 @@
 import pytest
 
 from repro.core.sde.interface_server import InterfaceServer
-from repro.errors import PublicationError
+from repro.errors import ConnectionRefusedError, PublicationError
 from repro.net.http import HttpClient
+
+
+def _get(client, url):
+    """GET ``url`` and wait for the response."""
+    return client.request_async("GET", url).wait(client.channel.scheduler)
 
 
 @pytest.fixture
@@ -22,7 +27,7 @@ def client(network):
 class TestPublication:
     def test_publish_and_fetch(self, interface_server, client):
         url = interface_server.publish("/wsdl/Calc.wsdl", "<definitions/>")
-        response = client.get(url)
+        response = _get(client, url)
         assert response.ok
         assert response.body == "<definitions/>"
         assert response.header("content-type").startswith("text/xml")
@@ -30,16 +35,16 @@ class TestPublication:
     def test_republish_replaces_content(self, interface_server, client):
         interface_server.publish("/doc", "v1", "text/plain")
         interface_server.publish("/doc", "v2", "text/plain")
-        assert client.get(interface_server.url_for("/doc")).body == "v2"
+        assert _get(client, interface_server.url_for("/doc")).body == "v2"
         assert interface_server.publication_count("/doc") == 2
 
     def test_unknown_path_is_404(self, interface_server, client):
-        assert client.get(interface_server.url_for("/nothing")).status == 404
+        assert _get(client, interface_server.url_for("/nothing")).status == 404
 
     def test_withdraw(self, interface_server, client):
         interface_server.publish("/doc", "content", "text/plain")
         interface_server.withdraw("/doc")
-        assert client.get(interface_server.url_for("/doc")).status == 404
+        assert _get(client, interface_server.url_for("/doc")).status == 404
 
     def test_publish_and_withdraw_invalidate_the_framed_document(
         self, interface_server, client
@@ -47,14 +52,14 @@ class TestPublication:
         """A document is framed on its first GET and sent as those bytes
         until it is republished or withdrawn."""
         url = interface_server.publish("/doc", "v1", "text/plain")
-        assert client.get(url).body == "v1"
-        assert client.get(url).body == "v1"
+        assert _get(client, url).body == "v1"
+        assert _get(client, url).body == "v1"
         interface_server.publish("/doc", "v2", "text/plain")
-        assert client.get(url).body == "v2"
+        assert _get(client, url).body == "v2"
         interface_server.withdraw("/doc")
-        assert client.get(url).status == 404
+        assert _get(client, url).status == 404
         interface_server.publish("/doc", "<v3/>")
-        response = client.get(url)
+        response = _get(client, url)
         assert (response.body, response.header("content-type")) == (
             "<v3/>", "text/xml; charset=utf-8"
         )
@@ -79,13 +84,16 @@ class TestLifecycle:
         interface_server.publish("/doc", "content", "text/plain")
         interface_server.stop()
         assert not interface_server.running
-        with pytest.raises(Exception):
-            client.get(interface_server.url_for("/doc"))
+        url = interface_server.url_for("/doc")
+        with pytest.raises(ConnectionRefusedError):
+            _get(client, url)
+        # A caller whose wait unwound before the reply resets the connection.
+        client.channel.reset(HttpClient.parse_url(url)[0])
         interface_server.start()
-        assert client.get(interface_server.url_for("/doc")).ok
+        assert _get(client, url).ok
 
     def test_documents_survive_restart(self, interface_server, client):
         interface_server.publish("/doc", "kept", "text/plain")
         interface_server.stop()
         interface_server.start()
-        assert client.get(interface_server.url_for("/doc")).body == "kept"
+        assert _get(client, interface_server.url_for("/doc")).body == "kept"

@@ -69,6 +69,11 @@ def _add_and_force(publisher) -> None:
     publisher.force_publish()
 
 
+def _get(client, url):
+    """GET ``url`` and wait for the response."""
+    return client.request_async("GET", url).wait(client.channel.scheduler)
+
+
 # ---------------------------------------------------------------------------
 # Byte identity over edit / publish / fetch orders
 # ---------------------------------------------------------------------------
@@ -105,7 +110,7 @@ class TestByteIdentity:
 
         def fetch(index: int) -> None:
             publisher = replicas[index].publisher
-            body = client.get(publisher.document_url).body
+            body = _get(client, publisher.document_url).body
             assert body == _eager(publisher, parse(body).version)
 
         def document(index: int) -> None:
@@ -243,8 +248,8 @@ class TestRenderCounts:
         assert renders == {(id(publisher), 2): 1}
         assert interface_server.document(publisher.document_path) == text
         client = HttpClient(network.host("client"))
-        assert client.get(publisher.document_url).body == text
-        assert client.get(publisher.document_url).body == text
+        assert _get(client, publisher.document_url).body == text
+        assert _get(client, publisher.document_url).body == text
         assert renders == {(id(publisher), 2): 1}
 
 
@@ -281,13 +286,13 @@ class TestRenderThatRaises:
 
         client = HttpClient(network.host("client"))
         for _ in range(2):  # not memoised: every read runs the render again
-            response = client.get(publisher.document_url)
+            response = _get(client, publisher.document_url)
             assert response.status == 500
             assert "RuntimeError: cannot render version 1" in response.body
             with pytest.raises(RuntimeError, match="cannot render version 1"):
                 interface_server.document(publisher.document_path)
 
         publisher.broken = False
-        body = client.get(publisher.document_url).body
+        body = _get(client, publisher.document_url).body
         assert parse_wsdl(body).version == 1
         assert interface_server.document(publisher.document_path) == body

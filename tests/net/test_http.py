@@ -152,9 +152,9 @@ class TestContentLength:
         server.start()
         channel = ClientChannel(network.host("client"))
         raw = b"POST /x HTTP/1.1\r\nContent-Length: 2\r\n\r\nhello"
-        response = channel.request(
+        response = channel.request_async(
             Address("server", 8080), raw, lambda message: HttpResponse.from_bytes(message.payload)
-        )
+        ).wait(scheduler)
         assert response.status == StatusCodes.BAD_REQUEST
         assert seen == []
 
@@ -165,9 +165,9 @@ class TestContentLength:
         server.start()
         channel = ClientChannel(network.host("client"))
         raw = b"POST /x HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\nhello"
-        response = channel.request(
+        response = channel.request_async(
             Address("server", 8080), raw, lambda message: HttpResponse.from_bytes(message.payload)
-        )
+        ).wait(scheduler)
         assert response.status == StatusCodes.BAD_REQUEST
         assert "does not match" in response.body
         assert seen == []
@@ -180,7 +180,7 @@ class TestContentLength:
         ).start()
         client = HttpClient(network.host("client"))
         with pytest.raises(HttpError, match="Content-Length"):
-            client.get("http://server:8080/x")
+            client.request_async("GET", "http://server:8080/x").wait(scheduler)
 
 
 class TestHttpServerAndClient:
@@ -193,7 +193,7 @@ class TestHttpServerAndClient:
     def test_get_roundtrip(self, network, scheduler):
         self._serve(network, lambda request: HttpResponse.ok_text("pong"))
         client = HttpClient(network.host("client"))
-        response = client.get("http://server:8080/test")
+        response = client.request_async("GET", "http://server:8080/test").wait(scheduler)
         assert response.ok
         assert response.body == "pong"
 
@@ -206,25 +206,25 @@ class TestHttpServerAndClient:
 
         self._serve(network, handler)
         client = HttpClient(network.host("client"))
-        client.request("POST", "http://server:8080/test", "payload")
+        client.request_async("POST", "http://server:8080/test", "payload").wait(scheduler)
         assert seen == ["payload"]
 
     def test_unknown_route_is_404(self, network, scheduler):
         self._serve(network, lambda request: HttpResponse.ok_text("x"))
         client = HttpClient(network.host("client"))
-        assert client.get("http://server:8080/other").status == 404
+        assert client.request_async("GET", "http://server:8080/other").wait(scheduler).status == 404
 
     def test_query_string_ignored_for_matching(self, network, scheduler):
         self._serve(network, lambda request: HttpResponse.ok_text("wsdl here"))
         client = HttpClient(network.host("client"))
-        assert client.get("http://server:8080/test?wsdl").body == "wsdl here"
+        assert client.request_async("GET", "http://server:8080/test?wsdl").wait(scheduler).body == "wsdl here"
 
     def test_prefix_route(self, network, scheduler):
         server = HttpServer(network.host("server"), 8080)
         server.add_route("/docs/", lambda request: HttpResponse.ok_text(request.path), prefix=True)
         server.start()
         client = HttpClient(network.host("client"))
-        assert client.get("http://server:8080/docs/a/b").body == "/docs/a/b"
+        assert client.request_async("GET", "http://server:8080/docs/a/b").wait(scheduler).body == "/docs/a/b"
 
     def test_prefix_routes_first_registered_wins(self, network, scheduler):
         server = HttpServer(network.host("server"), 8080)
@@ -232,7 +232,7 @@ class TestHttpServerAndClient:
         server.add_route("/docs/deep/", lambda request: HttpResponse.ok_text("deep"), prefix=True)
         server.start()
         client = HttpClient(network.host("client"))
-        assert client.get("http://server:8080/docs/deep/x").body == "docs"
+        assert client.request_async("GET", "http://server:8080/docs/deep/x").wait(scheduler).body == "docs"
 
     def test_prefix_route_scoped_by_method(self, network, scheduler):
         server = HttpServer(network.host("server"), 8080)
@@ -241,13 +241,13 @@ class TestHttpServerAndClient:
         )
         server.start()
         client = HttpClient(network.host("client"))
-        assert client.request("POST", "http://server:8080/docs/x", "body").status == 404
-        assert client.get("http://server:8080/docs/x").body == "docs"
+        assert client.request_async("POST", "http://server:8080/docs/x", "body").wait(scheduler).status == 404
+        assert client.request_async("GET", "http://server:8080/docs/x").wait(scheduler).body == "docs"
 
     def test_exact_route_scoped_by_method(self, network, scheduler):
         self._serve(network, lambda request: HttpResponse.ok_text("x"), methods=("GET",))
         client = HttpClient(network.host("client"))
-        assert client.request("POST", "http://server:8080/test", "body").status == 404
+        assert client.request_async("POST", "http://server:8080/test", "body").wait(scheduler).status == 404
 
     def test_exact_route_beats_an_earlier_prefix_route(self, network, scheduler):
         server = HttpServer(network.host("server"), 8080)
@@ -255,8 +255,8 @@ class TestHttpServerAndClient:
         server.add_route("/exact", lambda request: HttpResponse.ok_text("exact"))
         server.start()
         client = HttpClient(network.host("client"))
-        assert client.get("http://server:8080/exact").body == "exact"
-        assert client.get("http://server:8080/other").body == "prefix"
+        assert client.request_async("GET", "http://server:8080/exact").wait(scheduler).body == "exact"
+        assert client.request_async("GET", "http://server:8080/other").wait(scheduler).body == "prefix"
 
     def test_handler_exception_becomes_500(self, network, scheduler):
         def handler(request):
@@ -264,7 +264,7 @@ class TestHttpServerAndClient:
 
         self._serve(network, handler)
         client = HttpClient(network.host("client"))
-        response = client.get("http://server:8080/test")
+        response = client.request_async("GET", "http://server:8080/test").wait(scheduler)
         assert response.status == 500
         assert "handler blew up" in response.body
 
@@ -272,7 +272,7 @@ class TestHttpServerAndClient:
         self._serve(network, lambda request: (HttpResponse.ok_text("slow"), 0.5))
         client = HttpClient(network.host("client"))
         start = scheduler.now
-        client.get("http://server:8080/test")
+        client.request_async("GET", "http://server:8080/test").wait(scheduler)
         assert scheduler.now - start >= 0.5
 
     def test_deferred_response(self, network, scheduler):
@@ -288,7 +288,7 @@ class TestHttpServerAndClient:
             2.0, lambda: deferred_holder[0].complete(HttpResponse.ok_text("late"))
         )
         client = HttpClient(network.host("client"))
-        response = client.get("http://server:8080/test")
+        response = client.request_async("GET", "http://server:8080/test").wait(scheduler)
         assert response.body == "late"
         assert scheduler.now >= 2.0
 
@@ -302,10 +302,10 @@ class TestHttpServerAndClient:
         scheduler.schedule(2.0, lambda: later.complete(framed))
         client = HttpClient(network.host("client"))
         start = scheduler.now
-        assert client.get("http://server:8080/test").body == "framed"
-        assert client.get("http://server:8080/test").body == "framed"
+        assert client.request_async("GET", "http://server:8080/test").wait(scheduler).body == "framed"
+        assert client.request_async("GET", "http://server:8080/test").wait(scheduler).body == "framed"
         assert scheduler.now - start >= 0.5
-        assert client.get("http://server:8080/test").body == "framed"
+        assert client.request_async("GET", "http://server:8080/test").wait(scheduler).body == "framed"
         assert scheduler.now >= 2.0
 
     def test_deferred_double_completion_rejected(self):
@@ -319,7 +319,7 @@ class TestHttpServerAndClient:
         server.stop()
         client = HttpClient(network.host("client"))
         with pytest.raises(Exception):
-            client.get("http://server:8080/test")
+            client.request_async("GET", "http://server:8080/test").wait(scheduler)
 
     def test_multiple_sequential_requests(self, network, scheduler):
         counter = {"n": 0}
@@ -330,7 +330,7 @@ class TestHttpServerAndClient:
 
         self._serve(network, handler)
         client = HttpClient(network.host("client"))
-        bodies = [client.get("http://server:8080/test").body for _ in range(3)]
+        bodies = [client.request_async("GET", "http://server:8080/test").wait(scheduler).body for _ in range(3)]
         assert bodies == ["1", "2", "3"]
         assert client.requests_sent == 3
         assert client.channel.replies_received == 3
@@ -341,13 +341,13 @@ class TestHttpServerAndClient:
         server.add_route("/dup", lambda request: HttpResponse.ok_text("second"))
         server.start()
         client = HttpClient(network.host("client"))
-        assert client.get("http://server:8080/dup").body == "first"
+        assert client.request_async("GET", "http://server:8080/dup").wait(scheduler).body == "first"
 
     def test_requests_served_counter(self, network, scheduler):
         server = self._serve(network, lambda request: HttpResponse.ok_text("x"))
         client = HttpClient(network.host("client"))
-        client.get("http://server:8080/test")
-        client.get("http://server:8080/missing")
+        client.request_async("GET", "http://server:8080/test").wait(scheduler)
+        client.request_async("GET", "http://server:8080/missing").wait(scheduler)
         assert server.requests_served == 2
 
 

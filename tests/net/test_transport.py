@@ -261,9 +261,9 @@ class TestClientChannel:
     def test_blocking_request(self, network, scheduler):
         self._echo_endpoint(network)
         channel = ClientChannel(network.host("client"))
-        reply = channel.request(
+        reply = channel.request_async(
             Address("server", 9200), b"hi", lambda message: message.payload
-        )
+        ).wait(scheduler)
         assert reply == b"echo:hi"
         assert channel.requests_sent == 1
         assert channel.replies_received == 1
@@ -272,7 +272,7 @@ class TestClientChannel:
         endpoint = self._echo_endpoint(network)
         channel = ClientChannel(network.host("client"))
         for _ in range(4):
-            channel.request(Address("server", 9200), b"x", lambda m: m.payload)
+            channel.request_async(Address("server", 9200), b"x", lambda m: m.payload).wait(scheduler)
         assert len(channel.connections) == 1
         assert endpoint.stats.connections_opened == 1
         assert endpoint.stats.connections_reused == 3
@@ -294,7 +294,7 @@ class TestClientChannel:
         resolves the request's own deferred that much after the reply."""
         self._echo_endpoint(network)
         channel = ClientChannel(network.host("client"))
-        plain = channel.request(Address("server", 9200), b"x", lambda m: m.payload)
+        plain = channel.request_async(Address("server", 9200), b"x", lambda m: m.payload).wait(scheduler)
         round_trip = scheduler.now
         started = scheduler.now
         deferred = channel.request_async(
@@ -349,19 +349,23 @@ class TestClientChannel:
 
         connection = channel.connection_for(Address("server", 9200))
         port_before = connection.port
+        deferred = channel.request_async(Address("server", 9200), b"x", bad_parse)
         with pytest.raises(ValueError):
-            channel.request(Address("server", 9200), b"x", bad_parse)
-        # The connection was reset with a fresh source port, so a late reply
-        # to the aborted request cannot be mis-correlated; the next request
-        # still works.
-        assert connection.port != port_before
-        assert channel.request(Address("server", 9200), b"y", lambda m: m.payload) == b"echo:y"
+            deferred.wait(scheduler)
+        # The reply arrived and consumed its FIFO expectation, so the request
+        # completed (failed) and the connection needs no reset: it keeps its
+        # source port and the next request on it works.
+        assert deferred.completed
+        assert connection.port == port_before
+        assert connection.pending == 0
+        echo = channel.request_async(Address("server", 9200), b"y", lambda m: m.payload)
+        assert echo.wait(scheduler) == b"echo:y"
 
     def test_close_releases_ports(self, network, scheduler):
         self._echo_endpoint(network)
         client_host = network.host("client")
         channel = ClientChannel(client_host)
-        channel.request(Address("server", 9200), b"x", lambda m: m.payload)
+        channel.request_async(Address("server", 9200), b"x", lambda m: m.payload).wait(scheduler)
         bound_before = len(client_host.bound_ports)
         channel.close()
         assert len(client_host.bound_ports) == bound_before - 1
@@ -382,10 +386,14 @@ class TestClientChannel:
         channel = ClientChannel(network.host("client"))
         from repro.errors import DeadlockError
 
-        # The blocking request drains the queue while the reply is held,
-        # fails with DeadlockError, and resets the connection.
+        # The wait drains the queue while the reply is held and fails with
+        # DeadlockError; the caller, unwound before its deferred completed,
+        # resets the connection.
+        deferred = channel.request_async(Address("server", 9300), b"x", lambda m: m.payload)
         with pytest.raises(DeadlockError):
-            channel.request(Address("server", 9300), b"x", lambda m: m.payload)
+            deferred.wait(scheduler)
+        assert not deferred.completed
+        assert channel.reset(Address("server", 9300)) == 1
         # The server completes the abandoned reply afterwards.
         held[0].complete(b"too late")
         scheduler.run_until_idle()
@@ -414,8 +422,8 @@ class TestClientChannel:
     def test_reopened_connection_uses_fresh_port(self, network, scheduler):
         self._echo_endpoint(network)
         channel = ClientChannel(network.host("client"))
-        channel.request(Address("server", 9200), b"x", lambda m: m.payload)
+        channel.request_async(Address("server", 9200), b"x", lambda m: m.payload).wait(scheduler)
         old_port = channel.connections[0].port
         channel.close()
-        channel.request(Address("server", 9200), b"y", lambda m: m.payload)
+        channel.request_async(Address("server", 9200), b"y", lambda m: m.payload).wait(scheduler)
         assert channel.connections[0].port != old_port

@@ -62,8 +62,8 @@ class TestServiceDefinition:
 
 class TestStaticRoundTrips:
     def test_wsdl_served_over_http(self, build_world):
-        _runtime, server, binding = build_world()
-        document = binding.stack.fetch(server.document_url)
+        runtime, server, binding = build_world()
+        document = binding.stack.get_document(server.document_url, str).wait(runtime.world.scheduler)
         assert server.document_url == f"{server.endpoint_url}?wsdl"
         assert "Calculator" in document
         assert server.endpoint_url in document

@@ -66,7 +66,16 @@ class TestSummarise:
         assert row["verdict"] == "no change"
 
     def test_a_clear_loss_is_worse(self):
-        assert _row(BASE, [value + 5.0 for value in BASE])["verdict"] == "worse"
+        # 25% slower in every pair: past the 20% bound.
+        assert _row(BASE, [value + 25.0 for value in BASE])["verdict"] == "worse"
+
+    def test_a_clear_loss_inside_the_bound_is_within_bound(self):
+        # 5% slower in every pair, beyond the base IQR but inside the 20% bound.
+        assert _row(BASE, [value + 5.0 for value in BASE])["verdict"] == "within bound"
+        # Exactly at the bound still counts as inside it.
+        assert _row(BASE, [value + 20.0 for value in BASE])["verdict"] == "within bound"
+        # A metric without a declared bound has nothing to stay inside.
+        assert _row(BASE, [value + 5.0 for value in BASE], {})["verdict"] == "worse"
 
     def test_a_base_spread_wider_than_the_bound_is_unresolved(self):
         wide = [60.0, 140.0, 70.0, 130.0, 100.0, 65.0, 135.0, 100.0, 75.0, 125.0]
