@@ -25,7 +25,7 @@ Layering (see ARCHITECTURE.md "Scenario API"):
   :class:`LatencyHistogram` behind cohort RTT accounting;
 * :mod:`repro.cluster.report` — the unified result objects;
 * :mod:`repro.cluster.scenario` — the :class:`Scenario` builder plus the
-  ``op`` / ``edit`` / ``publish`` / ``churn`` helpers.
+  ``op`` helper and the ``edit`` / ``publish`` / ``churn`` timeline actions.
 
 The fault-injection subsystem (:mod:`repro.faults`) plugs in underneath:
 its timeline actions (``crash`` / ``restart`` / ``partition`` / ``heal`` /

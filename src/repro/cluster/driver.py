@@ -596,7 +596,7 @@ class FleetDriver:
         scheduler: Scheduler,
         registry: ServiceRegistry,
         plans: Iterable[ClientPlan],
-        scripted_events: Iterable[tuple[float, Callable[[], None]]] = (),
+        scripted_events: Iterable[tuple[float, "partial[None]"]] = (),
         protocol_factories: Mapping[str, ProtocolClientFactory] = BUILTIN_STACKS,
         description: str = "cluster fleet",
         until: float | None = None,  # run-relative horizon, like the offsets
@@ -608,6 +608,8 @@ class FleetDriver:
         self.scheduler = scheduler
         self.registry = registry
         self.plans = tuple(plans)
+        #: Timeline actions bound to their runtime (``partial(action,
+        #: runtime)``), with their run-relative offsets.
         self.scripted_events = tuple(scripted_events)
         self._protocol_factories = protocol_factories
         self.description = description
@@ -674,9 +676,9 @@ class FleetDriver:
         try:
             started_at = self.scheduler.now
             events_before = self.scheduler.dispatched_count
-            for offset, action in self.scripted_events:
+            for offset, event in self.scripted_events:
                 self.scheduler.schedule(
-                    offset, self._guard(action), label="workload scripted event"
+                    offset, self._guard(event), label="workload scripted event"
                 )
             for client in self.clients:
                 self.scheduler.schedule(
@@ -762,17 +764,15 @@ class FleetDriver:
                 self.obs.flush_spans(self.trace)
         return report
 
-    def _guard(self, action: Callable[[], None]) -> Callable[[], None]:
+    def _guard(self, event: "partial[None]") -> Callable[[], None]:
         """Make a scripted event a no-op once this run's window has closed,
         so a timeline entry beyond a deadline cannot fire into a later run."""
 
         def fire() -> None:
             if not self.closed:
                 if self.trace is not None:
-                    self.trace.note_timeline(
-                        self.scheduler.now, getattr(action, "__trace_event__", None)
-                    )
-                action()
+                    self.trace.note_timeline(self.scheduler.now, event.func)
+                event()
 
         return fire
 

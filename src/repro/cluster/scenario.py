@@ -37,11 +37,11 @@ them — see ARCHITECTURE.md "Fault model".
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import compress, cycle, islice, tee
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, ClassVar, Iterable, Sequence
 
 from repro.cluster.cohort import CohortFlow, CohortModel
 from repro.cluster.driver import ClientPlan, FleetDriver
@@ -93,15 +93,27 @@ def op(
     return OperationSpec(name, tuple(parameters), returns, body)
 
 
-# -- timeline action helpers ---------------------------------------------------
+# -- timeline actions ----------------------------------------------------------
+#
+# One frozen dataclass per kind: its fields are its arguments, and the trace
+# codec (repro.traffic.trace) writes and reads them.
 
 
-def edit(service: str, *operations: OperationSpec):
+@dataclass(frozen=True, init=False)
+class edit:
     """Timeline action: add distributed methods to every replica of a service."""
 
-    def action(runtime: "ScenarioRuntime") -> None:
-        for replica in runtime.replicas(service):
-            for spec in operations:
+    kind: ClassVar[str] = "edit"
+    service: str
+    operations: tuple[OperationSpec, ...]
+
+    def __init__(self, service: str, *operations: OperationSpec) -> None:
+        object.__setattr__(self, "service", service)
+        object.__setattr__(self, "operations", operations)
+
+    def __call__(self, runtime: "ScenarioRuntime") -> None:
+        for replica in runtime.replicas(self.service):
+            for spec in self.operations:
                 replica.managed.dynamic_class.add_method(
                     spec.name,
                     spec.parameter_objects(),
@@ -110,26 +122,21 @@ def edit(service: str, *operations: OperationSpec):
                     distributed=True,
                 )
 
-    action.__trace_event__ = {
-        "kind": "edit",
-        "service": service,
-        "operations": operations,
-    }
-    return action
 
-
-def publish(service: str):
+@dataclass(frozen=True)
+class publish:
     """Timeline action: force publication on every replica of a service."""
 
-    def action(runtime: "ScenarioRuntime") -> None:
-        for replica in runtime.replicas(service):
+    kind: ClassVar[str] = "publish"
+    service: str
+
+    def __call__(self, runtime: "ScenarioRuntime") -> None:
+        for replica in runtime.replicas(self.service):
             replica.node.manager_interface.force_publication(replica.class_name)
 
-    action.__trace_event__ = {"kind": "publish", "service": service}
-    return action
 
-
-def churn(service: str, rounds: int = 3, period: float = 1.0, prefix: str = "churned_op_"):
+@dataclass(frozen=True)
+class churn:
     """Timeline action: repeated edit+publish rounds (interface churn).
 
     Every ``period`` virtual seconds, for ``rounds`` rounds, one new
@@ -138,7 +145,14 @@ def churn(service: str, rounds: int = 3, period: float = 1.0, prefix: str = "chu
     are ``{prefix}{n}``, ``n`` past the highest such method already there.
     """
 
-    def action(runtime: "ScenarioRuntime") -> None:
+    kind: ClassVar[str] = "churn"
+    service: str
+    rounds: int = 3
+    period: float = 1.0
+    prefix: str = "churned_op_"
+
+    def __call__(self, runtime: "ScenarioRuntime") -> None:
+        service, prefix = self.service, self.prefix
         taken = [method.name[len(prefix):] for replica in runtime.replicas(service)
                  for method in replica.managed.dynamic_class.methods
                  if method.name.startswith(prefix)]
@@ -158,19 +172,10 @@ def churn(service: str, rounds: int = 3, period: float = 1.0, prefix: str = "chu
                     f"{prefix}{index}", (), VOID, body=lambda _self: None, distributed=True
                 )
                 replica.node.manager_interface.force_publication(replica.class_name)
-            if state["round"] < first + rounds:
-                runtime.world.scheduler.schedule(period, one_round, label="interface churn")
+            if state["round"] < first + self.rounds:
+                runtime.world.scheduler.schedule(self.period, one_round, label="interface churn")
 
         one_round()
-
-    action.__trace_event__ = {
-        "kind": "churn",
-        "service": service,
-        "rounds": rounds,
-        "period": period,
-        "prefix": prefix,
-    }
-    return action
 
 
 # -- declarative specs ---------------------------------------------------------
@@ -220,7 +225,7 @@ class Scenario:
         self._technologies: list[tuple[Technology, ProtocolClientFactory]] = []
         self._services: list[_ServiceSpec] = []
         self._client_groups: list[_ClientGroupSpec] = []
-        self._timeline: list[tuple[float, Callable[..., None]]] = []
+        self._timeline: list[tuple[float, Callable[["ScenarioRuntime"], None]]] = []
         self._slos: list[Any] = []
 
     # -- machines -----------------------------------------------------------
@@ -382,12 +387,13 @@ class Scenario:
 
     # -- timeline -----------------------------------------------------------
 
-    def at(self, time: float, action: Callable[..., None]) -> "Scenario":
-        """Schedule a developer action at a run-relative virtual time.
+    def at(self, time: float, action: Callable[["ScenarioRuntime"], None]) -> "Scenario":
+        """Schedule a timeline action at a run-relative virtual time.
 
-        ``action`` is either one of the :func:`edit` / :func:`publish` /
-        :func:`churn` helpers (called with the runtime) or any zero-argument
-        callable.
+        ``action`` is called with the :class:`ScenarioRuntime`: one of the
+        :class:`edit` / :class:`publish` / :class:`churn`, fault or rollout
+        actions (which traces record and replay), or any other callable of
+        the runtime.
         """
         self._timeline.append((time, action))
         return self
@@ -671,11 +677,10 @@ class ScenarioRuntime:
             raise ClusterError(
                 "a scenario with timeline actions but no clients needs run(until=...)"
             )
-        scripted = (
-            [(time, self._bind_action(action)) for time, action in self.scenario._timeline]
-            if self.run_epoch == 1
-            else []
-        )
+        timeline = self.scenario._timeline if self.run_epoch == 1 else []
+        for _time, action in timeline:
+            self._check_references(action)
+        scripted = [(time, partial(action, self)) for time, action in timeline]
         from repro.obs.api import Observability
 
         observability = Observability.resolve(obs)
@@ -828,20 +833,21 @@ class ScenarioRuntime:
                 )
         return plans, flows
 
-    def _bind_action(self, action: Callable[..., None]) -> Callable[[], None]:
-        try:
-            parameter_count = len(inspect.signature(action).parameters)
-        except (TypeError, ValueError):
-            parameter_count = 1
-        if parameter_count == 0:
-            return action
-        bound = lambda: action(self)  # noqa: E731 - metadata is attached below
-        meta = getattr(action, "__trace_event__", None)
-        if meta is not None:
-            # Keep the trace metadata visible on the bound callable, so the
-            # driver's scripted-event guard can record the firing.
-            bound.__trace_event__ = meta  # type: ignore[attr-defined]
-        return bound
+    def _check_references(self, action: Callable[["ScenarioRuntime"], None]) -> None:
+        """Resolve an action's service and host fields before the window
+        opens, so a misspelt name raises here and not mid-run.  Client
+        hosts exist once the plans are built."""
+        injector = self.fault_injector
+        resolvers = {
+            "service": self.registry.lookup,
+            "server": injector.resolve,
+            "a": injector.host_name,
+            "b": injector.host_name,
+        }
+        for name, resolve in resolvers.items():
+            value = getattr(action, name, None)
+            if value is not None:
+                resolve(value)
 
     def __repr__(self) -> str:
         return (

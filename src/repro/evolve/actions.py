@@ -13,14 +13,16 @@ actions (``crash`` / ``partition`` / ...)::
     .at(0.05, rolling("Echo", change, batch_size=1, drain=0.03))
     .run()
 
-Each helper returns an ``action(runtime)`` callable; a
-:class:`~repro.evolve.rollout.RolloutController` does the actual work and
-arms version-aware routing on the service the moment the rollout starts.
+Each action is a frozen dataclass whose fields are its arguments; called
+with the runtime, ``rolling`` / ``canary`` start a
+:class:`~repro.evolve.rollout.RolloutController`, which arms
+version-aware routing on the service the moment the rollout starts.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from dataclasses import KW_ONLY, dataclass
+from typing import TYPE_CHECKING, ClassVar
 
 from repro.evolve.rollout import (
     STRATEGY_CANARY,
@@ -32,16 +34,9 @@ from repro.evolve.rollout import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.scenario import ScenarioRuntime
 
-Action = Callable[["ScenarioRuntime"], None]
 
-
-def rolling(
-    service: str,
-    change: InterfaceUpgrade,
-    batch_size: int = 1,
-    drain: float = 0.0,
-    retry_interval: float = 0.05,
-) -> Action:
+@dataclass(frozen=True)
+class rolling:
     """Timeline action: roll ``change`` across the replicas in batches.
 
     Replicas upgrade in immutable-index order, ``batch_size`` at a time,
@@ -50,65 +45,42 @@ def rolling(
     when they restart (polled every ``retry_interval`` seconds).
     """
 
-    def action(runtime: "ScenarioRuntime") -> None:
-        RolloutController(
-            runtime,
-            service,
-            change,
-            strategy=STRATEGY_ROLLING,
-            batch_size=batch_size,
-            drain=drain,
-            retry_interval=retry_interval,
-        ).start()
+    kind: ClassVar[str] = "rolling"
+    service: str
+    change: InterfaceUpgrade
+    _: KW_ONLY
+    retry_interval: float = 0.05
+    batch_size: int = 1
+    drain: float = 0.0
 
-    action.__trace_event__ = {
-        "kind": "rolling",
-        "service": service,
-        "change": change,
-        "batch_size": batch_size,
-        "drain": drain,
-        "retry_interval": retry_interval,
-    }
-    return action
+    def __call__(self, runtime: "ScenarioRuntime") -> None:
+        # The fields are the controller's keyword arguments, by name.
+        RolloutController(runtime, strategy=STRATEGY_ROLLING, **vars(self)).start()
 
 
-def canary(
-    service: str,
-    change: InterfaceUpgrade,
-    fraction: float = 0.25,
-    promote_after: float = 0.5,
-    retry_interval: float = 0.05,
-) -> Action:
+@dataclass(frozen=True)
+class canary:
     """Timeline action: upgrade a canary fraction first, promote later.
 
     The first ``max(1, round(fraction * replicas))`` replicas (index order)
     take the upgrade immediately; after ``promote_after`` virtual seconds
-    without an :func:`abort_rollout`, the remaining replicas follow.
+    without an :class:`abort_rollout`, the remaining replicas follow.
     """
 
-    def action(runtime: "ScenarioRuntime") -> None:
-        RolloutController(
-            runtime,
-            service,
-            change,
-            strategy=STRATEGY_CANARY,
-            fraction=fraction,
-            promote_after=promote_after,
-            retry_interval=retry_interval,
-        ).start()
+    kind: ClassVar[str] = "canary"
+    service: str
+    change: InterfaceUpgrade
+    _: KW_ONLY
+    retry_interval: float = 0.05
+    fraction: float = 0.25
+    promote_after: float = 0.5
 
-    action.__trace_event__ = {
-        "kind": "canary",
-        "service": service,
-        "change": change,
-        "fraction": fraction,
-        "promote_after": promote_after,
-        "retry_interval": retry_interval,
-    }
-    return action
+    def __call__(self, runtime: "ScenarioRuntime") -> None:
+        RolloutController(runtime, strategy=STRATEGY_CANARY, **vars(self)).start()
 
 
-def abort_rollout(service: str) -> Action:
+@dataclass(frozen=True)
+class abort_rollout:
     """Timeline action: abort the service's active rollout (and roll back).
 
     Pending waves are cancelled and every already-upgraded replica
@@ -116,10 +88,10 @@ def abort_rollout(service: str) -> Action:
     active (e.g. it already completed).
     """
 
-    def action(runtime: "ScenarioRuntime") -> None:
-        controller = runtime.registry.lookup(service).active_rollout
+    kind: ClassVar[str] = "abort_rollout"
+    service: str
+
+    def __call__(self, runtime: "ScenarioRuntime") -> None:
+        controller = runtime.registry.lookup(self.service).active_rollout
         if controller is not None:
             controller.abort()
-
-    action.__trace_event__ = {"kind": "abort_rollout", "service": service}
-    return action

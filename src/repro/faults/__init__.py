@@ -13,8 +13,8 @@ deterministically — at every layer:
   availability bookkeeping (:class:`Outage`, downtime, recovery latency);
 * :class:`RetryPolicy` — the client-side retry/failover knob consumed by
   the cluster fleet driver;
-* timeline actions :func:`crash`, :func:`restart`, :func:`partition`,
-  :func:`heal`, :func:`drop_link`, :func:`restore_link` — composable in
+* timeline actions :class:`crash`, :class:`restart`, :class:`partition`,
+  :class:`heal`, :class:`drop_link`, :class:`restore_link` — composable in
   ``Scenario.at(...)`` next to ``edit`` / ``publish`` / ``churn``.
 
 See ARCHITECTURE.md "Fault model" for the determinism invariants and where

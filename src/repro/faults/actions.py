@@ -13,92 +13,94 @@ developer actions (``edit`` / ``publish`` / ``churn``)::
     .at(0.40, restart("server-2"))
     .run()
 
-Each helper returns an ``action(runtime)`` callable; the runtime's
-:class:`~repro.faults.FaultInjector` does the actual work.  Server
-references are names (``"server-2"``), zero-based indexes, or
+Each action is a frozen dataclass whose fields are its arguments; called
+with the runtime, it acts through the runtime's
+:class:`~repro.faults.FaultInjector`.  Server references are names
+(``"server-2"``), zero-based indexes, or
 :class:`~repro.cluster.topology.ServerNode` objects; ``partition`` /
 ``heal`` / ``drop_link`` also accept plain client host names.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, ClassVar
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.scenario import ScenarioRuntime
     from repro.faults.injector import NodeRef
 
-Action = Callable[["ScenarioRuntime"], None]
 
-
-def crash(server: "NodeRef") -> Action:
+@dataclass(frozen=True)
+class crash:
     """Timeline action: crash a server node (endpoints down, calls aborted)."""
 
-    def action(runtime: "ScenarioRuntime") -> None:
-        runtime.fault_injector.crash(server)
+    kind: ClassVar[str] = "crash"
+    server: "NodeRef"
 
-    action.__trace_event__ = {"kind": "crash", "server": server}
-    return action
+    def __call__(self, runtime: "ScenarioRuntime") -> None:
+        runtime.fault_injector.crash(self.server)
 
 
-def restart(server: "NodeRef") -> Action:
+@dataclass(frozen=True)
+class restart:
     """Timeline action: restart a crashed server node (endpoints re-bound)."""
 
-    def action(runtime: "ScenarioRuntime") -> None:
-        runtime.fault_injector.restart(server)
+    kind: ClassVar[str] = "restart"
+    server: "NodeRef"
 
-    action.__trace_event__ = {"kind": "restart", "server": server}
-    return action
+    def __call__(self, runtime: "ScenarioRuntime") -> None:
+        runtime.fault_injector.restart(self.server)
 
 
-def partition(a: "NodeRef", b: "NodeRef | None" = None) -> Action:
+@dataclass(frozen=True)
+class partition:
     """Timeline action: partition two hosts (or isolate ``a`` entirely)."""
 
-    def action(runtime: "ScenarioRuntime") -> None:
-        runtime.fault_injector.partition(a, b)
+    kind: ClassVar[str] = "partition"
+    a: "NodeRef"
+    b: "NodeRef | None" = None
 
-    action.__trace_event__ = {"kind": "partition", "a": a, "b": b}
-    return action
+    def __call__(self, runtime: "ScenarioRuntime") -> None:
+        runtime.fault_injector.partition(self.a, self.b)
 
 
-def heal(a: "NodeRef | None" = None, b: "NodeRef | None" = None) -> Action:
+@dataclass(frozen=True)
+class heal:
     """Timeline action: heal one partition, all of ``a``'s, or every one."""
 
-    def action(runtime: "ScenarioRuntime") -> None:
-        runtime.fault_injector.heal(a, b)
+    kind: ClassVar[str] = "heal"
+    a: "NodeRef | None" = None
+    b: "NodeRef | None" = None
 
-    action.__trace_event__ = {"kind": "heal", "a": a, "b": b}
-    return action
+    def __call__(self, runtime: "ScenarioRuntime") -> None:
+        runtime.fault_injector.heal(self.a, self.b)
 
 
-def drop_link(
-    a: "NodeRef",
-    b: "NodeRef",
-    loss: float = 1.0,
-    jitter: float = 0.0,
-    seed: int = 0,
-) -> Action:
+@dataclass(frozen=True)
+class drop_link:
     """Timeline action: degrade a link with seeded loss and/or jitter."""
 
-    def action(runtime: "ScenarioRuntime") -> None:
-        runtime.fault_injector.drop_link(a, b, loss=loss, jitter=jitter, seed=seed)
+    kind: ClassVar[str] = "drop_link"
+    a: "NodeRef"
+    b: "NodeRef"
+    loss: float = 1.0
+    jitter: float = 0.0
+    seed: int = 0
 
-    action.__trace_event__ = {
-        "kind": "drop_link",
-        "a": a,
-        "b": b,
-        "loss": loss,
-        "jitter": jitter,
-        "seed": seed,
-    }
-    return action
+    def __call__(self, runtime: "ScenarioRuntime") -> None:
+        runtime.fault_injector.drop_link(
+            self.a, self.b, loss=self.loss, jitter=self.jitter, seed=self.seed
+        )
 
 
-def restore_link(a: "NodeRef", b: "NodeRef") -> Action:
+@dataclass(frozen=True)
+class restore_link:
     """Timeline action: remove the fault profiles from a degraded link."""
 
-    def action(runtime: "ScenarioRuntime") -> None:
-        runtime.fault_injector.restore_link(a, b)
+    kind: ClassVar[str] = "restore_link"
+    a: "NodeRef"
+    b: "NodeRef"
 
-    action.__trace_event__ = {"kind": "restore_link", "a": a, "b": b}
-    return action
+    def __call__(self, runtime: "ScenarioRuntime") -> None:
+        runtime.fault_injector.restore_link(self.a, self.b)

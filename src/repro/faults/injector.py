@@ -95,7 +95,7 @@ class FaultInjector:
         pending expectation to it is failed fast with
         :class:`ConnectionAbortedError` so callers can fail over now.
         """
-        node = self._resolve(node)
+        node = self.resolve(node)
         if not node.is_alive:
             return node
         node.is_alive = False
@@ -124,7 +124,7 @@ class FaultInjector:
         interface documents) survives, modelling a process restart that
         re-deploys from the SDE's durable publication store.
         """
-        node = self._resolve(node)
+        node = self.resolve(node)
         if node.is_alive:
             return node
         node.host.down = False
@@ -149,12 +149,12 @@ class FaultInjector:
         directions) until healed; without it, ``a`` is cut off from every
         other host currently attached to the network.
         """
-        name_a = self._host_name(a)
+        name_a = self.host_name(a)
         if b is not None:
-            self.network.partition(name_a, self._host_name(b))
+            self.network.partition(name_a, self.host_name(b))
             if _obs_hooks.ACTIVE is not None:
                 _obs_hooks.ACTIVE.instant(
-                    "fault.partition", a=name_a, b=self._host_name(b)
+                    "fault.partition", a=name_a, b=self.host_name(b)
                 )
             return
         for host in self.network.hosts:
@@ -170,11 +170,11 @@ class FaultInjector:
             if _obs_hooks.ACTIVE is not None:
                 _obs_hooks.ACTIVE.instant("fault.heal", a="*", b="*")
             return
-        name_a = self._host_name(a)
+        name_a = self.host_name(a)
         if b is not None:
-            self.network.heal(name_a, self._host_name(b))
+            self.network.heal(name_a, self.host_name(b))
             if _obs_hooks.ACTIVE is not None:
-                _obs_hooks.ACTIVE.instant("fault.heal", a=name_a, b=self._host_name(b))
+                _obs_hooks.ACTIVE.instant("fault.heal", a=name_a, b=self.host_name(b))
             return
         for pair in self.network.partitions:
             if name_a in pair:
@@ -204,7 +204,7 @@ class FaultInjector:
         partition that is evaluated per message and shows up in the drop
         statistics.  Returns the ``(a→b, b→a)`` profiles.
         """
-        name_a, name_b = self._host_name(a), self._host_name(b)
+        name_a, name_b = self.host_name(a), self.host_name(b)
         forward = LinkFaultProfile(
             loss, jitter, random.Random(f"{seed}:{name_a}->{name_b}")
         )
@@ -218,7 +218,7 @@ class FaultInjector:
 
     def restore_link(self, a: NodeRef, b: NodeRef) -> None:
         """Remove the fault profiles from both directions of a link."""
-        name_a, name_b = self._host_name(a), self._host_name(b)
+        name_a, name_b = self.host_name(a), self.host_name(b)
         self.network.clear_link_fault(name_a, name_b)
         self.network.clear_link_fault(name_b, name_a)
         self._faulted_links.discard((name_a, name_b))
@@ -281,14 +281,14 @@ class FaultInjector:
 
     # -- resolution ---------------------------------------------------------
 
-    def _resolve(self, node: NodeRef) -> "ServerNode":
+    def resolve(self, node: NodeRef) -> "ServerNode":
         if isinstance(node, int):
             return self.world.server_nodes[node]
         if isinstance(node, str):
             return self.world.node(node)
         return node
 
-    def _host_name(self, ref: NodeRef) -> str:
+    def host_name(self, ref: NodeRef) -> str:
         """A host name from a node ref — or any plain host name (clients)."""
         if isinstance(ref, int):
             return self.world.server_nodes[ref].name

@@ -182,13 +182,13 @@ def _config_from_json(data: Mapping[str, Any] | None) -> SDEConfig | None:
     return SDEConfig(**values)
 
 
-def _node_ref_to_json(ref: Any, what: str) -> Any:
+def _node_ref_to_json(ref: Any) -> Any:
     if ref is None or isinstance(ref, (str, int)):
         return ref
     name = getattr(ref, "name", None)
     if isinstance(name, str):
         return name
-    raise TraceError(f"{what} must be a name, index or node, got {ref!r}")
+    raise TraceError(f"a host must be a name, index or node, got {ref!r}")
 
 
 def _upgrade_to_json(change: InterfaceUpgrade) -> dict[str, Any]:
@@ -209,111 +209,63 @@ def _upgrade_from_json(data: Mapping[str, Any]) -> InterfaceUpgrade:
 
 # -- timeline events -----------------------------------------------------------
 #
-# Every timeline helper (edit/publish/churn, the fault actions, the rollout
-# actions) stamps its closure with a ``__trace_event__`` metadata dict; the
-# two tables below turn that metadata into JSON and back into an action.
+# Every timeline action is a frozen dataclass whose fields are its
+# arguments.  Its event is ``{"kind": kind, **fields}``; the fields holding
+# hosts, operations or an interface upgrade pass through a converter.
+
+#: Every traceable timeline action class, by its ``kind``.
+TIMELINE_ACTIONS: dict[str, type] = {
+    action.kind: action
+    for action in (
+        crash, restart, partition, heal, drop_link, restore_link,
+        edit, publish, churn, rolling, canary, abort_rollout,
+    )
+}
+
+_FIELDS_TO_JSON: dict[str, Callable[[Any], Any]] = {
+    "server": _node_ref_to_json,
+    "a": _node_ref_to_json,
+    "b": _node_ref_to_json,
+    "operations": lambda specs: [_op_to_json(spec) for spec in specs],
+    "change": _upgrade_to_json,
+}
+_FIELDS_FROM_JSON: dict[str, Callable[[Any], Any]] = {
+    "operations": lambda items: tuple(_op_from_json(item) for item in items),
+    "change": _upgrade_from_json,
+}
 
 
-def _event_to_json(meta: Mapping[str, Any]) -> dict[str, Any]:
-    kind = meta.get("kind")
-    if kind in ("crash", "restart"):
-        return {"kind": kind, "server": _node_ref_to_json(meta["server"], "server")}
-    if kind in ("partition", "heal", "restore_link"):
-        return {
-            "kind": kind,
-            "a": _node_ref_to_json(meta["a"], "host"),
-            "b": _node_ref_to_json(meta["b"], "host"),
-        }
-    if kind == "drop_link":
-        return {
-            "kind": kind,
-            "a": _node_ref_to_json(meta["a"], "host"),
-            "b": _node_ref_to_json(meta["b"], "host"),
-            "loss": meta["loss"],
-            "jitter": meta["jitter"],
-            "seed": meta["seed"],
-        }
-    if kind == "edit":
-        return {
-            "kind": kind,
-            "service": meta["service"],
-            "operations": [_op_to_json(spec) for spec in meta["operations"]],
-        }
-    if kind == "publish":
-        return {"kind": kind, "service": meta["service"]}
-    if kind == "churn":
-        return {
-            "kind": kind,
-            "service": meta["service"],
-            "rounds": meta["rounds"],
-            "period": meta["period"],
-            "prefix": meta["prefix"],
-        }
-    if kind in ("rolling", "canary"):
-        event = {
-            "kind": kind,
-            "service": meta["service"],
-            "change": _upgrade_to_json(meta["change"]),
-            "retry_interval": meta["retry_interval"],
-        }
-        if kind == "rolling":
-            event["batch_size"] = meta["batch_size"]
-            event["drain"] = meta["drain"]
-        else:
-            event["fraction"] = meta["fraction"]
-            event["promote_after"] = meta["promote_after"]
-        return event
-    if kind == "abort_rollout":
-        return {"kind": kind, "service": meta["service"]}
-    raise TraceError(f"untraceable timeline event kind {kind!r}")
+def _as_is(value: Any) -> Any:
+    return value
 
 
-def _event_from_json(data: Mapping[str, Any]) -> Callable[..., None]:
-    kind = data["kind"]
-    if kind == "crash":
-        return crash(data["server"])
-    if kind == "restart":
-        return restart(data["server"])
-    if kind == "partition":
-        return partition(data["a"], data["b"])
-    if kind == "heal":
-        return heal(data["a"], data["b"])
-    if kind == "drop_link":
-        return drop_link(
-            data["a"], data["b"], loss=data["loss"], jitter=data["jitter"], seed=data["seed"]
+def _traceable(action: Any) -> bool:
+    return TIMELINE_ACTIONS.get(getattr(action, "kind", None)) is type(action)
+
+
+def _event_to_json(action: Any) -> dict[str, Any]:
+    if not _traceable(action):
+        raise TraceError(
+            f"timeline action {action!r} is opaque; use the edit/publish/churn, "
+            "fault or rollout actions to keep the scenario traceable"
         )
-    if kind == "restore_link":
-        return restore_link(data["a"], data["b"])
-    if kind == "edit":
-        return edit(data["service"], *(_op_from_json(item) for item in data["operations"]))
-    if kind == "publish":
-        return publish(data["service"])
-    if kind == "churn":
-        return churn(
-            data["service"],
-            rounds=data["rounds"],
-            period=data["period"],
-            prefix=data["prefix"],
-        )
-    if kind == "rolling":
-        return rolling(
-            data["service"],
-            _upgrade_from_json(data["change"]),
-            batch_size=data["batch_size"],
-            drain=data["drain"],
-            retry_interval=data["retry_interval"],
-        )
-    if kind == "canary":
-        return canary(
-            data["service"],
-            _upgrade_from_json(data["change"]),
-            fraction=data["fraction"],
-            promote_after=data["promote_after"],
-            retry_interval=data["retry_interval"],
-        )
-    if kind == "abort_rollout":
-        return abort_rollout(data["service"])
-    raise TraceError(f"trace names unknown timeline event kind {kind!r}")
+    return {"kind": action.kind} | {
+        field.name: _FIELDS_TO_JSON.get(field.name, _as_is)(getattr(action, field.name))
+        for field in fields(action)
+    }
+
+
+def _event_from_json(data: Mapping[str, Any]) -> Any:
+    action_class = TIMELINE_ACTIONS.get(data["kind"])
+    if action_class is None:
+        raise TraceError(f"trace names unknown timeline event kind {data['kind']!r}")
+    # The fields are restored as recorded, without calling __init__, so a
+    # kind with its own signature (edit's varargs) decodes like the rest.
+    action = object.__new__(action_class)
+    for field in fields(action_class):
+        decode = _FIELDS_FROM_JSON.get(field.name, _as_is)
+        object.__setattr__(action, field.name, decode(data[field.name]))
+    return action
 
 
 # -- scenario spec <-> JSON ----------------------------------------------------
@@ -390,16 +342,9 @@ def scenario_to_spec(scenario: Scenario) -> dict[str, Any]:
                 ),
             }
         )
-    timeline = []
-    for time, action in scenario._timeline:
-        meta = getattr(action, "__trace_event__", None)
-        if meta is None:
-            raise TraceError(
-                f"timeline action at t={time} is opaque (no __trace_event__ "
-                "metadata); use the edit/publish/churn, fault or rollout "
-                "helpers to keep the scenario traceable"
-            )
-        timeline.append({"time": time, "event": _event_to_json(meta)})
+    timeline = [
+        {"time": time, "event": _event_to_json(action)} for time, action in scenario._timeline
+    ]
     return {
         "name": scenario.name,
         "server_count": scenario._server_count,
@@ -554,11 +499,10 @@ class TraceWriter:
             {"kind": "flow", "t": time, "flow": flow, "count": count, "attempt": attempt}
         )
 
-    def note_timeline(self, time: float, meta: Mapping[str, Any] | None) -> None:
+    def note_timeline(self, time: float, action: Any) -> None:
         """A scripted timeline action firing inside the measured window."""
-        if meta is None:
-            return
-        self._write({"kind": "timeline", "t": time, "event": _event_to_json(meta)})
+        if _traceable(action):
+            self._write({"kind": "timeline", "t": time, "event": _event_to_json(action)})
 
     def note_span(self, span: Mapping[str, Any]) -> None:
         """One finished observability span (``repro.obs``), already a dict.

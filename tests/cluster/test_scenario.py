@@ -14,8 +14,11 @@ from repro.cluster import (
     publish,
 )
 from repro.core.sde import SDEConfig
-from repro.errors import ClusterError
+from repro.errors import ClusterError, HostNotFoundError, ServiceNotFoundError
+from repro.evolve import abort_rollout
+from repro.faults import crash, heal, partition
 from repro.rmitypes import STRING
+from repro.traffic.trace import _event_to_json
 
 
 def _echo_op():
@@ -232,7 +235,7 @@ class TestScenarioBasics:
         """A raising timeline action must not permanently zero the lifetime
         stall-queue gauge, and the cut fleet's leftover events go quiet."""
 
-        def boom():
+        def boom(runtime):
             raise RuntimeError("timeline action failed")
 
         runtime = (
@@ -390,10 +393,36 @@ class TestTimeline:
             "churned_op_0", "churned_op_1", "churned_op_2", "churned_op_3"
         ]
         assert report.service("Echo").interface_version == 5
-        assert first.__trace_event__ == {
+        assert _event_to_json(first) == {
             "kind": "churn", "service": "Echo", "rounds": 2, "period": 0.004,
             "prefix": "churned_op_",
         }
+
+    @pytest.mark.parametrize(
+        "action, error",
+        [
+            (edit("Nope", op("later")), ServiceNotFoundError),
+            (publish("Nope"), ServiceNotFoundError),
+            (abort_rollout("Nope"), ServiceNotFoundError),
+            (crash("server-9"), HostNotFoundError),
+            (partition("nowhere"), HostNotFoundError),
+            # A fleet client host is a valid reference; the second is not.
+            (heal("fleet-client-1", "nowhere"), HostNotFoundError),
+        ],
+        ids=["edit-service", "publish-service", "abort-service", "server", "a", "b"],
+    )
+    def test_a_bad_reference_fails_before_the_window_opens(self, action, error):
+        runtime = (
+            Scenario()
+            .service("Echo", [_echo_op()])
+            .clients(2, service="Echo", calls=5, arguments=("x",), think_time=0.01)
+            .at(0.02, action)
+            .build()
+        )
+        with pytest.raises(error):
+            runtime.run()
+        # Raised before the fleet started: not one call was routed.
+        assert runtime.replicas("Echo")[0].calls_routed == 0
 
     def test_timeline_without_clients_needs_until(self):
         scenario = (
@@ -407,18 +436,6 @@ class TestTimeline:
         assert report.outcomes("discrete").calls == 0
         # The edit settled into a publication before the horizon.
         assert report.service("Echo").publications >= 1
-
-    def test_zero_arg_actions_are_accepted(self):
-        fired = []
-        report = (
-            Scenario()
-            .service("Echo", [_echo_op()])
-            .clients(1, service="Echo", calls=2, arguments=("hi",), think_time=0.05)
-            .at(0.01, lambda: fired.append(True))
-            .run()
-        )
-        assert fired == [True]
-        assert report.outcomes("discrete").calls == 2
 
 
 class TestInteractiveRuntime:

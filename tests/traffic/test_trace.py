@@ -2,22 +2,33 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import CohortModel, Scenario, op
+from repro.cluster import CohortModel, Scenario, churn, edit, op, publish
 from repro.cluster.presets import fault_drill_scenario
+from repro.core.sde import SDEConfig
 from repro.errors import TraceError
-from repro.evolve import rolling, upgrade
-from repro.faults import RetryPolicy, crash, heal, partition, restart
+from repro.evolve import abort_rollout, canary, rolling, upgrade
+from repro.faults import (
+    RetryPolicy,
+    crash,
+    drop_link,
+    heal,
+    partition,
+    restart,
+    restore_link,
+)
 from repro.net import LatencyModel
-from repro.rmitypes import STRING
+from repro.rmitypes import INT, STRING
 from repro.traffic import TRACE_FORMAT, Poisson, TraceReader, record, replay
 from repro.traffic.trace import (
     echo_body,
     fingerprint_digest,
+    noop_body,
     register_trace_body,
     scenario_from_spec,
     scenario_to_spec,
@@ -228,3 +239,88 @@ class TestReplayByteIdentity:
         replayed = replay(reader).run(until=reader.until)
         assert replayed.fingerprint() == report.fingerprint()
         assert replayed.cohort_fingerprint() == report.cohort_fingerprint()
+
+
+def all_kinds_world() -> Scenario:
+    """A scenario whose run fires every timeline action kind once."""
+    echo = op("echo", (("message", STRING),), STRING, body=echo_body)
+    echo_v2 = op("echo_v2", (("message", STRING),), STRING, body=echo_body)
+    change = upgrade(add=[echo_v2], remove=["echo"], successors={"echo": "echo_v2"})
+    return (
+        Scenario(name="all-kinds", sde_config=SDEConfig(generation_cost=0.01))
+        .servers(3)
+        .service("EchoSoap", [echo], technology="soap", replicas=3)
+        .service("EchoCorba", [echo], technology="corba", replicas=2)
+        .clients(
+            12,
+            protocol_mix={"soap": 0.5, "corba": 0.5},
+            calls=8,
+            operation="echo",
+            arguments=("hi",),
+            think_time=0.02,
+            arrival=0.002,
+            retry=RetryPolicy(max_attempts=4, timeout=0.08, backoff=0.005),
+        )
+        .at(0.010, crash(0))
+        .at(0.015, partition("server-2", "fleet-client-1"))
+        .at(0.020, drop_link("server-3", "fleet-client-2", loss=0.3, jitter=0.002, seed=7))
+        .at(
+            0.025,
+            edit("EchoCorba", op("extra"), op("tally", (("n", INT),), INT, body=noop_body)),
+        )
+        .at(0.030, publish("EchoCorba"))
+        .at(0.035, churn("EchoCorba", rounds=2, period=0.01))
+        .at(0.050, restart("server-1"))
+        .at(0.055, restore_link("server-3", "fleet-client-2"))
+        .at(0.060, heal())
+        .at(0.070, canary("EchoSoap", change, fraction=0.34, promote_after=0.05))
+        .at(0.080, abort_rollout("EchoSoap"))
+        .at(0.100, rolling("EchoSoap", change, batch_size=1, drain=0.005))
+    )
+
+
+#: SHA-256 of the all-kinds world's trace file.  The trace format is a
+#: contract: a change to how any timeline action is written shows here.
+ALL_KINDS_TRACE_SHA256 = "0b47d992186d7e64631d3856ec68d37bf1061ea584afbc3eaa28aee215f4ab4c"
+
+
+class TestTimelineCodec:
+    def test_all_kinds_trace_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "all-kinds.jsonl"
+        _, reader = record(all_kinds_world(), path)
+        fired = [event["event"]["kind"] for event in reader.timeline_events]
+        assert sorted(fired) == sorted(
+            ["crash", "restart", "partition", "heal", "drop_link", "restore_link",
+             "edit", "publish", "churn", "rolling", "canary", "abort_rollout"]
+        )
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == ALL_KINDS_TRACE_SHA256
+        replayed = replay(reader).run(until=reader.until)
+        assert fingerprint_digest(replayed) == reader.fingerprint_digest
+
+    def test_every_kind_round_trips(self):
+        from repro.traffic.trace import _event_from_json, _event_to_json
+
+        actions = [action for _, action in all_kinds_world()._timeline]
+        for action in actions:
+            event = json.loads(json.dumps(_event_to_json(action)))
+            assert _event_from_json(event) == action
+
+    def test_kind_table_names_every_action_class(self):
+        import repro.cluster.scenario
+        import repro.evolve.actions
+        import repro.faults.actions
+        from repro.traffic.trace import TIMELINE_ACTIONS
+
+        declared = {
+            value
+            for module in (
+                repro.cluster.scenario, repro.evolve.actions, repro.faults.actions
+            )
+            for value in vars(module).values()
+            if isinstance(value, type)
+            and value.__module__ == module.__name__
+            and "__call__" in vars(value)
+        }
+        assert len(declared) == 12
+        assert set(TIMELINE_ACTIONS.values()) == declared
+        assert all(TIMELINE_ACTIONS[cls.kind] is cls for cls in declared)
