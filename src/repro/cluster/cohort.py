@@ -271,11 +271,7 @@ class CohortFlow:
         if first is None:
             self._finish()
             return
-        self.driver.scheduler.schedule(
-            max(first - self.driver.scheduler.now, 0.0),
-            self._tick,
-            label=f"{self.name} tick",
-        )
+        self.driver.scheduler.schedule(max(first - self.driver.scheduler.now, 0.0), self._tick)
 
     def _fill(self, elapsed: float) -> None:
         """Read offsets until one lies beyond ``elapsed`` or the stream ends.
@@ -371,7 +367,7 @@ class CohortFlow:
             # Nothing to retry and the next arrival is beyond the quantum:
             # skip the idle gap instead of ticking through it.
             target = upcoming
-        driver.scheduler.schedule(target - now, self._tick, label=f"{self.name} tick")
+        driver.scheduler.schedule(target - now, self._tick)
 
     def _route(self, count: int, attempt: int, watermark: int) -> None:
         """Route ``count`` modeled calls through the registry's policies."""
@@ -408,14 +404,7 @@ class CohortFlow:
         scheduler = self.driver.scheduler
         self._outstanding += len(picks)
         for replica, share in picks:
-            scheduler.schedule(
-                0.0,
-                self._settle,
-                replica,
-                share,
-                watermark,
-                label=f"{self.name} settle",
-            )
+            scheduler.schedule(0.0, self._settle, replica, share, watermark)
 
     def _settle(self, replica: "Replica", share: int, watermark: int) -> None:
         """Complete ``share`` modeled calls against ``replica``."""

@@ -197,11 +197,6 @@ class _FleetClient:
                 replica,
                 operation,
                 arguments,
-                label=(
-                    f"{self.report.name} attempt timeout"
-                    if scheduler.tracing
-                    else "attempt timeout"
-                ),
             )
         obs = driver.obs
         if obs is None:
@@ -320,18 +315,7 @@ class _FleetClient:
         if retry is not None and self._attempts < retry.max_attempts:
             self.report.retried_calls += 1
             if retry.backoff > 0:
-                scheduler = self.driver.scheduler
-                scheduler.schedule(
-                    retry.backoff,
-                    self._issue,
-                    operation,
-                    arguments,
-                    label=(
-                        f"{self.report.name} retry backoff"
-                        if scheduler.tracing
-                        else "retry backoff"
-                    ),
-                )
+                self.driver.scheduler.schedule(retry.backoff, self._issue, operation, arguments)
             else:
                 self._issue(operation, arguments)
             return
@@ -364,14 +348,7 @@ class _FleetClient:
     def _after_call(self) -> None:
         think = self.plan.think_time
         if think > 0:
-            scheduler = self.driver.scheduler
-            scheduler.schedule(
-                think,
-                self._next_call,
-                label=(
-                    f"{self.report.name} think time" if scheduler.tracing else "think time"
-                ),
-            )
+            self.driver.scheduler.schedule(think, self._next_call)
         else:
             self._next_call()
 
@@ -677,24 +654,18 @@ class FleetDriver:
             started_at = self.scheduler.now
             events_before = self.scheduler.dispatched_count
             for offset, event in self.scripted_events:
-                self.scheduler.schedule(
-                    offset, self._guard(event), label="workload scripted event"
-                )
+                self.scheduler.schedule(offset, self._guard(event))
             for client in self.clients:
-                self.scheduler.schedule(
-                    client.plan.start_offset,
-                    client.start,
-                    label=f"{client.report.name} start",
-                )
+                self.scheduler.schedule(client.plan.start_offset, client.start)
             for flow in self.flows:
-                self.scheduler.schedule(0.0, flow.start, label=f"{flow.name} start")
+                self.scheduler.schedule(0.0, flow.start)
             deadline = started_at + self.until if self.until is not None else None
             if deadline is not None:
                 # A sentinel pins an event at the deadline, so the stop
                 # predicate triggers exactly there even when the queue is
                 # sparse — without it, run_until would first dispatch
                 # whatever event lies beyond the horizon and overshoot.
-                self.scheduler.schedule(self.until, _noop, label="run deadline")
+                self.scheduler.schedule(self.until, _noop)
             if self.clients or self.flows:
                 self.scheduler.run_until(
                     # Without a deadline, getattr bound by partial reads the

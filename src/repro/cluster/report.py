@@ -408,15 +408,6 @@ class ClusterReport:
 
     # -- lookups ------------------------------------------------------------
 
-    def metrics_fingerprint(self) -> "str | None":
-        """Digest of the sampled metrics series, or None without metrics.
-
-        ``metrics`` is deliberately outside :meth:`fingerprint`; this is
-        the direct handle for asserting the series themselves are
-        byte-deterministic run-to-run.
-        """
-        return self.metrics.fingerprint() if self.metrics is not None else None
-
     def slo(self, name: str) -> Any:
         """The :class:`~repro.obs.slo.SLOResult` for the named objective."""
         for result in self.slo_results:
@@ -430,10 +421,6 @@ class ClusterReport:
             if entry.name == name:
                 return entry
         raise KeyError(f"no service {name!r} in this report")
-
-    def rollouts_for(self, service: str) -> "list[RolloutReport]":
-        """The window's rollouts that targeted ``service``, in start order."""
-        return [rollout for rollout in self.rollouts if rollout.service == service]
 
     def clients_for(self, service: str) -> list[ClientReport]:
         """The clients that targeted ``service``, in start order."""

@@ -173,7 +173,7 @@ class churn:
                 )
                 replica.node.manager_interface.force_publication(replica.class_name)
             if state["round"] < first + self.rounds:
-                runtime.world.scheduler.schedule(self.period, one_round, label="interface churn")
+                runtime.world.scheduler.schedule(self.period, one_round)
 
         one_round()
 

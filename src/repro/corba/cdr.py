@@ -8,8 +8,8 @@ compile-time knowledge of the interface — exactly the property SDE relies on
 to avoid re-initialising the server ORB when methods change (§5.2.2).
 
 Values are encoded and decoded in one pass, one function call per value,
-primitives packed in place; the field-by-field streams (used for IORs)
-decode values with that same code.
+primitives packed in place.  The field-by-field streams, used for IORs,
+carry only untagged unsigned longs, strings and byte sequences.
 """
 
 from __future__ import annotations
@@ -191,13 +191,6 @@ class CdrOutputStream:
     def __init__(self) -> None:
         self._buffer = bytearray()
 
-    def write_long(self, value: int) -> None:
-        """Write a signed 64-bit integer."""
-        try:
-            self._buffer += _PACK_LONG(value)
-        except struct.error as exc:
-            raise MarshalError(f"integer {value!r} does not fit in 64 bits: {exc}") from None
-
     def write_ulong(self, value: int) -> None:
         """Write an unsigned 32-bit integer (lengths, counts)."""
         if value < 0 or value > 0xFFFFFFFF:
@@ -213,10 +206,6 @@ class CdrOutputStream:
         buffer = self._buffer
         buffer += _PACK_ULONG(len(value))
         buffer += value
-
-    def write_value(self, value: Any) -> None:
-        """Marshal ``value`` with an inline type tag."""
-        _write_value(self._buffer, value)
 
     def getvalue(self) -> bytes:
         """Return the marshalled bytes."""
@@ -240,10 +229,6 @@ class CdrInputStream:
         self._offset += codec.size
         return value
 
-    def read_long(self) -> int:
-        """Read a signed 64-bit integer."""
-        return self._unpack(_LONG)
-
     def read_ulong(self) -> int:
         """Read an unsigned 32-bit integer."""
         return self._unpack(_ULONG)
@@ -264,8 +249,3 @@ class CdrInputStream:
             return self.read_bytes().decode("utf-8")
         except UnicodeDecodeError as exc:
             raise MarshalError(f"malformed string in CDR stream: {exc}") from None
-
-    def read_value(self) -> Any:
-        """Unmarshal one tagged value."""
-        values, self._offset = _read_values(self._data, self._offset, 1)
-        return values[0]

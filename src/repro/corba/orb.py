@@ -98,13 +98,6 @@ class ServerOrb:
         """True while the ORB is accepting requests."""
         return self.endpoint.running
 
-    def object_reference(self, object_key: str, type_id: str | None = None) -> IOR:
-        """Build the IOR naming the object registered under ``object_key``."""
-        if type_id is None:
-            servant = self.poa.servant_for(object_key)
-            type_id = servant.repository_id
-        return IOR(type_id=type_id, host=self.host.name, port=self.port, object_key=object_key)
-
     # -- request handling -----------------------------------------------------
 
     def _on_request(self, message: Message, connection: Connection) -> ReplyOutcome:

@@ -83,11 +83,6 @@ class StaticCorbaServer:
         return self
 
     @property
-    def idl_document(self) -> str:
-        """The CORBA-IDL document describing this (fixed) service."""
-        return self._idl_document
-
-    @property
     def ior(self) -> IOR:
         """The IOR naming the deployed object."""
         return IOR(

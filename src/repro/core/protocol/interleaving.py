@@ -130,10 +130,6 @@ class ActivePublishingExperiment:
             for update_point in UPDATE_POINTS
         ]
 
-    @staticmethod
-    def expected_consistent_labels() -> set[str]:
-        """The combinations the paper reports as consistent."""
-        return {"(1, i)", "(1, ii)", "(2, ii)"}
 
 
 def _default_interface_pair() -> tuple[InterfaceDescription, InterfaceDescription]:
@@ -241,14 +237,9 @@ class ReactivePublishingExperiment:
             scheduler.schedule(
                 publish_delay + 0.001,
                 lambda: manager_interface.force_publication("Calculator"),
-                label=f"regular publication ({publish_point})",
             )
         if update_delay is not None:
-            scheduler.schedule(
-                update_delay + 0.002,
-                binding.refresh,
-                label=f"regular client update ({update_point})",
-            )
+            scheduler.schedule(update_delay + 0.002, binding.refresh)
 
         outcome: dict[str, object] = {}
 
@@ -259,7 +250,7 @@ class ReactivePublishingExperiment:
             except NonExistentMethodError as exc:
                 outcome["exception"] = exc
 
-        scheduler.schedule(0.2, make_stale_call, label="client stale call")
+        scheduler.schedule(0.2, make_stale_call)
         scheduler.run_until_idle()
 
         record = binding.guarantee_records[-1] if binding.guarantee_records else None

@@ -25,7 +25,6 @@ class InterfaceServer:
         self.http_server = HttpServer(host, port, name="sde-interface-server")
         #: Path -> text (or a thunk rendering it), type and 200 reply framed on the first GET.
         self._documents: dict[str, tuple[str | Callable[[], str], str, bytes | None]] = {}
-        self._publication_count: dict[str, int] = {}
         self.http_server.add_route("/", self._serve, methods=("GET",), prefix=True)
 
     # -- lifecycle ----------------------------------------------------------
@@ -59,7 +58,6 @@ class InterfaceServer:
         if not path.startswith("/"):
             raise PublicationError(f"publication path must start with '/', got {path!r}")
         self._documents[path] = (content, content_type, None)
-        self._publication_count[path] = self._publication_count.get(path, 0) + 1
         return self.url_for(path)
 
     def withdraw(self, path: str) -> None:
@@ -70,15 +68,6 @@ class InterfaceServer:
         """Return the currently published content at ``path``, if any."""
         entry = self._rendered(path)
         return entry[0] if entry else None
-
-    def publication_count(self, path: str) -> int:
-        """How many times ``path`` has been (re)published."""
-        return self._publication_count.get(path, 0)
-
-    @property
-    def published_paths(self) -> tuple[str, ...]:
-        """All paths that currently have a published document."""
-        return tuple(sorted(self._documents))
 
     def url_for(self, path: str) -> str:
         """The full URL at which ``path`` is served."""

@@ -282,16 +282,6 @@ class SDEManager:
         self.deployments += 1
         return server
 
-    def undeploy(self, class_name: str) -> None:
-        """Tear down the backend components for a managed class."""
-        server = self._managed.pop(class_name, None)
-        if server is None:
-            return
-        self.environment.undo_stack.remove_listener(server.publisher.on_change_record)
-        server.publisher.stop()
-        server.call_handler.stop()
-        self.interface_server.withdraw(server.publisher.document_path)
-
     # -- instance management (§5.4) ---------------------------------------------------
 
     def _on_instance_created(self, dynamic_class: DynamicClass, instance: DynamicInstance) -> None:

@@ -96,14 +96,10 @@ class DLPublisher:
         self.generation_cost = float(generation_cost)
         self.strategy = strategy
 
-        self.timer = ResettableTimer(
-            scheduler, timeout, self._on_timer_expired, label=f"publish-timer:{dynamic_class.name}"
-        )
+        self.timer = ResettableTimer(scheduler, timeout, self._on_timer_expired)
         self._poll_timer: PeriodicTimer | None = None
         if strategy == STRATEGY_POLLING:
-            self._poll_timer = PeriodicTimer(
-                scheduler, poll_interval, self._on_poll_tick, label=f"poll-timer:{dynamic_class.name}"
-            )
+            self._poll_timer = PeriodicTimer(scheduler, poll_interval, self._on_poll_tick)
 
         self.version = 0
         self.published_description: InterfaceDescription | None = None
@@ -282,12 +278,7 @@ class DLPublisher:
         self._generation_in_progress = True
         snapshot = self.current_description()
         self.stats.generations += 1
-        self.scheduler.schedule(
-            self.generation_cost,
-            self._complete_generation,
-            snapshot,
-            label=f"idl-generation:{self.dynamic_class.name}",
-        )
+        self.scheduler.schedule(self.generation_cost, self._complete_generation, snapshot)
 
     def _complete_generation(self, snapshot: InterfaceDescription) -> None:
         self._generation_in_progress = False

@@ -29,6 +29,7 @@ from repro.evolve.rollout import (
     STRATEGY_ROLLING,
     InterfaceUpgrade,
     RolloutController,
+    check_rollout_arguments,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -53,6 +54,9 @@ class rolling:
     batch_size: int = 1
     drain: float = 0.0
 
+    def __post_init__(self) -> None:
+        check_rollout_arguments(self.retry_interval, self.batch_size)
+
     def __call__(self, runtime: "ScenarioRuntime") -> None:
         # The fields are the controller's keyword arguments, by name.
         RolloutController(runtime, strategy=STRATEGY_ROLLING, **vars(self)).start()
@@ -74,6 +78,9 @@ class canary:
     retry_interval: float = 0.05
     fraction: float = 0.25
     promote_after: float = 0.5
+
+    def __post_init__(self) -> None:
+        check_rollout_arguments(self.retry_interval)
 
     def __call__(self, runtime: "ScenarioRuntime") -> None:
         RolloutController(runtime, strategy=STRATEGY_CANARY, **vars(self)).start()

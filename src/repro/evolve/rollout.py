@@ -172,6 +172,15 @@ class _CapturedOperation:
     body: Any
 
 
+def check_rollout_arguments(retry_interval: float, batch_size: int = 1) -> None:
+    """Raise :class:`RolloutError` for a batch size below 1 or a retry
+    interval that is not positive."""
+    if batch_size < 1:
+        raise RolloutError("batch_size must be at least 1")
+    if retry_interval <= 0:
+        raise RolloutError("retry_interval must be positive")
+
+
 class RolloutController:
     """Drive one upgrade across a service's replicas, wave by wave."""
 
@@ -187,10 +196,7 @@ class RolloutController:
         promote_after: float = 0.5,
         retry_interval: float = 0.05,
     ) -> None:
-        if batch_size < 1:
-            raise RolloutError("batch_size must be at least 1")
-        if retry_interval <= 0:
-            raise RolloutError("retry_interval must be positive")
+        check_rollout_arguments(retry_interval, batch_size)
         self.runtime = runtime
         self.scheduler = runtime.world.scheduler
         self.entry: "ServiceEntry" = runtime.registry.lookup(service)
@@ -313,9 +319,7 @@ class RolloutController:
             if self._queue or self._deferred:
                 # Everything reachable right now is crashed: poll until a
                 # restart makes progress possible (deterministic resume).
-                self.scheduler.schedule(
-                    self.retry_interval, self._begin_wave, label="rollout resume poll"
-                )
+                self.scheduler.schedule(self.retry_interval, self._begin_wave)
                 return
             self._finish(STATE_COMPLETED)
             return
@@ -346,10 +350,7 @@ class RolloutController:
         cost = max(
             replica.node.sde.config.generation_cost for replica in targets
         )
-        self.scheduler.schedule(
-            cost, self._wave_published, wave, tuple(targets), before,
-            label="rollout wave publication",
-        )
+        self.scheduler.schedule(cost, self._wave_published, wave, tuple(targets), before)
 
     def _wave_published(
         self,
@@ -369,9 +370,7 @@ class RolloutController:
             self._rollback()
             return
         if self._queue or self._deferred:
-            self.scheduler.schedule(
-                max(self.drain, 0.0), self._begin_wave, label="rollout drain"
-            )
+            self.scheduler.schedule(max(self.drain, 0.0), self._begin_wave)
             return
         self._finish(STATE_COMPLETED)
 
@@ -445,9 +444,7 @@ class RolloutController:
             cost = max(
                 replica.node.sde.config.generation_cost for replica in touched
             )
-            self.scheduler.schedule(
-                cost, self._finish, STATE_ABORTED, label="rollout rollback publication"
-            )
+            self.scheduler.schedule(cost, self._finish, STATE_ABORTED)
         else:
             self._finish(STATE_ABORTED)
 

@@ -33,21 +33,6 @@ class EncodingResult:
     giop_request_bytes: int
     giop_reply_bytes: int
 
-    @property
-    def soap_total(self) -> int:
-        """Total bytes on the wire for a SOAP round trip (bodies only)."""
-        return self.soap_request_bytes + self.soap_response_bytes
-
-    @property
-    def giop_total(self) -> int:
-        """Total bytes on the wire for a GIOP round trip."""
-        return self.giop_request_bytes + self.giop_reply_bytes
-
-    @property
-    def size_ratio(self) -> float:
-        """SOAP bytes / GIOP bytes for the same logical call."""
-        return self.soap_total / self.giop_total if self.giop_total else float("nan")
-
 
 def measure_call(
     label: str,

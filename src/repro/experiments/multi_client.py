@@ -150,20 +150,3 @@ def run_multi_client(
         server_waited_seconds=node.waited_seconds,
     )
 
-
-def format_scaling(results: list[MultiClientResult]) -> str:
-    """Render scaling results as a table."""
-    lines = [
-        f"{'tech':6s} {'scenario':12s} {'clients':>7s} {'cores':>5s} {'mean RTT':>9s} "
-        f"{'max RTT':>9s} {'calls/s':>9s} {'stalls':>6s} {'queue':>5s}",
-        "-" * 74,
-    ]
-    for result in results:
-        cores = str(result.server_cores) if result.server_cores else "inf"
-        lines.append(
-            f"{result.technology:6s} {result.scenario:12s} {result.clients:7d} "
-            f"{cores:>5s} "
-            f"{result.mean_rtt:9.4f} {result.max_rtt:9.4f} {result.throughput:9.1f} "
-            f"{result.stalled_calls:6d} {result.max_stall_queue_depth:5d}"
-        )
-    return "\n".join(lines)

@@ -31,12 +31,6 @@ class StaleFloodResult:
     publications: int
     stale_call_publications: int
 
-    @property
-    def generations_per_stale_call(self) -> float:
-        """Interface generations per stale call (should be ≪ 1)."""
-        if self.stale_calls_sent == 0:
-            return 0.0
-        return self.generations / self.stale_calls_sent
 
 
 def run_stale_flood(

@@ -38,7 +38,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.errors import ConnectionAbortedError
+from repro.errors import ConnectionAbortedError, HostNotFoundError
 from repro.faults.profile import LinkFaultProfile
 from repro.obs import hooks as _obs_hooks
 
@@ -283,7 +283,12 @@ class FaultInjector:
 
     def resolve(self, node: NodeRef) -> "ServerNode":
         if isinstance(node, int):
-            return self.world.server_nodes[node]
+            servers = self.world.server_nodes
+            if not 0 <= node < len(servers):
+                raise HostNotFoundError(
+                    f"no server {node}: the world has {len(servers)} servers"
+                )
+            return servers[node]
         if isinstance(node, str):
             return self.world.node(node)
         return node
@@ -291,7 +296,7 @@ class FaultInjector:
     def host_name(self, ref: NodeRef) -> str:
         """A host name from a node ref — or any plain host name (clients)."""
         if isinstance(ref, int):
-            return self.world.server_nodes[ref].name
+            return self.resolve(ref).name
         if isinstance(ref, str):
             self.network.host(ref)  # raises HostNotFoundError for typos
             return ref

@@ -171,13 +171,6 @@ class DynamicMethod:
         if self.owner is not None:
             self.owner._method_modifiers_changed(self, f"-{modifier}")
 
-    def set_distributed(self, distributed: bool) -> None:
-        """Convenience toggle for the ``distributed`` modifier."""
-        if distributed:
-            self.add_modifier(Modifier.DISTRIBUTED)
-        else:
-            self.remove_modifier(Modifier.DISTRIBUTED)
-
     def _apply_rename(self, new_name: str) -> None:
         self._name = new_name
         self._signature = None

@@ -47,11 +47,6 @@ class JPieEnvironment(Listenable):
         self.notify(ClassLoadedEvent(class_name=name, dynamic_class=dynamic_class))
         return dynamic_class
 
-    def unload_class(self, name: str) -> None:
-        """Remove a class from the environment (no event is fired; JPie has
-        no unload notification either)."""
-        self._classes.pop(name, None)
-
     def get_class(self, name: str) -> DynamicClass:
         """Return the loaded class named ``name``."""
         try:

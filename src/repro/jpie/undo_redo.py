@@ -72,10 +72,6 @@ class UndoRedoStack(Listenable):
         """Number of records on the stack."""
         return len(self._records)
 
-    def records_for(self, class_name: str) -> tuple[ChangeRecord, ...]:
-        """History entries affecting the named class."""
-        return tuple(r for r in self._records if r.class_name == class_name)
-
     def last(self) -> ChangeRecord | None:
         """The most recent record, if any."""
         return self._records[-1] if self._records else None

@@ -261,8 +261,7 @@ class Host:
             batch[2].append(message)
             return message
         pending = [message]
-        label = f"deliver {source} -> {destination}" if scheduler.tracing else "deliver"
-        event = scheduler.schedule(delay, network._deliver_batch, pending, label=label)
+        event = scheduler.schedule(delay, network._deliver_batch, pending)
         network._batch = (arrival, event, pending)
         return message
 
@@ -462,7 +461,7 @@ class Network:
                 # of the batch must survive as pending deliveries.
                 rest = messages[index + 1 :]
                 if rest:
-                    self.scheduler.schedule(0.0, self._deliver_batch, rest, label="deliver")
+                    self.scheduler.schedule(0.0, self._deliver_batch, rest)
                 raise
 
     def __repr__(self) -> str:

@@ -243,11 +243,6 @@ class Connection:
                         self._send_now,
                         payload,
                         delay,
-                        label=(
-                            f"{endpoint.name} in-order send to {self.peer}"
-                            if scheduler.tracing
-                            else "in-order send"
-                        ),
                     )
                 else:
                     self._send_now(payload, delay)
@@ -411,18 +406,7 @@ class Endpoint:
                 # just closed its server span.
                 active.note_server_charge(cost, delay - cost)
         if delay > 0:
-            scheduler = self.scheduler
-            scheduler.schedule(
-                delay,
-                connection.resolve,
-                seq,
-                payload,
-                label=(
-                    f"{self.name} processing for {connection.peer}"
-                    if scheduler.tracing
-                    else "processing"
-                ),
-            )
+            self.scheduler.schedule(delay, connection.resolve, seq, payload)
             return
         connection.resolve(seq, payload)
 
@@ -482,17 +466,7 @@ class _ClientConnection:
         arrival = scheduler.now + delay
         if arrival <= self._last_arrival:
             arrival = self._last_arrival + _STREAM_ORDER_EPSILON
-            scheduler.schedule(
-                arrival - delay - scheduler.now,
-                self._send_now,
-                payload,
-                delay,
-                label=(
-                    f"{channel.name} in-order send to {destination}"
-                    if scheduler.tracing
-                    else "in-order send"
-                ),
-            )
+            scheduler.schedule(arrival - delay - scheduler.now, self._send_now, payload, delay)
         else:
             host.send(destination, payload, self.port, delay, self.address)
         self._last_arrival = arrival
@@ -572,9 +546,7 @@ class _ClientConnection:
             deferred._resolve(None, exc, 0.0)
             return
         if type(value) is Later:
-            channel.scheduler.schedule(
-                value.delay, _finish, deferred, value.finish, label=f"{channel.name} processing"
-            )
+            channel.scheduler.schedule(value.delay, _finish, deferred, value.finish)
             return
         deferred._resolve(value, None, 0.0)
 
@@ -647,7 +619,6 @@ class ClientChannel:
                 parse,
                 deferred,
                 _obs_hooks.CONTEXT,
-                label=f"{self.name} processing",
             )
         else:
             self.connection_for(destination).send(payload, parse, deferred, _obs_hooks.CONTEXT)

@@ -9,7 +9,7 @@ and is what the hot-path hook sites talk to through
     report = scenario.run(obs=True)                  # defaults
     report = scenario.run(obs=ObsConfig(dump_dir="obs-dumps"))
 
-    obs = Observability(ObsConfig(scheduler_trace=True))
+    obs = Observability(ObsConfig(sample_interval=0.01))
     report = scenario.run(obs=obs)
     obs.export_chrome("trace.json")                  # open in Perfetto
     obs.span_fingerprint()                           # byte-deterministic
@@ -69,14 +69,10 @@ class ObsConfig:
     metrics: bool = True
     #: Simulated seconds between metric samples.
     sample_interval: float = 0.005
-    #: Bound of the finished-span ring (and the scheduler dispatch trace).
+    #: Bound of the finished-span ring.
     ring_capacity: int = 4096
     #: Where flight-recorder dumps are written (None: in memory only).
     dump_dir: "str | Path | None" = None
-    #: Also record the scheduler's ``(time, label)`` dispatch trace,
-    #: ring-bounded by ``ring_capacity`` (the public face of
-    #: ``Scheduler.enable_tracing``).
-    scheduler_trace: bool = False
     #: Declarative :class:`~repro.obs.slo.SLO` objectives: each registers a
     #: cumulative good/total gauge pair on the sampler and is evaluated
     #: (compliance + burn-rate alerts) onto ``ClusterReport.slo_results``.
@@ -133,8 +129,6 @@ class Observability:
         self._no_alive_streak = 0
         self._last_server_span = None
         hooks.ACTIVE = self
-        if config.scheduler_trace:
-            scheduler.enable_tracing(limit=config.ring_capacity)
         self._installed = True
         return self
 
@@ -434,11 +428,6 @@ class Observability:
     def flight_dumps(self) -> list[dict]:
         """Flight-recorder dumps collected so far."""
         return self.recorder.dumps if self.recorder is not None else []
-
-    @property
-    def dispatch_trace(self) -> list[tuple[float, str]]:
-        """The scheduler's ``(time, label)`` trace (``scheduler_trace``)."""
-        return self.scheduler.trace if self.scheduler is not None else []
 
     def span_fingerprint(self) -> str:
         """Byte-deterministic digest of the finished span tree."""

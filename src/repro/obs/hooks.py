@@ -4,8 +4,7 @@ This module is the *only* part of :mod:`repro.obs` the hot layers
 (transport, simnet, registry, call handlers, protocol stacks) import, and
 it imports nothing in turn — so adding observability to a module can never
 create an import cycle and never slows an untraced run beyond one module
-attribute load and an ``is not None`` test (the same discipline as
-``Scheduler.tracing`` guarding f-string labels).
+attribute load and an ``is not None`` test.
 
 Three module globals carry all the state:
 

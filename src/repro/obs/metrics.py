@@ -85,9 +85,7 @@ class MetricsSampler:
         if self._running:
             return
         self._running = True
-        self._event = self.scheduler.schedule(
-            self.interval, self._tick, label="obs metrics sample"
-        )
+        self._event = self.scheduler.schedule(self.interval, self._tick)
 
     def close(self) -> None:
         """Take a closing sample (unless one exists at this instant), then stop."""
@@ -106,19 +104,12 @@ class MetricsSampler:
         if not self._running:
             return
         self._sample()
-        self._event = self.scheduler.schedule(
-            self.interval, self._tick, label="obs metrics sample"
-        )
+        self._event = self.scheduler.schedule(self.interval, self._tick)
 
     def _sample(self) -> None:
         self._times.append(self.scheduler.now)
         for name, gauge in self._gauges.items():
             self._series[name].append(float(gauge()))
-
-    @property
-    def sample_count(self) -> int:
-        """Samples currently retained (bounded by ``max_samples``)."""
-        return len(self._times)
 
     def report(self) -> MetricsReport:
         """Freeze the sampled series into a :class:`MetricsReport`."""

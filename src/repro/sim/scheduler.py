@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
 from typing import Any, Callable
 
 from repro.errors import DeadlockError, SchedulerError
@@ -40,16 +39,7 @@ class Event:
     them (the §5.6 publication timer does this when it is *reset*).
     """
 
-    __slots__ = (
-        "time",
-        "callback",
-        "args",
-        "kwargs",
-        "cancelled",
-        "dispatched",
-        "label",
-        "_scheduler",
-    )
+    __slots__ = ("time", "callback", "args", "kwargs", "cancelled", "dispatched", "_scheduler")
 
     def __init__(
         self,
@@ -57,7 +47,6 @@ class Event:
         callback: Callable[..., None],
         args: tuple,
         kwargs: dict | None,
-        label: str,
         scheduler: "Scheduler | None" = None,
     ) -> None:
         self.time = time
@@ -66,7 +55,6 @@ class Event:
         self.kwargs = kwargs
         self.cancelled = False
         self.dispatched = False
-        self.label = label
         self._scheduler = scheduler
 
     def cancel(self) -> None:
@@ -97,7 +85,8 @@ class Event:
         # ``dispatched`` wins: an event that ran is "done" even if someone
         # called cancel() on it afterwards.
         state = "done" if self.dispatched else ("cancelled" if self.cancelled else "pending")
-        return f"Event({self.label!r} at {self.time:.6f}, {state})"
+        name = getattr(self.callback, "__qualname__", type(self.callback).__qualname__)
+        return f"Event({name} at {self.time:.6f}, {state})"
 
 
 class Scheduler:
@@ -116,10 +105,6 @@ class Scheduler:
     def __init__(self) -> None:
         #: Current virtual time in seconds.
         self.now = 0.0
-        #: True once :meth:`enable_tracing` was called.  Hot paths check it
-        #: before building descriptive f-string labels, so untraced runs
-        #: skip the string formatting entirely.
-        self.tracing = False
         #: Heap of ``(time, sequence, event)`` tuples.
         self._queue: list[tuple[float, int, Event]] = []
         self._sequence = itertools.count()
@@ -128,9 +113,6 @@ class Scheduler:
         self._cancelled_in_queue = 0
         #: The most recently scheduled event (used by delivery batching).
         self.last_event: Event | None = None
-        #: Dispatch trace: a plain list, or a bounded deque when
-        #: ``enable_tracing`` was given a limit.
-        self._trace: "list[tuple[float, str]] | deque[tuple[float, str]] | None" = None
 
     # -- inspection -------------------------------------------------------
 
@@ -152,23 +134,6 @@ class Scheduler:
         """Number of events dispatched since the scheduler was created."""
         return self._dispatched_count
 
-    def enable_tracing(self, limit: int | None = None) -> None:
-        """Record ``(time, label)`` for every dispatched event.
-
-        Tracing is used by the interleaving experiments (Figures 7 and 8) to
-        report the exact order in which publication and RMI events occurred.
-        ``limit`` bounds the trace to the most recent entries (a ring
-        buffer, the same memory discipline as the observability layer's
-        span ring); ``None`` keeps the historical unbounded list.
-        """
-        self._trace = [] if limit is None else deque(maxlen=limit)
-        self.tracing = True
-
-    @property
-    def trace(self) -> list[tuple[float, str]]:
-        """The recorded dispatch trace (empty unless tracing is enabled)."""
-        return list(self._trace or [])
-
     # -- scheduling -------------------------------------------------------
 
     def schedule(
@@ -176,35 +141,14 @@ class Scheduler:
         delay: float,
         callback: Callable[..., None],
         *args: Any,
-        label: str = "event",
         **kwargs: Any,
     ) -> Event:
         """Schedule ``callback(*args, **kwargs)`` to run ``delay`` seconds
         from now and return the corresponding :class:`Event`."""
         if delay < 0:
             raise SchedulerError(f"cannot schedule an event in the past (delay={delay})")
-        event = Event(self.now + delay, callback, args, kwargs or None, label, self)
+        event = Event(self.now + delay, callback, args, kwargs or None, self)
         heapq.heappush(self._queue, (event.time, next(self._sequence), event))
-        self._pending += 1
-        self.last_event = event
-        return event
-
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        *args: Any,
-        label: str = "event",
-        **kwargs: Any,
-    ) -> Event:
-        """Schedule ``callback`` to run at absolute virtual time ``time``."""
-        if time < self.now:
-            raise SchedulerError(
-                f"cannot schedule an event at {time} before current time {self.now}"
-            )
-        time = float(time)
-        event = Event(time, callback, args, kwargs or None, label, self)
-        heapq.heappush(self._queue, (time, next(self._sequence), event))
         self._pending += 1
         self.last_event = event
         return event
@@ -227,8 +171,6 @@ class Scheduler:
             event.dispatched = True
             self._pending -= 1
             self._dispatched_count += 1
-            if self._trace is not None:
-                self._trace.append((event.time, event.label))
             kwargs = event.kwargs
             if kwargs:
                 event.callback(*event.args, **kwargs)

@@ -30,13 +30,11 @@ class ResettableTimer:
         scheduler: Scheduler,
         timeout: float,
         callback: Callable[[], None],
-        label: str = "resettable-timer",
     ) -> None:
         require_positive(timeout, "timeout")
         self._scheduler = scheduler
         self._timeout = float(timeout)
         self._callback = callback
-        self._label = label
         self._event: Event | None = None
         self.expirations = 0
         self.resets = 0
@@ -87,9 +85,7 @@ class ResettableTimer:
         if self._event is not None and self._event.pending:
             self._event.cancel()
             self.resets += 1
-        self._event = self._scheduler.schedule(
-            self._timeout, self._expire, label=self._label
-        )
+        self._event = self._scheduler.schedule(self._timeout, self._expire)
 
     def cancel(self) -> None:
         """Stop the countdown without firing the callback."""
@@ -118,7 +114,7 @@ class ResettableTimer:
 
     def __repr__(self) -> str:
         state = f"expires at {self.deadline:.6f}" if self.running else "idle"
-        return f"ResettableTimer({self._label!r}, timeout={self._timeout}, {state})"
+        return f"ResettableTimer(timeout={self._timeout}, {state})"
 
 
 class PeriodicTimer:
@@ -134,13 +130,11 @@ class PeriodicTimer:
         scheduler: Scheduler,
         interval: float,
         callback: Callable[[], None],
-        label: str = "periodic-timer",
     ) -> None:
         require_positive(interval, "interval")
         self._scheduler = scheduler
         self._interval = float(interval)
         self._callback = callback
-        self._label = label
         self._event: Event | None = None
         self._running = False
         self.ticks = 0
@@ -170,9 +164,7 @@ class PeriodicTimer:
         self._event = None
 
     def _schedule_next(self) -> None:
-        self._event = self._scheduler.schedule(
-            self._interval, self._tick, label=self._label
-        )
+        self._event = self._scheduler.schedule(self._interval, self._tick)
 
     def _tick(self) -> None:
         if not self._running:
@@ -184,4 +176,4 @@ class PeriodicTimer:
 
     def __repr__(self) -> str:
         state = "running" if self._running else "stopped"
-        return f"PeriodicTimer({self._label!r}, interval={self._interval}, {state})"
+        return f"PeriodicTimer(interval={self._interval}, {state})"

@@ -577,10 +577,6 @@ class TraceReader:
         return [r for r in self.records if r.get("kind") == "flow"]
 
     @property
-    def timeline_events(self) -> list[dict[str, Any]]:
-        return [r for r in self.records if r.get("kind") == "timeline"]
-
-    @property
     def spans(self) -> list[dict[str, Any]]:
         """Observability spans recorded alongside the run (may be empty)."""
         return [r["span"] for r in self.records if r.get("kind") == "span"]

@@ -424,6 +424,21 @@ class TestTimeline:
         # Raised before the fleet started: not one call was routed.
         assert runtime.replicas("Echo")[0].calls_routed == 0
 
+    @pytest.mark.parametrize("index", [7, -1])
+    def test_a_server_index_outside_the_world_is_a_bad_reference(self, index):
+        runtime = (
+            Scenario()
+            .servers(2)
+            .service("Echo", [_echo_op()], replicas=2)
+            .clients(2, service="Echo", calls=5, arguments=("x",), think_time=0.01)
+            .at(0.02, crash(index))
+            .build()
+        )
+        message = rf"^no server {index}: the world has 2 servers$"
+        with pytest.raises(HostNotFoundError, match=message):
+            runtime.run()
+        assert [replica.calls_routed for replica in runtime.replicas("Echo")] == [0, 0]
+
     def test_timeline_without_clients_needs_until(self):
         scenario = (
             Scenario()

@@ -21,13 +21,11 @@ from repro.errors import GiopError, IorError, MarshalError
 
 class TestCdrPrimitives:
     def test_long_roundtrip(self):
-        out = CdrOutputStream()
-        out.write_long(-123456789)
-        assert CdrInputStream(out.getvalue()).read_long() == -123456789
+        assert unmarshal_values(marshal_values((-123456789,))) == [-123456789]
 
     def test_long_out_of_range(self):
         with pytest.raises(MarshalError):
-            CdrOutputStream().write_long(2 ** 70)
+            marshal_values((2 ** 70,))
 
     def test_ulong_roundtrip_and_range(self):
         out = CdrOutputStream()
@@ -37,9 +35,7 @@ class TestCdrPrimitives:
             CdrOutputStream().write_ulong(-1)
 
     def test_double_roundtrip(self):
-        out = CdrOutputStream()
-        out.write_value(3.141592653589793)
-        assert CdrInputStream(out.getvalue()).read_value() == 3.141592653589793
+        assert unmarshal_values(marshal_values((3.141592653589793,))) == [3.141592653589793]
 
     def test_string_roundtrip_including_unicode(self):
         out = CdrOutputStream()
@@ -67,17 +63,15 @@ class TestCdrValues:
         [{"street": "Main", "number": 3}],
     ])
     def test_tagged_value_roundtrip(self, value):
-        out = CdrOutputStream()
-        out.write_value(value)
-        assert CdrInputStream(out.getvalue()).read_value() == value
+        assert unmarshal_values(marshal_values((value,))) == [value]
 
     def test_unsupported_value_rejected(self):
         with pytest.raises(MarshalError):
-            CdrOutputStream().write_value(object())
+            marshal_values((object(),))
 
     def test_non_string_struct_keys_rejected(self):
         with pytest.raises(MarshalError):
-            CdrOutputStream().write_value({1: "x"})
+            marshal_values(({1: "x"},))
 
     def test_marshal_values_roundtrip(self):
         values = (1, "two", [3.0], {"four": True})
@@ -90,7 +84,7 @@ class TestCdrValues:
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(MarshalError):
-            CdrInputStream(b"\x99").read_value()
+            unmarshal_values(b"\x00\x00\x00\x01\x99")
 
 
 class TestGiop:

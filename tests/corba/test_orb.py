@@ -36,6 +36,12 @@ def build_static_world(network):
     return orb, client_orb, servant
 
 
+def reference(orb, object_key):
+    """The IOR naming the object ``orb`` serves under ``object_key``."""
+    type_id = orb.poa.servant_for(object_key).repository_id
+    return IOR(type_id, orb.host.name, orb.port, object_key)
+
+
 class TestPoa:
     def test_activate_and_lookup(self):
         poa = PortableObjectAdapter()
@@ -86,18 +92,18 @@ class TestStaticServant:
 class TestRemoteInvocation:
     def test_successful_call(self, network, scheduler):
         orb, client_orb, _servant = build_static_world(network)
-        ior = orb.object_reference("Calculator")
+        ior = reference(orb, "Calculator")
         assert client_orb.invoke_async(ior, "add", (2, 3)).wait(scheduler) == 5
         assert orb.requests_handled == 1
 
     def test_stringified_ior_roundtrip(self, network, scheduler):
         orb, client_orb, _servant = build_static_world(network)
-        ior = IOR.from_string(orb.object_reference("Calculator").stringify())
+        ior = IOR.from_string(reference(orb, "Calculator").stringify())
         assert client_orb.invoke_async(ior, "add", (10, 20)).wait(scheduler) == 30
 
     def test_user_exception_propagates(self, network, scheduler):
         orb, client_orb, _servant = build_static_world(network)
-        ior = orb.object_reference("Calculator")
+        ior = reference(orb, "Calculator")
         with pytest.raises(CorbaUserException) as excinfo:
             client_orb.invoke_async(ior, "fail", ("mailbox full",)).wait(scheduler)
         assert excinfo.value.type_name == "MailError"
@@ -106,7 +112,7 @@ class TestRemoteInvocation:
 
     def test_unexpected_exception_becomes_system_exception(self, network, scheduler):
         orb, client_orb, _servant = build_static_world(network)
-        ior = orb.object_reference("Calculator")
+        ior = reference(orb, "Calculator")
         with pytest.raises(CorbaSystemException) as excinfo:
             client_orb.invoke_async(ior, "crash", ()).wait(scheduler)
         assert excinfo.value.name == "UNKNOWN"
@@ -120,7 +126,7 @@ class TestRemoteInvocation:
             raise KeyboardInterrupt
 
         servant.register(OperationSignature("interrupt", (), STRING), interrupted)
-        ior = orb.object_reference("Calculator")
+        ior = reference(orb, "Calculator")
         deferred = client_orb.invoke_async(ior, "interrupt", ())
         with pytest.raises(KeyboardInterrupt):
             scheduler.run_until_idle()
@@ -129,14 +135,14 @@ class TestRemoteInvocation:
 
     def test_unknown_operation_is_bad_operation(self, network, scheduler):
         orb, client_orb, _servant = build_static_world(network)
-        ior = orb.object_reference("Calculator")
+        ior = reference(orb, "Calculator")
         with pytest.raises(CorbaSystemException) as excinfo:
             client_orb.invoke_async(ior, "nonexistent", ()).wait(scheduler)
         assert excinfo.value.name == "BAD_OPERATION"
 
     def test_unknown_object_key(self, network, scheduler):
         orb, client_orb, _servant = build_static_world(network)
-        ior = orb.object_reference("Calculator")
+        ior = reference(orb, "Calculator")
         wrong = IOR(ior.type_id, ior.host, ior.port, "Ghost")
         with pytest.raises(CorbaSystemException) as excinfo:
             client_orb.invoke_async(wrong, "add", (1, 2)).wait(scheduler)
@@ -144,14 +150,14 @@ class TestRemoteInvocation:
 
     def test_stopped_orb_unreachable(self, network, scheduler):
         orb, client_orb, _servant = build_static_world(network)
-        ior = orb.object_reference("Calculator")
+        ior = reference(orb, "Calculator")
         orb.stop()
         with pytest.raises(Exception):
             client_orb.invoke_async(ior, "add", (1, 2)).wait(scheduler)
 
     def test_sequential_calls_have_distinct_request_ids(self, network, scheduler):
         orb, client_orb, _servant = build_static_world(network)
-        ior = orb.object_reference("Calculator")
+        ior = reference(orb, "Calculator")
         results = [client_orb.invoke_async(ior, "add", (i, i)).wait(scheduler) for i in range(3)]
         assert results == [0, 2, 4]
         assert client_orb.calls_made == 3
@@ -170,7 +176,7 @@ class TestDsi:
         orb = ServerOrb(network.host("server"), 9000, poa=poa)
         orb.start()
         client_orb = ClientOrb(network.host("client"))
-        ior = orb.object_reference("Dyn")
+        ior = reference(orb, "Dyn")
         result = client_orb.invoke_async(ior, "anything", (1, "two")).wait(scheduler)
         assert result == "handled anything"
         assert seen == [("anything", (1, "two"))]
@@ -185,7 +191,7 @@ class TestDsi:
         orb.start()
         client_orb = ClientOrb(network.host("client"))
         with pytest.raises(CorbaUserException):
-            client_orb.invoke_async(orb.object_reference("Dyn"), "x", ()).wait(scheduler)
+            client_orb.invoke_async(reference(orb, "Dyn"), "x", ()).wait(scheduler)
 
     def test_handler_must_complete_request(self):
         request = ServerRequest("op", [])
@@ -206,7 +212,7 @@ class TestDsi:
         orb.start()
         scheduler.schedule(1.0, lambda: deferred_holder[0].complete("late result"))
         client_orb = ClientOrb(network.host("client"))
-        result = client_orb.invoke_async(orb.object_reference("Dyn"), "slow", ()).wait(scheduler)
+        result = client_orb.invoke_async(reference(orb, "Dyn"), "slow", ()).wait(scheduler)
         assert result == "late result"
         assert scheduler.now >= 1.0
 
@@ -236,7 +242,7 @@ class TestConnectionRecovery:
 
     def test_user_exception_keeps_connection_usable(self, network, scheduler):
         orb, client_orb, _servant = build_static_world(network)
-        ior = orb.object_reference("Calculator")
+        ior = reference(orb, "Calculator")
         with pytest.raises(CorbaUserException):
             client_orb.invoke_async(ior, "fail", ("nope",)).wait(scheduler)
         assert client_orb.invoke_async(ior, "add", (2, 2)).wait(scheduler) == 4
@@ -249,7 +255,7 @@ class TestConnectionRecovery:
             OperationSignature("weird", (), STRING),
             lambda: object(),
         )
-        ior = orb.object_reference("Calculator")
+        ior = reference(orb, "Calculator")
         with pytest.raises(CorbaSystemException):
             client_orb.invoke_async(ior, "weird", ()).wait(scheduler)
         # Counted as a system exception, never also as a handled call.

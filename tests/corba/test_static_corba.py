@@ -59,12 +59,11 @@ class TestDeployment:
     def test_idl_and_ior_available(self, build_world):
         """Figure 2 step 1: the IDL document and the IOR are served over HTTP."""
         runtime, server, binding = build_world()
-        assert "interface Calculator" in server.idl_document
         assert server.ior.object_key == "Calculator"
         assert server.ior.port == 9000
         scheduler = runtime.world.scheduler
         idl = binding.stack.get_document(server.document_url, str)
-        assert idl.wait(scheduler) == server.idl_document
+        assert "interface Calculator" in idl.wait(scheduler)
         ior = binding.stack.get_document(server.ior_url, str)
         assert ior.wait(scheduler) == server.ior.stringify()
 

@@ -9,6 +9,7 @@ from repro.errors import (
     RemoteApplicationError,
     ServerNotInitializedError,
 )
+from repro.jpie import Modifier
 from repro.net.http import HttpClient, HttpRequest, HttpResponse
 from repro.net.transport import ClientChannel
 from repro.rmitypes import INT, STRING
@@ -99,7 +100,7 @@ class TestSoapCallHandler:
         assert outcome_of("add", (2, 3)) == [5]
         assert outcome_of("add", (2,)) == [NonExistentMethodError]
         assert outcome_of("add", ("two", 3)) == [NonExistentMethodError]
-        calculator.method("explode").set_distributed(False)
+        calculator.method("explode").remove_modifier(Modifier.DISTRIBUTED)
         assert outcome_of("explode", ("boom",)) == [NonExistentMethodError]
         assert handler.stats.stalled_calls == 3
         assert calculator.method("add").invocation_count == 1

@@ -36,7 +36,6 @@ class TestPublication:
         interface_server.publish("/doc", "v1", "text/plain")
         interface_server.publish("/doc", "v2", "text/plain")
         assert _get(client, interface_server.url_for("/doc")).body == "v2"
-        assert interface_server.publication_count("/doc") == 2
 
     def test_unknown_path_is_404(self, interface_server, client):
         assert _get(client, interface_server.url_for("/nothing")).status == 404
@@ -68,11 +67,6 @@ class TestPublication:
         interface_server.publish("/doc", "content", "text/plain")
         assert interface_server.document("/doc") == "content"
         assert interface_server.document("/missing") is None
-
-    def test_published_paths_sorted(self, interface_server):
-        interface_server.publish("/b", "x", "text/plain")
-        interface_server.publish("/a", "y", "text/plain")
-        assert interface_server.published_paths == ("/a", "/b")
 
     def test_invalid_path_rejected(self, interface_server):
         with pytest.raises(PublicationError):

@@ -174,11 +174,18 @@ def reads(monkeypatch):
     """Every distinct ``(server, path, publication)`` a GET or
     ``document()`` read."""
     seen: set = set()
-    serve, document = InterfaceServer._serve, InterfaceServer.document
+    publications: Counter = Counter()
+    publish, serve, document = (
+        InterfaceServer.publish, InterfaceServer._serve, InterfaceServer.document
+    )
+
+    def counting_publish(self, path, *args, **kwargs):
+        publications[(id(self), path)] += 1
+        return publish(self, path, *args, **kwargs)
 
     def note(server, path):
         if not path.endswith(".ior"):
-            seen.add((id(server), path, server.publication_count(path)))
+            seen.add((id(server), path, publications[(id(server), path)]))
 
     def counting_serve(self, request):
         note(self, request.path.split("?", 1)[0])
@@ -188,6 +195,7 @@ def reads(monkeypatch):
         note(self, path)
         return document(self, path)
 
+    monkeypatch.setattr(InterfaceServer, "publish", counting_publish)
     monkeypatch.setattr(InterfaceServer, "_serve", counting_serve)
     monkeypatch.setattr(InterfaceServer, "document", counting_document)
     return seen

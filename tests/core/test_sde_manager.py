@@ -93,14 +93,6 @@ class TestAutomatedDeployment:
         second = manager.managed_server("Beta").call_handler.endpoint_url
         assert first != second
 
-    def test_undeploy_releases_resources(self, world):
-        environment, manager = world
-        environment.create_class("Calculator", superclass=manager.soap_server_class)
-        publisher = manager.managed_server("Calculator").publisher
-        manager.undeploy("Calculator")
-        assert not manager.is_managed("Calculator")
-        assert manager.interface_server.document(publisher.document_path) is None
-
     def test_unknown_managed_server_lookup(self, world):
         _environment, manager = world
         with pytest.raises(DeploymentError):

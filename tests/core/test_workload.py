@@ -16,7 +16,6 @@ from repro.core.sde import SDEConfig
 from repro.errors import TechnologyError
 from repro.experiments.multi_client import (
     SCENARIO_STALE_STORM,
-    format_scaling,
     run_multi_client,
 )
 from repro.net.latency import era_2004_cost_model
@@ -180,12 +179,6 @@ class TestScalingExperiment:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError):
             run_multi_client("soap", clients=1, scenario="nope")
-
-    def test_format_scaling_renders_rows(self):
-        results = [run_multi_client("soap", clients=2, calls_per_client=2)]
-        table = format_scaling(results)
-        assert "soap" in table
-        assert "steady" in table
 
 
 class TestWorkloadValidation:

@@ -63,6 +63,20 @@ class TestUpgradeSpec:
         assert change.remove == ("echo",)
         assert change.successors == {"echo": "echo_v2"}
 
+    @pytest.mark.parametrize(
+        "arguments, message",
+        [
+            ((rolling, {"batch_size": 0}), "batch_size must be at least 1"),
+            ((rolling, {"retry_interval": 0.0}), "retry_interval must be positive"),
+            ((canary, {"retry_interval": -1.0}), "retry_interval must be positive"),
+        ],
+        ids=["rolling-batch", "rolling-retry", "canary-retry"],
+    )
+    def test_bad_arguments_fail_when_the_action_is_made(self, arguments, message):
+        action, keywords = arguments
+        with pytest.raises(RolloutError, match=message):
+            action("Echo", BREAKING, **keywords)
+
 
 class TestCompatibleRolling:
     def test_zero_faults_zero_recency_violations(self):
@@ -294,8 +308,8 @@ class TestCrashMidRollout:
             .at(0.150, restart("server-1"))
             .run()
         )
-        (soap,) = report.rollouts_for("EchoSoap")
-        (corba,) = report.rollouts_for("EchoCorba")
+        soap, corba = report.rollouts
+        assert (soap.service, corba.service) == ("EchoSoap", "EchoCorba")
         assert (soap.deferred_resumes, corba.deferred_resumes) == (1, 0)
         for rollout in (soap, corba):
             assert rollout.completed and not rollout.aborted

@@ -23,7 +23,7 @@ class TestFigure7:
         results = run_figure7_matrix()
         assert len(results) == 9
         consistent = {result.label for result in results if result.consistent}
-        assert consistent == ActivePublishingExperiment.expected_consistent_labels()
+        assert consistent == {"(1, i)", "(1, ii)", "(2, ii)"}
 
     def test_every_result_has_explanation(self):
         assert all(result.detail for result in run_figure7_matrix())
@@ -106,7 +106,6 @@ class TestStaleFloodAblation:
         result = run_stale_flood(stale_calls=25)
         assert result.non_existent_method_faults == 25
         assert result.generations <= 1
-        assert result.generations_per_stale_call <= 1 / 25
 
     def test_no_generation_when_interface_already_current(self):
         result = run_stale_flood(stale_calls=10, change_interface_first=False)
@@ -123,8 +122,8 @@ class TestStaleFloodAblation:
 class TestEncodingAndGenerationSweeps:
     def test_soap_messages_larger_than_giop(self):
         for result in run_encoding_comparison():
-            assert result.soap_total > result.giop_total
-            assert result.size_ratio > 1.0
+            soap_total = result.soap_request_bytes + result.soap_response_bytes
+            assert soap_total > result.giop_request_bytes + result.giop_reply_bytes
 
     def test_document_sizes_grow_with_interface_size(self):
         results = run_interface_generation_sweep((1, 10, 50))

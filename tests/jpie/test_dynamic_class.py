@@ -154,9 +154,9 @@ class TestDistributedInterface:
 
     def test_toggle_distributed_modifier(self, calculator):
         method = calculator.method("add")
-        method.set_distributed(False)
+        method.remove_modifier(Modifier.DISTRIBUTED)
         assert calculator.distributed_signatures() == ()
-        method.set_distributed(True)
+        method.add_modifier(Modifier.DISTRIBUTED)
         assert [s.name for s in calculator.distributed_signatures()] == ["add"]
 
     def test_distributed_signatures_sorted_by_name(self, calculator):

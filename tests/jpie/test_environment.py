@@ -43,12 +43,11 @@ class TestEnvironment:
         with pytest.raises(JPieError):
             environment.create_class("Alpha")
 
-    def test_get_and_unload(self, environment):
+    def test_get_class(self, environment):
         created = environment.create_class("Alpha")
         assert environment.get_class("Alpha") is created
-        environment.unload_class("Alpha")
         with pytest.raises(JPieError):
-            environment.get_class("Alpha")
+            environment.get_class("Beta")
 
     def test_instance_listeners(self, environment):
         created = []
@@ -69,12 +68,6 @@ class TestUndoRedoStack:
         environment.undo_stack.add_listener(lambda record: seen.append(record.event.kind.value))
         make_counter_class(environment)
         assert seen == ["field-added", "method-added"]
-
-    def test_records_for_filters_by_class(self, environment):
-        make_counter_class(environment, "A")
-        make_counter_class(environment, "B")
-        assert all(r.class_name == "A" for r in environment.undo_stack.records_for("A"))
-        assert len(environment.undo_stack.records_for("A")) == 2
 
     def test_undo_reverts_method_addition(self, environment):
         counter = make_counter_class(environment)

@@ -292,7 +292,7 @@ class TestAcceptanceDrill:
         assert [r.to_dict() for r in report_one.slo_results] == [
             r.to_dict() for r in report_two.slo_results
         ]
-        assert report_one.metrics_fingerprint() == report_two.metrics_fingerprint()
+        assert report_one.metrics.fingerprint() == report_two.metrics.fingerprint()
 
         assert {r.name for r in report_one.slo_results} == {
             "fleet-availability",

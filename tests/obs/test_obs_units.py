@@ -144,7 +144,7 @@ class TestMetricsSampler:
         scheduler.run_for(0.025)
         sampler.stop()
         scheduler.run_for(0.05)
-        assert sampler.sample_count == 2
+        assert sampler.report().times == (0.01, 0.02)
 
     def test_close_takes_one_closing_sample(self):
         scheduler = Scheduler()

@@ -149,8 +149,7 @@ class TestConsistencyProperties:
         scheduler = runtime.world.scheduler
         outcome = {}
 
-        scheduler.schedule(edit_delay, lambda: service.method("add").rename("sum"),
-                           label="developer edit")
+        scheduler.schedule(edit_delay, lambda: service.method("add").rename("sum"))
 
         def stale_call():
             try:
@@ -158,7 +157,7 @@ class TestConsistencyProperties:
             except NonExistentMethodError as error:
                 outcome["error"] = error
 
-        scheduler.schedule(edit_delay + 0.001 + call_delay, stale_call, label="client call")
+        scheduler.schedule(edit_delay + 0.001 + call_delay, stale_call)
         scheduler.run_until_idle()
 
         # The call either succeeded (edit not yet visible is impossible here —

@@ -18,8 +18,8 @@ class TestClock:
     def test_advance_to_same_time_allowed(self):
         scheduler = Scheduler()
         times = []
-        scheduler.schedule_at(1, lambda: times.append(scheduler.now))
-        scheduler.schedule_at(1.0, lambda: times.append(scheduler.now))
+        scheduler.schedule(1, lambda: times.append(scheduler.now))
+        scheduler.schedule(1.0, lambda: times.append(scheduler.now))
         scheduler.run_until_time(1.0)
         assert times == [1.0, 1.0]
         assert all(type(time) is float for time in times)
@@ -30,7 +30,7 @@ class TestClock:
         scheduler.run_until_time(2.9)
         assert scheduler.now == 3.0
         with pytest.raises(SchedulerError):
-            scheduler.schedule_at(2.9, lambda: None)
+            scheduler.schedule(2.9 - scheduler.now, lambda: None)
 
     def test_advance_by(self):
         scheduler = Scheduler()

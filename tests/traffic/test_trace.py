@@ -98,7 +98,9 @@ class TestTraceFormat:
 
     def test_timeline_firings_recorded(self, tmp_path):
         report, reader = record(small_world(), tmp_path / "t.jsonl")
-        fired = [event["event"]["kind"] for event in reader.timeline_events]
+        fired = [
+            record_["event"]["kind"] for record_ in reader.records if record_["kind"] == "timeline"
+        ]
         assert sorted(fired) == ["crash", "heal", "partition", "restart"]
 
     def test_until_round_trips(self, tmp_path):
@@ -288,7 +290,9 @@ class TestTimelineCodec:
     def test_all_kinds_trace_bytes_are_pinned(self, tmp_path):
         path = tmp_path / "all-kinds.jsonl"
         _, reader = record(all_kinds_world(), path)
-        fired = [event["event"]["kind"] for event in reader.timeline_events]
+        fired = [
+            record_["event"]["kind"] for record_ in reader.records if record_["kind"] == "timeline"
+        ]
         assert sorted(fired) == sorted(
             ["crash", "restart", "partition", "heal", "drop_link", "restore_link",
              "edit", "publish", "churn", "rolling", "canary", "abort_rollout"]

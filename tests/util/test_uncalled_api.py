@@ -1,12 +1,16 @@
-"""Every function and class defined in ``src/`` is used somewhere.
+"""Every function and class defined in ``src/`` is used, and used by a program.
 
 A ``def`` or ``class`` name counts as used when the same word occurs
-anywhere in the ``.py`` files of ``src/``, ``tests/``, ``examples/`` or
-``benchmarks/`` other than in a definition of that name: a call, an
-import, an attribute access or a string (``getattr`` targets and the
-benchmark's ``"module:Class.method"`` boundaries are strings).  Dunder
-methods are called by the interpreter and are not checked, and this file,
-which names its allowlist, is not scanned.
+anywhere in the scanned ``.py`` files other than in a definition of that
+name: a call, an import, an attribute access or a string (``getattr``
+targets and the benchmark's ``"module:Class.method"`` boundaries are
+strings).  Dunder methods are called by the interpreter and are not
+checked, and this file, which names its allowlist, is not scanned.
+
+Two checks read that count.  The first scans ``src/``, ``tests/``,
+``examples/`` and ``benchmarks/``: a name nothing uses is dead.  The second
+leaves ``tests/`` out: a name only tests use is code the system never runs,
+so it goes, unless :data:`ALLOWED_TEST_ONLY` keeps it with its reason.
 """
 
 from __future__ import annotations
@@ -16,37 +20,79 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
-SCANNED = ("src", "tests", "examples", "benchmarks")
+EVERYWHERE = ("src", "tests", "examples", "benchmarks")
+PROGRAMS = ("src", "examples", "benchmarks")
 
-#: Kept although nothing uses it yet.
-ALLOWED_UNUSED: set[str] = set()
+#: ``src/`` names that only tests use, kept for the reason given: a paper
+#: section, an API the docs describe, or a behaviour-contract fingerprint.
+ALLOWED_TEST_ONLY: dict[str, str] = {
+    "soap_server_class": "§4: a class becomes a SOAP server by subclassing SOAPServer",
+    "set_publication_timeout": "§4/§5.6: the SDE Manager Interface sets the publication timeout",
+    "start_interface_server": "§4: the SDE Manager Interface controls the HTTP server",
+    "stop_interface_server": "§4: the SDE Manager Interface controls the HTTP server",
+    "interface_server_running": "§4: the SDE Manager Interface controls the HTTP server",
+    "add_modifier": "§4: selecting the distributed modifier adds a method to the interface",
+    "remove_modifier": "§4: deselecting the distributed modifier removes a method",
+    "add_display_listener": "§6: the JPie debugger displays each exception to the user",
+    "withdraw": "documented API: ARCHITECTURE says publish and withdraw drop a document",
+    "flight_dumps": "documented API: ARCHITECTURE and the verify notes read obs.flight_dumps",
+    "replay_artifact": "documented API: ARCHITECTURE replays a fuzz artifact with it",
+}
 
 _DEFINITION = re.compile(r"^[ \t]*(?:async[ \t]+)?(?:def|class)[ \t]+(\w+)", re.MULTILINE)
 _WORD = re.compile(r"\w+")
 
 
-def uncalled_names(root: Path = ROOT) -> list[str]:
-    """The ``src/`` definitions whose name occurs nowhere but in definitions."""
+def unused_definitions(scanned: tuple[str, ...], root: Path = ROOT) -> dict[str, str]:
+    """``name -> "file:line"`` of each ``src/`` definition whose name occurs
+    in the ``scanned`` directories (``src`` among them) only in definitions."""
     definitions: Counter[str] = Counter()
+    where: dict[str, str] = {}
     words: Counter[str] = Counter()
-    for directory in SCANNED:
+    for directory in scanned:
         for path in sorted((root / directory).rglob("*.py")):
             if path.resolve() == Path(__file__).resolve():
                 continue
             text = path.read_text(encoding="utf-8")
             words.update(_WORD.findall(text))
             if directory == "src":
-                definitions.update(_DEFINITION.findall(text))
-    return sorted(
-        name
-        for name, count in definitions.items()
+                for match in _DEFINITION.finditer(text):
+                    name = match.group(1)
+                    definitions[name] += 1
+                    line = text.count("\n", 0, match.start()) + 1
+                    where.setdefault(name, f"{path.relative_to(root)}:{line}")
+    return {
+        name: where[name]
+        for name, count in sorted(definitions.items())
         if words[name] == count and not (name.startswith("__") and name.endswith("__"))
-    )
+    }
 
 
 def test_every_src_definition_is_used():
-    assert [name for name in uncalled_names() if name not in ALLOWED_UNUSED] == []
+    assert unused_definitions(EVERYWHERE) == {}
+
+
+def test_every_src_definition_is_used_by_a_program():
+    flagged = unused_definitions(PROGRAMS)
+    assert [
+        f"{location}: {name}" for name, location in flagged.items()
+        if name not in ALLOWED_TEST_ONLY
+    ] == []
 
 
 def test_allowlist_names_only_unused_definitions():
-    assert ALLOWED_UNUSED <= set(uncalled_names())
+    assert set(ALLOWED_TEST_ONLY) <= set(unused_definitions(PROGRAMS))
+    assert all(reason.strip() for reason in ALLOWED_TEST_ONLY.values())
+
+
+def test_a_name_only_tests_call_is_flagged_with_its_location(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "src" / "lib.py").write_text(
+        "def used():\n    return helper()\n\n\ndef helper():\n    pass\n\n\n"
+        "def only_tested():\n    pass\n"
+    )
+    (tmp_path / "src" / "main.py").write_text("from lib import used\n\nused()\n")
+    (tmp_path / "tests" / "test_lib.py").write_text("from lib import only_tested\n")
+    assert unused_definitions(("src", "tests"), tmp_path) == {}
+    assert unused_definitions(("src",), tmp_path) == {"only_tested": "src/lib.py:9"}

@@ -34,7 +34,6 @@ ALLOWED_UNSET: dict[str, str] = {
     "CohortModel.tick": "tests/cluster/test_cohort.py runs flows at a finer tick",
     "CohortModel.max_attempts": "tests/cluster/test_cohort.py lowers it on a faulted flow",
     "ObsConfig.sample_interval": "the verify notes set it to sample more coarsely",
-    "ObsConfig.scheduler_trace": "tests/obs/test_scenario_obs.py turns the dispatch trace on",
 }
 
 
