@@ -60,7 +60,7 @@ def main() -> None:
         rtts = report.rtts_for(service.name)
         print(
             f"  {service.name:10s} [{service.technology:5s}] "
-            f"replicas={service.replica_count} policy={service.policy} "
+            f"replicas={service.replica_count} "
             f"routed={service.calls_routed} "
             f"mean RTT={sum(rtts) / len(rtts):.5f}s "
             f"publications(mid-run)={service.publications} "

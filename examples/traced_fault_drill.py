@@ -6,7 +6,7 @@ flag buys three artifacts:
 
 * **a causal span tree per client call** — the call span, each retry
   attempt with the registry's routing decision (replica, node, version
-  tier, policy), the server-side dispatch joined across the wire via the
+  tier), the server-side dispatch joined across the wire via the
   in-band trace context (a SOAP header block / GIOP service-context slot),
   and instants for every injected fault and rollout wave;
 * **time-series metrics** sampled on the simulated clock — per-node core

@@ -16,7 +16,7 @@ and CORBA Servers* (Pallemulle, Goldman & Morgan, WUCSE-2004-75 / ICDCS
   (:mod:`repro.sim`);
 * the declarative **Scenario API** (:mod:`repro.cluster`) — one
   protocol-agnostic entry point that describes an N-server × M-client
-  world (replicated services, routing policies, client fleets with
+  world (replicated services routed round-robin, client fleets with
   protocol mixes, a timeline of developer actions) and runs it
   deterministically;
 * the deterministic **fault-injection subsystem** (:mod:`repro.faults`) —

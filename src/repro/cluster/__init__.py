@@ -1,8 +1,8 @@
 """``repro.cluster`` — the declarative, protocol-agnostic Scenario API.
 
 One composable front door for N-server × M-client simulated worlds: a
-:class:`Scenario` describes machines, replicated services with routing
-policies, client fleets with protocol mixes, and a timeline of developer
+:class:`Scenario` describes machines, replicated services routed
+round-robin, client fleets with protocol mixes, and a timeline of developer
 actions; ``run()`` drives it deterministically and returns a
 :class:`ClusterReport` with unified per-service / per-client RTT,
 stall-queue and publication metrics.
@@ -12,15 +12,15 @@ Layering (see ARCHITECTURE.md "Scenario API"):
 * :mod:`repro.cluster.topology` — :class:`ClusterWorld` /
   :class:`ServerNode`: generalised host creation (any number of SDE server
   machines and client machines on one scheduler/network);
-* :mod:`repro.cluster.registry` — :class:`ServiceRegistry` and the
-  replica-selection policies (round-robin / sticky / least-loaded);
+* :mod:`repro.cluster.registry` — :class:`ServiceRegistry` and
+  round-robin replica selection;
 * :mod:`repro.cluster.protocols` — pluggable client-side protocol stacks
   (SOAP, CORBA, and each scenario's third technologies);
 * :mod:`repro.cluster.driver` — the deterministic callback-driven fleet
   driver;
 * :mod:`repro.cluster.cohort` — million-client scale: cohort/flow-level
   aggregation of the modeled client mass (:class:`CohortModel` /
-  :class:`CohortFlow`) over the same policies and server cores;
+  :class:`CohortFlow`) over the same replica rotation and server cores;
 * :mod:`repro.cluster.histogram` — the streaming fixed-bin
   :class:`LatencyHistogram` behind cohort RTT accounting;
 * :mod:`repro.cluster.report` — the unified result objects;
@@ -49,19 +49,7 @@ from repro.cluster.protocols import (
     ProtocolClient,
     SoapProtocolClient,
 )
-from repro.cluster.registry import (
-    POLICY_LEAST_LOADED,
-    POLICY_ROUND_ROBIN,
-    POLICY_STICKY,
-    LeastLoadedPolicy,
-    Replica,
-    ReplicaPolicy,
-    RoundRobinPolicy,
-    ServiceEntry,
-    ServiceRegistry,
-    StickyPolicy,
-    make_policy,
-)
+from repro.cluster.registry import Replica, ServiceEntry, ServiceRegistry
 from repro.cluster.presets import fault_drill_scenario
 from repro.cluster.report import (
     ClientReport,
@@ -141,14 +129,6 @@ __all__ = [
     "ServiceRegistry",
     "ServiceEntry",
     "Replica",
-    "ReplicaPolicy",
-    "RoundRobinPolicy",
-    "StickyPolicy",
-    "LeastLoadedPolicy",
-    "make_policy",
-    "POLICY_ROUND_ROBIN",
-    "POLICY_STICKY",
-    "POLICY_LEAST_LOADED",
     "FleetDriver",
     "ClientPlan",
     "ProtocolClient",

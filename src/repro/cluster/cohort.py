@@ -12,8 +12,8 @@ client group carry *a million* clients by splitting it:
 * the remaining mass becomes a :class:`CohortFlow` — a deterministic
   arrival process that injects the same per-client call schedule as
   aggregate batches through the *same* :class:`~repro.cluster.registry`
-  routing policies (round-robin / sticky / least-loaded via
-  ``select_many``), the *same* version tiers and §6 freshness rules (one
+  round-robin rotation (in closed form, via ``select_many``), the *same*
+  version tiers and §6 freshness rules (one
   flow-level :class:`~repro.evolve.graph.ClientBinding`), and the *same*
   bounded :class:`~repro.sim.servercore.ServerCore` CPU model
   (``charge_batch``), at O(ticks × replicas) events instead of O(calls).
@@ -370,7 +370,7 @@ class CohortFlow:
         driver.scheduler.schedule(target - now, self._tick)
 
     def _route(self, count: int, attempt: int, watermark: int) -> None:
-        """Route ``count`` modeled calls through the registry's policies."""
+        """Route ``count`` modeled calls through the registry's rotation."""
         assert self.driver is not None
         if self.driver.trace is not None:
             self.driver.trace.note_flow(
@@ -391,7 +391,7 @@ class CohortFlow:
 
         try:
             picks = self.registry.select_many(
-                self.service, self.name, count, binding=self.binding, reachable=reachable
+                self.service, count, binding=self.binding, reachable=reachable
             )
         except NoAliveReplicaError:
             report.failed_attempts += count

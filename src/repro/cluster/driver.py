@@ -57,6 +57,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cohort import CohortFlow
     from repro.faults.injector import FaultInjector
 
+#: The operation a ``stale_every`` probe calls: no server declares it, so
+#: each probe takes the §5.7 stale-call path.
+STALE_OPERATION = "no_such_operation"
+
 
 @dataclass(frozen=True)
 class ClientPlan:
@@ -74,9 +78,8 @@ class ClientPlan:
     #: Workload-relative virtual time of this client's first call.
     start_offset: float = 0.0
     #: Direct every *k*-th call (1-based numbers divisible by *k*) at
-    #: ``stale_operation`` — §5.7 stall-protocol pressure.
+    #: :data:`STALE_OPERATION` — §5.7 stall-protocol pressure.
     stale_every: int | None = None
-    stale_operation: str = "no_such_operation"
     #: Retry/failover policy: transport-level failures (connection aborted
     #: by a crash, no alive replica, per-attempt timeout) are retried —
     #: routed by the failover-aware registry — up to the attempt budget.
@@ -160,7 +163,7 @@ class _FleetClient:
         operation, arguments = self._operation, plan.arguments
         self._probe = bool(plan.stale_every and call_number % plan.stale_every == 0)
         if self._probe:
-            operation, arguments = plan.stale_operation, ()
+            operation, arguments = STALE_OPERATION, ()
         self._attempts = 0
         self._call_started = self.driver.scheduler.now
         obs = self.driver.obs
@@ -176,9 +179,7 @@ class _FleetClient:
         driver = self.driver
         self._attempts += 1
         try:
-            replica = driver.registry.select(
-                self.plan.service, self.report.name, binding=self.binding
-            )
+            replica = driver.registry.select(self.plan.service, self.binding)
         except NoAliveReplicaError:
             self._attempt_failed(operation, arguments)
             return
@@ -202,9 +203,7 @@ class _FleetClient:
         if obs is None:
             deferred = self.stack.call(replica, operation, arguments)
         else:
-            self._tier = (
-                obs.last_select[1] if obs.last_select is not None else None
-            )
+            self._tier = obs.last_tier
             span = obs.begin_attempt(self, operation, replica)
             self._attempt_span = span
             if span is not None:
@@ -700,7 +699,6 @@ class FleetDriver:
                 ServiceReport(
                     name=service.name,
                     technology=service.technology,
-                    policy=service.policy.name,
                     replicas=[
                         snapshot_by_replica[id(replica)].report(
                             self._version_calls.get(id(replica))

@@ -66,9 +66,11 @@ def fault_drill_scenario(
     return (
         Scenario(
             name="fault-drill",
-            sde_config=SDEConfig(generation_cost=0.02, cost_model=cost_model),
+            sde_config=SDEConfig(
+                generation_cost=0.02, cost_model=cost_model, server_cores=cores
+            ),
         )
-        .servers(servers, cores=cores)
+        .servers(servers)
         .service("EchoSoap", [echo], technology="soap", replicas=replicas)
         .service("EchoCorba", [echo], technology="corba", replicas=replicas)
         .clients(

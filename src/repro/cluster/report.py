@@ -266,7 +266,7 @@ class ReplicaReport:
     node: str
     #: The managed dynamic-class name backing this replica.
     class_name: str
-    #: Calls the routing policy sent to this replica during the run.
+    #: Calls the registry routed to this replica during the run.
     calls_routed: int = 0
     stalled_calls: int = 0
     queued_while_stalled: int = 0
@@ -294,7 +294,6 @@ class ServiceReport:
 
     name: str
     technology: str
-    policy: str
     replicas: list[ReplicaReport] = field(default_factory=list)
 
     @property
@@ -538,7 +537,9 @@ class ClusterReport:
             (
                 service.name,
                 service.technology,
-                service.policy,
+                # The one routing rule's name: kept in the tuple so that
+                # digests recorded before it was the only rule still match.
+                "round-robin",
                 tuple(
                     (
                         replica.index,

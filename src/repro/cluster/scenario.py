@@ -1,14 +1,14 @@
 """The declarative Scenario API: describe a whole simulated world, run it.
 
 One :class:`Scenario` describes an N-server × M-client live-development
-world — machines, services with replicas and routing policies, client
+world — machines, services with round-robin-routed replicas, client
 fleets with protocol mixes, and a timeline of developer actions — then
 ``run()`` builds it, drives it deterministically on the discrete-event
 scheduler, and returns a :class:`~repro.cluster.report.ClusterReport`::
 
     report = (
-        Scenario()
-        .servers(4, cores=2)
+        Scenario(sde_config=SDEConfig(server_cores=2))
+        .servers(4)
         .service("Echo", [op("echo", [("m", STRING)], STRING, body=lambda s, m: m)],
                  replicas=4)
         .clients(64, protocol_mix={"soap": 0.5, "corba": 0.5},
@@ -46,13 +46,7 @@ from typing import Any, Callable, ClassVar, Iterable, Sequence
 from repro.cluster.cohort import CohortFlow, CohortModel
 from repro.cluster.driver import ClientPlan, FleetDriver
 from repro.cluster.protocols import BUILTIN_STACKS, ProtocolClientFactory, stack_factory
-from repro.cluster.registry import (
-    POLICY_ROUND_ROBIN,
-    Replica,
-    ServiceEntry,
-    ServiceRegistry,
-    make_policy,
-)
+from repro.cluster.registry import Replica, ServiceEntry, ServiceRegistry
 from repro.cluster.report import ClusterReport
 from repro.cluster.topology import ClusterWorld, ServerNode
 from repro.core.cde import ClientDevelopmentEnvironment, DynamicClientBinding
@@ -61,11 +55,10 @@ from repro.errors import ClusterError, ServiceNotFoundError
 from repro.faults import FaultInjector, RetryPolicy
 from repro.interface import Parameter
 from repro.jpie import DynamicClass
-from repro.net import LatencyModel
 from repro.rmitypes import RmiType, VOID
 from repro.traffic.arrivals import ArrivalProcess, _checked, resolve_offsets
 
-#: Default protocol for services that do not name a technology.
+#: The protocol of services that do not name a technology.
 DEFAULT_TECHNOLOGY = "soap"
 
 
@@ -185,10 +178,8 @@ class churn:
 class _ServiceSpec:
     name: str
     operations: tuple[OperationSpec, ...]
-    technology: str | None
+    technology: str
     replicas: int
-    policy: Any
-    version_routing: bool = False
 
 
 @dataclass(frozen=True)
@@ -202,7 +193,6 @@ class _ClientGroupSpec:
     think_time: float
     arrival: Any
     stale_every: int | None
-    stale_operation: str
     retry: RetryPolicy | None
     cohort: CohortModel | None = None
 
@@ -213,15 +203,11 @@ class Scenario:
     def __init__(
         self,
         name: str = "scenario",
-        latency: LatencyModel | None = None,
         sde_config: SDEConfig | None = None,
     ) -> None:
         self.name = name
-        self._latency = latency
         self._base_config = sde_config
         self._server_count = 1
-        self._server_cores: int | None = None
-        self._default_technology: str | None = None
         self._technologies: list[tuple[Technology, ProtocolClientFactory]] = []
         self._services: list[_ServiceSpec] = []
         self._client_groups: list[_ClientGroupSpec] = []
@@ -230,29 +216,15 @@ class Scenario:
 
     # -- machines -----------------------------------------------------------
 
-    def servers(
-        self,
-        count: int = 1,
-        *,
-        cores: int | None = None,
-        technology: str | None = None,
-    ) -> "Scenario":
+    def servers(self, count: int = 1) -> "Scenario":
         """Declare the server fleet: ``count`` machines, each its own SDE.
 
-        ``cores`` bounds every machine's CPU concurrency (it may not differ
-        from the scenario's ``SDEConfig.server_cores``); ``technology``
-        sets the default technology for services that do not name one.
+        Every machine runs the scenario's ``SDEConfig``; its
+        ``server_cores`` bounds each machine's CPU concurrency.
         """
         if count < 1:
             raise ClusterError("a scenario needs at least one server")
-        configured = self._base_config.server_cores if self._base_config is not None else None
-        if None not in (cores, configured) and cores != configured:
-            raise ClusterError(f"servers(cores={cores}) conflicts with "
-                               f"SDEConfig(server_cores={configured})")
         self._server_count = count
-        self._server_cores = cores
-        if technology is not None:
-            self._default_technology = technology
         return self
 
     def technology(
@@ -272,26 +244,18 @@ class Scenario:
         name: str,
         operations: Iterable[OperationSpec] = (),
         *,
-        technology: str | None = None,
+        technology: str = DEFAULT_TECHNOLOGY,
         replicas: int = 1,
-        policy: Any = POLICY_ROUND_ROBIN,
-        version_routing: bool = False,
     ) -> "Scenario":
         """Declare a service: replicas spread round-robin over the servers.
 
-        ``version_routing`` arms version-aware replica selection from the
-        start (clients stay on replicas fresh w.r.t. their §6 watermark and
-        compatible with their bound stubs); a ``rolling`` / ``canary``
-        rollout arms it automatically when it starts, so the flag is only
-        needed for scenarios that diverge replica versions by hand.
+        Calls rotate round-robin over the replicas; a ``rolling`` /
+        ``canary`` rollout arms version-aware selection when it starts
+        (see :mod:`repro.cluster.registry`).
         """
         if replicas < 1:
             raise ClusterError(f"service {name!r} needs at least one replica")
-        self._services.append(
-            _ServiceSpec(
-                name, tuple(operations), technology, replicas, policy, version_routing
-            )
-        )
+        self._services.append(_ServiceSpec(name, tuple(operations), technology, replicas))
         return self
 
     # -- clients ------------------------------------------------------------
@@ -308,7 +272,6 @@ class Scenario:
         think_time: float = 0.0,
         arrival: Any = 0.0,
         stale_every: int | None = None,
-        stale_operation: str = "no_such_operation",
         retry: RetryPolicy | None = None,
         cohort: CohortModel | None = None,
     ) -> "Scenario":
@@ -329,13 +292,13 @@ class Scenario:
         operation declared for the target service.  ``retry`` makes the
         group failover-aware: a :class:`repro.faults.RetryPolicy` reissues
         transport-failed or timed-out calls against whatever replicas the
-        routing policy still considers alive.
+        registry still considers alive.
 
         ``cohort`` scales the group past the discrete fleet's practical
         ceiling: the group's first ``cohort.representatives`` clients stay
         fully discrete while the remaining mass runs as aggregate
         :class:`~repro.cluster.cohort.CohortFlow` arrival processes through
-        the same routing policies and server-core model (see
+        the same replica rotation and server-core model (see
         :mod:`repro.cluster.cohort`).  ``clients(1_000_000,
         cohort=CohortModel(representatives=32), ...)`` is the
         million-client form.
@@ -363,7 +326,6 @@ class Scenario:
                 think_time=think_time,
                 arrival=arrival,
                 stale_every=stale_every,
-                stale_operation=stale_operation,
                 retry=retry,
                 cohort=cohort,
             )
@@ -478,13 +440,11 @@ class ScenarioRuntime:
 
     def __init__(self, scenario: Scenario) -> None:
         self.scenario = scenario
-        self.world = ClusterWorld(latency=scenario._latency)
+        self.world = ClusterWorld()
         base_config = scenario._base_config if scenario._base_config is not None else SDEConfig()
         self.nodes: list[ServerNode] = []
         for index in range(scenario._server_count):
             config = replace(base_config)
-            if scenario._server_cores is not None:
-                config.server_cores = scenario._server_cores
             # A single-machine scenario keeps the seed's host name (message
             # sizes embed URLs, so the name feeds size-dependent delays —
             # this keeps one-server runs byte-comparable with the seed).
@@ -516,14 +476,9 @@ class ScenarioRuntime:
 
     # -- deployment ---------------------------------------------------------
 
-    def _default_technology(self) -> str:
-        return self.scenario._default_technology or DEFAULT_TECHNOLOGY
-
     def _deploy_services(self) -> None:
         for spec in self.scenario._services:
-            technology_name = spec.technology or self._default_technology()
-            entry = ServiceEntry(spec.name, technology_name, make_policy(spec.policy))
-            entry.version_routing = spec.version_routing
+            entry = ServiceEntry(spec.name, spec.technology)
             suffixed = spec.replicas > len(self.nodes)
             for index in range(spec.replicas):
                 # The placement cursor advances across services, so a later
@@ -533,7 +488,7 @@ class ScenarioRuntime:
                 # Underscore, not dash: the class name must stay a valid
                 # identifier (the dashed variant failed class creation).
                 class_name = f"{spec.name}_{index + 1}" if suffixed else spec.name
-                gateway = node.sde.gateway_class(technology_name)
+                gateway = node.sde.gateway_class(spec.technology)
                 dynamic_class = node.environment.create_class(class_name, superclass=gateway)
                 for op_spec in spec.operations:
                     dynamic_class.add_method(
@@ -765,7 +720,7 @@ class ScenarioRuntime:
                 unit = [entry.technology]
                 service_of = {entry.technology: entry.name}
             else:
-                mix = group.protocol_mix or ((self._default_technology(), 1.0),)
+                mix = group.protocol_mix or ((DEFAULT_TECHNOLOGY, 1.0),)
                 unit = _weighted_interleave(mix, group.count)
                 service_of = {
                     protocol: self._service_for_protocol(protocol).name
@@ -787,7 +742,6 @@ class ScenarioRuntime:
                         think_time=group.think_time,
                         start_offset=starts[position],
                         stale_every=group.stale_every,
-                        stale_operation=group.stale_operation,
                         retry=group.retry,
                     )
                 )

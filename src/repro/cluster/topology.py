@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.core.sde import SDEConfig, SDEManager, SDEManagerInterface
 from repro.errors import HostNotFoundError
 from repro.jpie import JPieEnvironment
-from repro.net import Host, LatencyModel, Network, t1_lan_profile
+from repro.net import Host, Network, t1_lan_profile
 from repro.sim import Scheduler
 
 
@@ -28,7 +28,7 @@ class ServerNode:
         self.sde = SDEManager(self.environment, world.scheduler, self.host, config)
         self.manager_interface = SDEManagerInterface(self.sde)
         #: False while crashed (toggled by :class:`repro.faults.FaultInjector`);
-        #: the registry's routing policies skip dead nodes' replicas.
+        #: the registry's replica rotation skips dead nodes' replicas.
         self.is_alive = True
 
     @property
@@ -48,13 +48,9 @@ class ServerNode:
 class ClusterWorld:
     """A simulated world of N server machines and M client machines."""
 
-    def __init__(
-        self,
-        latency: LatencyModel | None = None,
-        scheduler: Scheduler | None = None,
-    ) -> None:
-        self.scheduler = scheduler if scheduler is not None else Scheduler()
-        self.network = Network(self.scheduler, latency or t1_lan_profile())
+    def __init__(self) -> None:
+        self.scheduler = Scheduler()
+        self.network = Network(self.scheduler, t1_lan_profile())
         self.server_nodes: list[ServerNode] = []
         self.client_hosts: list[Host] = []
 

@@ -239,7 +239,8 @@ class ServiceNotFoundError(ClusterError):
 
 
 class NoAliveReplicaError(ClusterError):
-    """Raised when every replica of a service is crashed (or removed) at
+    """Raised when every replica of a service is crashed (or, under
+    version-aware routing, older than the client's §6 watermark) at
     selection time; clients with a retry policy treat it as a retryable
     failure and wait for a restart."""
 

@@ -215,7 +215,7 @@ def is_compatible(bound: InterfaceDescription, current: InterfaceDescription) ->
     Every operation and struct type the bound description exposes must still
     exist, unchanged, in the current one; anything the current version adds
     on top is invisible to old stubs and therefore harmless.  This is the
-    predicate the version-aware routing policies evaluate per replica.
+    predicate version-aware routing evaluates per replica.
     """
     for operation in bound.operations:
         if current.operation(operation.name) != operation:

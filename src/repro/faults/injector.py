@@ -119,7 +119,7 @@ class FaultInjector:
 
         Idempotent on an alive node.  All call-handler endpoints and the
         interface server re-bind their original ports, publishers resume
-        monitoring, and the routing policies immediately see the node as a
+        monitoring, and replica selection immediately sees the node as a
         failover target again.  In-memory state (dynamic classes, published
         interface documents) survives, modelling a process restart that
         re-deploys from the SDE's durable publication store.

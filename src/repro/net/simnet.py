@@ -224,7 +224,7 @@ class Host:
             return message
 
         if delay is None:
-            delay = network.link_latency(source.host, destination.host).one_way_delay(size)
+            delay = network.latency.one_way_delay(size)
         if network._link_faults:
             fault = network._link_faults.get((source.host, destination.host))
             if fault is not None:
@@ -298,8 +298,7 @@ class Network:
     scheduler:
         The event scheduler driving message delivery.
     latency:
-        Default latency model applied to every link; individual links can be
-        overridden with :meth:`set_link_latency`.
+        The latency model applied to every link.
     record_deliveries:
         Keep every delivered :class:`Message` in :attr:`delivered_messages`.
     """
@@ -311,9 +310,8 @@ class Network:
         record_deliveries: bool = False,
     ) -> None:
         self.scheduler = scheduler
-        self.default_latency = latency if latency is not None else loopback_profile()
+        self.latency = latency if latency is not None else loopback_profile()
         self._hosts: dict[str, Host] = {}
-        self._link_latency: dict[tuple[str, str], LatencyModel] = {}
         self._partitions: set[frozenset[str]] = set()
         #: Per-direction link fault profiles (``(source, destination)`` →
         #: an object with ``sample(size_bytes) -> (drop, extra_delay)``,
@@ -356,16 +354,6 @@ class Network:
     def hosts(self) -> tuple[Host, ...]:
         """All registered hosts in registration order."""
         return tuple(self._hosts.values())
-
-    def set_link_latency(self, host_a: str, host_b: str, latency: LatencyModel) -> None:
-        """Override the latency model for traffic between two hosts
-        (both directions)."""
-        self._link_latency[(host_a, host_b)] = latency
-        self._link_latency[(host_b, host_a)] = latency
-
-    def link_latency(self, source: str, destination: str) -> LatencyModel:
-        """Return the latency model governing ``source`` → ``destination``."""
-        return self._link_latency.get((source, destination), self.default_latency)
 
     # -- failure injection --------------------------------------------------
 

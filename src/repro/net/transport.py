@@ -232,9 +232,7 @@ class Connection:
             if payload is not None:
                 host = endpoint.host
                 scheduler = endpoint.scheduler
-                delay = host.network.link_latency(host.name, self.peer.host).one_way_delay(
-                    len(payload)
-                )
+                delay = host.network.latency.one_way_delay(len(payload))
                 arrival = scheduler.now + delay
                 if arrival <= self._last_arrival:
                     arrival = self._last_arrival + _STREAM_ORDER_EPSILON
@@ -460,9 +458,7 @@ class _ClientConnection:
         host = channel.host
         scheduler = channel.scheduler
         destination = self.destination
-        delay = host.network.link_latency(host.name, destination.host).one_way_delay(
-            len(payload)
-        )
+        delay = host.network.latency.one_way_delay(len(payload))
         arrival = scheduler.now + delay
         if arrival <= self._last_arrival:
             arrival = self._last_arrival + _STREAM_ORDER_EPSILON

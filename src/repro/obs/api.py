@@ -88,9 +88,9 @@ class Observability:
         self.tracer: Tracer | None = None
         self.sampler: MetricsSampler | None = None
         self.recorder: FlightRecorder | None = None
-        #: ``(service, tier, policy)`` of the most recent registry decision;
-        #: the fleet driver reads it into the attempt span's attributes.
-        self.last_select: tuple[str, "str | None", str] | None = None
+        #: Version tier of the most recent registry decision; the fleet
+        #: driver reads it into the attempt span's attributes.
+        self.last_tier: str | None = None
         self._no_alive_streak = 0
         self._last_server_span: "Span | None" = None
         self._installed = False
@@ -125,7 +125,7 @@ class Observability:
         self.sampler = (
             MetricsSampler(scheduler, config.sample_interval) if config.metrics else None
         )
-        self.last_select = None
+        self.last_tier = None
         self._no_alive_streak = 0
         self._last_server_span = None
         hooks.ACTIVE = self
@@ -242,8 +242,7 @@ class Observability:
 
     def begin_attempt(self, client, operation: str, replica) -> Span:
         """One attempt span, child of the call span, carrying the registry's
-        routing decision (replica, node, version tier, policy)."""
-        select = self.last_select
+        routing decision (replica, node, version tier)."""
         return self.tracer.begin(
             operation,
             KIND_ATTEMPT,
@@ -252,8 +251,7 @@ class Observability:
                 "attempt": client._attempts,
                 "replica": replica.index,
                 "node": replica.node.name if replica.node is not None else None,
-                "tier": select[1] if select is not None else None,
-                "policy": select[2] if select is not None else None,
+                "tier": self.last_tier,
             },
         )
 
@@ -367,9 +365,9 @@ class Observability:
 
     # -- registry hooks ----------------------------------------------------
 
-    def note_select(self, service: str, tier: "str | None", policy: str) -> None:
-        """Record a successful replica selection's routing decision."""
-        self.last_select = (service, tier, policy)
+    def note_select(self, tier: "str | None") -> None:
+        """Record a successful replica selection's version tier."""
+        self.last_tier = tier
         self._no_alive_streak = 0
 
     def note_no_alive(self, service: str) -> None:

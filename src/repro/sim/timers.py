@@ -5,7 +5,8 @@ stable-change detection mechanism (§5.6): every relevant change *resets* the
 countdown, and only when the timer is allowed to expire — i.e. the interface
 has been stable for the whole timeout — does the publication callback fire.
 The SDE Manager Interface's "manually trigger the publication ... by forcing
-timer expiration" maps to :meth:`ResettableTimer.force_expire`.
+timer expiration" cancels the timer and generates at once
+(:meth:`repro.core.sde.publisher.DLPublisher.force_publish`).
 """
 
 from __future__ import annotations
@@ -93,22 +94,10 @@ class ResettableTimer:
             self._event.cancel()
         self._event = None
 
-    def force_expire(self) -> None:
-        """Fire the callback immediately and stop any running countdown.
-
-        Used by the SDE Manager Interface to let the developer publish the
-        server interface on demand (§5.6).
-        """
-        self.cancel()
-        self._fire()
-
     # -- internals --------------------------------------------------------
 
     def _expire(self) -> None:
         self._event = None
-        self._fire()
-
-    def _fire(self) -> None:
         self.expirations += 1
         self._callback()
 

@@ -127,9 +127,9 @@ def build_scenario(case: Mapping[str, Any]) -> Scenario:
     scenario = (
         Scenario(
             name=f"fuzz-{case['arrival']}",
-            sde_config=SDEConfig(generation_cost=0.02),
+            sde_config=SDEConfig(generation_cost=0.02, server_cores=case["cores"]),
         )
-        .servers(case["servers"], cores=case["cores"])
+        .servers(case["servers"])
         .service("EchoSoap", [echo], technology="soap", replicas=case["soap_replicas"])
         .service(
             "EchoCorba", [echo], technology="corba", replicas=case["corba_replicas"]

@@ -277,30 +277,20 @@ def scenario_to_spec(scenario: Scenario) -> dict[str, Any]:
     Arrival processes are resolved to concrete per-position offsets *here*
     — the replay side reads those floats back verbatim and never touches an
     RNG.  Raises :class:`~repro.errors.TraceError` for the scenario
-    features that cannot round-trip (custom latency models, third-party
-    technologies, unregistered operation bodies, opaque timeline actions).
+    features that cannot round-trip (third-party technologies, unregistered
+    operation bodies, opaque timeline actions).
     """
-    if scenario._latency is not None:
-        raise TraceError("scenarios with a custom latency model are not traceable")
     if scenario._technologies:
         raise TraceError("scenarios with third-party technologies are not traceable")
-    services = []
-    for service in scenario._services:
-        if not isinstance(service.policy, str):
-            raise TraceError(
-                f"service {service.name!r}: only named (string) routing policies "
-                "are traceable"
-            )
-        services.append(
-            {
-                "name": service.name,
-                "operations": [_op_to_json(spec) for spec in service.operations],
-                "technology": service.technology,
-                "replicas": service.replicas,
-                "policy": service.policy,
-                "version_routing": service.version_routing,
-            }
-        )
+    services = [
+        {
+            "name": service.name,
+            "operations": [_op_to_json(spec) for spec in service.operations],
+            "technology": service.technology,
+            "replicas": service.replicas,
+        }
+        for service in scenario._services
+    ]
     groups = []
     for group in scenario._client_groups:
         retry = group.retry
@@ -321,7 +311,6 @@ def scenario_to_spec(scenario: Scenario) -> dict[str, Any]:
                 # The resolved offsets ARE the arrival spec from here on.
                 "offsets": list(resolve_offsets(group.arrival, group.count)),
                 "stale_every": group.stale_every,
-                "stale_operation": group.stale_operation,
                 "retry": (
                     {
                         "max_attempts": retry.max_attempts,
@@ -348,8 +337,6 @@ def scenario_to_spec(scenario: Scenario) -> dict[str, Any]:
     return {
         "name": scenario.name,
         "server_count": scenario._server_count,
-        "server_cores": scenario._server_cores,
-        "default_technology": scenario._default_technology,
         "sde_config": _config_to_json(scenario._base_config),
         "services": services,
         "client_groups": groups,
@@ -375,26 +362,48 @@ class _ReplayOffsets:
         return f"_ReplayOffsets(n={len(self.offsets)})"
 
 
+#: The keys :func:`scenario_from_spec` reads: at the spec's top level, in a
+#: service and in a client group.  A key outside them records a setting
+#: replay cannot rebuild, so the reader refuses it.
+_SPEC_KEYS = frozenset(
+    {"name", "server_count", "sde_config", "services", "client_groups", "timeline"}
+)
+_SERVICE_KEYS = frozenset({"name", "operations", "technology", "replicas"})
+_GROUP_KEYS = frozenset(
+    {
+        "count", "protocol_mix", "service", "calls", "operation", "arguments",
+        "think_time", "offsets", "stale_every", "retry", "cohort",
+    }
+)
+
+
+def _check_keys(record: Mapping[str, Any], known: frozenset[str], where: str) -> None:
+    unknown = sorted(set(record) - known)
+    if unknown:
+        raise TraceError(f"{where} records {unknown}, which replay cannot rebuild")
+
+
 def scenario_from_spec(spec: Mapping[str, Any]) -> Scenario:
-    """Rebuild a runnable :class:`Scenario` from a recorded spec dict."""
+    """Rebuild a runnable :class:`Scenario` from a recorded spec dict.
+
+    Raises :class:`~repro.errors.TraceError` for a key the reader does not
+    read, so a trace never replays as a different world.
+    """
+    _check_keys(spec, _SPEC_KEYS, "the scenario spec")
     scenario = Scenario(
         spec["name"], sde_config=_config_from_json(spec.get("sde_config"))
     )
-    scenario.servers(
-        spec["server_count"],
-        cores=spec.get("server_cores"),
-        technology=spec.get("default_technology"),
-    )
+    scenario.servers(spec["server_count"])
     for service in spec["services"]:
+        _check_keys(service, _SERVICE_KEYS, f"service {service.get('name')!r}")
         scenario.service(
             service["name"],
             [_op_from_json(item) for item in service["operations"]],
             technology=service["technology"],
             replicas=service["replicas"],
-            policy=service["policy"],
-            version_routing=service["version_routing"],
         )
-    for group in spec["client_groups"]:
+    for number, group in enumerate(spec["client_groups"], 1):
+        _check_keys(group, _GROUP_KEYS, f"client group {number}")
         offsets = group["offsets"]
         if len(offsets) != group["count"]:
             raise TraceError(
@@ -417,7 +426,6 @@ def scenario_from_spec(spec: Mapping[str, Any]) -> Scenario:
             think_time=group["think_time"],
             arrival=_ReplayOffsets(offsets),
             stale_every=group.get("stale_every"),
-            stale_operation=group["stale_operation"],
             retry=RetryPolicy(**retry) if retry is not None else None,
             cohort=CohortModel(**cohort) if cohort is not None else None,
         )
@@ -494,7 +502,7 @@ class TraceWriter:
         )
 
     def note_flow(self, *, time: float, flow: str, count: int, attempt: int) -> None:
-        """One cohort-flow batch being offered to the routing policy."""
+        """One cohort-flow batch being offered to the registry."""
         self._write(
             {"kind": "flow", "t": time, "flow": flow, "count": count, "attempt": attempt}
         )

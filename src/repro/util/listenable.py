@@ -14,7 +14,7 @@ Listener = Callable[..., None]
 
 
 class Listenable:
-    """Mix-in providing ``add_listener`` / ``remove_listener`` / ``notify``.
+    """Mix-in providing ``add_listener`` / ``notify``.
 
     Listeners are invoked in registration order.  A listener raising an
     exception does not prevent the remaining listeners from running; the
@@ -29,11 +29,6 @@ class Listenable:
         """Register ``listener``; duplicate registrations are ignored."""
         if listener not in self._listeners:
             self._listeners.append(listener)
-
-    def remove_listener(self, listener: Listener) -> None:
-        """Unregister ``listener``; unknown listeners are ignored."""
-        if listener in self._listeners:
-            self._listeners.remove(listener)
 
     @property
     def listeners(self) -> Iterable[Listener]:

@@ -41,10 +41,12 @@ def _echo_scenario(clients, *, calls, replicas, arrival, cohort=None):
         Scenario(
             name="cohort-equivalence",
             sde_config=SDEConfig(
-                generation_cost=0.0, cost_model=cohort_scale_cost_model()
+                generation_cost=0.0,
+                cost_model=cohort_scale_cost_model(),
+                server_cores=2,
             ),
         )
-        .servers(2, cores=2)
+        .servers(2)
         .service("Echo", [echo], technology="soap", replicas=replicas)
         .clients(
             clients,

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import CohortModel, Scenario, op
-from repro.cluster.registry import POLICY_ROUND_ROBIN, ServiceEntry, make_policy
+from repro.cluster.registry import ServiceEntry
 from repro.cluster.scenario import _weighted_interleave
 from repro.rmitypes import STRING
 from repro.traffic import Poisson, resolve_offsets
@@ -102,9 +102,7 @@ def _runtime(count, mix, arrival, representatives=32):
     if "toy" in mix:
         # Plan building reads only the registry's (technology, name) pairs,
         # so a replica-less entry stands in for a third technology's service.
-        runtime.registry.register(
-            ServiceEntry("EchoToy", "toy", make_policy(POLICY_ROUND_ROBIN))
-        )
+        runtime.registry.register(ServiceEntry("EchoToy", "toy"))
     return runtime
 
 

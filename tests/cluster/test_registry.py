@@ -1,26 +1,18 @@
-"""Unit tests for the service registry and replica-selection policies."""
+"""Unit tests for the service registry and round-robin replica selection."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster.registry import (
-    LeastLoadedPolicy,
-    Replica,
-    RoundRobinPolicy,
-    ServiceEntry,
-    ServiceRegistry,
-    StickyPolicy,
-    make_policy,
-)
+from repro.cluster.registry import Replica, ServiceEntry, ServiceRegistry
 from repro.errors import ClusterError, NoAliveReplicaError, ServiceNotFoundError
 from repro.evolve import ClientBinding
 from repro.interface import InterfaceDescription, OperationSignature
 
 
 class _FakeNode:
-    """A stand-in server node with just the liveness flag policies read."""
+    """A stand-in server node with just the liveness flag selection reads."""
 
     def __init__(self, name: str = "node", alive: bool = True) -> None:
         self.name = name
@@ -41,106 +33,37 @@ def _node_replicas(count: int) -> list[Replica]:
     ]
 
 
+def _entry(replicas: list[Replica]) -> ServiceEntry:
+    entry = ServiceEntry("svc", "soap")
+    entry.replicas = replicas
+    return entry
+
+
 class TestPolicies:
+    """The one selection rule: round-robin over the replicas."""
+
     def test_round_robin_cycles_deterministically(self):
-        policy = RoundRobinPolicy()
-        replicas = _replicas(3)
-        picks = [policy.select(replicas, "anyone").index for _ in range(7)]
+        entry = _entry(_replicas(3))
+        picks = [entry.select().index for _ in range(7)]
         assert picks == [0, 1, 2, 0, 1, 2, 0]
 
-    def test_sticky_pins_each_client_and_spreads_first_contacts(self):
-        policy = StickyPolicy()
-        replicas = _replicas(2)
-        first = [policy.select(replicas, name).index for name in ("a", "b", "c")]
-        assert first == [0, 1, 0]  # first contacts spread round-robin
-        # Every later call of a pinned client lands on the same replica.
-        assert [policy.select(replicas, "a").index for _ in range(5)] == [0] * 5
-        assert [policy.select(replicas, "b").index for _ in range(5)] == [1] * 5
-
-    def test_least_loaded_prefers_idle_replicas_then_lowest_index(self):
-        policy = LeastLoadedPolicy()
-        replicas = _replicas(3)
-        assert policy.select(replicas, "x").index == 0  # tie -> lowest index
-        replicas[0].in_flight = 2
-        replicas[1].in_flight = 1
-        assert policy.select(replicas, "x").index == 2
-        replicas[2].in_flight = 1
-        assert policy.select(replicas, "x").index == 1
-
-    def test_least_loaded_tie_break_is_deterministic_under_equal_load(self):
-        """With every replica carrying equal load, lowest index always wins.
-
-        The tie-break is load-bearing for determinism: repeated selections
-        under unchanged equal load must neither rotate nor depend on list
-        mutation history.
-        """
-        policy = LeastLoadedPolicy()
-        replicas = _replicas(4)
-        # Equal zero load: repeated picks all land on index 0 (no rotation).
-        assert [policy.select(replicas, "x").index for _ in range(5)] == [0] * 5
-        # Equal non-zero load ties the same way.
-        for replica in replicas:
-            replica.in_flight = 3
-        assert [policy.select(replicas, "x").index for _ in range(5)] == [0] * 5
-        # The tie-break follows the immutable replica index, not the list
-        # position — a reordered list must not change the winner.
-        reordered = [replicas[2], replicas[3], replicas[0], replicas[1]]
-        assert policy.select(reordered, "x").index == 0
-        # Different client keys share the same deterministic answer (the
-        # policy is load-driven, not session-driven).
-        assert policy.select(replicas, "someone-else").index == 0
-
-    def test_least_loaded_equal_load_tie_break_skips_dead_lowest(self):
-        policy = LeastLoadedPolicy()
-        replicas = _node_replicas(3)  # all equally idle
-        replicas[0].node.is_alive = False
-        assert policy.select(replicas, "x").index == 1
-
     def test_round_robin_skips_dead_replicas_and_resumes_on_restart(self):
-        policy = RoundRobinPolicy()
         replicas = _node_replicas(3)
+        entry = _entry(replicas)
         replicas[1].node.is_alive = False
-        picks = [policy.select(replicas, "x").index for _ in range(4)]
+        picks = [entry.select().index for _ in range(4)]
         assert picks == [0, 2, 0, 2]
         replicas[1].node.is_alive = True
         # The cursor kept advancing over the dead replica, so the revived
         # replica resumes its original slot in the rotation.
-        assert [policy.select(replicas, "x").index for _ in range(3)] == [0, 1, 2]
-
-    def test_least_loaded_excludes_dead_replicas(self):
-        policy = LeastLoadedPolicy()
-        replicas = _node_replicas(3)
-        replicas[0].node.is_alive = False  # frozen at 0 in-flight, still excluded
-        replicas[1].in_flight = 5
-        assert policy.select(replicas, "x").index == 2
+        assert [entry.select().index for _ in range(3)] == [0, 1, 2]
 
     def test_all_dead_raises_no_alive_replica(self):
         replicas = _node_replicas(2)
         for replica in replicas:
             replica.node.is_alive = False
-        for policy in (RoundRobinPolicy(), StickyPolicy(), LeastLoadedPolicy()):
-            with pytest.raises(NoAliveReplicaError):
-                policy.select(replicas, "x")
-
-    def test_sticky_repins_off_a_dead_replica_and_stays(self):
-        policy = StickyPolicy()
-        replicas = _node_replicas(3)
-        assert policy.select(replicas, "a").index == 0
-        replicas[0].node.is_alive = False
-        # Deterministic re-pin: the next alive replica in cyclic index order.
-        assert policy.select(replicas, "a").index == 1
-        replicas[0].node.is_alive = True
-        # No flap-back once re-pinned.
-        assert policy.select(replicas, "a").index == 1
-
-    def test_make_policy_resolves_names_and_passes_instances(self):
-        assert isinstance(make_policy("round-robin"), RoundRobinPolicy)
-        assert isinstance(make_policy("sticky"), StickyPolicy)
-        assert isinstance(make_policy("least-loaded"), LeastLoadedPolicy)
-        sticky = StickyPolicy()
-        assert make_policy(sticky) is sticky
-        with pytest.raises(ClusterError):
-            make_policy("random")
+        with pytest.raises(NoAliveReplicaError):
+            _entry(replicas).select()
 
 
 class TestServiceRegistry:
@@ -164,7 +87,7 @@ class TestServiceRegistry:
 
     def test_select_accounts_routed_calls_and_in_flight(self):
         registry, entry = self._registry()
-        replica = registry.select("mail", "client-1")
+        replica = registry.select("mail")
         assert replica.calls_routed == 1
         registry.begin_call(replica)
         assert replica.in_flight == 1
@@ -183,52 +106,6 @@ class TestServiceRegistry:
         registry.register(ServiceEntry("empty", "soap"))
         with pytest.raises(ClusterError):
             registry.select("empty", "client-1")
-
-
-class TestReplicaRemoval:
-    """Regression: removing a replica a sticky session is pinned to must
-    deterministically re-pin the session instead of raising (or silently
-    shifting every other session's pin)."""
-
-    def _entry(self, count: int = 3) -> ServiceEntry:
-        entry = ServiceEntry("mail", "soap", StickyPolicy())
-        entry.replicas.extend(_node_replicas(count))
-        return entry
-
-    def test_remove_by_object_and_by_index(self):
-        entry = self._entry()
-        removed = entry.remove_replica(1)
-        assert removed.index == 1
-        assert [replica.index for replica in entry.replicas] == [0, 2]
-        with pytest.raises(ClusterError):
-            entry.remove_replica(1)  # already gone
-        with pytest.raises(ClusterError):
-            entry.remove_replica(removed)  # not deployed any more
-
-    def test_sticky_session_repins_after_its_replica_is_removed(self):
-        entry = self._entry()
-        assert entry.select("a").index == 0
-        assert entry.select("b").index == 1
-        entry.remove_replica(1)
-        # The orphaned session re-pins to the cyclically next replica —
-        # deterministically, without raising — and stays there.
-        assert entry.select("b").index == 2
-        assert entry.select("b").index == 2
-        # Other sessions' pins are untouched (index identity, not position).
-        assert entry.select("a").index == 0
-
-    def test_removal_then_readdition_never_reuses_an_index(self):
-        entry = self._entry()
-        entry.remove_replica(2)
-        replica = entry.add_replica(_FakeNode("fresh"), None)
-        assert replica.index == 3  # monotone: old pins cannot alias the newcomer
-
-    def test_registry_remove_replica_delegates(self):
-        registry = ServiceRegistry()
-        entry = self._entry()
-        registry.register(entry)
-        registry.remove_replica("mail", 0)
-        assert [replica.index for replica in entry.replicas] == [1, 2]
 
 
 class _FakePublisher:
@@ -270,8 +147,7 @@ class TestVersionAwareSelection:
     """The ServiceEntry selection cascade: compatible+fresh > fresh > all."""
 
     def _entry(self, replicas: list[Replica]) -> ServiceEntry:
-        entry = ServiceEntry("svc", "soap", RoundRobinPolicy())
-        entry.replicas = replicas
+        entry = _entry(replicas)
         entry.version_routing = True
         return entry
 
@@ -284,10 +160,10 @@ class TestVersionAwareSelection:
     def test_without_binding_or_routing_flag_behaviour_is_unchanged(self):
         replicas = _versioned_replicas([(2, ("echo",)), (2, ("echo",))])
         entry = self._entry(replicas)
-        assert [entry.select("x").index for _ in range(4)] == [0, 1, 0, 1]
+        assert [entry.select().index for _ in range(4)] == [0, 1, 0, 1]
         entry.version_routing = False
         binding = self._binding(replicas)
-        assert [entry.select("x", binding).index for _ in range(4)] == [0, 1, 0, 1]
+        assert [entry.select(binding).index for _ in range(4)] == [0, 1, 0, 1]
 
     def test_breaking_replica_avoided_while_a_compatible_one_remains(self):
         # Replica 0 moved to v3 and renamed the operation (breaking for a
@@ -296,7 +172,7 @@ class TestVersionAwareSelection:
         binding = self._binding(replicas)
         replicas[0].managed.publisher = _FakePublisher(3, _described(3, "echo_v2"))
         entry = self._entry(replicas)
-        picks = [entry.select("x", binding).index for _ in range(4)]
+        picks = [entry.select(binding).index for _ in range(4)]
         assert picks == [1, 1, 1, 1]
 
     def test_compatible_upgrade_does_not_restrict_routing(self):
@@ -304,7 +180,7 @@ class TestVersionAwareSelection:
         binding = self._binding(replicas)
         replicas[0].managed.publisher = _FakePublisher(3, _described(3, "echo", "ping"))
         entry = self._entry(replicas)
-        assert sorted({entry.select("x", binding).index for _ in range(4)}) == [0, 1]
+        assert sorted({entry.select(binding).index for _ in range(4)}) == [0, 1]
 
     def test_freshness_enforces_the_client_recency_watermark(self):
         replicas = _versioned_replicas([(3, ("echo",)), (2, ("echo",))])
@@ -312,7 +188,7 @@ class TestVersionAwareSelection:
         binding.observe(3)  # the client already saw v3 somewhere
         entry = self._entry(replicas)
         # Replica 1 (still at v2) would violate §6 for this client: excluded.
-        assert [entry.select("x", binding).index for _ in range(3)] == [0, 0, 0]
+        assert [entry.select(binding).index for _ in range(3)] == [0, 0, 0]
 
     def test_all_incompatible_falls_back_to_fresh_stale_fault_territory(self):
         replicas = _versioned_replicas([(3, ("echo_v2",)), (3, ("echo_v2",))])
@@ -322,7 +198,7 @@ class TestVersionAwareSelection:
         entry = self._entry(replicas)
         # No compatible replica remains: selection falls back to the fresh
         # tier (the client will observe a stale fault there and rebind).
-        assert {entry.select("x", binding).index for _ in range(2)} == {0, 1}
+        assert {entry.select(binding).index for _ in range(2)} == {0, 1}
 
     def test_no_fresh_alive_replica_raises_instead_of_violating_recency(self):
         # Replica 0 carries the only v3; it crashes while replica 1 still
@@ -334,10 +210,10 @@ class TestVersionAwareSelection:
         replicas[0].node.is_alive = False
         entry = self._entry(replicas)
         with pytest.raises(NoAliveReplicaError):
-            entry.select("x", binding)
+            entry.select(binding)
         # The moment the fresh replica restarts, selection resumes there.
         replicas[0].node.is_alive = True
-        assert entry.select("x", binding).index == 0
+        assert entry.select(binding).index == 0
 
     def test_dead_replicas_still_raise_when_nothing_is_alive(self):
         replicas = _versioned_replicas([(2, ("echo",)), (2, ("echo",))])
@@ -345,7 +221,7 @@ class TestVersionAwareSelection:
             replica.node.is_alive = False
         entry = self._entry(replicas)
         with pytest.raises(NoAliveReplicaError):
-            entry.select("x", self._binding(replicas))
+            entry.select(self._binding(replicas))
 
 
 class TestBulkSelectionTiers:
@@ -359,7 +235,7 @@ class TestBulkSelectionTiers:
         binding = self._binding(replicas)
         replicas[0].managed.publisher = _FakePublisher(3, _described(3, "echo_v2"))
         entry = self._entry(replicas)
-        assert entry.select_many("x", 4, binding) == [(replicas[1], 4)]
+        assert entry.select_many(4, binding) == [(replicas[1], 4)]
 
     def test_bulk_falls_back_to_the_fresh_tier(self):
         replicas = _versioned_replicas([(3, ("echo_v2",)), (3, ("echo_v2",))])
@@ -367,7 +243,7 @@ class TestBulkSelectionTiers:
         for replica in replicas:
             binding.bind(replica.index, _described(2, "echo"))
         entry = self._entry(replicas)
-        assert entry.select_many("x", 4, binding) == [(replicas[0], 2), (replicas[1], 2)]
+        assert entry.select_many(4, binding) == [(replicas[0], 2), (replicas[1], 2)]
 
     def test_bulk_refuses_exactly_like_a_single_selection(self):
         replicas = _versioned_replicas([(3, ("echo",)), (2, ("echo",))])
@@ -376,36 +252,35 @@ class TestBulkSelectionTiers:
         replicas[0].node.is_alive = False
         entry = self._entry(replicas)
         with pytest.raises(NoAliveReplicaError) as single:
-            entry.select("x", binding)
+            entry.select(binding)
         with pytest.raises(NoAliveReplicaError) as bulk:
-            entry.select_many("x", 4, binding)
+            entry.select_many(4, binding)
         assert str(bulk.value) == str(single.value)
 
     def test_unreachable_replicas_leave_the_fresh_tier(self):
         replicas = _versioned_replicas([(2, ("echo",)), (2, ("echo",))])
         entry = self._entry(replicas)
         picks = entry.select_many(
-            "x", 4, self._binding(replicas), reachable=lambda replica: replica.index == 1
+            4, self._binding(replicas), reachable=lambda replica: replica.index == 1
         )
         assert picks == [(replicas[1], 4)]
 
     def test_reachable_filters_without_version_routing(self):
         replicas = _node_replicas(3)
-        entry = ServiceEntry("svc", "soap", RoundRobinPolicy())
-        entry.replicas = replicas
-        picks = entry.select_many("x", 4, reachable=lambda replica: replica.index != 1)
+        entry = _entry(replicas)
+        picks = entry.select_many(4, reachable=lambda replica: replica.index != 1)
         assert picks == [(replicas[0], 2), (replicas[2], 2)]
 
     def test_no_calls_need_no_replicas(self):
-        assert ServiceEntry("empty", "soap").select_many("x", 0) == []
+        assert ServiceEntry("empty", "soap").select_many(0) == []
         with pytest.raises(ClusterError):
-            ServiceEntry("empty", "soap").select_many("x", 1)
+            ServiceEntry("empty", "soap").select_many(1)
 
 
 @st.composite
 def _fixed_lists(draw):
     """A fixed candidate list with some dead replicas (at least one alive),
-    in-flight gauges, a prior raw cursor and a call count."""
+    a prior raw cursor and a call count."""
     alive = draw(st.lists(st.booleans(), min_size=1, max_size=6).filter(any))
     replicas = [
         Replica(
@@ -413,7 +288,6 @@ def _fixed_lists(draw):
             index=index,
             node=_FakeNode(f"node-{index}", alive=up),
             managed=None,
-            in_flight=draw(st.integers(0, 5)),
         )
         for index, up in enumerate(alive)
     ]
@@ -436,33 +310,9 @@ class TestBulkMatchesRepeatedSelect:
     @given(case=_fixed_lists())
     def test_round_robin(self, case):
         replicas, cursor, count = case
-        bulk, single = RoundRobinPolicy(), RoundRobinPolicy()
+        bulk, single = _entry(replicas), _entry(replicas)
         bulk._next = single._next = cursor
-        picks = bulk.select_many(replicas, "flow", count)
-        expected = _tally(single.select(replicas, "flow") for _ in range(count))
+        picks = bulk.select_many(count)
+        expected = _tally(single.select() for _ in range(count))
         assert {replica.index: n for replica, n in picks} == expected
         assert bulk._next == single._next % len(replicas)
-
-    @settings(max_examples=300, deadline=None)
-    @given(case=_fixed_lists())
-    def test_sticky_first_contacts(self, case):
-        replicas, cursor, count = case
-        bulk, single = StickyPolicy(), StickyPolicy()
-        bulk._next = single._next = cursor
-        picks = bulk.select_many(replicas, "flow", count)
-        expected = _tally(single.select(replicas, ("client", k)) for k in range(count))
-        assert {replica.index: n for replica, n in picks} == expected
-        assert bulk._next == single._next % len(replicas)
-
-    @settings(max_examples=300, deadline=None)
-    @given(case=_fixed_lists())
-    def test_least_loaded_is_the_greedy(self, case):
-        replicas, _cursor, count = case
-        policy = LeastLoadedPolicy()
-        picks = policy.select_many(replicas, "flow", count)
-        greedy: list[Replica] = []
-        for _ in range(count):
-            replica = policy.select(replicas, "flow")
-            replica.in_flight += 1
-            greedy.append(replica)
-        assert {replica.index: n for replica, n in picks} == _tally(greedy)

@@ -4,15 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import (
-    POLICY_LEAST_LOADED,
-    POLICY_STICKY,
-    Scenario,
-    churn,
-    edit,
-    op,
-    publish,
-)
+from repro.cluster import Scenario, churn, edit, op, publish
 from repro.core.sde import SDEConfig
 from repro.errors import ClusterError, HostNotFoundError, ServiceNotFoundError
 from repro.evolve import abort_rollout
@@ -74,20 +66,9 @@ class TestScenarioBasics:
         assert protocols == ["soap", "corba"] * 4
         assert {client.service for client in report.clients} == {"EchoSoap", "EchoCorba"}
 
-    def test_server_cores_conflicting_with_the_config_are_rejected(self):
-        # servers(cores=) used to be dropped silently next to a configured
-        # server_cores: this scenario built nodes with cores [2, 2].
-        with pytest.raises(ClusterError, match=r"servers\(cores=4\).*server_cores=2"):
-            Scenario(sde_config=SDEConfig(server_cores=2)).servers(2, cores=4)
-
-    @pytest.mark.parametrize(
-        "config, cores",
-        [(SDEConfig(server_cores=2), 2), (SDEConfig(server_cores=2), None), (SDEConfig(), 4), (None, 4)],
-    )
-    def test_server_cores_from_either_place_or_both_equal(self, config, cores):
-        runtime = Scenario(sde_config=config).servers(2, cores=cores).build()
-        expected = cores if cores is not None else config.server_cores
-        assert [node.sde.config.server_cores for node in runtime.nodes] == [expected, expected]
+    def test_server_cores_reach_every_node(self):
+        runtime = Scenario(sde_config=SDEConfig(server_cores=2)).servers(2).build()
+        assert [node.server_core.cores for node in runtime.nodes] == [2, 2]
 
     def test_mix_and_service_are_mutually_exclusive(self):
         with pytest.raises(ClusterError):
@@ -111,9 +92,7 @@ class TestScenarioBasics:
         )
         assert [c.protocol for c in report.clients] == ["soap"] * 3
 
-    def test_unknown_policy_and_unknown_technology_fail_fast(self):
-        with pytest.raises(ClusterError):
-            Scenario().service("Echo", [_echo_op()], policy="random").build()
+    def test_unknown_technology_fails_fast(self):
         scenario = (
             Scenario()
             .service("Echo", [_echo_op()])
@@ -284,55 +263,6 @@ class TestRoundRobinRouting:
             assert sum(routed) == 4 * 3
             # Round-robin keeps the replicas balanced.
             assert max(routed) - min(routed) <= 1
-
-
-class TestStickyRouting:
-    def test_sticky_sessions_survive_a_mid_run_publication(self):
-        def build():
-            # A small generation cost so the mid-run publication completes
-            # while the fleet is still calling.
-            return (
-                Scenario(name="sticky", sde_config=SDEConfig(generation_cost=0.02))
-                .servers(2)
-                .service("Echo", [_echo_op()], replicas=2, policy=POLICY_STICKY)
-                .clients(
-                    6, service="Echo", calls=6, arguments=("hi",), think_time=0.02
-                )
-                .at(0.03, edit("Echo", op("added_later")))
-                .at(0.05, publish("Echo"))
-            )
-
-        report = build().run()
-        assert report.outcomes("discrete").successes == 36
-        # The mid-run publication actually happened...
-        assert report.service("Echo").publications >= 2
-        # ...and every client stayed pinned to its replica throughout.
-        pins = []
-        for client in report.clients:
-            assert len(set(client.replica_sequence)) == 1
-            pins.append(client.replica_sequence[0])
-        # First contacts spread the pins over both replicas.
-        assert set(pins) == {0, 1}
-        # Determinism holds for the sticky policy too.
-        assert build().run().all_rtts == report.all_rtts
-
-
-class TestLeastLoadedRouting:
-    def test_least_loaded_balances_and_stays_deterministic(self):
-        def build():
-            return (
-                Scenario(name="least-loaded")
-                .servers(2)
-                .service("Echo", [_echo_op()], replicas=2, policy=POLICY_LEAST_LOADED)
-                .clients(8, service="Echo", calls=4, arguments=("hi",))
-            )
-
-        first = build().run()
-        second = build().run()
-        assert first.all_rtts == second.all_rtts
-        routed = [r.calls_routed for r in first.service("Echo").replicas]
-        assert sum(routed) == 32
-        assert max(routed) - min(routed) <= 2
 
 
 class TestSweepReproducibility:

@@ -126,9 +126,12 @@ class TestStableTimeoutStrategy:
         add_operation(dynamic_class, "first")
         scheduler.run_for(TIMEOUT + 0.05)  # generation for "first" starts
         assert publisher.generation_in_progress
+        # A short timeout makes the stability timer for "second" expire
+        # before the ongoing generation ends.
+        publisher.timeout = GENERATION_COST / 5
         add_operation(dynamic_class, "second")
-        # Make the stability timer expire before the ongoing generation ends.
-        publisher.timer.force_expire()
+        scheduler.run_for(GENERATION_COST / 4)
+        assert publisher.generation_in_progress and not publisher.timer.running
         scheduler.run_until_idle()
         assert publisher.stats.generations == 2
         published_names = publisher.published_description.operation_names()

@@ -193,8 +193,10 @@ class TestCoreWaitAccounting:
         a light run after a heavy one must not inherit its high water,
         while the core keeps the lifetime maximum for observers."""
         runtime = (
-            Scenario(sde_config=SDEConfig(cost_model=era_2004_cost_model()))
-            .servers(1, cores=1)
+            Scenario(
+                sde_config=SDEConfig(cost_model=era_2004_cost_model(), server_cores=1)
+            )
+            .servers(1)
             .service("EchoService", [ECHO])
             .clients(16, service="EchoService", calls=3, arguments=("ping",))
             .build()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import POLICY_STICKY, Scenario, edit, op, publish
+from repro.cluster import Scenario, edit, op, publish
 from repro.cluster.presets import fault_drill_scenario
 from repro.core.sde import SDEConfig
 from repro.errors import NoAliveReplicaError
@@ -27,7 +27,7 @@ def _echo():
     return op("echo", (("message", STRING),), STRING, body=lambda _self, m: m)
 
 
-def _drill(policy="round-robin", clients=8, **fleet_kwargs) -> Scenario:
+def _drill(clients=8, **fleet_kwargs) -> Scenario:
     """2 servers × 2 replicas with a mid-run crash and a later restart."""
     fleet = dict(
         calls=8,
@@ -39,7 +39,7 @@ def _drill(policy="round-robin", clients=8, **fleet_kwargs) -> Scenario:
     return (
         Scenario(name="fault-drill", sde_config=SDEConfig(generation_cost=0.02))
         .servers(2)
-        .service("Echo", [_echo()], replicas=2, policy=policy)
+        .service("Echo", [_echo()], replicas=2)
         .clients(clients, service="Echo", **fleet)
         .at(0.012, crash("server-1"))
         .at(0.150, restart("server-1"))
@@ -86,18 +86,6 @@ class TestCrashFailover:
         echo = report.service("Echo")
         by_node = {replica.node: replica.calls_routed for replica in echo.replicas}
         assert by_node["server-2"] > by_node["server-1"]
-
-    def test_sticky_sessions_repin_deterministically_and_stay(self):
-        report = _drill(policy=POLICY_STICKY, clients=4).run()
-        outcomes = report.outcomes("all")
-        assert outcomes.successes == outcomes.calls
-        for client in report.clients:
-            sequence = client.replica_sequence
-            # Once re-pinned away from the crashed replica a session never
-            # flaps back, even after the restart.
-            if 0 in sequence and 1 in sequence:
-                assert sequence.index(1) > sequence.index(0)
-                assert all(pick == 1 for pick in sequence[sequence.index(1):])
 
     def test_two_runs_are_byte_identical(self):
         first = _drill().run()
@@ -195,9 +183,10 @@ class TestCrashDuringPublish:
     def test_recency_counter_detects_an_engineered_violation(self):
         """Negative control: break the guarantee on purpose, see it counted.
 
-        One replica is force-published ahead of the other, a sticky client
-        observes the newer interface, then its replica crashes: the failover
-        target still publishes the older version, which must be counted.
+        One replica is force-published ahead of the other, the first client
+        (routed there round-robin) observes the newer interface, then that
+        replica crashes: the failover target still publishes the older
+        version, which must be counted.
         """
 
         def publish_only_first_replica(runtime):
@@ -207,7 +196,7 @@ class TestCrashDuringPublish:
         scenario = (
             Scenario(name="violation", sde_config=SDEConfig(generation_cost=0.01))
             .servers(2)
-            .service("Echo", [_echo()], replicas=2, policy=POLICY_STICKY)
+            .service("Echo", [_echo()], replicas=2)
             .clients(
                 2,
                 service="Echo",
@@ -221,8 +210,8 @@ class TestCrashDuringPublish:
             .at(0.090, crash("server-1"))
         )
         report = scenario.run()
-        pinned_to_first = report.clients[0]
-        assert pinned_to_first.replica_sequence[0] == 0
+        first_client = report.clients[0]
+        assert first_client.replica_sequence[0] == 0
         assert report.outcomes("all").recency_violations > 0
 
 
@@ -305,7 +294,7 @@ class TestPartitionsAndLossyLinks:
         )
         runtime.fault_injector.crash("server")
         with pytest.raises(NoAliveReplicaError):
-            runtime.registry.select("Echo", "someone")
+            runtime.registry.select("Echo")
 
 
 class TestMixedFaultDrill:

@@ -163,19 +163,6 @@ class TestDelivery:
 
 
 class TestLinksAndPartitions:
-    def test_per_link_latency_override(self, scheduler):
-        network = Network(scheduler, LatencyModel(propagation=0.001, bandwidth_bytes_per_second=0, per_message_overhead=0))
-        a = network.add_host("a")
-        b = network.add_host("b")
-        network.add_host("c")
-        network.set_link_latency("a", "b", LatencyModel(propagation=1.0, bandwidth_bytes_per_second=0, per_message_overhead=0))
-        received, listener = _collector()
-        b.bind(1, listener)
-        network.host("c").bind(1, lambda m, h: None)
-        a.send(Address("b", 1), b"x")
-        scheduler.run_until_idle()
-        assert received[0].delivered_at == pytest.approx(1.0)
-
     def test_partition_drops_messages(self, network, scheduler):
         received, listener = _collector()
         network.host("server").bind(80, listener)

@@ -331,9 +331,11 @@ class TestAttributionProperty:
         scenario = (
             Scenario(
                 name="analyze-prop",
-                sde_config=SDEConfig(generation_cost=generation_cost),
+                sde_config=SDEConfig(
+                    generation_cost=generation_cost, server_cores=cores
+                ),
             )
-            .servers(2, cores=cores)
+            .servers(2)
             .service("Echo", [ECHO], replicas=2)
             .clients(
                 clients,

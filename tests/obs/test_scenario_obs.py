@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from repro.cluster import POLICY_STICKY, Scenario, edit, op
+from repro.cluster import Scenario, edit, op
 from repro.cluster.presets import fault_drill_scenario
 from repro.core.sde import SDEConfig
 from repro.evolve import rolling, upgrade
@@ -131,8 +131,8 @@ class TestObsOffIsInvisible:
 
 def _violation_scenario() -> Scenario:
     """The engineered §6 violation from the failover suite: one replica
-    force-published ahead, the sticky client's replica crashes, and the
-    failover target still serves the older version."""
+    force-published ahead, the first client's replica (round-robin's first
+    pick) crashes, and the failover target still serves the older version."""
 
     def publish_only_first_replica(runtime):
         replica = runtime.replicas("Echo")[0]
@@ -141,7 +141,7 @@ def _violation_scenario() -> Scenario:
     return (
         Scenario(name="obs-violation", sde_config=SDEConfig(generation_cost=0.01))
         .servers(2)
-        .service("Echo", [_echo()], replicas=2, policy=POLICY_STICKY)
+        .service("Echo", [_echo()], replicas=2)
         .clients(
             2,
             service="Echo",

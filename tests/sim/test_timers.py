@@ -51,20 +51,6 @@ class TestResettableTimer:
         assert fired == []
         assert not timer.running
 
-    def test_force_expire_fires_immediately(self, scheduler: Scheduler):
-        fired = []
-        timer = ResettableTimer(scheduler, 100.0, lambda: fired.append(scheduler.now))
-        timer.start()
-        timer.force_expire()
-        assert fired == [0.0]
-        assert not timer.running
-
-    def test_force_expire_without_running_countdown(self, scheduler: Scheduler):
-        fired = []
-        timer = ResettableTimer(scheduler, 1.0, lambda: fired.append(True))
-        timer.force_expire()
-        assert fired == [True]
-
     def test_running_and_deadline(self, scheduler: Scheduler):
         timer = ResettableTimer(scheduler, 2.0, lambda: None)
         assert not timer.running

@@ -22,7 +22,6 @@ from repro.faults import (
     restart,
     restore_link,
 )
-from repro.net import LatencyModel
 from repro.rmitypes import INT, STRING
 from repro.traffic import TRACE_FORMAT, Poisson, TraceReader, record, replay
 from repro.traffic.trace import (
@@ -139,16 +138,32 @@ class TestSpecValidation:
         with pytest.raises(TraceError, match="opaque"):
             scenario_to_spec(scenario)
 
-    def test_custom_latency_rejected(self):
-        with pytest.raises(TraceError, match="latency"):
-            scenario_to_spec(Scenario(latency=LatencyModel()))
-
     def test_non_scalar_arguments_rejected(self):
         scenario = Scenario().service("Echo", [op("echo")]).clients(
             1, service="Echo", arguments=(["nested"],)
         )
         with pytest.raises(TraceError, match="JSON scalars"):
             scenario_to_spec(scenario)
+
+    @pytest.mark.parametrize(
+        "where, key, value, named",
+        [
+            ("service", "policy", "sticky", "service 'EchoSoap'"),
+            ("spec", "server_cores", 2, "the scenario spec"),
+            ("group", "stale_operation", "gone", "client group 1"),
+        ],
+    )
+    def test_a_key_replay_cannot_rebuild_is_rejected(self, where, key, value, named):
+        # A spec key the reader does not read would replay as another world.
+        spec = scenario_to_spec(small_world(with_faults=False))
+        target = {
+            "spec": spec,
+            "service": spec["services"][0],
+            "group": spec["client_groups"][0],
+        }[where]
+        target[key] = value
+        with pytest.raises(TraceError, match=rf"{named} records \['{key}'\]"):
+            scenario_from_spec(spec)
 
     def test_offsets_count_mismatch_rejected(self):
         spec = scenario_to_spec(small_world(with_faults=False))
@@ -283,7 +298,7 @@ def all_kinds_world() -> Scenario:
 
 #: SHA-256 of the all-kinds world's trace file.  The trace format is a
 #: contract: a change to how any timeline action is written shows here.
-ALL_KINDS_TRACE_SHA256 = "0b47d992186d7e64631d3856ec68d37bf1061ea584afbc3eaa28aee215f4ab4c"
+ALL_KINDS_TRACE_SHA256 = "f90dbe4251eca71a76428656fb9939a06c8dd4568ff458a768699ee8b98d9af0"
 
 
 class TestTimelineCodec:
