@@ -66,9 +66,14 @@ class TestScenarioBasics:
         assert protocols == ["soap", "corba"] * 4
         assert {client.service for client in report.clients} == {"EchoSoap", "EchoCorba"}
 
-    def test_server_cores_reach_every_node(self):
-        runtime = Scenario(sde_config=SDEConfig(server_cores=2)).servers(2).build()
-        assert [node.server_core.cores for node in runtime.nodes] == [2, 2]
+    @pytest.mark.parametrize("config", [SDEConfig(server_cores=2), SDEConfig(), None])
+    def test_server_cores_from_either_place_or_both_equal(self, config):
+        # The scenario's SDEConfig is now the one place server_cores is set.
+        runtime = Scenario(sde_config=config).servers(2).build()
+        expected = config.server_cores if config is not None else None
+        assert [node.sde.config.server_cores for node in runtime.nodes] == [expected, expected]
+        if expected is not None:
+            assert [node.server_core.cores for node in runtime.nodes] == [expected, expected]
 
     def test_mix_and_service_are_mutually_exclusive(self):
         with pytest.raises(ClusterError):
