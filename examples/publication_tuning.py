@@ -48,7 +48,7 @@ def run_configuration(label, strategy, timeout):
     runtime.run(until=EDITS * EDIT_GAP + 20.0)
     publisher = runtime.replicas("EditedService")[0].publisher
     print(
-        f"{label:36s} publications={publisher.stats.publications:2d} "
+        f"{label:36s} publications={len(publisher.publication_history):2d} "
         f"generations={publisher.stats.generations:2d} "
         f"timer_resets={publisher.stats.timer_resets:2d} "
         f"current={publisher.is_published_current()}"

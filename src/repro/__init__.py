@@ -26,8 +26,8 @@ and CORBA Servers* (Pallemulle, Goldman & Morgan, WUCSE-2004-75 / ICDCS
   failure;
 * the **interface-evolution subsystem** (:mod:`repro.evolve`) — a typed
   diff engine over published interface descriptions (compatible vs.
-  breaking publications), per-service version graphs with version-aware routing,
-  and ``rolling`` / ``canary`` / ``abort_rollout`` upgrade drills that
+  breaking publications), version-aware routing over each replica's
+  publication history, and ``rolling`` / ``canary`` / ``abort_rollout`` upgrade drills that
   move an N-replica fleet to a new interface while hundreds of clients
   keep calling;
 * the **observability layer** (:mod:`repro.obs`) — deterministic causal

@@ -37,7 +37,7 @@ Likewise the interface-evolution subsystem (:mod:`repro.evolve`): its
 rollout timeline actions (``rolling`` / ``canary`` / ``abort_rollout``)
 and the ``upgrade`` helper are re-exported, and every
 :class:`~repro.cluster.registry.ServiceEntry` carries the subsystem's
-per-service version graph and version-aware routing switches (see
+version-aware routing switches (see
 ARCHITECTURE.md "Interface evolution").
 """
 

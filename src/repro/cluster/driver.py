@@ -451,7 +451,7 @@ class _ReplicaSnapshot:
         self.lifetime_max_stall_depth = stats.max_stall_queue_depth
         self.calls_routed = replica.calls_routed
         publisher_stats = replica.publisher.stats
-        self.publications = publisher_stats.publications
+        self.publications = len(replica.publisher.publication_history)
         self.forced_publications = publisher_stats.forced_publications
         self.stale_call_publications = publisher_stats.stale_call_publications
         endpoint = transport_endpoint(replica.call_handler)
@@ -492,7 +492,7 @@ class _ReplicaSnapshot:
             replies_sent=(
                 self.endpoint.stats.replies_sent - self.replies_sent if self.endpoint else 0
             ),
-            publications=publisher.stats.publications - self.publications,
+            publications=len(publisher.publication_history) - self.publications,
             forced_publications=(
                 publisher.stats.forced_publications - self.forced_publications
             ),

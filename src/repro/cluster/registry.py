@@ -16,8 +16,8 @@ treat as retryable.  Selection depends only on the (deterministic) order
 in which calls are issued and the (deterministic) fault timeline.
 
 Since the interface-evolution subsystem (:mod:`repro.evolve`) every entry
-also carries a per-service **version graph** (each replica's publication
-history) and can route **version-aware**: once a rollout arms
+can route **version-aware** (each replica's history is its publisher's
+``publication_history``): once a rollout arms
 ``version_routing`` and the caller supplies its
 :class:`~repro.evolve.graph.ClientBinding`, selection rotates over a
 narrowed candidate list in two tiers —
@@ -55,7 +55,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NoReturn
 
 from repro.errors import ClusterError, NoAliveReplicaError, ServiceNotFoundError
-from repro.evolve.graph import VersionGraph
 from repro.obs import hooks as _obs_hooks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -79,7 +78,7 @@ class Replica:
 
     service: str
     index: int
-    node: "ServerNode"
+    node: "ServerNode | None"
     managed: "ManagedServer | StaticSoapServer | StaticCorbaServer"
     #: Calls currently awaiting a reply from this replica.
     in_flight: int = 0
@@ -108,10 +107,8 @@ class Replica:
         return self.managed.call_handler
 
     def __repr__(self) -> str:
-        return (
-            f"Replica({self.service}#{self.index} on {self.node.name}, "
-            f"in_flight={self.in_flight})"
-        )
+        where = "off-cluster" if self.node is None else f"on {self.node.name}"
+        return f"Replica({self.service}#{self.index} {where}, in_flight={self.in_flight})"
 
 
 @dataclass
@@ -121,11 +118,6 @@ class ServiceEntry:
     name: str
     technology: str
     replicas: list[Replica] = field(default_factory=list)
-    #: Per-replica publication history (fed by the publishers' hooks when
-    #: the service is deployed through a Scenario).
-    version_graph: VersionGraph = field(
-        default_factory=VersionGraph, repr=False, compare=False
-    )
     #: When True, :meth:`select` honours the caller's ClientBinding (armed
     #: by a rollout when it starts).
     version_routing: bool = field(default=False, compare=False)
@@ -279,8 +271,6 @@ class ServiceRegistry:
         """Register a service under its exact name."""
         if entry.name in self._services:
             raise ClusterError(f"service {entry.name!r} is already registered")
-        if not entry.version_graph.service:
-            entry.version_graph.service = entry.name
         self._services[entry.name] = entry
         return entry
 

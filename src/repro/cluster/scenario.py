@@ -499,29 +499,9 @@ class ScenarioRuntime:
                         distributed=True,
                     )
                 dynamic_class.new_instance()
-                replica = entry.add_replica(node, node.sde.managed_server(class_name))
-                self._watch_publications(entry, replica)
+                entry.add_replica(node, node.sde.managed_server(class_name))
             self.registry.register(entry)
             self._service_specs[spec.name] = spec
-
-    @staticmethod
-    def _watch_publications(entry: ServiceEntry, replica: Replica) -> None:
-        """Feed the service's version graph from this replica's publisher.
-
-        The minimal deployment-time publication already happened before the
-        replica joined the registry, so the publisher's history is
-        backfilled first and the listener keeps the graph current from here
-        on (pure bookkeeping — no scheduler events, determinism preserved).
-        """
-        graph = entry.version_graph
-        publisher = replica.publisher
-        for record in publisher.publication_history:
-            graph.record(replica.index, record.version, record.description, record.time)
-        publisher.publication_listeners.append(
-            lambda record, index=replica.index: graph.record(
-                index, record.version, record.description, record.time
-            )
-        )
 
     # -- inspection ---------------------------------------------------------
 

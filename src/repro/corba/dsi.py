@@ -72,13 +72,11 @@ class DynamicServant(Servant):
         self.type_name = type_name
         self.repository_id = f"IDL:repro/{type_name}:1.0"
         self._handler = handler
-        self.requests_handled = 0
 
     def invoke(self, operation: str, arguments: list[Any]) -> Any:
         request = ServerRequest(operation, arguments)
         self._handler(request)
-        self.requests_handled += 1
         return request.outcome()
 
     def __repr__(self) -> str:
-        return f"DynamicServant({self.type_name!r}, handled={self.requests_handled})"
+        return f"DynamicServant({self.type_name!r})"

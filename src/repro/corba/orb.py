@@ -79,7 +79,6 @@ class ServerOrb:
             name=f"orb:{host.name}:{port}",
             cores=cores,
         )
-        self.requests_handled = 0
         self.system_exceptions_sent = 0
         self.user_exceptions_sent = 0
 
@@ -148,8 +147,6 @@ class ServerOrb:
                 # A result the CDR layer cannot encode must still produce a
                 # reply, or the client (and this connection's FIFO) hangs.
                 reply = self._exception_reply(request_id, marshal_error)
-            else:
-                self.requests_handled += 1
         else:
             reply = self._exception_reply(request_id, error)
         if self.cost_model is not None:
@@ -195,7 +192,6 @@ class ClientOrb:
         self.speed_factor = speed_factor
         self.channel = ClientChannel(host, base_port=_EPHEMERAL_BASE, name="client-orb")
         self._request_ids = itertools.count(1)
-        self.calls_made = 0
 
     # -- public API -----------------------------------------------------------
 
@@ -238,7 +234,6 @@ class ClientOrb:
             raise CorbaError(f"malformed GIOP reply: {exc}") from None
         if not isinstance(reply, ReplyMessage) or reply.request_id != request_id:
             raise CorbaError("GIOP reply does not match the outstanding request")
-        self.calls_made += 1
         cost = self._cost(len(reply.body_cdr) + 24)
         if cost > 0:
             return Later(cost, partial(self._interpret_reply, reply))
@@ -260,4 +255,4 @@ class ClientOrb:
         return self.cost_model.binary_processing(size_bytes) * self.speed_factor
 
     def __repr__(self) -> str:
-        return f"ClientOrb(host={self.host.name!r}, calls={self.calls_made})"
+        return f"ClientOrb(host={self.host.name!r}, sent={self.channel.requests_sent})"

@@ -104,10 +104,5 @@ class StaticCorbaServer:
         self.orb.stop()
         self.http_server.stop()
 
-    @property
-    def calls_served(self) -> int:
-        """Number of successful invocations handled by the ORB."""
-        return self.orb.requests_handled
-
     def __repr__(self) -> str:
         return f"StaticCorbaServer({self.definition.service_name!r} at {self.host.name}:{self.iiop_port})"

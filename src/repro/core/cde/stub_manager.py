@@ -33,7 +33,6 @@ class ClientStubManager:
         self.environment = environment
         self.class_name = class_name or f"{binding.service_name}Stub"
         self.stub_class: DynamicClass = environment.create_class(self.class_name)
-        self.updates_applied = 0
         binding.stub_manager = self
         if binding.description is not None:
             self.update_from(binding.description)
@@ -69,7 +68,6 @@ class ClientStubManager:
                     body=self._body_for(operation),
                     distributed=False,
                 )
-        self.updates_applied += 1
 
     def _body_for(self, operation: OperationSignature):
         binding = self.binding

@@ -265,7 +265,7 @@ class ReactivePublishingExperiment:
             server_version_in_fault=server_version,
             client_version_after_call=binding.interface_version,
             change_visible_to_developer=change_visible,
-            publications=runtime.replicas("Calculator")[0].publisher.stats.publications,
+            publications=len(runtime.replicas("Calculator")[0].publisher.publication_history),
         )
 
     def run_matrix(self) -> list[ReactiveRunRecord]:

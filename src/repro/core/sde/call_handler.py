@@ -45,8 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class CallStats:
     """Counters kept by every call handler."""
 
-    calls_received: int = 0
-    calls_completed: int = 0
     application_faults: int = 0
     not_initialized_faults: int = 0
     non_existent_method_faults: int = 0
@@ -126,7 +124,6 @@ class CallHandler:
         processing of incoming messages").
         """
         outcome.operation = operation
-        self.stats.calls_received += 1
         if _obs_hooks.ACTIVE is not None:
             _obs_hooks.ACTIVE.server_dispatch(self, operation, outcome)
         if self._stalled:
@@ -163,7 +160,6 @@ class CallHandler:
             self.stats.application_faults += 1
             outcome.on_fault(exc)
             return
-        self.stats.calls_completed += 1
         outcome.on_result(result, method.signature())
 
     @property
@@ -210,5 +206,5 @@ class CallHandler:
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}({self.dynamic_class.name!r}, "
-            f"active={self.active}, received={self.stats.calls_received})"
+            f"active={self.active}, stalled={self.stats.stalled_calls})"
         )

@@ -125,7 +125,6 @@ class SDEManager:
         self._managed: dict[str, ManagedServer] = {}
         self._next_soap_port = self.config.soap_base_port
         self._next_corba_port = self.config.corba_base_port
-        self.deployments = 0
 
         self._gateway_root = self._ensure_gateway_class(GATEWAY_ROOT, superclass=None)
         self.register_technology(self._soap_technology())
@@ -279,7 +278,6 @@ class SDEManager:
         self.environment.undo_stack.add_listener(server.publisher.on_change_record)
 
         self._managed[dynamic_class.name] = server
-        self.deployments += 1
         return server
 
     # -- instance management (§5.4) ---------------------------------------------------

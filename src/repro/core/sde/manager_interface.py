@@ -80,7 +80,7 @@ class SDEManagerInterface:
             timer_running=publisher.timer.running,
             generation_in_progress=publisher.generation_in_progress,
             published_current=publisher.is_published_current(),
-            publications=publisher.stats.publications,
+            publications=len(publisher.publication_history),
             document_url=publisher.document_url,
         )
 

@@ -13,6 +13,11 @@ publisher half of §5.7 ("Client Requests for Non-existent Methods"):
 * :meth:`DLPublisher.ensure_current` implements the §5.7 recency guarantee
   used by the call handlers when a stale method is invoked.
 
+Every publication is appended to :attr:`DLPublisher.publication_history`
+(version, time, description).  That list is the one record of what was
+published: publication counts are its length, and what changed between two
+versions is :func:`~repro.evolve.diff.diff_descriptions` over its entries.
+
 For the E4 ablation the publisher also supports the two strategies the paper
 rejects — pure change-driven publication and periodic polling — selected by
 the ``strategy`` argument.
@@ -45,7 +50,7 @@ _STRATEGIES = (STRATEGY_STABLE_TIMEOUT, STRATEGY_CHANGE_DRIVEN, STRATEGY_POLLING
 
 @dataclass
 class PublicationRecord:
-    """One published interface description (kept for the experiments)."""
+    """One published interface description."""
 
     version: int
     time: float
@@ -57,11 +62,8 @@ class PublicationRecord:
 class PublisherStats:
     """Counters describing the publisher's activity."""
 
-    changes_observed: int = 0
     timer_resets: int = 0
     generations: int = 0
-    publications: int = 0
-    redundant_generations: int = 0
     forced_publications: int = 0
     stale_call_publications: int = 0
 
@@ -103,6 +105,8 @@ class DLPublisher:
 
         self.version = 0
         self.published_description: InterfaceDescription | None = None
+        #: Every published version, in order: its number, time and
+        #: description.  The one record of what this publisher published.
         self.publication_history: list[PublicationRecord] = []
         self.stats = PublisherStats()
 
@@ -110,12 +114,6 @@ class DLPublisher:
         self._pending_generation = False
         self._force_next_publication = False
         self._waiters: list[Callable[[], None]] = []
-        #: Called with each new :class:`PublicationRecord` the instant it is
-        #: published — the hook the interface-evolution layer uses to feed
-        #: per-replica version graphs (:mod:`repro.evolve`).  Listeners must
-        #: be pure bookkeeping: they run inside the publication step and
-        #: must not schedule events or mutate the managed class.
-        self.publication_listeners: list[Callable[[PublicationRecord], None]] = []
 
     # -- abstract rendering -------------------------------------------------
 
@@ -212,7 +210,6 @@ class DLPublisher:
             return
         if not record.event.affects_interface:
             return
-        self.stats.changes_observed += 1
         if self.strategy == STRATEGY_CHANGE_DRIVEN:
             self._begin_generation()
         elif self.strategy == STRATEGY_STABLE_TIMEOUT:
@@ -289,11 +286,9 @@ class DLPublisher:
             self.published_description is not None
             and self.published_description.same_signature(snapshot)
         )
-        if already_published:
-            # "publication is triggered only when the published interface is
-            # out of date" — a redundant generation does not bump the version.
-            self.stats.redundant_generations += 1
-        else:
+        # "publication is triggered only when the published interface is
+        # out of date" — a redundant generation does not bump the version.
+        if not already_published:
             self._publish(snapshot, forced=forced)
 
         if self._pending_generation:
@@ -309,16 +304,14 @@ class DLPublisher:
             self.document_path, partial(self.render, versioned), self.content_type
         )
         self.published_description = versioned
-        record = PublicationRecord(
-            version=self.version,
-            time=self.scheduler.now,
-            description=versioned,
-            forced=forced,
+        self.publication_history.append(
+            PublicationRecord(
+                version=self.version,
+                time=self.scheduler.now,
+                description=versioned,
+                forced=forced,
+            )
         )
-        self.publication_history.append(record)
-        self.stats.publications += 1
-        for listener in self.publication_listeners:
-            listener(record)
 
     def _flush_waiters(self) -> None:
         waiters, self._waiters = self._waiters, []

@@ -9,13 +9,12 @@ version bump:
   interface descriptions and classifies every publication as
   *compatible* (operations added) or *breaking* (operations removed or
   signature-changed);
-* a per-service **version graph** (:mod:`repro.evolve.graph`) — every
-  publication of every replica, queryable for typed deltas, plus the
-  per-client :class:`ClientBinding` that version-aware routing consults
-  (clients stay on replicas that are fresh w.r.t. their §6 recency
-  watermark and compatible with the stubs they bound; breaking versions
-  surface as an explicit stale-fault + rebind, never a silently wrong
-  answer);
+* the per-client :class:`ClientBinding` (:mod:`repro.evolve.graph`)
+  that version-aware routing consults (clients stay on replicas that are
+  fresh w.r.t. their §6 recency watermark and compatible with the stubs
+  they bound; breaking versions surface as an explicit stale-fault +
+  rebind, never a silently wrong answer); a replica's own history is its
+  publisher's ``publication_history``, diffed by :func:`diff_descriptions`;
 * **rollout strategies** (:mod:`repro.evolve.rollout` /
   :mod:`repro.evolve.actions`) — ``rolling`` / ``canary`` /
   ``abort_rollout`` timeline actions that upgrade an N-replica fleet
@@ -42,7 +41,7 @@ from repro.evolve.diff import (
     diff_descriptions,
     is_compatible,
 )
-from repro.evolve.graph import ClientBinding, PublishedVersion, VersionGraph
+from repro.evolve.graph import ClientBinding
 from repro.evolve.rollout import (
     STRATEGY_CANARY,
     STRATEGY_ROLLING,
@@ -65,8 +64,6 @@ __all__ = [
     "CLASS_IDENTICAL",
     "CLASS_COMPATIBLE",
     "CLASS_BREAKING",
-    "VersionGraph",
-    "PublishedVersion",
     "ClientBinding",
     "InterfaceUpgrade",
     "upgrade",

@@ -1,16 +1,11 @@
-"""Per-service version graphs and the client-side binding state.
+"""The client-side binding state that version-aware routing consults.
 
 A replicated service evolves *per replica*: each replica's publisher owns a
 monotone version counter, and a rolling upgrade deliberately lets replicas
 diverge for a while (some already publish v+1 while others still serve v).
-:class:`VersionGraph` records that history — every publication of every
-replica, with its full :class:`~repro.interface.InterfaceDescription` — so
-the registry can answer typed questions about it:
-
-* what did replica *i* publish as version *v*?
-* what changed between two versions of a replica
-  (:meth:`VersionGraph.delta`, computed by the diff engine)?
-* was any step of a replica's history breaking (:meth:`VersionGraph.edges`)?
+Each replica's history is its publisher's ``publication_history``; what
+changed between two of its versions is
+:func:`~repro.evolve.diff.diff_descriptions` over consecutive entries.
 
 :class:`ClientBinding` is the per-client half: which description the
 client's stubs were compiled against per replica, and the highest published
@@ -26,108 +21,13 @@ answer).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.evolve.diff import InterfaceDelta, diff_descriptions, is_compatible
+from repro.evolve.diff import is_compatible
 from repro.interface import InterfaceDescription
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.registry import Replica
-
-
-@dataclass(frozen=True)
-class PublishedVersion:
-    """One node of the version graph: a publication by one replica."""
-
-    replica_index: int
-    version: int
-    description: InterfaceDescription
-    time: float
-
-
-class VersionGraph:
-    """Every publication of every replica of one service, queryable."""
-
-    def __init__(self, service: str = "") -> None:
-        self.service = service
-        #: replica index -> version -> node, in publication order per replica.
-        self._nodes: dict[int, dict[int, PublishedVersion]] = {}
-
-    def record(
-        self,
-        replica_index: int,
-        version: int,
-        description: InterfaceDescription,
-        time: float,
-    ) -> PublishedVersion:
-        """Record one publication (idempotent per ``(replica, version)``)."""
-        per_replica = self._nodes.setdefault(replica_index, {})
-        node = per_replica.get(version)
-        if node is None:
-            node = PublishedVersion(replica_index, version, description, time)
-            per_replica[version] = node
-        return node
-
-    # -- queries ------------------------------------------------------------
-
-    def replicas(self) -> tuple[int, ...]:
-        """The replica indexes with recorded publications, sorted."""
-        return tuple(sorted(self._nodes))
-
-    def versions(self, replica_index: int) -> tuple[int, ...]:
-        """The versions replica ``replica_index`` has published, sorted."""
-        return tuple(sorted(self._nodes.get(replica_index, ())))
-
-    def description(self, replica_index: int, version: int) -> InterfaceDescription:
-        """The description replica ``replica_index`` published as ``version``."""
-        node = self._nodes.get(replica_index, {}).get(version)
-        if node is None:
-            raise KeyError(
-                f"no recorded publication v{version} of replica {replica_index}"
-                + (f" ({self.service})" if self.service else "")
-            )
-        return node.description
-
-    def latest(self, replica_index: int) -> PublishedVersion | None:
-        """The newest recorded publication of a replica, if any."""
-        per_replica = self._nodes.get(replica_index)
-        if not per_replica:
-            return None
-        return per_replica[max(per_replica)]
-
-    @property
-    def max_version(self) -> int:
-        """The highest version any replica has published (0 when empty)."""
-        return max(
-            (max(per_replica) for per_replica in self._nodes.values() if per_replica),
-            default=0,
-        )
-
-    # -- typed deltas (the diff engine over the graph) -----------------------
-
-    def delta(
-        self, replica_index: int, old_version: int, new_version: int
-    ) -> InterfaceDelta:
-        """The typed delta between two recorded versions of one replica."""
-        return diff_descriptions(
-            self.description(replica_index, old_version),
-            self.description(replica_index, new_version),
-        )
-
-    def edges(self, replica_index: int) -> tuple[InterfaceDelta, ...]:
-        """Deltas between consecutive recorded versions of one replica."""
-        versions = self.versions(replica_index)
-        return tuple(
-            self.delta(replica_index, older, newer)
-            for older, newer in zip(versions, versions[1:])
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"VersionGraph({self.service!r}, replicas={len(self._nodes)}, "
-            f"max_version={self.max_version})"
-        )
 
 
 class ClientBinding:

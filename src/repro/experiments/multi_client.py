@@ -30,6 +30,7 @@ from repro.cluster import ClusterReport, Scenario, edit, op
 from repro.core.sde import SDEConfig
 from repro.net.latency import CostModel
 from repro.rmitypes import STRING
+from repro.traffic.trace import echo_body
 
 #: The echo payload used for every measured call.
 ECHO_PAYLOAD = "hello from the client fleet"
@@ -59,10 +60,6 @@ class MultiClientResult:
     server_waited_seconds: float = 0.0
 
 
-def _echo_body(_instance, message: str) -> str:
-    return message
-
-
 def build_scenario(
     technology: str,
     clients: int,
@@ -87,7 +84,7 @@ def build_scenario(
         .servers(1)
         .service(
             "EchoService",
-            [op("echo", (("message", STRING),), STRING, body=_echo_body)],
+            [op("echo", (("message", STRING),), STRING, body=echo_body)],
             technology=technology,
         )
     )

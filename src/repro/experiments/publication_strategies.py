@@ -147,7 +147,7 @@ def run_single_strategy(
         strategy=strategy,
         edits=sum(burst.edits for burst in session),
         generations=publisher.stats.generations,
-        publications=publisher.stats.publications,
+        publications=len(publisher.publication_history),
         transient_publications=transient,
         final_interface_published=final_published,
         staleness_after_last_edit=staleness,

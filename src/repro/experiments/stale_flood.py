@@ -66,7 +66,7 @@ def run_stale_flood(
     world = runtime.world
 
     generations_before = publisher.stats.generations
-    publications_before = publisher.stats.publications
+    publications_before = len(publisher.publication_history)
 
     if change_interface_first:
         runtime.dynamic_class("Calculator").method("add").rename("sum")
@@ -84,6 +84,6 @@ def run_stale_flood(
         stale_calls_sent=stale_calls,
         non_existent_method_faults=faults,
         generations=publisher.stats.generations - generations_before,
-        publications=publisher.stats.publications - publications_before,
+        publications=len(publisher.publication_history) - publications_before,
         stale_call_publications=publisher.stats.stale_call_publications,
     )

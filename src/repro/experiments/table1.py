@@ -40,6 +40,7 @@ from repro.interface import OperationSignature, Parameter, ServiceDefinition
 from repro.net.latency import CostModel, era_2004_cost_model
 from repro.rmitypes import STRING
 from repro.soap import StaticSoapServer
+from repro.traffic.trace import echo_body
 
 #: Relative speed of the paper's client machine (1 GHz PowerBook G4) compared
 #: with its server machine (3.2 GHz Pentium 4).
@@ -78,10 +79,6 @@ def _echo_signature() -> OperationSignature:
     return OperationSignature("echo", (Parameter("message", STRING),), STRING)
 
 
-def _echo_body(_instance, message: str) -> str:
-    return message
-
-
 def _echo_definition() -> ServiceDefinition:
     """The static echo service both static servers deploy."""
     definition = ServiceDefinition("EchoService", "urn:bench:echo")
@@ -95,7 +92,7 @@ def _sde_echo_target(technology: str, cost_model: CostModel) -> tuple[ScenarioRu
         Scenario(sde_config=SDEConfig(cost_model=cost_model, publication_timeout=2.0))
         .service(
             "EchoService",
-            [op("echo", (("message", STRING),), STRING, body=_echo_body)],
+            [op("echo", (("message", STRING),), STRING, body=echo_body)],
             technology=technology,
         )
         .build()

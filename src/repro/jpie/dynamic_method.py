@@ -46,7 +46,6 @@ class DynamicMethod:
         self._body: MethodBody = body if body is not None else _default_body
         self.modifiers: set[Modifier] = set(modifiers or {Modifier.PUBLIC})
         self.owner = None  # set by DynamicClass.add_method
-        self.invocation_count = 0
 
     # -- accessors -----------------------------------------------------------
 
@@ -101,7 +100,6 @@ class DynamicMethod:
                 raise SignatureError(
                     f"argument {parameter.name!r} of {self._name!r}: {exc}"
                 ) from None
-        self.invocation_count += 1
         return self._body(instance, *arguments)
 
     # -- mutation ----------------------------------------------------------------

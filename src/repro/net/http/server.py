@@ -69,7 +69,6 @@ class HttpServer:
         self._exact: dict[tuple[str, str], Route] = {}
         #: Prefix routes, scanned in registration order after an exact miss.
         self._prefixes: list[Route] = []
-        self.requests_served = 0
 
     # -- configuration ----------------------------------------------------
 
@@ -121,8 +120,6 @@ class HttpServer:
             request = HttpRequest.from_bytes(message.payload)
         except HttpError as exc:
             return HttpResponse(StatusCodes.BAD_REQUEST, body=str(exc)).to_bytes()
-
-        self.requests_served += 1
 
         # Query strings (``?wsdl``) are ignored for matching, as they are by
         # the servlet containers the paper builds on.

@@ -5,7 +5,7 @@ makes the host reachable; :meth:`Host.send` delivers a :class:`Message` to the
 destination after the delay computed by the network's latency model.  The
 simulator supports per-link latency overrides, partitions, per-link fault
 profiles (seeded probabilistic loss and jitter — see :mod:`repro.faults`),
-crashed-host semantics and per-host/network traffic statistics.
+crashed-host semantics and a count of the messages the network dropped.
 
 Fault-model invariants (see ARCHITECTURE.md "Fault model"):
 
@@ -96,17 +96,6 @@ class LinkFault(Protocol):
         """Return ``(drop, extra_delay)`` for one message of the given size."""
 
 
-@dataclass
-class TrafficStats:
-    """Counters kept per host and per network."""
-
-    messages_sent: int = 0
-    messages_received: int = 0
-    messages_dropped: int = 0
-    bytes_sent: int = 0
-    bytes_received: int = 0
-
-
 class Host:
     """A named machine attached to a :class:`Network`."""
 
@@ -115,7 +104,6 @@ class Host:
         self.network = network
         #: Port -> the callable that receives ``(message, host)``.
         self._listeners: dict[int, Callable[[Message, "Host"], None]] = {}
-        self.stats = TrafficStats()
         #: True while the machine is crashed: traffic to it is dropped at
         #: transmit *and* delivery time (see the fault-model invariants in
         #: the module docstring).  Toggled by :mod:`repro.faults`.
@@ -177,7 +165,8 @@ class Host:
         # scheduled after the one-way delay given by the governing latency
         # model (``delay``, when the sender already computed it).  Traffic
         # into a partition is counted as dropped and silently discarded,
-        # mirroring packet loss.
+        # mirroring packet loss.  The message id doubles as the count of
+        # messages sent.
         #
         # Same-instant coalescing: when this send arrives at the exact
         # virtual time of the previous one *and* nothing else was scheduled
@@ -194,19 +183,11 @@ class Host:
         scheduler = network.scheduler
         now = scheduler.now
 
-        size = len(payload)
         network._next_message_id += 1
         message = Message(network._next_message_id, source, destination, payload, now)
-        source_stats = self.stats
-        source_stats.messages_sent += 1
-        source_stats.bytes_sent += size
-        stats = network.stats
-        stats.messages_sent += 1
-        stats.bytes_sent += size
 
         if network._partitions and network.is_partitioned(source.host, destination.host):
-            stats.messages_dropped += 1
-            source_stats.messages_dropped += 1
+            network.messages_dropped += 1
             if _obs_hooks.ACTIVE is not None:
                 _obs_hooks.ACTIVE.instant(
                     "net.drop", reason="partition", source=source.host, to=destination.host
@@ -215,8 +196,7 @@ class Host:
         if self.down or destination_host.down:
             # A crashed machine neither sends nor receives; dropping at
             # transmit time keeps the event queue free of doomed deliveries.
-            stats.messages_dropped += 1
-            source_stats.messages_dropped += 1
+            network.messages_dropped += 1
             if _obs_hooks.ACTIVE is not None:
                 _obs_hooks.ACTIVE.instant(
                     "net.drop", reason="host-down", source=source.host, to=destination.host
@@ -224,14 +204,13 @@ class Host:
             return message
 
         if delay is None:
-            delay = network.latency.one_way_delay(size)
+            delay = network.latency.one_way_delay(len(payload))
         if network._link_faults:
             fault = network._link_faults.get((source.host, destination.host))
             if fault is not None:
-                drop, extra = fault.sample(size)
+                drop, extra = fault.sample(len(payload))
                 if drop:
-                    stats.messages_dropped += 1
-                    source_stats.messages_dropped += 1
+                    network.messages_dropped += 1
                     if _obs_hooks.ACTIVE is not None:
                         _obs_hooks.ACTIVE.instant(
                             "net.drop",
@@ -271,19 +250,14 @@ class Host:
             # The machine crashed while this message was in flight: a dead
             # NIC receives nothing, so the message is silently discarded
             # (and counted) instead of reaching a stale listener.
-            self.stats.messages_dropped += 1
-            self.network.stats.messages_dropped += 1
+            self.network.messages_dropped += 1
             return
         listener = self._listeners.get(message.destination.port)
         if listener is None:
-            self.stats.messages_dropped += 1
             raise SimConnectionRefusedError(
                 f"no listener bound to {message.destination} "
                 f"(message from {message.source})"
             )
-        stats = self.stats
-        stats.messages_received += 1
-        stats.bytes_received += len(message.payload)
         listener(message, self)
 
     def __repr__(self) -> str:
@@ -324,8 +298,10 @@ class Network:
         #: accumulate dead channels; insertion order is preserved (a
         #: WeakSet would make crash-abort iteration nondeterministic).
         self._client_channels: list[weakref.ref] = []
+        #: The id of the last message sent, and so the count of sends.
         self._next_message_id = 0
-        self.stats = TrafficStats()
+        #: Messages lost to a partition, a lossy link or a down host.
+        self.messages_dropped = 0
         #: Full delivery log, populated only when ``record_deliveries`` is
         #: set (it grows without bound, so large sweeps leave it off).
         self.record_deliveries = record_deliveries
@@ -418,7 +394,6 @@ class Network:
 
     def _deliver_batch(self, messages: list[Message]) -> None:
         now = self.scheduler.now
-        stats = self.stats
         record = self.record_deliveries
         hosts = self._hosts
         for index, message in enumerate(messages):
@@ -426,8 +401,7 @@ class Network:
             if target.down:
                 # The destination crashed while this message was in flight:
                 # drop at delivery time (see the fault-model invariants).
-                stats.messages_dropped += 1
-                target.stats.messages_dropped += 1
+                self.messages_dropped += 1
                 if _obs_hooks.ACTIVE is not None:
                     _obs_hooks.ACTIVE.instant(
                         "net.drop",
@@ -437,8 +411,6 @@ class Network:
                     )
                 continue
             message.delivered_at = now
-            stats.messages_received += 1
-            stats.bytes_received += len(message.payload)
             if record:
                 self.delivered_messages.append(message)
             try:
@@ -453,4 +425,4 @@ class Network:
                 raise
 
     def __repr__(self) -> str:
-        return f"Network(hosts={list(self._hosts)}, sent={self.stats.messages_sent})"
+        return f"Network(hosts={list(self._hosts)}, sent={self._next_message_id})"

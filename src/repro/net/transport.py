@@ -12,8 +12,9 @@ the shared machinery out:
   §5.7 stall-until-published behaviour is expressed entirely through it.
 * :class:`Connection` — per-peer connection state on a server endpoint.
   Replies on one connection are delivered in request-arrival order (FIFO,
-  the ordering HTTP/1.1 keep-alive and GIOP both guarantee), and the
-  endpoint counts opened versus reused connections (keep-alive accounting).
+  the ordering HTTP/1.1 keep-alive and GIOP both guarantee); a peer keeps
+  one connection across its requests, so ``len(endpoint.connections)`` is
+  the number of connections ever opened (keep-alive accounting).
 * :class:`Endpoint` — the server-side dispatch loop.  It owns the port
   binding, the connection table and the reply path; replies completed after
   :meth:`Endpoint.stop` are dropped (and counted) instead of being sent
@@ -171,13 +172,10 @@ ReplyOutcome = Union[bytes, tuple[bytes, float], Deferred, None]
 
 @dataclass
 class TransportStats:
-    """Counters kept per endpoint (and mirrored per connection)."""
+    """Counters kept per endpoint."""
 
-    requests_received: int = 0
     replies_sent: int = 0
     replies_dropped: int = 0
-    connections_opened: int = 0
-    connections_reused: int = 0
     handler_errors: int = 0
 
 
@@ -191,11 +189,6 @@ class Connection:
     def __init__(self, endpoint: "Endpoint", peer: Address) -> None:
         self.endpoint = endpoint
         self.peer = peer
-        self.opened_at = endpoint.scheduler.now
-        self.last_activity = self.opened_at
-        self.requests_received = 0
-        self.replies_sent = 0
-        self.replies_dropped = 0
         self._next_seq = 0
         self._next_to_send = 0
         #: seq -> payload bytes (or None for "no reply"), resolved but unsent.
@@ -255,19 +248,13 @@ class Connection:
             # The endpoint was stopped while this reply was pending: sending
             # through an unbound port would be a protocol violation, so the
             # reply is dropped and accounted for instead.
-            self.replies_dropped += 1
             endpoint.stats.replies_dropped += 1
             return
         endpoint.host.send(self.peer, payload, endpoint.port, delay, endpoint.address)
-        self.replies_sent += 1
         endpoint.stats.replies_sent += 1
-        self.last_activity = endpoint.scheduler.now
 
     def __repr__(self) -> str:
-        return (
-            f"Connection({self.peer}, in_flight={self.in_flight}, "
-            f"sent={self.replies_sent}, dropped={self.replies_dropped})"
-        )
+        return f"Connection({self.peer}, in_flight={self.in_flight})"
 
 
 class Endpoint:
@@ -343,32 +330,25 @@ class Endpoint:
     def connection_for(self, peer: Address) -> Connection:
         """Return (opening if necessary) the connection for ``peer``."""
         connection = self._connections.get(peer)
-        if connection is not None:
-            self.stats.connections_reused += 1
-            return connection
-        connection = Connection(self, peer)
-        self._connections[peer] = connection
-        self.stats.connections_opened += 1
+        if connection is None:
+            connection = Connection(self, peer)
+            self._connections[peer] = connection
         return connection
 
     # -- dispatch loop ------------------------------------------------------
 
     def _on_message(self, message: Message, host: Host) -> None:
-        stats = self.stats
-        stats.requests_received += 1
         connection = self.connection_for(message.source)
         # Allocate the request's FIFO slot.
         seq = connection._next_seq
         connection._next_seq = seq + 1
-        connection.requests_received += 1
-        connection.last_activity = self.scheduler.now
         try:
             outcome = self.handler(message, connection)
         except BaseException:
             # The protocol handler crashed without producing a reply.  Its
             # FIFO slot must still be released — a permanently unresolved
             # slot would withhold every later reply on this connection.
-            stats.handler_errors += 1
+            self.stats.handler_errors += 1
             connection.resolve(seq, None)
             raise
         if isinstance(outcome, tuple):
@@ -425,8 +405,6 @@ class _ClientConnection:
         self.port = port
         #: This connection's own (source) address: ``(channel host, port)``.
         self.address = Address(channel.host.name, port)
-        self.requests_sent = 0
-        self.replies_received = 0
         self.unsolicited_replies = 0
         #: FIFO queue of pending ``(parse, deferred)`` expectations.
         self._expectations: deque[tuple[Callable[[Message], Any], Deferred]] = deque()
@@ -454,7 +432,6 @@ class _ClientConnection:
         if active is not None:
             active.note_client_send(self.destination, len(payload), context)
         self._expectations.append((parse, deferred))
-        self.requests_sent += 1
         host = channel.host
         scheduler = channel.scheduler
         destination = self.destination
@@ -533,16 +510,13 @@ class _ClientConnection:
             self.unsolicited_replies += 1
             return
         parse, deferred = self._expectations.popleft()
-        self.replies_received += 1
-        channel = self.channel
-        channel.replies_received += 1
         try:
             value = parse(message)
         except Exception as exc:  # noqa: BLE001 - parse errors fail the call
             deferred._resolve(None, exc, 0.0)
             return
         if type(value) is Later:
-            channel.scheduler.schedule(value.delay, _finish, deferred, value.finish)
+            self.channel.scheduler.schedule(value.delay, _finish, deferred, value.finish)
             return
         deferred._resolve(value, None, 0.0)
 
@@ -569,7 +543,6 @@ class ClientChannel:
         #: The event scheduler driving this channel's network.
         self.scheduler = host.network.scheduler
         self.requests_sent = 0
-        self.replies_received = 0
         #: Replies that arrived for an abandoned (reset/closed) request.
         self.late_replies_dropped = 0
         #: In-flight requests failed fast by :meth:`abort_pending`.

@@ -46,8 +46,6 @@ class ServerCore:
         "scheduler",
         "cores",
         "_free_at",
-        "jobs_charged",
-        "contended_jobs",
         "busy_seconds",
         "waited_seconds",
         "max_queue_delay",
@@ -60,9 +58,6 @@ class ServerCore:
         self.cores = cores
         #: Min-heap of per-core "free again at" virtual times.
         self._free_at: list[float] = [0.0] * cores
-        self.jobs_charged = 0
-        #: Jobs that had to wait for a core (saw a busy machine).
-        self.contended_jobs = 0
         #: Total CPU-seconds of processing charged.
         self.busy_seconds = 0.0
         #: Total seconds jobs spent queued waiting for a core.
@@ -83,11 +78,9 @@ class ServerCore:
         start = free_at if free_at > now else now
         finish = start + cost
         heapq.heappush(self._free_at, finish)
-        self.jobs_charged += 1
         self.busy_seconds += cost
         wait = start - now
         if wait > 0:
-            self.contended_jobs += 1
             self.waited_seconds += wait
             if wait > self.max_queue_delay:
                 self.max_queue_delay = wait
@@ -106,8 +99,7 @@ class ServerCore:
 
         Returns ``(total_delay, max_delay)``: the sum over all jobs of
         (queue wait + cost), and the single worst job's delay.  Gauges
-        (``busy_seconds``, ``waited_seconds``, ``contended_jobs``,
-        ``max_queue_delay``) advance exactly as if each job were charged
+        (``busy_seconds``, ``waited_seconds``, ``max_queue_delay``) advance exactly as if each job were charged
         individually under the even spread.
         """
         if cost < 0:
@@ -140,14 +132,9 @@ class ServerCore:
             if core_max > max_delay:
                 max_delay = core_max
             self.waited_seconds += wait_sum
-            if cost > 0:
-                self.contended_jobs += share if wait0 > 0 else share - 1
-            elif wait0 > 0:
-                self.contended_jobs += share
             if last_wait > self.max_queue_delay:
                 self.max_queue_delay = last_wait
             heapq.heappush(free_at, start + share * cost)
-        self.jobs_charged += jobs
         self.busy_seconds += cost * jobs
         return (total_delay, max_delay)
 
@@ -159,6 +146,6 @@ class ServerCore:
 
     def __repr__(self) -> str:
         return (
-            f"ServerCore(cores={self.cores}, jobs={self.jobs_charged}, "
+            f"ServerCore(cores={self.cores}, "
             f"busy={self.busy_seconds:.4f}s, max_wait={self.max_queue_delay:.4f}s)"
         )

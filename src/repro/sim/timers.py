@@ -37,8 +37,6 @@ class ResettableTimer:
         self._timeout = float(timeout)
         self._callback = callback
         self._event: Event | None = None
-        self.expirations = 0
-        self.resets = 0
 
     # -- configuration ----------------------------------------------------
 
@@ -85,7 +83,6 @@ class ResettableTimer:
         """
         if self._event is not None and self._event.pending:
             self._event.cancel()
-            self.resets += 1
         self._event = self._scheduler.schedule(self._timeout, self._expire)
 
     def cancel(self) -> None:
@@ -98,7 +95,6 @@ class ResettableTimer:
 
     def _expire(self) -> None:
         self._event = None
-        self.expirations += 1
         self._callback()
 
     def __repr__(self) -> str:

@@ -42,7 +42,6 @@ class StaticSoapServer:
         self.definition = definition
         self.cost_model = cost_model
         self.http_server = HttpServer(host, port, name=f"soap:{definition.service_name}")
-        self.calls_served = 0
         self.faults_returned = 0
 
         self._service_path = f"/services/{definition.service_name}"
@@ -110,7 +109,6 @@ class StaticSoapServer:
                 signature.return_type,
                 namespace=self.definition.namespace,
             )
-            self.calls_served += 1
         except Exception as exc:  # noqa: BLE001 - wrapped in an application fault
             self.faults_returned += 1
             response = SoapResponse.for_fault(

@@ -362,40 +362,48 @@ class _ReplayOffsets:
         return f"_ReplayOffsets(n={len(self.offsets)})"
 
 
-#: The keys :func:`scenario_from_spec` reads: at the spec's top level, in a
-#: service and in a client group.  A key outside them records a setting
-#: replay cannot rebuild, so the reader refuses it.
-_SPEC_KEYS = frozenset(
-    {"name", "server_count", "sde_config", "services", "client_groups", "timeline"}
-)
-_SERVICE_KEYS = frozenset({"name", "operations", "technology", "replicas"})
-_GROUP_KEYS = frozenset(
-    {
-        "count", "protocol_mix", "service", "calls", "operation", "arguments",
-        "think_time", "offsets", "stale_every", "retry", "cohort",
-    }
-)
+#: The keys :func:`scenario_from_spec` reads (``*_KEYS``) and the ones it
+#: cannot do without (``*_REQUIRED``): at the spec's top level, in a
+#: service, in a client group and in a timeline entry.  A key outside them
+#: records a setting replay cannot rebuild, and a missing required one a
+#: world it cannot build, so the reader refuses both.
+_SPEC_REQUIRED = frozenset({"name", "server_count", "services", "client_groups", "timeline"})
+_SPEC_KEYS = _SPEC_REQUIRED | {"sde_config"}
+_SERVICE_KEYS = _SERVICE_REQUIRED = frozenset({"name", "operations", "technology", "replicas"})
+_GROUP_REQUIRED = frozenset({"count", "calls", "arguments", "think_time", "offsets"})
+_GROUP_KEYS = _GROUP_REQUIRED | {
+    "protocol_mix", "service", "operation", "stale_every", "retry", "cohort"
+}
+_TIMELINE_KEYS = frozenset({"time", "event"})
 
 
-def _check_keys(record: Mapping[str, Any], known: frozenset[str], where: str) -> None:
+def _check_keys(
+    record: Mapping[str, Any], known: frozenset[str], required: frozenset[str], where: str
+) -> None:
     unknown = sorted(set(record) - known)
     if unknown:
         raise TraceError(f"{where} records {unknown}, which replay cannot rebuild")
+    missing = sorted(required - set(record))
+    if missing:
+        raise TraceError(f"{where} lacks {missing}, which replay needs")
 
 
 def scenario_from_spec(spec: Mapping[str, Any]) -> Scenario:
     """Rebuild a runnable :class:`Scenario` from a recorded spec dict.
 
     Raises :class:`~repro.errors.TraceError` for a key the reader does not
-    read, so a trace never replays as a different world.
+    read, so a trace never replays as a different world, and for a key it
+    needs but the spec lacks.
     """
-    _check_keys(spec, _SPEC_KEYS, "the scenario spec")
+    _check_keys(spec, _SPEC_KEYS, _SPEC_REQUIRED, "the scenario spec")
     scenario = Scenario(
         spec["name"], sde_config=_config_from_json(spec.get("sde_config"))
     )
     scenario.servers(spec["server_count"])
     for service in spec["services"]:
-        _check_keys(service, _SERVICE_KEYS, f"service {service.get('name')!r}")
+        _check_keys(
+            service, _SERVICE_KEYS, _SERVICE_REQUIRED, f"service {service.get('name')!r}"
+        )
         scenario.service(
             service["name"],
             [_op_from_json(item) for item in service["operations"]],
@@ -403,7 +411,7 @@ def scenario_from_spec(spec: Mapping[str, Any]) -> Scenario:
             replicas=service["replicas"],
         )
     for number, group in enumerate(spec["client_groups"], 1):
-        _check_keys(group, _GROUP_KEYS, f"client group {number}")
+        _check_keys(group, _GROUP_KEYS, _GROUP_REQUIRED, f"client group {number}")
         offsets = group["offsets"]
         if len(offsets) != group["count"]:
             raise TraceError(
@@ -429,7 +437,8 @@ def scenario_from_spec(spec: Mapping[str, Any]) -> Scenario:
             retry=RetryPolicy(**retry) if retry is not None else None,
             cohort=CohortModel(**cohort) if cohort is not None else None,
         )
-    for entry in spec["timeline"]:
+    for number, entry in enumerate(spec["timeline"], 1):
+        _check_keys(entry, _TIMELINE_KEYS, _TIMELINE_KEYS, f"timeline entry {number}")
         scenario.at(entry["time"], _event_from_json(entry["event"]))
     return scenario
 

@@ -107,6 +107,11 @@ class TestServiceRegistry:
         with pytest.raises(ClusterError):
             registry.select("empty", "client-1")
 
+    def test_replica_repr_names_its_node_or_none(self):
+        on_node = Replica("svc", 0, _FakeNode("node-0"), None)
+        assert repr(on_node) == "Replica(svc#0 on node-0, in_flight=0)"
+        assert repr(Replica("svc", 1, None, None)) == "Replica(svc#1 off-cluster, in_flight=0)"
+
 
 class _FakePublisher:
     """A stand-in publisher carrying just what version routing reads."""

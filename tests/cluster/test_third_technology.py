@@ -115,7 +115,7 @@ def _toy_technology() -> Technology:
         )
 
     def handler_factory(manager, server):
-        return ToyCallHandler(manager, server, TOY_BASE_PORT + manager.deployments)
+        return ToyCallHandler(manager, server, TOY_BASE_PORT + len(manager.managed_servers))
 
     return Technology(
         name=TOY,

@@ -283,13 +283,11 @@ class TestRenderThatRaises:
     ):
         publisher = _calc_publisher(_FlakyPublisher, network, scheduler)
         interface_server = publisher.interface_server
-        published = []
-        publisher.publication_listeners.append(published.append)
         _add_and_force(publisher)
         scheduler.run_until_idle()
         # The publication event itself no longer renders, so it completes.
         assert publisher.version == 1
-        assert [record.version for record in published] == [1]
+        assert [record.version for record in publisher.publication_history] == [1]
         assert publisher.published_description.has_operation("add")
 
         client = HttpClient(network.host("client"))

@@ -80,26 +80,27 @@ class TestStableTimeoutStrategy:
             add_operation(dynamic_class, f"operation_{index}")
             scheduler.run_for(0.2)
         scheduler.run_for(TIMEOUT + GENERATION_COST + 0.1)
-        assert publisher.stats.publications == 1
-        assert publisher.stats.changes_observed == 5
+        assert len(publisher.publication_history) == 1
+        # Each of the four later changes restarted the first one's countdown.
         assert publisher.stats.timer_resets == 4
 
     def test_body_changes_do_not_trigger_publication(self, world):
         _env, dynamic_class, publisher, _server, scheduler = world
         add_operation(dynamic_class)
         scheduler.run_for(TIMEOUT + GENERATION_COST + 0.1)
-        publications_before = publisher.stats.publications
+        publications_before = len(publisher.publication_history)
         dynamic_class.method("add").set_body(lambda self, a, b: a * b)
         scheduler.run_for(TIMEOUT + GENERATION_COST + 0.1)
-        assert publisher.stats.publications == publications_before
+        assert len(publisher.publication_history) == publications_before
 
     def test_changes_to_other_classes_ignored(self, world):
         environment, _cls, publisher, _server, scheduler = world
         other = environment.create_class("Other")
         add_operation(other)
         scheduler.run_for(TIMEOUT + GENERATION_COST + 0.1)
-        assert publisher.stats.changes_observed == 0
-        assert publisher.stats.publications == 0
+        assert not publisher.timer.running
+        assert publisher.stats.generations == 0
+        assert publisher.publication_history == []
 
     def test_versions_increase_monotonically(self, world):
         _env, dynamic_class, publisher, _server, scheduler = world
@@ -118,8 +119,9 @@ class TestStableTimeoutStrategy:
         scheduler.run_for(TIMEOUT + GENERATION_COST + 0.1)
         publisher.force_publish()
         scheduler.run_for(GENERATION_COST + 0.1)
-        assert publisher.stats.publications == 1
-        assert publisher.stats.redundant_generations == 1
+        # Two generations, one publication: the forced one was redundant.
+        assert publisher.stats.generations == 2
+        assert len(publisher.publication_history) == 1
 
     def test_timer_expiry_during_generation_queues_another(self, world):
         _env, dynamic_class, publisher, _server, scheduler = world
@@ -235,15 +237,15 @@ class TestAlternativeStrategies:
         for index in range(3):
             add_operation(dynamic_class, f"operation_{index}")
             scheduler.run_for(GENERATION_COST + 0.05)
-        assert publisher.stats.publications == 3
+        assert len(publisher.publication_history) == 3
 
     def test_polling_publishes_on_next_tick(self, network, scheduler):
         dynamic_class, publisher = self._build(network, scheduler, STRATEGY_POLLING, poll_interval=1.0)
         add_operation(dynamic_class)
         scheduler.run_for(0.5)
-        assert publisher.stats.publications == 0
+        assert publisher.publication_history == []
         scheduler.run_for(1.0 + GENERATION_COST)
-        assert publisher.stats.publications == 1
+        assert len(publisher.publication_history) == 1
 
     def test_polling_does_not_regenerate_when_current(self, network, scheduler):
         dynamic_class, publisher = self._build(network, scheduler, STRATEGY_POLLING, poll_interval=1.0)

@@ -1,4 +1,4 @@
-"""Unit tests for the typed interface-diff engine and the version graph."""
+"""Unit tests for the typed interface-diff engine."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.evolve import (
     CLASS_BREAKING,
     CLASS_COMPATIBLE,
     CLASS_IDENTICAL,
-    VersionGraph,
     diff_descriptions,
     is_compatible,
 )
@@ -156,37 +155,3 @@ class TestDiffDocuments:
         new = parse(render(_description(2, ECHO, PING)))
         assert diff_descriptions(old, new).classification == CLASS_COMPATIBLE
 
-
-class TestVersionGraph:
-    def test_records_and_queries_per_replica_history(self):
-        graph = VersionGraph("Svc")
-        graph.record(0, 1, _description(1, ECHO), time=0.0)
-        graph.record(0, 2, _description(2, ECHO, PING), time=1.0)
-        graph.record(1, 1, _description(1, ECHO), time=0.0)
-        assert graph.replicas() == (0, 1)
-        assert graph.versions(0) == (1, 2)
-        assert graph.max_version == 2
-        assert graph.latest(0).version == 2
-        assert graph.latest(7) is None
-        assert graph.description(0, 1).operation_names() == ("echo",)
-        with pytest.raises(KeyError):
-            graph.description(0, 9)
-
-    def test_record_is_idempotent(self):
-        graph = VersionGraph("Svc")
-        first = graph.record(0, 1, _description(1, ECHO), time=0.0)
-        again = graph.record(0, 1, _description(1, ECHO, PING), time=5.0)
-        assert again is first  # the original node wins
-
-    def test_delta_and_edges_use_the_diff_engine(self):
-        graph = VersionGraph("Svc")
-        graph.record(0, 1, _description(1, ECHO), time=0.0)
-        graph.record(0, 2, _description(2, ECHO, PING), time=1.0)
-        graph.record(0, 3, _description(3, PING), time=2.0)
-        assert graph.delta(0, 1, 2).classification == CLASS_COMPATIBLE
-        assert graph.delta(0, 2, 3).classification == CLASS_BREAKING
-        edges = graph.edges(0)
-        assert [edge.classification for edge in edges] == [
-            CLASS_COMPATIBLE,
-            CLASS_BREAKING,
-        ]

@@ -25,7 +25,7 @@ from repro import (
 )
 from repro.core.sde import SDEConfig
 from repro.errors import RolloutError
-from repro.evolve import CLASS_BREAKING, CLASS_COMPATIBLE, InterfaceUpgrade
+from repro.evolve import CLASS_BREAKING, CLASS_COMPATIBLE, InterfaceUpgrade, diff_descriptions
 
 ECHO = op("echo", (("m", STRING),), STRING, body=lambda _self, m: m)
 ECHO_V2 = op("echo_v2", (("m", STRING),), STRING, body=lambda _self, m: m + "!")
@@ -368,20 +368,20 @@ class TestDeadlineCutRollout:
         assert entry.active_rollout is controller
 
 
-class TestVersionGraphWiring:
-    def test_scenario_feeds_per_replica_version_graphs(self):
+class TestPublicationHistory:
+    def test_each_replica_history_ends_breaking(self):
         runtime = (
             _scenario("graph-wire")
             .at(0.03, rolling("Echo", BREAKING, batch_size=1, drain=0.03))
             .build()
         )
         runtime.run()
-        graph = runtime.registry.lookup("Echo").version_graph
-        assert graph.service == "Echo"
-        assert graph.replicas() == (0, 1)
-        for replica_index in graph.replicas():
+        replicas = runtime.replicas("Echo")
+        assert [replica.index for replica in replicas] == [0, 1]
+        for replica in replicas:
+            history = replica.publisher.publication_history
             # minimal (v1) -> operations (v2) -> breaking upgrade (v3).
-            assert graph.versions(replica_index) == (1, 2, 3)
-            edges = graph.edges(replica_index)
-            assert edges[-1].classification == CLASS_BREAKING
-            assert edges[-1].removed == ("echo",)
+            assert tuple(record.version for record in history) == (1, 2, 3)
+            last = diff_descriptions(history[-2].description, history[-1].description)
+            assert last.classification == CLASS_BREAKING
+            assert last.removed == ("echo",)

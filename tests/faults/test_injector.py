@@ -135,7 +135,7 @@ class TestNetworkLinkFaults:
             source.send(Address("dst", 9), b"m%d" % index)
         scheduler.run_until_idle()
         assert received == []
-        assert network.stats.messages_dropped == 5
+        assert network.messages_dropped == 5
 
     def test_fault_applies_to_one_direction_only(self):
         scheduler, network, source, received = self._world()
@@ -178,7 +178,7 @@ class TestDownHosts:
         sink.down = True
         scheduler.run_until_idle()
         assert received == []
-        assert sink.stats.messages_dropped == 1
+        assert network.messages_dropped == 1
         # Traffic sent while down is discarded at transmit time too.
         source.send(Address("dst", 9), b"doomed")
         scheduler.run_until_idle()

@@ -123,11 +123,12 @@ class TestDelivery:
         silent = Network(scheduler, loopback_profile())
         server2 = silent.add_host("server")
         client2 = silent.add_host("client")
-        server2.bind(80, lambda m, h: None)
+        received, listener = _collector()
+        server2.bind(80, listener)
         client2.send(Address("server", 80), b"three")
         scheduler.run_until_idle()
         assert silent.delivered_messages == []
-        assert silent.stats.messages_received == 1
+        assert [m.payload for m in received] == [b"three"]
 
     def test_same_instant_sends_deliver_in_send_order(self, scheduler):
         """Equal-size messages sent back-to-back coalesce into one delivery
@@ -170,7 +171,7 @@ class TestLinksAndPartitions:
         network.host("client").send(Address("server", 80), b"lost")
         scheduler.run_until_idle()
         assert received == []
-        assert network.stats.messages_dropped == 1
+        assert network.messages_dropped == 1
 
     def test_heal_restores_traffic(self, network, scheduler):
         received, listener = _collector()
@@ -191,10 +192,11 @@ class TestStats:
     def test_counters_updated(self, network, scheduler):
         received, listener = _collector()
         network.host("server").bind(80, listener)
-        network.host("client").send(Address("server", 80), b"12345")
+        first = network.host("client").send(Address("server", 80), b"12345")
+        network.partition("client", "server")
+        second = network.host("client").send(Address("server", 80), b"lost")
         scheduler.run_until_idle()
-        assert network.stats.messages_sent == 1
-        assert network.stats.bytes_sent == 5
-        assert network.host("client").stats.messages_sent == 1
-        assert network.host("server").stats.messages_received == 1
-        assert network.host("server").stats.bytes_received == 5
+        # Message ids number every send, delivered or dropped.
+        assert (first.message_id, second.message_id) == (1, 2)
+        assert [m.payload for m in received] == [b"12345"]
+        assert network.messages_dropped == 1

@@ -147,18 +147,18 @@ class TestEndpointDispatch:
         client.send(Address("server", 9100), b"ping", source_port=source.port)
         scheduler.run_until_idle()
         assert received == [b"pong:ping"]
-        assert endpoint.stats.requests_received == 1
         assert endpoint.stats.replies_sent == 1
 
     def test_oneway_none_outcome_sends_nothing(self, network, scheduler):
         server = network.host("server")
-        endpoint = Endpoint(server, 9100, lambda message, conn: None)
+        arrived = []
+        endpoint = Endpoint(server, 9100, lambda message, conn: arrived.append(message.payload))
         endpoint.start()
         client, source, received = _collecting_client(network)
         client.send(Address("server", 9100), b"fire-and-forget", source_port=source.port)
         scheduler.run_until_idle()
+        assert arrived == [b"fire-and-forget"]
         assert received == []
-        assert endpoint.stats.requests_received == 1
         assert endpoint.stats.replies_sent == 0
 
     def test_delayed_reply_charges_clock(self, network, scheduler):
@@ -214,7 +214,6 @@ class TestEndpointDispatch:
         scheduler.run_until_idle()
         assert received == []
         assert endpoint.stats.replies_dropped == 1
-        assert endpoint.connections[0].replies_dropped == 1
 
     def test_handler_crash_releases_fifo_slot(self, network, scheduler):
         """A handler exception must not wedge the connection: later requests
@@ -245,8 +244,7 @@ class TestEndpointDispatch:
         for _ in range(3):
             client.send(Address("server", 9100), b"x", source_port=source.port)
             scheduler.run_until_idle()
-        assert endpoint.stats.connections_opened == 1
-        assert endpoint.stats.connections_reused == 2
+        assert received == [b"ok"] * 3
         assert len(endpoint.connections) == 1
 
 
@@ -266,7 +264,6 @@ class TestClientChannel:
         ).wait(scheduler)
         assert reply == b"echo:hi"
         assert channel.requests_sent == 1
-        assert channel.replies_received == 1
 
     def test_connection_reused_across_requests(self, network, scheduler):
         endpoint = self._echo_endpoint(network)
@@ -274,8 +271,8 @@ class TestClientChannel:
         for _ in range(4):
             channel.request_async(Address("server", 9200), b"x", lambda m: m.payload).wait(scheduler)
         assert len(channel.connections) == 1
-        assert endpoint.stats.connections_opened == 1
-        assert endpoint.stats.connections_reused == 3
+        assert len(endpoint.connections) == 1
+        assert endpoint.stats.replies_sent == 4
 
     def test_async_requests_pipeline_in_order(self, network, scheduler):
         self._echo_endpoint(network)

@@ -122,7 +122,7 @@ class TestPublisherProperties:
             )
             runtime.world.run_for(gap)
         runtime.world.run_until_idle()
-        assert publisher.stats.publications <= len(gaps) + 1
+        assert len(publisher.publication_history) <= len(gaps) + 1
 
 
 # ---------------------------------------------------------------------------

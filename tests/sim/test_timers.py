@@ -29,7 +29,6 @@ class TestResettableTimer:
         timer.reset()
         scheduler.run_until_idle()
         assert fired == [3.5]
-        assert timer.resets == 1
 
     def test_multiple_resets_only_fire_once(self, scheduler: Scheduler):
         fired = []
@@ -79,12 +78,13 @@ class TestResettableTimer:
             timer.timeout = -1.0
 
     def test_expiration_counter(self, scheduler: Scheduler):
-        timer = ResettableTimer(scheduler, 1.0, lambda: None)
+        fired = []
+        timer = ResettableTimer(scheduler, 1.0, lambda: fired.append(scheduler.now))
         timer.start()
         scheduler.run_until_idle()
         timer.start()
         scheduler.run_until_idle()
-        assert timer.expirations == 2
+        assert fired == [1.0, 2.0]
 
 
 class TestPeriodicTimer:

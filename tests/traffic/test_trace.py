@@ -165,6 +165,27 @@ class TestSpecValidation:
         with pytest.raises(TraceError, match=rf"{named} records \['{key}'\]"):
             scenario_from_spec(spec)
 
+    @pytest.mark.parametrize(
+        "where, key, named",
+        [
+            ("spec", "services", "the scenario spec"),
+            ("service", "technology", "service 'EchoSoap'"),
+            ("group", "offsets", "client group 1"),
+            ("timeline", "time", "timeline entry 1"),
+        ],
+    )
+    def test_a_missing_key_is_rejected_by_name(self, where, key, named):
+        spec = scenario_to_spec(small_world())
+        target = {
+            "spec": spec,
+            "service": spec["services"][0],
+            "group": spec["client_groups"][0],
+            "timeline": spec["timeline"][0],
+        }[where]
+        del target[key]
+        with pytest.raises(TraceError, match=rf"{named} lacks \['{key}'\]"):
+            scenario_from_spec(spec)
+
     def test_offsets_count_mismatch_rejected(self):
         spec = scenario_to_spec(small_world(with_faults=False))
         spec["client_groups"][0]["offsets"] = [0.0]

@@ -42,7 +42,6 @@ ALLOWED_TEST_ONLY: dict[str, str] = {
     "flight_dumps": "documented API: ARCHITECTURE and the verify notes read obs.flight_dumps",
     "replay_artifact": "documented API: ARCHITECTURE replays a fuzz artifact with it",
     "try_again": "§6: the debugger's 'try again' re-executes the failed call",
-    "edges": "documented API: ARCHITECTURE's version graph answers edges(replica)",
     "million_client_scenario": "documented API: README runs it, and so does CI's memory smoke",
 }
 
