@@ -172,6 +172,9 @@ class churn:
 
 
 # -- declarative specs ---------------------------------------------------------
+#
+# What the builder declares.  Each checks itself in __post_init__, which the
+# builder and trace replay's record reader both run.
 
 
 @dataclass(frozen=True)
@@ -180,6 +183,10 @@ class _ServiceSpec:
     operations: tuple[OperationSpec, ...]
     technology: str
     replicas: int
+
+    def __post_init__(self) -> None:
+        if self.replicas < 1:
+            raise ClusterError(f"service {self.name!r} needs at least one replica")
 
 
 @dataclass(frozen=True)
@@ -195,6 +202,19 @@ class _ClientGroupSpec:
     stale_every: int | None
     retry: RetryPolicy | None
     cohort: CohortModel | None = None
+
+    def __post_init__(self) -> None:
+        if self.count < 1:
+            raise ClusterError("a client group needs at least one client")
+        if self.service is not None and self.protocol_mix is not None:
+            raise ClusterError("give a client group either a service or a protocol_mix")
+        mix = dict(self.protocol_mix or ())
+        if not all(math.isfinite(w) and w >= 0 for w in mix.values()):
+            raise ClusterError(f"protocol_mix weights must be finite and non-negative: {mix}")
+        if self.cohort is not None and not isinstance(self.cohort, CohortModel):
+            raise ClusterError(
+                f"cohort must be a CohortModel, got {type(self.cohort).__name__}"
+            )
 
 
 class Scenario:
@@ -253,8 +273,6 @@ class Scenario:
         ``canary`` rollout arms version-aware selection when it starts
         (see :mod:`repro.cluster.registry`).
         """
-        if replicas < 1:
-            raise ClusterError(f"service {name!r} needs at least one replica")
         self._services.append(_ServiceSpec(name, tuple(operations), technology, replicas))
         return self
 
@@ -303,18 +321,6 @@ class Scenario:
         cohort=CohortModel(representatives=32), ...)`` is the
         million-client form.
         """
-        if count < 1:
-            raise ClusterError("a client group needs at least one client")
-        if service is not None and protocol_mix is not None:
-            raise ClusterError("give a client group either a service or a protocol_mix")
-        if protocol_mix and not all(math.isfinite(w) and w >= 0 for w in protocol_mix.values()):
-            raise ClusterError(
-                f"protocol_mix weights must be finite and non-negative: {protocol_mix}"
-            )
-        if cohort is not None and not isinstance(cohort, CohortModel):
-            raise ClusterError(
-                f"cohort must be a CohortModel, got {type(cohort).__name__}"
-            )
         self._client_groups.append(
             _ClientGroupSpec(
                 count=count,

@@ -55,7 +55,6 @@ class PublicationRecord:
     version: int
     time: float
     description: InterfaceDescription
-    forced: bool = False
 
 
 @dataclass
@@ -112,7 +111,6 @@ class DLPublisher:
 
         self._generation_in_progress = False
         self._pending_generation = False
-        self._force_next_publication = False
         self._waiters: list[Callable[[], None]] = []
 
     # -- abstract rendering -------------------------------------------------
@@ -189,7 +187,7 @@ class DLPublisher:
         description = InterfaceDescription.minimal(
             self.dynamic_class.name, self.namespace, self.endpoint_url
         )
-        self._publish(description, forced=False)
+        self._publish(description)
 
     def start(self) -> None:
         """Begin monitoring (start the polling timer when that strategy is used)."""
@@ -230,7 +228,6 @@ class DLPublisher:
     def force_publish(self) -> None:
         """Force timer expiration: generate and publish now."""
         self.stats.forced_publications += 1
-        self._force_next_publication = True
         self.timer.cancel()
         self._begin_generation()
 
@@ -279,9 +276,6 @@ class DLPublisher:
 
     def _complete_generation(self, snapshot: InterfaceDescription) -> None:
         self._generation_in_progress = False
-        forced = self._force_next_publication
-        self._force_next_publication = False
-
         already_published = (
             self.published_description is not None
             and self.published_description.same_signature(snapshot)
@@ -289,7 +283,7 @@ class DLPublisher:
         # "publication is triggered only when the published interface is
         # out of date" — a redundant generation does not bump the version.
         if not already_published:
-            self._publish(snapshot, forced=forced)
+            self._publish(snapshot)
 
         if self._pending_generation:
             self._pending_generation = False
@@ -297,7 +291,7 @@ class DLPublisher:
             return
         self._flush_waiters()
 
-    def _publish(self, description: InterfaceDescription, forced: bool) -> None:
+    def _publish(self, description: InterfaceDescription) -> None:
         self.version += 1
         versioned = description.with_version(self.version)
         self.interface_server.publish(
@@ -309,7 +303,6 @@ class DLPublisher:
                 version=self.version,
                 time=self.scheduler.now,
                 description=versioned,
-                forced=forced,
             )
         )
 

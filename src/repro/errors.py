@@ -250,9 +250,10 @@ class NoAliveReplicaError(ClusterError):
 
 class TraceError(ClusterError):
     """Raised by the trace record/replay layer (:mod:`repro.traffic.trace`):
-    unversioned or malformed trace files, and scenarios that cannot be
-    serialised (unregistered operation bodies, non-JSON arguments,
-    untraceable timeline actions)."""
+    unversioned or malformed trace files, records that do not read back
+    (:mod:`repro.util.records`, naming the record), and scenarios that
+    cannot be serialised (unregistered operation bodies, non-JSON
+    arguments, untraceable timeline actions)."""
 
 
 # -- interface-evolution layer -----------------------------------------------------

@@ -245,13 +245,8 @@ class Host:
         return message
 
     def deliver(self, message: Message) -> None:
-        """Called by the network when a message arrives at this host."""
-        if self.down:
-            # The machine crashed while this message was in flight: a dead
-            # NIC receives nothing, so the message is silently discarded
-            # (and counted) instead of reaching a stale listener.
-            self.network.messages_dropped += 1
-            return
+        """Called by the network when a message arrives at this host (the
+        network drops, and counts, a message whose host is down)."""
         listener = self._listeners.get(message.destination.port)
         if listener is None:
             raise SimConnectionRefusedError(

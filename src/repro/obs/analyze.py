@@ -691,10 +691,10 @@ def main(argv: "list[str] | None" = None) -> int:
 
     if args.command == "slo":
         from repro.obs.metrics import MetricsReport
-        from repro.obs.slo import SLO, evaluate_slos, format_results
+        from repro.obs.slo import SLO, SLO_RECORDS, evaluate_slos, format_results
 
         payload = json.loads(Path(args.metrics).read_text())
-        slos = [SLO.from_dict(spec) for spec in payload.get("slos", [])]
+        slos = SLO_RECORDS.read([SLO], payload.get("slos", []), "slo")
         if not slos:
             print(
                 f"{args.metrics} embeds no SLO declarations "

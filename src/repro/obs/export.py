@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.obs.metrics import MetricsReport
+from repro.obs.slo import SLO_RECORDS
 from repro.obs.spans import KIND_INSTANT, Span
 
 
@@ -109,7 +110,7 @@ def export_metrics_json(
     """
     path = Path(path)
     payload = report.to_dict()
-    slo_specs = [slo.to_dict() for slo in slos]
+    slo_specs = SLO_RECORDS.write(list(slos))
     if slo_specs:
         payload["slos"] = slo_specs
     path.write_text(json.dumps(payload, indent=2) + "\n")

@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.cluster.report import Outcomes
 from repro.errors import ReproError
+from repro.util.records import RecordCodec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsReport, MetricsSampler
@@ -66,17 +67,6 @@ class BurnWindow:
     short_s: float
     #: Alert when both windows burn budget at >= this multiple of steady use.
     factor: float
-
-    def to_dict(self) -> dict[str, float]:
-        return {"long_s": self.long_s, "short_s": self.short_s, "factor": self.factor}
-
-    @staticmethod
-    def from_dict(payload: dict) -> "BurnWindow":
-        return BurnWindow(
-            long_s=payload["long_s"],
-            short_s=payload["short_s"],
-            factor=payload["factor"],
-        )
 
 
 @dataclass(frozen=True)
@@ -114,28 +104,10 @@ class SLO:
     def total_series(self) -> str:
         return f"slo.{self.name}.total"
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "objective": self.objective,
-            "threshold_s": self.threshold_s,
-            "service": self.service,
-            "windows": [window.to_dict() for window in self.windows],
-        }
 
-    @staticmethod
-    def from_dict(payload: dict) -> "SLO":
-        return SLO(
-            name=payload["name"],
-            kind=payload["kind"],
-            objective=payload["objective"],
-            threshold_s=payload.get("threshold_s"),
-            service=payload.get("service"),
-            windows=tuple(
-                BurnWindow.from_dict(window) for window in payload.get("windows", [])
-            ),
-        )
+#: Writes and reads SLO declarations as records (the metrics JSON's and a
+#: trace spec's ``slos``): ``SLO_RECORDS.read([SLO], items, "slo")``.
+SLO_RECORDS = RecordCodec(from_json={"windows": [BurnWindow]})
 
 
 def latency_slo(
@@ -308,7 +280,7 @@ class SLOResult:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "slo": self.slo.to_dict(),
+            "slo": SLO_RECORDS.write(self.slo),
             "good": self.good,
             "total": self.total,
             "compliance": self.compliance,
@@ -451,6 +423,7 @@ def format_results(results: Sequence[SLOResult]) -> str:
 __all__ = [
     "SLO",
     "BurnWindow",
+    "SLO_RECORDS",
     "SLOAlert",
     "SLOResult",
     "latency_slo",

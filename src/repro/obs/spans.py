@@ -120,7 +120,6 @@ class Tracer:
 
     def __init__(self, scheduler, capacity: int = 4096) -> None:
         self.scheduler = scheduler
-        self.capacity = capacity
         self._ids = itertools.count(1)
         #: Finished spans, oldest evicted first once ``capacity`` is hit.
         self.finished: deque[Span] = deque(maxlen=capacity)

@@ -3,8 +3,8 @@
 A trace is a JSON-Lines file.  The first record is a ``header`` carrying
 the format tag (:data:`TRACE_FORMAT`); the second is the full *scenario
 spec* — world shape, services, client groups with their arrival offsets
-**already resolved** to plain floats, and the declared timeline; the
-records that follow are observations streamed out of the run (per-call
+**already resolved** to plain floats, the declared timeline and the
+declared SLOs; the records that follow are observations streamed out of the run (per-call
 issue/complete times and outcomes, cohort-flow batches, timeline actions
 firing); the last record is a ``summary`` with a SHA-256 digest of the
 run's :meth:`~repro.cluster.report.ClusterReport.fingerprint`.
@@ -16,9 +16,11 @@ replay"):
   concrete per-position offsets at record time and those floats — which
   round-trip exactly through JSON — are what a replayed Scenario uses.
 * **Everything else in a scenario is declarative.**  Services, client
-  groups, retry/cohort models and timeline actions are data; operation
-  *bodies* (the one executable piece) are serialised by name through a
-  registry (:func:`register_trace_body`), never by value.
+  groups, retry/cohort models, timeline actions and SLOs are dataclasses,
+  written and read by one checked record codec
+  (:class:`~repro.util.records.RecordCodec`); operation *bodies* (the one
+  executable piece) are serialised by name through a registry
+  (:func:`register_trace_body`), never by value.
 
 ``replay(trace).run(until=reader.until)`` therefore produces a
 :class:`~repro.cluster.report.ClusterReport` whose ``fingerprint()`` is
@@ -29,12 +31,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.cluster.cohort import CohortModel
-from repro.cluster.scenario import OperationSpec, Scenario, churn, edit, op, publish
+from repro.cluster.scenario import (
+    OperationSpec,
+    Scenario,
+    _ClientGroupSpec,
+    _ServiceSpec,
+    churn,
+    edit,
+    publish,
+)
 from repro.core.sde import SDEConfig
 from repro.errors import TraceError
 from repro.evolve.actions import abort_rollout, canary, rolling
@@ -42,8 +51,10 @@ from repro.evolve.rollout import InterfaceUpgrade
 from repro.faults.actions import crash, drop_link, heal, partition, restart, restore_link
 from repro.faults.policy import RetryPolicy
 from repro.net.latency import CostModel
+from repro.obs.slo import SLO, SLO_RECORDS
 from repro.rmitypes import PRIMITIVES
 from repro.traffic.arrivals import resolve_offsets
+from repro.util.records import RecordCodec, check_keys, naming
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.report import ClusterReport
@@ -90,7 +101,7 @@ register_trace_body("echo", echo_body)
 register_trace_body("noop", noop_body)
 
 
-def _body_to_json(body: Callable[..., Any] | None) -> str | None:
+def _body_to_json(body: Callable[..., Any] | None, _spec: Any) -> str | None:
     if body is None:
         return None
     name = getattr(body, "__trace_body__", None)
@@ -103,57 +114,51 @@ def _body_to_json(body: Callable[..., Any] | None) -> str | None:
     return name
 
 
-def _body_from_json(name: str | None) -> Callable[..., Any] | None:
+def _body_from_json(name: str | None, _record: Any) -> Callable[..., Any] | None:
     if name is None:
         return None
-    try:
-        return _TRACE_BODIES[name]
-    except KeyError:
-        raise TraceError(
+    if name not in _TRACE_BODIES:
+        raise ValueError(
             f"trace names unregistered operation body {name!r}; register it "
             "with repro.traffic.trace.register_trace_body before replay"
-        ) from None
-
-
-# -- leaf serialisers ----------------------------------------------------------
-
-
-def _op_to_json(spec: OperationSpec) -> dict[str, Any]:
-    if not isinstance(spec, OperationSpec):
-        raise TraceError(f"expected an OperationSpec, got {type(spec).__name__}")
-    parameters = []
-    for name, rmi_type in spec.parameters:
-        type_name = getattr(rmi_type, "name", None)
-        if type_name not in PRIMITIVES:
-            raise TraceError(
-                f"operation {spec.name!r}: only primitive parameter types are "
-                f"traceable, got {rmi_type!r}"
-            )
-        parameters.append([name, type_name])
-    return_name = getattr(spec.return_type, "name", None)
-    if return_name not in PRIMITIVES:
-        raise TraceError(
-            f"operation {spec.name!r}: only primitive return types are "
-            f"traceable, got {spec.return_type!r}"
         )
-    return {
-        "name": spec.name,
-        "parameters": parameters,
-        "returns": return_name,
-        "body": _body_to_json(spec.body),
-    }
+    return _TRACE_BODIES[name]
 
 
-def _op_from_json(data: Mapping[str, Any]) -> OperationSpec:
-    return op(
-        data["name"],
-        [(name, PRIMITIVES[type_name]) for name, type_name in data["parameters"]],
-        PRIMITIVES[data["returns"]],
-        body=_body_from_json(data.get("body")),
-    )
+# -- the spec codec ------------------------------------------------------------
+#
+# Every declarative part of a scenario is a dataclass, written and read by
+# one RecordCodec (repro.util.records).  These tables hold what JSON cannot
+# hold as written: primitive types, bodies, hosts, argument scalars and the
+# resolved arrival offsets, and the two fields whose key is not their name.
 
 
-def _arguments_to_json(arguments: tuple[Any, ...]) -> list[Any]:
+def _type_name(rmi_type: Any, spec: OperationSpec) -> str:
+    name = getattr(rmi_type, "name", None)
+    if name not in PRIMITIVES:
+        raise TraceError(
+            f"operation {spec.name!r}: only primitive types are traceable, "
+            f"got {rmi_type!r}"
+        )
+    return name
+
+
+def _primitive(name: Any, _spec: Any = None) -> Any:
+    if name not in PRIMITIVES:
+        raise ValueError(f"{name!r} is not a primitive type")
+    return PRIMITIVES[name]
+
+
+def _host(ref: Any, _action: Any) -> Any:
+    if ref is None or isinstance(ref, (str, int)):
+        return ref
+    name = getattr(ref, "name", None)
+    if isinstance(name, str):
+        return name
+    raise TraceError(f"a host must be a name, index or node, got {ref!r}")
+
+
+def _arguments_to_json(arguments: tuple[Any, ...], _group: Any) -> list[Any]:
     for argument in arguments:
         if argument is not None and not isinstance(argument, (bool, int, float, str)):
             raise TraceError(
@@ -163,55 +168,43 @@ def _arguments_to_json(arguments: tuple[Any, ...]) -> list[Any]:
     return list(arguments)
 
 
-def _config_to_json(config: SDEConfig | None) -> dict[str, Any] | None:
-    if config is None:
-        return None
-    data = {f.name: getattr(config, f.name) for f in fields(SDEConfig)}
-    cost_model = data["cost_model"]
-    if cost_model is not None:
-        data["cost_model"] = {f.name: getattr(cost_model, f.name) for f in fields(CostModel)}
-    return data
+def _offsets_from_json(offsets: list[float], group: Mapping[str, Any]) -> Callable[[int], float]:
+    if len(offsets) != group["count"]:
+        raise ValueError(f"records {len(offsets)} offsets for {group['count']} clients")
+    # Position -> the recorded offset: replay never re-samples.
+    return tuple(offsets).__getitem__
 
 
-def _config_from_json(data: Mapping[str, Any] | None) -> SDEConfig | None:
-    if data is None:
-        return None
-    values = dict(data)
-    if values.get("cost_model") is not None:
-        values["cost_model"] = CostModel(**values["cost_model"])
-    return SDEConfig(**values)
-
-
-def _node_ref_to_json(ref: Any) -> Any:
-    if ref is None or isinstance(ref, (str, int)):
-        return ref
-    name = getattr(ref, "name", None)
-    if isinstance(name, str):
-        return name
-    raise TraceError(f"a host must be a name, index or node, got {ref!r}")
-
-
-def _upgrade_to_json(change: InterfaceUpgrade) -> dict[str, Any]:
-    return {
-        "add": [_op_to_json(spec) for spec in change.add],
-        "remove": list(change.remove),
-        "successors": dict(change.successors),
-    }
-
-
-def _upgrade_from_json(data: Mapping[str, Any]) -> InterfaceUpgrade:
-    return InterfaceUpgrade(
-        add=tuple(_op_from_json(item) for item in data["add"]),
-        remove=tuple(data["remove"]),
-        successors=dict(data["successors"]),
-    )
-
-
-# -- timeline events -----------------------------------------------------------
-#
-# Every timeline action is a frozen dataclass whose fields are its
-# arguments.  Its event is ``{"kind": kind, **fields}``; the fields holding
-# hosts, operations or an interface upgrade pass through a converter.
+_SPEC_RECORDS = RecordCodec(
+    to_json={
+        "parameters": lambda parameters, spec: [
+            [name, _type_name(rmi_type, spec)] for name, rmi_type in parameters
+        ],
+        "return_type": _type_name,
+        "body": _body_to_json,
+        "server": _host,
+        "a": _host,
+        "b": _host,
+        "arguments": _arguments_to_json,
+        # The resolved offsets ARE the arrival spec from here on.
+        "arrival": lambda arrival, group: list(resolve_offsets(arrival, group.count)),
+    },
+    from_json={
+        "parameters": lambda items, _spec: tuple(
+            (name, _primitive(type_name)) for name, type_name in items
+        ),
+        "return_type": _primitive,
+        "body": _body_from_json,
+        "arrival": _offsets_from_json,
+        "cost_model": CostModel,
+        "operations": [OperationSpec],
+        "add": [OperationSpec],
+        "change": InterfaceUpgrade,
+        "retry": RetryPolicy,
+        "cohort": CohortModel,
+    },
+    keys={"return_type": "returns", "arrival": "offsets"},
+)
 
 #: Every traceable timeline action class, by its ``kind``.
 TIMELINE_ACTIONS: dict[str, type] = {
@@ -222,53 +215,36 @@ TIMELINE_ACTIONS: dict[str, type] = {
     )
 }
 
-_FIELDS_TO_JSON: dict[str, Callable[[Any], Any]] = {
-    "server": _node_ref_to_json,
-    "a": _node_ref_to_json,
-    "b": _node_ref_to_json,
-    "operations": lambda specs: [_op_to_json(spec) for spec in specs],
-    "change": _upgrade_to_json,
-}
-_FIELDS_FROM_JSON: dict[str, Callable[[Any], Any]] = {
-    "operations": lambda items: tuple(_op_from_json(item) for item in items),
-    "change": _upgrade_from_json,
-}
-
-
-def _as_is(value: Any) -> Any:
-    return value
-
 
 def _traceable(action: Any) -> bool:
     return TIMELINE_ACTIONS.get(getattr(action, "kind", None)) is type(action)
 
 
 def _event_to_json(action: Any) -> dict[str, Any]:
+    """A timeline action's event: ``{"kind": kind}`` and its record."""
     if not _traceable(action):
         raise TraceError(
             f"timeline action {action!r} is opaque; use the edit/publish/churn, "
             "fault or rollout actions to keep the scenario traceable"
         )
-    return {"kind": action.kind} | {
-        field.name: _FIELDS_TO_JSON.get(field.name, _as_is)(getattr(action, field.name))
-        for field in fields(action)
-    }
+    return {"kind": action.kind} | _SPEC_RECORDS.write(action)
 
 
-def _event_from_json(data: Mapping[str, Any]) -> Any:
-    action_class = TIMELINE_ACTIONS.get(data["kind"])
+def _event_from_json(event: Any, where: str = "timeline event") -> Any:
+    kind = event.get("kind") if isinstance(event, Mapping) else None
+    action_class = TIMELINE_ACTIONS.get(kind)
     if action_class is None:
-        raise TraceError(f"trace names unknown timeline event kind {data['kind']!r}")
-    # The fields are restored as recorded, without calling __init__, so a
-    # kind with its own signature (edit's varargs) decodes like the rest.
-    action = object.__new__(action_class)
-    for field in fields(action_class):
-        decode = _FIELDS_FROM_JSON.get(field.name, _as_is)
-        object.__setattr__(action, field.name, decode(data[field.name]))
-    return action
+        raise TraceError(f"{where} is not an event of a timeline action kind: {event!r}")
+    record = {key: value for key, value in event.items() if key != "kind"}
+    return _SPEC_RECORDS.read(action_class, record, f"{where} ({kind})")
 
 
 # -- scenario spec <-> JSON ----------------------------------------------------
+
+#: The spec's keys, in the order the writer writes them.
+_SPEC_KEYS = (
+    "name", "server_count", "sde_config", "services", "client_groups", "timeline", "slos"
+)
 
 
 def scenario_to_spec(scenario: Scenario) -> dict[str, Any]:
@@ -282,164 +258,48 @@ def scenario_to_spec(scenario: Scenario) -> dict[str, Any]:
     """
     if scenario._technologies:
         raise TraceError("scenarios with third-party technologies are not traceable")
-    services = [
-        {
-            "name": service.name,
-            "operations": [_op_to_json(spec) for spec in service.operations],
-            "technology": service.technology,
-            "replicas": service.replicas,
-        }
-        for service in scenario._services
-    ]
-    groups = []
-    for group in scenario._client_groups:
-        retry = group.retry
-        cohort = group.cohort
-        groups.append(
-            {
-                "count": group.count,
-                "protocol_mix": (
-                    [list(item) for item in group.protocol_mix]
-                    if group.protocol_mix is not None
-                    else None
-                ),
-                "service": group.service,
-                "calls": group.calls,
-                "operation": group.operation,
-                "arguments": _arguments_to_json(group.arguments),
-                "think_time": group.think_time,
-                # The resolved offsets ARE the arrival spec from here on.
-                "offsets": list(resolve_offsets(group.arrival, group.count)),
-                "stale_every": group.stale_every,
-                "retry": (
-                    {
-                        "max_attempts": retry.max_attempts,
-                        "timeout": retry.timeout,
-                        "backoff": retry.backoff,
-                    }
-                    if retry is not None
-                    else None
-                ),
-                "cohort": (
-                    {
-                        "representatives": cohort.representatives,
-                        "tick": cohort.tick,
-                        "max_attempts": cohort.max_attempts,
-                    }
-                    if cohort is not None
-                    else None
-                ),
-            }
+    return dict(
+        zip(
+            _SPEC_KEYS,
+            (
+                scenario.name,
+                scenario._server_count,
+                _SPEC_RECORDS.write(scenario._base_config),
+                _SPEC_RECORDS.write(scenario._services),
+                _SPEC_RECORDS.write(scenario._client_groups),
+                [
+                    {"time": time, "event": _event_to_json(action)}
+                    for time, action in scenario._timeline
+                ],
+                SLO_RECORDS.write(scenario._slos),
+            ),
         )
-    timeline = [
-        {"time": time, "event": _event_to_json(action)} for time, action in scenario._timeline
-    ]
-    return {
-        "name": scenario.name,
-        "server_count": scenario._server_count,
-        "sde_config": _config_to_json(scenario._base_config),
-        "services": services,
-        "client_groups": groups,
-        "timeline": timeline,
-    }
-
-
-class _ReplayOffsets:
-    """A recorded group's arrival law: position -> resolved offset.
-
-    Plugs into ``Scenario.clients(..., arrival=...)`` through the callable
-    branch of :func:`~repro.traffic.arrivals.resolve_offsets`, handing back
-    exactly the floats the recording resolved — replay never re-samples.
-    """
-
-    def __init__(self, offsets: list[float]) -> None:
-        self.offsets = [float(offset) for offset in offsets]
-
-    def __call__(self, position: int) -> float:
-        return self.offsets[position]
-
-    def __repr__(self) -> str:
-        return f"_ReplayOffsets(n={len(self.offsets)})"
-
-
-#: The keys :func:`scenario_from_spec` reads (``*_KEYS``) and the ones it
-#: cannot do without (``*_REQUIRED``): at the spec's top level, in a
-#: service, in a client group and in a timeline entry.  A key outside them
-#: records a setting replay cannot rebuild, and a missing required one a
-#: world it cannot build, so the reader refuses both.
-_SPEC_REQUIRED = frozenset({"name", "server_count", "services", "client_groups", "timeline"})
-_SPEC_KEYS = _SPEC_REQUIRED | {"sde_config"}
-_SERVICE_KEYS = _SERVICE_REQUIRED = frozenset({"name", "operations", "technology", "replicas"})
-_GROUP_REQUIRED = frozenset({"count", "calls", "arguments", "think_time", "offsets"})
-_GROUP_KEYS = _GROUP_REQUIRED | {
-    "protocol_mix", "service", "operation", "stale_every", "retry", "cohort"
-}
-_TIMELINE_KEYS = frozenset({"time", "event"})
-
-
-def _check_keys(
-    record: Mapping[str, Any], known: frozenset[str], required: frozenset[str], where: str
-) -> None:
-    unknown = sorted(set(record) - known)
-    if unknown:
-        raise TraceError(f"{where} records {unknown}, which replay cannot rebuild")
-    missing = sorted(required - set(record))
-    if missing:
-        raise TraceError(f"{where} lacks {missing}, which replay needs")
+    )
 
 
 def scenario_from_spec(spec: Mapping[str, Any]) -> Scenario:
     """Rebuild a runnable :class:`Scenario` from a recorded spec dict.
 
-    Raises :class:`~repro.errors.TraceError` for a key the reader does not
-    read, so a trace never replays as a different world, and for a key it
-    needs but the spec lacks.
+    Every record is read by the codec that wrote it, which takes exactly
+    the keys the writer writes and runs the checks the builder runs, so any
+    key, value or record the world could not be built from raises
+    :class:`~repro.errors.TraceError` naming it, before any world is built.
     """
-    _check_keys(spec, _SPEC_KEYS, _SPEC_REQUIRED, "the scenario spec")
-    scenario = Scenario(
-        spec["name"], sde_config=_config_from_json(spec.get("sde_config"))
-    )
-    scenario.servers(spec["server_count"])
-    for service in spec["services"]:
-        _check_keys(
-            service, _SERVICE_KEYS, _SERVICE_REQUIRED, f"service {service.get('name')!r}"
+    check_keys(spec, _SPEC_KEYS, "the scenario spec")
+    with naming("the scenario spec"):
+        config = _SPEC_RECORDS.read(SDEConfig, spec["sde_config"], "sde_config")
+        scenario = Scenario(spec["name"], sde_config=config).servers(spec["server_count"])
+        scenario._services.extend(
+            _SPEC_RECORDS.read([_ServiceSpec], spec["services"], "service")
         )
-        scenario.service(
-            service["name"],
-            [_op_from_json(item) for item in service["operations"]],
-            technology=service["technology"],
-            replicas=service["replicas"],
+        scenario._client_groups.extend(
+            _SPEC_RECORDS.read([_ClientGroupSpec], spec["client_groups"], "client group")
         )
-    for number, group in enumerate(spec["client_groups"], 1):
-        _check_keys(group, _GROUP_KEYS, _GROUP_REQUIRED, f"client group {number}")
-        offsets = group["offsets"]
-        if len(offsets) != group["count"]:
-            raise TraceError(
-                f"client group records {len(offsets)} offsets for "
-                f"{group['count']} clients"
-            )
-        retry = group.get("retry")
-        cohort = group.get("cohort")
-        scenario.clients(
-            group["count"],
-            protocol_mix=(
-                {name: weight for name, weight in group["protocol_mix"]}
-                if group.get("protocol_mix") is not None
-                else None
-            ),
-            service=group.get("service"),
-            calls=group["calls"],
-            operation=group.get("operation"),
-            arguments=tuple(group["arguments"]),
-            think_time=group["think_time"],
-            arrival=_ReplayOffsets(offsets),
-            stale_every=group.get("stale_every"),
-            retry=RetryPolicy(**retry) if retry is not None else None,
-            cohort=CohortModel(**cohort) if cohort is not None else None,
-        )
-    for number, entry in enumerate(spec["timeline"], 1):
-        _check_keys(entry, _TIMELINE_KEYS, _TIMELINE_KEYS, f"timeline entry {number}")
-        scenario.at(entry["time"], _event_from_json(entry["event"]))
+        for number, entry in enumerate(spec["timeline"], 1):
+            where = f"timeline entry {number}"
+            check_keys(entry, ("time", "event"), where)
+            scenario.at(entry["time"], _event_from_json(entry["event"], where))
+        scenario.slo(*SLO_RECORDS.read([SLO], spec["slos"], "slo"))
     return scenario
 
 
@@ -525,9 +385,11 @@ class TraceWriter:
         """One finished observability span (``repro.obs``), already a dict.
 
         Only written when the run was traced *and* observed
-        (``record(..., obs=...)`` / ``Scenario.run(trace=..., obs=...)``);
-        replay ignores the channel, so a trace with spans still replays to
-        the same fingerprint as one without.
+        (``record(..., obs=...)`` / ``Scenario.run(trace=..., obs=...)``).
+        Replay does not read the channel, but observing shapes the run
+        (in-band trace context lengthens messages, sampler ticks are
+        events), so such a trace replays to its fingerprint only when the
+        replay is observed the same way (``run(obs=True)``).
         """
         self._write({"kind": "span", "span": dict(span)})
 
@@ -625,8 +487,10 @@ def record(
     The spec is serialised (and validated) *before* the run starts, so an
     untraceable scenario fails fast instead of after a long simulation.
     ``obs`` (see :meth:`Scenario.run`) additionally streams every finished
-    observability span into the trace as ``span`` records.  Returns the
-    run's report and a reader over the finished trace.
+    observability span into the trace as ``span`` records; the spec does
+    not record it, so replay the trace with the same ``obs`` to reproduce
+    the fingerprint.  Returns the run's report and a reader over the
+    finished trace.
     """
     spec = scenario_to_spec(scenario)
     writer = TraceWriter(path)
@@ -646,7 +510,9 @@ def replay(trace: str | Path | TraceReader) -> Scenario:
     ``replay(trace).run(until=reader.until)`` yields a report whose
     ``fingerprint()`` matches the recorded run byte for byte — arrivals
     come back as the recorded floats (never re-sampled) and every other
-    scenario ingredient is reconstructed from the declarative spec.
+    scenario ingredient is reconstructed from the declarative spec.  A
+    run recorded with ``obs=...`` matches only when run with the same
+    ``obs`` (observing lengthens messages and adds sampler events).
     """
     reader = trace if isinstance(trace, TraceReader) else TraceReader(trace)
     return scenario_from_spec(reader.spec)

@@ -148,7 +148,6 @@ class TestForcedPublication:
         scheduler.run_for(GENERATION_COST + 0.01)
         assert publisher.version == 1
         assert publisher.stats.forced_publications == 1
-        assert publisher.publication_history[-1].forced
 
     def test_timeout_tunable(self, world):
         _env, dynamic_class, publisher, _server, scheduler = world

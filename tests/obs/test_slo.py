@@ -22,6 +22,7 @@ from repro.obs import ObsConfig, Observability
 from repro.obs.metrics import MetricsReport
 from repro.obs.slo import (
     SLO,
+    SLO_RECORDS,
     BurnWindow,
     availability_slo,
     default_windows,
@@ -75,7 +76,8 @@ class TestDeclarations:
             service="Echo",
             windows=[BurnWindow(long_s=0.1, short_s=0.01, factor=4.0)],
         )
-        assert SLO.from_dict(slo.to_dict()) == slo
+        record = json.loads(json.dumps(SLO_RECORDS.write(slo)))
+        assert SLO_RECORDS.read(SLO, record, "slo") == slo
 
 
 class TestDefaultWindows:
@@ -249,7 +251,7 @@ class TestScenarioIntegration:
         report = self._scenario().run(obs=obs)
         path = obs.export_metrics(tmp_path / "metrics.json")
         payload = json.loads(path.read_text())
-        slos = [SLO.from_dict(spec) for spec in payload["slos"]]
+        slos = SLO_RECORDS.read([SLO], payload["slos"], "slo")
         assert {slo.name for slo in slos} == {r.name for r in report.slo_results}
         rebuilt = MetricsReport(
             interval=payload["interval"],

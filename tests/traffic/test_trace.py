@@ -6,10 +6,11 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.cluster import CohortModel, Scenario, churn, edit, op, publish
 from repro.cluster.presets import fault_drill_scenario
+from repro.cluster.topology import ClusterWorld
 from repro.core.sde import SDEConfig
 from repro.errors import TraceError
 from repro.evolve import abort_rollout, canary, rolling, upgrade
@@ -22,8 +23,10 @@ from repro.faults import (
     restart,
     restore_link,
 )
+from repro.obs.slo import BurnWindow, availability_slo, latency_slo
 from repro.rmitypes import INT, STRING
 from repro.traffic import TRACE_FORMAT, Poisson, TraceReader, record, replay
+from repro.traffic.fuzz import build_scenario, case_strategy
 from repro.traffic.trace import (
     echo_body,
     fingerprint_digest,
@@ -42,10 +45,11 @@ def small_world(
     arrival=0.001,
     cohort: CohortModel | None = None,
     clients: int = 24,
+    sde_config: SDEConfig | None = None,
 ) -> Scenario:
     echo = op("echo", (("message", STRING),), STRING, body=echo_body)
     scenario = (
-        Scenario(name="trace-world")
+        Scenario(name="trace-world", sde_config=sde_config)
         .servers(2)
         .service("EchoSoap", [echo], technology="soap", replicas=2)
         .service("EchoCorba", [echo], technology="corba", replicas=2)
@@ -186,6 +190,85 @@ class TestSpecValidation:
         with pytest.raises(TraceError, match=rf"{named} lacks \['{key}'\]"):
             scenario_from_spec(spec)
 
+    @pytest.mark.parametrize(
+        "mutate, named",
+        [
+            pytest.param(
+                lambda s: s["client_groups"][0]["retry"].update(jitter=0.01),
+                r"client group 1 retry records \['jitter'\]",
+                id="retry-extra-key",
+            ),
+            pytest.param(
+                lambda s: s["client_groups"][0].update(retry=[s["client_groups"][0]["retry"]]),
+                r"client group 1 retry is \[.*\], not an object",
+                id="retry-as-list",
+            ),
+            pytest.param(
+                lambda s: s["client_groups"][0]["cohort"].update(seed=3),
+                r"client group 1 cohort records \['seed'\]",
+                id="cohort-extra-key",
+            ),
+            pytest.param(
+                lambda s: s["sde_config"].update(server_threads=4),
+                r"sde_config records \['server_threads'\]",
+                id="sde-config-unknown-key",
+            ),
+            pytest.param(
+                lambda s: s["services"][0]["operations"][0].pop("returns"),
+                r"service 'EchoSoap' operations 'echo' lacks \['returns'\]",
+                id="operation-without-returns",
+            ),
+            pytest.param(
+                lambda s: s["services"][0]["operations"][0].update(returns="quaternion"),
+                r"service 'EchoSoap' operations 'echo': 'quaternion' is not a primitive",
+                id="unknown-return-type",
+            ),
+            pytest.param(
+                lambda s: _event(s, "crash").pop("server"),
+                r"timeline entry 1 \(crash\) lacks \['server'\]",
+                id="crash-without-server",
+            ),
+            pytest.param(
+                lambda s: s["client_groups"][0]["retry"].update(max_attempts=0),
+                r"client group 1 retry: max_attempts must be >= 1",
+                id="retry-max-attempts-0",
+            ),
+            pytest.param(
+                lambda s: s["client_groups"][0].update(count=0, offsets=[]),
+                r"client group 1: a client group needs at least one client",
+                id="group-count-0",
+            ),
+            pytest.param(
+                lambda s: s["services"][0].update(replicas=0),
+                r"service 'EchoSoap': service 'EchoSoap' needs at least one replica",
+                id="service-replicas-0",
+            ),
+            pytest.param(
+                lambda s: _event(s, "rolling").update(batch_size=0),
+                r"timeline entry 5 \(rolling\): batch_size must be at least 1",
+                id="rolling-batch-size-0",
+            ),
+        ],
+    )
+    def test_a_malformed_record_is_rejected_by_name(self, monkeypatch, mutate, named):
+        # Each record is checked by its class's own __post_init__ as it is
+        # read, so the reader refuses it before any world is built.
+        spec = scenario_to_spec(
+            small_world(
+                with_rollout=True,
+                cohort=CohortModel(representatives=8),
+                sde_config=SDEConfig(generation_cost=0.01),
+            )
+        )
+        mutate(spec)
+
+        def no_world(*_args, **_kwargs):
+            raise AssertionError("a world was built from a malformed spec")
+
+        monkeypatch.setattr(ClusterWorld, "__init__", no_world)
+        with pytest.raises(TraceError, match=named):
+            scenario_from_spec(spec)
+
     def test_offsets_count_mismatch_rejected(self):
         spec = scenario_to_spec(small_world(with_faults=False))
         spec["client_groups"][0]["offsets"] = [0.0]
@@ -210,6 +293,39 @@ class TestSpecValidation:
         assert spec["services"][0]["operations"][0]["body"] == "test-shout"
         rebuilt = scenario_from_spec(spec)
         assert rebuilt._services[0].operations[0].body is shout
+
+
+def _event(spec, kind):
+    """The first timeline event of ``kind`` in ``spec``."""
+    return next(e["event"] for e in spec["timeline"] if e["event"]["kind"] == kind)
+
+
+def slo_world() -> Scenario:
+    return small_world(with_faults=False).slo(
+        availability_slo("echo-availability", objective=0.99),
+        latency_slo(
+            "echo-p99",
+            threshold_s=0.02,
+            service="EchoSoap",
+            windows=[BurnWindow(long_s=0.1, short_s=0.01, factor=4.0)],
+        ),
+    )
+
+
+class TestSpecRoundTrip:
+    @seed(0)
+    @given(case=case_strategy())
+    @settings(max_examples=25, deadline=None)
+    def test_every_fuzz_case_round_trips(self, case):
+        # A field the writer drops or the reader ignores breaks this.
+        spec = json.loads(json.dumps(scenario_to_spec(build_scenario(case))))
+        assert scenario_to_spec(scenario_from_spec(spec)) == spec
+
+    def test_declared_slos_round_trip(self):
+        spec = json.loads(json.dumps(scenario_to_spec(slo_world())))
+        assert [slo["name"] for slo in spec["slos"]] == ["echo-availability", "echo-p99"]
+        assert scenario_to_spec(scenario_from_spec(spec)) == spec
+        assert scenario_from_spec(spec)._slos == slo_world()._slos
 
 
 class TestReplayByteIdentity:
@@ -239,6 +355,27 @@ class TestReplayByteIdentity:
             group.count
         )
         assert rebuilt.run().fingerprint() == report.fingerprint()
+
+    def test_declared_slos_replay_with_equal_results(self, tmp_path):
+        report, reader = record(slo_world(), tmp_path / "slo.jsonl")
+        replayed = replay(reader).run(until=reader.until)
+        assert fingerprint_digest(replayed) == reader.fingerprint_digest
+        assert [r.to_dict() for r in replayed.slo_results] == [
+            r.to_dict() for r in report.slo_results
+        ]
+        assert [r.name for r in replayed.slo_results] == ["echo-availability", "echo-p99"]
+
+    def test_an_observed_trace_replays_only_observed(self, tmp_path):
+        # Observability is not part of the spec, yet it shapes the run: its
+        # in-band context headers lengthen messages and its sampler ticks
+        # are events.  So an observed recording replays to its fingerprint
+        # only when the replay is observed too.
+        report, reader = record(small_world(), tmp_path / "obs.jsonl", obs=True)
+        assert reader.spans
+        observed = replay(reader).run(until=reader.until, obs=True)
+        assert fingerprint_digest(observed) == reader.fingerprint_digest
+        unobserved = replay(reader).run(until=reader.until)
+        assert unobserved.fingerprint() != report.fingerprint()
 
     def test_cohort_world_replays_byte_identical(self, tmp_path):
         report, reader = record(
@@ -319,7 +456,7 @@ def all_kinds_world() -> Scenario:
 
 #: SHA-256 of the all-kinds world's trace file.  The trace format is a
 #: contract: a change to how any timeline action is written shows here.
-ALL_KINDS_TRACE_SHA256 = "f90dbe4251eca71a76428656fb9939a06c8dd4568ff458a768699ee8b98d9af0"
+ALL_KINDS_TRACE_SHA256 = "0daa9079ae4b4317cac55d5c6cf8165877da9ebe64bc3af0590a5e2b9ebca4b7"
 
 
 class TestTimelineCodec:
