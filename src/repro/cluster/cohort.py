@@ -42,16 +42,16 @@ Determinism
 -----------
 
 Everything here is a pure function of the scenario spec and the virtual
-clock: a flow reads its arrival offsets in order from the group's seeded
+clock: a flow takes its arrival offsets in order from the group's seeded
 stream, ticks and settlement events fire on the one scheduler queue in
 ``(time, insertion order)`` order, and all accounting is integer counters
 plus a fixed-bin histogram.  Two runs of the same scenario produce
 byte-identical :meth:`CohortReport.fingerprint` values.
 
-A flow holds only the offsets it still needs: each tick it reads ahead of
-the clock in chunks of :data:`READ_CHUNK`, and drops the prefix that every
-call rank has passed.  Its buffer therefore spans about ``calls - 1``
-periods of arrivals, not the whole mass.
+A flow holds only the offsets it still needs: each tick it takes the shares
+its group's :class:`GroupArrivals` dealt it ahead of the clock, and drops
+the prefix that every call rank has passed.  Its buffer therefore spans
+about ``calls - 1`` periods of arrivals, not the whole mass.
 
 §6 recency at flow granularity: the flow keeps a watermark of the highest
 interface version it has observed.  A settlement that observes a version
@@ -64,8 +64,9 @@ counter at zero, exactly as on the discrete path.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, cycle, islice
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.cluster.histogram import LatencyHistogram
@@ -81,7 +82,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.simnet import Host
 
 
-#: Arrival offsets a flow reads from its stream at a time.
+#: Arrival offsets a group's reader deals to each of its flows per read.
 READ_CHUNK = 1024
 
 
@@ -123,13 +124,53 @@ class CohortModel:
             )
 
 
+class GroupArrivals:
+    """One cohort group's arrival stream, read once and dealt to its flows.
+
+    Mass position ``j`` speaks ``rotated[j % len(rotated)]``; ``shares``
+    queues, per flow protocol (``kinds``, in flow order), the shares dealt
+    but not yet taken.  A read checks ``len(kinds) * READ_CHUNK`` offsets
+    once.  When every slot of ``rotated`` is a different flow's, flow
+    ``k``'s share is the slice ``chunk[k::len(rotated)]``; other mixes
+    filter through each flow's persistent ``cycle`` over its mask.  A
+    callable's offsets come in position order: one read, shares sorted.
+    """
+
+    def __init__(
+        self, offsets: Iterator[float], rotated: list[str], kinds: list[str], ordered: bool
+    ) -> None:
+        self._offsets = offsets
+        self._size = len(kinds) * READ_CHUNK if ordered else None
+        self._sliced = len(kinds) == len(rotated)
+        self._masks = [cycle(map(kind.__eq__, rotated)) for kind in kinds]
+        self.shares: dict[str, deque[list[float]]] = {kind: deque() for kind in kinds}
+
+    def read(self, flow: str) -> bool:
+        """Deal the next chunk; False once the stream has ended.  A chunk
+        that fails :func:`_checked` raises naming ``flow``, which asked."""
+        chunk = list(islice(self._offsets, self._size))
+        if not chunk:
+            return False
+        try:
+            _checked(chunk)
+        except ClusterError as error:
+            raise ClusterError(f"cohort flow {flow!r}: {error}") from None
+        step = len(self.shares)
+        for k, (queue, mask) in enumerate(zip(self.shares.values(), self._masks)):
+            share = chunk[k::step] if self._sliced else list(compress(chunk, mask))
+            if self._size is None:
+                share.sort()
+            queue.append(share)
+        return True
+
+
 class CohortFlow:
     """One client group's modeled mass: an arrival process over the registry.
 
     Created by the scenario's plan builder — one flow per (group, protocol,
     service) with ``mass`` modeled clients, each issuing ``calls`` calls
-    spaced ``period`` apart starting at its own arrival offset.  The
-    ``arrivals`` iterator yields exactly ``mass`` offsets, sorted.
+    spaced ``period`` apart starting at its own arrival offset.  Its group's
+    ``arrivals`` reader deals it exactly ``mass`` offsets, sorted.
     """
 
     def __init__(
@@ -143,7 +184,7 @@ class CohortFlow:
         arguments: tuple[Any, ...],
         calls: int,
         think_time: float,
-        arrivals: Iterator[float],
+        arrivals: GroupArrivals,
         mass: int,
         model: CohortModel,
         host: "Host",
@@ -158,8 +199,10 @@ class CohortFlow:
         self.arguments = arguments
         self.calls = calls
         self.think_time = think_time
-        #: The not-yet-read arrival offsets (seconds after flow start), sorted.
+        #: The group's reader, and the shares of arrival offsets (seconds
+        #: after flow start, sorted) it has dealt this flow but not yet taken.
         self.arrivals = arrivals
+        self._shares = arrivals.shares[protocol]
         self.model = model
         self.host = host
         self.world = world
@@ -187,7 +230,6 @@ class CohortFlow:
         self._buffer: list[float] = []
         self._base = 0
         self._read = 0
-        self._exhausted = False
         #: Routed-but-failed batches carried to the next tick: (count, attempt).
         self._carry: list[tuple[int, int]] = []
         #: Settlement events scheduled but not yet dispatched — the flow
@@ -257,8 +299,6 @@ class CohortFlow:
         self._base_rtt = base_rtt
         self._period = base_rtt + self.think_time
         self._cpu_cost = probe_cpu
-        self.report.calibrated_rtt_s = self._base_rtt
-        self.report.calibrated_cpu_cost_s = self._cpu_cost
 
     # -- the arrival process -------------------------------------------------
 
@@ -274,33 +314,29 @@ class CohortFlow:
         self.driver.scheduler.schedule(max(first - self.driver.scheduler.now, 0.0), self._tick)
 
     def _fill(self, elapsed: float) -> None:
-        """Read offsets until one lies beyond ``elapsed`` or the stream ends.
+        """Take shares until an offset lies beyond ``elapsed`` or none remain.
 
         Every call rank's next arrival is then in the buffer: rank ``k``
         waits for offsets up to ``elapsed - k * period``, and none of them
         has passed the first offset beyond ``elapsed``.
         """
         buffer = self._buffer
-        while not self._exhausted and (not buffer or buffer[-1] <= elapsed):
-            chunk = list(islice(self.arrivals, READ_CHUNK))
-            self._read += len(chunk)
-            if self._read > self.mass:
-                raise ClusterError(
-                    f"cohort flow {self.name!r} read more than its {self.mass} "
-                    "arrival offsets"
-                )
-            if len(chunk) < READ_CHUNK:
-                self._exhausted = True
+        while not buffer or buffer[-1] <= elapsed:
+            if not self._shares and not self.arrivals.read(self.name):
                 if self._read < self.mass:
                     raise ClusterError(
                         f"cohort flow {self.name!r} read {self._read} arrival "
                         f"offsets for {self.mass} modeled clients"
                     )
-            try:
-                _checked(chunk)
-            except ClusterError as error:
-                raise ClusterError(f"cohort flow {self.name!r}: {error}") from None
-            buffer += chunk
+                return
+            share = self._shares.popleft()
+            self._read += len(share)
+            if self._read > self.mass:
+                raise ClusterError(
+                    f"cohort flow {self.name!r} read more than its {self.mass} "
+                    "arrival offsets"
+                )
+            buffer += share
 
     def _next_arrival(self) -> float | None:
         """Absolute time of the earliest not-yet-injected modeled call."""

@@ -219,10 +219,6 @@ class CohortReport(Outcomes):
     rtt: LatencyHistogram = field(default_factory=LatencyHistogram)
     rtt_sum: float = 0.0
     rtt_max: float = 0.0
-    #: Per-call baseline measured by the calibration probe (uncontended
-    #: RTT and server CPU cost of one real call through the full stack).
-    calibrated_rtt_s: float = 0.0
-    calibrated_cpu_cost_s: float = 0.0
 
     @property
     def mean_rtt(self) -> float:

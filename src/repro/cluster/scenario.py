@@ -40,10 +40,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import compress, cycle, islice, tee
+from itertools import islice
 from typing import Any, Callable, ClassVar, Iterable, Sequence
 
-from repro.cluster.cohort import CohortFlow, CohortModel
+from repro.cluster.cohort import CohortFlow, CohortModel, GroupArrivals
 from repro.cluster.driver import ClientPlan, FleetDriver
 from repro.cluster.protocols import BUILTIN_STACKS, ProtocolClientFactory, stack_factory
 from repro.cluster.registry import Replica, ServiceEntry, ServiceRegistry
@@ -735,22 +735,17 @@ class ScenarioRuntime:
             if group.cohort is None or group.count <= discrete_count:
                 continue
             # One flow per protocol of the mass, in first-position order,
-            # reading exactly its own positions' offsets: mass position j is
-            # group position reps + j, so it speaks the unit rotated by reps.
-            # With several protocols each flow filters its own tee of the
-            # stream; every flow reads up to the same clock, so the tees stay
-            # about a chunk apart.  A callable's offsets come in position
-            # order, so each flow sorts its share of them.
+            # dealt exactly its own positions' offsets by the group's one
+            # reader: mass position j is group position reps + j, so it
+            # speaks the unit rotated by reps.
             mass = group.count - discrete_count
             turn = discrete_count % len(unit)
             rotated = unit[turn:] + unit[:turn]
             laps, rest = divmod(mass, len(rotated))
             kinds = list(dict.fromkeys(rotated[:mass]))
-            streams = tee(offsets, len(kinds)) if len(kinds) > 1 else [offsets]
             ordered = isinstance(group.arrival, ArrivalProcess) or not callable(group.arrival)
-            for protocol, stream in zip(kinds, streams):
-                if len(kinds) > 1:
-                    stream = compress(stream, cycle(map(protocol.__eq__, rotated)))
+            arrivals = GroupArrivals(offsets, rotated, kinds, ordered)
+            for protocol in kinds:
                 service = service_of[protocol]
                 flow_number = len(flows) + 1
                 flows.append(
@@ -763,7 +758,7 @@ class ScenarioRuntime:
                         arguments=group.arguments,
                         calls=group.calls,
                         think_time=group.think_time,
-                        arrivals=stream if ordered else iter(sorted(stream)),
+                        arrivals=arrivals,
                         mass=laps * rotated.count(protocol) + rotated[:rest].count(protocol),
                         model=group.cohort,
                         host=self.world.add_client(f"cohort-client-{flow_number}"),

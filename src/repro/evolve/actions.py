@@ -55,7 +55,7 @@ class rolling:
     drain: float = 0.0
 
     def __post_init__(self) -> None:
-        check_rollout_arguments(self.retry_interval, self.batch_size)
+        check_rollout_arguments(self.change, self.retry_interval, self.batch_size)
 
     def __call__(self, runtime: "ScenarioRuntime") -> None:
         # The fields are the controller's keyword arguments, by name.
@@ -80,7 +80,7 @@ class canary:
     promote_after: float = 0.5
 
     def __post_init__(self) -> None:
-        check_rollout_arguments(self.retry_interval)
+        check_rollout_arguments(self.change, self.retry_interval)
 
     def __call__(self, runtime: "ScenarioRuntime") -> None:
         RolloutController(runtime, strategy=STRATEGY_CANARY, **vars(self)).start()

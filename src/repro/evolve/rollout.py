@@ -172,9 +172,14 @@ class _CapturedOperation:
     body: Any
 
 
-def check_rollout_arguments(retry_interval: float, batch_size: int = 1) -> None:
-    """Raise :class:`RolloutError` for a batch size below 1 or a retry
-    interval that is not positive."""
+def check_rollout_arguments(
+    change: InterfaceUpgrade, retry_interval: float, batch_size: int = 1
+) -> None:
+    """Raise :class:`RolloutError` for a change that is not an
+    :class:`InterfaceUpgrade`, a batch size below 1 or a retry interval
+    that is not positive."""
+    if not isinstance(change, InterfaceUpgrade):
+        raise RolloutError(f"a rollout's change must be an InterfaceUpgrade, got {change!r}")
     if batch_size < 1:
         raise RolloutError("batch_size must be at least 1")
     if retry_interval <= 0:
@@ -196,7 +201,7 @@ class RolloutController:
         promote_after: float = 0.5,
         retry_interval: float = 0.05,
     ) -> None:
-        check_rollout_arguments(retry_interval, batch_size)
+        check_rollout_arguments(change, retry_interval, batch_size)
         self.runtime = runtime
         self.scheduler = runtime.world.scheduler
         self.entry: "ServiceEntry" = runtime.registry.lookup(service)

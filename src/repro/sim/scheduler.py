@@ -16,8 +16,8 @@ Hot-path invariants (the fleet sweeps dispatch millions of events per run):
   at the top, in one O(n) sweep once they outnumber the live entries (checked
   on every cancel *and* on every :attr:`Scheduler.pending_count` read, so an
   idle cancel-heavy heap cannot hold dead entries indefinitely);
-* dispatch avoids the ``**kwargs`` unpacking path when a callback was
-  scheduled without keyword arguments (the overwhelmingly common case).
+* callbacks take positional arguments only, so dispatch is one plain
+  ``callback(*args)`` call with no keyword branch.
 """
 
 from __future__ import annotations
@@ -39,20 +39,18 @@ class Event:
     them (the §5.6 publication timer does this when it is *reset*).
     """
 
-    __slots__ = ("time", "callback", "args", "kwargs", "cancelled", "dispatched", "_scheduler")
+    __slots__ = ("time", "callback", "args", "cancelled", "dispatched", "_scheduler")
 
     def __init__(
         self,
         time: float,
         callback: Callable[..., None],
         args: tuple,
-        kwargs: dict | None,
         scheduler: "Scheduler | None" = None,
     ) -> None:
         self.time = time
         self.callback = callback
         self.args = args
-        self.kwargs = kwargs
         self.cancelled = False
         self.dispatched = False
         self._scheduler = scheduler
@@ -136,18 +134,12 @@ class Scheduler:
 
     # -- scheduling -------------------------------------------------------
 
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[..., None],
-        *args: Any,
-        **kwargs: Any,
-    ) -> Event:
-        """Schedule ``callback(*args, **kwargs)`` to run ``delay`` seconds
-        from now and return the corresponding :class:`Event`."""
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from now
+        and return the corresponding :class:`Event`."""
         if delay < 0:
             raise SchedulerError(f"cannot schedule an event in the past (delay={delay})")
-        event = Event(self.now + delay, callback, args, kwargs or None, self)
+        event = Event(self.now + delay, callback, args, self)
         heapq.heappush(self._queue, (event.time, next(self._sequence), event))
         self._pending += 1
         self.last_event = event
@@ -171,11 +163,7 @@ class Scheduler:
             event.dispatched = True
             self._pending -= 1
             self._dispatched_count += 1
-            kwargs = event.kwargs
-            if kwargs:
-                event.callback(*event.args, **kwargs)
-            else:
-                event.callback(*event.args)
+            event.callback(*event.args)
             return True
         return False
 

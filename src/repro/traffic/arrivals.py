@@ -35,9 +35,9 @@ What is drawn when
 up front depends on the form:
 
 * :class:`Poisson` draws lazily: each offset is drawn when the consumer
-  reads it.  A cohort flow reads its share one tick at a time, so a
-  million-client group's draws happen inside the flow's ticks and only the
-  offsets a flow still needs are ever held.
+  reads it.  A cohort group's reader reads a chunk when a flow's tick needs
+  one, so a million-client group's draws happen inside the flows' ticks
+  and only about a chunk beyond the offsets the flows still need is held.
 * Scalar spacing computes ``position * step`` on read; a bad step (negative,
   not finite, or ``(count - 1) * step`` overflowing) is rejected when the
   offsets are resolved.
@@ -46,9 +46,9 @@ up front depends on the form:
 * A callable is evaluated for every position at resolve time and yields in
   position order, which need not be sorted.
 
-Offsets that are drawn lazily are checked by their reader: the cohort flow
-runs :func:`_checked` on every chunk it reads, and the plan builder on the
-discrete representatives' offsets.
+Offsets that are drawn lazily are checked by their reader: a cohort
+group's reader runs :func:`_checked` once on every chunk it reads, and the
+plan builder on the discrete representatives' offsets.
 """
 
 from __future__ import annotations
@@ -123,9 +123,12 @@ class Poisson(ArrivalProcess):
         # CPython's expovariate formula, -log(1 - u) / rate, as C iterators:
         # the same floats as ``rng.expovariate(rate)`` summed one by one
         # from 0.0, drawn as they are read, with no Python call per draw.
-        # (Negating the divisor instead of the logarithm is exact.)
+        # (Negating the divisor instead of the logarithm is exact.)  ``log``
+        # takes an argument tuple, so ``map`` would build one per draw;
+        # ``starmap`` over ``zip`` reuses zip's one tuple.
         draws = starmap(rng.random, repeat((), count))
-        gaps = map(truediv, map(math.log, map(sub, repeat(1.0), draws)), repeat(-self.rate))
+        logs = starmap(math.log, zip(map(sub, repeat(1.0), draws)))
+        gaps = map(truediv, logs, repeat(-self.rate))
         return islice(accumulate(gaps, initial=0.0), 1, None)
 
     def stream(self, count: int) -> Iterator[float]:

@@ -1,11 +1,12 @@
 """Plan building: the fast builder against the original one, kept as the spec.
 
 ``ScenarioRuntime._build_plans`` turns every client group into discrete
-:class:`ClientPlan` s and cohort flows that read their arrival offsets lazily.
-It makes no Python-level call per client and builds the protocol interleave
-once per period (ARCHITECTURE.md "Plan building"); the original per-client
-construction lives on here as the reference, and every float and assignment
-must match it bit for bit once each flow's stream is drained.
+:class:`ClientPlan` s and cohort flows whose group reader deals them their
+arrival offsets lazily.  It makes no Python-level call per client and builds
+the protocol interleave once per period (ARCHITECTURE.md "Plan building");
+the original per-client construction lives on here as the reference, and
+every float and assignment must match it bit for bit once each flow has
+taken all its offsets.
 """
 
 from __future__ import annotations
@@ -13,16 +14,19 @@ from __future__ import annotations
 import gc
 import sys
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import CohortModel, Scenario, op
+from repro.cluster.cohort import READ_CHUNK, GroupArrivals
 from repro.cluster.registry import ServiceEntry
 from repro.cluster.scenario import _weighted_interleave
 from repro.rmitypes import STRING
 from repro.traffic import Poisson, resolve_offsets
+from repro.traffic.arrivals import _checked
 
 
 def _reference_interleave(mix, count):
@@ -73,11 +77,17 @@ def _reference_build(runtime):
     return plans, flows
 
 
+def _dealt(flow):
+    """Every offset the flow's group reader deals it, read as a flow reads."""
+    flow._fill(float("inf"))
+    return array("d", flow._buffer)
+
+
 def _rows(plans, flows):
     assert [flow.index for flow in flows] == list(range(1, len(flows) + 1))
     return (
         [(p.index, p.protocol, p.service, p.start_offset.hex()) for p in plans],
-        [(f.protocol, f.service, array("d", f.arrivals).tobytes()) for f in flows],
+        [(f.protocol, f.service, _dealt(f).tobytes()) for f in flows],
     )
 
 
@@ -176,7 +186,7 @@ class TestLazyReads:
         plans, flows = runtime._build_plans()
         assert len(plans) == 32
         assert arrival.reads == [32]
-        drained = [array("d", flow.arrivals) for flow in flows]
+        drained = [_dealt(flow) for flow in flows]
         assert arrival.reads == [10_000]
         assert [len(offsets) for offsets in drained] == [flow.mass for flow in flows]
 
@@ -228,7 +238,7 @@ class TestBuilderEquivalence:
         discrete = min(count, representatives)
         assert [plan.start_offset for plan in plans] == full[:discrete]
         assert [plan.protocol for plan in plans] == protocols[:discrete]
-        by_protocol = {flow.protocol: list(array("d", flow.arrivals)) for flow in flows}
+        by_protocol = {flow.protocol: list(_dealt(flow)) for flow in flows}
         for protocol in mix:
             expected = sorted(
                 full[p] for p in range(discrete, count) if protocols[p] == protocol
@@ -236,19 +246,64 @@ class TestBuilderEquivalence:
             assert by_protocol.get(protocol, []) == expected
 
 
+# Dyadic (one slot per flow), dyadic with a protocol in two slots, and
+# non-dyadic mixes, whose unit is the whole group.
+READER_MIXES = [
+    {"soap": 1.0},
+    {"soap": 0.5, "corba": 0.5},
+    {"soap": 0.5, "corba": 0.25, "toy": 0.25},
+    {"soap": 0.25, "corba": 0.75},
+    {"soap": 0.7, "corba": 0.3},
+    {"soap": 0.5, "corba": 0.3, "toy": 0.2},
+]
+
+
+class TestGroupReader:
+    @given(
+        mix=st.sampled_from(READER_MIXES),
+        arrival=st.sampled_from(["poisson", "callable", "scalar"]),
+        representatives=st.integers(min_value=0, max_value=9),
+        chunks=st.integers(min_value=0, max_value=3),
+        offset=st.integers(min_value=-3, max_value=3),
+        steps=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=2), st.floats(0.0, 1.0)),
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_dealt_offsets_match_the_reference(
+        self, mix, arrival, representatives, chunks, offset, steps
+    ):
+        # Masses on both sides of a multiple of the group's chunk; flows
+        # take their shares in an arbitrary interleaving (``steps``: which
+        # flow fills up to which fraction of the window), then all of them.
+        count = max(1, representatives + chunks * len(mix) * READ_CHUNK + offset)
+        window = 0.2
+        arrivals = {
+            "poisson": Poisson(rate=count / window, seed=chunks),
+            "callable": lambda i: ((i * 7919) % count) * window / count,
+            "scalar": window / count,
+        }[arrival]
+        runtime = _runtime(count, mix, arrivals, representatives)
+        plans, flows = runtime._build_plans()
+        for pick, fraction in steps:
+            if flows:
+                flows[pick % len(flows)]._fill(fraction * window)
+        assert _rows(plans, flows) == _reference_build(runtime)
+
+
 def _python_calls(function):
     """Python-frame ``call`` events (generator resumes included, C calls not)
-    while ``function`` runs.
+    while ``function`` runs, counted by code object.
 
     The collector is drained and paused first: a collection mid-run would
     finalize earlier tests' garbage (closing a generator is a ``call``).
     """
-    calls = 0
+    calls = Counter()
 
-    def profile(_frame, event, _arg):
-        nonlocal calls
+    def profile(frame, event, _arg):
         if event == "call":
-            calls += 1
+            calls[frame.f_code] += 1
 
     gc.collect()
     gc.disable()
@@ -262,17 +317,18 @@ def _python_calls(function):
 
 
 def _build_and_drain(runtime):
-    """Build the plans and read every flow's whole arrival stream."""
+    """Build the plans and have every flow take all its offsets."""
     _plans, flows = runtime._build_plans()
     for flow in flows:
-        array("d", flow.arrivals)
+        _dealt(flow)
 
 
 class TestNoPerClientCalls:
     def test_python_call_count_does_not_grow_with_the_group(self):
         # A deterministic guard, not a timing: growing the cohort group
-        # tenfold must not add a single Python-level call to plan building
-        # or to drawing and splitting the flows' arrivals.
+        # tenfold adds no Python-level call to plan building or to drawing
+        # the flows' arrivals, and only one reader call (plus the check it
+        # runs) per chunk it reads: never one per offset.
         mix = {"soap": 0.5, "corba": 0.5}
         runtimes = {
             count: _runtime(count, mix, Poisson(rate=count / 0.2, seed=0))
@@ -283,4 +339,11 @@ class TestNoPerClientCalls:
             count: _python_calls(lambda: _build_and_drain(runtime))
             for count, runtime in runtimes.items()
         }
+        read, check = GroupArrivals.read.__code__, _checked.__code__
+        for count, calls in counts.items():
+            # Both flows take their last share, then learn the stream ended.
+            chunks = -(-(count - 32) // (2 * READ_CHUNK))
+            assert calls.pop(read) == chunks + 2
+            # One check for the representatives' offsets, one per chunk.
+            assert calls.pop(check) == 1 + chunks
         assert counts[10_000] == counts[100_000]

@@ -77,6 +77,11 @@ class TestUpgradeSpec:
         with pytest.raises(RolloutError, match=message):
             action("Echo", BREAKING, **keywords)
 
+    @pytest.mark.parametrize("action", [rolling, canary])
+    def test_a_change_that_is_no_upgrade_fails_when_the_action_is_made(self, action):
+        with pytest.raises(RolloutError, match="must be an InterfaceUpgrade, got None"):
+            action("Echo", None)
+
 
 class TestCompatibleRolling:
     def test_zero_faults_zero_recency_violations(self):

@@ -40,9 +40,12 @@ class TestScheduling:
 
     def test_arguments_forwarded(self, scheduler: Scheduler):
         received = []
-        scheduler.schedule(0.1, lambda a, b=None: received.append((a, b)), 1, b=2)
+        scheduler.schedule(0.1, lambda a, b: received.append((a, b)), 1, 2)
         scheduler.run_until_idle()
         assert received == [(1, 2)]
+        # Callbacks take positional arguments only.
+        with pytest.raises(TypeError):
+            scheduler.schedule(0.1, received.append, item=3)
 
 
 class TestCancellation:

@@ -248,6 +248,11 @@ class TestSpecValidation:
                 r"timeline entry 5 \(rolling\): batch_size must be at least 1",
                 id="rolling-batch-size-0",
             ),
+            pytest.param(
+                lambda s: _event(s, "rolling").update(change=None),
+                r"timeline entry 5 \(rolling\): .*must be an InterfaceUpgrade, got None",
+                id="rolling-change-null",
+            ),
         ],
     )
     def test_a_malformed_record_is_rejected_by_name(self, monkeypatch, mutate, named):
